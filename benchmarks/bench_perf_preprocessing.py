@@ -6,6 +6,12 @@ in both execution modes on synthetic power-law graphs of increasing size, and
 verifies the fast-path contract along the way: bit-exact reindexing output and
 identical cycle counts between modes (see DESIGN.md).
 
+It also times ``AutoGNNDevice.preprocess`` (the cycle-level device model in
+its default fast path) on the same graph, which must stay within
+``DEVICE_RATIO_CEILING`` of the vectorized pipeline at the 100k-edge scale:
+both do the same functional work, so a larger ratio means the device model
+has forked a slower host implementation of some task.
+
 Results are written to ``BENCH_perf_preprocessing.json`` at the repo root so
 future PRs have a machine-readable perf trajectory.
 
@@ -20,7 +26,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 _SRC = REPO_ROOT / "src"
@@ -50,31 +56,56 @@ SCALES = [
 #: so it is limited to scales at or below this edge count.
 CYCLE_CHECK_MAX_EDGES = 100_000
 
+#: Ceiling on ``device_seconds / vectorized_seconds`` at the gated scale.
+DEVICE_RATIO_CEILING = 1.5
+
+#: Scale at which the speedup and device-ratio gates apply.
+GATE_SCALE = "100k"
+
 #: Workload parameters shared by every scale.
 K = 10
 NUM_LAYERS = 2
 SEED = 0
 
 
-def _time_pipeline(graph, batch_size: int, mode: str, repeats: int = 5) -> float:
-    """Minimum wall time of ``repeats`` pipeline passes.
+def _min_seconds(runs: Dict[str, Callable[[], object]], repeats: int = 5) -> Dict[str, float]:
+    """Minimum wall time of each named path over ``repeats`` rounds.
 
     The minimum is the standard noise-robust estimator (scheduling jitter
-    only ever adds time) and is applied to both modes symmetrically.
+    only ever adds time).  Every round runs each path once, so a drift in
+    host speed lands on all paths alike instead of skewing their ratios.
     """
-    times = []
+    best = {name: float("inf") for name in runs}
     for _ in range(repeats):
-        start = time.perf_counter()
-        preprocess(
-            graph,
-            k=K,
-            num_layers=NUM_LAYERS,
-            batch_size=batch_size,
-            seed=SEED,
-            mode=mode,
+        for name, run in runs.items():
+            start = time.perf_counter()
+            run()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best
+
+
+def _time_paths(graph, batch_size: int) -> Dict[str, float]:
+    """Best pass of both pipeline modes and of the device model's fast path."""
+    device = AutoGNNDevice()
+    workload = PreprocessingConfig(k=K, num_layers=NUM_LAYERS, batch_size=batch_size, seed=SEED)
+
+    def pipeline(mode: str) -> Callable[[], object]:
+        return lambda: preprocess(
+            graph, k=K, num_layers=NUM_LAYERS, batch_size=batch_size, seed=SEED, mode=mode
         )
-        times.append(time.perf_counter() - start)
-    return min(times)
+
+    return _min_seconds(
+        {
+            MODE_VECTORIZED: pipeline(MODE_VECTORIZED),
+            MODE_REFERENCE: pipeline(MODE_REFERENCE),
+            "device": lambda: device.preprocess(graph, workload),
+        }
+    )
+
+
+def device_ratio_ok(entry: Dict) -> bool:
+    """Whether a result entry's device model keeps pace with the pipeline."""
+    return entry["device_ratio"] <= DEVICE_RATIO_CEILING
 
 
 def _check_equivalence(graph, batch_size: int) -> Dict[str, bool]:
@@ -111,8 +142,10 @@ def run(quick: bool = False) -> Dict:
         graph = power_law_graph(
             GraphSpec(num_nodes=num_nodes, num_edges=num_edges, degree_skew=0.5, seed=42)
         )
-        vectorized_seconds = _time_pipeline(graph, batch_size, MODE_VECTORIZED)
-        reference_seconds = _time_pipeline(graph, batch_size, MODE_REFERENCE)
+        seconds = _time_paths(graph, batch_size)
+        vectorized_seconds = seconds[MODE_VECTORIZED]
+        reference_seconds = seconds[MODE_REFERENCE]
+        device_seconds = seconds["device"]
         entry = {
             "scale": label,
             "num_nodes": num_nodes,
@@ -123,6 +156,8 @@ def run(quick: bool = False) -> Dict:
             "reference_seconds": round(reference_seconds, 6),
             "vectorized_seconds": round(vectorized_seconds, 6),
             "speedup": round(reference_seconds / max(vectorized_seconds, 1e-12), 2),
+            "device_seconds": round(device_seconds, 6),
+            "device_ratio": round(device_seconds / max(vectorized_seconds, 1e-12), 2),
         }
         if num_edges <= CYCLE_CHECK_MAX_EDGES:
             entry.update(_check_equivalence(graph, batch_size))
@@ -130,7 +165,8 @@ def run(quick: bool = False) -> Dict:
         print(
             f"{label:>5}: reference {reference_seconds * 1e3:9.1f} ms | "
             f"vectorized {vectorized_seconds * 1e3:8.1f} ms | "
-            f"speedup {entry['speedup']:7.1f}x"
+            f"speedup {entry['speedup']:7.1f}x | "
+            f"device {device_seconds * 1e3:8.1f} ms ({entry['device_ratio']:.2f}x vectorized)"
             + (
                 f" | bit_exact={entry['bit_exact']} cycles_identical={entry['cycles_identical']}"
                 if "bit_exact" in entry
@@ -153,10 +189,11 @@ def test_perf_preprocessing(benchmark):
     from common import run_once
 
     document = run_once(benchmark, lambda: run(quick=True))
-    by_scale = {entry["scale"]: entry for entry in document["results"]}
-    assert by_scale["100k"]["bit_exact"]
-    assert by_scale["100k"]["cycles_identical"]
-    assert by_scale["100k"]["speedup"] >= 10.0
+    gated = {entry["scale"]: entry for entry in document["results"]}[GATE_SCALE]
+    assert gated["bit_exact"]
+    assert gated["cycles_identical"]
+    assert gated["speedup"] >= 10.0
+    assert device_ratio_ok(gated)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -5,7 +5,10 @@ Committed-vs-fresh comparisons:
 * **Preprocessing** — reads the committed ``BENCH_perf_preprocessing.json``,
   runs a fresh ``--quick`` pass of ``benchmarks/bench_perf_preprocessing.py``,
   and fails when the fresh vectorized/reference speedup at any shared scale
-  drops below ``tolerance * committed_speedup`` or below an absolute floor.
+  drops below ``tolerance * committed_speedup`` or below an absolute floor,
+  or when the device model's time exceeds ``DEVICE_RATIO_CEILING`` times the
+  vectorized pipeline's at the gated scale (same process, same graph, so the
+  ratio needs no machine normalization).
 * **Serving engine** — reads the committed ``BENCH_engine_speed.json``, runs
   a fresh ``--quick`` pass of ``benchmarks/bench_engine_speed.py``, and fails
   when (a) the fresh fast/reference speedup drops below
@@ -121,6 +124,18 @@ def _check_preprocessing(args) -> List[str]:
                 f"floor {floor:.2f}x (committed {baseline_speedup:.2f}x, "
                 f"tolerance {args.tolerance})"
             )
+        if scale == bench_perf_preprocessing.GATE_SCALE:
+            ceiling = bench_perf_preprocessing.DEVICE_RATIO_CEILING
+            ok = bench_perf_preprocessing.device_ratio_ok(entry)
+            print(
+                f"{scale:>5}: device model {entry['device_ratio']:.2f}x vectorized | "
+                f"ceiling {ceiling:.2f}x | {'ok' if ok else 'REGRESSION'}"
+            )
+            if not ok:
+                failures.append(
+                    f"preprocessing {scale}: device model takes {entry['device_ratio']:.2f}x "
+                    f"the vectorized pipeline's time, above the {ceiling:.2f}x ceiling"
+                )
     return failures
 
 

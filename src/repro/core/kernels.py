@@ -23,9 +23,9 @@ from repro.core.config import HardwareConfig
 from repro.core.merge import merge_rounds, upe_merge_sort
 from repro.core.scr import SCR, Reindexer, Reshaper
 from repro.core.upe import CYCLES_PER_PARTITION_PASS, DEFAULT_RADIX_BITS, UPE
-from repro.graph.coo import COOGraph, VID_DTYPE
+from repro.graph.coo import COOGraph, VID_DTYPE, vid_bits
 from repro.graph.csc import CSCGraph
-from repro.graph.convert import build_pointer_array
+from repro.graph.convert import build_pointer_array, edge_order
 from repro.graph.reindex import (
     ReindexResult,
     interleave_endpoints,
@@ -49,8 +49,7 @@ SELECTION_ARRAY_OVERHEAD_CYCLES: int = 1 + CYCLES_PER_PARTITION_PASS
 # ---------------------------------------------------------------------------
 def key_bits_for_nodes(num_nodes: int) -> int:
     """Bits of the concatenated (dst, src) sort key for a graph of ``num_nodes``."""
-    vid_bits = max(int(num_nodes - 1).bit_length(), 1) if num_nodes > 1 else 1
-    return 2 * vid_bits
+    return 2 * vid_bits(num_nodes)
 
 
 def ordering_cycle_count(
@@ -238,21 +237,25 @@ class UPEKernel:
 
     # --------------------------------------------------------- edge ordering
     def edge_ordering(self, graph: COOGraph) -> Tuple[COOGraph, int]:
-        """Sort the COO edge array by (dst, src); returns (sorted graph, cycles)."""
+        """Sort the COO edge array by (dst, src); returns (sorted graph, cycles).
+
+        Cycles always come from :func:`ordering_cycle_count`, never from the
+        host sort.  The fast path *is* the reference :func:`edge_order`;
+        ``detailed`` emulates the chunked radix sort and UPE merge instead.
+        """
         cycles = ordering_cycle_count(
             graph.num_edges, graph.num_nodes, self.config, radix_bits=self.radix_bits
         )
         if graph.num_edges == 0:
             return graph.copy(), 0
+        if not self.detailed:
+            return edge_order(graph), cycles
         keys = graph.concatenate_vids()
         key_bits = key_bits_for_nodes(graph.num_nodes)
-        if self.detailed:
-            w = self.config.upe_width
-            chunks = [keys[i : i + w] for i in range(0, keys.shape[0], w)]
-            sorted_chunks = [self.upe.radix_sort_chunk(c, key_bits)[0] for c in chunks]
-            merged, _ = upe_merge_sort(self.upe, sorted_chunks, key_bits)
-        else:
-            merged = np.sort(keys, kind="stable")
+        w = self.config.upe_width
+        chunks = [keys[i : i + w] for i in range(0, keys.shape[0], w)]
+        sorted_chunks = [self.upe.radix_sort_chunk(c, key_bits)[0] for c in chunks]
+        merged, _ = upe_merge_sort(self.upe, sorted_chunks, key_bits)
         src, dst = COOGraph.deconcatenate_vids(merged, graph.num_nodes)
         # A permutation of already-validated edges needs no range re-check.
         ordered = graph.with_edges(src, dst, validate=False)

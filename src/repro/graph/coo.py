@@ -16,6 +16,11 @@ import numpy as np
 VID_DTYPE = np.int64
 
 
+def vid_bits(num_nodes: int) -> int:
+    """Bits needed for the largest VID, ``num_nodes - 1`` (at least one)."""
+    return max(int(num_nodes - 1).bit_length(), 1)
+
+
 @dataclass
 class COOGraph:
     """An edge-array graph.
@@ -123,15 +128,18 @@ class COOGraph:
 
         The UPE controller concatenates destination and source VIDs so that a
         single radix sort orders edges primarily by destination and secondarily
-        by source (Section V-A, Fig. 15).  Destination occupies the high bits.
+        by source (Section V-A, Fig. 15).  Destination occupies the high bits;
+        each half is :func:`vid_bits` wide, so keys fit in twice that.
         """
-        shift = max(int(self.num_nodes).bit_length(), 1)
-        return (self.dst.astype(np.int64) << shift) | self.src.astype(np.int64)
+        shift = vid_bits(self.num_nodes)
+        keys = self.dst.astype(np.int64, copy=False) << shift
+        keys |= self.src.astype(np.int64, copy=False)
+        return keys
 
     @staticmethod
     def deconcatenate_vids(keys: np.ndarray, num_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
         """Inverse of :meth:`concatenate_vids`: split keys back into (src, dst)."""
-        shift = max(int(num_nodes).bit_length(), 1)
+        shift = vid_bits(num_nodes)
         mask = (1 << shift) - 1
         keys = np.asarray(keys, dtype=np.int64)
         src = keys & mask
@@ -151,11 +159,20 @@ class COOGraph:
         )
 
     def add_edges(self, src: np.ndarray, dst: np.ndarray, num_nodes: Optional[int] = None) -> "COOGraph":
-        """Return a new graph with the given edges appended (caches not inherited)."""
+        """Return a new graph with the given edges appended (caches not inherited).
+
+        The existing edges were range-checked when this graph was built, so
+        unless ``num_nodes`` shrinks only the appended edges are validated.
+        """
         new_nodes = self.num_nodes if num_nodes is None else num_nodes
-        new_src = np.concatenate([self.src, np.asarray(src, dtype=VID_DTYPE)])
-        new_dst = np.concatenate([self.dst, np.asarray(dst, dtype=VID_DTYPE)])
-        return COOGraph(src=new_src, dst=new_dst, num_nodes=new_nodes, name=self.name)
+        appended = COOGraph(src=src, dst=dst, num_nodes=new_nodes)
+        return COOGraph(
+            src=np.concatenate([self.src, appended.src]),
+            dst=np.concatenate([self.dst, appended.dst]),
+            num_nodes=new_nodes,
+            name=self.name,
+            validate_vids=new_nodes < self.num_nodes,
+        )
 
     def subgraph_edges(self, mask: np.ndarray) -> "COOGraph":
         """Return a new graph keeping only edges where ``mask`` is True."""

@@ -851,11 +851,16 @@ class FaultRuntime:
         re-dispatched by :meth:`flush` carries a ready time in the cursor's
         future, and a shard that looks alive *now* may be scheduled dead
         across that future start.
+
+        The schedule alternates crash and recover per shard, so the dead
+        intervals are disjoint and the i-th one starts at the i-th crash:
+        only the last interval starting at or before ``seconds`` can cover it.
         """
-        for crash, recover in self._dead[shard_id]:
-            if crash <= seconds < recover:
-                return recover
-        return None
+        index = bisect_right(self._crashes[shard_id], seconds) - 1
+        if index < 0:
+            return None
+        recover = self._dead[shard_id][index][1]
+        return recover if seconds < recover else None
 
     def degraded_at(self, seconds: float) -> bool:
         """Whether at least one shard is down at ``seconds``."""

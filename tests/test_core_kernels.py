@@ -17,6 +17,7 @@ from repro.core.kernels import (
     selection_cycle_count,
 )
 from repro.graph.convert import coo_to_csc, edge_order
+from repro.graph.coo import VID_DTYPE, COOGraph
 from repro.graph.reindex import reindex_edges
 
 
@@ -97,6 +98,65 @@ class TestUPEKernel:
         ordered, cycles = UPEKernel(config).edge_ordering(empty)
         assert ordered.num_edges == 0
         assert cycles == 0
+
+    @pytest.mark.parametrize(
+        "num_nodes, num_edges",
+        [
+            (1, 5),  # one node: every edge is the same self-loop
+            (2, 40),
+            (3, 40),
+            # Around powers of two, where the width of the largest VID (and
+            # with it the key-packing shift) changes.
+            (63, 500),
+            (64, 500),
+            (65, 500),
+            (1023, 3000),
+            (1024, 3000),
+            (1025, 3000),
+        ],
+    )
+    def test_edge_ordering_matches_lexsort_oracle(self, config, num_nodes, num_edges):
+        """Duplicate edges and self-loops included; ties leave no room for
+        an unstable sort to reorder anything."""
+        rng = np.random.default_rng(num_nodes * 7919 + num_edges)
+        src = rng.integers(0, num_nodes, size=num_edges)
+        dst = rng.integers(0, num_nodes, size=num_edges)
+        # Force exact duplicates and self-loops on top of the random ones.
+        src[: num_edges // 4] = src[num_edges // 4 : 2 * (num_edges // 4)]
+        dst[: num_edges // 4] = dst[num_edges // 4 : 2 * (num_edges // 4)]
+        dst[-(num_edges // 5) :] = src[-(num_edges // 5) :]
+        graph = COOGraph(src=src, dst=dst, num_nodes=num_nodes)
+        order = np.lexsort((src, dst))
+
+        kernel_ordered, _ = UPEKernel(config).edge_ordering(graph)
+        reference = edge_order(graph)
+        for ordered in (kernel_ordered, reference):
+            assert np.array_equal(ordered.src, src[order])
+            assert np.array_equal(ordered.dst, dst[order])
+            assert ordered.num_nodes == num_nodes
+
+    @pytest.mark.parametrize("num_nodes", [0, 1])
+    def test_edge_ordering_empty_and_one_node_agree(self, config, num_nodes):
+        none = np.zeros(0, dtype=VID_DTYPE)
+        graph = COOGraph(src=none, dst=none, num_nodes=num_nodes)
+        ordered, cycles = UPEKernel(config).edge_ordering(graph)
+        reference = edge_order(graph)
+        assert cycles == 0
+        for result in (ordered, reference):
+            assert result.num_edges == 0
+            assert result.num_nodes == num_nodes
+            assert result.src.dtype == VID_DTYPE and result.dst.dtype == VID_DTYPE
+
+    def test_edge_ordering_detailed_matches_oracle_at_pow2(self, tiny_hardware):
+        rng = np.random.default_rng(5)
+        for num_nodes in (15, 16, 17):
+            src = rng.integers(0, num_nodes, size=120)
+            dst = rng.integers(0, num_nodes, size=120)
+            graph = COOGraph(src=src, dst=dst, num_nodes=num_nodes)
+            order = np.lexsort((src, dst))
+            ordered, _ = UPEKernel(tiny_hardware, detailed=True).edge_ordering(graph)
+            assert np.array_equal(ordered.src, src[order])
+            assert np.array_equal(ordered.dst, dst[order])
 
     def test_selection_valid_edges(self, small_graph, config):
         csc = coo_to_csc(small_graph)

@@ -12,6 +12,7 @@
 """
 
 import json
+import math
 
 import pytest
 from conftest import WORKLOAD_POOL
@@ -348,6 +349,61 @@ def test_random_faults_schedule_is_deterministic():
     first, second = build(), build()
     assert first.as_dict() == second.as_dict()
     assert any(event.kind == FAULT_CRASH for event in first.events)
+
+
+def _linear_dead_until(events, shard_id, seconds):
+    """Oracle: scan the shard's crash/recover pairs in event order."""
+    crash = None
+    for event in events:
+        if event.shard_id != shard_id:
+            continue
+        if event.kind == FAULT_CRASH:
+            crash = event.seconds
+        elif event.kind == FAULT_RECOVER:
+            if crash <= seconds < event.seconds:
+                return event.seconds
+            crash = None
+    return math.inf if crash is not None and seconds >= crash else None
+
+
+def test_dead_until_matches_linear_scan_at_boundaries():
+    """Crash instants, recover instants, gaps between outages and an
+    unclosed outage, on a shard with several outages plus a neighbour."""
+    events = (
+        FaultEvent(seconds=1.0, shard_id=0, kind=FAULT_CRASH),
+        FaultEvent(seconds=2.0, shard_id=0, kind=FAULT_RECOVER),
+        FaultEvent(seconds=2.5, shard_id=1, kind=FAULT_CRASH),
+        FaultEvent(seconds=3.0, shard_id=0, kind=FAULT_SLOWDOWN, factor=2.0),
+        FaultEvent(seconds=4.0, shard_id=0, kind=FAULT_CRASH),
+        FaultEvent(seconds=4.5, shard_id=1, kind=FAULT_RECOVER),
+        FaultEvent(seconds=5.0, shard_id=0, kind=FAULT_RECOVER),
+        FaultEvent(seconds=7.0, shard_id=0, kind=FAULT_CRASH),
+    )
+    runtime = FaultSchedule(events=events).runtime(num_shards=3)
+    probes = [0.0, 0.999, 1.0, 1.5, 2.0, 2.5, 3.0, 3.999, 4.0, 4.5, 5.0, 6.0, 7.0, 1e9]
+    for shard in range(3):
+        for seconds in probes:
+            assert runtime.dead_until(shard, seconds) == _linear_dead_until(
+                events, shard, seconds
+            ), (shard, seconds)
+    assert runtime.dead_until(0, 1.0) == 2.0
+    assert runtime.dead_until(0, 2.0) is None
+    assert runtime.dead_until(0, 6.0) is None
+    assert runtime.dead_until(0, 7.0) == math.inf
+    assert runtime.dead_until(2, 4.0) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(schedule=random_schedules, probe=st.floats(min_value=0.0, max_value=0.8))
+def test_dead_until_matches_linear_scan_on_random_schedules(schedule, probe):
+    runtime = schedule.runtime(num_shards=NUM_SHARDS)
+    events = schedule.expanded_events
+    instants = [probe] + [event.seconds for event in events]
+    for shard in range(NUM_SHARDS):
+        for seconds in instants:
+            assert runtime.dead_until(shard, seconds) == _linear_dead_until(
+                events, shard, seconds
+            )
 
 
 def test_random_faults_outages_are_closed():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.graph.coo import COOGraph
+from repro.graph.coo import COOGraph, vid_bits
 
 
 def make_graph():
@@ -94,6 +94,28 @@ class TestOperations:
         bigger = g.add_edges(np.array([4]), np.array([0]), num_nodes=5)
         assert bigger.num_nodes == 5
 
+    @pytest.mark.parametrize(
+        "src, dst, num_nodes, message",
+        [
+            ([0], [4], None, "VID 4 out of range for num_nodes=4"),
+            ([9], [0], 6, "VID 9 out of range for num_nodes=6"),
+            ([-1], [0], None, "VIDs must be non-negative"),
+            ([0], [-3], 5, "VIDs must be non-negative"),
+        ],
+    )
+    def test_add_edges_rejects_invalid_appended_edges(self, src, dst, num_nodes, message):
+        with pytest.raises(ValueError, match=message):
+            make_graph().add_edges(np.array(src), np.array(dst), num_nodes=num_nodes)
+
+    def test_add_edges_shrinking_num_nodes_rechecks_existing_edges(self):
+        # Existing edge 3 -> 2 is invalid once the graph has only 3 nodes.
+        with pytest.raises(ValueError, match="VID 3 out of range for num_nodes=3"):
+            make_graph().add_edges(np.array([0]), np.array([1]), num_nodes=3)
+
+    def test_add_edges_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            make_graph().add_edges(np.array([0, 1]), np.array([1]))
+
     def test_subgraph_edges(self):
         g = make_graph()
         sub = g.subgraph_edges(np.array([True, False, True, False]))
@@ -122,6 +144,16 @@ class TestConcatenation:
         keys = np.sort(g.concatenate_vids())
         src, dst = COOGraph.deconcatenate_vids(keys, g.num_nodes)
         assert np.all(np.diff(dst) >= 0)
+
+    @pytest.mark.parametrize("num_nodes, bits", [(0, 1), (1, 1), (2, 1), (15, 4), (16, 4), (17, 5)])
+    def test_keys_fit_twice_the_vid_width(self, num_nodes, bits):
+        """A power-of-two node count needs no extra bit: the radix-sort
+        emulation sorts exactly ``2 * vid_bits`` key bits."""
+        assert vid_bits(num_nodes) == bits
+        if num_nodes:
+            top = np.array([num_nodes - 1])
+            keys = COOGraph(src=top, dst=top, num_nodes=num_nodes).concatenate_vids()
+            assert int(keys[0]) < 1 << (2 * bits)
 
     @given(st.integers(2, 500), st.integers(1, 200), st.integers(0, 10_000))
     def test_roundtrip_property(self, num_nodes, num_edges, seed):

@@ -11,7 +11,11 @@ from repro.graph.dynamic import (
     affected_vertex_ratio,
     critical_update_ratio,
 )
+from repro.core.accelerator import AutoGNNDevice
+from repro.graph.coo import COOGraph
 from repro.graph.generators import uniform_random_graph
+from repro.graph.sampling import MODE_REFERENCE
+from repro.preprocessing.pipeline import PreprocessingConfig
 
 
 @pytest.fixture
@@ -62,6 +66,52 @@ class TestDynamicGraph:
         batch = UpdateBatch(step=0, src=np.array([0]), dst=np.array([100]), new_nodes=1)
         dynamic.apply(batch)
         assert dynamic.graph.num_nodes == base.num_nodes + 1
+
+
+    def test_apply_rejects_invalid_update(self, base):
+        dynamic = DynamicGraph(graph=base.copy())
+        batch = UpdateBatch(step=0, src=np.array([0]), dst=np.array([base.num_nodes]))
+        with pytest.raises(ValueError, match="out of range"):
+            dynamic.apply(batch)
+        batch = UpdateBatch(step=0, src=np.array([-1]), dst=np.array([0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            dynamic.apply(batch)
+        assert dynamic.num_steps == 0
+
+    def test_stream_snapshot_equals_direct_build_and_preprocesses_identically(self, base):
+        stream = GraphUpdateStream(base, growth_rate=0.05, new_node_rate=0.3, seed=4)
+        batches = list(stream.generate(5))
+        dynamic = DynamicGraph(graph=base.copy())
+        for batch in batches:
+            snapshot = dynamic.apply(batch)
+        direct = COOGraph(
+            src=np.concatenate([base.src] + [b.src for b in batches]),
+            dst=np.concatenate([base.dst] + [b.dst for b in batches]),
+            num_nodes=base.num_nodes + sum(b.new_nodes for b in batches),
+        )
+        assert snapshot.num_nodes == direct.num_nodes > base.num_nodes
+        assert np.array_equal(snapshot.src, direct.src)
+        assert np.array_equal(snapshot.dst, direct.dst)
+
+        workload = PreprocessingConfig(k=4, num_layers=2, batch_size=20, seed=3)
+        runs = [
+            device.preprocess(graph, workload)
+            for device in (AutoGNNDevice(detailed=False), AutoGNNDevice(mode=MODE_REFERENCE))
+            for graph in (snapshot, direct)
+        ]
+
+        def arrays(run):
+            r = run.result
+            return [
+                r.ordered.src, r.ordered.dst, r.csc.indptr, r.csc.indices,
+                r.reindex.edges.src, r.reindex.edges.dst, r.reindex.original_vids,
+                r.subgraph_csc.indptr, r.subgraph_csc.indices,
+            ]
+
+        for run in runs[1:]:
+            assert run.timing.breakdown() == runs[0].timing.breakdown()
+            for got, want in zip(arrays(run), arrays(runs[0])):
+                assert np.array_equal(got, want)
 
 
 class TestInfluence:
