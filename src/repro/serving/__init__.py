@@ -14,8 +14,8 @@ traffic regime:
   (:class:`TenantFairBatcher`).
 * :mod:`repro.serving.cluster` — N-way replicated GNN services with
   round-robin / least-loaded / reconfiguration-state-aware locality dispatch,
-  an offline trace-replay loop and an online co-simulated event loop, merged
-  into cluster reports (throughput, latency percentiles, queueing
+  one offline trace-replay loop and one online co-simulated event loop,
+  merged into cluster reports (throughput, latency percentiles, queueing
   decomposition, utilisation, goodput/shed accounting).
 * :mod:`repro.serving.control` — the SLO-aware control plane: per-workload
   latency objectives, per-tenant quotas (:class:`TenantQuota`: guaranteed
@@ -26,13 +26,13 @@ traffic regime:
   warm-up penalties.
 * :mod:`repro.serving.config` — :class:`ServingConfig`, the validated
   configuration object behind ``serve_trace(trace, config=...)`` /
-  ``serve_online(source, config=...)``; the legacy per-call keyword
-  arguments remain available through a ``DeprecationWarning`` shim.
+  ``serve_online(source, config=...)`` and the only way to pass per-run
+  options.
 * :mod:`repro.serving.faults` — deterministic shard failure injection
   (:class:`FaultSchedule`: crash / recover / slowdown events, or a seeded
   :class:`RandomFaults` generator) with drain-and-migrate recovery, retry
   with exponential backoff, and exact served/shed/failed conservation —
-  consumed identically by both engines.  The same machinery backs
+  driven by the same loops on either backend.  The same machinery backs
   *voluntary* drains (:class:`DrainPlanner`): an autoscaler scale-down
   with ``drain=True`` migrates queued work to surviving shards instead of
   stranding it on the deactivated shard.
@@ -45,15 +45,17 @@ traffic regime:
   activation across domains).
 * :mod:`repro.serving.chaos` — the chaos-sweep invariant harness: seeded
   scenario schedules (whole-domain outages racing autoscaler drains, retry
-  storms, recover-at-the-same-instant edges) replayed through both engines,
-  asserting request conservation, engine byte-identity, no dispatch onto
+  storms, recover-at-the-same-instant edges) replayed on both backends,
+  asserting request conservation, backend byte-identity, no dispatch onto
   dead or deactivated shards, retry-budget compliance and lease accounting
   on every run (``python -m repro.serving.chaos``).
-* :mod:`repro.serving.engine` — the fast serving engine behind
-  ``ShardedServiceCluster(engine="fast")`` (the default): serve-transition
-  caching, array-level batch formation, shard/deadline heaps and streaming
-  report aggregates, byte-identical to the reference loops and >= 5x
-  faster on 20k-request traces (100k requests in seconds).
+* :mod:`repro.serving.engine` — the two backends the loops run on,
+  picked by ``ShardedServiceCluster(engine=...)``: ``"reference"`` (plain
+  scans and direct serves) and ``"fast"``, the default (serve-transition
+  caching, array-level batch formation, shard/deadline heaps, streaming
+  report aggregates and the chunked offline loop), byte-identical to the
+  reference and >= 5x faster on 20k-request traces (100k requests in
+  seconds).
 """
 
 from repro.serving.requests import (
@@ -70,11 +72,9 @@ from repro.serving.requests import (
     merge_traces,
 )
 from repro.serving.scheduler import BatchScheduler, RequestBatch, TenantFairBatcher
+from repro.serving.engine import ENGINE_FAST, ENGINE_REFERENCE, ENGINES
 from repro.serving.cluster import (
     DISPATCH_POLICIES,
-    ENGINE_FAST,
-    ENGINE_REFERENCE,
-    ENGINES,
     POLICY_LEAST_LOADED,
     POLICY_LOCALITY,
     POLICY_ROUND_ROBIN,

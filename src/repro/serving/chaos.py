@@ -9,7 +9,7 @@ on every run:
 1. **conservation** — exactly
    ``offered == served_full + served_degraded + shed + failed``, and the
    arrival source saw one terminal callback per request;
-2. **engine-identity** — the reference and fast engines render
+2. **engine-identity** — the reference and fast backends render
    byte-identical ``ClusterReport.as_dict()`` JSON;
 3. **no-dead-dispatch** — no served request's service interval overlaps a
    dead interval of its shard, and nothing starts on a shard outside the
@@ -45,7 +45,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.serving.cluster import ShardedServiceCluster
+from repro.serving.cluster import (
+    DISPATCH_POLICIES,
+    POLICY_LEAST_LOADED,
+    POLICY_LOCALITY,
+    ShardedServiceCluster,
+)
 from repro.serving.config import ServingConfig
 from repro.serving.control import Autoscaler, DegradationPolicy, SLOPolicy
 from repro.serving.faults import (
@@ -57,7 +62,12 @@ from repro.serving.faults import (
     FaultSchedule,
     RandomFaults,
 )
-from repro.serving.requests import OpenLoopArrivals, RequestTrace, TraceArrivals
+from repro.serving.requests import (
+    OpenLoopArrivals,
+    RequestTrace,
+    TraceArrivals,
+    merge_traces,
+)
 from repro.serving.scheduler import BatchScheduler
 from repro.serving.topology import ClusterTopology
 from repro.system.workload import WorkloadProfile
@@ -84,6 +94,14 @@ CHAOS_WORKLOADS = (
     WorkloadProfile(name="wl-u", num_nodes=40_000, num_edges=300_000,
                     avg_degree=7.5, batch_size=800, update_fraction=0.2),
 )
+
+#: Tenant weights of fair-batching scenarios (their trace has both tenants).
+CHAOS_TENANT_WEIGHTS = {"gold": 2.0, "bronze": 1.0}
+
+#: Locality-dispatch knobs of locality scenarios: spill past a short
+#: backlog, and re-home on stale reconfiguration state.
+CHAOS_LOCALITY_SPILL_SECONDS = 0.01
+CHAOS_REBALANCE_SECONDS = 0.05
 
 
 class ChaosInvariantError(AssertionError):
@@ -118,6 +136,8 @@ class ChaosScenario:
     rate_rps: float = 400.0
     degradation: bool = False
     via_config_override: bool = False
+    policy: str = POLICY_LEAST_LOADED
+    fair: bool = False
 
     def as_dict(self) -> Dict[str, object]:
         """Reproduction record embedded in the failure artifact."""
@@ -129,6 +149,8 @@ class ChaosScenario:
             "rate_rps": self.rate_rps,
             "degradation": self.degradation,
             "via_config_override": self.via_config_override,
+            "policy": self.policy,
+            "fair": self.fair,
             "topology": self.topology.as_dict() if self.topology else None,
             "provenance": self.provenance,
             "schedule": self.faults.as_dict(),
@@ -282,6 +304,10 @@ def _random_scenarios(count: int, seed: int) -> List[ChaosScenario]:
                 trace_seed=seed * 7 + i,
                 degradation=i % 2 == 1,
                 via_config_override=i % 5 == 0,
+                # Every policy meets both shard counts, slowdowns and fair
+                # batching on and off.
+                policy=DISPATCH_POLICIES[(i // 4) % len(DISPATCH_POLICIES)],
+                fair=(i // 2) % 2 == 1,
             )
         )
     return scenarios
@@ -382,13 +408,17 @@ def _check_run(scenario: ChaosScenario, report, source: _CountingSource,
     position = {shard: index for index, shard in enumerate(order)}
     timeline = report.scaling_timeline
     for record in report.served:
-        finish = record.request.arrival_seconds + record.sojourn_seconds
-        start = finish - record.service_seconds
         ready = record.request.arrival_seconds + record.batching_delay
+        # Rebuilt forward from ``ready`` (``dispatch_delay >= 0``), so a
+        # batch that starts the instant it is ready keeps ``start == ready``;
+        # ``finish - service`` can land an ulp below ``ready`` and hide a
+        # prefix crash at that very instant from the substitution check.
+        start = ready + record.dispatch_delay
+        finish = start + record.service_seconds
         for crash, recover in dead[record.shard_id]:
-            # _FLOAT_SLACK absorbs reconstruction drift: ``start`` is derived
-            # as ``finish - service`` and can land ~1e-17 below a recover
-            # instant the engine dispatched at exactly.
+            # _FLOAT_SLACK absorbs reconstruction drift: ``start`` can land
+            # ~1e-17 below a recover instant the engine dispatched at
+            # exactly.
             if start < recover - _FLOAT_SLACK and crash < finish - _FLOAT_SLACK:
                 raise ChaosInvariantError(
                     "no-dead-dispatch", scenario.name,
@@ -459,31 +489,52 @@ def _check_run(scenario: ChaosScenario, report, source: _CountingSource,
             )
 
 
+def _scenario_trace(scenario: ChaosScenario) -> RequestTrace:
+    """The scenario's arrivals: one tenant, or one stream per fair tenant."""
+    if not scenario.fair:
+        return OpenLoopArrivals(
+            list(CHAOS_WORKLOADS), rate_rps=scenario.rate_rps,
+            seed=scenario.trace_seed,
+        ).trace(scenario.num_requests)
+    tenants = sorted(CHAOS_TENANT_WEIGHTS)
+    streams = []
+    for index, tenant in enumerate(tenants):
+        count = scenario.num_requests // len(tenants)
+        if index == 0:
+            count += scenario.num_requests % len(tenants)
+        streams.append(
+            OpenLoopArrivals(
+                list(CHAOS_WORKLOADS), rate_rps=scenario.rate_rps / len(tenants),
+                seed=scenario.trace_seed + index, tenant=tenant,
+            ).trace(count)
+        )
+    return merge_traces(streams)
+
+
 def run_scenario(services, scenario: ChaosScenario) -> Dict[str, object]:
     """Run one scenario through both engines and assert all invariants."""
-    trace = OpenLoopArrivals(
-        list(CHAOS_WORKLOADS), rate_rps=scenario.rate_rps,
-        seed=scenario.trace_seed,
-    ).trace(scenario.num_requests)
+    trace = _scenario_trace(scenario)
     slo = SLOPolicy(default_slo_seconds=0.5)
     min_shards = 2
     renders: Dict[str, str] = {}
     reports = {}
+    locality = scenario.policy == POLICY_LOCALITY
     for engine in ("reference", "fast"):
-        if scenario.via_config_override:
-            cluster = ShardedServiceCluster(
-                services[CHAOS_SYSTEM], num_shards=scenario.num_shards,
-                engine=engine,
-                scheduler=BatchScheduler(max_batch_size=3, max_wait_seconds=0.003),
-            )
-            config_topology = scenario.topology
-        else:
-            cluster = ShardedServiceCluster(
-                services[CHAOS_SYSTEM], num_shards=scenario.num_shards,
-                engine=engine, topology=scenario.topology,
-                scheduler=BatchScheduler(max_batch_size=3, max_wait_seconds=0.003),
-            )
-            config_topology = None
+        cluster = ShardedServiceCluster(
+            services[CHAOS_SYSTEM], num_shards=scenario.num_shards,
+            engine=engine,
+            topology=None if scenario.via_config_override else scenario.topology,
+            scheduler=BatchScheduler(
+                max_batch_size=3, max_wait_seconds=0.003,
+                tenant_weights=CHAOS_TENANT_WEIGHTS if scenario.fair else None,
+            ),
+            policy=scenario.policy,
+            locality_spill_seconds=(
+                CHAOS_LOCALITY_SPILL_SECONDS if locality else float("inf")
+            ),
+            rebalance_seconds=CHAOS_REBALANCE_SECONDS if locality else None,
+        )
+        config_topology = scenario.topology if scenario.via_config_override else None
         source = _CountingSource(trace)
         config = ServingConfig(
             slo=slo,

@@ -4,7 +4,8 @@ A :class:`ShardedServiceCluster` replicates one template
 :class:`~repro.system.service.GNNService` into ``num_shards`` independent
 shards (each with its own preprocessing-system state — bitstream/LUT
 configuration, reconfiguration history — via ``GNNService.replicate``) and
-serves traffic through one of two event loops:
+serves traffic through one of two event loops, each written once and run
+on the backend the cluster's ``engine`` names (:mod:`repro.serving.engine`):
 
 * :meth:`ShardedServiceCluster.serve_trace` — offline replay: a complete
   :class:`~repro.serving.requests.RequestTrace` is batched up front by the
@@ -34,12 +35,11 @@ runs — the goodput / shed-rate accounting and the scaling timeline.
 from __future__ import annotations
 
 import heapq
-import warnings
 import zlib
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import GoodputStats, LatencyStats, TenantStats
 
@@ -55,6 +55,7 @@ if TYPE_CHECKING:  # control.py only imports repro.system.workload — no cycle,
         ScalingEvent,
         SLOPolicy,
     )
+from repro.serving.engine import BACKENDS, ENGINE_FAST, check_engine
 from repro.serving.faults import (
     DrainPlanner,
     FaultLoopHooks,
@@ -76,16 +77,6 @@ POLICY_ROUND_ROBIN = "round-robin"
 POLICY_LEAST_LOADED = "least-loaded"
 POLICY_LOCALITY = "locality"
 DISPATCH_POLICIES = (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED, POLICY_LOCALITY)
-
-#: Serving engines: the reference per-request-object event loops below, or
-#: the indexed/caching fast engine in :mod:`repro.serving.engine`.  Both
-#: produce byte-identical :class:`ClusterReport` content (golden- and
-#: property-test enforced); the fast engine is the default because it is the
-#: one that reaches 100k-request traces at interactive speed.
-ENGINE_REFERENCE = "reference"
-ENGINE_FAST = "fast"
-ENGINES = (ENGINE_REFERENCE, ENGINE_FAST)
-
 
 @dataclass
 class ServedRequest:
@@ -141,7 +132,7 @@ class ShedRecord:
 class ReportAggregates:
     """Streaming-accumulated aggregates of one serving run.
 
-    The fast engine folds every served request into these totals as it
+    The fast backend folds every served request into these totals as it
     dispatches (see :class:`~repro.analysis.metrics.StreamingLatencyStats`),
     in the exact accumulation order the reference report properties use, so
     a :class:`ClusterReport` carrying aggregates renders byte-identically to
@@ -194,7 +185,7 @@ class ClusterReport:
         slo: the SLO policy the run was scored against, or None.
         decisions: admission decisions in arrival order (controlled runs).
         scaling_timeline: autoscaler events of the run.
-        aggregates: streaming-accumulated totals (fast engine only); when
+        aggregates: streaming-accumulated totals (fast backend only); when
             present the summary properties read them instead of re-deriving
             from the per-request records, and :meth:`compact` may drop the
             records.
@@ -544,36 +535,13 @@ def _admission_estimate(
     return estimate
 
 
-def _coerce_config(config: Optional["ServingConfig"], method: str, **legacy):
-    """Resolve the ``config=`` parameter against the legacy kwarg surface.
-
-    Passing both is an error; passing legacy kwargs alone emits a
-    ``DeprecationWarning`` and maps them onto an equivalent
-    :class:`~repro.serving.config.ServingConfig` (the mapped fields are the
-    very objects the old signature received, so reports are byte-identical
-    through the shim — regression-tested in ``tests/test_serving_config.py``).
-    """
+def _resolve_config(config: Optional["ServingConfig"]) -> "ServingConfig":
+    """The run's config (``None`` = all defaults)."""
+    if config is not None:
+        return config
     from repro.serving.config import ServingConfig
 
-    provided = {name: value for name, value in legacy.items() if value is not None}
-    if config is not None:
-        if provided:
-            raise ValueError(
-                f"{method}: pass either config= or the legacy keyword arguments "
-                f"({sorted(provided)}), not both"
-            )
-        return config
-    if provided:
-        warnings.warn(
-            f"{method}({', '.join(sorted(provided))}=...) keyword arguments are "
-            "deprecated; pass config=ServingConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    provided["controller"] = provided.pop("admission", None)
-    return ServingConfig(
-        **{name: value for name, value in provided.items() if value is not None}
-    )
+    return ServingConfig()
 
 
 class ShardLeaseTracker:
@@ -590,9 +558,8 @@ class ShardLeaseTracker:
     the shard's previous close, so a backlog paid through a scale-down is
     not paid again after a scale-up.
 
-    Shared by the reference loop and the fast engine — both perform the
-    identical open/close sequence in event order, so the resulting
-    ``shard_seconds`` is byte-identical across engines.
+    The online loop performs the open/close sequence in event order on
+    either backend, so ``shard_seconds`` is byte-identical across them.
     """
 
     def __init__(self, num_shards: int) -> None:
@@ -624,16 +591,147 @@ class ShardLeaseTracker:
         return self.total
 
 
-class _LoopState:
-    """Mutable accounting shared by the offline and online event loops."""
+class _Run:
+    """Accounting of one event-loop run, on either backend.
 
-    def __init__(self, num_shards: int) -> None:
-        self.busy_until = [0.0] * num_shards
-        self.busy_total = [0.0] * num_shards
-        self.shard_requests = [0] * num_shards
+    Owns everything a committed batch updates — busy totals, per-shard
+    request counts, the served records and the backend's streaming
+    aggregates — so the commit that builds :class:`ServedRequest` records
+    exists once, shared by commit-at-dispatch, the drain planner and the
+    fault runtime.
+    """
+
+    def __init__(
+        self,
+        cluster: "ShardedServiceCluster",
+        backend: type,
+        slo: Optional["SLOPolicy"],
+    ) -> None:
+        self.cluster = cluster
+        self.slo = slo
+        self.backend = backend(cluster, slo)
+        #: The backend's authoritative busy-until list (read-only here).
+        self.busy = self.backend.busy
+        self.busy_total = [0.0] * cluster.num_shards
+        self.shard_requests = [0] * cluster.num_shards
         self.served: List[ServedRequest] = []
         self.num_batches = 0
         self.last_finish = 0.0
+        accumulator = self.backend.accumulator
+        self._push = accumulator.push if accumulator is not None else None
+        #: The online loop's per-commit effects (completion feedback to the
+        #: arrival source) and failed-request callback, both no-ops offline;
+        #: set them before building :meth:`hooks`.
+        self.on_commit: Optional[Callable[[RequestBatch, float], None]] = None
+        self.on_failed: Callable[[InferenceRequest, float], None] = (
+            lambda request, seconds: None
+        )
+
+    def add_busy(self, shard_id: int, seconds: float) -> None:
+        self.busy_total[shard_id] += seconds
+
+    def commit(
+        self,
+        batch: RequestBatch,
+        shard_id: int,
+        start: float,
+        duration: float,
+        report: ServiceReport,
+        finish: float,
+    ) -> None:
+        """Record a batch whose service on ``shard_id`` is settled."""
+        members = batch.requests
+        ready = batch.ready_seconds
+        batch_size = len(members)
+        self.shard_requests[shard_id] += batch_size
+        self.num_batches += 1
+        self.last_finish = max(self.last_finish, finish)
+        dispatch_delay = start - ready
+        served = self.served
+        push = self._push
+        for request in members:
+            batching_delay = ready - request.arrival_seconds
+            served.append(
+                ServedRequest(
+                    request=request,
+                    shard_id=shard_id,
+                    batch_size=batch_size,
+                    batching_delay=batching_delay,
+                    dispatch_delay=dispatch_delay,
+                    service_seconds=duration,
+                    report=report,
+                )
+            )
+            if push is not None:
+                push(request, batching_delay, dispatch_delay, duration)
+        if self.on_commit is not None:
+            self.on_commit(batch, finish)
+
+    def dispatch(self, batch: RequestBatch, active_count: int) -> None:
+        """Commit-at-dispatch: pick a shard, serve ``batch`` and commit it."""
+        backend = self.backend
+        workload = backend.merged(batch)
+        shard_id = backend.pick(batch, workload, active_count)
+        start = max(batch.ready_seconds, self.busy[shard_id])
+        report, duration = backend.serve(shard_id, workload)
+        finish = start + duration
+        backend.set_busy(shard_id, finish)
+        self.busy_total[shard_id] += duration
+        self.commit(batch, shard_id, start, duration, report, finish)
+
+    def hooks(self, active_count: Callable[[], int]) -> FaultLoopHooks:
+        """This run's state as seen by the fault runtime and drain planner.
+
+        Their picks go through the cluster's scan picker on either backend:
+        the dispatchable set there is a live subset, not an index prefix.
+        """
+        cluster = self.cluster
+        backend = self.backend
+        busy = self.busy
+        order = cluster._order
+        return FaultLoopHooks(
+            active_count=active_count,
+            active_ids=(
+                (lambda: order[: active_count()]) if order is not None else None
+            ),
+            busy=lambda shard_id: busy[shard_id],
+            set_busy=backend.set_busy,
+            add_busy=self.add_busy,
+            merged=backend.merged,
+            pick=lambda batch, workload, active: cluster._pick_shard(
+                batch, busy, active
+            ),
+            serve=backend.serve,
+            commit=self.commit,
+            on_failed=self.on_failed,
+        )
+
+    def report(self, first_arrival: Optional[float], **sections) -> ClusterReport:
+        """The run's :class:`ClusterReport` (``sections``: online/fault parts)."""
+        cluster = self.cluster
+        # A faulted replay can fail every request; an empty run has no span.
+        makespan = 0.0
+        if self.served and first_arrival is not None:
+            makespan = self.last_finish - first_arrival
+        accumulator = self.backend.accumulator
+        aggregates = None
+        if accumulator is not None:
+            aggregates = accumulator.aggregates(
+                count=len(self.served), shed_count=len(sections.get("shed", ()))
+            )
+        return ClusterReport(
+            system=cluster.system_name,
+            policy=cluster.policy,
+            num_shards=cluster.num_shards,
+            served=self.served,
+            num_batches=self.num_batches,
+            makespan_seconds=makespan,
+            shard_busy_seconds=self.busy_total,
+            shard_requests=self.shard_requests,
+            slo=self.slo,
+            aggregates=aggregates,
+            **sections,
+        )
 
 
 class ShardedServiceCluster:
@@ -659,11 +757,12 @@ class ShardedServiceCluster:
             same-key, or stale) instead of paying reconfiguration churn on
             every alternating batch.  ``None`` (default) disables
             rebalancing.
-        engine: one of :data:`ENGINES` — ``"fast"`` (default) runs the
-            indexed event-heap engine with serve-transition caching from
-            :mod:`repro.serving.engine`; ``"reference"`` runs the plain
-            per-request-object loops in this module.  Outputs are
-            byte-identical; only wall-clock differs.
+        engine: one of :data:`~repro.serving.engine.ENGINES`, the backend
+            the event loops run on (see :mod:`repro.serving.engine`) —
+            ``"fast"`` (default) uses indexed heaps, serve-transition
+            caching and the chunked offline loop; ``"reference"`` uses
+            plain scans and direct serves.  Outputs are byte-identical;
+            only wall-clock differs.
         topology: optional :class:`~repro.serving.topology.ClusterTopology`
             mapping shards to failure domains.  With one, placement becomes
             domain-aware: the autoscaler's active set follows the
@@ -700,10 +799,7 @@ class ShardedServiceCluster:
             raise ValueError("locality_spill_seconds must be non-negative")
         if rebalance_seconds is not None and rebalance_seconds < 0:
             raise ValueError("rebalance_seconds must be non-negative")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown serving engine {engine!r}; expected one of {ENGINES}"
-            )
+        check_engine(engine)
         self.template = service
         self.shards: List[GNNService] = [service.replicate() for _ in range(num_shards)]
         self.scheduler = scheduler or BatchScheduler(max_batch_size=1)
@@ -756,6 +852,12 @@ class ShardedServiceCluster:
     def num_shards(self) -> int:
         """Number of service replicas."""
         return len(self.shards)
+
+    def _active_ids(self, active_count: int) -> Sequence[int]:
+        """The first ``active_count`` shards in activation order."""
+        if self._order is not None:
+            return self._order[:active_count]
+        return range(active_count)
 
     @property
     def system_name(self) -> str:
@@ -864,95 +966,6 @@ class ShardedServiceCluster:
             return home
         return min(candidates, key=lambda i: (busy_until[i], i))
 
-    def _dispatch(
-        self, batch: RequestBatch, state: _LoopState, active: Sequence[int]
-    ) -> float:
-        """Serve one closed batch on a shard; returns its finish time."""
-        shard_id = self._pick_shard(batch, state.busy_until, active)
-        start = max(batch.ready_seconds, state.busy_until[shard_id])
-        report = self.shards[shard_id].serve(batch.workload)
-        duration = report.total_seconds
-        finish = start + duration
-        state.busy_until[shard_id] = finish
-        state.busy_total[shard_id] += duration
-        state.shard_requests[shard_id] += len(batch)
-        state.num_batches += 1
-        state.last_finish = max(state.last_finish, finish)
-        for request in batch.requests:
-            state.served.append(
-                ServedRequest(
-                    request=request,
-                    shard_id=shard_id,
-                    batch_size=len(batch),
-                    batching_delay=batch.batching_delay(request),
-                    dispatch_delay=start - batch.ready_seconds,
-                    service_seconds=duration,
-                    report=report,
-                )
-            )
-        return finish
-
-    def _fault_hooks(
-        self,
-        state: _LoopState,
-        active_count,
-        on_commit=None,
-        on_failed=None,
-    ) -> FaultLoopHooks:
-        """Reference-engine view of the loop state for the fault runtime.
-
-        ``on_commit`` / ``on_failed`` are the online loop's extra effects
-        (completion feedback to the arrival source, pending-estimate
-        bookkeeping); the offline replay leaves them unset.
-        """
-
-        def serve(shard_id: int, workload):
-            report = self.shards[shard_id].serve(workload)
-            return report, report.total_seconds
-
-        def set_busy(shard_id: int, seconds: float) -> None:
-            state.busy_until[shard_id] = seconds
-
-        def add_busy(shard_id: int, seconds: float) -> None:
-            state.busy_total[shard_id] += seconds
-
-        def commit(batch, shard_id, start, duration, report, finish) -> None:
-            state.shard_requests[shard_id] += len(batch)
-            state.num_batches += 1
-            state.last_finish = max(state.last_finish, finish)
-            for request in batch.requests:
-                state.served.append(
-                    ServedRequest(
-                        request=request,
-                        shard_id=shard_id,
-                        batch_size=len(batch),
-                        batching_delay=batch.batching_delay(request),
-                        dispatch_delay=start - batch.ready_seconds,
-                        service_seconds=duration,
-                        report=report,
-                    )
-                )
-            if on_commit is not None:
-                on_commit(batch, finish)
-
-        order = self._order
-        return FaultLoopHooks(
-            active_count=active_count,
-            active_ids=(
-                (lambda: order[: active_count()]) if order is not None else None
-            ),
-            busy=lambda shard_id: state.busy_until[shard_id],
-            set_busy=set_busy,
-            add_busy=add_busy,
-            merged=lambda batch: batch.workload,
-            pick=lambda batch, workload, active: self._pick_shard(
-                batch, state.busy_until, active
-            ),
-            serve=serve,
-            commit=commit,
-            on_failed=on_failed if on_failed is not None else lambda request, seconds: None,
-        )
-
     @contextmanager
     def _run_overrides(self, config: "ServingConfig"):
         """Apply a config's engine/scheduler overrides for one run.
@@ -993,8 +1006,6 @@ class ShardedServiceCluster:
     def serve_trace(
         self,
         trace: RequestTrace,
-        slo: Optional["SLOPolicy"] = None,
-        faults: Optional[FaultSchedule] = None,
         *,
         config: Optional["ServingConfig"] = None,
     ) -> ClusterReport:
@@ -1003,19 +1014,18 @@ class ShardedServiceCluster:
         Event-driven and fully simulated: batches are dispatched in the
         order they close; a batch starts at ``max(ready, shard free)`` and
         occupies its shard for the batch's modelled end-to-end latency.
-        ``slo`` (an :class:`~repro.serving.control.SLOPolicy`) only scores
-        the run's goodput section; the offline path never sheds.  With a
-        ``faults`` schedule the replay injects shard crash/recover/slowdown
-        events: doomed batches migrate to survivors, in-flight failures
-        retry with backoff, and the report carries a faults section.
 
-        ``config`` (a :class:`~repro.serving.config.ServingConfig`) is the
-        consolidated way to pass all of the above plus per-run engine and
-        tenant-weight overrides; the loose ``slo`` / ``faults`` kwargs are a
-        deprecated shim onto it.  Admission control, degradation and
-        autoscaling are online-only and rejected here.
+        ``config`` (a :class:`~repro.serving.config.ServingConfig`) carries
+        the run's options.  Its ``slo`` only scores the run's goodput
+        section; the offline path never sheds.  With a ``faults`` schedule
+        the replay injects shard crash/recover/slowdown events: doomed
+        batches migrate to survivors, in-flight failures retry with
+        backoff, and the report carries a faults section.  Per-run
+        engine, tenant-weight and topology overrides apply for this call
+        only.  Admission control, degradation and autoscaling are
+        online-only and rejected here.
         """
-        config = _coerce_config(config, "serve_trace", slo=slo, faults=faults)
+        config = _resolve_config(config)
         if config.autoscaler is not None:
             raise ValueError("serve_trace is offline: autoscaler requires serve_online")
         if config.resolved_controller() is not None:
@@ -1023,63 +1033,43 @@ class ShardedServiceCluster:
                 "serve_trace is offline and never sheds: admission control "
                 "(controller/admit/degradation) requires serve_online"
             )
-        slo = config.scoring_slo()
-        faults = config.resolved_faults()
         if not len(trace):
             raise ValueError("cannot serve an empty trace")
         with self._run_overrides(config):
-            return self._serve_trace_resolved(trace, slo, faults)
+            return BACKENDS[self.engine].replay(
+                self, trace, config.scoring_slo(), config.resolved_faults()
+            )
 
-    def _serve_trace_resolved(
+    def _serve_trace_events(
         self,
         trace: RequestTrace,
         slo: Optional["SLOPolicy"],
         faults: Optional[FaultSchedule],
+        backend: type,
     ) -> ClusterReport:
-        if self.engine == ENGINE_FAST:
-            from repro.serving.engine import serve_trace_fast
-
-            return serve_trace_fast(self, trace, slo, faults)
+        """The per-event offline loop: dispatch batches in closing order."""
         self._reset_dispatch_state()
-        batches = self.scheduler.schedule(trace)
-        state = _LoopState(self.num_shards)
+        run = _Run(self, backend, slo)
+        batches = run.backend.schedule(trace)
+        first_arrival = trace[0].arrival_seconds
         fault_stats: Optional[FaultStats] = None
         if faults is None:
-            active = self._order if self._order is not None else range(self.num_shards)
             for batch in batches:
-                self._dispatch(batch, state, active)
+                run.dispatch(batch, self.num_shards)
         else:
             ctx = faults.runtime(
                 self.num_shards, slo, order=self._order, topology=self.topology
             )
-            env = self._fault_hooks(state, lambda: self.num_shards)
+            env = run.hooks(lambda: self.num_shards)
             for batch in batches:
                 ctx.step(env, batch)
             ctx.drain(env)
-            fault_stats = ctx.finalize(trace[0].arrival_seconds, state.last_finish)
-        first_arrival = trace[0].arrival_seconds
-        # A faulted replay can fail every request; an empty run has no span.
-        makespan = state.last_finish - first_arrival if state.served else 0.0
-        return ClusterReport(
-            system=self.system_name,
-            policy=self.policy,
-            num_shards=self.num_shards,
-            served=state.served,
-            num_batches=state.num_batches,
-            makespan_seconds=makespan,
-            shard_busy_seconds=state.busy_total,
-            shard_requests=state.shard_requests,
-            slo=slo,
-            faults=fault_stats,
-        )
+            fault_stats = ctx.finalize(first_arrival, run.last_finish)
+        return run.report(first_arrival, faults=fault_stats)
 
     def serve_online(
         self,
         source,
-        slo: Optional["SLOPolicy"] = None,
-        admission: Optional["AdmissionController"] = None,
-        autoscaler: Optional["Autoscaler"] = None,
-        faults: Optional[FaultSchedule] = None,
         *,
         config: Optional["ServingConfig"] = None,
     ) -> ClusterReport:
@@ -1090,6 +1080,9 @@ class ShardedServiceCluster:
         :class:`~repro.serving.requests.TraceArrivals` replays a fixed trace,
         :class:`~repro.serving.requests.ClosedLoopClients` co-simulates a
         client population fed by this loop's actual finish times.
+        ``config`` (a :class:`~repro.serving.config.ServingConfig`) carries
+        the whole control plane plus per-run engine, tenant-weight and
+        topology overrides.
 
         The loop interleaves two event kinds in simulated-time order —
         arrivals and batch-timeout deadlines (ties fire the deadline first,
@@ -1107,7 +1100,14 @@ class ShardedServiceCluster:
         2. ``admission.decide`` predicts the request's sojourn from the
            least-loaded active shard's backlog plus the calibrated cost
            estimate and sheds the request if the prediction violates its
-           SLO; sheds are reported back to the source immediately.
+           SLO; sheds are reported back to the source immediately.  With a
+           :class:`~repro.serving.control.DegradationPolicy` configured,
+           the admission chain gains a degraded-quality tier: a request
+           whose full-quality prediction violates its SLO is re-priced at
+           its cheaper degraded profile (own batch key, own batches) and
+           served degraded when that prediction fits — shed only when even
+           the degraded tier cannot meet the SLO and no excess budget
+           covers it.
 
         Completion times are committed at batch dispatch (the simulation is
         deterministic, so the finish instant is known then) and fed to the
@@ -1122,39 +1122,24 @@ class ShardedServiceCluster:
         replace them), doomed batches drain and migrate, in-flight failures
         retry with exponential backoff until their budget is spent, and the
         admission backlog prediction only counts live shards.
-
-        ``config`` (a :class:`~repro.serving.config.ServingConfig`) is the
-        consolidated way to pass the whole control plane plus per-run engine
-        and tenant-weight overrides; the loose keyword arguments are a
-        deprecated shim onto it.  With a
-        :class:`~repro.serving.control.DegradationPolicy` configured, the
-        admission chain gains a degraded-quality tier: a request whose
-        full-quality prediction violates its SLO is re-priced at its cheaper
-        degraded profile (own batch key, own batches) and served degraded
-        when that prediction fits — shed only when even the degraded tier
-        cannot meet the SLO and no excess budget covers it.
         """
-        config = _coerce_config(
-            config,
-            "serve_online",
-            slo=slo,
-            admission=admission,
-            autoscaler=autoscaler,
-            faults=faults,
-        )
-        slo = config.scoring_slo()
-        admission = config.resolved_controller()
+        config = _resolve_config(config)
         autoscaler = config.autoscaler
-        faults = config.resolved_faults()
         if autoscaler is not None and autoscaler.max_shards > self.num_shards:
             raise ValueError(
                 f"autoscaler max_shards ({autoscaler.max_shards}) exceeds the "
                 f"cluster's shard count ({self.num_shards})"
             )
         with self._run_overrides(config):
-            return self._serve_online_resolved(source, slo, admission, autoscaler, faults)
+            return self._serve_online_events(
+                source,
+                config.scoring_slo(),
+                config.resolved_controller(),
+                autoscaler,
+                config.resolved_faults(),
+            )
 
-    def _serve_online_resolved(
+    def _serve_online_events(
         self,
         source,
         slo: Optional["SLOPolicy"],
@@ -1162,16 +1147,19 @@ class ShardedServiceCluster:
         autoscaler: Optional["Autoscaler"],
         faults: Optional[FaultSchedule],
     ) -> ClusterReport:
-        if self.engine == ENGINE_FAST:
-            from repro.serving.engine import serve_online_fast
-
-            return serve_online_fast(self, source, slo, admission, autoscaler, faults)
+        """The online event loop, on the backend :attr:`engine` names."""
         self._reset_dispatch_state()
-        state = _LoopState(self.num_shards)
-        fair = self.scheduler.fair
-        batcher = self.scheduler.fair_batcher() if fair else None
+        run = _Run(self, BACKENDS[self.engine], slo)
+        backend = run.backend
+        busy = run.busy
+        accumulator = backend.accumulator
+        scheduler = self.scheduler
+        fair = scheduler.fair
+        batcher = scheduler.fair_batcher() if fair else None
         open_members: Dict[object, List[InferenceRequest]] = {}
         open_deadline: Dict[object, float] = {}
+        # Requests in open batches (the autoscaler's queue depth reads it).
+        open_count = 0
         inflight: List[float] = []
         shed_records: List[ShedRecord] = []
         decisions: List[object] = []
@@ -1216,14 +1204,10 @@ class ShardedServiceCluster:
             ctx.attach_planner(planner)
         order = self._order
 
-        def active_ids() -> Sequence[int]:
-            """The active shard set in activation order (identity w/o topology)."""
-            return order[:active_count] if order is not None else range(active_count)
-
         leases: Optional[ShardLeaseTracker] = None
         if autoscaler is not None:
             leases = ShardLeaseTracker(self.num_shards)
-            for shard_id in active_ids():
+            for shard_id in self._active_ids(active_count):
                 leases.open(shard_id, start_seconds)
 
         def dispatch_batch(batch: RequestBatch) -> None:
@@ -1234,19 +1218,16 @@ class ShardedServiceCluster:
                         guaranteed_open -= 1
             if ctx is not None:
                 ctx.dispatch(batch, env)
-                return
-            if planner is not None:
+            elif planner is not None:
                 planner.dispatch(batch, env)
-                return
-            finish = self._dispatch(batch, state, active_ids())
-            for request in batch.requests:
-                pending_estimates.pop(request.request_id, None)
-                heapq.heappush(inflight, finish)
-                source.on_complete(request, finish)
+            else:
+                run.dispatch(batch, active_count)
 
         def close_batch(key: object, ready_seconds: float) -> None:
+            nonlocal open_count
             members = open_members.pop(key)
             open_deadline.pop(key)
+            open_count -= len(members)
             dispatch_batch(RequestBatch(requests=members, ready_seconds=ready_seconds))
 
         def commit_online(batch: RequestBatch, finish: float) -> None:
@@ -1259,13 +1240,9 @@ class ShardedServiceCluster:
             pending_estimates.pop(request.request_id, None)
             source.on_shed(request, seconds)
 
-        env = (
-            self._fault_hooks(
-                state, lambda: active_count, commit_online, fail_request
-            )
-            if ctx is not None or planner is not None
-            else None
-        )
+        run.on_commit = commit_online
+        run.on_failed = fail_request
+        env = run.hooks(lambda: active_count)
         if planner is not None:
 
             def on_planned(batch: RequestBatch) -> None:
@@ -1278,7 +1255,7 @@ class ShardedServiceCluster:
             planner.on_planned = on_planned
 
         def enqueue(request: InferenceRequest, now: float) -> None:
-            nonlocal guaranteed_open
+            nonlocal guaranteed_open, open_count
             if guaranteed_tenants and request.tenant in guaranteed_tenants:
                 guaranteed_open += 1
             if fair:
@@ -1286,39 +1263,32 @@ class ShardedServiceCluster:
                     dispatch_batch(batch)
                 return
             key = request.workload.batch_key
-            if key not in open_members:
-                open_members[key] = []
-                open_deadline[key] = now + self.scheduler.max_wait_seconds
-            open_members[key].append(request)
-            if len(open_members[key]) >= self.scheduler.max_batch_size:
+            members = open_members.get(key)
+            if members is None:
+                members = []
+                open_members[key] = members
+                deadline = now + scheduler.max_wait_seconds
+                open_deadline[key] = deadline
+                backend.opened(key, deadline, request.request_id)
+            members.append(request)
+            open_count += 1
+            if len(members) >= scheduler.max_batch_size:
                 close_batch(key, now)
 
         while True:
             t_arrival = source.peek_time()
             if fair:
                 expiring = batcher.peek_deadline()
-                t_deadline = expiring[0] if expiring is not None else None
             else:
-                deadline_key = None
-                if open_deadline:
-                    # Ties between expiring batches fire in (deadline, first
-                    # request id) order, matching the offline scheduler's
-                    # dispatch order.
-                    deadline_key = min(
-                        open_deadline,
-                        key=lambda k: (open_deadline[k], open_members[k][0].request_id),
-                    )
-                t_deadline = (
-                    open_deadline[deadline_key] if deadline_key is not None else None
-                )
+                expiring = backend.next_deadline(open_members, open_deadline)
+            t_deadline = expiring[0] if expiring is not None else None
             t_fault = ctx.next_fault_time() if ctx is not None else None
             t_retry = ctx.next_retry_time() if ctx is not None else None
             t_commit = planner.next_commit_time() if planner is not None else None
             # Event precedence at timestamp ties: commit < fault < deadline <
-            # retry < arrival (shared with the fast engine through ``due``).
-            # Commits fire first so work whose service has begun is in
-            # flight — and immovable — before any same-instant scale
-            # decision or fault consults the plan.
+            # retry < arrival.  Commits fire first so work whose service has
+            # begun is in flight — and immovable — before any same-instant
+            # scale decision or fault consults the plan.
             if due(t_commit, t_fault, t_deadline, t_retry, t_arrival):
                 planner.commit_next(env)
                 continue
@@ -1330,7 +1300,8 @@ class ShardedServiceCluster:
                     for batch in batcher.fire_deadline(expiring):
                         dispatch_batch(batch)
                 else:
-                    close_batch(deadline_key, open_deadline[deadline_key])
+                    backend.fired()
+                    close_batch(expiring[1], expiring[0])
                 continue
             if due(t_retry, t_arrival):
                 retry_request, retry_now = ctx.pop_retry()
@@ -1348,17 +1319,9 @@ class ShardedServiceCluster:
             if autoscaler is not None:
                 while recent_sheds and recent_sheds[0] < now - autoscaler.shed_memory_seconds:
                     recent_sheds.popleft()
-                open_count = (
-                    batcher.pending_count
-                    if fair
-                    else sum(len(members) for members in open_members.values())
-                )
-                queue_depth = (
-                    1  # the arriving request itself
-                    + len(inflight)
-                    + open_count
-                    + len(recent_sheds)
-                )
+                pending = batcher.pending_count if fair else open_count
+                # The arriving request itself counts toward the depth.
+                queue_depth = 1 + len(inflight) + pending + len(recent_sheds)
                 if ctx is not None:
                     # Work the fault layer is holding (retries, parked
                     # batches) is still demand the autoscaler must see.
@@ -1386,9 +1349,7 @@ class ShardedServiceCluster:
                     warmup = autoscaler.warmup_seconds
                     if warmup is None:
                         warmup = self.shards[shard_id].warmup_seconds
-                    state.busy_until[shard_id] = max(
-                        state.busy_until[shard_id], now + warmup
-                    )
+                    backend.set_busy(shard_id, max(busy[shard_id], now + warmup))
                     leases.open(shard_id, now)
                 if ctx is not None and active_count > previous:
                     ctx.flush(env)
@@ -1430,13 +1391,13 @@ class ShardedServiceCluster:
                         else range(active_count, previous)
                     )
                     for shard_id in departing:
-                        leases.close(
-                            shard_id, max(now, state.busy_until[shard_id])
-                        )
+                        leases.close(shard_id, max(now, busy[shard_id]))
             if admission is not None:
                 # Backlog of the least-loaded active shard plus the admitted
                 # but undispatched work, spread across the active shards —
-                # the queue depth times the calibrated per-batch cost.
+                # the queue depth times the calibrated per-batch cost.  The
+                # pending sum is re-reduced, not maintained incrementally,
+                # so its float accumulation order never depends on history.
                 if ctx is not None:
                     # Only live shards can absorb work; with none, the
                     # prediction is unbounded and only guaranteed-tier
@@ -1444,14 +1405,14 @@ class ShardedServiceCluster:
                     alive = ctx.active_alive(active_count)
                     if alive:
                         backlog = min(
-                            max(state.busy_until[i] - now, 0.0) for i in alive
+                            max(busy[i] - now, 0.0) for i in alive
                         ) + sum(pending_estimates.values()) / len(alive)
                     else:
                         backlog = float("inf")
                 else:
-                    backlog = min(
-                        max(state.busy_until[i] - now, 0.0) for i in active_ids()
-                    ) + sum(pending_estimates.values()) / active_count
+                    backlog = backend.min_backlog(active_count, now) + sum(
+                        pending_estimates.values()
+                    ) / active_count
                 if fair:
                     # A request the fair batcher would spill pays a full
                     # standalone pass, not the marginal increment of a
@@ -1494,11 +1455,6 @@ class ShardedServiceCluster:
                 )
                 if admission.record_decisions:
                     decisions.append(decision)
-                if decision.admitted:
-                    if decision.degraded:
-                        request = degraded_request
-                        estimate = degraded_estimate
-                    pending_estimates[request.request_id] = estimate
                 if not decision.admitted:
                     shed_records.append(
                         ShedRecord(
@@ -1508,33 +1464,28 @@ class ShardedServiceCluster:
                             slo_seconds=decision.slo_seconds,
                         )
                     )
+                    if accumulator is not None:
+                        accumulator.push_shed(request)
                     recent_sheds.append(now)
                     source.on_shed(request, now)
                     continue
+                if decision.degraded:
+                    request = degraded_request
+                    estimate = degraded_estimate
+                pending_estimates[request.request_id] = estimate
             enqueue(request, now)
 
-        fault_stats = (
-            ctx.finalize(first_arrival, state.last_finish) if ctx is not None else None
-        )
-        shard_seconds = leases.finish(state.last_finish) if leases is not None else None
-        makespan = 0.0
-        if state.served and first_arrival is not None:
-            makespan = state.last_finish - first_arrival
-        return ClusterReport(
-            system=self.system_name,
-            policy=self.policy,
-            num_shards=self.num_shards,
-            served=state.served,
-            num_batches=state.num_batches,
-            makespan_seconds=makespan,
-            shard_busy_seconds=state.busy_total,
-            shard_requests=state.shard_requests,
+        return run.report(
+            first_arrival,
             shed=shed_records,
-            slo=slo,
             decisions=decisions,
             scaling_timeline=list(autoscaler.timeline()) if autoscaler is not None else [],
-            faults=fault_stats,
-            shard_seconds=shard_seconds,
+            faults=(
+                ctx.finalize(first_arrival, run.last_finish) if ctx is not None else None
+            ),
+            shard_seconds=(
+                leases.finish(run.last_finish) if leases is not None else None
+            ),
         )
 
     def serve_workloads(self, workloads: List[WorkloadProfile]) -> ClusterReport:

@@ -25,10 +25,6 @@ controller (``batch_aware``, ``record_decisions``) and the fault schedule
 * **autoscaler** attaches elastic scaling (online loop only); with its
   ``drain=True`` default a scale-down drains-and-migrates queued work to
   the surviving shards instead of stranding it.
-
-The legacy keyword arguments still work through a shim that emits
-``DeprecationWarning`` and maps them onto a config — byte-identical reports
-by construction, regression-tested in ``tests/test_serving_config.py``.
 """
 
 from __future__ import annotations
@@ -42,12 +38,9 @@ from repro.serving.control import (
     DegradationPolicy,
     SLOPolicy,
 )
+from repro.serving.engine import check_engine
 from repro.serving.faults import FaultSchedule
 from repro.serving.topology import PLACEMENTS, ClusterTopology
-
-#: Mirror of :data:`repro.serving.cluster.ENGINES` (imported lazily in the
-#: validator to keep the config module import-cycle-free).
-_ENGINES = ("reference", "fast")
 
 
 @dataclass(frozen=True)
@@ -58,7 +51,7 @@ class ServingConfig:
         engine: serving engine override for this run (``"reference"`` /
             ``"fast"``); ``None`` keeps the cluster's own engine.
         slo: latency objectives the run is scored against.  On its own it
-            never sheds (score-only, like the legacy ``slo=`` kwarg).
+            never sheds (score-only).
         controller: a pre-built admission controller.  Mutually exclusive
             with the admission knobs below — a supplied controller already
             carries its own ``record_decisions`` / ``batch_aware`` /
@@ -107,10 +100,8 @@ class ServingConfig:
     placement: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in _ENGINES:
-            raise ValueError(
-                f"unknown serving engine {self.engine!r}; expected one of {_ENGINES}"
-            )
+        if self.engine is not None:
+            check_engine(self.engine)
         knobs_touched = (
             self.record_decisions is not True
             or self.batch_aware is not False

@@ -26,10 +26,10 @@ cluster's online event loop (:meth:`~repro.serving.cluster.ShardedServiceCluster
 
 Everything here is pure simulated-time bookkeeping: no wall clock, no
 randomness, so controlled runs are exactly reproducible.  The policies are
-engine-agnostic: both the reference event loop and the fast engine
-(:mod:`repro.serving.engine`) drive the same controller objects with the
-same observation sequences, which is what keeps controlled runs
-byte-identical across engines.  For 100k-request runs the per-decision log
+backend-agnostic: the one online event loop drives the same controller
+objects with the same observation sequences on either backend
+(:mod:`repro.serving.engine`), which keeps controlled runs byte-identical
+across them.  For 100k-request runs the per-decision log
 can be disabled (``AdmissionController(record_decisions=False)``) — the
 verdicts themselves are unaffected.
 """
@@ -412,7 +412,7 @@ class AdmissionController:
     def reset(self) -> None:
         """Drop all token-bucket state (start of a serving run).
 
-        Both serving engines call this when a run begins, mirroring
+        The online loop calls this when a run begins, mirroring
         ``Autoscaler.start``: simulated clocks restart at every run, so
         buckets anchored to a previous run's timeline must not leak into
         the next one (a depleted guarantee would otherwise shed

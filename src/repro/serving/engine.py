@@ -1,60 +1,67 @@
-"""The fast serving engine: indexed event heaps + serve-transition caching.
+"""Serving backends: the data structures behind the cluster's event loops.
 
-This module is the ``engine="fast"`` implementation behind
-:class:`~repro.serving.cluster.ShardedServiceCluster`.  It reproduces the
-reference event loops' output *byte-identically* (golden- and property-test
-enforced) while replacing their per-event linear work with indexed
-structures and memoization:
+:class:`~repro.serving.cluster.ShardedServiceCluster` runs one online event
+loop and one per-event offline loop.  The ``engine`` option only picks the
+*backend* those loops run on, from :data:`BACKENDS`:
 
-* **Serve-transition cache** — a batch's :class:`ServiceReport` is a pure
-  function of ``(preprocessing state, merged workload)``; the engine caches
-  the ``(state, workload) -> (report, duration, next state)`` transition and
-  replays it on any shard in the same starting state
-  (``PreprocessingSystem.state_key`` / ``snapshot_state`` / ``apply_state``).
-  For DynPre this eliminates the per-batch bitstream-library sweep; for
-  stateless systems it eliminates the analytic model evaluation outright.
-* **Indexed shard heap** — least-loaded dispatch and admission backlog reads
-  pop a ``(busy_until, shard_id)`` priority structure with lazy staleness
-  instead of scanning every shard per batch.
-* **Array-level batch formation** — offline traces are chunked per
-  compatibility key on the trace's structure-of-arrays view
-  (``BatchScheduler.schedule_fast``), one ``searchsorted`` per batch.
-* **Deadline heap** — the online loop's next-expiring-batch query is a heap
-  top instead of a scan over all open batches, and the autoscaler's queue
-  depth is a running counter.
-* **Streaming aggregates** — sojourns fold into
-  :class:`~repro.analysis.metrics.StreamingLatencyStats` and running
-  decomposition sums as requests are served (same accumulation order as the
-  reference report properties, hence bit-identical), so a report can
-  :meth:`~repro.serving.cluster.ClusterReport.compact` away its per-request
-  records at 100k-request scale.
+* :class:`ReferenceBackend` (``"reference"``) — plain linear scans, a direct
+  ``GNNService.serve`` per batch, and no streaming aggregates: the report
+  re-derives every summary from the per-request records, which keeps it an
+  independent oracle for the fast backend's accumulators.
+* :class:`FastBackend` (``"fast"``, the default) — the same loops on indexed
+  structures and memoization:
 
-Float discipline: every arithmetic expression that lands in a report is kept
-textually identical to the reference loop's (same operand order, same
-reductions over the same iteration order), because the golden-report suite
-asserts byte equality of the rendered JSON.
+  * **Serve-transition cache** — a batch's :class:`ServiceReport` is a pure
+    function of ``(preprocessing state, merged workload)``; the backend
+    caches the ``(state, workload) -> (report, duration, next state)``
+    transition and replays it on any shard in the same starting state
+    (``PreprocessingSystem.state_key`` / ``snapshot_state`` /
+    ``apply_state``).  For DynPre this eliminates the per-batch
+    bitstream-library sweep; for stateless systems it eliminates the
+    analytic model evaluation outright.
+  * **Indexed shard heap** — least-loaded dispatch and admission backlog
+    reads pop a ``(busy_until, shard_id)`` priority structure with lazy
+    staleness instead of scanning every shard per batch.
+  * **Array-level batch formation** — offline traces are chunked per
+    compatibility key on the trace's structure-of-arrays view
+    (``BatchScheduler.schedule_fast``), one ``searchsorted`` per batch.
+  * **Deadline heap** — the online loop's next-expiring-batch query is a
+    heap top instead of a scan over all open batches.
+  * **Streaming aggregates** — sojourns fold into
+    :class:`~repro.analysis.metrics.StreamingLatencyStats` and running
+    decomposition sums as requests are served (same accumulation order as
+    the reference report properties, hence bit-identical), so a report can
+    :meth:`~repro.serving.cluster.ClusterReport.compact` away its
+    per-request records at 100k-request scale.
+
+  Eligible offline replays (no faults, no fair batching) skip the per-event
+  loop altogether for the array-native chunked loop
+  (:func:`serve_trace_fast`).
+
+Every piece a backend swaps returns the value the reference piece would, so
+both backends render byte-identical reports (golden- and property-test
+enforced); the control flow and every float expression that lands in a
+report live once, in the loops.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from dataclasses import replace
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.metrics import StreamingLatencyStats
-from repro.serving.faults import DrainPlanner, FaultLoopHooks, FaultSchedule, due
+from repro.serving.faults import FaultSchedule
 from repro.serving.requests import InferenceRequest
 from repro.serving.scheduler import RequestBatch
 from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
 
 if TYPE_CHECKING:
     from repro.serving.cluster import ShardedServiceCluster
-    from repro.serving.control import AdmissionController, Autoscaler, SLOPolicy
-    from repro.system.service import GNNService, ServiceReport
-
+    from repro.serving.control import SLOPolicy
+    from repro.system.service import ServiceReport
 
 class ShardHeap:
     """Keyed priority structure over shard busy horizons.
@@ -67,7 +74,7 @@ class ShardHeap:
     drain lowers a leaving shard's horizon back to its in-flight floor,
     which simply revalidates (or duplicates) an earlier entry — every
     shard always has one entry matching its current value, so :meth:`pick`
-    stays correct.  :meth:`pick` returns the shard the reference loop's
+    stays correct.  :meth:`pick` returns the shard the reference picker's
     ``min(active, key=lambda i: (busy_until[i], i))`` would return: the heap
     order ``(busy, shard_id)`` is exactly that tie-break.
 
@@ -229,9 +236,9 @@ class _RunAccumulator:
 
 
 def _cached_serve(
-    cluster: "ShardedServiceCluster", shard: "GNNService", workload: WorkloadProfile
+    cluster: "ShardedServiceCluster", shard_id: int, workload: WorkloadProfile
 ) -> Tuple["ServiceReport", float]:
-    """Serve ``workload`` on ``shard`` through the serve-transition cache.
+    """Serve ``workload`` on shard ``shard_id`` through the serve-transition cache.
 
     A hit replays the memoized ``(report, duration, end state)`` transition:
     the report object is shared (it is immutable in practice and compares by
@@ -239,6 +246,7 @@ def _cached_serve(
     pass would have left — including the reconfiguration event log, which
     the controller re-derives from the (old, new) configuration pair.
     """
+    shard = cluster.shards[shard_id]
     state = shard.preprocessing.state_key()
     key = (state, workload)
     hit = cluster._serve_cache.get(key)
@@ -258,9 +266,9 @@ def _merged_workload(
     """The batch's merged workload, memoized on (base profile, summed size).
 
     The merge itself is delegated to ``RequestBatch.workload`` — the same
-    property the reference loop evaluates — so the two engines cannot drift
-    if the merge formula ever changes; this wrapper only avoids re-running
-    it for every batch of an identical composition.
+    property the reference backend evaluates — so the two backends cannot
+    drift if the merge formula ever changes; this wrapper only avoids
+    re-running it for every batch of an identical composition.
     """
     base = batch.requests[0].workload
     total = sum(request.workload.batch_size for request in batch.requests)
@@ -290,7 +298,7 @@ def _pick_shard(
         # Domain-aware placement: the active set is an activation-order
         # slice, not the index prefix the heap shortcuts assume.  Delegate
         # to the reference picker over the heap's authoritative busy list —
-        # the same call the fault path makes — so both engines pick
+        # the same call the fault path makes — so both backends pick
         # identically under any topology.
         return cluster._pick_shard(batch, heap.busy, cluster._order[:active_count])
     if cluster.policy == POLICY_ROUND_ROBIN:
@@ -323,6 +331,141 @@ def _pick_shard(
             cluster._shard_key[chosen] = (batch.key, batch.ready_seconds)
         return chosen
     return heap.pick(active_count)
+
+
+# -------------------------------------------------------------------- backends
+class ReferenceBackend:
+    """Plain data structures: linear scans, direct serves, no aggregates.
+
+    One instance serves one run.  ``busy`` is the authoritative per-shard
+    busy-until list the loops read; writes go through :meth:`set_busy`.
+    """
+
+    #: Streaming report aggregates (``None``: the report re-derives them).
+    accumulator: Optional[_RunAccumulator] = None
+
+    def __init__(self, cluster: "ShardedServiceCluster", slo: Optional["SLOPolicy"]) -> None:
+        self.cluster = cluster
+        self.busy = [0.0] * cluster.num_shards
+
+    @classmethod
+    def replay(cls, cluster: "ShardedServiceCluster", trace, slo, faults):
+        """Offline entry point: the cluster's per-event loop on this backend."""
+        return cluster._serve_trace_events(trace, slo, faults, cls)
+
+    def schedule(self, trace) -> List[RequestBatch]:
+        """The trace's batches in dispatch order."""
+        return self.cluster.scheduler.schedule(trace)
+
+    def set_busy(self, shard_id: int, seconds: float) -> None:
+        self.busy[shard_id] = seconds
+
+    def merged(self, batch: RequestBatch) -> WorkloadProfile:
+        return batch.workload
+
+    def serve(self, shard_id: int, workload: WorkloadProfile) -> Tuple["ServiceReport", float]:
+        report = self.cluster.shards[shard_id].serve(workload)
+        return report, report.total_seconds
+
+    def pick(self, batch: RequestBatch, workload: WorkloadProfile, active_count: int) -> int:
+        """Dispatch target among the first ``active_count`` activated shards."""
+        cluster = self.cluster
+        return cluster._pick_shard(batch, self.busy, cluster._active_ids(active_count))
+
+    def min_backlog(self, active_count: int, now: float) -> float:
+        """Smallest remaining backlog among the active shards."""
+        busy = self.busy
+        return min(
+            max(busy[i] - now, 0.0) for i in self.cluster._active_ids(active_count)
+        )
+
+    # Open-batch deadlines.  Ties between expiring batches fire in (deadline,
+    # first request id) order, matching the offline scheduler's dispatch
+    # order.
+    def opened(self, key: object, deadline: float, first_id: int) -> None:
+        """A batch opened under ``key`` (the scan needs no index)."""
+
+    def next_deadline(
+        self, open_members: Dict[object, List[InferenceRequest]], open_deadline: Dict[object, float]
+    ) -> Optional[Tuple[float, object]]:
+        """``(deadline, key)`` of the next batch to expire, or None."""
+        if not open_deadline:
+            return None
+        key = min(
+            open_deadline,
+            key=lambda k: (open_deadline[k], open_members[k][0].request_id),
+        )
+        return open_deadline[key], key
+
+    def fired(self) -> None:
+        """The :meth:`next_deadline` batch was just closed."""
+
+
+class FastBackend(ReferenceBackend):
+    """Indexed structures and memoization with the reference's values."""
+
+    def __init__(self, cluster: "ShardedServiceCluster", slo: Optional["SLOPolicy"]) -> None:
+        self.cluster = cluster
+        self.heap = ShardHeap(cluster.num_shards)
+        self.busy = self.heap.busy
+        self.accumulator = _RunAccumulator(slo)
+        self._deadlines: List[tuple] = []
+        # The per-batch pieces are bound to their module-level functions
+        # (no method frame on the dispatch hot path).
+        self.set_busy = self.heap.update
+        self.merged = partial(_merged_workload, merged_cache={})
+        self.serve = partial(_cached_serve, cluster)
+        self.pick = partial(_pick_shard, cluster, self.heap)
+
+    @classmethod
+    def replay(cls, cluster: "ShardedServiceCluster", trace, slo, faults):
+        return serve_trace_fast(cluster, trace, slo, faults)
+
+    def schedule(self, trace) -> List[RequestBatch]:
+        return self.cluster.scheduler.schedule_fast(trace)
+
+    def min_backlog(self, active_count: int, now: float) -> float:
+        if self.cluster._order is not None:
+            # Non-prefix active set: the heap's prefix shortcut does not
+            # apply (value-identical floats either way).
+            return super().min_backlog(active_count, now)
+        return max(self.heap.min_busy(active_count) - now, 0.0)
+
+    def opened(self, key: object, deadline: float, first_id: int) -> None:
+        heapq.heappush(self._deadlines, (deadline, first_id, key))
+
+    def next_deadline(self, open_members, open_deadline):
+        # Lazy invalidation: an entry is live while its key's open batch
+        # still has that deadline and that opening request.
+        heap = self._deadlines
+        while heap:
+            deadline, first_id, key = heap[0]
+            members = open_members.get(key)
+            if (
+                members is not None
+                and open_deadline[key] == deadline
+                and members[0].request_id == first_id
+            ):
+                return deadline, key
+            heapq.heappop(heap)
+        return None
+
+    def fired(self) -> None:
+        heapq.heappop(self._deadlines)
+
+
+ENGINE_REFERENCE = "reference"
+ENGINE_FAST = "fast"
+#: Serving backends by ``engine`` name.
+BACKENDS = {ENGINE_REFERENCE: ReferenceBackend, ENGINE_FAST: FastBackend}
+#: Valid ``engine`` values.
+ENGINES = tuple(BACKENDS)
+
+
+def check_engine(engine: str) -> None:
+    """Reject an ``engine`` value that names no backend."""
+    if engine not in BACKENDS:
+        raise ValueError(f"unknown serving engine {engine!r}; expected one of {ENGINES}")
 
 
 class _BatchView:
@@ -533,7 +676,7 @@ def _serve_trace_chunked(
             view.workload = workload
             shard_id = _pick_shard(cluster, heap, view, workload, num_shards)
         start = max(ready, busy[shard_id])
-        report, duration = _cached_serve(cluster, shards[shard_id], workload)
+        report, duration = _cached_serve(cluster, shard_id, workload)
         finish = start + duration
         heap.update(shard_id, finish)
         busy_total[shard_id] += duration
@@ -638,12 +781,10 @@ def serve_trace_fast(
     ``chunked`` selects the array-native loop (:func:`_serve_trace_chunked`)
     over the per-event one; the default ``None`` auto-enables it whenever
     the run is eligible — no fault schedule, no fair-mode scheduler, a
-    non-empty trace — and degrades gracefully to the per-event loop
-    otherwise.  Both paths produce byte-identical reports; ``chunked=False``
-    forces the per-event loop (the equivalence suite and the speed benchmark
-    compare the two)."""
-    from repro.serving.cluster import ClusterReport, ServedRequest
-
+    non-empty trace — and degrades gracefully to the per-event loop on the
+    fast backend otherwise.  Both paths produce byte-identical reports;
+    ``chunked=False`` forces the per-event loop (the equivalence suite and
+    the speed benchmark compare the two)."""
     if chunked is None:
         chunked = faults is None and not cluster.scheduler.fair and len(trace) > 0
     if chunked:
@@ -652,602 +793,4 @@ def serve_trace_fast(
         if cluster.scheduler.fair:
             raise ValueError("chunked replay does not support fair-mode batching")
         return _serve_trace_chunked(cluster, trace, slo)
-
-    cluster._reset_dispatch_state()
-    batches = cluster.scheduler.schedule_fast(trace)
-    num_shards = cluster.num_shards
-    heap = ShardHeap(num_shards)
-    busy_total = [0.0] * num_shards
-    shard_requests = [0] * num_shards
-    served: List[ServedRequest] = []
-    accumulator = _RunAccumulator(slo)
-    merged_cache: Dict[tuple, WorkloadProfile] = {}
-    last_finish = 0.0
-    fault_stats = None
-    num_batches = len(batches)
-
-    if faults is None:
-        for batch in batches:
-            members = batch.requests
-            workload = _merged_workload(batch, merged_cache)
-            ready = batch.ready_seconds
-            shard_id = _pick_shard(cluster, heap, batch, workload, num_shards)
-            start = max(ready, heap.busy[shard_id])
-            report, duration = _cached_serve(cluster, cluster.shards[shard_id], workload)
-            finish = start + duration
-            heap.update(shard_id, finish)
-            busy_total[shard_id] += duration
-            shard_requests[shard_id] += len(members)
-            last_finish = max(last_finish, finish)
-            batch_size = len(members)
-            dispatch_delay = start - ready
-            for request in members:
-                batching_delay = ready - request.arrival_seconds
-                served.append(
-                    ServedRequest(
-                        request=request,
-                        shard_id=shard_id,
-                        batch_size=batch_size,
-                        batching_delay=batching_delay,
-                        dispatch_delay=dispatch_delay,
-                        service_seconds=duration,
-                        report=report,
-                    )
-                )
-                accumulator.push(request, batching_delay, dispatch_delay, duration)
-    else:
-        # The fault runtime owns every fault decision; these hooks only
-        # expose the loop's state.  Dispatch goes through the *reference*
-        # ``_pick_shard`` over the heap's authoritative busy list so both
-        # engines pick identically under a fluid (non-prefix) active set.
-        ctx = faults.runtime(
-            num_shards, slo, order=cluster._order, topology=cluster.topology
-        )
-        num_batches = 0
-
-        def commit(batch, shard_id, start, duration, report, finish):
-            nonlocal last_finish, num_batches
-            members = batch.requests
-            ready = batch.ready_seconds
-            shard_requests[shard_id] += len(members)
-            num_batches += 1
-            last_finish = max(last_finish, finish)
-            batch_size = len(members)
-            dispatch_delay = start - ready
-            for request in members:
-                batching_delay = ready - request.arrival_seconds
-                served.append(
-                    ServedRequest(
-                        request=request,
-                        shard_id=shard_id,
-                        batch_size=batch_size,
-                        batching_delay=batching_delay,
-                        dispatch_delay=dispatch_delay,
-                        service_seconds=duration,
-                        report=report,
-                    )
-                )
-                accumulator.push(request, batching_delay, dispatch_delay, duration)
-
-        def add_busy(shard_id: int, seconds: float) -> None:
-            busy_total[shard_id] += seconds
-
-        order = cluster._order
-        env = FaultLoopHooks(
-            active_count=lambda: num_shards,
-            active_ids=(
-                (lambda: order[:num_shards]) if order is not None else None
-            ),
-            busy=lambda shard_id: heap.busy[shard_id],
-            set_busy=heap.update,
-            add_busy=add_busy,
-            merged=lambda batch: _merged_workload(batch, merged_cache),
-            pick=lambda batch, workload, active: cluster._pick_shard(
-                batch, heap.busy, active
-            ),
-            serve=lambda shard_id, workload: _cached_serve(
-                cluster, cluster.shards[shard_id], workload
-            ),
-            commit=commit,
-            on_failed=lambda request, seconds: None,
-        )
-        for batch in batches:
-            ctx.step(env, batch)
-        ctx.drain(env)
-        fault_stats = ctx.finalize(trace[0].arrival_seconds, last_finish)
-
-    first_arrival = trace[0].arrival_seconds
-    # A faulted replay can fail every request; an empty run has no span.
-    makespan = last_finish - first_arrival if served else 0.0
-    return ClusterReport(
-        system=cluster.system_name,
-        policy=cluster.policy,
-        num_shards=num_shards,
-        served=served,
-        num_batches=num_batches,
-        makespan_seconds=makespan,
-        shard_busy_seconds=busy_total,
-        shard_requests=shard_requests,
-        slo=slo,
-        aggregates=accumulator.aggregates(count=len(served), shed_count=0),
-        faults=fault_stats,
-    )
-
-
-# ---------------------------------------------------------------------- online
-def serve_online_fast(
-    cluster: "ShardedServiceCluster",
-    source,
-    slo: Optional["SLOPolicy"] = None,
-    admission: Optional["AdmissionController"] = None,
-    autoscaler: Optional["Autoscaler"] = None,
-    faults: Optional[FaultSchedule] = None,
-):
-    """Fast online co-simulation — the ``engine="fast"`` path of ``serve_online``.
-
-    Control flow and every float expression mirror the reference loop; the
-    differences are the deadline heap (next expiring batch is a heap top,
-    with lazy invalidation keyed on the opening request's id), the running
-    open-request counter feeding the autoscaler, the shard heap behind
-    dispatch and admission-backlog reads, and the serve-transition cache.
-    Under a fault schedule, dispatch and the admission backlog instead go
-    through the shared fault runtime and the reference ``_pick_shard`` (the
-    active set is no longer a prefix), exactly as the reference loop does.
-    """
-    from repro.serving.cluster import (
-        ClusterReport,
-        ServedRequest,
-        ShardLeaseTracker,
-        ShedRecord,
-        _admission_estimate,
-    )
-
-    cluster._reset_dispatch_state()
-    num_shards = cluster.num_shards
-    heap = ShardHeap(num_shards)
-    busy_total = [0.0] * num_shards
-    shard_requests = [0] * num_shards
-    served: List[ServedRequest] = []
-    accumulator = _RunAccumulator(slo)
-    merged_cache: Dict[tuple, WorkloadProfile] = {}
-    last_finish = 0.0
-    num_batches = 0
-
-    scheduler = cluster.scheduler
-    fair = scheduler.fair
-    batcher = scheduler.fair_batcher() if fair else None
-    open_members: Dict[object, List[InferenceRequest]] = {}
-    open_deadline: Dict[object, float] = {}
-    open_count = 0
-    deadline_heap: List[tuple] = []
-    inflight: List[float] = []
-    shed_records: List[ShedRecord] = []
-    decisions: List[object] = []
-    pending_estimates: Dict[int, float] = {}
-    recent_sheds: deque = deque()
-    active_count = num_shards
-    start_seconds = 0.0
-    if autoscaler is not None:
-        first_peek = source.peek_time()
-        start_seconds = first_peek if first_peek is not None else 0.0
-        active_count = autoscaler.start(start_seconds)
-    if admission is not None:
-        admission.reset()
-    first_arrival: Optional[float] = None
-    # Guaranteed-tier tenants whose open-queue pressure a tenant-aware
-    # autoscaler watches separately from the global depth.
-    guaranteed_tenants: Optional[frozenset] = None
-    if autoscaler is not None and autoscaler.tenant_aware and slo is not None:
-        guaranteed_tenants = frozenset(
-            tenant
-            for tenant, quota in slo.per_tenant.items()
-            if quota.guaranteed_rps > 0
-        )
-    guaranteed_open = 0
-    ctx = (
-        faults.runtime(
-            num_shards, slo, order=cluster._order, topology=cluster.topology
-        )
-        if faults is not None
-        else None
-    )
-    planner = (
-        DrainPlanner(num_shards)
-        if autoscaler is not None and autoscaler.drain
-        else None
-    )
-    if ctx is not None and planner is not None:
-        ctx.attach_planner(planner)
-    order = cluster._order
-
-    def active_ids():
-        """The active shard set in activation order (identity w/o topology)."""
-        return order[:active_count] if order is not None else range(active_count)
-
-    leases: Optional[ShardLeaseTracker] = None
-    if autoscaler is not None:
-        leases = ShardLeaseTracker(num_shards)
-        for shard_id in active_ids():
-            leases.open(shard_id, start_seconds)
-
-    def dispatch_batch(batch: RequestBatch) -> None:
-        nonlocal last_finish, num_batches, guaranteed_open
-        if guaranteed_tenants:
-            for request in batch.requests:
-                if request.tenant in guaranteed_tenants:
-                    guaranteed_open -= 1
-        if ctx is not None:
-            ctx.dispatch(batch, env)
-            return
-        if planner is not None:
-            planner.dispatch(batch, env)
-            return
-        members = batch.requests
-        ready_seconds = batch.ready_seconds
-        workload = _merged_workload(batch, merged_cache)
-        shard_id = _pick_shard(cluster, heap, batch, workload, active_count)
-        start = max(ready_seconds, heap.busy[shard_id])
-        report, duration = _cached_serve(cluster, cluster.shards[shard_id], workload)
-        finish = start + duration
-        heap.update(shard_id, finish)
-        busy_total[shard_id] += duration
-        shard_requests[shard_id] += len(members)
-        num_batches += 1
-        last_finish = max(last_finish, finish)
-        batch_size = len(members)
-        dispatch_delay = start - ready_seconds
-        for request in members:
-            batching_delay = ready_seconds - request.arrival_seconds
-            served.append(
-                ServedRequest(
-                    request=request,
-                    shard_id=shard_id,
-                    batch_size=batch_size,
-                    batching_delay=batching_delay,
-                    dispatch_delay=dispatch_delay,
-                    service_seconds=duration,
-                    report=report,
-                )
-            )
-            accumulator.push(request, batching_delay, dispatch_delay, duration)
-        for request in members:
-            pending_estimates.pop(request.request_id, None)
-            heapq.heappush(inflight, finish)
-            source.on_complete(request, finish)
-
-    def close_batch(key: object, ready_seconds: float) -> None:
-        nonlocal open_count
-        members = open_members.pop(key)
-        open_deadline.pop(key)
-        open_count -= len(members)
-        dispatch_batch(RequestBatch(requests=members, ready_seconds=ready_seconds))
-
-    def next_deadline() -> Optional[tuple]:
-        """Valid top of the deadline heap: (deadline, first request id, key)."""
-        while deadline_heap:
-            deadline, first_id, key = deadline_heap[0]
-            members = open_members.get(key)
-            if (
-                members is not None
-                and open_deadline[key] == deadline
-                and members[0].request_id == first_id
-            ):
-                return deadline_heap[0]
-            heapq.heappop(deadline_heap)
-        return None
-
-    def fault_commit(batch: RequestBatch, shard_id, start, duration, report, finish):
-        nonlocal last_finish, num_batches
-        members = batch.requests
-        ready_seconds = batch.ready_seconds
-        shard_requests[shard_id] += len(members)
-        num_batches += 1
-        last_finish = max(last_finish, finish)
-        batch_size = len(members)
-        dispatch_delay = start - ready_seconds
-        for request in members:
-            batching_delay = ready_seconds - request.arrival_seconds
-            served.append(
-                ServedRequest(
-                    request=request,
-                    shard_id=shard_id,
-                    batch_size=batch_size,
-                    batching_delay=batching_delay,
-                    dispatch_delay=dispatch_delay,
-                    service_seconds=duration,
-                    report=report,
-                )
-            )
-            accumulator.push(request, batching_delay, dispatch_delay, duration)
-        for request in members:
-            pending_estimates.pop(request.request_id, None)
-            heapq.heappush(inflight, finish)
-            source.on_complete(request, finish)
-
-    def fault_failed(request: InferenceRequest, seconds: float) -> None:
-        pending_estimates.pop(request.request_id, None)
-        source.on_shed(request, seconds)
-
-    def add_busy(shard_id: int, seconds: float) -> None:
-        busy_total[shard_id] += seconds
-
-    env = (
-        FaultLoopHooks(
-            active_count=lambda: active_count,
-            active_ids=active_ids if order is not None else None,
-            busy=lambda shard_id: heap.busy[shard_id],
-            set_busy=heap.update,
-            add_busy=add_busy,
-            merged=lambda batch: _merged_workload(batch, merged_cache),
-            pick=lambda batch, workload, active: cluster._pick_shard(
-                batch, heap.busy, active
-            ),
-            serve=lambda shard_id, workload: _cached_serve(
-                cluster, cluster.shards[shard_id], workload
-            ),
-            commit=fault_commit,
-            on_failed=fault_failed,
-        )
-        if ctx is not None or planner is not None
-        else None
-    )
-    if planner is not None:
-
-        def on_planned(batch: RequestBatch) -> None:
-            # Admitted estimates clear at plan time, not commit time: the
-            # planned work is already priced into the busy horizon the
-            # admission backlog reads.
-            for request in batch.requests:
-                pending_estimates.pop(request.request_id, None)
-
-        planner.on_planned = on_planned
-
-    def enqueue(request: InferenceRequest, now: float) -> None:
-        nonlocal guaranteed_open, open_count
-        if guaranteed_tenants and request.tenant in guaranteed_tenants:
-            guaranteed_open += 1
-        if fair:
-            for batch in batcher.add(request, now):
-                dispatch_batch(batch)
-            return
-        key = request.workload.batch_key
-        members = open_members.get(key)
-        if members is None:
-            members = []
-            open_members[key] = members
-            deadline = now + scheduler.max_wait_seconds
-            open_deadline[key] = deadline
-            heapq.heappush(deadline_heap, (deadline, request.request_id, key))
-        members.append(request)
-        open_count += 1
-        if len(members) >= scheduler.max_batch_size:
-            close_batch(key, now)
-
-    while True:
-        t_arrival = source.peek_time()
-        if fair:
-            expiring = batcher.peek_deadline()
-        else:
-            expiring = next_deadline()
-        t_deadline = expiring[0] if expiring is not None else None
-        t_fault = ctx.next_fault_time() if ctx is not None else None
-        t_retry = ctx.next_retry_time() if ctx is not None else None
-        t_commit = planner.next_commit_time() if planner is not None else None
-        # Event precedence at timestamp ties: commit < fault < deadline <
-        # retry < arrival (shared with the reference engine through
-        # ``due``).  Commits fire first so work whose service has begun is
-        # in flight — and immovable — before any same-instant scale
-        # decision or fault consults the plan.
-        if due(t_commit, t_fault, t_deadline, t_retry, t_arrival):
-            planner.commit_next(env)
-            continue
-        if due(t_fault, t_deadline, t_retry, t_arrival):
-            ctx.advance(env, t_fault)
-            continue
-        if due(t_deadline, t_retry, t_arrival):
-            if fair:
-                for batch in batcher.fire_deadline(expiring):
-                    dispatch_batch(batch)
-            else:
-                heapq.heappop(deadline_heap)
-                close_batch(expiring[2], expiring[0])
-            continue
-        if due(t_retry, t_arrival):
-            retry_request, retry_now = ctx.pop_retry()
-            enqueue(retry_request, retry_now)
-            continue
-        if t_arrival is None:
-            break
-        request = source.pop()
-        now = request.arrival_seconds
-        key = request.workload.batch_key
-        if first_arrival is None:
-            first_arrival = now
-        while inflight and inflight[0] <= now:
-            heapq.heappop(inflight)
-        if autoscaler is not None:
-            while recent_sheds and recent_sheds[0] < now - autoscaler.shed_memory_seconds:
-                recent_sheds.popleft()
-            pending = batcher.pending_count if fair else open_count
-            queue_depth = 1 + len(inflight) + pending + len(recent_sheds)
-            if ctx is not None:
-                # Work the fault layer is holding (retries, parked batches)
-                # is still demand the autoscaler must see.
-                queue_depth += ctx.backlog_count()
-            if planner is not None:
-                # Planned-but-uncommitted dispatches are queued work too;
-                # commit-at-dispatch counted them via inflight.
-                queue_depth += planner.planned
-            previous = active_count
-            if guaranteed_tenants is not None:
-                guaranteed_depth = guaranteed_open + (
-                    1 if request.tenant in guaranteed_tenants else 0
-                )
-                active_count = autoscaler.observe(
-                    now, queue_depth, guaranteed_depth=guaranteed_depth
-                )
-            else:
-                active_count = autoscaler.observe(now, queue_depth)
-            joining = (
-                order[previous:active_count]
-                if order is not None
-                else range(previous, active_count)
-            )
-            for shard_id in joining:
-                warmup = autoscaler.warmup_seconds
-                if warmup is None:
-                    warmup = cluster.shards[shard_id].warmup_seconds
-                heap.update(shard_id, max(heap.busy[shard_id], now + warmup))
-                leases.open(shard_id, now)
-            if ctx is not None and active_count > previous:
-                ctx.flush(env)
-            if active_count < previous:
-                if planner is not None:
-                    if ctx is not None:
-                        # Leaving = dispatchable before minus dispatchable
-                        # after, so standby substitution under faults is
-                        # honoured (a dead prefix shard drains nothing).
-                        surviving = set(ctx.active_alive(active_count))
-                        leaving = [
-                            shard_id
-                            for shard_id in ctx.active_alive(previous)
-                            if shard_id not in surviving
-                        ]
-                    else:
-                        leaving = (
-                            list(order[active_count:previous])
-                            if order is not None
-                            else list(range(active_count, previous))
-                        )
-                    drained, completed = planner.drain(leaving, now, env)
-                    migrated = 0
-                    for stranded in drained:
-                        migrated += len(stranded.requests)
-                        rebatch = RequestBatch(
-                            requests=stranded.requests, ready_seconds=now
-                        )
-                        if ctx is not None:
-                            ctx.dispatch(rebatch, env)
-                        else:
-                            planner.dispatch(rebatch, env)
-                    autoscaler.record_drain(migrated, completed)
-                # Leases close after the drain so a drained shard is
-                # billed to its lowered (post-migration) horizon.
-                departing = (
-                    order[active_count:previous]
-                    if order is not None
-                    else range(active_count, previous)
-                )
-                for shard_id in departing:
-                    leases.close(shard_id, max(now, heap.busy[shard_id]))
-        if admission is not None:
-            # Same prediction as the reference loop: least-loaded active
-            # backlog plus admitted-but-undispatched work spread across the
-            # active shards.  The pending sum is re-reduced (not maintained
-            # incrementally) so its float accumulation order matches.
-            if ctx is not None:
-                # Only live shards can absorb work (textually the reference
-                # loop's expression, over the heap's busy list).
-                alive = ctx.active_alive(active_count)
-                if alive:
-                    backlog = min(
-                        max(heap.busy[i] - now, 0.0) for i in alive
-                    ) + sum(pending_estimates.values()) / len(alive)
-                else:
-                    backlog = float("inf")
-            elif order is not None:
-                # Non-prefix active set: the heap's prefix shortcut does not
-                # apply; reduce over the order slice exactly like the
-                # reference loop (value-identical floats either way).
-                backlog = min(
-                    max(heap.busy[i] - now, 0.0) for i in active_ids()
-                ) + sum(pending_estimates.values()) / active_count
-            else:
-                backlog = max(heap.min_busy(active_count) - now, 0.0) + sum(
-                    pending_estimates.values()
-                ) / active_count
-            if fair:
-                # Mirror the reference loop: spill-bound requests pay a
-                # full standalone pass, not the marginal increment.
-                joinable = (
-                    batcher.open_members(key)
-                    if batcher.can_join(key, request.tenant)
-                    else None
-                )
-            else:
-                joinable = open_members.get(key)
-            estimate = _admission_estimate(cluster.template, request, admission, joinable)
-            # Degraded-quality tier: price the request's cheaper profile
-            # against *its own* open batch (degraded requests batch under
-            # their own key) so the controller can admit it degraded when
-            # the full-quality prediction violates the SLO.
-            degraded_workload = admission.degraded_profile(
-                request.workload, request.tenant
-            )
-            degraded_estimate = None
-            degraded_request = None
-            if degraded_workload is not None:
-                degraded_key = degraded_workload.batch_key
-                if fair:
-                    degraded_joinable = (
-                        batcher.open_members(degraded_key)
-                        if batcher.can_join(degraded_key, request.tenant)
-                        else None
-                    )
-                else:
-                    degraded_joinable = open_members.get(degraded_key)
-                degraded_request = replace(request, workload=degraded_workload)
-                degraded_estimate = _admission_estimate(
-                    cluster.template, degraded_request, admission, degraded_joinable
-                )
-            decision = admission.decide(
-                request, now, backlog, estimate, degraded_estimate
-            )
-            if admission.record_decisions:
-                decisions.append(decision)
-            if decision.admitted:
-                if decision.degraded:
-                    request = degraded_request
-                    estimate = degraded_estimate
-                pending_estimates[request.request_id] = estimate
-            if not decision.admitted:
-                shed_records.append(
-                    ShedRecord(
-                        request=request,
-                        shed_seconds=now,
-                        predicted_sojourn=decision.predicted_sojourn,
-                        slo_seconds=decision.slo_seconds,
-                    )
-                )
-                accumulator.push_shed(request)
-                recent_sheds.append(now)
-                source.on_shed(request, now)
-                continue
-        enqueue(request, now)
-
-    fault_stats = (
-        ctx.finalize(first_arrival, last_finish) if ctx is not None else None
-    )
-    shard_seconds = leases.finish(last_finish) if leases is not None else None
-    makespan = 0.0
-    if served and first_arrival is not None:
-        makespan = last_finish - first_arrival
-    return ClusterReport(
-        system=cluster.system_name,
-        policy=cluster.policy,
-        num_shards=num_shards,
-        served=served,
-        num_batches=num_batches,
-        makespan_seconds=makespan,
-        shard_busy_seconds=busy_total,
-        shard_requests=shard_requests,
-        shed=shed_records,
-        slo=slo,
-        decisions=decisions,
-        scaling_timeline=list(autoscaler.timeline()) if autoscaler is not None else [],
-        aggregates=accumulator.aggregates(
-            count=len(served), shed_count=len(shed_records)
-        ),
-        faults=fault_stats,
-        shard_seconds=shard_seconds,
-    )
+    return cluster._serve_trace_events(trace, slo, faults, FastBackend)

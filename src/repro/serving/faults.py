@@ -3,9 +3,9 @@
 Every shard in :class:`~repro.serving.cluster.ShardedServiceCluster` is
 immortal by default.  This module makes failure a first-class simulated
 event: a :class:`FaultSchedule` lists timestamped **crash**, **recover**
-and **slowdown** events per shard, and both serving engines consume the
-schedule through one shared :class:`FaultRuntime` so their reports stay
-byte-identical under every schedule.
+and **slowdown** events per shard, and the serving loops consume the
+schedule through one shared :class:`FaultRuntime` on either backend, so
+reports stay byte-identical across backends under every schedule.
 
 Fault model
 -----------
@@ -35,8 +35,8 @@ The *voluntary* counterpart of the crash drain lives here too:
 :class:`DrainPlanner` defers the loops' commit-at-dispatch so an
 :class:`~repro.serving.control.Autoscaler` scale-down can hand a healthy
 shard's planned-but-unstarted backlog to the survivors instead of
-stranding it (see the class docstring).  Both engines drive it through
-the same :class:`FaultLoopHooks`, exactly like the fault runtime.
+stranding it (see the class docstring).  The online loop drives it
+through the same :class:`FaultLoopHooks`, exactly like the fault runtime.
 
 :class:`RandomFaults` generates reproducible schedules from a seed,
 mirroring the arrival-generator idiom (`numpy` ``default_rng``).
@@ -77,10 +77,10 @@ DOMAIN_FAULT_KINDS = (FAULT_CRASH_DOMAIN, FAULT_RECOVER_DOMAIN)
 def due(when: Optional[float], *others: Optional[float]) -> bool:
     """True when ``when`` is scheduled and no later than every other horizon.
 
-    The serving loops rank their four event sources (fault, batch
-    deadline, retry, arrival) with this one predicate so both engines
-    break timestamp ties identically: a source fires when it is due and
-    every source ranked after it is either exhausted or no earlier.
+    The online loop ranks its event sources (commit, fault, batch
+    deadline, retry, arrival) with this one predicate: a source fires
+    when it is due and every source ranked after it is either exhausted
+    or no earlier.
     """
     if when is None:
         return False
@@ -524,11 +524,10 @@ class FaultStats:
 class FaultLoopHooks:
     """How a serving loop exposes its mutable state to the fault runtime.
 
-    Both engines drive the *same* :class:`FaultRuntime` code through this
-    bundle of callbacks, which is what keeps their reports byte-identical
-    under faults: the runtime owns every fault decision, the hooks only
-    read/write loop-local state (busy horizons, served records, arrival
-    sources).
+    The loops drive :class:`FaultRuntime` and :class:`DrainPlanner`
+    through this bundle of callbacks: the runtime owns every fault
+    decision, the hooks only read/write the run's state (busy horizons,
+    served records, arrival sources) through the backend in use.
     """
 
     __slots__ = (
@@ -599,9 +598,8 @@ class DrainPlanner:
       current by :meth:`raise_floor` when the fault runtime moves a
       horizon without a planned entry (recovery, in-flight kill).
 
-    Both engines drive the planner through the same
-    :class:`FaultLoopHooks`, which is what keeps drained runs
-    byte-identical across the reference loop and the fast engine.
+    The online loop drives the planner through the same
+    :class:`FaultLoopHooks` as the fault runtime, on either backend.
     """
 
     def __init__(self, num_shards: int) -> None:
@@ -627,9 +625,8 @@ class DrainPlanner:
     def dispatch(self, batch: RequestBatch, env: FaultLoopHooks) -> None:
         """The fault-free dispatch path: pick, price, plan.
 
-        Written once so the reference loop and the fast engine share the
-        exact same pick/serve/plan sequence when draining without a fault
-        schedule.
+        The drain-aware counterpart of the loop's commit-at-dispatch:
+        the same pick/serve sequence, with the commit deferred.
         """
         if env.active_ids is not None:
             active: Sequence[int] = env.active_ids()
@@ -733,7 +730,7 @@ class DrainPlanner:
 
 
 class FaultRuntime:
-    """Per-run mutable fault state shared by both serving engines.
+    """Per-run mutable fault state of one serving loop run.
 
     Tracks shard liveness and slowdown factors as events apply, owns the
     retry heap and the parked-batch list, and performs every

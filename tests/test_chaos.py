@@ -11,7 +11,9 @@ import pytest
 
 import repro.serving.chaos as chaos_module
 from repro.serving import (
+    DISPATCH_POLICIES,
     INVARIANTS,
+    POLICY_LEAST_LOADED,
     ChaosInvariantError,
     chaos_scenarios,
     run_chaos_sweep,
@@ -44,6 +46,21 @@ def test_scenarios_are_deterministic_and_cover_required_races():
     # Both config-override and constructor topology paths are exercised.
     assert any(s.via_config_override for s in first)
     assert any(not s.via_config_override for s in first)
+
+
+def test_random_scenarios_cycle_policies_and_fair_batching():
+    scenarios = chaos_scenarios(4 + 12, seed=0)
+    edges = [s for s in scenarios if s.name.startswith("edge-")]
+    random = [s for s in scenarios if s.name.startswith("random-")]
+    # The handcrafted edges keep their least-loaded, non-fair dispatch.
+    assert {(s.policy, s.fair) for s in edges} == {(POLICY_LEAST_LOADED, False)}
+    # Twelve random scenarios cover every policy with fair batching on and off.
+    assert {(s.policy, s.fair) for s in random} == {
+        (policy, fair) for policy in DISPATCH_POLICIES for fair in (False, True)
+    }
+    # Both are recorded in the reproduction artifact.
+    record = random[2].as_dict()
+    assert (record["policy"], record["fair"]) == (random[2].policy, random[2].fair)
 
 
 def test_sweep_passes_all_invariants(services):

@@ -506,7 +506,7 @@ def test_serve_online_validates_autoscaler_bounds_directly(services):
     oversized = Autoscaler(min_shards=1, max_shards=8, scale_up_depth=0.5,
                            scale_down_depth=0.1, hysteresis_observations=1)
     with pytest.raises(ValueError, match="max_shards"):
-        cluster.serve_online(clients, autoscaler=oversized)
+        cluster.serve_online(clients, config=ServingConfig(autoscaler=oversized))
 
 
 def test_report_with_control_sections_is_json_serializable(services):

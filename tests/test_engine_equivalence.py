@@ -24,12 +24,14 @@ from repro.serving import (
     Autoscaler,
     BatchScheduler,
     ClosedLoopClients,
+    ClusterTopology,
     DegradationPolicy,
     DISPATCH_POLICIES,
     ENGINE_FAST,
     ENGINE_REFERENCE,
     InferenceRequest,
     OpenLoopArrivals,
+    RandomFaults,
     RequestTrace,
     ServingConfig,
     ServingController,
@@ -38,7 +40,7 @@ from repro.serving import (
     TenantQuota,
     TraceArrivals,
 )
-from repro.serving.engine import ShardHeap
+from repro.serving.engine import ShardHeap, serve_trace_fast
 
 
 def _render(report) -> str:
@@ -100,8 +102,9 @@ class TestOfflineEquivalence:
         trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=1000.0, seed=9).trace(30)
         slo = SLOPolicy(default_slo_seconds=0.1, per_workload={"wl-m": 0.2})
         reference, fast = _pair(services, "DynPre")
-        assert _render(reference.serve_trace(trace, slo=slo)) == _render(
-            fast.serve_trace(trace, slo=slo)
+        config = ServingConfig(slo=slo)
+        assert _render(reference.serve_trace(trace, config=config)) == _render(
+            fast.serve_trace(trace, config=config)
         )
 
     def test_served_records_match_not_just_summaries(self, services):
@@ -279,8 +282,9 @@ class TestTenantEquivalence:
             locality_spill_seconds=0.05,
         )
         slo = self._slo()
-        assert _render(reference.serve_trace(trace, slo=slo)) == _render(
-            fast.serve_trace(trace, slo=slo)
+        config = ServingConfig(slo=slo)
+        assert _render(reference.serve_trace(trace, config=config)) == _render(
+            fast.serve_trace(trace, config=config)
         )
 
     def test_bursty_fair_controlled_online(self, services):
@@ -444,6 +448,137 @@ class TestDegradationEquivalence:
             other = fast.tenant_stats[tenant]
             assert stats.served_degraded == other.served_degraded
             assert stats.slo_met_degraded == other.slo_met_degraded
+
+
+# ------------------------------------------------- backend-identity matrix
+#: Online matrix: policy x fair batching x faults x autoscaler x topology.
+_ONLINE_CELLS = [
+    (policy, fair, faulted, scaler, topology)
+    for policy in DISPATCH_POLICIES
+    for fair in (False, True)
+    for faulted in (False, True)
+    for scaler in ("none", "drain", "no-drain")
+    for topology in (False, True)
+]
+
+#: Offline (per-event) matrix: policy x fair batching x faults x topology.
+_OFFLINE_CELLS = [
+    (policy, fair, faulted, topology)
+    for policy in DISPATCH_POLICIES
+    for fair in (False, True)
+    for faulted in (False, True)
+    for topology in (False, True)
+]
+
+
+class TestBackendIdentityMatrix:
+    """Both backends render the same bytes across the feature cross-product.
+
+    The loops exist once, so a difference here can only come from a
+    backend piece (shard pick, admission backlog minimum, deadline order,
+    serve, merged workload, aggregates) disagreeing with its reference
+    counterpart.  Most cells run the stateless GPU system; every third
+    runs DynPre, whose reconfiguration state exercises the serve cache.
+    """
+
+    WEIGHTS = {"ent": 3.0, "free": 1.0, "pro": 2.0}
+    NUM_SHARDS = 4
+
+    def _cluster(self, services, system, engine, policy, fair, topology):
+        return ShardedServiceCluster(
+            services[system],
+            num_shards=self.NUM_SHARDS,
+            engine=engine,
+            policy=policy,
+            scheduler=BatchScheduler(
+                max_batch_size=3,
+                max_wait_seconds=0.004,
+                tenant_weights=self.WEIGHTS if fair else None,
+            ),
+            locality_spill_seconds=0.02,
+            rebalance_seconds=0.05 if policy == "locality" else None,
+            topology=ClusterTopology.uniform(self.NUM_SHARDS, 2) if topology else None,
+        )
+
+    def _faults(self, seed):
+        return RandomFaults(
+            num_shards=self.NUM_SHARDS,
+            horizon_seconds=0.4,
+            mean_uptime_seconds=0.08,
+            mean_downtime_seconds=0.03,
+            retry_budget=2,
+            retry_backoff_seconds=0.003,
+            seed=seed,
+        ).schedule()
+
+    def _slo(self):
+        return SLOPolicy(
+            default_slo_seconds=0.3,
+            per_tenant={"ent": TenantQuota(guaranteed_rps=20.0, weight=3.0)},
+        )
+
+    @staticmethod
+    def _conserved(report, offered):
+        goodput = report.goodput
+        served_full = goodput.served - goodput.served_degraded
+        assert goodput.offered == offered
+        assert offered == (
+            served_full + goodput.served_degraded + goodput.shed + goodput.failed
+        )
+
+    @pytest.mark.parametrize("policy,fair,faulted,scaler,topology", _ONLINE_CELLS)
+    def test_online(self, services, policy, fair, faulted, scaler, topology):
+        index = _ONLINE_CELLS.index((policy, fair, faulted, scaler, topology))
+        system = "DynPre" if index % 3 == 0 else "GPU"
+        trace = make_bursty_tenant_trace(
+            WORKLOAD_POOL, num_per_tenant=15, peak_rate_rps=900.0, seed=index
+        )
+        renders = []
+        for engine in (ENGINE_REFERENCE, ENGINE_FAST):
+            autoscaler = None
+            if scaler != "none":
+                autoscaler = Autoscaler(
+                    min_shards=1, max_shards=self.NUM_SHARDS, scale_up_depth=3.0,
+                    scale_down_depth=0.5, hysteresis_observations=2,
+                    drain=scaler == "drain",
+                )
+            config = ServingConfig(
+                slo=self._slo(),
+                admit=True,
+                degradation=DegradationPolicy(),
+                autoscaler=autoscaler,
+                faults=self._faults(index) if faulted else None,
+            )
+            cluster = self._cluster(services, system, engine, policy, fair, topology)
+            report = cluster.serve_online(TraceArrivals(trace), config=config)
+            self._conserved(report, len(trace))
+            assert (report.faults is not None) == faulted
+            renders.append(_render(report))
+        assert renders[0] == renders[1]
+
+    @pytest.mark.parametrize("policy,fair,faulted,topology", _OFFLINE_CELLS)
+    def test_offline_per_event(self, services, policy, fair, faulted, topology):
+        index = _OFFLINE_CELLS.index((policy, fair, faulted, topology))
+        system = "DynPre" if index % 3 == 0 else "GPU"
+        trace = make_bursty_tenant_trace(
+            WORKLOAD_POOL, num_per_tenant=15, peak_rate_rps=900.0, seed=index
+        )
+        config = ServingConfig(
+            slo=self._slo(), faults=self._faults(index) if faulted else None
+        )
+        renders = []
+        for engine in (ENGINE_REFERENCE, ENGINE_FAST):
+            cluster = self._cluster(services, system, engine, policy, fair, topology)
+            if engine == ENGINE_FAST:
+                # The fast backend's per-event loop, never the chunked one.
+                report = serve_trace_fast(
+                    cluster, trace, config.scoring_slo(), config.faults, chunked=False
+                )
+            else:
+                report = cluster.serve_trace(trace, config=config)
+            self._conserved(report, len(trace))
+            renders.append(_render(report))
+        assert renders[0] == renders[1]
 
 
 # ------------------------------------------------------- scheduler fast path

@@ -30,6 +30,7 @@ from repro.serving import (
     FaultSchedule,
     OpenLoopArrivals,
     RandomFaults,
+    ServingConfig,
     ShardedServiceCluster,
     SLOPolicy,
     TenantQuota,
@@ -97,7 +98,7 @@ class _CountingSource(TraceArrivals):
 def test_offline_conservation(services, faults, seed):
     """Offline replay: every request is served or failed, never lost."""
     trace = _trace(seed)
-    report = _cluster(services).serve_trace(trace, faults=faults)
+    report = _cluster(services).serve_trace(trace, config=ServingConfig(faults=faults))
     goodput = report.goodput
     assert goodput.offered == len(trace)
     assert goodput.offered == goodput.served + goodput.shed + goodput.failed
@@ -114,7 +115,8 @@ def test_online_conservation_with_admission(services, faults, seed):
     slo = SLOPolicy(default_slo_seconds=0.5)
     source = _CountingSource(trace)
     report = _cluster(services).serve_online(
-        source, slo=slo, admission=AdmissionController(policy=slo), faults=faults
+        source,
+        config=ServingConfig(controller=AdmissionController(policy=slo), faults=faults),
     )
     goodput = report.goodput
     assert goodput.offered == len(trace)
@@ -130,9 +132,11 @@ def test_engines_identical_offline_under_faults(services, faults, seed):
     trace = _trace(seed)
     slo = SLOPolicy(default_slo_seconds=0.5)
     reference = _cluster(services, engine="reference").serve_trace(
-        trace, slo=slo, faults=faults
+        trace, config=ServingConfig(slo=slo, faults=faults)
     )
-    fast = _cluster(services, engine="fast").serve_trace(trace, slo=slo, faults=faults)
+    fast = _cluster(services, engine="fast").serve_trace(
+        trace, config=ServingConfig(slo=slo, faults=faults)
+    )
     assert _render(reference) == _render(fast)
 
 
@@ -145,10 +149,11 @@ def test_engines_identical_online_under_faults(services, faults, seed):
     def run(engine):
         return _cluster(services, engine=engine).serve_online(
             TraceArrivals(trace),
-            slo=slo,
-            admission=AdmissionController(policy=slo),
-            autoscaler=Autoscaler(min_shards=1, max_shards=NUM_SHARDS),
-            faults=faults,
+            config=ServingConfig(
+                controller=AdmissionController(policy=slo),
+                autoscaler=Autoscaler(min_shards=1, max_shards=NUM_SHARDS),
+                faults=faults,
+            ),
         )
 
     assert _render(run("reference")) == _render(run("fast"))
@@ -166,7 +171,7 @@ def test_slowdowns_alone_never_fail_requests(services, seed, factor):
             FaultEvent(seconds=0.02, shard_id=1, kind=FAULT_SLOWDOWN, factor=factor),
         )
     )
-    report = _cluster(services).serve_trace(_trace(seed), faults=faults)
+    report = _cluster(services).serve_trace(_trace(seed), config=ServingConfig(faults=faults))
     assert report.faults.failed == 0
     assert report.faults.migrated == 0
     assert report.faults.retried == 0
@@ -178,7 +183,9 @@ def test_slowdowns_alone_never_fail_requests(services, seed, factor):
 def test_empty_schedule_matches_no_schedule(services, seed):
     """An empty fault schedule only adds the (empty) faults section."""
     trace = _trace(seed)
-    faulted = _cluster(services).serve_trace(trace, faults=FaultSchedule(events=()))
+    faulted = _cluster(services).serve_trace(
+        trace, config=ServingConfig(faults=FaultSchedule(events=()))
+    )
     plain = _cluster(services).serve_trace(trace)
     faulted_dict = faulted.as_dict()
     plain_dict = plain.as_dict()
@@ -203,7 +210,7 @@ def test_recovered_crash_serves_everything_offline(services, seed, budget):
         retry_budget=budget,
         retry_backoff_seconds=0.005,
     )
-    report = _cluster(services).serve_trace(_trace(seed), faults=faults)
+    report = _cluster(services).serve_trace(_trace(seed), config=ServingConfig(faults=faults))
     assert report.goodput.served == report.goodput.offered
     assert report.faults.failed == 0
 
@@ -219,7 +226,7 @@ def test_all_shards_dead_fails_everything(services):
         retry_backoff_seconds=0.005,
     )
     trace = _trace(3, num_requests=10)
-    report = _cluster(services).serve_trace(trace, faults=faults)
+    report = _cluster(services).serve_trace(trace, config=ServingConfig(faults=faults))
     assert report.goodput.served == 0
     assert report.goodput.failed == len(trace)
 
@@ -232,9 +239,13 @@ def test_fault_oblivious_baseline_serves_less(services):
         events=events, retry_budget=1, retry_backoff_seconds=0.005, fault_aware=False
     )
     trace = _trace(5, num_requests=40)
-    served_aware = _cluster(services).serve_trace(trace, faults=aware).goodput.served
+    served_aware = (
+        _cluster(services).serve_trace(trace, config=ServingConfig(faults=aware)).goodput.served
+    )
     served_oblivious = (
-        _cluster(services).serve_trace(trace, faults=oblivious).goodput.served
+        _cluster(services)
+        .serve_trace(trace, config=ServingConfig(faults=oblivious))
+        .goodput.served
     )
     assert served_aware == len(trace)
     assert served_oblivious < served_aware
@@ -280,7 +291,9 @@ def test_locality_dispatch_avoids_dead_preferred_shard(services, engine):
         retry_budget=2,
         retry_backoff_seconds=0.005,
     )
-    report = _cluster(services, engine, **kwargs).serve_trace(trace, faults=faults)
+    report = _cluster(services, engine, **kwargs).serve_trace(
+        trace, config=ServingConfig(faults=faults)
+    )
     assert report.goodput.served == len(trace)  # nothing lost to the outage
     outage_starts = [
         (shard, start) for shard, start in starts(report) if start < recover
@@ -292,7 +305,7 @@ def test_locality_dispatch_avoids_dead_preferred_shard(services, engine):
     # Both engines make the same alive-filtered locality choices.
     other = _cluster(
         services, "reference" if engine == "fast" else "fast", **kwargs
-    ).serve_trace(trace, faults=faults)
+    ).serve_trace(trace, config=ServingConfig(faults=faults))
     assert _render(report) == _render(other)
 
 
@@ -479,10 +492,11 @@ def test_tenant_aware_scaling_serves_more_guaranteed_traffic(services):
         )
         return _cluster(services, engine=engine).serve_online(
             TraceArrivals(trace),
-            slo=slo,
-            admission=AdmissionController(policy=slo),
-            autoscaler=scaler,
-            faults=faults,
+            config=ServingConfig(
+                controller=AdmissionController(policy=slo),
+                autoscaler=scaler,
+                faults=faults,
+            ),
         )
 
     tenant_aware = run("fast", 2.0)

@@ -149,10 +149,9 @@ def _faulted_report(services, engine: str = ENGINE_FAST):
     cluster = ShardedServiceCluster(
         services["DynPre"], num_shards=3, scheduler=_scheduler(), engine=engine
     )
-    slo = SLOPolicy(default_slo_seconds=0.5)
-    admission = AdmissionController(policy=slo)
+    admission = AdmissionController(policy=SLOPolicy(default_slo_seconds=0.5))
     return cluster.serve_online(
-        TraceArrivals(trace), slo=slo, admission=admission, faults=faults
+        TraceArrivals(trace), config=ServingConfig(controller=admission, faults=faults)
     )
 
 

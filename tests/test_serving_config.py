@@ -1,14 +1,13 @@
-"""The unified ``ServingConfig`` surface and its legacy-kwarg shim.
+"""The unified ``ServingConfig`` surface, the only way to pass run options.
 
 Three contracts:
 
 1. *Validation*: a ``ServingConfig`` rejects contradictory field
-   combinations at construction, and ``serve_trace`` rejects online-only
-   features (admission, autoscaling) up front.
-2. *Shim equivalence*: the deprecated per-call keyword arguments still work,
-   emit ``DeprecationWarning``, and produce **byte-identical** reports to
-   the equivalent ``config=`` call — the mapped fields are the very objects
-   the old signature received.
+   combinations at construction, ``serve_trace`` rejects online-only
+   features (admission, autoscaling) up front, and the removed per-call
+   keyword arguments are rejected outright.
+2. *Shorthand equivalence*: ``admit=True`` renders **byte-identically** to
+   the hand-built controller it stands for.
 3. *Override hygiene*: per-run ``engine`` / ``tenant_weights`` overrides
    never leak into later runs on the same cluster.
 """
@@ -121,15 +120,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="serve_online"):
             cluster.serve_trace(trace, config=ServingConfig(slo=_slo(), admit=True))
 
-    def test_rejects_config_plus_legacy_kwargs(self, services):
+    def test_rejects_removed_legacy_kwargs(self, services):
         cluster = _cluster(services)
         trace = _trace(4)
-        with pytest.raises(ValueError, match="not both"):
-            cluster.serve_trace(trace, slo=_slo(), config=ServingConfig())
-        with pytest.raises(ValueError, match="not both"):
-            cluster.serve_online(
-                TraceArrivals(trace), slo=_slo(), config=ServingConfig()
-            )
+        for legacy in ("slo", "faults"):
+            with pytest.raises(TypeError, match=legacy):
+                cluster.serve_trace(trace, **{legacy: None})
+        for legacy in ("slo", "admission", "autoscaler", "faults"):
+            with pytest.raises(TypeError, match=legacy):
+                cluster.serve_online(TraceArrivals(trace), **{legacy: None})
+
+    def test_engine_names_validated_once(self, services):
+        with pytest.raises(ValueError) as from_config:
+            ServingConfig(engine="warp")
+        with pytest.raises(ValueError) as from_cluster:
+            _cluster(services, engine="warp")
+        assert str(from_config.value) == str(from_cluster.value)
+        assert str(serving.ENGINES) in str(from_config.value)
 
     def test_resolved_controller_carries_knobs(self):
         config = ServingConfig(
@@ -156,56 +163,12 @@ class TestValidation:
         assert flipped.events == faults.events
 
 
-# ------------------------------------------------------------ shim identity
+# ------------------------------------------------------- admission shorthand
 class TestLegacyShim:
-    def test_legacy_kwargs_warn(self, services):
-        cluster = _cluster(services)
-        trace = _trace(6)
-        with pytest.warns(DeprecationWarning, match="serve_trace"):
-            cluster.serve_trace(trace, slo=_slo())
-        with pytest.warns(DeprecationWarning, match="serve_online"):
-            cluster.serve_online(TraceArrivals(trace), slo=_slo())
+    """``admit=True`` is shorthand for a hand-built controller.
 
-    def test_config_path_does_not_warn(self, services, recwarn):
-        cluster = _cluster(services)
-        trace = _trace(6)
-        cluster.serve_trace(trace, config=ServingConfig(slo=_slo()))
-        cluster.serve_online(TraceArrivals(trace), config=ServingConfig(slo=_slo()))
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_offline_shim_byte_identical(self, services):
-        trace = _trace()
-        slo, faults = _slo(), _faults()
-        with pytest.warns(DeprecationWarning):
-            legacy = _cluster(services).serve_trace(trace, slo=slo, faults=faults)
-        config = _cluster(services).serve_trace(
-            trace, config=ServingConfig(slo=slo, faults=faults)
-        )
-        assert _render(legacy) == _render(config)
-
-    def test_online_shim_byte_identical(self, services):
-        trace = _trace()
-        slo, faults = _slo(), _faults()
-
-        def legacy():
-            cluster = _cluster(services)
-            with pytest.warns(DeprecationWarning):
-                return cluster.serve_online(
-                    TraceArrivals(trace),
-                    slo=slo,
-                    admission=AdmissionController(policy=slo),
-                    faults=faults,
-                )
-
-        def unified():
-            return _cluster(services).serve_online(
-                TraceArrivals(trace),
-                config=ServingConfig(
-                    controller=AdmissionController(policy=slo), faults=faults
-                ),
-            )
-
-        assert _render(legacy()) == _render(unified())
+    (The class keeps its name from the removed legacy-kwarg shim suite.)
+    """
 
     def test_admit_shorthand_equals_handbuilt_controller(self, services):
         trace = _trace()
