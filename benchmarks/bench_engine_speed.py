@@ -7,14 +7,16 @@ wall-clock of each ``serve_trace`` call per trace scale.  Both reports are
 asserted byte-identical before any timing is trusted: a fast engine that
 drifts from the reference is a bug, not a speedup.
 
-The fast engine itself has two offline loops — the per-event loop and the
-array-native *chunked* loop ``serve_trace`` selects by default — so each
-gated scale times three runs: reference, per-event fast (``chunked=False``)
-and chunked fast.  All three reports are asserted byte-identical.
+The fast engine can replay a trace two ways — the array-native *chunked*
+loop ``serve_trace`` selects for fault-free, non-fair replays, and the
+event loop every other replay runs (timed here as ``serve_online`` over
+``TraceArrivals``, the per-event leg) — so each gated scale times three
+runs: reference, per-event fast and chunked fast.  All three reports are
+asserted byte-identical.
 
 Acceptance gates, enforced by the exit code and the pytest-benchmark entry:
 fast (chunked) >= 5x reference at 20k requests (quick mode: 5k, >= 3x), and
-chunked >= its per-scale floor over the per-event fast loop.  A
+chunked >= its per-scale floor over the per-event fast leg.  A
 fast-engine-only 100k-request point (the "interactive speed" headline; the
 reference would take minutes there) is recorded without a gate, and the
 full run adds a **1M-request fast-only tier**: chunked vs per-event, gated
@@ -47,6 +49,7 @@ from repro.serving import (
     OpenLoopArrivals,
     POLICY_LEAST_LOADED,
     ShardedServiceCluster,
+    TraceArrivals,
 )
 from repro.system.service import build_services
 from repro.system.workload import WorkloadProfile
@@ -87,8 +90,9 @@ MILLION_WALL_BUDGET_SECONDS = 60.0
 SEED = 1
 
 PROVENANCE = (
-    "wall-clock seconds measured around ShardedServiceCluster.serve_trace on "
-    "this machine; simulated metrics are engine-independent (byte-identical "
+    "wall-clock seconds measured around ShardedServiceCluster.serve_trace "
+    "(reference, chunked) and serve_online(TraceArrivals(trace)) (per-event "
+    "fast) on this machine; simulated metrics are engine-independent (byte-identical "
     "reports, asserted before timing). Regenerate with "
     "`python benchmarks/bench_engine_speed.py`."
 )
@@ -125,13 +129,11 @@ def _timed_serve(services, engine: str, trace):
     return report, elapsed
 
 
-def _timed_fast(services, trace, chunked: bool):
-    """Time one fast-engine replay with the offline loop pinned explicitly."""
-    from repro.serving.engine import serve_trace_fast
-
+def _timed_event(services, trace):
+    """Time the fast engine's event loop on the trace (the per-event leg)."""
     cluster = _cluster(services, ENGINE_FAST)
     started = time.perf_counter()
-    report = serve_trace_fast(cluster, trace, chunked=chunked)
+    report = cluster.serve_online(TraceArrivals(trace))
     elapsed = time.perf_counter() - started
     return report, elapsed
 
@@ -142,13 +144,13 @@ def run_million(services=None) -> Dict:
     Returns the result entry (also embedded in the full run's document);
     raises on report divergence.  The reference engine is deliberately
     absent — it would take minutes at this scale — so the regression
-    script normalizes machine speed with the per-event fast loop instead.
+    script normalizes machine speed with the per-event fast leg instead.
     """
     if services is None:
         services = build_services()
     trace = _trace(MILLION_SCALE)
-    event_report, event_seconds = _timed_fast(services, trace, chunked=False)
-    chunked_report, chunked_seconds = _timed_fast(services, trace, chunked=True)
+    event_report, event_seconds = _timed_event(services, trace)
+    chunked_report, chunked_seconds = _timed_serve(services, ENGINE_FAST, trace)
     if json.dumps(event_report.as_dict(), sort_keys=True) != json.dumps(
         chunked_report.as_dict(), sort_keys=True
     ):
@@ -187,8 +189,8 @@ def run(quick: bool = False) -> Dict:
         reference_report, reference_seconds = _timed_serve(
             services, ENGINE_REFERENCE, trace
         )
-        event_report, event_seconds = _timed_fast(services, trace, chunked=False)
-        fast_report, fast_seconds = _timed_fast(services, trace, chunked=True)
+        event_report, event_seconds = _timed_event(services, trace)
+        fast_report, fast_seconds = _timed_serve(services, ENGINE_FAST, trace)
         reference_rendered = json.dumps(reference_report.as_dict(), sort_keys=True)
         fast_rendered = json.dumps(fast_report.as_dict(), sort_keys=True)
         event_rendered = json.dumps(event_report.as_dict(), sort_keys=True)

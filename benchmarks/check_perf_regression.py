@@ -23,8 +23,9 @@ Committed-vs-fresh comparisons:
   With ``--engine-million`` (opt-in; ~30s) it additionally re-runs the
   fast-only 1M-request tier and gates the chunked-vs-per-event speedup at
   ``max(tolerance * committed, 3.0)`` plus a machine-normalized wall-clock
-  budget (normalizer: the per-event loop, since the reference engine is
-  absent at that scale).
+  budget (normalizer: the per-event leg — the fast engine's event loop
+  over ``TraceArrivals`` — since the reference engine is absent at that
+  scale).
 * **Fault tolerance** — reads the committed ``BENCH_fault_tolerance.json``,
   runs a fresh ``--quick`` pass of ``benchmarks/bench_fault_tolerance.py``,
   and fails when the fresh fault-aware/fault-oblivious goodput ratio drops
@@ -219,8 +220,9 @@ def _check_engine(args) -> List[str]:
             fresh_million["min_chunked_speedup"],
         )
         speedup_ok = fresh_million["chunked_speedup"] >= floor
-        # No reference run at 1M; the per-event fast loop is the identical
-        # simulation on both machines, so it is the machine normalizer.
+        # No reference run at 1M; the per-event fast leg (the event loop over
+        # TraceArrivals) is the identical simulation on both machines, so it
+        # is the machine normalizer.
         machine_factor = fresh_million["event_seconds"] / max(
             baseline_million["event_seconds"], 1e-12
         )

@@ -32,7 +32,7 @@ traffic regime:
   (:class:`FaultSchedule`: crash / recover / slowdown events, or a seeded
   :class:`RandomFaults` generator) with drain-and-migrate recovery, retry
   with exponential backoff, and exact served/shed/failed conservation —
-  driven by the same loops on either backend.  The same machinery backs
+  driven by the one event loop on either backend.  The same machinery backs
   *voluntary* drains (:class:`DrainPlanner`): an autoscaler scale-down
   with ``drain=True`` migrates queued work to surviving shards instead of
   stranding it on the deactivated shard.
@@ -49,7 +49,7 @@ traffic regime:
   asserting request conservation, backend byte-identity, no dispatch onto
   dead or deactivated shards, retry-budget compliance and lease accounting
   on every run (``python -m repro.serving.chaos``).
-* :mod:`repro.serving.engine` — the two backends the loops run on,
+* :mod:`repro.serving.engine` — the two backends the event loop runs on,
   picked by ``ShardedServiceCluster(engine=...)``: ``"reference"`` (plain
   scans and direct serves) and ``"fast"``, the default (serve-transition
   caching, array-level batch formation, shard/deadline heaps, streaming

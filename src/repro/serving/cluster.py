@@ -4,13 +4,9 @@ A :class:`ShardedServiceCluster` replicates one template
 :class:`~repro.system.service.GNNService` into ``num_shards`` independent
 shards (each with its own preprocessing-system state — bitstream/LUT
 configuration, reconfiguration history — via ``GNNService.replicate``) and
-serves traffic through one of two event loops, each written once and run
-on the backend the cluster's ``engine`` names (:mod:`repro.serving.engine`):
+serves traffic through one event loop, written once and run on the backend
+the cluster's ``engine`` names (:mod:`repro.serving.engine`):
 
-* :meth:`ShardedServiceCluster.serve_trace` — offline replay: a complete
-  :class:`~repro.serving.requests.RequestTrace` is batched up front by the
-  :class:`~repro.serving.scheduler.BatchScheduler` and the batches are
-  dispatched in the order they close.
 * :meth:`ShardedServiceCluster.serve_online` — online co-simulation: an
   arrival *source* (:class:`~repro.serving.requests.TraceArrivals` or the
   closed-loop :class:`~repro.serving.requests.ClosedLoopClients`) is drained
@@ -19,6 +15,12 @@ on the backend the cluster's ``engine`` names (:mod:`repro.serving.engine`):
   :mod:`repro.serving.control`) hooks into every arrival.  Completion times
   are fed back to the source, which is what closes the loop for co-simulated
   client populations.
+* :meth:`ShardedServiceCluster.serve_trace` — offline replay of a complete
+  :class:`~repro.serving.requests.RequestTrace`: the same event loop fed by
+  :class:`~repro.serving.requests.TraceArrivals` with no control plane, or,
+  on the fast engine without faults or fair batching, an array-native
+  chunked loop that batches the whole trace up front with the
+  :class:`~repro.serving.scheduler.BatchScheduler` (byte-identical output).
 
 The per-request sojourn time decomposes exactly as::
 
@@ -55,15 +57,14 @@ if TYPE_CHECKING:  # control.py only imports repro.system.workload — no cycle,
         ScalingEvent,
         SLOPolicy,
     )
-from repro.serving.engine import BACKENDS, ENGINE_FAST, check_engine
+from repro.serving.engine import BACKENDS, ENGINE_FAST, _serve_trace_chunked, check_engine
 from repro.serving.faults import (
     DrainPlanner,
     FaultLoopHooks,
     FaultSchedule,
     FaultStats,
-    due,
 )
-from repro.serving.requests import InferenceRequest, RequestTrace
+from repro.serving.requests import InferenceRequest, RequestTrace, TraceArrivals
 from repro.serving.scheduler import BatchScheduler, RequestBatch
 from repro.serving.topology import PLACEMENT_SPREAD, PLACEMENTS, ClusterTopology
 from repro.system.service import GNNService, ServiceReport, build_services
@@ -502,6 +503,10 @@ class ClusterReport:
         }
 
 
+#: Event kinds of the event loop, in their precedence order at timestamp ties.
+_COMMIT, _FAULT, _DEADLINE, _RETRY, _ARRIVAL = range(5)
+
+
 def _home_shard(batch: RequestBatch, num_candidates: int) -> int:
     """Stable home slot of a batch's workload key (process-independent)."""
     return zlib.crc32(repr(batch.key).encode("utf-8")) % num_candidates
@@ -598,7 +603,8 @@ class _Run:
     request counts, the served records and the backend's streaming
     aggregates — so the commit that builds :class:`ServedRequest` records
     exists once, shared by commit-at-dispatch, the drain planner and the
-    fault runtime.
+    fault runtime.  ``on_commit``/``on_failed`` are the loop's own effects
+    of a committed batch and of a permanently failed request.
     """
 
     def __init__(
@@ -606,6 +612,8 @@ class _Run:
         cluster: "ShardedServiceCluster",
         backend: type,
         slo: Optional["SLOPolicy"],
+        on_commit: Callable[[RequestBatch, float], None],
+        on_failed: Callable[[InferenceRequest, float], None],
     ) -> None:
         self.cluster = cluster
         self.slo = slo
@@ -619,13 +627,8 @@ class _Run:
         self.last_finish = 0.0
         accumulator = self.backend.accumulator
         self._push = accumulator.push if accumulator is not None else None
-        #: The online loop's per-commit effects (completion feedback to the
-        #: arrival source) and failed-request callback, both no-ops offline;
-        #: set them before building :meth:`hooks`.
-        self.on_commit: Optional[Callable[[RequestBatch, float], None]] = None
-        self.on_failed: Callable[[InferenceRequest, float], None] = (
-            lambda request, seconds: None
-        )
+        self.on_commit = on_commit
+        self.on_failed = on_failed
 
     def add_busy(self, shard_id: int, seconds: float) -> None:
         self.busy_total[shard_id] += seconds
@@ -664,8 +667,7 @@ class _Run:
             )
             if push is not None:
                 push(request, batching_delay, dispatch_delay, duration)
-        if self.on_commit is not None:
-            self.on_commit(batch, finish)
+        self.on_commit(batch, finish)
 
     def dispatch(self, batch: RequestBatch, active_count: int) -> None:
         """Commit-at-dispatch: pick a shard, serve ``batch`` and commit it."""
@@ -758,7 +760,7 @@ class ShardedServiceCluster:
             every alternating batch.  ``None`` (default) disables
             rebalancing.
         engine: one of :data:`~repro.serving.engine.ENGINES`, the backend
-            the event loops run on (see :mod:`repro.serving.engine`) —
+            the event loop runs on (see :mod:`repro.serving.engine`) —
             ``"fast"`` (default) uses indexed heaps, serve-transition
             caching and the chunked offline loop; ``"reference"`` uses
             plain scans and direct serves.  Outputs are byte-identical;
@@ -1011,8 +1013,9 @@ class ShardedServiceCluster:
     ) -> ClusterReport:
         """Replay a trace through the cluster and merge the outcome.
 
-        Event-driven and fully simulated: batches are dispatched in the
-        order they close; a batch starts at ``max(ready, shard free)`` and
+        Event-driven and fully simulated: batches close under the
+        scheduler's size-or-timeout policy and are dispatched in the order
+        they close; a batch starts at ``max(ready, shard free)`` and
         occupies its shard for the batch's modelled end-to-end latency.
 
         ``config`` (a :class:`~repro.serving.config.ServingConfig`) carries
@@ -1024,6 +1027,11 @@ class ShardedServiceCluster:
         engine, tenant-weight and topology overrides apply for this call
         only.  Admission control, degradation and autoscaling are
         online-only and rejected here.
+
+        A fast-engine replay with no faults and no fair batching runs the
+        array-native chunked loop; every other replay is the online event
+        loop over ``TraceArrivals(trace)``, so a trace has one fault
+        semantics offline and online.
         """
         config = _resolve_config(config)
         if config.autoscaler is not None:
@@ -1036,36 +1044,11 @@ class ShardedServiceCluster:
         if not len(trace):
             raise ValueError("cannot serve an empty trace")
         with self._run_overrides(config):
-            return BACKENDS[self.engine].replay(
-                self, trace, config.scoring_slo(), config.resolved_faults()
-            )
-
-    def _serve_trace_events(
-        self,
-        trace: RequestTrace,
-        slo: Optional["SLOPolicy"],
-        faults: Optional[FaultSchedule],
-        backend: type,
-    ) -> ClusterReport:
-        """The per-event offline loop: dispatch batches in closing order."""
-        self._reset_dispatch_state()
-        run = _Run(self, backend, slo)
-        batches = run.backend.schedule(trace)
-        first_arrival = trace[0].arrival_seconds
-        fault_stats: Optional[FaultStats] = None
-        if faults is None:
-            for batch in batches:
-                run.dispatch(batch, self.num_shards)
-        else:
-            ctx = faults.runtime(
-                self.num_shards, slo, order=self._order, topology=self.topology
-            )
-            env = run.hooks(lambda: self.num_shards)
-            for batch in batches:
-                ctx.step(env, batch)
-            ctx.drain(env)
-            fault_stats = ctx.finalize(first_arrival, run.last_finish)
-        return run.report(first_arrival, faults=fault_stats)
+            slo = config.scoring_slo()
+            faults = config.resolved_faults()
+            if self.engine == ENGINE_FAST and faults is None and not self.scheduler.fair:
+                return _serve_trace_chunked(self, trace, slo)
+            return self._serve_online_events(TraceArrivals(trace), slo, None, None, faults)
 
     def serve_online(
         self,
@@ -1147,12 +1130,9 @@ class ShardedServiceCluster:
         autoscaler: Optional["Autoscaler"],
         faults: Optional[FaultSchedule],
     ) -> ClusterReport:
-        """The online event loop, on the backend :attr:`engine` names."""
+        """The event loop of online runs and non-chunked offline replays,
+        on the backend :attr:`engine` names."""
         self._reset_dispatch_state()
-        run = _Run(self, BACKENDS[self.engine], slo)
-        backend = run.backend
-        busy = run.busy
-        accumulator = backend.accumulator
         scheduler = self.scheduler
         fair = scheduler.fair
         batcher = scheduler.fair_batcher() if fair else None
@@ -1160,6 +1140,7 @@ class ShardedServiceCluster:
         open_deadline: Dict[object, float] = {}
         # Requests in open batches (the autoscaler's queue depth reads it).
         open_count = 0
+        # Finish times of committed requests; only the autoscaler reads it.
         inflight: List[float] = []
         shed_records: List[ShedRecord] = []
         decisions: List[object] = []
@@ -1232,16 +1213,20 @@ class ShardedServiceCluster:
 
         def commit_online(batch: RequestBatch, finish: float) -> None:
             for request in batch.requests:
-                pending_estimates.pop(request.request_id, None)
-                heapq.heappush(inflight, finish)
+                if admission is not None:
+                    pending_estimates.pop(request.request_id, None)
+                if autoscaler is not None:
+                    heapq.heappush(inflight, finish)
                 source.on_complete(request, finish)
 
         def fail_request(request: InferenceRequest, seconds: float) -> None:
             pending_estimates.pop(request.request_id, None)
             source.on_shed(request, seconds)
 
-        run.on_commit = commit_online
-        run.on_failed = fail_request
+        run = _Run(self, BACKENDS[self.engine], slo, commit_online, fail_request)
+        backend = run.backend
+        busy = run.busy
+        accumulator = backend.accumulator
         env = run.hooks(lambda: active_count)
         if planner is not None:
 
@@ -1254,7 +1239,8 @@ class ShardedServiceCluster:
 
             planner.on_planned = on_planned
 
-        def enqueue(request: InferenceRequest, now: float) -> None:
+        def enqueue(request: InferenceRequest, now: float, key: object) -> None:
+            """Add ``request`` (batch key ``key``) to its forming batch."""
             nonlocal guaranteed_open, open_count
             if guaranteed_tenants and request.tenant in guaranteed_tenants:
                 guaranteed_open += 1
@@ -1262,7 +1248,6 @@ class ShardedServiceCluster:
                 for batch in batcher.add(request, now):
                     dispatch_batch(batch)
                 return
-            key = request.workload.batch_key
             members = open_members.get(key)
             if members is None:
                 members = []
@@ -1276,47 +1261,58 @@ class ShardedServiceCluster:
                 close_batch(key, now)
 
         while True:
-            t_arrival = source.peek_time()
+            # Pick the earliest event in one pass.  At timestamp ties the
+            # precedence is commit < fault < deadline < retry < arrival:
+            # sources are ranked from last to first and a higher-ranked
+            # source takes over on ``<=``.  Commits fire first so work whose
+            # service has begun is in flight — and immovable — before any
+            # same-instant scale decision or fault consults the plan.
+            t_next = source.peek_time()
+            event = _ARRIVAL
+            if ctx is not None:
+                t_retry = ctx.next_retry_time()
+                if t_retry is not None and (t_next is None or t_retry <= t_next):
+                    t_next, event = t_retry, _RETRY
             if fair:
                 expiring = batcher.peek_deadline()
             else:
                 expiring = backend.next_deadline(open_members, open_deadline)
-            t_deadline = expiring[0] if expiring is not None else None
-            t_fault = ctx.next_fault_time() if ctx is not None else None
-            t_retry = ctx.next_retry_time() if ctx is not None else None
-            t_commit = planner.next_commit_time() if planner is not None else None
-            # Event precedence at timestamp ties: commit < fault < deadline <
-            # retry < arrival.  Commits fire first so work whose service has
-            # begun is in flight — and immovable — before any same-instant
-            # scale decision or fault consults the plan.
-            if due(t_commit, t_fault, t_deadline, t_retry, t_arrival):
-                planner.commit_next(env)
-                continue
-            if due(t_fault, t_deadline, t_retry, t_arrival):
-                ctx.advance(env, t_fault)
-                continue
-            if due(t_deadline, t_retry, t_arrival):
-                if fair:
-                    for batch in batcher.fire_deadline(expiring):
-                        dispatch_batch(batch)
+            if expiring is not None and (t_next is None or expiring[0] <= t_next):
+                t_next, event = expiring[0], _DEADLINE
+            if ctx is not None:
+                t_fault = ctx.next_fault_time()
+                if t_fault is not None and (t_next is None or t_fault <= t_next):
+                    t_next, event = t_fault, _FAULT
+            if planner is not None:
+                t_commit = planner.next_commit_time()
+                if t_commit is not None and (t_next is None or t_commit <= t_next):
+                    t_next, event = t_commit, _COMMIT
+            if event != _ARRIVAL:
+                if event == _DEADLINE:
+                    if fair:
+                        for batch in batcher.fire_deadline(expiring):
+                            dispatch_batch(batch)
+                    else:
+                        backend.fired()
+                        close_batch(expiring[1], expiring[0])
+                elif event == _COMMIT:
+                    planner.commit_next(env)
+                elif event == _FAULT:
+                    ctx.advance(env, t_next)
                 else:
-                    backend.fired()
-                    close_batch(expiring[1], expiring[0])
+                    retry_request, retry_now = ctx.pop_retry()
+                    enqueue(retry_request, retry_now, retry_request.workload.batch_key)
                 continue
-            if due(t_retry, t_arrival):
-                retry_request, retry_now = ctx.pop_retry()
-                enqueue(retry_request, retry_now)
-                continue
-            if t_arrival is None:
+            if t_next is None:
                 break
             request = source.pop()
             now = request.arrival_seconds
             key = request.workload.batch_key
             if first_arrival is None:
                 first_arrival = now
-            while inflight and inflight[0] <= now:
-                heapq.heappop(inflight)
             if autoscaler is not None:
+                while inflight and inflight[0] <= now:
+                    heapq.heappop(inflight)
                 while recent_sheds and recent_sheds[0] < now - autoscaler.shed_memory_seconds:
                     recent_sheds.popleft()
                 pending = batcher.pending_count if fair else open_count
@@ -1471,9 +1467,10 @@ class ShardedServiceCluster:
                     continue
                 if decision.degraded:
                     request = degraded_request
+                    key = degraded_key
                     estimate = degraded_estimate
                 pending_estimates[request.request_id] = estimate
-            enqueue(request, now)
+            enqueue(request, now, key)
 
         return run.report(
             first_arrival,

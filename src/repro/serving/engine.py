@@ -1,14 +1,14 @@
-"""Serving backends: the data structures behind the cluster's event loops.
+"""Serving backends: the data structures behind the cluster's event loop.
 
-:class:`~repro.serving.cluster.ShardedServiceCluster` runs one online event
-loop and one per-event offline loop.  The ``engine`` option only picks the
-*backend* those loops run on, from :data:`BACKENDS`:
+:class:`~repro.serving.cluster.ShardedServiceCluster` runs one event loop,
+online and for offline replays alike.  The ``engine`` option only picks the
+*backend* that loop runs on, from :data:`BACKENDS`:
 
 * :class:`ReferenceBackend` (``"reference"``) — plain linear scans, a direct
   ``GNNService.serve`` per batch, and no streaming aggregates: the report
   re-derives every summary from the per-request records, which keeps it an
   independent oracle for the fast backend's accumulators.
-* :class:`FastBackend` (``"fast"``, the default) — the same loops on indexed
+* :class:`FastBackend` (``"fast"``, the default) — the same loop on indexed
   structures and memoization:
 
   * **Serve-transition cache** — a batch's :class:`ServiceReport` is a pure
@@ -22,10 +22,7 @@ loop and one per-event offline loop.  The ``engine`` option only picks the
   * **Indexed shard heap** — least-loaded dispatch and admission backlog
     reads pop a ``(busy_until, shard_id)`` priority structure with lazy
     staleness instead of scanning every shard per batch.
-  * **Array-level batch formation** — offline traces are chunked per
-    compatibility key on the trace's structure-of-arrays view
-    (``BatchScheduler.schedule_fast``), one ``searchsorted`` per batch.
-  * **Deadline heap** — the online loop's next-expiring-batch query is a
+  * **Deadline heap** — the event loop's next-expiring-batch query is a
     heap top instead of a scan over all open batches.
   * **Streaming aggregates** — sojourns fold into
     :class:`~repro.analysis.metrics.StreamingLatencyStats` and running
@@ -34,14 +31,15 @@ loop and one per-event offline loop.  The ``engine`` option only picks the
     :meth:`~repro.serving.cluster.ClusterReport.compact` away its
     per-request records at 100k-request scale.
 
-  Eligible offline replays (no faults, no fair batching) skip the per-event
-  loop altogether for the array-native chunked loop
-  (:func:`serve_trace_fast`).
+Fast-engine offline replays with no faults and no fair batching skip the
+event loop altogether for the array-native chunked loop
+(:func:`_serve_trace_chunked`): its batch plan comes from the trace's
+structure-of-arrays view (``BatchScheduler.schedule_arrays``) in one pass.
 
 Every piece a backend swaps returns the value the reference piece would, so
-both backends render byte-identical reports (golden- and property-test
-enforced); the control flow and every float expression that lands in a
-report live once, in the loops.
+both backends — and the chunked loop — render byte-identical reports
+(golden- and property-test enforced); the control flow and every float
+expression that lands in a report live once, in the event loop.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.metrics import StreamingLatencyStats
-from repro.serving.faults import FaultSchedule
 from repro.serving.requests import InferenceRequest
 from repro.serving.scheduler import RequestBatch
 from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
@@ -338,7 +335,7 @@ class ReferenceBackend:
     """Plain data structures: linear scans, direct serves, no aggregates.
 
     One instance serves one run.  ``busy`` is the authoritative per-shard
-    busy-until list the loops read; writes go through :meth:`set_busy`.
+    busy-until list the loop reads; writes go through :meth:`set_busy`.
     """
 
     #: Streaming report aggregates (``None``: the report re-derives them).
@@ -347,15 +344,6 @@ class ReferenceBackend:
     def __init__(self, cluster: "ShardedServiceCluster", slo: Optional["SLOPolicy"]) -> None:
         self.cluster = cluster
         self.busy = [0.0] * cluster.num_shards
-
-    @classmethod
-    def replay(cls, cluster: "ShardedServiceCluster", trace, slo, faults):
-        """Offline entry point: the cluster's per-event loop on this backend."""
-        return cluster._serve_trace_events(trace, slo, faults, cls)
-
-    def schedule(self, trace) -> List[RequestBatch]:
-        """The trace's batches in dispatch order."""
-        return self.cluster.scheduler.schedule(trace)
 
     def set_busy(self, shard_id: int, seconds: float) -> None:
         self.busy[shard_id] = seconds
@@ -380,8 +368,7 @@ class ReferenceBackend:
         )
 
     # Open-batch deadlines.  Ties between expiring batches fire in (deadline,
-    # first request id) order, matching the offline scheduler's dispatch
-    # order.
+    # first request id) order, the order ``BatchScheduler.schedule`` sweeps.
     def opened(self, key: object, deadline: float, first_id: int) -> None:
         """A batch opened under ``key`` (the scan needs no index)."""
 
@@ -416,13 +403,6 @@ class FastBackend(ReferenceBackend):
         self.merged = partial(_merged_workload, merged_cache={})
         self.serve = partial(_cached_serve, cluster)
         self.pick = partial(_pick_shard, cluster, self.heap)
-
-    @classmethod
-    def replay(cls, cluster: "ShardedServiceCluster", trace, slo, faults):
-        return serve_trace_fast(cluster, trace, slo, faults)
-
-    def schedule(self, trace) -> List[RequestBatch]:
-        return self.cluster.scheduler.schedule_fast(trace)
 
     def min_backlog(self, active_count: int, now: float) -> float:
         if self.cluster._order is not None:
@@ -593,7 +573,7 @@ def _serve_trace_chunked(
     trace,
     slo: Optional["SLOPolicy"],
 ):
-    """Array-native offline replay: the chunked core of ``serve_trace_fast``.
+    """Array-native offline replay, the fast engine's ``serve_trace`` path.
 
     Batch formation, per-request accounting and the streaming aggregates all
     operate on NumPy views of the trace's structure-of-arrays form
@@ -607,18 +587,18 @@ def _serve_trace_chunked(
 
     Byte-identity with the event loop is by construction:
 
-    * batches come from the same :meth:`BatchScheduler.schedule_arrays` plan
-      the event loop's ``schedule_fast`` wraps,
+    * batches come from :meth:`BatchScheduler.schedule_arrays`, whose plan
+      is the size-or-timeout batching the event loop forms online
+      (``schedule_fast`` wraps the same plan as objects),
     * every float lands through the same scalar expression shape
       (elementwise ``(batching + dispatch) + service``, broadcast of the
       per-batch ``start - ready``), and
     * sums fold left-to-right from the same initial values
       (:func:`_left_fold_sum`, ``StreamingLatencyStats.extend``).
 
-    Callers gate on eligibility: no fault schedule and no fair-mode
-    scheduler (both make the next event state-dependent in ways the plan
-    cannot precompute), otherwise ``serve_trace_fast`` degrades to the
-    per-event loop.
+    ``serve_trace`` gates on eligibility: no fault schedule and no
+    fair-mode scheduler (both make the next event state-dependent in ways
+    the plan cannot precompute); every other replay runs the event loop.
     """
     from repro.serving.cluster import POLICY_LEAST_LOADED, ClusterReport
 
@@ -766,31 +746,3 @@ def _serve_trace_chunked(
         aggregates=accumulator.aggregates(count=total_requests, shed_count=0),
         faults=None,
     )
-
-
-# --------------------------------------------------------------------- offline
-def serve_trace_fast(
-    cluster: "ShardedServiceCluster",
-    trace,
-    slo: Optional["SLOPolicy"] = None,
-    faults: Optional[FaultSchedule] = None,
-    chunked: Optional[bool] = None,
-):
-    """Fast offline replay — the ``engine="fast"`` path of ``serve_trace``.
-
-    ``chunked`` selects the array-native loop (:func:`_serve_trace_chunked`)
-    over the per-event one; the default ``None`` auto-enables it whenever
-    the run is eligible — no fault schedule, no fair-mode scheduler, a
-    non-empty trace — and degrades gracefully to the per-event loop on the
-    fast backend otherwise.  Both paths produce byte-identical reports;
-    ``chunked=False`` forces the per-event loop (the equivalence suite and
-    the speed benchmark compare the two)."""
-    if chunked is None:
-        chunked = faults is None and not cluster.scheduler.fair and len(trace) > 0
-    if chunked:
-        if faults is not None:
-            raise ValueError("chunked replay does not support fault schedules")
-        if cluster.scheduler.fair:
-            raise ValueError("chunked replay does not support fair-mode batching")
-        return _serve_trace_chunked(cluster, trace, slo)
-    return cluster._serve_trace_events(trace, slo, faults, FastBackend)

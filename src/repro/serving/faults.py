@@ -3,7 +3,7 @@
 Every shard in :class:`~repro.serving.cluster.ShardedServiceCluster` is
 immortal by default.  This module makes failure a first-class simulated
 event: a :class:`FaultSchedule` lists timestamped **crash**, **recover**
-and **slowdown** events per shard, and the serving loops consume the
+and **slowdown** events per shard, and the serving event loop consumes the
 schedule through one shared :class:`FaultRuntime` on either backend, so
 reports stay byte-identical across backends under every schedule.
 
@@ -72,19 +72,6 @@ FAULT_RECOVER_DOMAIN = "recover_domain"
 
 #: The recognised domain-level fault event kinds.
 DOMAIN_FAULT_KINDS = (FAULT_CRASH_DOMAIN, FAULT_RECOVER_DOMAIN)
-
-
-def due(when: Optional[float], *others: Optional[float]) -> bool:
-    """True when ``when`` is scheduled and no later than every other horizon.
-
-    The online loop ranks its event sources (commit, fault, batch
-    deadline, retry, arrival) with this one predicate: a source fires
-    when it is due and every source ranked after it is either exhausted
-    or no earlier.
-    """
-    if when is None:
-        return False
-    return all(other is None or when <= other for other in others)
 
 
 @dataclass(frozen=True)
@@ -524,7 +511,7 @@ class FaultStats:
 class FaultLoopHooks:
     """How a serving loop exposes its mutable state to the fault runtime.
 
-    The loops drive :class:`FaultRuntime` and :class:`DrainPlanner`
+    The event loop drives :class:`FaultRuntime` and :class:`DrainPlanner`
     through this bundle of callbacks: the runtime owns every fault
     decision, the hooks only read/write the run's state (busy horizons,
     served records, arrival sources) through the backend in use.
@@ -575,13 +562,13 @@ class FaultLoopHooks:
 class DrainPlanner:
     """Deferred-commit dispatch plan enabling voluntary scale-down drains.
 
-    The serving loops normally commit a batch the moment it is dispatched:
+    The event loop normally commits a batch the moment it is dispatched:
     shard, start and finish are computed up front and the served record
     lands immediately (commit-at-dispatch).  That makes a *voluntary*
     scale-down impossible to honour — work already queued toward the
     drained shard is retroactively part of history.  When an
     :class:`~repro.serving.control.Autoscaler` runs with ``drain=True``
-    the online loops route every successful dispatch through this planner
+    the event loop routes every successful dispatch through this planner
     instead:
 
     * :meth:`plan` records the dispatch outcome and advances the shard's
@@ -1098,34 +1085,6 @@ class FaultRuntime:
             )
             if self.slo is None or sojourn <= self.slo.slo_for(request.workload, request.tenant):
                 self.slo_met_degraded += 1
-
-    # -------------------------------------------------------- offline replay
-    def _settle_retries(self, env: FaultLoopHooks, until: Optional[float]) -> None:
-        while True:
-            retry_at = self.next_retry_time()
-            if retry_at is None or (until is not None and retry_at > until):
-                return
-            self.advance(env, retry_at)
-            if self.next_retry_time() != retry_at:
-                continue  # the advance re-dispatched work and moved the horizon
-            request, at = self.pop_retry()
-            self.dispatch(RequestBatch(requests=[request], ready_seconds=at), env)
-
-    def step(self, env: FaultLoopHooks, batch: RequestBatch) -> None:
-        """Offline replay: settle every retry and fault event due before
-        ``batch`` closes, then dispatch it."""
-        self._settle_retries(env, batch.ready_seconds)
-        self.advance(env, batch.ready_seconds)
-        self.dispatch(batch, env)
-
-    def drain(self, env: FaultLoopHooks) -> None:
-        """Settle all remaining retries and fault events after the last batch."""
-        while True:
-            self._settle_retries(env, None)
-            if self._cursor < len(self._events):
-                self.advance(env, self._events[self._cursor].seconds)
-                continue
-            break
 
     # -------------------------------------------------------------- summary
     def finalize(self, first_arrival: Optional[float], last_finish: float) -> FaultStats:

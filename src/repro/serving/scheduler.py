@@ -31,11 +31,11 @@ from repro.system.workload import WorkloadProfile
 class BatchPlan(NamedTuple):
     """Array-level batch formation result (the chunked engine's working set).
 
-    One row per batch, in dispatch order — the same ``(ready_seconds,
-    first request id)`` order :meth:`BatchScheduler.schedule` closes batches
-    in.  Member rows are *positions* into the trace's structure-of-arrays
-    view (:meth:`~repro.serving.requests.RequestTrace.arrays`), so a plan
-    never materializes request objects.
+    One row per batch, in the order the event loop closes them (the order
+    :meth:`BatchScheduler.schedule` returns).  Member rows are *positions*
+    into the trace's structure-of-arrays view
+    (:meth:`~repro.serving.requests.RequestTrace.arrays`), so a plan never
+    materializes request objects.
 
     Attributes:
         member_positions: int64 trace positions, concatenated per batch;
@@ -146,16 +146,19 @@ class BatchScheduler:
         return TenantFairBatcher(self)
 
     def schedule(self, trace: RequestTrace) -> List[RequestBatch]:
-        """Group the trace into batches, ordered by the time they close.
+        """Group the trace into batches, in the order the event loop closes them.
 
         Deterministic: depends only on the trace and the scheduler's
         parameters, never on cluster state, so the same trace produces the
-        same batches regardless of how many shards later serve them.  In
-        fair mode the batches come from :class:`TenantFairBatcher`, in
-        closure order (the same order the online loops dispatch).
+        same batches regardless of how many shards later serve them.  The
+        sweep replays the event loop's batching events: before each arrival,
+        every timer due at or before it fires in ``(deadline, first request
+        id)`` order; then the arrival joins its key's batch, closing it when
+        full.  Fair mode has no offline schedule (the event loop drives
+        :class:`TenantFairBatcher` directly) and raises.
         """
         if self.fair:
-            return self._schedule_fair(trace)
+            raise ValueError("schedule() does not support fair mode")
         open_batches: Dict[Hashable, Tuple[List[InferenceRequest], float]] = {}
         closed: List[RequestBatch] = []
 
@@ -163,58 +166,31 @@ class BatchScheduler:
             members, _ = open_batches.pop(key)
             closed.append(RequestBatch(requests=members, ready_seconds=ready_seconds))
 
-        for request in trace:
-            now = request.arrival_seconds
-            # Timers of batches whose deadline passed before this arrival fire
-            # first, in deadline order, so ready times stay monotone.
+        def fire_timers(until: Optional[float]) -> None:
+            # Between two arrivals no batch opens, so firing the due timers
+            # in one sorted pass is the event loop's one-at-a-time order.
             expired = sorted(
-                (deadline, key)
-                for key, (_, deadline) in open_batches.items()
-                if deadline <= now
+                (deadline, members[0].request_id, key)
+                for key, (members, deadline) in open_batches.items()
+                if until is None or deadline <= until
             )
-            for deadline, key in expired:
+            for deadline, _, key in expired:
                 close(key, deadline)
 
+        for request in trace:
+            now = request.arrival_seconds
+            fire_timers(now)
             key = request.workload.batch_key
             if key not in open_batches:
                 open_batches[key] = ([], now + self.max_wait_seconds)
-            members, deadline = open_batches[key]
+            members, _ = open_batches[key]
             members.append(request)
             if len(members) >= self.max_batch_size:
                 close(key, now)
 
         # Remaining batches wait out their timers (the trace has ended, so no
         # filler request can close them early).
-        for deadline, key in sorted(
-            (deadline, key) for key, (_, deadline) in open_batches.items()
-        ):
-            close(key, deadline)
-
-        closed.sort(key=lambda batch: (batch.ready_seconds, batch.requests[0].request_id))
-        return closed
-
-    def _schedule_fair(self, trace: RequestTrace) -> List[RequestBatch]:
-        """Offline fair-mode scheduling: drive the batcher over the trace.
-
-        Event order matches the online loops exactly — deadlines at or
-        before an arrival fire first — so an uncontrolled online replay of
-        the same trace forms identical batches.
-        """
-        batcher = self.fair_batcher()
-        closed: List[RequestBatch] = []
-        for request in trace:
-            now = request.arrival_seconds
-            while True:
-                expiring = batcher.peek_deadline()
-                if expiring is None or expiring[0] > now:
-                    break
-                closed.extend(batcher.fire_deadline(expiring))
-            closed.extend(batcher.add(request, now))
-        while True:
-            expiring = batcher.peek_deadline()
-            if expiring is None:
-                break
-            closed.extend(batcher.fire_deadline(expiring))
+        fire_timers(None)
         return closed
 
     def schedule_fast(self, trace: RequestTrace) -> List[RequestBatch]:
@@ -222,19 +198,12 @@ class BatchScheduler:
 
         A thin object-materializing wrapper over :meth:`schedule_arrays`:
         the plan computes membership and ready times on the trace's SoA
-        view, and this method builds the :class:`RequestBatch` objects the
-        per-event engine dispatches.  Because the chunked engine consumes
-        the *same* plan directly, the two fast paths cannot form different
-        batches — and the reference/fast equivalence suite asserts
-        batch-for-batch equality against :meth:`schedule`.
-
-        Fair mode has no array-level fast path (membership depends on the
-        deficit state, not just per-key arrival order), so it delegates to
-        the shared batcher sweep — both engines then run the identical
-        code, which keeps them byte-identical by construction.
+        view, and this method builds :class:`RequestBatch` objects from it.
+        No serving path calls it; it is the object view of the plan the
+        chunked engine consumes, kept as a test oracle that the suites
+        check batch-for-batch against :meth:`schedule`.  Fair mode raises,
+        as :meth:`schedule_arrays` does.
         """
-        if self.fair:
-            return self._schedule_fair(trace)
         plan = self.schedule_arrays(trace)
         requests = trace.requests
         positions = plan.member_positions.tolist()
@@ -260,13 +229,17 @@ class BatchScheduler:
         the next batch, the event loop's tie-break) up to
         ``max_batch_size``, closing at the filling member's arrival or at
         the deadline.  Each chunk boundary is one bisection *from the
-        chunk's start* (not over the key's whole timestamp array), and the
-        plan rows are sorted by the same ``(ready, first request id)``
-        order :meth:`schedule` produces.
+        chunk's start* (not over the key's whole timestamp array).
+
+        The plan rows are sorted into the event loop's closing order.  At one
+        instant, timers fire before arrivals are processed, in first-request-
+        id order; a batch closed by an arrival — filled to the cap, or a
+        zero-wait batch whose timer fires straight after its opener — closes
+        at that arrival's turn, in trace order, which is request-id order
+        among same-instant arrivals.
 
         Fair mode has no array-level path (membership depends on the
-        deficit state, not just per-key arrival order) and raises; callers
-        gate on :attr:`fair` and fall back to the shared batcher sweep.
+        deficit state, not just per-key arrival order) and raises.
         """
         if self.fair:
             raise ValueError("schedule_arrays() does not support fair mode")
@@ -329,11 +302,16 @@ class BatchScheduler:
         starts = np.asarray(batch_starts, dtype=np.int64)
         ends = np.asarray(batch_ends, dtype=np.int64)
         ready_seconds = np.asarray(ready_list, dtype=np.float64)
-        first_positions = order[starts] if len(starts) else starts
-        first_ids = arrays.request_ids[first_positions]
-        # Dispatch order: (ready, first request id) — ids are unique, so the
-        # sort is total and matches the event loop's closure order.
-        dispatch = np.lexsort((first_ids, ready_seconds))
+        request_ids = arrays.request_ids
+        first_ids = request_ids[order[starts]] if len(starts) else starts
+        last_positions = order[ends - 1] if len(ends) else ends
+        # A batch closed at its last member's arrival was closed by that
+        # arrival; any other closed on its timer, strictly after its members.
+        by_arrival = ready_seconds == arrivals[last_positions]
+        tie_ids = np.where(by_arrival, request_ids[last_positions], first_ids)
+        # Dispatch order: (ready, timers before arrivals, request id) — ids
+        # are unique, so the sort is total.
+        dispatch = np.lexsort((tie_ids, by_arrival, ready_seconds))
         starts, ends, ready_seconds = starts[dispatch], ends[dispatch], ready_seconds[dispatch]
         counts = ends - starts
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -392,8 +370,8 @@ class TenantFairBatcher:
     A reseeded batch that fills to the cap closes immediately at the same
     instant and cascades.
 
-    Everything is event-local and deterministic, so the offline scheduler
-    sweep and both online engines drive one identical state machine.
+    Everything is event-local and deterministic, so the event loop drives
+    one identical state machine on either backend.
     """
 
     def __init__(self, scheduler: BatchScheduler) -> None:

@@ -10,12 +10,20 @@ first), and a batch filling to the cap on the same tick its deadline
 expires.
 """
 
+import json
+
 import numpy as np
 import pytest
 from conftest import make_profile
 from hypothesis import given, settings, strategies as st
 
-from repro.serving import BatchScheduler, InferenceRequest, RequestTrace
+from repro.serving import (
+    BatchScheduler,
+    InferenceRequest,
+    RequestTrace,
+    ShardedServiceCluster,
+    TraceArrivals,
+)
 
 
 def _trace(arrivals, workloads):
@@ -92,6 +100,19 @@ class TestBoundaryPins:
         trace = _trace([0.0, 0.0, 0.0, 0.0], [a, b, a, b])
         _assert_same_batches(scheduler, trace)
 
+    def test_same_instant_size_closures_follow_the_closing_arrival(self):
+        """Two batches filling at one instant close in the order their
+        filling requests arrive, not by their first member's id."""
+        a, b = make_profile("a"), make_profile("b", batch_size=7)
+        scheduler = BatchScheduler(max_batch_size=2, max_wait_seconds=0.010)
+        trace = _trace([0.0, 0.0005, 0.001, 0.001], [b, a, a, b])
+        _assert_same_batches(scheduler, trace)
+        batches = scheduler.schedule_fast(trace)
+        assert [[r.request_id for r in batch.requests] for batch in batches] == [
+            [1, 2],
+            [0, 3],
+        ]
+
 
 class TestBatchPlanStructure:
     def test_plan_rows_consistent(self):
@@ -107,7 +128,7 @@ class TestBatchPlanStructure:
         # Merged size is the member count times the uniform profile size.
         counts = np.diff(plan.batch_offsets)
         assert (plan.merged_sizes == counts * 5).all()
-        # Dispatch order is (ready, first member id): ready is sorted.
+        # Rows are in closing order: ready is sorted.
         ready = plan.ready_seconds
         assert (ready[:-1] <= ready[1:]).all()
 
@@ -116,8 +137,9 @@ class TestBatchPlanStructure:
             max_batch_size=2, max_wait_seconds=0.001, tenant_weights={"a": 1.0}
         )
         trace = _trace([0.0], [make_profile()])
-        with pytest.raises(ValueError, match="fair"):
-            scheduler.schedule_arrays(trace)
+        for schedule in (scheduler.schedule, scheduler.schedule_fast, scheduler.schedule_arrays):
+            with pytest.raises(ValueError, match="fair"):
+                schedule(trace)
 
     def test_empty_trace_plan(self):
         plan = BatchScheduler(max_batch_size=2).schedule_arrays(RequestTrace([]))
@@ -144,3 +166,40 @@ class TestTieHeavyFuzz:
         workloads = [rng.choice(profiles) for _ in range(num_requests)]
         scheduler = BatchScheduler(max_batch_size=cap, max_wait_seconds=wait)
         _assert_same_batches(scheduler, _trace(arrivals, workloads))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        cap=st.integers(min_value=1, max_value=4),
+        wait=st.sampled_from([0.0, 0.001, 0.002, 0.01]),
+        num_requests=st.integers(min_value=1, max_value=30),
+        num_shards=st.integers(min_value=1, max_value=3),
+    )
+    def test_duplicate_grid_replays_agree(
+        self, services, seed, cap, wait, num_requests, num_shards
+    ):
+        """On tie-heavy traces the reference replay (event loop), the fast
+        replay (chunked loop) and the fast online loop render one report."""
+        import random
+
+        rng = random.Random(seed)
+        # Different graph sizes: batches differ in service time, so any
+        # dispatch-order difference shows in the sojourns.
+        profiles = [make_profile("a"), make_profile("b", num_nodes=90_000, batch_size=3)]
+        arrivals = sorted(rng.choice(range(12)) * 1e-3 for _ in range(num_requests))
+        workloads = [rng.choice(profiles) for _ in range(num_requests)]
+        trace = _trace(arrivals, workloads)
+        scheduler = BatchScheduler(max_batch_size=cap, max_wait_seconds=wait)
+
+        def cluster(engine):
+            return ShardedServiceCluster(
+                services["CPU"], num_shards=num_shards, scheduler=scheduler, engine=engine
+            )
+
+        reports = [
+            cluster("reference").serve_trace(trace),
+            cluster("fast").serve_trace(trace),
+            cluster("fast").serve_online(TraceArrivals(trace)),
+        ]
+        rendered = [json.dumps(report.as_dict(), sort_keys=True) for report in reports]
+        assert rendered[0] == rendered[1] == rendered[2]

@@ -10,14 +10,15 @@ Invariants under test (see ISSUE/DESIGN "Control plane"):
 * the autoscaler's shard count stays within [min_shards, max_shards] and is
   hysteresis-stable on constant in-band load;
 * the online event loop with no control attached is an exact replay of the
-  offline ``serve_trace`` path (same report, byte for byte).
+  offline ``serve_trace`` path (same report, byte for byte), with or
+  without shard faults and fair batching.
 """
 
 import json
 from dataclasses import replace
 
 import pytest
-from conftest import WORKLOAD_POOL, make_profile
+from conftest import TENANTS, WORKLOAD_POOL, make_profile
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
@@ -28,11 +29,13 @@ from repro.serving import (
     ClosedLoopClients,
     DegradationPolicy,
     OpenLoopArrivals,
+    RandomFaults,
     ServingConfig,
     ServingController,
     ShardedServiceCluster,
     SLOPolicy,
     TraceArrivals,
+    merge_traces,
 )
 
 
@@ -242,32 +245,65 @@ def test_autoscaler_in_loop_respects_bounds_and_warmup(services):
 
 
 # ----------------------------------------------------- event-loop equivalence
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     rate_rps=st.sampled_from([50.0, 200.0, 1000.0]),
     seed=st.integers(min_value=0, max_value=2**16),
     num_requests=st.integers(min_value=4, max_value=30),
     max_batch_size=st.integers(min_value=1, max_value=4),
     num_shards=st.integers(min_value=1, max_value=4),
+    faulted=st.booleans(),
+    fair=st.booleans(),
 )
 def test_online_loop_replays_offline_trace_exactly(
-    services, rate_rps, seed, num_requests, max_batch_size, num_shards
+    services, rate_rps, seed, num_requests, max_batch_size, num_shards, faulted, fair
 ):
     """With no control attached, serve_online == serve_trace, byte for byte.
 
-    Poisson arrivals keep timestamps distinct, so batching-event ties (the
-    only place the two loops could legally order work differently) do not
-    occur; under that condition the reworked online event loop must be an
-    exact replay of the offline scheduler-driven path.
+    The online event loop must be an exact replay of the offline path —
+    on the fast engine that is the chunked loop, whose batch plan must
+    close batches in the event loop's order (tie-heavy traces are swept in
+    ``test_batch_plan.py``).  The replay is exact under a ``RandomFaults``
+    schedule too — faults fire at their own instants and failed requests
+    retry through the batcher, offline as online — and under fair
+    (tenant-weighted) batching of a three-tenant trace.
     """
-    trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=rate_rps, seed=seed).trace(num_requests)
-    scheduler = BatchScheduler(max_batch_size=max_batch_size, max_wait_seconds=0.003)
+    if fair:
+        trace = merge_traces(
+            [
+                OpenLoopArrivals(
+                    WORKLOAD_POOL, rate_rps=rate_rps, seed=seed + i, tenant=tenant
+                ).trace(num_requests)
+                for i, tenant in enumerate(TENANTS)
+            ]
+        )
+    else:
+        trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=rate_rps, seed=seed).trace(
+            num_requests
+        )
+    scheduler = BatchScheduler(
+        max_batch_size=max_batch_size,
+        max_wait_seconds=0.003,
+        tenant_weights={"ent": 3.0, "free": 1.0, "pro": 2.0} if fair else None,
+    )
+    faults = None
+    if faulted:
+        faults = RandomFaults(
+            num_shards=num_shards,
+            horizon_seconds=1.0,
+            mean_uptime_seconds=0.15,
+            mean_downtime_seconds=0.05,
+            retry_budget=2,
+            retry_backoff_seconds=0.01,
+            seed=seed,
+        ).schedule()
+    config = ServingConfig(faults=faults)
     offline = ShardedServiceCluster(
         services["CPU"], num_shards=num_shards, scheduler=scheduler
-    ).serve_trace(trace)
+    ).serve_trace(trace, config=config)
     online = ShardedServiceCluster(
         services["CPU"], num_shards=num_shards, scheduler=scheduler
-    ).serve_online(TraceArrivals(trace))
+    ).serve_online(TraceArrivals(trace), config=config)
     assert json.dumps(offline.as_dict(), sort_keys=True) == json.dumps(
         online.as_dict(), sort_keys=True
     )

@@ -40,7 +40,7 @@ from repro.serving import (
     TenantQuota,
     TraceArrivals,
 )
-from repro.serving.engine import ShardHeap, serve_trace_fast
+from repro.serving.engine import ShardHeap, _ChunkedServedLog
 
 
 def _render(report) -> str:
@@ -316,19 +316,6 @@ class TestTenantEquivalence:
             assert stats.slo_met == other.slo_met
             assert stats.latency == other.latency
 
-    def test_fair_offline_equals_uncontrolled_online_replay(self, services):
-        # The fair batcher is one state machine driven by both paths: with
-        # no control plane attached, online replay == offline schedule.
-        trace = make_bursty_tenant_trace(WORKLOAD_POOL, num_per_tenant=12, seed=5)
-        scheduler = BatchScheduler(
-            max_batch_size=3, max_wait_seconds=0.003, tenant_weights=self.WEIGHTS
-        )
-        offline = _cluster(services, "CPU", ENGINE_FAST, scheduler=scheduler)
-        online = _cluster(services, "CPU", ENGINE_FAST, scheduler=scheduler)
-        assert _render(offline.serve_trace(trace)) == _render(
-            online.serve_online(TraceArrivals(trace))
-        )
-
     @settings(max_examples=15, deadline=None)
     @given(
         name=st.sampled_from(SYSTEM_NAMES),
@@ -461,7 +448,7 @@ _ONLINE_CELLS = [
     for topology in (False, True)
 ]
 
-#: Offline (per-event) matrix: policy x fair batching x faults x topology.
+#: Offline matrix: policy x fair batching x faults x topology.
 _OFFLINE_CELLS = [
     (policy, fair, faulted, topology)
     for policy in DISPATCH_POLICIES
@@ -557,7 +544,7 @@ class TestBackendIdentityMatrix:
         assert renders[0] == renders[1]
 
     @pytest.mark.parametrize("policy,fair,faulted,topology", _OFFLINE_CELLS)
-    def test_offline_per_event(self, services, policy, fair, faulted, topology):
+    def test_offline(self, services, policy, fair, faulted, topology):
         index = _OFFLINE_CELLS.index((policy, fair, faulted, topology))
         system = "DynPre" if index % 3 == 0 else "GPU"
         trace = make_bursty_tenant_trace(
@@ -569,13 +556,10 @@ class TestBackendIdentityMatrix:
         renders = []
         for engine in (ENGINE_REFERENCE, ENGINE_FAST):
             cluster = self._cluster(services, system, engine, policy, fair, topology)
-            if engine == ENGINE_FAST:
-                # The fast backend's per-event loop, never the chunked one.
-                report = serve_trace_fast(
-                    cluster, trace, config.scoring_slo(), config.faults, chunked=False
-                )
-            else:
-                report = cluster.serve_trace(trace, config=config)
+            report = cluster.serve_trace(trace, config=config)
+            # Only fault-free, non-fair fast replays take the chunked loop.
+            chunked = engine == ENGINE_FAST and not fair and not faulted
+            assert isinstance(report.served, _ChunkedServedLog) == chunked
             self._conserved(report, len(trace))
             renders.append(_render(report))
         assert renders[0] == renders[1]

@@ -28,8 +28,10 @@ from repro.serving import (
     FAULT_SLOWDOWN,
     FaultEvent,
     FaultSchedule,
+    InferenceRequest,
     OpenLoopArrivals,
     RandomFaults,
+    RequestTrace,
     ServingConfig,
     ShardedServiceCluster,
     SLOPolicy,
@@ -213,6 +215,44 @@ def test_recovered_crash_serves_everything_offline(services, seed, budget):
     report = _cluster(services).serve_trace(_trace(seed), config=ServingConfig(faults=faults))
     assert report.goodput.served == report.goodput.offered
     assert report.faults.failed == 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_offline_retries_rebatch_like_arrivals(services, engine):
+    """An offline replay has the online loop's fault semantics: requests
+    killed in flight retry through the batcher, so same-instant retries of
+    one workload share a batch instead of each dispatching alone."""
+    workload = WORKLOAD_POOL[0]
+    trace = RequestTrace(
+        [
+            InferenceRequest(request_id=i, arrival_seconds=i * 1e-4, workload=workload)
+            for i in range(4)
+        ]
+    )
+    faults = FaultSchedule(
+        events=(
+            FaultEvent(seconds=0.01, shard_id=0, kind=FAULT_CRASH),
+            FaultEvent(seconds=0.02, shard_id=0, kind=FAULT_RECOVER),
+        ),
+        retry_budget=1,
+        retry_backoff_seconds=0.03,
+    )
+    cluster = ShardedServiceCluster(
+        services["CPU"],
+        num_shards=1,
+        engine=engine,
+        scheduler=BatchScheduler(max_batch_size=4, max_wait_seconds=0.001),
+    )
+    report = cluster.serve_trace(trace, config=ServingConfig(faults=faults))
+    assert report.faults.retried == 4
+    assert report.num_requests == 4
+    assert report.num_batches == 1
+    # The first attempt is killed by the crash at 10 ms; the retried batch
+    # closes when its fourth retry arrives at 10 ms + 30 ms backoff.
+    for served in report.served:
+        assert served.batch_size == 4
+        ready = served.request.arrival_seconds + served.batching_delay
+        assert ready == pytest.approx(0.04)
 
 
 def test_all_shards_dead_fails_everything(services):

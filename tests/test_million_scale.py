@@ -1,7 +1,8 @@
 """Million-request fast-engine smoke test (dedicated CI job, not tier-1).
 
 Gated on ``RUN_MILLION=1``: a 1M-request chunked replay plus a full
-byte-identity check against the per-event fast loop.  This is the scale the
+byte-identity check against the fast engine's event loop (``serve_online``
+over ``TraceArrivals``).  This is the scale the
 array-native loop exists for — tier-1 covers correctness at small scale;
 this job proves the chunked path holds its contract (and a sane wall-clock)
 where per-request Python work would dominate.
@@ -19,8 +20,9 @@ from repro.serving import (
     OpenLoopArrivals,
     POLICY_LEAST_LOADED,
     ShardedServiceCluster,
+    TraceArrivals,
 )
-from repro.serving.engine import _ChunkedServedLog, serve_trace_fast
+from repro.serving.engine import _ChunkedServedLog
 from repro.system.service import build_services
 from repro.system.workload import WorkloadProfile
 
@@ -51,7 +53,7 @@ def test_million_request_chunked_replay_smoke():
     trace = OpenLoopArrivals(mix, rate_rps=500.0, seed=1).trace(NUM_REQUESTS)
 
     started = time.perf_counter()
-    chunked = serve_trace_fast(_cluster(services), trace, chunked=True)
+    chunked = _cluster(services).serve_trace(trace)
     chunked_seconds = time.perf_counter() - started
     assert isinstance(chunked.served, _ChunkedServedLog)
     assert chunked.num_requests == NUM_REQUESTS
@@ -61,7 +63,8 @@ def test_million_request_chunked_replay_smoke():
         f"(budget {WALL_BUDGET_SECONDS:.0f}s)"
     )
 
-    event = serve_trace_fast(_cluster(services), trace, chunked=False)
+    event = _cluster(services).serve_online(TraceArrivals(trace))
+    assert isinstance(event.served, list)
     assert json.dumps(chunked.as_dict(), sort_keys=True) == json.dumps(
         event.as_dict(), sort_keys=True
     )
