@@ -1198,7 +1198,7 @@ class ShardedServiceCluster:
                     if request.tenant in guaranteed_tenants:
                         guaranteed_open -= 1
             if ctx is not None:
-                ctx.dispatch(batch, env)
+                ctx.submit(batch, env)
             elif planner is not None:
                 planner.dispatch(batch, env)
             else:
@@ -1348,7 +1348,7 @@ class ShardedServiceCluster:
                     backend.set_busy(shard_id, max(busy[shard_id], now + warmup))
                     leases.open(shard_id, now)
                 if ctx is not None and active_count > previous:
-                    ctx.flush(env)
+                    ctx.flush(env, now)
                 if active_count < previous:
                     if planner is not None:
                         if ctx is not None:
@@ -1375,7 +1375,7 @@ class ShardedServiceCluster:
                                 requests=stranded.requests, ready_seconds=now
                             )
                             if ctx is not None:
-                                ctx.dispatch(rebatch, env)
+                                ctx.submit(rebatch, env)
                             else:
                                 planner.dispatch(rebatch, env)
                         autoscaler.record_drain(migrated, completed)

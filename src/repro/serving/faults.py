@@ -10,18 +10,32 @@ reports stay byte-identical across backends under every schedule.
 Fault model
 -----------
 * ``crash`` removes a shard from the dispatchable set at its timestamp.
-  Queued batches whose start would fall past the crash are **drained and
-  migrated**: re-dispatched through the cluster's normal dispatch policy
-  once the crash takes effect (the surviving set is only known then).
+  A batch whose start on its pick would fall past that shard's next
+  crash is **drained and migrated** to the next-best live candidate;
+  when every live shard is doomed (or none is alive) the batch **parks**.
   Batches already in flight at the crash instant fail and each member is
   **retried with exponential backoff** (``retry_backoff_seconds * 2**k``
   for attempt ``k``) up to a per-request ``retry_budget``; requests that
   exhaust the budget are counted ``failed``, exactly once, so
   ``offered == served + shed + failed`` always holds.
 * ``recover`` returns the shard at its timestamp (and clears any
-  slowdown).  Parked work re-dispatches immediately.
+  slowdown).
 * ``slowdown`` multiplies the shard's service time by ``factor`` until
   the next slowdown or recover event.
+
+Parked work is a FIFO.  A batch parks with its own ready time, and while
+anything is parked :meth:`FaultRuntime.submit` appends a newly formed
+batch to the tail without a dispatch attempt: the head parked because no
+live shard could take it, and until the next fault event or scale-up the
+live set is fixed and its busy horizons only grow, so the newcomer would
+park too (a round-robin picker's cursor just does not advance for it).
+At every applied fault instant, and at a scale-up,
+:meth:`FaultRuntime.flush` wakes the parked batches oldest first with
+their ready time moved to the wake instant, and stops at the first one
+that parks again — every batch behind it sees the same live set,
+horizons and upcoming crashes.  Every dispatch therefore happens at the
+event cursor (``ready == now``), so the live set the runtime dispatches
+against is the live set at the batch's ready time.
 
 ``fault_aware=False`` models the pre-fault-tolerance stack as a
 benchmark baseline: dispatch stays blind to liveness, a dead shard
@@ -460,7 +474,14 @@ class DomainOutageEvent:
 
 @dataclass(frozen=True)
 class FaultStats:
-    """The faults section of a :class:`~repro.serving.cluster.ClusterReport`."""
+    """The faults section of a :class:`~repro.serving.cluster.ClusterReport`.
+
+    ``migrated`` counts requests whose batch left its first-choice shard or
+    parked to wait for capacity, once per batch: a parked batch that is
+    woken, re-parks or leaves its pick on a later attempt is not counted
+    again.  ``retried`` counts retry attempts (one per killed request per
+    kill) and ``failed`` requests that ended without service.
+    """
 
     migrated: int
     retried: int
@@ -720,7 +741,7 @@ class FaultRuntime:
     """Per-run mutable fault state of one serving loop run.
 
     Tracks shard liveness and slowdown factors as events apply, owns the
-    retry heap and the parked-batch list, and performs every
+    retry heap and the parked-batch FIFO, and performs every
     fault-sensitive dispatch through :meth:`dispatch`.  Built via
     :meth:`FaultSchedule.runtime`.
     """
@@ -794,7 +815,10 @@ class FaultRuntime:
         self._retries: List[Tuple[float, int, InferenceRequest]] = []
         self._retry_seq = 0
         self._attempts: Dict[int, int] = {}
-        self.parked: List[RequestBatch] = []
+        #: Batches waiting for capacity, in the order they parked.
+        self.parked: deque = deque()
+        # Requests in ``parked``, kept so backlog_count() is O(1).
+        self._parked_requests = 0
         self.migrated = 0
         self.retried = 0
         self.failed = 0
@@ -831,14 +855,11 @@ class FaultRuntime:
     def dead_until(self, shard_id: int, seconds: float) -> Optional[float]:
         """The recover time of the outage covering ``seconds``, else None.
 
-        Consults the *static* schedule, not the event cursor: a parked batch
-        re-dispatched by :meth:`flush` carries a ready time in the cursor's
-        future, and a shard that looks alive *now* may be scheduled dead
-        across that future start.
-
-        The schedule alternates crash and recover per shard, so the dead
-        intervals are disjoint and the i-th one starts at the i-th crash:
-        only the last interval starting at or before ``seconds`` can cover it.
+        Consults the static schedule, so it answers for any instant, not
+        only the event cursor's.  The schedule alternates crash and recover
+        per shard, so the dead intervals are disjoint and the i-th one
+        starts at the i-th crash: only the last interval starting at or
+        before ``seconds`` can cover it.
         """
         index = bisect_right(self._crashes[shard_id], seconds) - 1
         if index < 0:
@@ -897,7 +918,7 @@ class FaultRuntime:
 
     def backlog_count(self) -> int:
         """Requests the fault layer is holding (retry heap + parked batches)."""
-        return len(self._retries) + sum(len(b.requests) for b in self.parked)
+        return len(self._retries) + self._parked_requests
 
     def next_retry_time(self) -> Optional[float]:
         return self._retries[0][0] if self._retries else None
@@ -927,64 +948,84 @@ class FaultRuntime:
                 self.factor[shard] = event.factor
             changed = True
         if changed:
-            self.flush(env)
+            self.flush(env, until)
 
-    def flush(self, env: FaultLoopHooks) -> None:
-        """Re-dispatch parked batches now that capacity may be back."""
-        if not self.parked or not self.active_alive(env.active_count()):
-            return
-        pending, self.parked = self.parked, []
-        for batch in pending:
+    def flush(self, env: FaultLoopHooks, now: float) -> None:
+        """Wake parked batches at ``now``, oldest first, until one re-parks.
+
+        Each woken batch is re-dispatched with its ready time moved to
+        ``now``.  The first one that parks again stays at the head and the
+        rest are not tried: they would meet the same live set, busy
+        horizons and upcoming crashes, and park too.
+        """
+        parked = self.parked
+        while parked:
+            head = parked.popleft()
+            self._parked_requests -= len(head.requests)
+            woken = RequestBatch(requests=head.requests, ready_seconds=now)
+            self.dispatch(woken, env, woken=True)
+            if parked and parked[0] is woken:
+                return
+
+    def submit(self, batch: RequestBatch, env: FaultLoopHooks) -> None:
+        """Hand a newly formed batch, ready at the event cursor, to the runtime.
+
+        While work is parked the batch joins the FIFO's tail without a
+        dispatch attempt: it would park too (see the module docstring).
+        Otherwise it is dispatched.
+        """
+        if self.parked:
+            self._park(batch, woken=False)
+        else:
             self.dispatch(batch, env)
 
-    def dispatch(self, batch: RequestBatch, env: FaultLoopHooks) -> None:
+    def _park(self, batch: RequestBatch, woken: bool) -> None:
+        """Hold ``batch`` until a flush wakes it: a woken batch goes back to
+        the head of the FIFO, a new one joins the tail and counts as
+        migrated."""
+        if woken:
+            self.parked.appendleft(batch)
+        else:
+            self.parked.append(batch)
+            self.migrated += len(batch.requests)
+        self._parked_requests += len(batch.requests)
+
+    def dispatch(
+        self, batch: RequestBatch, env: FaultLoopHooks, woken: bool = False
+    ) -> None:
         """Dispatch ``batch`` with full fault semantics (park / migrate /
-        in-flight failure / commit)."""
+        in-flight failure / commit).
+
+        ``batch`` is ready at the event cursor, so the current live set is
+        the live set at its ready time.  It is either a new batch submitted
+        while nothing is parked or, with ``woken``, the parked head that
+        :meth:`flush` is retrying.
+        """
         if not self.schedule.fault_aware:
             self._dispatch_oblivious(batch, env)
             return
         active = self.active_alive(env.active_count())
         if not active:
-            self.parked.append(batch)
+            self._park(batch, woken)
             return
         workload = env.merged(batch)
         # A shard whose queue extends past its own next crash would sit the
         # batch behind doomed work; drain to another live candidate instead,
-        # and only park (until the earliest of those crashes takes effect)
-        # when every live shard is doomed first.
+        # and park only when every live shard is doomed.
         candidates = active
         migrated = False
         while True:
             shard_id = env.pick(batch, workload, candidates)
             start = max(batch.ready_seconds, env.busy(shard_id))
             crash_at = self.next_crash_after(shard_id, batch.ready_seconds)
-            # A flushed parked batch can carry a ready time ahead of the
-            # event cursor, so "alive now" is not enough: the shard must
-            # also not be scheduled dead across the batch's actual start.
-            if self.dead_until(shard_id, start) is None and (
-                crash_at is None or crash_at > start
-            ):
+            if crash_at is None or crash_at > start:
                 break
             migrated = True
             candidates = [s for s in candidates if s != shard_id]
             if not candidates:
-                self.migrated += len(batch.requests)
-                horizons = []
-                for s in active:
-                    blocked = self.dead_until(
-                        s, max(batch.ready_seconds, env.busy(s))
-                    )
-                    if blocked is not None:
-                        horizons.append(blocked)
-                        continue
-                    crash = self.next_crash_after(s, batch.ready_seconds)
-                    if crash is not None:
-                        horizons.append(crash)
-                self.parked.append(
-                    RequestBatch(requests=batch.requests, ready_seconds=min(horizons))
-                )
+                self._park(batch, woken)
                 return
-        if migrated:
+        if migrated and not woken:
             self.migrated += len(batch.requests)
         report, duration = env.serve(shard_id, workload)
         duration = duration * self.factor[shard_id]
@@ -1094,9 +1135,9 @@ class FaultRuntime:
         ``[first_arrival, last_finish]`` so an outage scheduled past the end
         of traffic does not inflate the stats.
         """
-        for batch in self.parked:
-            self.failed += len(batch.requests)
-        self.parked = []
+        self.failed += self._parked_requests
+        self.parked.clear()
+        self._parked_requests = 0
         start = first_arrival if first_arrival is not None else 0.0
         end = max(last_finish, start)
 

@@ -104,3 +104,14 @@ def test_violation_writes_reproduction_artifact(services, tmp_path, monkeypatch)
     assert artifact["name"] == excinfo.value.scenario
     # The artifact embeds enough to rebuild the failing schedule.
     assert "schedule" in artifact and "provenance" in artifact
+
+
+def test_random_172_standby_substitution_ends_with_the_outage(services):
+    """Scenario 172 of the seed-2 sweep: a batch parked during a prefix
+    shard's outage must not start on a standby shard after that shard
+    recovers.  ``run_scenario`` replays it through both engines and checks
+    the no-dead-dispatch invariant on each report."""
+    scenario = chaos_scenarios(4 + 173, seed=2)[-1]
+    assert scenario.name == "random-172"
+    row = run_scenario(services, scenario)
+    assert row["offered"] == row["served"] + row["shed"] + row["failed"]

@@ -9,6 +9,9 @@
 3. *Recovery*: a schedule with no crashes never fails or migrates anything,
    and a crash-free run is byte-identical to a run with no schedule at all
    (the fault layer is a strict generalisation of the fault-free loops).
+4. *Parking*: parked work is a FIFO woken at fault instants, so dispatch
+   attempts stay linear in batches plus fault events, and a woken batch is
+   dispatched against the live set at its wake instant.
 """
 
 import json
@@ -31,6 +34,7 @@ from repro.serving import (
     InferenceRequest,
     OpenLoopArrivals,
     RandomFaults,
+    RequestBatch,
     RequestTrace,
     ServingConfig,
     ShardedServiceCluster,
@@ -39,6 +43,7 @@ from repro.serving import (
     TraceArrivals,
     merge_traces,
 )
+from repro.serving.faults import FaultLoopHooks, FaultRuntime
 
 NUM_SHARDS = 3
 
@@ -347,6 +352,121 @@ def test_locality_dispatch_avoids_dead_preferred_shard(services, engine):
         services, "reference" if engine == "fast" else "fast", **kwargs
     ).serve_trace(trace, config=ServingConfig(faults=faults))
     assert _render(report) == _render(other)
+
+
+# ------------------------------------------------------------------ parking
+def _hooks(busy, commits, active_count):
+    """Minimal loop hooks over a busy list: least-loaded pick, 0.5 s service."""
+    def set_busy(shard_id, seconds):
+        busy[shard_id] = seconds
+
+    return FaultLoopHooks(
+        active_count=lambda: active_count,
+        busy=lambda shard_id: busy[shard_id],
+        set_busy=set_busy,
+        add_busy=lambda shard_id, seconds: None,
+        merged=lambda batch: None,
+        pick=lambda batch, workload, candidates: min(
+            candidates, key=lambda s: (busy[s], s)
+        ),
+        serve=lambda shard_id, workload: (None, 0.5),
+        commit=lambda batch, shard_id, start, duration, report, finish: commits.append(
+            (shard_id, batch.ready_seconds, start)
+        ),
+        on_failed=lambda request, seconds: None,
+    )
+
+
+def test_parked_batch_wakes_at_the_fault_instant_on_the_live_set():
+    """One active shard (0) and two standbys.  At t=2 shard 0 is down and
+    the only live standby (1) is queued past its own crash at t=3, so the
+    batch parks.  Standby 2 recovers at t=4: the batch is woken then, with
+    ``ready`` moved to the wake instant, and starts on shard 2 while shard 0
+    is still down (it recovers at t=5) -- not at some later horizon when
+    the standby no longer substitutes for anything."""
+    schedule = FaultSchedule(
+        events=(
+            FaultEvent(seconds=0.5, shard_id=2, kind=FAULT_CRASH),
+            FaultEvent(seconds=1.0, shard_id=0, kind=FAULT_CRASH),
+            FaultEvent(seconds=3.0, shard_id=1, kind=FAULT_CRASH),
+            FaultEvent(seconds=4.0, shard_id=2, kind=FAULT_RECOVER),
+            FaultEvent(seconds=5.0, shard_id=0, kind=FAULT_RECOVER),
+            FaultEvent(seconds=20.0, shard_id=1, kind=FAULT_RECOVER),
+        ),
+    )
+    runtime = schedule.runtime(3)
+    busy = [0.0, 4.0, 0.0]
+    commits = []
+    env = _hooks(busy, commits, active_count=1)
+    request = InferenceRequest(
+        request_id=0, arrival_seconds=2.0, workload=WORKLOAD_POOL[0]
+    )
+    runtime.advance(env, 2.0)
+    runtime.dispatch(RequestBatch(requests=[request], ready_seconds=2.0), env)
+    assert list(runtime.parked) and runtime.backlog_count() == 1
+    assert commits == []
+    for instant in (3.0, 4.0, 5.0, 20.0):
+        runtime.advance(env, instant)
+    # (shard, ready, start): woken at t=4 and started on standby shard 2
+    # before shard 0 recovers at t=5.
+    assert commits == [(2, 4.0, 4.0)]
+    assert runtime.backlog_count() == 0
+    assert runtime.migrated == 1
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       fault_seed=st.integers(min_value=0, max_value=2**16))
+def test_dispatch_attempts_are_linear_in_batches_and_faults(services, seed, fault_seed):
+    """At ~0.9 load under random outages, dispatch attempts stay linear in
+    batches plus fault events.  Each batch the loop forms is submitted once
+    and dispatched at most once from there; a parked batch is retried only
+    at a flush, and a flush stops at the first batch that parks again:
+    ``calls <= formed + wakes + flushes``, where ``wakes`` counts parked
+    batches that left the FIFO, ``wakes <= formed``, and there is at most
+    one flush per applied fault instant."""
+    trace = _trace(seed, num_requests=400, rate_rps=140.0)
+    faults = RandomFaults(
+        num_shards=NUM_SHARDS,
+        horizon_seconds=trace[-1].arrival_seconds,
+        mean_uptime_seconds=0.3,
+        mean_downtime_seconds=0.15,
+        retry_budget=2,
+        retry_backoff_seconds=0.01,
+        seed=fault_seed,
+    ).schedule()
+    counts = {"formed": 0, "calls": 0, "wakes": 0, "flushes": 0}
+    in_flush = [False]
+    submit, dispatch, flush = FaultRuntime.submit, FaultRuntime.dispatch, FaultRuntime.flush
+
+    def counted_submit(self, *args, **kwargs):
+        counts["formed"] += 1
+        submit(self, *args, **kwargs)
+
+    def counted_dispatch(self, *args, **kwargs):
+        counts["calls"] += 1
+        before = len(self.parked)
+        dispatch(self, *args, **kwargs)
+        if in_flush[0] and len(self.parked) <= before:
+            counts["wakes"] += 1
+
+    def counted_flush(self, *args, **kwargs):
+        counts["flushes"] += 1
+        in_flush[0] = True
+        try:
+            flush(self, *args, **kwargs)
+        finally:
+            in_flush[0] = False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FaultRuntime, "submit", counted_submit)
+        patch.setattr(FaultRuntime, "dispatch", counted_dispatch)
+        patch.setattr(FaultRuntime, "flush", counted_flush)
+        report = _cluster(services).serve_trace(trace, config=ServingConfig(faults=faults))
+    assert report.goodput.offered == len(trace)
+    assert counts["calls"] <= counts["formed"] + counts["wakes"] + counts["flushes"], counts
+    assert counts["wakes"] <= counts["formed"], counts
+    assert counts["flushes"] <= len({e.seconds for e in faults.expanded_events}), counts
 
 
 # ------------------------------------------------------ schedule validation
