@@ -23,16 +23,6 @@ full run adds a **1M-request fast-only tier**: chunked vs per-event, gated
 at >= 3x with byte-identical reports (the scale the array-native loop
 exists for).
 
-The **scaling tier** times each replay path of the fast engine — chunked
-``serve_trace``, the event loop, the event loop with admission, and the
-event loop under a ``RandomFaults`` schedule (up 60 s / down 5 s, seed 3,
-over the trace's span) — at N and 4N requests, takes the minimum of
-``SCALING_REPEATS`` runs (each on a collected heap), asserts the repeats
-render byte-identical reports, and gates time(4N) / time(N) <= 5: a
-linear loop reads ~4, a superlinear cliff more.  N is 50k in full and
-``--quick`` runs alike: below that the faulted trace spans too few
-outages to show a cliff.
-
 Results are written to ``BENCH_engine_speed.json`` at the repo root;
 ``benchmarks/check_perf_regression.py`` compares fresh runs against the
 committed copy (speedup floor + machine-normalized wall-clock check).
@@ -41,7 +31,6 @@ committed copy (speedup floor + machine-normalized wall-clock check).
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 import time
@@ -59,10 +48,7 @@ from repro.serving import (
     ENGINE_REFERENCE,
     OpenLoopArrivals,
     POLICY_LEAST_LOADED,
-    RandomFaults,
-    ServingConfig,
     ShardedServiceCluster,
-    SLOPolicy,
     TraceArrivals,
 )
 from repro.system.service import build_services
@@ -100,16 +86,6 @@ MIN_MILLION_SPEEDUP = 3.0
 #: Wall-clock ceiling for the chunked 1M replay (machine-independent smoke
 #: budget; ~10x headroom over a laptop run).
 MILLION_WALL_BUDGET_SECONDS = 60.0
-
-#: Scaling tier: base scale N, the multiplier, the gate on
-#: time(4N) / time(N), and the timed repeats per (loop, scale).
-SCALING_SCALE = 50_000
-SCALING_FACTOR = 4
-MAX_SCALING_RATIO = 5.0
-SCALING_REPEATS = 3
-
-#: Latency objective of the admission-controlled scaling leg.
-SCALING_SLO_SECONDS = 0.5
 
 SEED = 1
 
@@ -160,98 +136,6 @@ def _timed_event(services, trace):
     report = cluster.serve_online(TraceArrivals(trace))
     elapsed = time.perf_counter() - started
     return report, elapsed
-
-
-def _scaling_replays():
-    """The replay paths the scaling tier times: name -> serve(cluster, trace)."""
-
-    def faulted(cluster, trace):
-        faults = RandomFaults(
-            num_shards=NUM_SHARDS,
-            horizon_seconds=len(trace) / OFFERED_RATE_RPS,
-            mean_uptime_seconds=60.0,
-            mean_downtime_seconds=5.0,
-            seed=3,
-        ).schedule()
-        return cluster.serve_trace(trace, config=ServingConfig(faults=faults))
-
-    admission = ServingConfig(
-        slo=SLOPolicy(default_slo_seconds=SCALING_SLO_SECONDS), admit=True
-    )
-    return {
-        "chunked": lambda cluster, trace: cluster.serve_trace(trace),
-        "event": lambda cluster, trace: cluster.serve_online(TraceArrivals(trace)),
-        "event_admission": lambda cluster, trace: cluster.serve_online(
-            TraceArrivals(trace), config=admission
-        ),
-        "event_faults": faulted,
-    }
-
-
-def run_scaling(services=None) -> Dict:
-    """The scaling tier: every replay path at N and 4N requests.
-
-    Returns ``{"scale", "factor", "max_ratio", "repeats", "loops"}`` where
-    each loop entry holds the min-of-repeats seconds at both scales and
-    their ratio; raises if two repeats of one replay render different
-    reports.
-    """
-    if services is None:
-        services = build_services()
-    base = SCALING_SCALE
-    traces = {n: _trace(n) for n in (base, SCALING_FACTOR * base)}
-    loops: Dict[str, Dict] = {}
-    for name, serve in _scaling_replays().items():
-        seconds = {n: float("inf") for n in traces}
-        rendered: Dict[int, str] = {}
-        # Alternate the scales within each repeat, so a slow spell of the
-        # host lands on both sides of the ratio.
-        for _ in range(SCALING_REPEATS):
-            for n, trace in traces.items():
-                cluster = _cluster(services, ENGINE_FAST)
-                # Start each replay on a collected heap, so no earlier
-                # replay's garbage is charged to this one.
-                gc.collect()
-                started = time.perf_counter()
-                report = serve(cluster, trace)
-                seconds[n] = min(seconds[n], time.perf_counter() - started)
-                again = json.dumps(report.as_dict(), sort_keys=True)
-                del report
-                if rendered.setdefault(n, again) != again:
-                    raise AssertionError(
-                        f"scaling tier: {name} at {n} requests rendered different "
-                        "reports on two repeats"
-                    )
-        ratio = seconds[SCALING_FACTOR * base] / max(seconds[base], 1e-12)
-        loops[name] = {
-            "seconds_n": round(seconds[base], 4),
-            "seconds_4n": round(seconds[SCALING_FACTOR * base], 4),
-            "ratio": round(ratio, 2),
-            "identical_repeats": True,
-        }
-        verdict = "ok" if ratio <= MAX_SCALING_RATIO else "REGRESSION"
-        print(
-            f"scaling {name:>15}: {base:>6} {seconds[base]:7.3f}s | "
-            f"{SCALING_FACTOR * base:>7} {seconds[SCALING_FACTOR * base]:7.3f}s | "
-            f"{ratio:5.2f}x (gate <= {MAX_SCALING_RATIO:.0f}x) | {verdict}"
-        )
-    return {
-        "scale": base,
-        "factor": SCALING_FACTOR,
-        "max_ratio": MAX_SCALING_RATIO,
-        "repeats": SCALING_REPEATS,
-        "loops": loops,
-    }
-
-
-def _scaling_failures(scaling: Dict) -> List[str]:
-    return [
-        f"scaling {name}: time({scaling['factor']}N) / time(N) = "
-        f"{entry['ratio']:.2f} above the {scaling['max_ratio']:.0f}x gate "
-        f"(N = {scaling['scale']})"
-        for name, entry in scaling["loops"].items()
-        if entry["ratio"] > scaling["max_ratio"]
-    ]
 
 
 def run_million(services=None) -> Dict:
@@ -363,9 +247,6 @@ def run(quick: bool = False) -> Dict:
             f"(reference skipped) | {report.throughput_rps:8.1f} simulated rps"
         )
 
-    scaling = run_scaling(services)
-    failures.extend(_scaling_failures(scaling))
-
     million: Optional[Dict] = None
     if not quick:
         million = run_million(services)
@@ -401,7 +282,6 @@ def run(quick: bool = False) -> Dict:
         },
         "results": results,
         "showcase_100k": showcase,
-        "scaling": scaling,
         "million": million,
         "wall_clock_seconds": round(
             sum(
@@ -410,10 +290,6 @@ def run(quick: bool = False) -> Dict:
                 for entry in results
             )
             + (showcase["fast_seconds"] if showcase else 0.0)
-            + sum(
-                entry["seconds_n"] + entry["seconds_4n"]
-                for entry in scaling["loops"].values()
-            )
             + (
                 million["event_seconds"] + million["chunked_seconds"]
                 if million
@@ -437,30 +313,20 @@ def test_engine_speed(benchmark):
     for entry in document["results"]:
         assert entry["speedup"] >= entry["min_speedup"]
         assert entry["chunked_speedup"] >= entry["min_chunked_speedup"]
-    assert not _scaling_failures(document["scaling"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="5k-request gate and the scaling tier only, skip 20k, the 100k "
-             "showcase and the 1M tier (CI mode)",
+        help="5k-request gate only, skip 20k, the 100k showcase and the 1M tier "
+             "(CI mode)",
     )
     parser.add_argument(
         "--million", action="store_true",
         help="run only the fast-only 1M-request tier (chunked vs per-event)",
     )
-    parser.add_argument(
-        "--scaling", action="store_true",
-        help="run only the scaling tier (time at 4N vs N per replay path)",
-    )
     args = parser.parse_args(argv)
-    if args.scaling:
-        failures = _scaling_failures(run_scaling())
-        for failure in failures:
-            print(f"ENGINE SPEED REGRESSION: {failure}", file=sys.stderr)
-        return 1 if failures else 0
     if args.million:
         entry = run_million()
         ok = (

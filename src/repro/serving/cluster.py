@@ -1169,9 +1169,25 @@ class ShardedServiceCluster:
                 if quota.guaranteed_rps > 0
             )
         guaranteed_open = 0
+        # Warm-up a shard pays each time it is activated: a scale-up join,
+        # or a standby starting to substitute for a crashed shard.
+        warmup = (
+            tuple(
+                autoscaler.warmup_seconds
+                if autoscaler.warmup_seconds is not None
+                else shard.warmup_seconds
+                for shard in self.shards
+            )
+            if autoscaler is not None
+            else None
+        )
         ctx = (
             faults.runtime(
-                self.num_shards, slo, order=self._order, topology=self.topology
+                self.num_shards,
+                slo,
+                order=self._order,
+                topology=self.topology,
+                warmup=warmup,
             )
             if faults is not None
             else None
@@ -1342,10 +1358,9 @@ class ShardedServiceCluster:
                     else range(previous, active_count)
                 )
                 for shard_id in joining:
-                    warmup = autoscaler.warmup_seconds
-                    if warmup is None:
-                        warmup = self.shards[shard_id].warmup_seconds
-                    backend.set_busy(shard_id, max(busy[shard_id], now + warmup))
+                    backend.set_busy(
+                        shard_id, max(busy[shard_id], now + warmup[shard_id])
+                    )
                     leases.open(shard_id, now)
                 if ctx is not None and active_count > previous:
                     ctx.flush(env, now)

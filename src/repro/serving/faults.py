@@ -22,6 +22,9 @@ Fault model
   slowdown).
 * ``slowdown`` multiplies the shard's service time by ``factor`` until
   the next slowdown or recover event.
+* Under an autoscaler, a live standby past the active prefix substitutes
+  for a crashed prefix shard.  Starting to substitute activates it, so it
+  pays its activation warm-up first, exactly like a scale-up join.
 
 Parked work is a FIFO.  A batch parks with its own ready time, and while
 anything is parked :meth:`FaultRuntime.submit` appends a newly formed
@@ -86,6 +89,13 @@ FAULT_RECOVER_DOMAIN = "recover_domain"
 
 #: The recognised domain-level fault event kinds.
 DOMAIN_FAULT_KINDS = (FAULT_CRASH_DOMAIN, FAULT_RECOVER_DOMAIN)
+
+#: Outcomes of :meth:`FaultRuntime.dispatch`: the batch ran (or was killed
+#: in flight) on its first pick, ran on another live shard because its
+#: first pick was doomed, or found no live shard that could take it.
+DISPATCH_PLACED = "placed"
+DISPATCH_MOVED = "moved"
+DISPATCH_PARKED = "parked"
 
 
 @dataclass(frozen=True)
@@ -263,15 +273,19 @@ class FaultSchedule:
         *,
         order: Optional[Sequence[int]] = None,
         topology: Optional[ClusterTopology] = None,
+        warmup: Optional[Sequence[float]] = None,
     ) -> "FaultRuntime":
         """Build the per-run mutable state for a cluster of ``num_shards``.
 
         ``order`` is the cluster's activation order (domain-spread placement);
         ``topology`` enables healthy-domain-first standby substitution and
-        defaults to the schedule's own topology.
+        defaults to the schedule's own topology; ``warmup`` is the per-shard
+        activation warm-up a standby pays when it substitutes (zero if None).
         """
         self.validate_for(num_shards)
-        return FaultRuntime(self, num_shards, slo, order=order, topology=topology)
+        return FaultRuntime(
+            self, num_shards, slo, order=order, topology=topology, warmup=warmup
+        )
 
 
 @dataclass(frozen=True)
@@ -754,6 +768,7 @@ class FaultRuntime:
         *,
         order: Optional[Sequence[int]] = None,
         topology: Optional[ClusterTopology] = None,
+        warmup: Optional[Sequence[float]] = None,
     ) -> None:
         self.schedule = schedule
         self.num_shards = num_shards
@@ -778,6 +793,13 @@ class FaultRuntime:
         self._placement_topology = topology if topology is not None else schedule.topology
         if self._placement_topology is not None:
             self._placement_topology.validate_for(num_shards)
+        if warmup is not None and len(warmup) != num_shards:
+            raise ValueError(f"warmup needs one entry per shard ({num_shards})")
+        #: Per-shard warm-up a standby pays when it starts substituting
+        #: (None: every standby is already warm).
+        self.warmup: Optional[Tuple[float, ...]] = (
+            tuple(warmup) if warmup is not None and any(warmup) else None
+        )
         self.alive = [True] * num_shards
         self.factor = [1.0] * num_shards
         self._events = list(schedule.expanded_events)
@@ -930,6 +952,11 @@ class FaultRuntime:
     def advance(self, env: FaultLoopHooks, until: float) -> None:
         """Apply every fault event due at or before ``until``, then flush."""
         changed = False
+        serving = (
+            set(self.active_alive(env.active_count()))
+            if self.warmup is not None
+            else None
+        )
         while self._cursor < len(self._events) and self._events[self._cursor].seconds <= until:
             event = self._events[self._cursor]
             self._cursor += 1
@@ -948,7 +975,30 @@ class FaultRuntime:
                 self.factor[shard] = event.factor
             changed = True
         if changed:
+            if serving is not None:
+                self._warm_substitutes(env, serving, until)
             self.flush(env, until)
+
+    def _warm_substitutes(
+        self, env: FaultLoopHooks, serving: set, now: float
+    ) -> None:
+        """Charge activation warm-up to standbys that start substituting.
+
+        A standby outside the autoscaler's prefix that enters the
+        dispatchable set at ``now`` is being activated, exactly like a
+        scale-up join, so it takes work no earlier than ``now`` plus its
+        warm-up (an AutoGNN shard first programs its bitstream).  A
+        recovered prefix shard rejoins under the recover rule instead.
+        """
+        count = env.active_count()
+        prefix = self.order[:count] if self.order is not None else range(count)
+        for shard in self.active_alive(count):
+            if shard in serving or shard in prefix:
+                continue
+            ready = max(env.busy(shard), now + self.warmup[shard])
+            env.set_busy(shard, ready)
+            if self.planner is not None:
+                self.planner.raise_floor(shard, ready)
 
     def flush(self, env: FaultLoopHooks, now: float) -> None:
         """Wake parked batches at ``now``, oldest first, until one re-parks.
@@ -960,73 +1010,60 @@ class FaultRuntime:
         """
         parked = self.parked
         while parked:
-            head = parked.popleft()
-            self._parked_requests -= len(head.requests)
+            head = parked[0]
             woken = RequestBatch(requests=head.requests, ready_seconds=now)
-            self.dispatch(woken, env, woken=True)
-            if parked and parked[0] is woken:
+            if self.dispatch(woken, env) == DISPATCH_PARKED:
                 return
+            parked.popleft()
+            self._parked_requests -= len(head.requests)
 
     def submit(self, batch: RequestBatch, env: FaultLoopHooks) -> None:
         """Hand a newly formed batch, ready at the event cursor, to the runtime.
 
         While work is parked the batch joins the FIFO's tail without a
         dispatch attempt: it would park too (see the module docstring).
-        Otherwise it is dispatched.
+        Otherwise it is dispatched, and parks at the tail if no live shard
+        can take it.  A batch that parks or leaves its first pick counts as
+        migrated, here and only here.
         """
-        if self.parked:
-            self._park(batch, woken=False)
-        else:
-            self.dispatch(batch, env)
-
-    def _park(self, batch: RequestBatch, woken: bool) -> None:
-        """Hold ``batch`` until a flush wakes it: a woken batch goes back to
-        the head of the FIFO, a new one joins the tail and counts as
-        migrated."""
-        if woken:
-            self.parked.appendleft(batch)
-        else:
+        outcome = DISPATCH_PARKED if self.parked else self.dispatch(batch, env)
+        if outcome == DISPATCH_PARKED:
             self.parked.append(batch)
+            self._parked_requests += len(batch.requests)
+        if outcome != DISPATCH_PLACED:
             self.migrated += len(batch.requests)
-        self._parked_requests += len(batch.requests)
 
-    def dispatch(
-        self, batch: RequestBatch, env: FaultLoopHooks, woken: bool = False
-    ) -> None:
-        """Dispatch ``batch`` with full fault semantics (park / migrate /
-        in-flight failure / commit).
+    def dispatch(self, batch: RequestBatch, env: FaultLoopHooks) -> str:
+        """Dispatch ``batch`` with full fault semantics (migrate / in-flight
+        failure / commit) and return the outcome.
 
         ``batch`` is ready at the event cursor, so the current live set is
-        the live set at its ready time.  It is either a new batch submitted
-        while nothing is parked or, with ``woken``, the parked head that
-        :meth:`flush` is retrying.
+        the live set at its ready time.  On :data:`DISPATCH_PARKED` no live
+        shard could take it and the caller queues it: :meth:`submit` at the
+        FIFO's tail, :meth:`flush` back at its head.
         """
         if not self.schedule.fault_aware:
             self._dispatch_oblivious(batch, env)
-            return
+            return DISPATCH_PLACED
         active = self.active_alive(env.active_count())
         if not active:
-            self._park(batch, woken)
-            return
+            return DISPATCH_PARKED
         workload = env.merged(batch)
         # A shard whose queue extends past its own next crash would sit the
         # batch behind doomed work; drain to another live candidate instead,
         # and park only when every live shard is doomed.
         candidates = active
-        migrated = False
+        outcome = DISPATCH_PLACED
         while True:
             shard_id = env.pick(batch, workload, candidates)
             start = max(batch.ready_seconds, env.busy(shard_id))
             crash_at = self.next_crash_after(shard_id, batch.ready_seconds)
             if crash_at is None or crash_at > start:
                 break
-            migrated = True
+            outcome = DISPATCH_MOVED
             candidates = [s for s in candidates if s != shard_id]
             if not candidates:
-                self._park(batch, woken)
-                return
-        if migrated and not woken:
-            self.migrated += len(batch.requests)
+                return DISPATCH_PARKED
         report, duration = env.serve(shard_id, workload)
         duration = duration * self.factor[shard_id]
         finish = start + duration
@@ -1039,14 +1076,15 @@ class FaultRuntime:
                 self.planner.raise_floor(shard_id, crash_at)
             for request in batch.requests:
                 self._retry_or_fail(request, crash_at, env)
-            return
+            return outcome
         env.set_busy(shard_id, finish)
         if self.planner is not None:
             self.planner.plan(batch, shard_id, start, duration, report, finish)
-            return
+            return outcome
         env.add_busy(shard_id, duration)
         env.commit(batch, shard_id, start, duration, report, finish)
         self._note_degraded(batch, start, duration, finish)
+        return outcome
 
     def _dispatch_oblivious(self, batch: RequestBatch, env: FaultLoopHooks) -> None:
         """The fault-oblivious baseline: dispatch is blind to liveness.

@@ -11,7 +11,8 @@
    (the fault layer is a strict generalisation of the fault-free loops).
 4. *Parking*: parked work is a FIFO woken at fault instants, so dispatch
    attempts stay linear in batches plus fault events, and a woken batch is
-   dispatched against the live set at its wake instant.
+   dispatched against the live set at its wake instant.  A standby that
+   starts substituting pays its activation warm-up first.
 """
 
 import json
@@ -43,7 +44,7 @@ from repro.serving import (
     TraceArrivals,
     merge_traces,
 )
-from repro.serving.faults import FaultLoopHooks, FaultRuntime
+from repro.serving.faults import DISPATCH_PARKED, FaultLoopHooks, FaultRuntime
 
 NUM_SHARDS = 3
 
@@ -402,7 +403,7 @@ def test_parked_batch_wakes_at_the_fault_instant_on_the_live_set():
         request_id=0, arrival_seconds=2.0, workload=WORKLOAD_POOL[0]
     )
     runtime.advance(env, 2.0)
-    runtime.dispatch(RequestBatch(requests=[request], ready_seconds=2.0), env)
+    runtime.submit(RequestBatch(requests=[request], ready_seconds=2.0), env)
     assert list(runtime.parked) and runtime.backlog_count() == 1
     assert commits == []
     for instant in (3.0, 4.0, 5.0, 20.0):
@@ -414,6 +415,38 @@ def test_parked_batch_wakes_at_the_fault_instant_on_the_live_set():
     assert runtime.migrated == 1
 
 
+def test_substituting_standby_pays_its_activation_warmup():
+    """One active shard and one standby, 0.3 s warm-up each.  Shard 0
+    crashes at t=1: standby 1 starts substituting and, like a scale-up
+    join, takes work only once warm (t=1.3).  Shard 0 recovers at t=2 and
+    rejoins under the recover rule, with no warm-up."""
+    schedule = FaultSchedule(
+        events=(
+            FaultEvent(seconds=1.0, shard_id=0, kind=FAULT_CRASH),
+            FaultEvent(seconds=2.0, shard_id=0, kind=FAULT_RECOVER),
+        ),
+    )
+    runtime = schedule.runtime(2, warmup=(0.3, 0.3))
+    busy = [0.5, 0.0]
+    commits = []
+    env = _hooks(busy, commits, active_count=1)
+
+    def batch(request_id, ready):
+        request = InferenceRequest(
+            request_id=request_id, arrival_seconds=ready, workload=WORKLOAD_POOL[0]
+        )
+        return RequestBatch(requests=[request], ready_seconds=ready)
+
+    runtime.advance(env, 1.0)
+    assert busy == [0.5, 1.3]
+    runtime.submit(batch(0, 1.0), env)
+    runtime.advance(env, 2.0)
+    assert busy == [2.0, 1.8]
+    runtime.submit(batch(1, 2.0), env)
+    # (shard, ready, start)
+    assert commits == [(1, 1.0, 1.3), (0, 2.0, 2.0)]
+
+
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16),
        fault_seed=st.integers(min_value=0, max_value=2**16))
@@ -421,10 +454,10 @@ def test_dispatch_attempts_are_linear_in_batches_and_faults(services, seed, faul
     """At ~0.9 load under random outages, dispatch attempts stay linear in
     batches plus fault events.  Each batch the loop forms is submitted once
     and dispatched at most once from there; a parked batch is retried only
-    at a flush, and a flush stops at the first batch that parks again:
-    ``calls <= formed + wakes + flushes``, where ``wakes`` counts parked
-    batches that left the FIFO, ``wakes <= formed``, and there is at most
-    one flush per applied fault instant."""
+    at a flush, and a flush stops at the first batch that parks again.  So
+    ``wakes <= formed`` (``wakes``: flush attempts that did not park),
+    ``reparks <= flushes``, there is at most one flush per applied fault
+    instant, and ``calls <= formed + wakes + reparks``."""
     trace = _trace(seed, num_requests=400, rate_rps=140.0)
     faults = RandomFaults(
         num_shards=NUM_SHARDS,
@@ -435,7 +468,7 @@ def test_dispatch_attempts_are_linear_in_batches_and_faults(services, seed, faul
         retry_backoff_seconds=0.01,
         seed=fault_seed,
     ).schedule()
-    counts = {"formed": 0, "calls": 0, "wakes": 0, "flushes": 0}
+    counts = {"formed": 0, "calls": 0, "wakes": 0, "reparks": 0, "flushes": 0}
     in_flush = [False]
     submit, dispatch, flush = FaultRuntime.submit, FaultRuntime.dispatch, FaultRuntime.flush
 
@@ -445,10 +478,10 @@ def test_dispatch_attempts_are_linear_in_batches_and_faults(services, seed, faul
 
     def counted_dispatch(self, *args, **kwargs):
         counts["calls"] += 1
-        before = len(self.parked)
-        dispatch(self, *args, **kwargs)
-        if in_flush[0] and len(self.parked) <= before:
-            counts["wakes"] += 1
+        outcome = dispatch(self, *args, **kwargs)
+        if in_flush[0]:
+            counts["reparks" if outcome == DISPATCH_PARKED else "wakes"] += 1
+        return outcome
 
     def counted_flush(self, *args, **kwargs):
         counts["flushes"] += 1
@@ -464,8 +497,9 @@ def test_dispatch_attempts_are_linear_in_batches_and_faults(services, seed, faul
         patch.setattr(FaultRuntime, "flush", counted_flush)
         report = _cluster(services).serve_trace(trace, config=ServingConfig(faults=faults))
     assert report.goodput.offered == len(trace)
-    assert counts["calls"] <= counts["formed"] + counts["wakes"] + counts["flushes"], counts
+    assert counts["calls"] <= counts["formed"] + counts["wakes"] + counts["reparks"], counts
     assert counts["wakes"] <= counts["formed"], counts
+    assert counts["reparks"] <= counts["flushes"], counts
     assert counts["flushes"] <= len({e.seconds for e in faults.expanded_events}), counts
 
 
