@@ -183,141 +183,24 @@ class LatencyStats:
         }
 
 
-class P2Quantile:
-    """Single-pass quantile estimate (Jain & Chlamtac's P² algorithm).
-
-    Maintains five markers in O(1) memory and time per observation — the
-    serving fast engine uses it to expose live percentile estimates while a
-    run is in flight, without holding the sample.  Report-time numbers never
-    come from here: :class:`StreamingLatencyStats` falls back to the exact
-    sorted-sample computation at report boundaries.
-
-    :meth:`estimate` raises on an empty sample instead of returning a
-    sentinel — a ``0.0`` would be indistinguishable from a true
-    zero-latency quantile; callers that want a default should check
-    :attr:`count` first.
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_increments")
-
-    def __init__(self, q: float) -> None:
-        if not 0 < q < 100:
-            raise ValueError("q must be within (0, 100)")
-        self.q = q
-        #: Observations fed so far (0 means :meth:`estimate` would raise).
-        self.count = 0
-        p = q / 100.0
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._increments = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-
-    def push(self, sample: float) -> None:
-        """Feed one observation into the marker state."""
-        heights = self._heights
-        self.count += 1
-        if len(heights) < 5:
-            heights.append(sample)
-            heights.sort()
-            return
-        if sample < heights[0]:
-            heights[0] = sample
-            cell = 0
-        elif sample >= heights[4]:
-            heights[4] = sample
-            cell = 3
-        else:
-            cell = 0
-            while sample >= heights[cell + 1]:
-                cell += 1
-        positions = self._positions
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if not (heights[i - 1] < candidate < heights[i + 1]):
-                    candidate = self._linear(i, step)
-                    # Degenerate markers (duplicate heights among the first
-                    # five samples leave flat spans) can push the linear
-                    # update a hair outside the bracket through float
-                    # error, after which the parabolic update drifts on
-                    # the inverted span; clamp so the marker invariant
-                    # h[i-1] <= h[i] <= h[i+1] always holds.
-                    if candidate < heights[i - 1]:
-                        candidate = heights[i - 1]
-                    elif candidate > heights[i + 1]:
-                        candidate = heights[i + 1]
-                heights[i] = candidate
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        heights, positions = self._heights, self._positions
-        return heights[i] + step / (positions[i + 1] - positions[i - 1]) * (
-            (positions[i] - positions[i - 1] + step)
-            * (heights[i + 1] - heights[i])
-            / (positions[i + 1] - positions[i])
-            + (positions[i + 1] - positions[i] - step)
-            * (heights[i] - heights[i - 1])
-            / (positions[i] - positions[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        heights, positions = self._heights, self._positions
-        j = i + int(step)
-        return heights[i] + step * (heights[j] - heights[i]) / (positions[j] - positions[i])
-
-    def estimate(self) -> float:
-        """Current quantile estimate (exact while fewer than five samples).
-
-        Raises ``ValueError`` when no observation has been pushed yet: an
-        empty estimator has no quantile, and returning ``0.0`` (the old
-        behaviour) was indistinguishable from a true zero-latency sample.
-        """
-        if not self._heights:
-            raise ValueError(
-                "P2Quantile.estimate() on an empty sample; check .count first"
-            )
-        if len(self._heights) < 5:
-            return _percentile_sorted(self._heights, self.q)
-        return float(self._heights[2])
-
-
 class StreamingLatencyStats:
     """Single-pass latency accumulator with an exact report-time summary.
 
     The serving fast engine pushes one sojourn per served request instead of
     collecting them in a Python list of boxed floats: the sample is kept in a
-    compact ``array('d')`` buffer (8 bytes/sample), the mean is accumulated
-    running in push order (bit-identical to ``sum(list)`` over the same
-    order), and P² markers provide O(1) *approximate* percentiles while the
-    run is in flight.  :meth:`stats` sorts the buffer once and produces a
+    compact ``array('d')`` buffer (8 bytes/sample) and the mean is
+    accumulated running in push order (bit-identical to ``sum(list)`` over
+    the same order).  :meth:`stats` sorts the buffer once and produces a
     :class:`LatencyStats` that is bit-identical to
-    ``LatencyStats.from_samples`` on the same push sequence — the exact
-    fallback that report boundaries (and the golden-report byte-stability
-    tests) rely on.
+    ``LatencyStats.from_samples`` on the same push sequence, which the
+    golden-report byte-stability tests rely on.
     """
 
-    __slots__ = ("_samples", "_sum", "_p2")
+    __slots__ = ("_samples", "_sum")
 
-    #: Percentiles tracked by the live P² estimators.
-    APPROX_QUANTILES = (50.0, 95.0, 99.0)
-
-    def __init__(self, track_approx: bool = True) -> None:
+    def __init__(self) -> None:
         self._samples = array("d")
         self._sum = 0.0
-        # track_approx=False skips the per-push P² marker updates for hot
-        # paths that only need the exact report-time summary (the serving
-        # fast engine); approx_percentile then raises.
-        self._p2 = (
-            {q: P2Quantile(q) for q in self.APPROX_QUANTILES} if track_approx else {}
-        )
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -336,9 +219,6 @@ class StreamingLatencyStats:
         """Accumulate one latency sample."""
         self._samples.append(sample)
         self._sum += sample
-        if self._p2:
-            for marker in self._p2.values():
-                marker.push(sample)
 
     def extend(self, samples) -> None:
         """Bulk-accumulate ``samples`` (a float64 ndarray or any iterable).
@@ -347,14 +227,8 @@ class StreamingLatencyStats:
         running sum folds left-to-right (``numpy.add.accumulate`` is a
         sequential fold, unlike ``numpy.sum``'s pairwise reduction), so a
         later :meth:`stats` cannot tell the chunked path from the per-event
-        one.  This is the serving engine's array-native hot path; with P²
-        tracking enabled it falls back to per-sample pushes because the
-        marker state is inherently sequential.
+        one.  This is the serving engine's array-native hot path.
         """
-        if self._p2:
-            for sample in samples:
-                self.push(sample)
-            return
         import numpy as np
 
         chunk = np.ascontiguousarray(samples, dtype=np.float64)
@@ -367,18 +241,6 @@ class StreamingLatencyStats:
         acc[0] = self._sum
         acc[1:] = chunk
         self._sum = float(np.add.accumulate(acc)[-1])
-
-    def approx_percentile(self, q: float) -> float:
-        """Live P² estimate for one of :data:`APPROX_QUANTILES` (O(1)).
-
-        Raises ``KeyError`` for untracked quantiles, including every
-        quantile when the accumulator was built with ``track_approx=False``.
-        """
-        if q not in self._p2:
-            raise KeyError(
-                f"no live estimator for q={q}; tracked: {tuple(self._p2)}"
-            )
-        return self._p2[q].estimate()
 
     def stats(self) -> LatencyStats:
         """Exact summary — bit-identical to ``LatencyStats.from_samples``."""

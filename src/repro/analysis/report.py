@@ -122,31 +122,6 @@ def format_timeline(title: str, events: Sequence[object]) -> str:
     return format_table(title, columns, rows)
 
 
-def format_domain_outages(title: str, domain_stats: Sequence[object]) -> str:
-    """Format per-failure-domain outage accounting as a table.
-
-    Each entry must expose ``domain``/``shards``/``outages``/
-    ``outage_seconds``/``downtime_seconds`` attributes (duck-typed against
-    :class:`~repro.serving.faults.DomainOutageStats`).  ``outage_seconds``
-    counts whole-domain blackout time (every member down at once);
-    ``downtime_seconds`` sums the members' individual dead time.  The
-    interval-level view renders through :func:`format_timeline` via
-    ``FaultStats.domain_timeline()``.
-    """
-    columns = ["domain", "shards", "outages", "outage_s", "downtime_s"]
-    rows = [
-        [
-            stats.domain,
-            len(stats.shards),
-            stats.outages,
-            stats.outage_seconds,
-            stats.downtime_seconds,
-        ]
-        for stats in domain_stats
-    ]
-    return format_table(title, columns, rows)
-
-
 def format_tenant_table(title: str, tenant_stats: Mapping[str, object]) -> str:
     """Format per-tenant serving accounting as a table.
 

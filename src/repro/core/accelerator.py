@@ -71,15 +71,6 @@ class PreprocessingTiming:
         """Preprocessing latency in seconds at the kernel clock."""
         return self.total_cycles / self.clock_hz
 
-    def task_seconds(self) -> Dict[str, float]:
-        """Per-task latency in seconds, keyed by the paper's task names."""
-        return {
-            "ordering": self.ordering_cycles / self.clock_hz,
-            "reshaping": self.reshaping_cycles / self.clock_hz,
-            "selecting": self.selecting_cycles / self.clock_hz,
-            "reindexing": self.reindexing_cycles / self.clock_hz,
-        }
-
     def breakdown(self) -> Dict[str, int]:
         """Per-task cycle counts keyed by the paper's task names."""
         return {

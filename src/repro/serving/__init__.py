@@ -3,11 +3,11 @@
 This package lifts the reproduction from single-pass modelling to a served
 traffic regime:
 
-* :mod:`repro.serving.requests` — timestamped, tenant-tagged requests, the
-  request queue, open/closed-loop and burst/diurnal (:class:`BurstyArrivals`)
-  arrival generators over workload profiles, multi-tenant trace merging
-  (:func:`merge_traces`) and the online arrival sources (trace replay,
-  co-simulated closed-loop clients).
+* :mod:`repro.serving.requests` — timestamped, tenant-tagged requests,
+  open-loop and burst/diurnal (:class:`BurstyArrivals`) arrival generators
+  over workload profiles, multi-tenant trace merging (:func:`merge_traces`)
+  and the online arrival sources (trace replay, co-simulated closed-loop
+  clients).
 * :mod:`repro.serving.scheduler` — size-or-timeout coalescing of compatible
   requests into batched preprocessing passes, with optional weighted-fair
   (deficit round-robin) slot allocation across tenants
@@ -61,11 +61,9 @@ traffic regime:
 from repro.serving.requests import (
     DEFAULT_TENANT,
     BurstyArrivals,
-    ClosedLoopArrivals,
     ClosedLoopClients,
     InferenceRequest,
     OpenLoopArrivals,
-    RequestQueue,
     RequestTrace,
     TraceArrays,
     TraceArrivals,
@@ -83,7 +81,6 @@ from repro.serving.cluster import (
     ServedRequest,
     ShardedServiceCluster,
     ShedRecord,
-    build_reference_clusters,
 )
 from repro.serving.topology import (
     PLACEMENT_DENSE,
@@ -133,10 +130,8 @@ __all__ = [
     "InferenceRequest",
     "RequestTrace",
     "TraceArrays",
-    "RequestQueue",
     "DEFAULT_TENANT",
     "OpenLoopArrivals",
-    "ClosedLoopArrivals",
     "ClosedLoopClients",
     "BurstyArrivals",
     "merge_traces",
@@ -150,7 +145,6 @@ __all__ = [
     "ShedRecord",
     "ClusterReport",
     "ReportAggregates",
-    "build_reference_clusters",
     "DISPATCH_POLICIES",
     "ENGINES",
     "ENGINE_REFERENCE",

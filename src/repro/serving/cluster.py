@@ -67,8 +67,8 @@ from repro.serving.faults import (
 from repro.serving.requests import InferenceRequest, RequestTrace, TraceArrivals
 from repro.serving.scheduler import BatchScheduler, RequestBatch
 from repro.serving.topology import PLACEMENT_SPREAD, PLACEMENTS, ClusterTopology
-from repro.system.service import GNNService, ServiceReport, build_services
-from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
+from repro.system.service import GNNService, ServiceReport
+from repro.system.workload import QUALITY_DEGRADED
 
 #: Dispatch policies: cycle shards, pick the earliest-free shard, or prefer
 #: shards whose reconfigurable state already suits the batch (falling back to
@@ -1499,36 +1499,3 @@ class ShardedServiceCluster:
                 leases.finish(run.last_finish) if leases is not None else None
             ),
         )
-
-    def serve_workloads(self, workloads: List[WorkloadProfile]) -> ClusterReport:
-        """Serve a plain workload list as a zero-gap trace (back-to-back)."""
-        requests = [
-            InferenceRequest(request_id=i, arrival_seconds=0.0, workload=w)
-            for i, w in enumerate(workloads)
-        ]
-        return self.serve_trace(RequestTrace(requests))
-
-
-def build_reference_clusters(
-    num_shards: int = 1,
-    scheduler: Optional[BatchScheduler] = None,
-    policy: str = POLICY_LEAST_LOADED,
-    tuning_workload: Optional[WorkloadProfile] = None,
-    engine: str = ENGINE_FAST,
-) -> Dict[str, ShardedServiceCluster]:
-    """Sharded clusters for all seven compared systems of Fig. 18.
-
-    Every cluster can be driven by the same traffic trace, which is how the
-    serving benchmark compares CPU / GPU / GSamp / FPGA / AutoPre / StatPre /
-    DynPre under identical offered load.
-    """
-    return {
-        name: ShardedServiceCluster(
-            service,
-            num_shards=num_shards,
-            scheduler=scheduler,
-            policy=policy,
-            engine=engine,
-        )
-        for name, service in build_services(tuning_workload).items()
-    }

@@ -141,9 +141,7 @@ class _RunAccumulator:
     )
 
     def __init__(self, slo: Optional["SLOPolicy"]) -> None:
-        # Exact report-time stats only: skip the per-push P² marker updates
-        # (live approximate percentiles) in the per-request hot path.
-        self.latency = StreamingLatencyStats(track_approx=False)
+        self.latency = StreamingLatencyStats()
         self.batching_sum = 0.0
         self.dispatch_sum = 0.0
         self.service_sum = 0.0
@@ -174,7 +172,7 @@ class _RunAccumulator:
         degraded = request.workload.quality == QUALITY_DEGRADED
         per_tenant = self.tenant_latency.get(tenant)
         if per_tenant is None:
-            per_tenant = StreamingLatencyStats(track_approx=False)
+            per_tenant = StreamingLatencyStats()
             self.tenant_latency[tenant] = per_tenant
         per_tenant.push(sojourn)
         self.tenant_served[tenant] = self.tenant_served.get(tenant, 0) + 1
@@ -717,7 +715,7 @@ def _serve_trace_chunked(
             # A pool entry no surviving request references (merge dedupe
             # keeps it) — the reference accumulator never sees the tenant.
             continue
-        stats = StreamingLatencyStats(track_approx=False)
+        stats = StreamingLatencyStats()
         # Boolean masking preserves served order, so the per-tenant fold
         # carries the same rounding trail as the reference per-tenant push.
         stats.extend(sojourn[mask])

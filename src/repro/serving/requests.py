@@ -1,18 +1,17 @@
-"""Timestamped inference requests, the request queue and arrival generators.
+"""Timestamped inference requests, request traces and arrival generators.
 
 The serving layer models traffic instead of a bare workload list: every
 :class:`InferenceRequest` carries a simulated arrival timestamp, a
 :class:`RequestTrace` is an arrival-ordered sequence of requests, and the
-generators turn a mix of :class:`~repro.system.workload.WorkloadProfile`\\ s
-into a trace either open-loop (requests arrive at a fixed offered rate, no
-matter how the service keeps up) or closed-loop (a fixed client population
-issues the next request only after the previous one is estimated to finish).
+open-loop generators (:class:`OpenLoopArrivals`, :class:`BurstyArrivals`)
+turn a mix of :class:`~repro.system.workload.WorkloadProfile`\\ s into a
+trace whose requests arrive at an offered rate no matter how the service
+keeps up.
 
 For the online event loop in :mod:`repro.serving.cluster` there are two
 arrival *sources*: :class:`TraceArrivals` replays a fixed trace, and
 :class:`ClosedLoopClients` co-simulates a client population whose next
-arrivals are fed by the cluster's actual finish (or shed) times rather than
-an estimate.
+arrivals are fed by the cluster's actual finish (or shed) times.
 
 All timestamps are simulated seconds; nothing in this module reads the wall
 clock, so traces are fully deterministic under a seed.
@@ -25,7 +24,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -399,60 +398,6 @@ class RequestTrace:
         )
 
 
-class RequestQueue:
-    """A time-ordered queue of pending inference requests.
-
-    Requests may be pushed in any order; the queue always pops the earliest
-    arrival first, and ``pop_ready`` drains every request that has arrived
-    by a given simulated time.  This is the online front-end of the serving
-    layer (a driver feeds arrivals in as they happen); the offline
-    :class:`~repro.serving.scheduler.BatchScheduler` replay path iterates a
-    complete :class:`RequestTrace` directly instead.
-    """
-
-    def __init__(self, requests: Optional[Sequence[InferenceRequest]] = None) -> None:
-        self._heap: List[tuple] = []
-        self._pushes = 0
-        for request in requests or ():
-            self.push(request)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, request: InferenceRequest) -> None:
-        """Add a request (arrival timestamps need not be monotone).
-
-        Simultaneous arrivals (equal timestamps) pop in FIFO push order: the
-        tiebreaker is a per-queue push counter, never the request itself, so
-        duplicate ids or identical requests cannot raise a comparison error
-        and cannot reorder each other.
-        """
-        heapq.heappush(self._heap, (request.arrival_seconds, self._pushes, request))
-        self._pushes += 1
-
-    def peek_arrival(self) -> Optional[float]:
-        """Arrival time of the earliest pending request (None when empty)."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def pop(self) -> InferenceRequest:
-        """Remove and return the earliest pending request."""
-        if not self._heap:
-            raise IndexError("pop from an empty RequestQueue")
-        return heapq.heappop(self._heap)[2]
-
-    def pop_ready(self, now_seconds: float) -> List[InferenceRequest]:
-        """Remove and return every request that has arrived by ``now_seconds``."""
-        ready: List[InferenceRequest] = []
-        while self._heap and self._heap[0][0] <= now_seconds:
-            ready.append(self.pop())
-        return ready
-
-
 def _workload_picks(
     workloads: Sequence[WorkloadProfile], rng: np.random.Generator, count: int
 ) -> np.ndarray:
@@ -489,8 +434,8 @@ class OpenLoopArrivals:
     tenant: str = DEFAULT_TENANT
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
+        if not (math.isfinite(self.rate_rps) and self.rate_rps > 0):
+            raise ValueError(f"rate_rps must be a finite number > 0, got {self.rate_rps}")
         if self.process not in ARRIVAL_PROCESSES:
             raise ValueError(
                 f"unknown arrival process {self.process!r}; expected one of {ARRIVAL_PROCESSES}"
@@ -518,87 +463,6 @@ class OpenLoopArrivals:
             picks,
             tenant_pool=[self.tenant],
             tenant_index=np.zeros(num_requests, dtype=np.int64),
-        )
-
-
-@dataclass
-class ClosedLoopArrivals:
-    """Closed-loop traffic: ``num_clients`` clients issue one request at a
-    time and think for ``think_seconds`` between requests.
-
-    The generator is decoupled from the cluster, so a client's next issue
-    time uses ``service_time_fn`` as an *estimate* of its previous request's
-    completion (a co-simulated closed loop would feed actual finish times
-    back; the estimate keeps trace generation deterministic and reusable
-    across clusters being compared on identical traffic).
-
-    Attributes:
-        workloads: the workload mix requests are drawn from (uniformly).
-        num_clients: concurrent client population.
-        think_seconds: idle time between a completion estimate and the next
-            request of the same client.
-        service_time_fn: estimated service latency of one workload (seconds).
-        seed: RNG seed for workload picks.
-        tenant: tenant identity stamped on every generated request.
-    """
-
-    workloads: Sequence[WorkloadProfile]
-    num_clients: int
-    think_seconds: float = 0.0
-    service_time_fn: Optional[Callable[[WorkloadProfile], float]] = None
-    seed: int = 0
-    tenant: str = DEFAULT_TENANT
-
-    def __post_init__(self) -> None:
-        if self.num_clients <= 0:
-            raise ValueError("num_clients must be positive")
-        if self.think_seconds < 0:
-            raise ValueError("think_seconds must be non-negative")
-
-    def trace(self, num_requests: int) -> RequestTrace:
-        """Generate a trace of ``num_requests`` timestamped requests."""
-        if num_requests <= 0:
-            raise ValueError("num_requests must be positive")
-        rng = np.random.default_rng(self.seed)
-        estimate = self.service_time_fn or (lambda workload: 0.0)
-        pool = list(self.workloads)
-        picks = _workload_picks(pool, rng, num_requests)
-        # Min-heap of (next issue time, client id): clients start staggered at
-        # t = 0 so the first wave arrives together, like a load generator.
-        clients = [(0.0, c) for c in range(self.num_clients)]
-        heapq.heapify(clients)
-        arrivals = np.empty(num_requests, dtype=np.float64)
-        for i, pick in enumerate(picks.tolist()):
-            issue_at, client = heapq.heappop(clients)
-            arrivals[i] = issue_at
-            done_estimate = issue_at + max(estimate(pool[pick]), 0.0)
-            heapq.heappush(clients, (done_estimate + self.think_seconds, client))
-        return RequestTrace.from_arrays(
-            arrivals,
-            pool,
-            picks,
-            tenant_pool=[self.tenant],
-            tenant_index=np.zeros(num_requests, dtype=np.int64),
-        )
-
-    def co_simulated(
-        self, max_requests: int, retry_backoff_seconds: float = 0.0
-    ) -> "ClosedLoopClients":
-        """A co-simulated client population with this generator's parameters.
-
-        Unlike :meth:`trace`, the returned source is driven by the cluster's
-        event loop: each client issues its next request only after the loop
-        reports the previous one *actually* finished (or was shed), so no
-        service-time estimate is involved.
-        """
-        return ClosedLoopClients(
-            workloads=self.workloads,
-            num_clients=self.num_clients,
-            think_seconds=self.think_seconds,
-            seed=self.seed,
-            max_requests=max_requests,
-            retry_backoff_seconds=retry_backoff_seconds,
-            tenant=self.tenant,
         )
 
 

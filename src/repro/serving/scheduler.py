@@ -17,6 +17,7 @@ contract the 1-shard identity test leans on.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -124,8 +125,10 @@ class BatchScheduler:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_wait_seconds < 0:
-            raise ValueError("max_wait_seconds must be non-negative")
+        if not (math.isfinite(max_wait_seconds) and max_wait_seconds >= 0):
+            raise ValueError(
+                f"max_wait_seconds must be a finite number >= 0, got {max_wait_seconds}"
+            )
         if tenant_weights is not None:
             for tenant, weight in tenant_weights.items():
                 if weight <= 0:

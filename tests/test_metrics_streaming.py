@@ -1,4 +1,4 @@
-"""Streaming latency accumulator: exact fallback + P² sanity.
+"""Streaming latency accumulator: exact summary and bulk extend.
 
 The fast engine's report aggregates are only sound if
 ``StreamingLatencyStats.stats()`` is *bit-identical* to
@@ -6,14 +6,11 @@ The fast engine's report aggregates are only sound if
 not approximately: the golden-report suite compares rendered JSON bytes.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.metrics import (
     LatencyStats,
-    P2Quantile,
     StreamingLatencyStats,
     percentile,
 )
@@ -60,118 +57,6 @@ class TestStreamingExactFallback:
             percentile(values, -1)
 
 
-class TestP2Quantile:
-    def test_exact_below_five_samples(self):
-        estimator = P2Quantile(50)
-        for sample in (3.0, 1.0):
-            estimator.push(sample)
-        assert estimator.estimate() == 2.0
-
-    def test_rejects_degenerate_quantiles(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0)
-        with pytest.raises(ValueError):
-            P2Quantile(100)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_tracks_exact_percentile_on_uniform_samples(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        samples = [rng.random() for _ in range(800)]
-        accumulator = StreamingLatencyStats()
-        for sample in samples:
-            accumulator.push(sample)
-        for q in StreamingLatencyStats.APPROX_QUANTILES:
-            exact = percentile(samples, q)
-            approx = accumulator.approx_percentile(q)
-            # P² converges to within a few percent of the exact quantile on
-            # well-behaved distributions; this is a monitoring estimate, not
-            # a report value, so the tolerance is loose but bounded.
-            assert math.isfinite(approx)
-            assert abs(approx - exact) <= 0.08
-
-    def test_unknown_quantile_rejected(self):
-        accumulator = StreamingLatencyStats()
-        with pytest.raises(KeyError):
-            accumulator.approx_percentile(42.0)
-
-    def test_track_approx_off_skips_markers_but_keeps_exact_stats(self):
-        tracked = StreamingLatencyStats()
-        untracked = StreamingLatencyStats(track_approx=False)
-        for sample in (0.3, 0.1, 0.9, 0.4, 0.7, 0.2):
-            tracked.push(sample)
-            untracked.push(sample)
-        assert untracked.stats() == tracked.stats()
-        with pytest.raises(KeyError):
-            untracked.approx_percentile(50.0)
-
-    def test_empty_estimate_raises_not_zero(self):
-        """An empty sample has no quantile; 0.0 would be indistinguishable
-        from a true zero estimate."""
-        estimator = P2Quantile(95)
-        assert estimator.count == 0
-        with pytest.raises(ValueError, match="empty"):
-            estimator.estimate()
-        estimator.push(0.0)
-        assert estimator.count == 1
-        assert estimator.estimate() == 0.0
-
-    def test_count_tracks_pushes(self):
-        estimator = P2Quantile(50)
-        for i in range(10):
-            estimator.push(float(i))
-        assert estimator.count == 10
-
-    def test_constant_stream_stays_exact(self):
-        """Duplicate heights among the first five samples (degenerate
-        markers) must not drift the estimate off the constant."""
-        estimator = P2Quantile(95)
-        for _ in range(500):
-            estimator.push(2.5)
-        assert estimator.estimate() == 2.5
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        q=st.sampled_from([50.0, 95.0, 99.0]),
-        shape=st.sampled_from(["constant", "near-constant", "heavy-tailed"]),
-    )
-    def test_tracks_exact_percentile_on_adversarial_streams(self, seed, q, shape):
-        """P² stays near the exact quantile on the marker-degenerate shapes:
-        constant, near-constant (rare outliers on a flat stream) and
-        heavy-tailed draws — and the marker heights stay bracketed."""
-        import random
-
-        rng = random.Random(seed)
-        if shape == "constant":
-            samples = [1.0] * 400
-        elif shape == "near-constant":
-            samples = [1.0 if rng.random() > 0.02 else 50.0 for _ in range(400)]
-        else:
-            samples = [rng.paretovariate(1.5) for _ in range(400)]
-        estimator = P2Quantile(q)
-        for sample in samples:
-            estimator.push(sample)
-            heights = estimator._heights
-            assert heights == sorted(heights)
-        exact = percentile(samples, q)
-        span = max(samples) - min(samples)
-        if span == 0.0:
-            assert estimator.estimate() == exact
-        elif shape == "near-constant":
-            # The estimate may sit between the flat mass and an outlier,
-            # but never outside the sample range.
-            assert min(samples) <= estimator.estimate() <= max(samples)
-        else:
-            # Heavy tails are P²'s worst case; bound the error loosely by
-            # the central mass, not the extreme tail.
-            assert abs(estimator.estimate() - exact) <= max(
-                0.5 * exact, percentile(samples, 99.5) - percentile(samples, 50.0)
-            )
-
-
 class TestBulkExtend:
     """``StreamingLatencyStats.extend`` must be bit-identical to pushes."""
 
@@ -181,10 +66,10 @@ class TestBulkExtend:
         import numpy as np
 
         split = min(split, len(samples))
-        pushed = StreamingLatencyStats(track_approx=False)
+        pushed = StreamingLatencyStats()
         for sample in samples:
             pushed.push(sample)
-        extended = StreamingLatencyStats(track_approx=False)
+        extended = StreamingLatencyStats()
         # Prefix via pushes, remainder via one ndarray extend: the chunked
         # engine's pattern (per-tenant folds resume mid-stream).
         for sample in samples[:split]:
@@ -195,27 +80,17 @@ class TestBulkExtend:
         assert extended.stats() == pushed.stats()
 
     def test_extend_accepts_plain_iterables(self):
-        extended = StreamingLatencyStats(track_approx=False)
+        extended = StreamingLatencyStats()
         extended.extend([0.5, 1.5, 2.5])
-        pushed = StreamingLatencyStats(track_approx=False)
+        pushed = StreamingLatencyStats()
         for sample in (0.5, 1.5, 2.5):
             pushed.push(sample)
         assert extended.stats() == pushed.stats()
 
-    def test_extend_with_p2_tracking_falls_back_to_pushes(self):
-        tracked = StreamingLatencyStats()
-        tracked.extend([0.3, 0.1, 0.9, 0.4, 0.7, 0.2, 0.8])
-        reference = StreamingLatencyStats()
-        for sample in (0.3, 0.1, 0.9, 0.4, 0.7, 0.2, 0.8):
-            reference.push(sample)
-        assert tracked.stats() == reference.stats()
-        for q in StreamingLatencyStats.APPROX_QUANTILES:
-            assert tracked.approx_percentile(q) == reference.approx_percentile(q)
-
     def test_extend_empty_chunk_is_noop(self):
         import numpy as np
 
-        accumulator = StreamingLatencyStats(track_approx=False)
+        accumulator = StreamingLatencyStats()
         accumulator.push(1.0)
         accumulator.extend(np.empty(0, dtype=np.float64))
         assert accumulator.count == 1

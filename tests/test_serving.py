@@ -13,15 +13,12 @@ from conftest import make_profile as profile, zero_gap_trace
 from repro.analysis.metrics import LatencyStats, percentile
 from repro.serving import (
     BatchScheduler,
-    ClosedLoopArrivals,
     InferenceRequest,
     OpenLoopArrivals,
     POLICY_LOCALITY,
     POLICY_ROUND_ROBIN,
-    RequestQueue,
     RequestTrace,
     ShardedServiceCluster,
-    build_reference_clusters,
 )
 from repro.system.service import GNNService, build_reference_systems
 from repro.system.workload import WorkloadProfile
@@ -56,55 +53,6 @@ class TestLatencyStats:
 
 
 # ---------------------------------------------------------------- requests
-class TestRequestQueue:
-    def test_pops_in_arrival_order(self):
-        w = profile()
-        queue = RequestQueue()
-        queue.push(InferenceRequest(1, 2.0, w))
-        queue.push(InferenceRequest(0, 1.0, w))
-        assert queue.peek_arrival() == 1.0
-        assert queue.pop().request_id == 0
-        assert queue.pop().request_id == 1
-        with pytest.raises(IndexError):
-            queue.pop()
-
-    def test_pop_ready_drains_by_time(self):
-        w = profile()
-        queue = RequestQueue(
-            [InferenceRequest(i, float(i), w) for i in range(5)]
-        )
-        ready = queue.pop_ready(2.5)
-        assert [r.request_id for r in ready] == [0, 1, 2]
-        assert len(queue) == 2
-
-    def test_simultaneous_arrivals_pop_in_fifo_order(self):
-        # Regression: equal timestamps must preserve push (FIFO) order, even
-        # when request ids are not pushed in ascending order.
-        w = profile()
-        queue = RequestQueue()
-        for request_id in (5, 1, 3):
-            queue.push(InferenceRequest(request_id, 2.0, w))
-        queue.push(InferenceRequest(0, 1.0, w))
-        assert queue.peek_arrival() == 1.0
-        assert [queue.pop().request_id for _ in range(4)] == [0, 5, 1, 3]
-
-    def test_pop_ready_keeps_fifo_order_within_one_timestamp(self):
-        w = profile()
-        queue = RequestQueue()
-        for request_id in (2, 0, 1):
-            queue.push(InferenceRequest(request_id, 1.0, w))
-        assert [r.request_id for r in queue.pop_ready(1.0)] == [2, 0, 1]
-
-    def test_duplicate_ids_do_not_raise(self):
-        # Regression: the heap tiebreaker must never compare the (orderless)
-        # request objects themselves, even for identical (time, id) pairs.
-        w = profile()
-        queue = RequestQueue()
-        queue.push(InferenceRequest(7, 1.0, w))
-        queue.push(InferenceRequest(7, 1.0, w))
-        assert len(queue.pop_ready(1.0)) == 2
-
-
 class TestArrivals:
     def test_open_loop_deterministic_and_sorted(self):
         mix = [profile("a"), profile("b")]
@@ -127,23 +75,22 @@ class TestArrivals:
         with pytest.raises(ValueError):
             OpenLoopArrivals([profile()], rate_rps=1.0).trace(0)
 
-    def test_closed_loop_limits_concurrency(self):
-        service_time = 0.010
-        gen = ClosedLoopArrivals(
-            [profile()],
-            num_clients=3,
-            think_seconds=0.0,
-            service_time_fn=lambda w: service_time,
-        )
-        trace = gen.trace(30)
-        # With 3 clients and 10 ms per request, at most 3 requests can share
-        # any arrival instant and gaps between waves are the service time.
-        arrivals = [r.arrival_seconds for r in trace]
-        assert arrivals == sorted(arrivals)
-        for wave_start in range(0, 30, 3):
-            wave = arrivals[wave_start : wave_start + 3]
-            assert max(wave) - min(wave) < 1e-12
-        assert arrivals[3] - arrivals[0] == pytest.approx(service_time)
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: BatchScheduler(max_wait_seconds=v), "max_wait_seconds must be a finite"),
+        (lambda v: OpenLoopArrivals([profile()], rate_rps=v), "rate_rps must be a finite"),
+    ],
+    ids=["max_wait_seconds", "rate_rps"],
+)
+def test_non_finite_inputs_rejected_at_construction(build, message, value):
+    # If accepted, a NaN wait would crash serve_trace deep in the engine,
+    # an infinite one would render p99=nan and a NaN rate would yield NaN
+    # arrivals.
+    with pytest.raises(ValueError, match=message):
+        build(value)
 
 
 # --------------------------------------------------------------- scheduler
@@ -294,26 +241,21 @@ class TestShardedServiceCluster:
         assert payload["num_requests"] == 8
         assert payload["throughput_rps"] > 0
 
-    def test_all_seven_clusters_share_one_trace(self):
+    def test_all_seven_clusters_share_one_trace(self, services):
         trace = OpenLoopArrivals(
             [WorkloadProfile.from_dataset("PH")], rate_rps=200.0, seed=11
         ).trace(10)
-        clusters = build_reference_clusters(
-            num_shards=2, scheduler=BatchScheduler(max_batch_size=2, max_wait_seconds=0.01)
-        )
+        scheduler = BatchScheduler(max_batch_size=2, max_wait_seconds=0.01)
+        clusters = {
+            name: ShardedServiceCluster(service, num_shards=2, scheduler=scheduler)
+            for name, service in services.items()
+        }
         assert set(clusters) == {"CPU", "GPU", "GSamp", "FPGA", "AutoPre", "StatPre", "DynPre"}
         for name, cluster in clusters.items():
             report = cluster.serve_trace(trace)
             assert report.system == name
             assert report.num_requests == 10
             assert report.throughput_rps > 0
-
-    def test_serve_workloads_back_to_back(self, services):
-        report = ShardedServiceCluster(services["CPU"], num_shards=2).serve_workloads(
-            [profile("a"), profile("b"), profile("a")]
-        )
-        assert report.num_requests == 3
-        assert report.makespan_seconds > 0
 
     def test_rejects_bad_params(self, services):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@
 """
 
 import pytest
-from conftest import SYSTEM_NAMES, WORKLOAD_POOL
+from conftest import SYSTEM_NAMES, WORKLOAD_POOL, zero_gap_trace
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
@@ -116,7 +116,7 @@ def test_identity_holds_for_every_system_on_fixed_sequence(services):
         cluster = ShardedServiceCluster(
             services[name], num_shards=1, scheduler=BatchScheduler(max_batch_size=1)
         )
-        got = cluster.serve_workloads(workloads).service_reports()
+        got = cluster.serve_trace(zero_gap_trace(workloads)).service_reports()
         expected = services[name].replicate().serve_many(workloads)
         assert got == expected, f"identity violated for {name}"
 
