@@ -46,7 +46,6 @@ from repro.serving import (
     Autoscaler,
     BatchScheduler,
     ClosedLoopClients,
-    ServingController,
     ServingConfig,
     ShardedServiceCluster,
     SLOPolicy,
@@ -175,9 +174,9 @@ def run(quick: bool = False) -> Dict:
         scale_down_depth=0.5 * MAX_BATCH_SIZE,
         hysteresis_observations=3,
     )
-    controlled = ServingController(
-        controlled_cluster, slo=slo, autoscaler=autoscaler
-    ).serve(clients())
+    controlled = controlled_cluster.serve_online(
+        clients(), config=ServingConfig(slo=slo, admit=True, autoscaler=autoscaler)
+    )
 
     stats_by_label = {
         "uncontrolled": uncontrolled.latency,

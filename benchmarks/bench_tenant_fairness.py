@@ -53,7 +53,6 @@ from repro.serving import (
     BatchScheduler,
     BurstyArrivals,
     OpenLoopArrivals,
-    ServingController,
     ServingConfig,
     ShardedServiceCluster,
     SLOPolicy,
@@ -240,9 +239,10 @@ def run(quick: bool = False) -> Dict:
     on_cluster = ShardedServiceCluster(
         template, num_shards=NUM_SHARDS, scheduler=scheduler_on
     )
-    fairness_on = ServingController(
-        on_cluster, slo=slo_on, batch_aware=True
-    ).serve(TraceArrivals(trace))
+    fairness_on = on_cluster.serve_online(
+        TraceArrivals(trace),
+        config=ServingConfig(slo=slo_on, admit=True, batch_aware=True),
+    )
 
     for label, report in (("fairness off", fairness_off), ("fairness on", fairness_on)):
         print("\n" + format_tenant_table(f"{label}: per-tenant accounting",

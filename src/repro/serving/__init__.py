@@ -27,7 +27,8 @@ traffic regime:
 * :mod:`repro.serving.config` — :class:`ServingConfig`, the validated
   configuration object behind ``serve_trace(trace, config=...)`` /
   ``serve_online(source, config=...)`` and the only way to pass per-run
-  options.
+  options (SLO, admission, degradation, autoscaler, faults).  The engine,
+  topology, placement and scheduler are fixed when the cluster is built.
 * :mod:`repro.serving.faults` — deterministic shard failure injection
   (:class:`FaultSchedule`: crash / recover / slowdown events, or a seeded
   :class:`RandomFaults` generator) with drain-and-migrate recovery, retry
@@ -35,7 +36,8 @@ traffic regime:
   driven by the one event loop on either backend.  The same machinery backs
   *voluntary* drains (:class:`DrainPlanner`): an autoscaler scale-down
   with ``drain=True`` migrates queued work to surviving shards instead of
-  stranding it on the deactivated shard.
+  stranding it on the deactivated shard.  Both drive the event loop's run
+  directly, and every dispatch ends in its one placement step.
 * :mod:`repro.serving.topology` — :class:`ClusterTopology`, the mapping
   from shards to correlated failure domains (racks, zones).  Domain-level
   fault events (``crash_domain`` / ``recover_domain``) expand against it,
@@ -111,7 +113,6 @@ from repro.serving.control import (
     Autoscaler,
     DegradationPolicy,
     ScalingEvent,
-    ServingController,
     SLOPolicy,
     TenantQuota,
 )
@@ -176,7 +177,6 @@ __all__ = [
     "AdmissionDecision",
     "Autoscaler",
     "ScalingEvent",
-    "ServingController",
     "ServingConfig",
     "DegradationPolicy",
     "QUALITY_FULL",

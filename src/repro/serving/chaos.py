@@ -135,7 +135,6 @@ class ChaosScenario:
     num_requests: int = 60
     rate_rps: float = 400.0
     degradation: bool = False
-    via_config_override: bool = False
     policy: str = POLICY_LEAST_LOADED
     fair: bool = False
 
@@ -148,7 +147,6 @@ class ChaosScenario:
             "num_requests": self.num_requests,
             "rate_rps": self.rate_rps,
             "degradation": self.degradation,
-            "via_config_override": self.via_config_override,
             "policy": self.policy,
             "fair": self.fair,
             "topology": self.topology.as_dict() if self.topology else None,
@@ -303,7 +301,6 @@ def _random_scenarios(count: int, seed: int) -> List[ChaosScenario]:
                 provenance=generator.provenance(),
                 trace_seed=seed * 7 + i,
                 degradation=i % 2 == 1,
-                via_config_override=i % 5 == 0,
                 # Every policy meets both shard counts, slowdowns and fair
                 # batching on and off.
                 policy=DISPATCH_POLICIES[(i // 4) % len(DISPATCH_POLICIES)],
@@ -523,7 +520,7 @@ def run_scenario(services, scenario: ChaosScenario) -> Dict[str, object]:
         cluster = ShardedServiceCluster(
             services[CHAOS_SYSTEM], num_shards=scenario.num_shards,
             engine=engine,
-            topology=None if scenario.via_config_override else scenario.topology,
+            topology=scenario.topology,
             scheduler=BatchScheduler(
                 max_batch_size=3, max_wait_seconds=0.003,
                 tenant_weights=CHAOS_TENANT_WEIGHTS if scenario.fair else None,
@@ -534,7 +531,6 @@ def run_scenario(services, scenario: ChaosScenario) -> Dict[str, object]:
             ),
             rebalance_seconds=CHAOS_REBALANCE_SECONDS if locality else None,
         )
-        config_topology = scenario.topology if scenario.via_config_override else None
         source = _CountingSource(trace)
         config = ServingConfig(
             slo=slo,
@@ -546,7 +542,6 @@ def run_scenario(services, scenario: ChaosScenario) -> Dict[str, object]:
                 hysteresis_observations=2,
             ),
             faults=scenario.faults,
-            topology=config_topology,
         )
         report = cluster.serve_online(source, config=config)
         renders[engine] = json.dumps(report.as_dict(), sort_keys=True)

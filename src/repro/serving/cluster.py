@@ -39,7 +39,6 @@ from __future__ import annotations
 import heapq
 import zlib
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
@@ -60,7 +59,7 @@ if TYPE_CHECKING:  # control.py only imports repro.system.workload — no cycle,
 from repro.serving.engine import BACKENDS, ENGINE_FAST, _serve_trace_chunked, check_engine
 from repro.serving.faults import (
     DrainPlanner,
-    FaultLoopHooks,
+    FaultRuntime,
     FaultSchedule,
     FaultStats,
 )
@@ -597,14 +596,16 @@ class ShardLeaseTracker:
 
 
 class _Run:
-    """Accounting of one event-loop run, on either backend.
+    """State and placement step of one event-loop run, on either backend.
 
     Owns everything a committed batch updates — busy totals, per-shard
     request counts, the served records and the backend's streaming
-    aggregates — so the commit that builds :class:`ServedRequest` records
-    exists once, shared by commit-at-dispatch, the drain planner and the
-    fault runtime.  ``on_commit``/``on_failed`` are the loop's own effects
-    of a committed batch and of a permanently failed request.
+    aggregates — and the active shard count the loop's autoscaler writes.
+    The fault runtime and the drain planner drive the run directly, and
+    every dispatch ends in :meth:`place`, so the commit that builds
+    :class:`ServedRequest` records exists once.  ``on_commit``/``on_failed``
+    are the loop's own effects of a committed batch and of a permanently
+    failed request.
     """
 
     def __init__(
@@ -614,12 +615,24 @@ class _Run:
         slo: Optional["SLOPolicy"],
         on_commit: Callable[[RequestBatch, float], None],
         on_failed: Callable[[InferenceRequest, float], None],
+        planner: Optional[DrainPlanner],
+        faults: Optional[FaultRuntime],
     ) -> None:
         self.cluster = cluster
         self.slo = slo
         self.backend = backend(cluster, slo)
-        #: The backend's authoritative busy-until list (read-only here).
+        self.planner = planner
+        self.faults = faults
+        #: Shards the autoscaler keeps active (a prefix of the cluster's
+        #: activation order); the loop writes it.
+        self.active_count = cluster.num_shards
+        #: The backend's authoritative busy-until list (written through
+        #: :attr:`set_busy`).
         self.busy = self.backend.busy
+        self.set_busy = self.backend.set_busy
+        self.merged = self.backend.merged
+        self.serve = self.backend.serve
+        self.pick = self.backend.pick
         self.busy_total = [0.0] * cluster.num_shards
         self.shard_requests = [0] * cluster.num_shards
         self.served: List[ServedRequest] = []
@@ -630,8 +643,51 @@ class _Run:
         self.on_commit = on_commit
         self.on_failed = on_failed
 
-    def add_busy(self, shard_id: int, seconds: float) -> None:
-        self.busy_total[shard_id] += seconds
+    def pick_among(self, batch: RequestBatch, candidates: Sequence[int]) -> int:
+        """The cluster's scan picker over a live subset (the fault runtime's
+        candidates are not an index prefix)."""
+        return self.cluster._pick_shard(batch, self.busy, candidates)
+
+    def hold(self, shard_id: int, seconds: float) -> None:
+        """Move a shard's horizon to ``seconds`` without placing work there.
+
+        The fault runtime does this at recovery rejoins, standby warm-ups
+        and in-flight kills.  Placed work never straddles a crash (a
+        successful dispatch proved no crash lands before its finish), so
+        these are the only horizons a drain must learn about: its floor
+        rises with them.
+        """
+        self.set_busy(shard_id, seconds)
+        if self.planner is not None:
+            self.planner.raise_floor(shard_id, seconds)
+
+    def dispatch(self, batch: RequestBatch) -> None:
+        """Fault-free dispatch: pick an active shard, serve ``batch``, place it."""
+        workload = self.merged(batch)
+        shard_id = self.pick(batch, workload, self.active_count)
+        start = max(batch.ready_seconds, self.busy[shard_id])
+        report, duration = self.serve(shard_id, workload)
+        self.place(batch, shard_id, start, duration, report, start + duration)
+
+    def place(
+        self,
+        batch: RequestBatch,
+        shard_id: int,
+        start: float,
+        duration: float,
+        report: ServiceReport,
+        finish: float,
+    ) -> None:
+        """Occupy ``shard_id`` until ``finish``, then plan or commit ``batch``.
+
+        With a drain planner the commit waits for the batch's start (a
+        scale-down may still migrate it); otherwise it lands now.
+        """
+        self.set_busy(shard_id, finish)
+        if self.planner is not None:
+            self.planner.plan(batch, shard_id, start, duration, report, finish)
+        else:
+            self.commit(batch, shard_id, start, duration, report, finish)
 
     def commit(
         self,
@@ -643,6 +699,7 @@ class _Run:
         finish: float,
     ) -> None:
         """Record a batch whose service on ``shard_id`` is settled."""
+        self.busy_total[shard_id] += duration
         members = batch.requests
         ready = batch.ready_seconds
         batch_size = len(members)
@@ -668,45 +725,8 @@ class _Run:
             if push is not None:
                 push(request, batching_delay, dispatch_delay, duration)
         self.on_commit(batch, finish)
-
-    def dispatch(self, batch: RequestBatch, active_count: int) -> None:
-        """Commit-at-dispatch: pick a shard, serve ``batch`` and commit it."""
-        backend = self.backend
-        workload = backend.merged(batch)
-        shard_id = backend.pick(batch, workload, active_count)
-        start = max(batch.ready_seconds, self.busy[shard_id])
-        report, duration = backend.serve(shard_id, workload)
-        finish = start + duration
-        backend.set_busy(shard_id, finish)
-        self.busy_total[shard_id] += duration
-        self.commit(batch, shard_id, start, duration, report, finish)
-
-    def hooks(self, active_count: Callable[[], int]) -> FaultLoopHooks:
-        """This run's state as seen by the fault runtime and drain planner.
-
-        Their picks go through the cluster's scan picker on either backend:
-        the dispatchable set there is a live subset, not an index prefix.
-        """
-        cluster = self.cluster
-        backend = self.backend
-        busy = self.busy
-        order = cluster._order
-        return FaultLoopHooks(
-            active_count=active_count,
-            active_ids=(
-                (lambda: order[: active_count()]) if order is not None else None
-            ),
-            busy=lambda shard_id: busy[shard_id],
-            set_busy=backend.set_busy,
-            add_busy=self.add_busy,
-            merged=backend.merged,
-            pick=lambda batch, workload, active: cluster._pick_shard(
-                batch, busy, active
-            ),
-            serve=backend.serve,
-            commit=self.commit,
-            on_failed=self.on_failed,
-        )
+        if self.faults is not None:
+            self.faults.note_commit(batch, start, duration, finish)
 
     def report(self, first_arrival: Optional[float], **sections) -> ClusterReport:
         """The run's :class:`ClusterReport` (``sections``: online/fault parts)."""
@@ -771,7 +791,7 @@ class ShardedServiceCluster:
             topology's activation order, locality dispatch hashes to a
             *domain* before a member shard, and fault-time standby
             substitution prefers shards in healthy domains.  ``None``
-            (default) keeps the historical shard-index ordering exactly.
+            (default) activates shards in index order.
         placement: activation-order policy over the topology —
             ``"spread"`` (default) round-robins activation across domains
             so any active prefix spans the maximum number of failure
@@ -809,35 +829,25 @@ class ShardedServiceCluster:
         self.locality_spill_seconds = locality_spill_seconds
         self.rebalance_seconds = rebalance_seconds
         self.engine = engine
-        self._set_topology(topology, placement)
+        if placement not in PLACEMENTS:
+            raise ValueError(
+                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
+            )
+        self.topology = topology
+        self.placement = placement
+        if topology is not None:
+            topology.validate_for(num_shards)
+            order = topology.activation_order(placement)
+        else:
+            order = tuple(range(num_shards))
+        #: The order in which the autoscaler activates shards: an active set
+        #: of ``n`` shards is ``_order[:n]``.
+        self._order = order
         self._reset_dispatch_state()
         # Serve-transition cache shared by every fast-engine run on this
         # cluster: the shards are replicas of one template, so a transition
         # observed on one shard replays soundly on any other.
         self._serve_cache: Dict[tuple, tuple] = {}
-
-    def _set_topology(
-        self, topology: Optional[ClusterTopology], placement: str
-    ) -> None:
-        """Install a failure-domain topology and its activation order.
-
-        ``topology=None`` leaves every dispatch/scaling path on the
-        historical shard-index ordering (``self._order is None``), which is
-        what keeps domain-unaware runs byte-identical to earlier releases.
-        """
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
-        if topology is not None:
-            topology.validate_for(self.num_shards)
-            order: Optional[tuple] = topology.activation_order(placement)
-        else:
-            order = None
-        self.topology = topology
-        self.placement = placement
-        #: Activation order under the topology (None = identity/range order).
-        self._order = order
 
     def _reset_dispatch_state(self) -> None:
         """Reset per-run dispatch memory (round-robin cursor, shard keys).
@@ -854,12 +864,6 @@ class ShardedServiceCluster:
     def num_shards(self) -> int:
         """Number of service replicas."""
         return len(self.shards)
-
-    def _active_ids(self, active_count: int) -> Sequence[int]:
-        """The first ``active_count`` shards in activation order."""
-        if self._order is not None:
-            return self._order[:active_count]
-        return range(active_count)
 
     @property
     def system_name(self) -> str:
@@ -900,7 +904,7 @@ class ShardedServiceCluster:
             if configured:
                 preferred = min(configured, key=lambda i: (busy_until[i], i))
             else:
-                if self._order is not None:
+                if self.topology is not None:
                     preferred = self._domain_home(batch, active)
                 else:
                     preferred = active[_home_shard(batch, len(active))]
@@ -968,42 +972,6 @@ class ShardedServiceCluster:
             return home
         return min(candidates, key=lambda i: (busy_until[i], i))
 
-    @contextmanager
-    def _run_overrides(self, config: "ServingConfig"):
-        """Apply a config's engine/scheduler overrides for one run.
-
-        The cluster's construction-time choices are swapped in-place and
-        restored on exit, so a per-run ``ServingConfig(engine=...,
-        tenant_weights=...)`` never leaks into later runs on the same
-        cluster.
-        """
-        engine = self.engine
-        scheduler = self.scheduler
-        topology = self.topology
-        placement = self.placement
-        order = self._order
-        try:
-            if config.engine is not None:
-                self.engine = config.engine
-            if config.tenant_weights is not None:
-                self.scheduler = BatchScheduler(
-                    max_batch_size=scheduler.max_batch_size,
-                    max_wait_seconds=scheduler.max_wait_seconds,
-                    tenant_weights=dict(config.tenant_weights),
-                )
-            if config.topology is not None or config.placement is not None:
-                self._set_topology(
-                    config.topology if config.topology is not None else topology,
-                    config.placement if config.placement is not None else placement,
-                )
-            yield
-        finally:
-            self.engine = engine
-            self.scheduler = scheduler
-            self.topology = topology
-            self.placement = placement
-            self._order = order
-
     # --------------------------------------------------------------- serving
     def serve_trace(
         self,
@@ -1023,10 +991,9 @@ class ShardedServiceCluster:
         section; the offline path never sheds.  With a ``faults`` schedule
         the replay injects shard crash/recover/slowdown events: doomed
         batches migrate to survivors, in-flight failures retry with
-        backoff, and the report carries a faults section.  Per-run
-        engine, tenant-weight and topology overrides apply for this call
-        only.  Admission control, degradation and autoscaling are
-        online-only and rejected here.
+        backoff, and the report carries a faults section.  Admission
+        control, degradation and autoscaling are online-only and rejected
+        here.
 
         A fast-engine replay with no faults and no fair batching runs the
         array-native chunked loop; every other replay is the online event
@@ -1043,12 +1010,11 @@ class ShardedServiceCluster:
             )
         if not len(trace):
             raise ValueError("cannot serve an empty trace")
-        with self._run_overrides(config):
-            slo = config.scoring_slo()
-            faults = config.resolved_faults()
-            if self.engine == ENGINE_FAST and faults is None and not self.scheduler.fair:
-                return _serve_trace_chunked(self, trace, slo)
-            return self._serve_online_events(TraceArrivals(trace), slo, None, None, faults)
+        slo = config.scoring_slo()
+        faults = config.resolved_faults()
+        if self.engine == ENGINE_FAST and faults is None and not self.scheduler.fair:
+            return _serve_trace_chunked(self, trace, slo)
+        return self._serve_online_events(TraceArrivals(trace), slo, None, None, faults)
 
     def serve_online(
         self,
@@ -1064,8 +1030,7 @@ class ShardedServiceCluster:
         :class:`~repro.serving.requests.ClosedLoopClients` co-simulates a
         client population fed by this loop's actual finish times.
         ``config`` (a :class:`~repro.serving.config.ServingConfig`) carries
-        the whole control plane plus per-run engine, tenant-weight and
-        topology overrides.
+        the whole control plane.
 
         The loop interleaves two event kinds in simulated-time order —
         arrivals and batch-timeout deadlines (ties fire the deadline first,
@@ -1113,14 +1078,13 @@ class ShardedServiceCluster:
                 f"autoscaler max_shards ({autoscaler.max_shards}) exceeds the "
                 f"cluster's shard count ({self.num_shards})"
             )
-        with self._run_overrides(config):
-            return self._serve_online_events(
-                source,
-                config.scoring_slo(),
-                config.resolved_controller(),
-                autoscaler,
-                config.resolved_faults(),
-            )
+        return self._serve_online_events(
+            source,
+            config.scoring_slo(),
+            config.resolved_controller(),
+            autoscaler,
+            config.resolved_faults(),
+        )
 
     def _serve_online_events(
         self,
@@ -1150,12 +1114,6 @@ class ShardedServiceCluster:
         pending_estimates: Dict[int, float] = {}
         # Arrival times of recent sheds: demand the autoscaler must still see.
         recent_sheds: deque = deque()
-        active_count = self.num_shards
-        start_seconds = 0.0
-        if autoscaler is not None:
-            first_peek = source.peek_time()
-            start_seconds = first_peek if first_peek is not None else 0.0
-            active_count = autoscaler.start(start_seconds)
         if admission is not None:
             admission.reset()
         first_arrival: Optional[float] = None
@@ -1181,11 +1139,12 @@ class ShardedServiceCluster:
             if autoscaler is not None
             else None
         )
+        order = self._order
         ctx = (
             faults.runtime(
                 self.num_shards,
                 slo,
-                order=self._order,
+                order=order,
                 topology=self.topology,
                 warmup=warmup,
             )
@@ -1197,15 +1156,6 @@ class ShardedServiceCluster:
             if autoscaler is not None and autoscaler.drain
             else None
         )
-        if ctx is not None and planner is not None:
-            ctx.attach_planner(planner)
-        order = self._order
-
-        leases: Optional[ShardLeaseTracker] = None
-        if autoscaler is not None:
-            leases = ShardLeaseTracker(self.num_shards)
-            for shard_id in self._active_ids(active_count):
-                leases.open(shard_id, start_seconds)
 
         def dispatch_batch(batch: RequestBatch) -> None:
             nonlocal guaranteed_open
@@ -1213,12 +1163,7 @@ class ShardedServiceCluster:
                 for request in batch.requests:
                     if request.tenant in guaranteed_tenants:
                         guaranteed_open -= 1
-            if ctx is not None:
-                ctx.submit(batch, env)
-            elif planner is not None:
-                planner.dispatch(batch, env)
-            else:
-                run.dispatch(batch, active_count)
+            submit(batch)
 
         def close_batch(key: object, ready_seconds: float) -> None:
             nonlocal open_count
@@ -1239,11 +1184,27 @@ class ShardedServiceCluster:
             pending_estimates.pop(request.request_id, None)
             source.on_shed(request, seconds)
 
-        run = _Run(self, BACKENDS[self.engine], slo, commit_online, fail_request)
+        run = _Run(
+            self, BACKENDS[self.engine], slo, commit_online, fail_request, planner, ctx
+        )
         backend = run.backend
         busy = run.busy
         accumulator = backend.accumulator
-        env = run.hooks(lambda: active_count)
+        if ctx is None:
+            submit = run.dispatch
+        else:
+
+            def submit(batch: RequestBatch) -> None:
+                ctx.submit(batch, run)
+
+        leases: Optional[ShardLeaseTracker] = None
+        if autoscaler is not None:
+            first_peek = source.peek_time()
+            start_seconds = first_peek if first_peek is not None else 0.0
+            run.active_count = autoscaler.start(start_seconds)
+            leases = ShardLeaseTracker(self.num_shards)
+            for shard_id in order[: run.active_count]:
+                leases.open(shard_id, start_seconds)
         if planner is not None:
 
             def on_planned(batch: RequestBatch) -> None:
@@ -1312,9 +1273,9 @@ class ShardedServiceCluster:
                         backend.fired()
                         close_batch(expiring[1], expiring[0])
                 elif event == _COMMIT:
-                    planner.commit_next(env)
+                    planner.commit_next(run)
                 elif event == _FAULT:
-                    ctx.advance(env, t_next)
+                    ctx.advance(run, t_next)
                 else:
                     retry_request, retry_now = ctx.pop_retry()
                     enqueue(retry_request, retry_now, retry_request.workload.batch_key)
@@ -1342,7 +1303,7 @@ class ShardedServiceCluster:
                     # Planned-but-uncommitted dispatches are queued work
                     # too; commit-at-dispatch counted them via inflight.
                     queue_depth += planner.planned
-                previous = active_count
+                previous = run.active_count
                 if guaranteed_tenants is not None:
                     guaranteed_depth = guaranteed_open + (
                         1 if request.tenant in guaranteed_tenants else 0
@@ -1352,18 +1313,14 @@ class ShardedServiceCluster:
                     )
                 else:
                     active_count = autoscaler.observe(now, queue_depth)
-                joining = (
-                    order[previous:active_count]
-                    if order is not None
-                    else range(previous, active_count)
-                )
-                for shard_id in joining:
+                run.active_count = active_count
+                for shard_id in order[previous:active_count]:
                     backend.set_busy(
                         shard_id, max(busy[shard_id], now + warmup[shard_id])
                     )
                     leases.open(shard_id, now)
                 if ctx is not None and active_count > previous:
-                    ctx.flush(env, now)
+                    ctx.flush(run, now)
                 if active_count < previous:
                     if planner is not None:
                         if ctx is not None:
@@ -1377,31 +1334,18 @@ class ShardedServiceCluster:
                                 if shard_id not in surviving
                             ]
                         else:
-                            leaving = (
-                                list(order[active_count:previous])
-                                if order is not None
-                                else list(range(active_count, previous))
-                            )
-                        drained, completed = planner.drain(leaving, now, env)
+                            leaving = order[active_count:previous]
+                        drained, completed = planner.drain(leaving, now, run)
                         migrated = 0
                         for stranded in drained:
                             migrated += len(stranded.requests)
-                            rebatch = RequestBatch(
-                                requests=stranded.requests, ready_seconds=now
+                            submit(
+                                RequestBatch(requests=stranded.requests, ready_seconds=now)
                             )
-                            if ctx is not None:
-                                ctx.submit(rebatch, env)
-                            else:
-                                planner.dispatch(rebatch, env)
                         autoscaler.record_drain(migrated, completed)
                     # Leases close after the drain so a drained shard is
                     # billed to its lowered (post-migration) horizon.
-                    departing = (
-                        order[active_count:previous]
-                        if order is not None
-                        else range(active_count, previous)
-                    )
-                    for shard_id in departing:
+                    for shard_id in order[active_count:previous]:
                         leases.close(shard_id, max(now, busy[shard_id]))
             if admission is not None:
                 # Backlog of the least-loaded active shard plus the admitted
@@ -1413,7 +1357,7 @@ class ShardedServiceCluster:
                     # Only live shards can absorb work; with none, the
                     # prediction is unbounded and only guaranteed-tier
                     # traffic gets through (to queue until recovery).
-                    alive = ctx.active_alive(active_count)
+                    alive = ctx.active_alive(run.active_count)
                     if alive:
                         backlog = min(
                             max(busy[i] - now, 0.0) for i in alive
@@ -1421,9 +1365,9 @@ class ShardedServiceCluster:
                     else:
                         backlog = float("inf")
                 else:
-                    backlog = backend.min_backlog(active_count, now) + sum(
+                    backlog = backend.min_backlog(run.active_count, now) + sum(
                         pending_estimates.values()
-                    ) / active_count
+                    ) / run.active_count
                 if fair:
                     # A request the fair batcher would spill pays a full
                     # standalone pass, not the marginal increment of a

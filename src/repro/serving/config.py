@@ -1,15 +1,15 @@
-"""Unified serving configuration: one validated object instead of six kwargs.
+"""Unified serving configuration: one validated object per run.
 
-Six PRs of growth left :meth:`ShardedServiceCluster.serve_trace` /
-:meth:`~repro.serving.cluster.ShardedServiceCluster.serve_online` with a
-sprawling keyword surface spread over three layers — the cluster
-constructor (``engine``), the scheduler (``tenant_weights``), the admission
-controller (``batch_aware``, ``record_decisions``) and the fault schedule
-(``fault_aware``).  :class:`ServingConfig` consolidates all of it behind
-``serve_trace(trace, config=...)`` / ``serve_online(source, config=...)``:
+:class:`ServingConfig` carries everything that varies per run of
+:meth:`~repro.serving.cluster.ShardedServiceCluster.serve_trace` /
+:meth:`~repro.serving.cluster.ShardedServiceCluster.serve_online`: the
+admission controller's knobs (``batch_aware``, ``record_decisions``), the
+fault schedule's health-check awareness (``fault_aware``) and the control
+plane.  What a cluster *is* — its engine, topology, placement and
+scheduler (with its ``tenant_weights``) — is fixed at construction
+(``ShardedServiceCluster(engine=, topology=, placement=)``,
+``BatchScheduler(tenant_weights=)``), so a run never swaps it.
 
-* **engine / tenant_weights** override the cluster's construction-time
-  choices for one run (swapped in and restored afterwards);
 * **slo** scores the run; **controller** (a pre-built
   :class:`~repro.serving.control.AdmissionController`) sheds against it;
 * **admit=True** builds the controller from ``slo`` right here, with the
@@ -30,7 +30,7 @@ controller (``batch_aware``, ``record_decisions``) and the fault schedule
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.serving.control import (
     AdmissionController,
@@ -38,9 +38,7 @@ from repro.serving.control import (
     DegradationPolicy,
     SLOPolicy,
 )
-from repro.serving.engine import check_engine
 from repro.serving.faults import FaultSchedule
-from repro.serving.topology import PLACEMENTS, ClusterTopology
 
 
 @dataclass(frozen=True)
@@ -48,8 +46,6 @@ class ServingConfig:
     """Everything one serving run needs, validated up front.
 
     Attributes:
-        engine: serving engine override for this run (``"reference"`` /
-            ``"fast"``); ``None`` keeps the cluster's own engine.
         slo: latency objectives the run is scored against.  On its own it
             never sheds (score-only).
         controller: a pre-built admission controller.  Mutually exclusive
@@ -73,19 +69,8 @@ class ServingConfig:
         faults: shard crash/recover/slowdown schedule for the run.
         fault_aware: override the schedule's ``fault_aware`` flag (health
             checks on/off) without rebuilding it; requires ``faults``.
-        tenant_weights: weighted-fair batch formation override; replaces
-            the scheduler's ``tenant_weights`` for this run.
-        topology: failure-domain topology override
-            (:class:`~repro.serving.topology.ClusterTopology`) for this run;
-            ``None`` keeps the cluster's own topology.  Domain-aware
-            activation order, locality hashing and healthy-domain standby
-            preference all follow the override.
-        placement: activation-order placement override (``"spread"`` /
-            ``"dense"``); ``None`` keeps the cluster's own placement.  Only
-            meaningful when the run has a topology (its own or overridden).
     """
 
-    engine: Optional[str] = None
     slo: Optional[SLOPolicy] = None
     controller: Optional[AdmissionController] = None
     admit: bool = False
@@ -95,13 +80,8 @@ class ServingConfig:
     autoscaler: Optional[Autoscaler] = None
     faults: Optional[FaultSchedule] = None
     fault_aware: Optional[bool] = None
-    tenant_weights: Optional[Mapping[str, float]] = None
-    topology: Optional[ClusterTopology] = None
-    placement: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None:
-            check_engine(self.engine)
         knobs_touched = (
             self.record_decisions is not True
             or self.batch_aware is not False
@@ -126,16 +106,6 @@ class ServingConfig:
                 )
         if self.fault_aware is not None and self.faults is None:
             raise ValueError("fault_aware requires a faults schedule")
-        if self.tenant_weights is not None:
-            if not self.tenant_weights:
-                raise ValueError("tenant_weights must not be empty")
-            for tenant, weight in self.tenant_weights.items():
-                if weight <= 0:
-                    raise ValueError(f"weight for tenant {tenant!r} must be positive")
-        if self.placement is not None and self.placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {self.placement!r}; expected one of {PLACEMENTS}"
-            )
 
     # ------------------------------------------------------------- resolution
     def scoring_slo(self) -> Optional[SLOPolicy]:

@@ -36,6 +36,7 @@ verdicts themselves are unaffected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional
 
@@ -90,16 +91,26 @@ class TenantQuota:
     degraded_utility: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.guaranteed_rps < 0:
-            raise ValueError("guaranteed_rps must be non-negative")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-        if self.slo_seconds is not None and self.slo_seconds <= 0:
-            raise ValueError("slo_seconds must be positive")
-        if self.limit_rps is not None and self.limit_rps <= 0:
-            raise ValueError("limit_rps must be positive")
-        if self.burst_seconds <= 0:
-            raise ValueError("burst_seconds must be positive")
+        # Negated comparisons (``not x > 0``, not ``x <= 0``) also reject NaN.
+        if not self.guaranteed_rps >= 0:
+            raise ValueError(
+                f"guaranteed_rps must be a number >= 0, got {self.guaranteed_rps}"
+            )
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"weight must be a finite number > 0, got {self.weight}")
+        if self.slo_seconds is not None and not self.slo_seconds > 0:
+            raise ValueError(
+                f"slo_seconds must be a number > 0 (inf: no objective), "
+                f"got {self.slo_seconds}"
+            )
+        if self.limit_rps is not None and not self.limit_rps > 0:
+            raise ValueError(
+                f"limit_rps must be a number > 0 (None: no cap), got {self.limit_rps}"
+            )
+        if not (math.isfinite(self.burst_seconds) and self.burst_seconds > 0):
+            raise ValueError(
+                f"burst_seconds must be a finite number > 0, got {self.burst_seconds}"
+            )
         if self.degraded_utility is not None and not 0.0 <= self.degraded_utility <= 1.0:
             raise ValueError("degraded_utility must be in [0, 1]")
 
@@ -145,13 +156,20 @@ class SLOPolicy:
     excess_rps: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.default_slo_seconds <= 0:
-            raise ValueError("default_slo_seconds must be positive")
+        # Negated comparisons (``not x > 0``, not ``x <= 0``) also reject
+        # NaN; an infinite SLO is valid and never sheds.
+        if not self.default_slo_seconds > 0:
+            raise ValueError(
+                f"default_slo_seconds must be a number > 0 (inf: no objective), "
+                f"got {self.default_slo_seconds}"
+            )
         for name, slo in self.per_workload.items():
-            if slo <= 0:
-                raise ValueError(f"SLO for workload {name!r} must be positive")
-        if self.excess_rps < 0:
-            raise ValueError("excess_rps must be non-negative")
+            if not slo > 0:
+                raise ValueError(
+                    f"SLO for workload {name!r} must be a number > 0, got {slo}"
+                )
+        if not self.excess_rps >= 0:
+            raise ValueError(f"excess_rps must be a number >= 0, got {self.excess_rps}")
 
     def quota_for(self, tenant: str) -> TenantQuota:
         """The quota of ``tenant`` (the permissive default when unlisted)."""
@@ -689,60 +707,3 @@ class Autoscaler:
         """The scaling history, oldest first."""
         return list(self.events)
 
-
-class ServingController:
-    """Bundle an SLO, admission control and an autoscaler for one cluster.
-
-    Convenience facade over
-    :meth:`~repro.serving.cluster.ShardedServiceCluster.serve_online`: builds
-    the admission controller from the policy and wires everything into the
-    cluster's event loop.  ``slo=None`` disables shedding (the run is then
-    only scored against the SLO if one is given), ``autoscaler=None`` keeps
-    every shard active throughout, and ``faults`` (a
-    :class:`~repro.serving.faults.FaultSchedule`) injects shard
-    crash/recover/slowdown events into every run this controller serves.
-    """
-
-    def __init__(
-        self,
-        cluster,
-        slo: Optional[SLOPolicy] = None,
-        autoscaler: Optional[Autoscaler] = None,
-        record_decisions: bool = True,
-        batch_aware: bool = False,
-        faults=None,
-        degradation: Optional[DegradationPolicy] = None,
-    ) -> None:
-        if autoscaler is not None and autoscaler.max_shards > cluster.num_shards:
-            raise ValueError(
-                f"autoscaler max_shards ({autoscaler.max_shards}) exceeds the "
-                f"cluster's shard count ({cluster.num_shards})"
-            )
-        self.cluster = cluster
-        self.slo = slo
-        self.autoscaler = autoscaler
-        self.faults = faults
-        self.admission = (
-            AdmissionController(
-                slo,
-                record_decisions=record_decisions,
-                batch_aware=batch_aware,
-                degradation=degradation,
-            )
-            if slo is not None
-            else None
-        )
-
-    def serve(self, source):
-        """Drive ``source`` through the cluster under this control plane."""
-        from repro.serving.config import ServingConfig
-
-        return self.cluster.serve_online(
-            source,
-            config=ServingConfig(
-                slo=self.slo,
-                controller=self.admission,
-                autoscaler=self.autoscaler,
-                faults=self.faults,
-            ),
-        )

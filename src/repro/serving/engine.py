@@ -289,7 +289,7 @@ def _pick_shard(
         _home_shard,
     )
 
-    if cluster._order is not None:
+    if cluster.topology is not None:
         # Domain-aware placement: the active set is an activation-order
         # slice, not the index prefix the heap shortcuts assume.  Delegate
         # to the reference picker over the heap's authoritative busy list —
@@ -356,13 +356,13 @@ class ReferenceBackend:
     def pick(self, batch: RequestBatch, workload: WorkloadProfile, active_count: int) -> int:
         """Dispatch target among the first ``active_count`` activated shards."""
         cluster = self.cluster
-        return cluster._pick_shard(batch, self.busy, cluster._active_ids(active_count))
+        return cluster._pick_shard(batch, self.busy, cluster._order[:active_count])
 
     def min_backlog(self, active_count: int, now: float) -> float:
         """Smallest remaining backlog among the active shards."""
         busy = self.busy
         return min(
-            max(busy[i] - now, 0.0) for i in self.cluster._active_ids(active_count)
+            max(busy[i] - now, 0.0) for i in self.cluster._order[:active_count]
         )
 
     # Open-batch deadlines.  Ties between expiring batches fire in (deadline,
@@ -403,7 +403,7 @@ class FastBackend(ReferenceBackend):
         self.pick = partial(_pick_shard, cluster, self.heap)
 
     def min_backlog(self, active_count: int, now: float) -> float:
-        if self.cluster._order is not None:
+        if self.cluster.topology is not None:
             # Non-prefix active set: the heap's prefix shortcut does not
             # apply (value-identical floats either way).
             return super().min_backlog(active_count, now)
@@ -631,7 +631,7 @@ def _serve_trace_chunked(
     # The common dispatch configuration (least-loaded, no topology) is a
     # bare heap pick; hoisting the policy test out of the loop skips the
     # delegating ``_pick_shard`` call per batch.
-    simple_pick = cluster._order is None and cluster.policy == POLICY_LEAST_LOADED
+    simple_pick = cluster.topology is None and cluster.policy == POLICY_LEAST_LOADED
     shards = cluster.shards
     busy = heap.busy
     view = _BatchView()

@@ -49,11 +49,16 @@ a crash, and in-flight failures are terminal — no drain, no
 migration, no retries.
 
 The *voluntary* counterpart of the crash drain lives here too:
-:class:`DrainPlanner` defers the loops' commit-at-dispatch so an
+:class:`DrainPlanner` defers the loop's commit-at-dispatch so an
 :class:`~repro.serving.control.Autoscaler` scale-down can hand a healthy
 shard's planned-but-unstarted backlog to the survivors instead of
-stranding it (see the class docstring).  The online loop drives it
-through the same :class:`FaultLoopHooks`, exactly like the fault runtime.
+stranding it (see the class docstring).
+
+Both drive the event loop's run (``_Run`` in
+:mod:`repro.serving.cluster`) directly: they read its ``active_count`` and
+``busy`` horizons, pick and serve through it, and end every successful
+dispatch in ``run.place``, which plans the batch when a drain planner is
+attached and commits it otherwise.
 
 :class:`RandomFaults` generates reproducible schedules from a seed,
 mirroring the arrival-generator idiom (`numpy` ``default_rng``).
@@ -75,6 +80,7 @@ from repro.serving.scheduler import RequestBatch
 from repro.serving.topology import ClusterTopology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.serving.cluster import _Run
     from repro.serving.control import SLOPolicy
 
 FAULT_CRASH = "crash"
@@ -277,10 +283,11 @@ class FaultSchedule:
     ) -> "FaultRuntime":
         """Build the per-run mutable state for a cluster of ``num_shards``.
 
-        ``order`` is the cluster's activation order (domain-spread placement);
-        ``topology`` enables healthy-domain-first standby substitution and
-        defaults to the schedule's own topology; ``warmup`` is the per-shard
-        activation warm-up a standby pays when it substitutes (zero if None).
+        ``order`` is the cluster's activation order (the identity when
+        None); ``topology`` is the cluster's topology and enables
+        healthy-domain-first standby substitution; ``warmup`` is the
+        per-shard activation warm-up a standby pays when it substitutes
+        (zero if None).
         """
         self.validate_for(num_shards)
         return FaultRuntime(
@@ -543,57 +550,6 @@ class FaultStats:
         }
 
 
-class FaultLoopHooks:
-    """How a serving loop exposes its mutable state to the fault runtime.
-
-    The event loop drives :class:`FaultRuntime` and :class:`DrainPlanner`
-    through this bundle of callbacks: the runtime owns every fault
-    decision, the hooks only read/write the run's state (busy horizons,
-    served records, arrival sources) through the backend in use.
-    """
-
-    __slots__ = (
-        "active_count",
-        "busy",
-        "set_busy",
-        "add_busy",
-        "merged",
-        "pick",
-        "serve",
-        "commit",
-        "on_failed",
-        "active_ids",
-    )
-
-    def __init__(
-        self,
-        *,
-        active_count: Callable[[], int],
-        busy: Callable[[int], float],
-        set_busy: Callable[[int, float], None],
-        add_busy: Callable[[int, float], None],
-        merged: Callable[[RequestBatch], object],
-        pick: Callable[[RequestBatch, object, Sequence[int]], int],
-        serve: Callable[[int, object], Tuple[object, float]],
-        commit: Callable[[RequestBatch, int, float, float, object, float], None],
-        on_failed: Callable[[InferenceRequest, float], None],
-        active_ids: Optional[Callable[[], Sequence[int]]] = None,
-    ) -> None:
-        self.active_count = active_count
-        self.busy = busy
-        self.set_busy = set_busy
-        self.add_busy = add_busy
-        self.merged = merged
-        self.pick = pick
-        self.serve = serve
-        self.commit = commit
-        self.on_failed = on_failed
-        #: Optional explicit active shard ids (the cluster's activation-order
-        #: prefix under domain-spread placement); None keeps the historical
-        #: ``range(active_count())`` prefix.
-        self.active_ids = active_ids
-
-
 class DrainPlanner:
     """Deferred-commit dispatch plan enabling voluntary scale-down drains.
 
@@ -606,9 +562,9 @@ class DrainPlanner:
     the event loop routes every successful dispatch through this planner
     instead:
 
-    * :meth:`plan` records the dispatch outcome and advances the shard's
-      busy horizon (so later picks see the queue) but **defers** the
-      commit;
+    * :meth:`plan` records the dispatch outcome, whose busy horizon the
+      run has already advanced (so later picks see the queue), but
+      **defers** the commit;
     * the loop fires :meth:`commit_next` as a first-class event at each
       entry's *start* time — once service begins the work is in flight
       and can no longer migrate;
@@ -620,8 +576,8 @@ class DrainPlanner:
       current by :meth:`raise_floor` when the fault runtime moves a
       horizon without a planned entry (recovery, in-flight kill).
 
-    The online loop drives the planner through the same
-    :class:`FaultLoopHooks` as the fault runtime, on either backend.
+    The run's ``place`` calls :meth:`plan` for every successful dispatch,
+    fault-free or through the fault runtime, on either backend.
     """
 
     def __init__(self, num_shards: int) -> None:
@@ -639,29 +595,8 @@ class DrainPlanner:
         #: pending-admission estimates here, not at commit, so the planned
         #: work is not double-counted against the busy horizon).
         self.on_planned: Optional[Callable[[RequestBatch], None]] = None
-        #: Degraded-window accounting hook (wired to the fault runtime's
-        #: ``_note_degraded`` by :meth:`FaultRuntime.attach_planner`).
-        self.note_degraded: Optional[Callable[[RequestBatch, float, float, float], None]] = None
 
     # ------------------------------------------------------------- planning
-    def dispatch(self, batch: RequestBatch, env: FaultLoopHooks) -> None:
-        """The fault-free dispatch path: pick, price, plan.
-
-        The drain-aware counterpart of the loop's commit-at-dispatch:
-        the same pick/serve sequence, with the commit deferred.
-        """
-        if env.active_ids is not None:
-            active: Sequence[int] = env.active_ids()
-        else:
-            active = range(env.active_count())
-        workload = env.merged(batch)
-        shard_id = env.pick(batch, workload, active)
-        start = max(batch.ready_seconds, env.busy(shard_id))
-        report, duration = env.serve(shard_id, workload)
-        finish = start + duration
-        env.set_busy(shard_id, finish)
-        self.plan(batch, shard_id, start, duration, report, finish)
-
     def plan(
         self,
         batch: RequestBatch,
@@ -692,7 +627,7 @@ class DrainPlanner:
             heapq.heappop(heap)  # cancelled by a drain; discard lazily
         return None
 
-    def commit_next(self, env: FaultLoopHooks) -> None:
+    def commit_next(self, run: "_Run") -> None:
         """Commit the earliest planned entry: its service begins now."""
         while True:
             _, seq = heapq.heappop(self._heap)
@@ -709,10 +644,7 @@ class DrainPlanner:
         if finish > self.floor[shard_id]:
             self.floor[shard_id] = finish
         self._inflight[shard_id].append((finish, len(batch.requests)))
-        env.add_busy(shard_id, duration)
-        env.commit(batch, shard_id, start, duration, report, finish)
-        if self.note_degraded is not None:
-            self.note_degraded(batch, start, duration, finish)
+        run.commit(batch, shard_id, start, duration, report, finish)
 
     # --------------------------------------------------------------- drains
     def raise_floor(self, shard_id: int, seconds: float) -> None:
@@ -721,7 +653,7 @@ class DrainPlanner:
             self.floor[shard_id] = seconds
 
     def drain(
-        self, leaving: Sequence[int], now: float, env: FaultLoopHooks
+        self, leaving: Sequence[int], now: float, run: "_Run"
     ) -> Tuple[List[RequestBatch], int]:
         """Drain the ``leaving`` shards at a voluntary scale-down.
 
@@ -747,7 +679,7 @@ class DrainPlanner:
                 batches.append(entry[0])
                 self.planned -= len(entry[0].requests)
             self._queued[shard_id].clear()
-            env.set_busy(shard_id, self.floor[shard_id])
+            run.set_busy(shard_id, self.floor[shard_id])
         return batches, completed
 
 
@@ -773,14 +705,14 @@ class FaultRuntime:
         self.schedule = schedule
         self.num_shards = num_shards
         self.slo = slo
-        #: Activation order under domain-spread placement; None = identity.
-        self.order: Optional[Tuple[int, ...]] = tuple(order) if order is not None else None
-        if self.order is not None and sorted(self.order) != list(range(num_shards)):
+        #: The cluster's activation order (the identity without a topology).
+        self.order: Tuple[int, ...] = (
+            tuple(order) if order is not None else tuple(range(num_shards))
+        )
+        if sorted(self.order) != list(range(num_shards)):
             raise ValueError(
                 f"order must be a permutation of range({num_shards}), got {self.order}"
             )
-        #: Topology used for healthy-domain standby preference (falls back to
-        #: the schedule's own topology, which also drives per-domain stats).
         if (
             topology is not None
             and schedule.topology is not None
@@ -790,9 +722,11 @@ class FaultRuntime:
                 "the cluster's topology and the fault schedule's topology "
                 "disagree; build both from the same ClusterTopology"
             )
-        self._placement_topology = topology if topology is not None else schedule.topology
-        if self._placement_topology is not None:
-            self._placement_topology.validate_for(num_shards)
+        #: The cluster's topology, for healthy-domain standby preference (the
+        #: schedule's own topology drives the per-domain stats).
+        self.topology = topology
+        if topology is not None:
+            topology.validate_for(num_shards)
         if warmup is not None and len(warmup) != num_shards:
             raise ValueError(f"warmup needs one entry per shard ({num_shards})")
         #: Per-shard warm-up a standby pays when it starts substituting
@@ -846,20 +780,6 @@ class FaultRuntime:
         self.failed = 0
         self.served_degraded = 0
         self.slo_met_degraded = 0
-        #: Optional deferred-commit planner (voluntary scale-down drains).
-        self.planner: Optional[DrainPlanner] = None
-
-    def attach_planner(self, planner: DrainPlanner) -> None:
-        """Route successful dispatches through a deferred-commit planner.
-
-        Planned entries never straddle a crash (a successful dispatch
-        already proved no crash lands before its finish), so the planner
-        only has to learn about the horizons the runtime moves *without*
-        planning — recovery rejoins and in-flight kills — via
-        :meth:`DrainPlanner.raise_floor`.
-        """
-        self.planner = planner
-        planner.note_degraded = self._note_degraded
 
     # ------------------------------------------------------ schedule queries
     def next_fault_time(self) -> Optional[float]:
@@ -897,45 +817,31 @@ class FaultRuntime:
     # ------------------------------------------------------- dispatch planes
     def _domain_healthy(self, shard_id: int) -> bool:
         """Whether every shard in ``shard_id``'s failure domain is alive."""
-        domain = self._placement_topology.domain_of(shard_id)
-        return all(self.alive[s] for s in self._placement_topology.shards_in(domain))
+        domain = self.topology.domain_of(shard_id)
+        return all(self.alive[s] for s in self.topology.shards_in(domain))
 
     def active_alive(self, active_count: int) -> List[int]:
         """The dispatchable shard set: the autoscaler's target prefix minus
         dead shards, topped up with live standby shards past the prefix so
         crashed capacity is replaced while provisioned spares exist.
 
-        With an activation ``order`` the prefix is the order's first
-        ``active_count`` shards, and the standby top-up prefers shards in
-        *healthy* failure domains (every member alive) — replacing a rack's
-        lost capacity inside the blast radius of the same failing rack is
-        how a second correlated hit takes the substitutes down too.
+        The prefix is the activation order's first ``active_count`` shards.
+        Under a topology the standby top-up prefers shards in *healthy*
+        failure domains (every member alive) — replacing a rack's lost
+        capacity inside the blast radius of the same failing rack is how a
+        second correlated hit takes the substitutes down too.  Without
+        fault awareness the set is the bare prefix.
         """
+        prefix = self.order[:active_count]
         if not self.schedule.fault_aware:
-            if self.order is not None:
-                return list(self.order[:active_count])
-            return list(range(active_count))
-        if self.order is None:
-            active = [s for s in range(active_count) if self.alive[s]]
-            missing = active_count - len(active)
-            for shard in range(active_count, self.num_shards):
-                if missing == 0:
-                    break
-                if self.alive[shard]:
-                    active.append(shard)
-                    missing -= 1
-            return active
-        active = [s for s in self.order[:active_count] if self.alive[s]]
+            return list(prefix)
+        active = [s for s in prefix if self.alive[s]]
         missing = active_count - len(active)
         if missing > 0:
             standby = [s for s in self.order[active_count:] if self.alive[s]]
-            if self._placement_topology is not None:
+            if self.topology is not None:
                 standby.sort(key=lambda s: not self._domain_healthy(s))
-            for shard in standby:
-                if missing == 0:
-                    break
-                active.append(shard)
-                missing -= 1
+            active.extend(standby[:missing])
         return active
 
     def backlog_count(self) -> int:
@@ -949,11 +855,11 @@ class FaultRuntime:
         retry_at, _seq, request = heapq.heappop(self._retries)
         return request, retry_at
 
-    def advance(self, env: FaultLoopHooks, until: float) -> None:
+    def advance(self, run: "_Run", until: float) -> None:
         """Apply every fault event due at or before ``until``, then flush."""
         changed = False
         serving = (
-            set(self.active_alive(env.active_count()))
+            set(self.active_alive(run.active_count))
             if self.warmup is not None
             else None
         )
@@ -967,21 +873,16 @@ class FaultRuntime:
                 self.alive[shard] = True
                 self.factor[shard] = 1.0
                 # A recovered shard rejoins idle no earlier than its revival.
-                rejoin = max(env.busy(shard), event.seconds)
-                env.set_busy(shard, rejoin)
-                if self.planner is not None:
-                    self.planner.raise_floor(shard, rejoin)
+                run.hold(shard, max(run.busy[shard], event.seconds))
             else:
                 self.factor[shard] = event.factor
             changed = True
         if changed:
             if serving is not None:
-                self._warm_substitutes(env, serving, until)
-            self.flush(env, until)
+                self._warm_substitutes(run, serving, until)
+            self.flush(run, until)
 
-    def _warm_substitutes(
-        self, env: FaultLoopHooks, serving: set, now: float
-    ) -> None:
+    def _warm_substitutes(self, run: "_Run", serving: set, now: float) -> None:
         """Charge activation warm-up to standbys that start substituting.
 
         A standby outside the autoscaler's prefix that enters the
@@ -990,17 +891,14 @@ class FaultRuntime:
         warm-up (an AutoGNN shard first programs its bitstream).  A
         recovered prefix shard rejoins under the recover rule instead.
         """
-        count = env.active_count()
-        prefix = self.order[:count] if self.order is not None else range(count)
+        count = run.active_count
+        prefix = self.order[:count]
         for shard in self.active_alive(count):
             if shard in serving or shard in prefix:
                 continue
-            ready = max(env.busy(shard), now + self.warmup[shard])
-            env.set_busy(shard, ready)
-            if self.planner is not None:
-                self.planner.raise_floor(shard, ready)
+            run.hold(shard, max(run.busy[shard], now + self.warmup[shard]))
 
-    def flush(self, env: FaultLoopHooks, now: float) -> None:
+    def flush(self, run: "_Run", now: float) -> None:
         """Wake parked batches at ``now``, oldest first, until one re-parks.
 
         Each woken batch is re-dispatched with its ready time moved to
@@ -1012,12 +910,12 @@ class FaultRuntime:
         while parked:
             head = parked[0]
             woken = RequestBatch(requests=head.requests, ready_seconds=now)
-            if self.dispatch(woken, env) == DISPATCH_PARKED:
+            if self.dispatch(woken, run) == DISPATCH_PARKED:
                 return
             parked.popleft()
             self._parked_requests -= len(head.requests)
 
-    def submit(self, batch: RequestBatch, env: FaultLoopHooks) -> None:
+    def submit(self, batch: RequestBatch, run: "_Run") -> None:
         """Hand a newly formed batch, ready at the event cursor, to the runtime.
 
         While work is parked the batch joins the FIFO's tail without a
@@ -1026,37 +924,37 @@ class FaultRuntime:
         can take it.  A batch that parks or leaves its first pick counts as
         migrated, here and only here.
         """
-        outcome = DISPATCH_PARKED if self.parked else self.dispatch(batch, env)
+        outcome = DISPATCH_PARKED if self.parked else self.dispatch(batch, run)
         if outcome == DISPATCH_PARKED:
             self.parked.append(batch)
             self._parked_requests += len(batch.requests)
         if outcome != DISPATCH_PLACED:
             self.migrated += len(batch.requests)
 
-    def dispatch(self, batch: RequestBatch, env: FaultLoopHooks) -> str:
+    def dispatch(self, batch: RequestBatch, run: "_Run") -> str:
         """Dispatch ``batch`` with full fault semantics (migrate / in-flight
-        failure / commit) and return the outcome.
+        failure / place) and return the outcome.
 
         ``batch`` is ready at the event cursor, so the current live set is
         the live set at its ready time.  On :data:`DISPATCH_PARKED` no live
         shard could take it and the caller queues it: :meth:`submit` at the
         FIFO's tail, :meth:`flush` back at its head.
         """
+        active = self.active_alive(run.active_count)
         if not self.schedule.fault_aware:
-            self._dispatch_oblivious(batch, env)
+            self._dispatch_oblivious(batch, run, active)
             return DISPATCH_PLACED
-        active = self.active_alive(env.active_count())
         if not active:
             return DISPATCH_PARKED
-        workload = env.merged(batch)
+        workload = run.merged(batch)
         # A shard whose queue extends past its own next crash would sit the
         # batch behind doomed work; drain to another live candidate instead,
         # and park only when every live shard is doomed.
         candidates = active
         outcome = DISPATCH_PLACED
         while True:
-            shard_id = env.pick(batch, workload, candidates)
-            start = max(batch.ready_seconds, env.busy(shard_id))
+            shard_id = run.pick_among(batch, candidates)
+            start = max(batch.ready_seconds, run.busy[shard_id])
             crash_at = self.next_crash_after(shard_id, batch.ready_seconds)
             if crash_at is None or crash_at > start:
                 break
@@ -1064,29 +962,12 @@ class FaultRuntime:
             candidates = [s for s in candidates if s != shard_id]
             if not candidates:
                 return DISPATCH_PARKED
-        report, duration = env.serve(shard_id, workload)
-        duration = duration * self.factor[shard_id]
-        finish = start + duration
-        if crash_at is not None and crash_at < finish:
-            # In-flight failure: the pass dies with the shard; each member
-            # retries with exponential backoff until its budget runs out.
-            env.set_busy(shard_id, crash_at)
-            env.add_busy(shard_id, crash_at - start)
-            if self.planner is not None:
-                self.planner.raise_floor(shard_id, crash_at)
-            for request in batch.requests:
-                self._retry_or_fail(request, crash_at, env)
-            return outcome
-        env.set_busy(shard_id, finish)
-        if self.planner is not None:
-            self.planner.plan(batch, shard_id, start, duration, report, finish)
-            return outcome
-        env.add_busy(shard_id, duration)
-        env.commit(batch, shard_id, start, duration, report, finish)
-        self._note_degraded(batch, start, duration, finish)
+        self._serve_on(batch, run, workload, shard_id, start, crash_at)
         return outcome
 
-    def _dispatch_oblivious(self, batch: RequestBatch, env: FaultLoopHooks) -> None:
+    def _dispatch_oblivious(
+        self, batch: RequestBatch, run: "_Run", active: List[int]
+    ) -> None:
         """The fault-oblivious baseline: dispatch is blind to liveness.
 
         A dead shard fails requests instantly (connection refused) without
@@ -1096,63 +977,70 @@ class FaultRuntime:
         shard's queue when the crash hits dies with the shard, and in-flight
         failures are terminal: nothing migrates, nothing retries.
         """
-        if env.active_ids is not None:
-            active = list(env.active_ids())
-        else:
-            active = list(range(env.active_count()))
-        workload = env.merged(batch)
-        shard_id = env.pick(batch, workload, active)
+        workload = run.merged(batch)
+        shard_id = run.pick_among(batch, active)
         if not self.alive[shard_id]:
             # Fail fast: the dead shard's horizon stays frozen, so dispatch
             # never learns to route around it.
             for request in batch.requests:
-                self.failed += 1
-                env.on_failed(request, batch.ready_seconds)
+                self._fail(request, batch.ready_seconds, run)
             return
-        start = max(batch.ready_seconds, env.busy(shard_id))
+        start = max(batch.ready_seconds, run.busy[shard_id])
         crash_at = self.next_crash_after(shard_id, batch.ready_seconds)
         if crash_at is not None and crash_at <= start:
             # The batch sat in the shard's queue when the crash hit: the
             # queue dies with the shard and nothing resubmits the work.
             for request in batch.requests:
-                self.failed += 1
-                env.on_failed(request, crash_at)
+                self._fail(request, crash_at, run)
             return
-        report, duration = env.serve(shard_id, workload)
+        self._serve_on(batch, run, workload, shard_id, start, crash_at)
+
+    def _serve_on(
+        self,
+        batch: RequestBatch,
+        run: "_Run",
+        workload: object,
+        shard_id: int,
+        start: float,
+        crash_at: Optional[float],
+    ) -> None:
+        """Serve ``batch`` on its pick at its current slowdown factor.
+
+        A crash before the finish kills the pass in flight: the shard's
+        horizon stops at the crash and each member retries with
+        exponential backoff until its budget runs out (fault-oblivious
+        runs never retry).  Otherwise the run places the batch.
+        """
+        report, duration = run.serve(shard_id, workload)
         duration = duration * self.factor[shard_id]
         finish = start + duration
         if crash_at is not None and crash_at < finish:
-            env.set_busy(shard_id, crash_at)
-            env.add_busy(shard_id, crash_at - start)
-            if self.planner is not None:
-                self.planner.raise_floor(shard_id, crash_at)
+            run.hold(shard_id, crash_at)
+            run.busy_total[shard_id] += crash_at - start
             for request in batch.requests:
-                self.failed += 1
-                env.on_failed(request, crash_at)
+                self._retry_or_fail(request, crash_at, run)
             return
-        env.set_busy(shard_id, finish)
-        if self.planner is not None:
-            self.planner.plan(batch, shard_id, start, duration, report, finish)
-            return
-        env.add_busy(shard_id, duration)
-        env.commit(batch, shard_id, start, duration, report, finish)
-        self._note_degraded(batch, start, duration, finish)
+        run.place(batch, shard_id, start, duration, report, finish)
 
-    def _retry_or_fail(self, request: InferenceRequest, seconds: float, env: FaultLoopHooks) -> None:
+    def _retry_or_fail(self, request: InferenceRequest, seconds: float, run: "_Run") -> None:
         attempt = self._attempts.get(request.request_id, 0)
-        if attempt < self.schedule.retry_budget:
+        if self.schedule.fault_aware and attempt < self.schedule.retry_budget:
             self._attempts[request.request_id] = attempt + 1
             self.retried += 1
             retry_at = seconds + self.schedule.retry_backoff_seconds * (2.0 ** attempt)
             heapq.heappush(self._retries, (retry_at, self._retry_seq, request))
             self._retry_seq += 1
         else:
-            self.failed += 1
-            env.on_failed(request, seconds)
+            self._fail(request, seconds, run)
 
-    def _note_degraded(
+    def _fail(self, request: InferenceRequest, seconds: float, run: "_Run") -> None:
+        self.failed += 1
+        run.on_failed(request, seconds)
+
+    def note_commit(
         self, batch: RequestBatch, start: float, duration: float, finish: float
     ) -> None:
+        """Count a committed batch's requests that finish in a degraded window."""
         if not self.degraded_at(finish):
             return
         for request in batch.requests:

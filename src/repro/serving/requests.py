@@ -507,6 +507,10 @@ class BurstyArrivals:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("base_rate_rps", "peak_rate_rps", "period_seconds", "phase_seconds"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.base_rate_rps <= 0:
             raise ValueError("base_rate_rps must be positive")
         if self.peak_rate_rps < self.base_rate_rps:

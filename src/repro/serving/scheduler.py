@@ -131,8 +131,11 @@ class BatchScheduler:
             )
         if tenant_weights is not None:
             for tenant, weight in tenant_weights.items():
-                if weight <= 0:
-                    raise ValueError(f"weight for tenant {tenant!r} must be positive")
+                if not (math.isfinite(weight) and weight > 0):
+                    raise ValueError(
+                        f"weight for tenant {tenant!r} must be a finite positive "
+                        f"number, got {weight}"
+                    )
         self.max_batch_size = max_batch_size
         self.max_wait_seconds = max_wait_seconds
         self.tenant_weights = dict(tenant_weights) if tenant_weights is not None else None

@@ -31,7 +31,6 @@ from repro.serving import (
     OpenLoopArrivals,
     RandomFaults,
     ServingConfig,
-    ServingController,
     ShardedServiceCluster,
     SLOPolicy,
     TraceArrivals,
@@ -71,7 +70,7 @@ def test_admission_prediction_invariant_closed_loop(
         max_requests=max_requests,
         retry_backoff_seconds=0.005,
     )
-    report = ServingController(cluster, slo=slo).serve(clients)
+    report = cluster.serve_online(clients, config=ServingConfig(slo=slo, admit=True))
 
     assert len(report.decisions) == report.num_offered
     for decision in report.decisions:
@@ -106,7 +105,7 @@ def test_goodput_bounded_by_throughput_open_loop(
         scheduler=BatchScheduler(max_batch_size=2, max_wait_seconds=0.002),
     )
     source = TraceArrivals(trace)
-    report = ServingController(cluster, slo=slo).serve(source)
+    report = cluster.serve_online(source, config=ServingConfig(slo=slo, admit=True))
     assert report.goodput_rps <= report.throughput_rps + 1e-9
     assert report.num_requests + report.num_shed == len(trace)
     assert source.num_issued == len(trace)
@@ -225,7 +224,7 @@ def test_autoscaler_in_loop_respects_bounds_and_warmup(services):
     clients = ClosedLoopClients(
         WORKLOAD_POOL, num_clients=8, seed=5, max_requests=60
     )
-    report = ServingController(cluster, autoscaler=scaler).serve(clients)
+    report = cluster.serve_online(clients, config=ServingConfig(autoscaler=scaler))
     assert report.num_requests == 60
     activated_at = {}
     for event in report.scaling_timeline:
@@ -336,7 +335,7 @@ def test_closed_loop_shed_clients_retry_after_backoff(services):
         [make_profile()], num_clients=1, seed=0, max_requests=5,
         retry_backoff_seconds=0.5,
     )
-    report = ServingController(cluster, slo=slo).serve(clients)
+    report = cluster.serve_online(clients, config=ServingConfig(slo=slo, admit=True))
     assert report.num_requests == 0
     assert report.num_shed == 5
     arrivals = [record.request.arrival_seconds for record in report.shed]
@@ -528,15 +527,9 @@ def test_slo_policy_overrides_and_validation():
         SLOPolicy(default_slo_seconds=1.0, per_workload={"x": -1.0})
 
 
-def test_serving_controller_validates_autoscaler_bounds(services):
-    cluster = ShardedServiceCluster(services["CPU"], num_shards=2)
-    with pytest.raises(ValueError):
-        ServingController(cluster, autoscaler=Autoscaler(min_shards=1, max_shards=4))
-
-
 def test_serve_online_validates_autoscaler_bounds_directly(services):
-    # Regression: bypassing ServingController must not IndexError mid-run
-    # when the autoscaler can grow past the cluster's shard count.
+    # Regression: an autoscaler that can grow past the cluster's shard
+    # count must be rejected up front, not IndexError mid-run.
     cluster = ShardedServiceCluster(services["CPU"], num_shards=2)
     clients = ClosedLoopClients([make_profile()], num_clients=4, seed=0, max_requests=8)
     oversized = Autoscaler(min_shards=1, max_shards=8, scale_up_depth=0.5,
@@ -556,7 +549,9 @@ def test_report_with_control_sections_is_json_serializable(services):
         WORKLOAD_POOL, num_clients=6, seed=1, max_requests=30,
         retry_backoff_seconds=0.01,
     )
-    report = ServingController(cluster, slo=slo, autoscaler=scaler).serve(clients)
+    report = cluster.serve_online(
+        clients, config=ServingConfig(slo=slo, admit=True, autoscaler=scaler)
+    )
     payload = json.loads(json.dumps(report.as_dict()))
     goodput = payload["goodput"]
     assert goodput["offered"] == goodput["served"] + goodput["shed"]

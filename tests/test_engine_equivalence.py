@@ -8,6 +8,7 @@ every dispatch policy, randomized traces and scheduler parameters
 batching timeout boundaries where a tie-break bug would first show up.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
+    AdmissionController,
     Autoscaler,
     BatchScheduler,
     ClosedLoopClients,
@@ -34,7 +36,6 @@ from repro.serving import (
     RandomFaults,
     RequestTrace,
     ServingConfig,
-    ServingController,
     ShardedServiceCluster,
     SLOPolicy,
     TenantQuota,
@@ -156,7 +157,9 @@ class TestOnlineEquivalence:
                 WORKLOAD_POOL, num_clients=num_clients, think_seconds=0.005,
                 seed=seed, max_requests=30, retry_backoff_seconds=0.02,
             )
-            return ServingController(cluster, slo=slo, autoscaler=scaler).serve(clients)
+            return cluster.serve_online(
+                clients, config=ServingConfig(slo=slo, admit=True, autoscaler=scaler)
+            )
 
         assert _render(run(ENGINE_REFERENCE)) == _render(run(ENGINE_FAST))
 
@@ -299,10 +302,12 @@ class TestTenantEquivalence:
                 min_shards=1, max_shards=3, scale_up_depth=2.0,
                 scale_down_depth=0.5, hysteresis_observations=2,
             )
-            controller = ServingController(
-                cluster, slo=self._slo(), autoscaler=scaler, batch_aware=True
+            return cluster.serve_online(
+                TraceArrivals(trace),
+                config=ServingConfig(
+                    slo=self._slo(), admit=True, autoscaler=scaler, batch_aware=True
+                ),
             )
-            return controller.serve(TraceArrivals(trace))
 
         reference, fast = run(ENGINE_REFERENCE), run(ENGINE_FAST)
         assert _render(reference) == _render(fast)
@@ -350,8 +355,10 @@ class TestTenantEquivalence:
             cluster = _cluster(
                 services, name, engine, num_shards=num_shards, scheduler=scheduler
             )
-            controller = ServingController(cluster, slo=slo, batch_aware=True)
-            return controller.serve(TraceArrivals(trace))
+            return cluster.serve_online(
+                TraceArrivals(trace),
+                config=ServingConfig(slo=slo, admit=True, batch_aware=True),
+            )
 
         assert _render(run(ENGINE_REFERENCE)) == _render(run(ENGINE_FAST))
 
@@ -438,12 +445,18 @@ class TestDegradationEquivalence:
 
 
 # ------------------------------------------------- backend-identity matrix
+#: The ``faulted`` axis: no faults (False), fault-aware dispatch (True) or
+#: the fault-oblivious baseline ("oblivious").  The oblivious cells come
+#: last, so every other cell keeps its index (trace seed and system).
+_FAULT_MODES = ((False, True), ("oblivious",))
+
 #: Online matrix: policy x fair batching x faults x autoscaler x topology.
 _ONLINE_CELLS = [
     (policy, fair, faulted, scaler, topology)
+    for modes in _FAULT_MODES
     for policy in DISPATCH_POLICIES
     for fair in (False, True)
-    for faulted in (False, True)
+    for faulted in modes
     for scaler in ("none", "drain", "no-drain")
     for topology in (False, True)
 ]
@@ -451,9 +464,10 @@ _ONLINE_CELLS = [
 #: Offline matrix: policy x fair batching x faults x topology.
 _OFFLINE_CELLS = [
     (policy, fair, faulted, topology)
+    for modes in _FAULT_MODES
     for policy in DISPATCH_POLICIES
     for fair in (False, True)
-    for faulted in (False, True)
+    for faulted in modes
     for topology in (False, True)
 ]
 
@@ -487,8 +501,10 @@ class TestBackendIdentityMatrix:
             topology=ClusterTopology.uniform(self.NUM_SHARDS, 2) if topology else None,
         )
 
-    def _faults(self, seed):
-        return RandomFaults(
+    def _faults(self, seed, faulted):
+        if not faulted:
+            return None
+        schedule = RandomFaults(
             num_shards=self.NUM_SHARDS,
             horizon_seconds=0.4,
             mean_uptime_seconds=0.08,
@@ -497,6 +513,9 @@ class TestBackendIdentityMatrix:
             retry_backoff_seconds=0.003,
             seed=seed,
         ).schedule()
+        if faulted == "oblivious":
+            schedule = dataclasses.replace(schedule, fault_aware=False)
+        return schedule
 
     def _slo(self):
         return SLOPolicy(
@@ -534,12 +553,12 @@ class TestBackendIdentityMatrix:
                 admit=True,
                 degradation=DegradationPolicy(),
                 autoscaler=autoscaler,
-                faults=self._faults(index) if faulted else None,
+                faults=self._faults(index, faulted),
             )
             cluster = self._cluster(services, system, engine, policy, fair, topology)
             report = cluster.serve_online(TraceArrivals(trace), config=config)
             self._conserved(report, len(trace))
-            assert (report.faults is not None) == faulted
+            assert (report.faults is not None) == bool(faulted)
             renders.append(_render(report))
         assert renders[0] == renders[1]
 
@@ -550,9 +569,7 @@ class TestBackendIdentityMatrix:
         trace = make_bursty_tenant_trace(
             WORKLOAD_POOL, num_per_tenant=15, peak_rate_rps=900.0, seed=index
         )
-        config = ServingConfig(
-            slo=self._slo(), faults=self._faults(index) if faulted else None
-        )
+        config = ServingConfig(slo=self._slo(), faults=self._faults(index, faulted))
         renders = []
         for engine in (ENGINE_REFERENCE, ENGINE_FAST):
             cluster = self._cluster(services, system, engine, policy, fair, topology)
@@ -633,22 +650,24 @@ class TestFastEngineExtras:
 
         def run(record):
             cluster = _cluster(services, "DynPre", ENGINE_FAST)
-            controller = ServingController(cluster, slo=slo, record_decisions=record)
+            controller = AdmissionController(slo, record_decisions=record)
             clients = ClosedLoopClients(
                 WORKLOAD_POOL, num_clients=8, think_seconds=0.0, seed=3,
                 max_requests=40, retry_backoff_seconds=0.05,
             )
-            report = controller.serve(clients)
+            report = cluster.serve_online(
+                clients, config=ServingConfig(controller=controller)
+            )
             return controller, report
 
         recorded, report_a = run(True)
         unrecorded, report_b = run(False)
         assert _render(report_a) == _render(report_b)
-        assert len(recorded.admission.decisions) > 0
-        assert len(report_a.decisions) == len(recorded.admission.decisions)
+        assert len(recorded.decisions) > 0
+        assert len(report_a.decisions) == len(recorded.decisions)
         # The flag bounds memory: neither the controller log nor the
         # report's decision list accumulates.
-        assert unrecorded.admission.decisions == []
+        assert unrecorded.decisions == []
         assert report_b.decisions == []
 
     def test_shard_heap_matches_linear_min(self):

@@ -308,23 +308,8 @@ def test_spread_placement_activates_across_domains(services):
     )
     assert dense.shard_requests[0] > 0 and dense.shard_requests[1] > 0
     assert dense.shard_requests[2] == 0 and dense.shard_requests[3] == 0
-
-
-def test_topology_via_serving_config_matches_constructor(services):
-    topo = ClusterTopology.uniform(4, 2)
-    trace = _trace(9)
-    via_ctor = _cluster(services, topology=topo, placement="spread").serve_trace(trace)
-    bare = _cluster(services)
-    via_config = bare.serve_trace(
-        trace, config=ServingConfig(topology=topo, placement="spread")
-    )
-    assert _render(via_ctor) == _render(via_config)
-    # The override is per-run: the bare cluster's installed topology,
-    # placement and activation order are restored afterwards.
-    assert bare.topology is None
-    assert bare._order is None
     with pytest.raises(ValueError, match="unknown placement"):
-        ServingConfig(placement="sparse")
+        _cluster(services, topology=topo, placement="sparse")
 
 
 # --------------------------------------------------- tenant degraded buy-out

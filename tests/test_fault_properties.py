@@ -44,7 +44,7 @@ from repro.serving import (
     TraceArrivals,
     merge_traces,
 )
-from repro.serving.faults import DISPATCH_PARKED, FaultLoopHooks, FaultRuntime
+from repro.serving.faults import DISPATCH_PARKED, FaultRuntime
 
 NUM_SHARDS = 3
 
@@ -356,26 +356,35 @@ def test_locality_dispatch_avoids_dead_preferred_shard(services, engine):
 
 
 # ------------------------------------------------------------------ parking
-def _hooks(busy, commits, active_count):
-    """Minimal loop hooks over a busy list: least-loaded pick, 0.5 s service."""
-    def set_busy(shard_id, seconds):
-        busy[shard_id] = seconds
+class _FakeRun:
+    """Minimal run over a busy list: least-loaded pick, 0.5 s service."""
 
-    return FaultLoopHooks(
-        active_count=lambda: active_count,
-        busy=lambda shard_id: busy[shard_id],
-        set_busy=set_busy,
-        add_busy=lambda shard_id, seconds: None,
-        merged=lambda batch: None,
-        pick=lambda batch, workload, candidates: min(
-            candidates, key=lambda s: (busy[s], s)
-        ),
-        serve=lambda shard_id, workload: (None, 0.5),
-        commit=lambda batch, shard_id, start, duration, report, finish: commits.append(
-            (shard_id, batch.ready_seconds, start)
-        ),
-        on_failed=lambda request, seconds: None,
-    )
+    def __init__(self, busy, commits, active_count):
+        self.busy = busy
+        self.busy_total = [0.0] * len(busy)
+        self.commits = commits
+        self.active_count = active_count
+
+    def set_busy(self, shard_id, seconds):
+        self.busy[shard_id] = seconds
+
+    hold = set_busy
+
+    def merged(self, batch):
+        return None
+
+    def pick_among(self, batch, candidates):
+        return min(candidates, key=lambda s: (self.busy[s], s))
+
+    def serve(self, shard_id, workload):
+        return None, 0.5
+
+    def place(self, batch, shard_id, start, duration, report, finish):
+        self.set_busy(shard_id, finish)
+        self.commits.append((shard_id, batch.ready_seconds, start))
+
+    def on_failed(self, request, seconds):
+        pass
 
 
 def test_parked_batch_wakes_at_the_fault_instant_on_the_live_set():
@@ -398,16 +407,16 @@ def test_parked_batch_wakes_at_the_fault_instant_on_the_live_set():
     runtime = schedule.runtime(3)
     busy = [0.0, 4.0, 0.0]
     commits = []
-    env = _hooks(busy, commits, active_count=1)
+    run = _FakeRun(busy, commits, active_count=1)
     request = InferenceRequest(
         request_id=0, arrival_seconds=2.0, workload=WORKLOAD_POOL[0]
     )
-    runtime.advance(env, 2.0)
-    runtime.submit(RequestBatch(requests=[request], ready_seconds=2.0), env)
+    runtime.advance(run, 2.0)
+    runtime.submit(RequestBatch(requests=[request], ready_seconds=2.0), run)
     assert list(runtime.parked) and runtime.backlog_count() == 1
     assert commits == []
     for instant in (3.0, 4.0, 5.0, 20.0):
-        runtime.advance(env, instant)
+        runtime.advance(run, instant)
     # (shard, ready, start): woken at t=4 and started on standby shard 2
     # before shard 0 recovers at t=5.
     assert commits == [(2, 4.0, 4.0)]
@@ -429,7 +438,7 @@ def test_substituting_standby_pays_its_activation_warmup():
     runtime = schedule.runtime(2, warmup=(0.3, 0.3))
     busy = [0.5, 0.0]
     commits = []
-    env = _hooks(busy, commits, active_count=1)
+    run = _FakeRun(busy, commits, active_count=1)
 
     def batch(request_id, ready):
         request = InferenceRequest(
@@ -437,12 +446,12 @@ def test_substituting_standby_pays_its_activation_warmup():
         )
         return RequestBatch(requests=[request], ready_seconds=ready)
 
-    runtime.advance(env, 1.0)
+    runtime.advance(run, 1.0)
     assert busy == [0.5, 1.3]
-    runtime.submit(batch(0, 1.0), env)
-    runtime.advance(env, 2.0)
+    runtime.submit(batch(0, 1.0), run)
+    runtime.advance(run, 2.0)
     assert busy == [2.0, 1.8]
-    runtime.submit(batch(1, 2.0), env)
+    runtime.submit(batch(1, 2.0), run)
     # (shard, ready, start)
     assert commits == [(1, 1.0, 1.3), (0, 2.0, 2.0)]
 

@@ -30,7 +30,6 @@ from repro.serving import (
     OpenLoopArrivals,
     RandomFaults,
     ServingConfig,
-    ServingController,
     ShardedServiceCluster,
     SLOPolicy,
     TenantQuota,
@@ -77,7 +76,9 @@ def _controlled_report(services, engine: str = ENGINE_FAST):
         GOLDEN_MIX, num_clients=10, think_seconds=0.01, seed=21, max_requests=40,
         retry_backoff_seconds=0.05,
     )
-    return ServingController(cluster, slo=slo, autoscaler=scaler).serve(clients)
+    return cluster.serve_online(
+        clients, config=ServingConfig(slo=slo, admit=True, autoscaler=scaler)
+    )
 
 
 def _tenant_trace():
@@ -119,10 +120,10 @@ def _tenant_report(services, engine: str = ENGINE_FAST):
         min_shards=1, max_shards=3, scale_up_depth=2.0, scale_down_depth=0.5,
         hysteresis_observations=2,
     )
-    controller = ServingController(
-        cluster, slo=slo, autoscaler=scaler, batch_aware=True
+    return cluster.serve_online(
+        TraceArrivals(_tenant_trace()),
+        config=ServingConfig(slo=slo, admit=True, autoscaler=scaler, batch_aware=True),
     )
-    return controller.serve(TraceArrivals(_tenant_trace()))
 
 
 def _faulted_report(services, engine: str = ENGINE_FAST):

@@ -27,11 +27,12 @@ from conftest import TENANTS, WORKLOAD_POOL, make_bursty_tenant_trace, make_prof
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
+    AdmissionController,
     BatchScheduler,
     InferenceRequest,
     OpenLoopArrivals,
     RequestTrace,
-    ServingController,
+    ServingConfig,
     ShardedServiceCluster,
     SLOPolicy,
     TenantQuota,
@@ -48,8 +49,10 @@ def _serve(services, trace, slo, name="CPU", num_shards=2, scheduler=None,
         num_shards=num_shards,
         scheduler=scheduler or BatchScheduler(max_batch_size=2, max_wait_seconds=0.002),
     )
-    controller = ServingController(cluster, slo=slo, batch_aware=batch_aware)
-    return controller.serve(TraceArrivals(trace))
+    return cluster.serve_online(
+        TraceArrivals(trace),
+        config=ServingConfig(slo=slo, admit=True, batch_aware=batch_aware),
+    )
 
 
 def _uniform_tenant_trace(rates, num_per_tenant, workload=None, seed=0):
@@ -181,7 +184,7 @@ def test_shedding_proportional_to_excess_over_guarantee(
 
 
 def test_admission_buckets_reset_between_runs(services):
-    """Reusing one ServingController across runs must not leak bucket
+    """Reusing one admission controller across runs must not leak bucket
     state: the second run's simulated clock restarts at 0, so a depleted
     guarantee from run one would otherwise shed within-guarantee traffic."""
     rate = 5.0
@@ -191,9 +194,9 @@ def test_admission_buckets_reset_between_runs(services):
         per_tenant={"steady": TenantQuota(guaranteed_rps=rate)},
     )
     cluster = ShardedServiceCluster(services["CPU"], num_shards=2)
-    controller = ServingController(cluster, slo=slo)
-    first = controller.serve(TraceArrivals(trace))
-    second = controller.serve(TraceArrivals(trace))
+    config = ServingConfig(controller=AdmissionController(slo))
+    first = cluster.serve_online(TraceArrivals(trace), config=config)
+    second = cluster.serve_online(TraceArrivals(trace), config=config)
     assert first.num_shed == 0
     assert second.num_shed == 0
 
