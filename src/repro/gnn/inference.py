@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.gnn.embeddings import EmbeddingTable
-from repro.gnn.models import GNNModel, build_model
+from repro.gnn.models import MODEL_REGISTRY, GNNModel
 from repro.graph.csc import CSCGraph
 from repro.graph.reindex import ReindexResult
 
@@ -72,10 +72,18 @@ class InferenceLatencyModel:
         vector per edge per layer plus the initial embedding fetch), which is
         what bounds sparse GNN aggregation on a GPU.
         """
-        flops = model.flops(num_nodes, num_edges)
+        return self._latency(
+            model.flops(num_nodes, num_edges),
+            getattr(model, "hidden_dim", 128),
+            getattr(model, "num_layers", 2),
+            num_nodes,
+            num_edges,
+        )
+
+    def _latency(
+        self, flops: int, dim: int, layers: int, num_nodes: int, num_edges: int
+    ) -> float:
         compute = flops / (self.peak_flops * self.efficiency)
-        dim = getattr(model, "hidden_dim", 128)
-        layers = getattr(model, "num_layers", 2)
         gathered_bytes = 4 * dim * (layers * num_edges + num_nodes)
         memory = gathered_bytes / self.gather_bandwidth
         return self.fixed_overhead + compute + memory
@@ -88,9 +96,12 @@ class InferenceLatencyModel:
         num_layers: int = 2,
         model_name: str = "graphsage",
     ) -> float:
-        """Latency from raw counts, building the named model's FLOP profile."""
-        model = build_model(model_name, in_dim=hidden_dim, hidden_dim=hidden_dim, num_layers=num_layers)
-        return self.latency(model, num_nodes, num_edges)
+        """Latency from raw counts: ``latency(build_model(model_name, ...))``
+        without building the model's weights."""
+        flops = MODEL_REGISTRY[model_name.lower()].count_flops(
+            num_nodes, num_edges, hidden_dim, hidden_dim, num_layers
+        )
+        return self._latency(flops, hidden_dim, num_layers, num_nodes, num_edges)
 
 
 class InferenceEngine:

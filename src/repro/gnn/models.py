@@ -67,16 +67,29 @@ class GNNModel:
         return h
 
     # ----------------------------------------------------------------- cost
-    def flops(self, num_nodes: int, num_edges: int) -> int:
-        """Approximate multiply-accumulate count of one forward pass."""
+    @classmethod
+    def count_flops(
+        cls, num_nodes: int, num_edges: int, in_dim: int, hidden_dim: int, num_layers: int
+    ) -> int:
+        """Approximate multiply-accumulate count of one forward pass.
+
+        Depends only on the model class and its dimensions, so the inference
+        latency model prices a model by name without building its weights.
+        """
         total = 0
-        dims = [self.in_dim] + [self.hidden_dim] * self.num_layers
-        for layer in range(self.num_layers):
+        dims = [in_dim] + [hidden_dim] * num_layers
+        for layer in range(num_layers):
             # Aggregation: every edge moves/combines a dim-wide vector.
-            total += int(self.aggregation_cost * num_edges * dims[layer] * 2)
+            total += int(cls.aggregation_cost * num_edges * dims[layer] * 2)
             # Transformation: dense matmul per node.
             total += 2 * num_nodes * dims[layer] * dims[layer + 1]
         return total
+
+    def flops(self, num_nodes: int, num_edges: int) -> int:
+        """Approximate multiply-accumulate count of one forward pass."""
+        return self.count_flops(
+            num_nodes, num_edges, self.in_dim, self.hidden_dim, self.num_layers
+        )
 
 
 class GraphSAGE(GNNModel):

@@ -3,7 +3,7 @@
 A :class:`ShardedServiceCluster` replicates one template
 :class:`~repro.system.service.GNNService` into ``num_shards`` independent
 shards (each with its own preprocessing-system state — bitstream/LUT
-configuration, reconfiguration history — via ``GNNService.replicate``) and
+configuration, reconfiguration history — via ``GNNService.replicas``) and
 serves traffic through one event loop, written once and run on the backend
 the cluster's ``engine`` names (:mod:`repro.serving.engine`):
 
@@ -40,7 +40,7 @@ import heapq
 import zlib
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import GoodputStats, LatencyStats, TenantStats
 
@@ -67,7 +67,7 @@ from repro.serving.requests import InferenceRequest, RequestTrace, TraceArrivals
 from repro.serving.scheduler import BatchScheduler, RequestBatch
 from repro.serving.topology import PLACEMENT_SPREAD, PLACEMENTS, ClusterTopology
 from repro.system.service import GNNService, ServiceReport
-from repro.system.workload import QUALITY_DEGRADED
+from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
 
 #: Dispatch policies: cycle shards, pick the earliest-free shard, or prefer
 #: shards whose reconfigurable state already suits the batch (falling back to
@@ -823,7 +823,7 @@ class ShardedServiceCluster:
             raise ValueError("rebalance_seconds must be non-negative")
         check_engine(engine)
         self.template = service
-        self.shards: List[GNNService] = [service.replicate() for _ in range(num_shards)]
+        self.shards: List[GNNService] = service.replicas(num_shards)
         self.scheduler = scheduler or BatchScheduler(max_batch_size=1)
         self.policy = policy
         self.locality_spill_seconds = locality_spill_seconds
@@ -846,8 +846,36 @@ class ShardedServiceCluster:
         self._reset_dispatch_state()
         # Serve-transition cache shared by every fast-engine run on this
         # cluster: the shards are replicas of one template, so a transition
-        # observed on one shard replays soundly on any other.
-        self._serve_cache: Dict[tuple, tuple] = {}
+        # observed on one shard replays soundly on any other.  It keys on
+        # ids interned for the cluster's lifetime, so a hit hashes two small
+        # ints: (state id, workload id) -> (report, duration, end state id).
+        self._serve_cache: Dict[Tuple[int, int], Tuple[ServiceReport, float, int]] = {}
+        self._state_ids: Dict[Hashable, int] = {}
+        #: Per state id, the snapshot a hit hands to ``apply_state``.
+        self._snapshots: List[object] = []
+        self._workload_ids: Dict[WorkloadProfile, int] = {}
+        #: Per workload id, the merged workload.
+        self._workloads: List[WorkloadProfile] = []
+
+    def _state_id(self, shard: GNNService) -> int:
+        """Interned id of ``shard``'s preprocessing state (its ``state_key()``)."""
+        system = shard.preprocessing
+        key = system.state_key()
+        state_id = self._state_ids.get(key)
+        if state_id is None:
+            state_id = len(self._snapshots)
+            self._state_ids[key] = state_id
+            self._snapshots.append(system.snapshot_state())
+        return state_id
+
+    def _workload_id(self, workload: WorkloadProfile) -> int:
+        """Interned id of a merged workload."""
+        workload_id = self._workload_ids.get(workload)
+        if workload_id is None:
+            workload_id = len(self._workloads)
+            self._workload_ids[workload] = workload_id
+            self._workloads.append(workload)
+        return workload_id
 
     def _reset_dispatch_state(self) -> None:
         """Reset per-run dispatch memory (round-robin cursor, shard keys).

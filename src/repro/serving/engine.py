@@ -16,9 +16,11 @@ online and for offline replays alike.  The ``engine`` option only picks the
     caches the ``(state, workload) -> (report, duration, next state)``
     transition and replays it on any shard in the same starting state
     (``PreprocessingSystem.state_key`` / ``snapshot_state`` /
-    ``apply_state``).  For DynPre this eliminates the per-batch
-    bitstream-library sweep; for stateless systems it eliminates the
-    analytic model evaluation outright.
+    ``apply_state``).  States and merged workloads are interned to small
+    ints for the cluster's lifetime and each run tracks every shard's
+    state id, so a hit is an int-tuple lookup.  For DynPre this eliminates
+    the per-batch bitstream-library sweep; for stateless systems it
+    eliminates the analytic model evaluation outright.
   * **Indexed shard heap** — least-loaded dispatch and admission backlog
     reads pop a ``(busy_until, shard_id)`` priority structure with lazy
     staleness instead of scanning every shard per batch.
@@ -231,34 +233,39 @@ class _RunAccumulator:
 
 
 def _cached_serve(
-    cluster: "ShardedServiceCluster", shard_id: int, workload: WorkloadProfile
+    cluster: "ShardedServiceCluster", states: List[int], shard_id: int, workload_id: int
 ) -> Tuple["ServiceReport", float]:
-    """Serve ``workload`` on shard ``shard_id`` through the serve-transition cache.
+    """Serve workload ``workload_id`` on shard ``shard_id`` through the
+    serve-transition cache.
 
-    A hit replays the memoized ``(report, duration, end state)`` transition:
-    the report object is shared (it is immutable in practice and compares by
-    value), and ``apply_state`` moves the shard to the exact state a fresh
-    pass would have left — including the reconfiguration event log, which
-    the controller re-derives from the (old, new) configuration pair.
+    ``states`` holds each shard's interned state id for the current run and
+    is moved to the transition's end state.  A hit replays the memoized
+    ``(report, duration, end state)`` transition: the report object is
+    shared (it is immutable in practice and compares by value), and
+    ``apply_state`` moves the shard to the exact state a fresh pass would
+    have left — including the reconfiguration event log, which the
+    controller re-derives from the (old, new) configuration pair.
     """
-    shard = cluster.shards[shard_id]
-    state = shard.preprocessing.state_key()
-    key = (state, workload)
+    key = (states[shard_id], workload_id)
     hit = cluster._serve_cache.get(key)
+    shard = cluster.shards[shard_id]
     if hit is not None:
-        report, duration, snapshot = hit
-        shard.preprocessing.apply_state(snapshot)
-        return report, duration
-    report = shard.serve(workload)
-    duration = report.total_seconds
-    cluster._serve_cache[key] = (report, duration, shard.preprocessing.snapshot_state())
+        report, duration, end_state = hit
+        shard.preprocessing.apply_state(cluster._snapshots[end_state])
+    else:
+        report = shard.serve(cluster._workloads[workload_id])
+        duration = report.total_seconds
+        end_state = cluster._state_id(shard)
+        cluster._serve_cache[key] = (report, duration, end_state)
+    states[shard_id] = end_state
     return report, duration
 
 
-def _merged_workload(
-    batch: RequestBatch, merged_cache: Dict[tuple, WorkloadProfile]
-) -> WorkloadProfile:
-    """The batch's merged workload, memoized on (base profile, summed size).
+def _merged_workload_id(
+    cluster: "ShardedServiceCluster", batch: RequestBatch, merged_ids: Dict[tuple, int]
+) -> int:
+    """Interned id of the batch's merged workload, memoized per run on
+    (base profile, summed size).
 
     The merge itself is delegated to ``RequestBatch.workload`` — the same
     property the reference backend evaluates — so the two backends cannot
@@ -268,18 +275,18 @@ def _merged_workload(
     base = batch.requests[0].workload
     total = sum(request.workload.batch_size for request in batch.requests)
     key = (base, total)
-    workload = merged_cache.get(key)
-    if workload is None:
-        workload = batch.workload
-        merged_cache[key] = workload
-    return workload
+    workload_id = merged_ids.get(key)
+    if workload_id is None:
+        workload_id = cluster._workload_id(batch.workload)
+        merged_ids[key] = workload_id
+    return workload_id
 
 
 def _pick_shard(
     cluster: "ShardedServiceCluster",
     heap: ShardHeap,
     batch: RequestBatch,
-    workload: WorkloadProfile,
+    workload_id: int,
     active_count: int,
 ) -> int:
     """Replicates ``ShardedServiceCluster._pick_shard`` on the shard heap."""
@@ -302,6 +309,7 @@ def _pick_shard(
         return shard_id
     if cluster.policy == POLICY_LOCALITY:
         busy = heap.busy
+        workload = cluster._workloads[workload_id]
         configured = [
             i
             for i in range(active_count)
@@ -398,8 +406,11 @@ class FastBackend(ReferenceBackend):
         # The per-batch pieces are bound to their module-level functions
         # (no method frame on the dispatch hot path).
         self.set_busy = self.heap.update
-        self.merged = partial(_merged_workload, merged_cache={})
-        self.serve = partial(_cached_serve, cluster)
+        # ``merged`` hands out interned workload ids, which ``pick`` and
+        # ``serve`` take in place of the profile.
+        self.merged = partial(_merged_workload_id, cluster, merged_ids={})
+        states = [cluster._state_id(shard) for shard in cluster.shards]
+        self.serve = partial(_cached_serve, cluster, states)
         self.pick = partial(_pick_shard, cluster, self.heap)
 
     def min_backlog(self, active_count: int, now: float) -> float:
@@ -607,7 +618,10 @@ def _serve_trace_chunked(
     heap = ShardHeap(num_shards)
     busy_total = [0.0] * num_shards
     shard_requests = [0] * num_shards
-    merged_cache: Dict[tuple, WorkloadProfile] = {}
+    # Interned ids: each shard's preprocessing state, and the merged
+    # workload of each (pool slot, summed size) pair seen this run.
+    states = [cluster._state_id(shard) for shard in cluster.shards]
+    workload_ids: Dict[Tuple[int, int], int] = {}
     last_finish = 0.0
 
     pool = arrays.workload_pool
@@ -632,29 +646,27 @@ def _serve_trace_chunked(
     # bare heap pick; hoisting the policy test out of the loop skips the
     # delegating ``_pick_shard`` call per batch.
     simple_pick = cluster.topology is None and cluster.policy == POLICY_LEAST_LOADED
-    shards = cluster.shards
     busy = heap.busy
     view = _BatchView()
     for b in range(num_batches):
         slot = base_slots[b]
-        total = merged_totals[b]
-        merged_key = (slot, total)
-        workload = merged_cache.get(merged_key)
-        if workload is None:
+        merged_key = (slot, merged_totals[b])
+        workload_id = workload_ids.get(merged_key)
+        if workload_id is None:
             # Same merge the event loop evaluates through
             # ``RequestBatch.workload``: base profile, member sizes summed.
-            workload = pool[slot].with_batch_size(total)
-            merged_cache[merged_key] = workload
+            workload_id = cluster._workload_id(pool[slot].with_batch_size(merged_key[1]))
+            workload_ids[merged_key] = workload_id
         ready = ready_list[b]
         if simple_pick:
             shard_id = heap.pick(num_shards)
         else:
             view.key = key_of_slot[slot]
             view.ready_seconds = ready
-            view.workload = workload
-            shard_id = _pick_shard(cluster, heap, view, workload, num_shards)
+            view.workload = cluster._workloads[workload_id]
+            shard_id = _pick_shard(cluster, heap, view, workload_id, num_shards)
         start = max(ready, busy[shard_id])
-        report, duration = _cached_serve(cluster, shard_id, workload)
+        report, duration = _cached_serve(cluster, states, shard_id, workload_id)
         finish = start + duration
         heap.update(shard_id, finish)
         busy_total[shard_id] += duration

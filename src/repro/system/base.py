@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional
 
 from repro.analysis.metrics import EndToEndLatency, TaskLatencies
 from repro.system.pcie import PCIeLink, TransferBreakdown
@@ -86,6 +86,16 @@ class PreprocessingSystem(ABC):
         clone = type(self)(pcie=self.pcie)
         clone.name = self.name
         return clone
+
+    def replicas(self, count: int) -> List["PreprocessingSystem"]:
+        """``count`` replicas for the shards of one serving cluster.
+
+        Each is a :meth:`replicate` with its own mutable state.  Systems
+        with pure memos (results that depend only on the memo key) may share
+        them among the replicas, but never with ``self``: a template's
+        caches stay as they were.
+        """
+        return [self.replicate() for _ in range(count)]
 
     # -------------------------------------------------------- serving state
     def state_key(self) -> Optional[Hashable]:

@@ -206,14 +206,27 @@ class GNNService:
         The replica shares the stateless inference-latency model but gets
         its own preprocessing-system instance (per-shard bitstream/LUT
         state) and inherits this service's power platform and execution
-        mode.  The sharded serving cluster builds one replica per shard.
+        mode.  The sharded serving cluster builds its shards with
+        :meth:`replicas`.
         """
-        return GNNService(
-            self.preprocessing.replicate(),
-            inference=self.inference,
-            power_platform=self.power.preprocessing_platform,
-            mode=self.mode,
-        )
+        return self.replicas(1)[0]
+
+    def replicas(self, count: int) -> List["GNNService"]:
+        """``count`` replicas for one serving cluster's shards.
+
+        Like :meth:`replicate`, over ``PreprocessingSystem.replicas``: the
+        replicas may share pure preprocessing memos with each other, never
+        with this service.
+        """
+        return [
+            GNNService(
+                preprocessing,
+                inference=self.inference,
+                power_platform=self.power.preprocessing_platform,
+                mode=self.mode,
+            )
+            for preprocessing in self.preprocessing.replicas(count)
+        ]
 
     # ------------------------------------------------------- functional path
     def preprocess_functional(

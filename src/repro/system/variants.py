@@ -365,6 +365,9 @@ class DynPreSystem(AutoGNNVariant):
         # (config, workload shape); choose_config re-evaluates a shortlist of
         # candidates per pass, so repeated workloads hit this cache.
         self._latency_cache: Dict[tuple, float] = {}
+        # _candidate_configs memo: the reachable set is pure given the
+        # loaded configuration (the library and ablation knobs are fixed).
+        self._candidate_cache: Dict[HardwareConfig, List[HardwareConfig]] = {}
 
     def replicate(self) -> "DynPreSystem":
         """Fresh replica: shares the immutable bitstream library but carries
@@ -386,9 +389,26 @@ class DynPreSystem(AutoGNNVariant):
         clone.name = self.name
         return clone
 
+    def replicas(self, count: int) -> List["DynPreSystem"]:
+        """Replicas that share their pure memos — the cost model, the latency,
+        ``configured_for`` and candidate caches — with each other, never with
+        this system, so a cluster's shards rank each shape once."""
+        clones = [self.replicate() for _ in range(count)]
+        first = clones[0]
+        for clone in clones[1:]:
+            clone.cost_model = first.cost_model
+            clone._configured_cache = first._configured_cache
+            clone._latency_cache = first._latency_cache
+            clone._candidate_cache = first._candidate_cache
+        return clones
+
     # ---------------------------------------------------------- configuration
     def _candidate_configs(self) -> List[HardwareConfig]:
-        """Configurations reachable under the enabled ablation knobs."""
+        """Configurations reachable under the enabled ablation knobs
+        (memoized on the loaded configuration)."""
+        cached = self._candidate_cache.get(self.config)
+        if cached is not None:
+            return cached
         candidates = []
         for config in self.library.configurations():
             if not self.optimize_upe and (
@@ -402,7 +422,9 @@ class DynPreSystem(AutoGNNVariant):
             ):
                 continue
             candidates.append(config)
-        return candidates or [self.config]
+        candidates = candidates or [self.config]
+        self._candidate_cache[self.config] = candidates
+        return candidates
 
     def _latency_with(self, config: HardwareConfig, workload: WorkloadProfile) -> float:
         """Predicted per-pass preprocessing latency under ``config``.
@@ -482,7 +504,8 @@ class DynPreSystem(AutoGNNVariant):
         configuration pair, exactly as the fresh pass that populated the
         cache did.
         """
-        if snapshot is None or snapshot == self.config:
+        # Identity first: hits replay the cluster's canonical snapshot object.
+        if snapshot is self.config or snapshot is None or snapshot == self.config:
             return
         self.reconfig.reconfigure(snapshot)
         self.config = snapshot

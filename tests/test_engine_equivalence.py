@@ -42,6 +42,7 @@ from repro.serving import (
     TraceArrivals,
 )
 from repro.serving.engine import ShardHeap, _ChunkedServedLog
+from repro.system.service import build_services
 
 
 def _render(report) -> str:
@@ -634,16 +635,71 @@ class TestFastEngineExtras:
         with pytest.raises(ValueError, match="engine"):
             ShardedServiceCluster(services["CPU"], engine="warp")
 
-    def test_serve_cache_reused_across_runs(self, services):
-        trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=500.0, seed=4).trace(12)
-        cluster = _cluster(services, "DynPre", ENGINE_FAST)
-        first = _render(cluster.serve_trace(trace))
-        populated = len(cluster._serve_cache)
+    @pytest.mark.parametrize("path", ["chunked", "event"])
+    def test_serve_cache_reused_across_runs(self, services, path):
+        """A second trace on the same cluster starts from the shard states
+        the first left and replays the first's transitions from the cache."""
+        trace_a = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=500.0, seed=4).trace(12)
+        trace_b = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=500.0, seed=9).trace(12)
+        scheduler = BatchScheduler(max_batch_size=2, max_wait_seconds=0.002)
+        reference, fast = _pair(services, "DynPre", scheduler=scheduler)
+
+        def serve(cluster, trace):
+            if path == "event" and cluster is fast:
+                return cluster.serve_online(TraceArrivals(trace))
+            return cluster.serve_trace(trace)
+
+        assert _render(serve(fast, trace_a)) == _render(serve(reference, trace_a))
+        populated = len(fast._serve_cache)
         assert populated > 0
-        # A second replay hits the cache and must not change the outcome
-        # (same initial shard state: new clusters replicate the template).
-        fresh = _cluster(services, "DynPre", ENGINE_FAST)
-        assert _render(fresh.serve_trace(trace)) == first
+        report_b = serve(fast, trace_b)
+        assert _render(report_b) == _render(serve(reference, trace_b))
+        assert len(fast._serve_cache) - populated < report_b.num_batches
+
+    @pytest.mark.parametrize("policy", ["least-loaded", "locality"])
+    def test_replayed_hits_keep_shard_state_and_reconfig_log(self, services, policy):
+        """Hits move shards through ``apply_state``: every shard must end in
+        the state, with the reconfiguration log, that direct serves leave."""
+        trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=400.0, seed=6).trace(60)
+        scheduler = BatchScheduler(max_batch_size=3, max_wait_seconds=0.004)
+        reference, fast = _pair(
+            services, "DynPre", policy=policy, scheduler=scheduler,
+            locality_spill_seconds=0.05,
+        )
+        report = fast.serve_trace(trace)
+        assert _render(report) == _render(reference.serve_trace(trace))
+        # Some batches replayed a cached transition.
+        assert len(fast._serve_cache) < report.num_batches
+        for ref_shard, fast_shard in zip(reference.shards, fast.shards):
+            assert fast_shard.state_key() == ref_shard.state_key()
+            assert fast_shard.preprocessing.reconfig.events == (
+                ref_shard.preprocessing.reconfig.events
+            )
+        assert any(shard.preprocessing.reconfig.events for shard in fast.shards)
+
+    def test_pure_memos_are_shared_per_cluster_not_with_the_template(self):
+        template = build_services()["DynPre"]
+        cluster = ShardedServiceCluster(
+            template, num_shards=2, policy="locality",
+            scheduler=BatchScheduler(max_batch_size=3, max_wait_seconds=0.004),
+        )
+        first, second = (shard.preprocessing for shard in cluster.shards)
+        assert first._latency_cache is second._latency_cache
+        assert first._configured_cache is second._configured_cache
+        assert first._candidate_cache is second._candidate_cache
+        assert first.cost_model is second.cost_model
+        assert first.reconfig is not second.reconfig
+        trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=400.0, seed=5).trace(30)
+        cluster.serve_trace(trace)
+        cluster.serve_online(TraceArrivals(trace))
+        assert first._latency_cache and first._configured_cache
+        system = template.preprocessing
+        assert system._latency_cache == {}
+        assert system._configured_cache == {}
+        assert system._candidate_cache == {}
+        assert system.cost_model._estimate_cache == {}
+        assert template._inference_cache == {}
+        assert template._cost_cache == {}
 
     def test_unrecorded_decisions_do_not_change_outcomes(self, services):
         slo = SLOPolicy(default_slo_seconds=0.2)

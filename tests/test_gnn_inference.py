@@ -1,12 +1,13 @@
 """Tests for the inference engine and its latency model."""
 
 import numpy as np
+import pytest
 
 from repro.core.accelerator import AutoGNNDevice
 from repro.core.config import HardwareConfig
 from repro.gnn.embeddings import EmbeddingTable
 from repro.gnn.inference import InferenceEngine, InferenceLatencyModel
-from repro.gnn.models import GraphSAGE, build_model
+from repro.gnn.models import MODEL_REGISTRY, GraphSAGE, build_model
 from repro.graph.convert import coo_to_csc
 from repro.preprocessing.pipeline import PreprocessingConfig
 
@@ -33,6 +34,19 @@ class TestLatencyModel:
         two = model.latency_from_counts(1000, 10_000, num_layers=2)
         six = model.latency_from_counts(1000, 10_000, num_layers=6)
         assert six > two
+
+    @pytest.mark.parametrize("dim", [64, 128])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3, 6])
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_latency_from_counts_matches_built_model(self, name, num_layers, dim):
+        """The weight-free count prices a model exactly as the built one."""
+        model = InferenceLatencyModel()
+        built = build_model(name, in_dim=dim, hidden_dim=dim, num_layers=num_layers)
+        for num_nodes, num_edges in [(1, 0), (1000, 10_000), (314_159, 2_718_281)]:
+            assert model.latency_from_counts(
+                num_nodes, num_edges, hidden_dim=dim, num_layers=num_layers,
+                model_name=name.upper(),
+            ) == model.latency(built, num_nodes, num_edges)
 
 
 class TestInferenceEngine:
