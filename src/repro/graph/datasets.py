@@ -8,6 +8,7 @@ matches those characteristics.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -53,7 +54,9 @@ class DatasetInfo:
         target_nodes = max(int(round(edges / self.avg_degree)), _MIN_NODES)
         nodes = max(target_nodes, _MIN_NODES)
         if seed is None:
-            seed = abs(hash(self.key)) % (2**31)
+            # A digest of the key, stable across processes (``hash`` of a
+            # str is salted per interpreter, so every run drew a new graph).
+            seed = zlib.crc32(self.key.encode("utf-8")) % (2**31)
         return GraphSpec(
             num_nodes=nodes,
             num_edges=edges,

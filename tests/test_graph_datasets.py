@@ -1,5 +1,9 @@
 """Tests for the Table II dataset registry and generators."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,6 +71,25 @@ class TestLoading:
         b = load_dataset("PH", scale=1 / 2000, seed=3)
         assert np.array_equal(a.src, b.src)
         assert np.array_equal(a.dst, b.dst)
+
+    def test_default_seed_is_stable_across_processes(self):
+        """The default seed must not depend on the interpreter's str-hash salt."""
+        script = (
+            "import hashlib; from repro.graph.datasets import load_dataset; "
+            "g = load_dataset('SO', scale=1 / 20000); "
+            "print(hashlib.sha256(g.src.tobytes() + g.dst.tobytes()).hexdigest())"
+        )
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            digests.add(
+                subprocess.run(
+                    [sys.executable, "-c", script], env=env, check=True,
+                    capture_output=True, text=True, timeout=120,
+                ).stdout
+            )
+        assert len(digests) == 1
 
     def test_minimum_sizes_enforced(self):
         g = load_dataset("PH", scale=1e-9)
