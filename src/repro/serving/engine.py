@@ -650,12 +650,13 @@ def _serve_trace_chunked(
     view = _BatchView()
     for b in range(num_batches):
         slot = base_slots[b]
-        merged_key = (slot, merged_totals[b])
+        total = merged_totals[b]
+        merged_key = (slot, total)
         workload_id = workload_ids.get(merged_key)
         if workload_id is None:
             # Same merge the event loop evaluates through
             # ``RequestBatch.workload``: base profile, member sizes summed.
-            workload_id = cluster._workload_id(pool[slot].with_batch_size(merged_key[1]))
+            workload_id = cluster._workload_id(pool[slot].with_batch_size(total))
             workload_ids[merged_key] = workload_id
         ready = ready_list[b]
         if simple_pick:
