@@ -3,29 +3,38 @@
 Replays one fixed open-loop Poisson trace (the Table II PH/AX/MV mix) through
 two DynPre clusters that differ only in ``engine=`` — the pure-Python
 reference event loop vs the indexed/caching fast engine — and records the
-wall-clock of each ``serve_trace`` call per trace scale.  Both reports are
-asserted byte-identical before any timing is trusted: a fast engine that
-drifts from the reference is a bug, not a speedup.
+wall-clock of each ``serve_trace`` call per trace scale.  The reports must
+be byte-identical (a gate, so a failing run is never read as a speedup): a
+fast engine that drifts from the reference is a bug, not a speedup.
 
 The fast engine can replay a trace two ways — the array-native *chunked*
 loop ``serve_trace`` selects for fault-free, non-fair replays, and the
 event loop every other replay runs (timed here as ``serve_online`` over
 ``TraceArrivals``, the per-event leg) — so each gated scale times three
-runs: reference, per-event fast and chunked fast.  All three reports are
-asserted byte-identical.
+runs: reference, per-event fast and chunked fast, whose three reports must
+all render the same bytes.
 
-Acceptance gates, enforced by the exit code and the pytest-benchmark entry:
-fast (chunked) >= 5x reference at 20k requests (quick mode: 5k, >= 3x), and
-chunked >= its per-scale floor over the per-event fast leg.  A
-fast-engine-only 100k-request point (the "interactive speed" headline; the
-reference would take minutes there) is recorded without a gate, and the
-full run adds a **1M-request fast-only tier**: chunked vs per-event, gated
-at >= 3x with byte-identical reports (the scale the array-native loop
-exists for).
+Every run also times a **1M-request fast-only tier**: chunked vs per-event,
+the scale the array-native loop exists for (the reference would take
+minutes there).  The full run adds a 20k-request gated scale and an ungated
+fast-only 100k-request point (the "interactive speed" headline).
 
-Results are written to ``BENCH_engine_speed.json`` at the repo root;
-``benchmarks/check_perf_regression.py`` compares fresh runs against the
-committed copy (speedup floor + machine-normalized wall-clock check).
+The document's ``gates`` hold, per gated scale: fast (chunked) vs reference
+(>= 3x at 5k, >= 5x at 20k, and ``SPEEDUP_KEEP`` of the committed speedup),
+chunked vs per-event (its per-scale floor, and half the committed value) and
+byte-identical reports; at 1M, chunked vs per-event (>= 3x and
+``SPEEDUP_KEEP`` of the committed value), byte-identical reports and an
+absolute wall-clock ceiling.  The exit code, the pytest-benchmark entry and
+``check_perf_regression.py`` all evaluate them.
+
+Each leg is timed as its fastest of ``ROUNDS`` interleaved replays.  Every
+speedup here is two legs of one run on one host, so a relative gate on it
+needs no machine normalization: ``fast <= 1.2 * (ref / ref_c) *
+fast_c`` (a 20% machine-normalized wall-clock budget against the committed
+``_c`` run) is the same test as ``ref / fast >= (ref_c / fast_c) / 1.2``.
+
+A full run writes ``BENCH_engine_speed.json`` at the repo root; ``--quick``
+writes under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -53,6 +62,8 @@ from repro.serving import (
 )
 from repro.system.service import build_services
 from repro.system.workload import WorkloadProfile
+
+from common import DEFAULT_KEEP, gate_failures, run_once, write_result
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_engine_speed.json"
@@ -87,13 +98,25 @@ MIN_MILLION_SPEEDUP = 3.0
 #: budget; ~10x headroom over a laptop run).
 MILLION_WALL_BUDGET_SECONDS = 60.0
 
+#: Fraction of the committed fast-vs-reference and 1M chunked-vs-per-event
+#: speedups a fresh run keeps: the 20% wall-clock budget, as a speedup.
+SPEEDUP_KEEP = 1 / 1.2
+
+#: Interleaved replays per leg at every timed scale but the showcase.  A
+#: leg's time is its fastest replay: host contention only ever adds time, so
+#: the minimum trims the slow tail a floor at ``SPEEDUP_KEEP`` of the
+#: committed run trips on (single replays on a shared 2-vCPU host read the
+#: 5k speedup anywhere from 24x to 47x).
+ROUNDS = 3
+
 SEED = 1
 
 PROVENANCE = (
     "wall-clock seconds measured around ShardedServiceCluster.serve_trace "
     "(reference, chunked) and serve_online(TraceArrivals(trace)) (per-event "
-    "fast) on this machine; simulated metrics are engine-independent (byte-identical "
-    "reports, asserted before timing). Regenerate with "
+    "fast) on this machine, fastest of 3 interleaved replays per leg (one for "
+    "the 100k showcase); simulated metrics are engine-independent (byte-identical "
+    "reports, gated). Regenerate with "
     "`python benchmarks/bench_engine_speed.py`."
 )
 
@@ -103,8 +126,7 @@ def _trace(num_requests: int):
     trace = OpenLoopArrivals(mix, rate_rps=OFFERED_RATE_RPS, seed=SEED).trace(num_requests)
     # Materialize the lazy request objects up front so the one-time cost is
     # charged to neither timed serve (both engines then see identical input
-    # state, which the regression script's machine-factor normalization
-    # assumes).
+    # state, so the legs' ratio compares the loops alone).
     trace.requests
     return trace
 
@@ -121,84 +143,52 @@ def _cluster(services, engine: str) -> ShardedServiceCluster:
     )
 
 
-def _timed_serve(services, engine: str, trace):
-    cluster = _cluster(services, engine)
-    started = time.perf_counter()
-    report = cluster.serve_trace(trace)
-    elapsed = time.perf_counter() - started
-    return report, elapsed
+def _timed(services, leg: str, trace):
+    """Replay ``trace`` once on a fresh cluster; return (report, seconds).
 
-
-def _timed_event(services, trace):
-    """Time the fast engine's event loop on the trace (the per-event leg)."""
-    cluster = _cluster(services, ENGINE_FAST)
-    started = time.perf_counter()
-    report = cluster.serve_online(TraceArrivals(trace))
-    elapsed = time.perf_counter() - started
-    return report, elapsed
-
-
-def run_million(services=None) -> Dict:
-    """The fast-only 1M-request tier: chunked vs per-event loop.
-
-    Returns the result entry (also embedded in the full run's document);
-    raises on report divergence.  The reference engine is deliberately
-    absent — it would take minutes at this scale — so the regression
-    script normalizes machine speed with the per-event fast leg instead.
+    ``leg`` is ``"reference"`` or ``"chunked"`` (``serve_trace`` on that
+    engine) or ``"event"`` (the fast engine's event loop over
+    ``TraceArrivals``).
     """
-    if services is None:
-        services = build_services()
-    trace = _trace(MILLION_SCALE)
-    event_report, event_seconds = _timed_event(services, trace)
-    chunked_report, chunked_seconds = _timed_serve(services, ENGINE_FAST, trace)
-    if json.dumps(event_report.as_dict(), sort_keys=True) != json.dumps(
-        chunked_report.as_dict(), sort_keys=True
-    ):
-        raise AssertionError(
-            f"engine divergence at {MILLION_SCALE} requests: chunked report is "
-            "not byte-identical to the per-event fast report"
-        )
-    speedup = event_seconds / max(chunked_seconds, 1e-12)
-    entry = {
-        "scale": MILLION_SCALE,
-        "event_seconds": round(event_seconds, 4),
-        "chunked_seconds": round(chunked_seconds, 4),
-        "chunked_speedup": round(speedup, 2),
-        "min_chunked_speedup": MIN_MILLION_SPEEDUP,
-        "wall_budget_seconds": MILLION_WALL_BUDGET_SECONDS,
-        "identical_reports": True,
-    }
-    verdict = "ok" if speedup >= MIN_MILLION_SPEEDUP else "REGRESSION"
-    print(
-        f"{MILLION_SCALE:>7} requests: per-event {event_seconds:7.2f}s | "
-        f"chunked {chunked_seconds:7.3f}s | {speedup:6.1f}x "
-        f"(gate >= {MIN_MILLION_SPEEDUP:.0f}x) | {verdict}"
-    )
-    return entry
+    cluster = _cluster(services, ENGINE_REFERENCE if leg == "reference" else ENGINE_FAST)
+    started = time.perf_counter()
+    if leg == "event":
+        report = cluster.serve_online(TraceArrivals(trace))
+    else:
+        report = cluster.serve_trace(trace)
+    return report, time.perf_counter() - started
+
+
+def _fastest(services, legs, trace):
+    """Each leg's fastest of ``ROUNDS`` interleaved replays of ``trace``.
+
+    Returns ``({leg: seconds}, identical)``, where ``identical`` says whether
+    every leg's first replay rendered the same report bytes.
+    """
+    seconds = dict.fromkeys(legs, float("inf"))
+    rendered = set()
+    for round_index in range(ROUNDS):
+        for leg in legs:
+            report, elapsed = _timed(services, leg, trace)
+            seconds[leg] = min(seconds[leg], elapsed)
+            if round_index == 0:
+                rendered.add(json.dumps(report.as_dict(), sort_keys=True))
+    return seconds, len(rendered) == 1
 
 
 def run(quick: bool = False) -> Dict:
     """Execute the benchmark and return (and persist) the result document."""
     services = build_services()
     results: List[Dict] = []
-    failures: List[str] = []
 
     scales = GATED_SCALES[:1] if quick else GATED_SCALES
-    for num_requests, min_speedup, min_chunked in scales:
-        trace = _trace(num_requests)
-        reference_report, reference_seconds = _timed_serve(
-            services, ENGINE_REFERENCE, trace
+    for num_requests, _, _ in scales:
+        seconds, identical = _fastest(
+            services, ("reference", "event", "chunked"), _trace(num_requests)
         )
-        event_report, event_seconds = _timed_event(services, trace)
-        fast_report, fast_seconds = _timed_serve(services, ENGINE_FAST, trace)
-        reference_rendered = json.dumps(reference_report.as_dict(), sort_keys=True)
-        fast_rendered = json.dumps(fast_report.as_dict(), sort_keys=True)
-        event_rendered = json.dumps(event_report.as_dict(), sort_keys=True)
-        if reference_rendered != fast_rendered or reference_rendered != event_rendered:
-            raise AssertionError(
-                f"engine divergence at {num_requests} requests: fast reports are "
-                "not byte-identical to the reference report"
-            )
+        reference_seconds = seconds["reference"]
+        event_seconds = seconds["event"]
+        fast_seconds = seconds["chunked"]
         speedup = reference_seconds / max(fast_seconds, 1e-12)
         chunked_speedup = event_seconds / max(fast_seconds, 1e-12)
         results.append(
@@ -208,34 +198,19 @@ def run(quick: bool = False) -> Dict:
                 "fast_seconds": round(fast_seconds, 4),
                 "event_seconds": round(event_seconds, 4),
                 "speedup": round(speedup, 2),
-                "min_speedup": min_speedup,
                 "chunked_speedup": round(chunked_speedup, 2),
-                "min_chunked_speedup": min_chunked,
-                "identical_reports": True,
+                "identical_reports": identical,
             }
         )
-        verdict = "ok" if (speedup >= min_speedup and chunked_speedup >= min_chunked) \
-            else "REGRESSION"
         print(
             f"{num_requests:>7} requests: reference {reference_seconds:7.2f}s | "
             f"per-event {event_seconds:7.3f}s | chunked {fast_seconds:7.3f}s | "
-            f"{speedup:6.1f}x (gate >= {min_speedup:.0f}x) | "
-            f"chunked {chunked_speedup:5.2f}x (gate >= {min_chunked:.2f}x) | {verdict}"
+            f"{speedup:6.1f}x | chunked {chunked_speedup:5.2f}x"
         )
-        if speedup < min_speedup:
-            failures.append(
-                f"{num_requests} requests: {speedup:.1f}x below the {min_speedup:.0f}x gate"
-            )
-        if chunked_speedup < min_chunked:
-            failures.append(
-                f"{num_requests} requests: chunked loop {chunked_speedup:.2f}x below "
-                f"the {min_chunked:.2f}x gate over the per-event loop"
-            )
 
     showcase: Optional[Dict] = None
     if not quick:
-        trace = _trace(SHOWCASE_SCALE)
-        report, fast_seconds = _timed_serve(services, ENGINE_FAST, trace)
+        report, fast_seconds = _timed(services, "chunked", _trace(SHOWCASE_SCALE))
         showcase = {
             "scale": SHOWCASE_SCALE,
             "fast_seconds": round(fast_seconds, 4),
@@ -247,21 +222,20 @@ def run(quick: bool = False) -> Dict:
             f"(reference skipped) | {report.throughput_rps:8.1f} simulated rps"
         )
 
-    million: Optional[Dict] = None
-    if not quick:
-        million = run_million(services)
-        if million["chunked_speedup"] < million["min_chunked_speedup"]:
-            failures.append(
-                f"{MILLION_SCALE} requests: chunked loop "
-                f"{million['chunked_speedup']:.2f}x below the "
-                f"{million['min_chunked_speedup']:.0f}x gate over the per-event loop"
-            )
-        if million["chunked_seconds"] > million["wall_budget_seconds"]:
-            failures.append(
-                f"{MILLION_SCALE} requests: chunked wall-clock "
-                f"{million['chunked_seconds']:.1f}s over the "
-                f"{million['wall_budget_seconds']:.0f}s budget"
-            )
+    # The reference engine would take minutes at 1M requests, so the
+    # per-event fast leg is this tier's speedup base.
+    seconds, identical = _fastest(services, ("event", "chunked"), _trace(MILLION_SCALE))
+    million = {
+        "scale": MILLION_SCALE,
+        "event_seconds": round(seconds["event"], 4),
+        "chunked_seconds": round(seconds["chunked"], 4),
+        "chunked_speedup": round(seconds["event"] / max(seconds["chunked"], 1e-12), 2),
+        "identical_reports": identical,
+    }
+    print(
+        f"{MILLION_SCALE:>7} requests: per-event {seconds['event']:7.2f}s | "
+        f"chunked {seconds['chunked']:7.3f}s | {million['chunked_speedup']:6.1f}x"
+    )
 
     document = {
         "benchmark": "engine_speed",
@@ -290,56 +264,52 @@ def run(quick: bool = False) -> Dict:
                 for entry in results
             )
             + (showcase["fast_seconds"] if showcase else 0.0)
-            + (
-                million["event_seconds"] + million["chunked_seconds"]
-                if million
-                else 0.0
-            ),
+            + million["event_seconds"] + million["chunked_seconds"],
             4,
         ),
+        "gates": _gates(results, million),
     }
-    if failures:
-        document["failures"] = failures
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
+    write_result(document, RESULT_PATH)
     return document
 
 
-def test_engine_speed(benchmark):
-    """Pytest-benchmark entry point with the speedup acceptance gate."""
-    from common import run_once
+def _gates(results: List[Dict], million: Dict) -> List[Dict]:
+    gates: List[Dict] = []
+    for entry, (scale, min_speedup, min_chunked) in zip(results, GATED_SCALES):
+        gates += [
+            {"name": f"speedup_{scale}", "value": entry["speedup"],
+             "floor": min_speedup, "keep": SPEEDUP_KEEP},
+            {"name": f"chunked_speedup_{scale}", "value": entry["chunked_speedup"],
+             "floor": min_chunked, "keep": DEFAULT_KEEP},
+            {"name": f"identical_reports_{scale}", "value": entry["identical_reports"],
+             "floor": True},
+        ]
+    return gates + [
+        {"name": f"chunked_speedup_{MILLION_SCALE}", "value": million["chunked_speedup"],
+         "floor": MIN_MILLION_SPEEDUP, "keep": SPEEDUP_KEEP},
+        {"name": f"chunked_seconds_{MILLION_SCALE}", "value": million["chunked_seconds"],
+         "ceiling": MILLION_WALL_BUDGET_SECONDS},
+        {"name": f"identical_reports_{MILLION_SCALE}", "value": million["identical_reports"],
+         "floor": True},
+    ]
 
+
+def test_engine_speed(benchmark):
+    """Pytest-benchmark entry point (quick scales) with the acceptance gates."""
     document = run_once(benchmark, lambda: run(quick=True))
-    for entry in document["results"]:
-        assert entry["speedup"] >= entry["min_speedup"]
-        assert entry["chunked_speedup"] >= entry["min_chunked_speedup"]
+    assert not gate_failures(document["gates"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="5k-request gate only, skip 20k, the 100k showcase and the 1M tier "
-             "(CI mode)",
-    )
-    parser.add_argument(
-        "--million", action="store_true",
-        help="run only the fast-only 1M-request tier (chunked vs per-event)",
+        help="5k-request scale and the 1M tier only, skip 20k and the 100k "
+             "showcase; write under benchmarks/results/ (CI mode)",
     )
     args = parser.parse_args(argv)
-    if args.million:
-        entry = run_million()
-        ok = (
-            entry["chunked_speedup"] >= entry["min_chunked_speedup"]
-            and entry["chunked_seconds"] <= entry["wall_budget_seconds"]
-        )
-        return 0 if ok else 1
     document = run(quick=args.quick)
-    if document.get("failures"):
-        for failure in document["failures"]:
-            print(f"ENGINE SPEED REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if gate_failures(document["gates"]) else 0
 
 
 if __name__ == "__main__":

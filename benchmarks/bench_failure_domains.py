@@ -42,27 +42,28 @@ request against the least-loaded live shard even when that shard is
 queued up to its own next crash and cannot take the work, and only the
 spread placement mixes such a doomed shard with a shard that can.
 
-The acceptance gate — domain-aware goodput >= 1.2x domain-oblivious
-goodput — is enforced by the exit code and the pytest-benchmark entry, and
-CI re-checks it against the committed baseline via
-``check_perf_regression.py``.
-
 A second section stress-tests the correlated generator: a bursty trace
 through the autoscaled online loop under ``RandomFaults(correlated=...)``
-whole-rack outages, asserting exact conservation
+whole-rack outages, checking exact conservation
 (offered == served + shed + failed) and that the report's per-domain
 outage section saw the blackouts.  The result JSON embeds the generator's
 :meth:`~repro.serving.faults.RandomFaults.provenance` dict and the
 deterministic outage schedule under ``_provenance`` so the exact schedules
 can be rebuilt from the artifact alone.
 
-Results are written to ``BENCH_failure_domains.json`` at the repo root.
+The document's ``gates`` hold domain-aware goodput at >= 1.2x
+domain-oblivious goodput (and half the committed ratio), the stress run's
+conservation and at least one observed whole-rack outage.  The exit code,
+the pytest-benchmark entry and ``check_perf_regression.py`` all evaluate
+them.
+
+A full run writes ``BENCH_failure_domains.json`` at the repo root;
+``--quick`` writes under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -92,6 +93,8 @@ from repro.serving import (
 )
 from repro.system.service import build_services
 from repro.system.workload import WorkloadProfile
+
+from common import DEFAULT_KEEP, gate_failures, run_once, write_result
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_failure_domains.json"
@@ -362,12 +365,6 @@ def run(quick: bool = False) -> Dict:
     conserved = stress_goodput.offered == (
         stress_goodput.served + stress_goodput.shed + stress_goodput.failed
     )
-    if not conserved:
-        raise AssertionError(
-            f"conservation violated in stress run: offered {stress_goodput.offered} "
-            f"!= served {stress_goodput.served} + shed {stress_goodput.shed} "
-            f"+ failed {stress_goodput.failed}"
-        )
     stress_domains = stress_report.faults.domains or ()
     stress_outages = sum(stats.outages for stats in stress_domains)
     print(
@@ -376,7 +373,7 @@ def run(quick: bool = False) -> Dict:
         f"({len(stress_faults.domain_events)} domain macros), autoscaled "
         f"{MIN_ACTIVE_SHARDS}..{NUM_SHARDS} shards in {stress_seconds:.2f}s wall | "
         f"served {stress_goodput.served} + shed {stress_goodput.shed} + failed "
-        f"{stress_goodput.failed} == offered {stress_goodput.offered} | "
+        f"{stress_goodput.failed} vs offered {stress_goodput.offered} | "
         f"{stress_outages} whole-rack outages observed"
     )
 
@@ -424,7 +421,6 @@ def run(quick: bool = False) -> Dict:
         "domain_oblivious": oblivious_entry,
         "domain_aware": aware_entry,
         "goodput_ratio": round(goodput_ratio, 3),
-        "min_goodput_ratio": MIN_DOMAIN_GOODPUT_RATIO,
         "warm_standby_ablation": {
             "warmup_seconds": 0.0,
             "domain_oblivious": warm_oblivious,
@@ -447,37 +443,32 @@ def run(quick: bool = False) -> Dict:
         },
         "wall_clock_seconds": round(time.perf_counter() - started, 4),
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
+    document["gates"] = [
+        {"name": "goodput_ratio", "value": document["goodput_ratio"],
+         "floor": MIN_DOMAIN_GOODPUT_RATIO, "keep": DEFAULT_KEEP},
+        {"name": "stress_conserved", "value": conserved, "floor": True},
+        # A correlated generator quietly disabled would observe none.
+        {"name": "stress_domain_outages", "value": stress_outages, "floor": 1},
+    ]
+    write_result(document, RESULT_PATH)
     return document
 
 
 def test_failure_domains(benchmark):
-    """Pytest-benchmark entry point with the placement acceptance gate."""
-    from common import run_once
-
+    """Pytest-benchmark entry point with the placement acceptance gates."""
     document = run_once(benchmark, lambda: run(quick=True))
-    assert document["goodput_ratio"] >= MIN_DOMAIN_GOODPUT_RATIO
-    assert document["stress"]["conserved"]
-    assert document["stress"]["domain_outages"] > 0
+    assert not gate_failures(document["gates"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller request budget (CI mode)",
+        help="smaller request budget, written under benchmarks/results/ (CI mode)",
     )
     args = parser.parse_args(argv)
     document = run(quick=args.quick)
-    if document["goodput_ratio"] < document["min_goodput_ratio"]:
-        print(
-            f"FAILURE-DOMAIN REGRESSION: goodput ratio "
-            f"{document['goodput_ratio']:.2f}x < {MIN_DOMAIN_GOODPUT_RATIO:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return 1 if gate_failures(document["gates"]) else 0
 
 
 if __name__ == "__main__":

@@ -20,22 +20,23 @@ only the serving stack's reaction differs:
   under a per-request budget, and admission predicts against live shards
   only.
 
-The acceptance gate — fault-aware goodput >= 2x fault-oblivious goodput —
-is enforced by the exit code and the pytest-benchmark entry, so CI fails
-if recovery regresses.
-
 A second section stress-tests scale: a 100k-request bursty trace
 (``--quick``: 10k) through the autoscaled online loop under a seeded
-random crash/recover/slowdown schedule, asserting exact conservation
+random crash/recover/slowdown schedule, checking exact conservation
 (offered == served + shed + failed) and recording wall-clock.
 
-Results are written to ``BENCH_fault_tolerance.json`` at the repo root.
+The document's ``gates`` hold fault-aware goodput at >= 2x fault-oblivious
+goodput (and half the committed ratio) and the stress run's conservation.
+The exit code, the pytest-benchmark entry and ``check_perf_regression.py``
+all evaluate them.
+
+A full run writes ``BENCH_fault_tolerance.json`` at the repo root;
+``--quick`` writes under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -64,6 +65,8 @@ from repro.serving import (
 )
 from repro.system.service import build_services
 from repro.system.workload import WorkloadProfile
+
+from common import DEFAULT_KEEP, gate_failures, run_once, write_result
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_fault_tolerance.json"
@@ -279,17 +282,11 @@ def run(quick: bool = False) -> Dict:
     conserved = stress_goodput.offered == (
         stress_goodput.served + stress_goodput.shed + stress_goodput.failed
     )
-    if not conserved:
-        raise AssertionError(
-            f"conservation violated in stress run: offered {stress_goodput.offered} "
-            f"!= served {stress_goodput.served} + shed {stress_goodput.shed} "
-            f"+ failed {stress_goodput.failed}"
-        )
     print(
         f"\nstress: {len(stress_trace)} bursty requests, "
         f"{len(stress_faults.events)} fault events, autoscaled 2..{NUM_SHARDS} shards "
         f"in {stress_seconds:.2f}s wall | served {stress_goodput.served} + shed "
-        f"{stress_goodput.shed} + failed {stress_goodput.failed} == offered "
+        f"{stress_goodput.shed} + failed {stress_goodput.failed} vs offered "
         f"{stress_goodput.offered} | {len(stress_report.scaling_timeline)} scaling events"
     )
 
@@ -325,7 +322,6 @@ def run(quick: bool = False) -> Dict:
         "fault_oblivious": oblivious_entry,
         "fault_aware": aware_entry,
         "goodput_ratio": round(goodput_ratio, 3),
-        "min_goodput_ratio": MIN_GOODPUT_RATIO,
         "stress": {
             "num_requests": len(stress_trace),
             "num_fault_events": len(stress_faults.events),
@@ -340,36 +336,30 @@ def run(quick: bool = False) -> Dict:
         },
         "wall_clock_seconds": round(time.perf_counter() - started, 4),
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
+    document["gates"] = [
+        {"name": "goodput_ratio", "value": document["goodput_ratio"],
+         "floor": MIN_GOODPUT_RATIO, "keep": DEFAULT_KEEP},
+        {"name": "stress_conserved", "value": conserved, "floor": True},
+    ]
+    write_result(document, RESULT_PATH)
     return document
 
 
 def test_fault_tolerance(benchmark):
-    """Pytest-benchmark entry point with the recovery acceptance gate."""
-    from common import run_once
-
+    """Pytest-benchmark entry point with the recovery acceptance gates."""
     document = run_once(benchmark, lambda: run(quick=True))
-    assert document["goodput_ratio"] >= MIN_GOODPUT_RATIO
-    assert document["stress"]["conserved"]
+    assert not gate_failures(document["gates"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller request budget (CI mode)",
+        help="smaller request budget, written under benchmarks/results/ (CI mode)",
     )
     args = parser.parse_args(argv)
     document = run(quick=args.quick)
-    if document["goodput_ratio"] < document["min_goodput_ratio"]:
-        print(
-            f"FAULT-TOLERANCE REGRESSION: goodput ratio "
-            f"{document['goodput_ratio']:.2f}x < {MIN_GOODPUT_RATIO:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return 1 if gate_failures(document["gates"]) else 0
 
 
 if __name__ == "__main__":

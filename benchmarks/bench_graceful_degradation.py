@@ -17,20 +17,20 @@ requests count 1.0, degraded SLO-met requests count ``DEGRADED_UTILITY``
 (0.5), shed requests count 0 — so the tiered run only wins by converting
 would-be sheds into cheap useful work, not by relabeling.
 
-Results are written to ``BENCH_graceful_degradation.json`` at the repo
-root.  The acceptance gate — tiered SLO-weighted goodput >=
-``MIN_WEIGHTED_RATIO`` x binary — is enforced by the exit code (and the
-pytest-benchmark entry) and wired into CI through
-``benchmarks/check_perf_regression.py``.
+The document's ``gates`` hold tiered SLO-weighted goodput at >=
+``MIN_WEIGHTED_RATIO`` x binary (and half the committed ratio) and each
+run's per-tier conservation.  The exit code, the pytest-benchmark entry and
+``benchmarks/check_perf_regression.py`` all evaluate them.
 
-Run standalone (``--quick`` trims the request budget) or through
-pytest-benchmark like the figure benchmarks.
+A full run writes ``BENCH_graceful_degradation.json`` at the repo root;
+``--quick`` trims the request budget and writes under
+``benchmarks/results/``.  Runs standalone or through pytest-benchmark like
+the figure benchmarks.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -52,6 +52,8 @@ from repro.serving import (
 )
 from repro.system.service import build_services
 from repro.system.workload import WorkloadProfile
+
+from common import DEFAULT_KEEP, gate_failures, run_once, write_result
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_graceful_degradation.json"
@@ -239,48 +241,34 @@ def run(quick: bool = False) -> Dict:
         "binary": _entry(binary),
         "tiered": _entry(tiered),
         "weighted_goodput_ratio": round(weighted_ratio, 3),
-        "min_weighted_goodput_ratio": MIN_WEIGHTED_RATIO,
         "wall_clock_seconds": round(time.perf_counter() - started, 4),
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
+    document["gates"] = [
+        {"name": "weighted_goodput_ratio", "value": document["weighted_goodput_ratio"],
+         "floor": MIN_WEIGHTED_RATIO, "keep": DEFAULT_KEEP},
+    ] + [
+        {"name": f"{label}_conserved", "value": document[label]["conserved"], "floor": True}
+        for label in ("binary", "tiered")
+    ]
+    write_result(document, RESULT_PATH)
     return document
 
 
 def test_graceful_degradation(benchmark):
-    """Pytest-benchmark entry point with the weighted-goodput acceptance gate."""
-    from common import run_once
-
+    """Pytest-benchmark entry point with the weighted-goodput acceptance gates."""
     document = run_once(benchmark, lambda: run(quick=True))
-    assert document["weighted_goodput_ratio"] >= MIN_WEIGHTED_RATIO
-    assert document["binary"]["conserved"] and document["tiered"]["conserved"]
+    assert not gate_failures(document["gates"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller request budget (CI mode)",
+        help="smaller request budget, written under benchmarks/results/ (CI mode)",
     )
     args = parser.parse_args(argv)
     document = run(quick=args.quick)
-    failed = False
-    if document["weighted_goodput_ratio"] < MIN_WEIGHTED_RATIO:
-        print(
-            f"DEGRADATION REGRESSION: weighted goodput ratio "
-            f"{document['weighted_goodput_ratio']:.2f}x < {MIN_WEIGHTED_RATIO:.1f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    for label in ("binary", "tiered"):
-        if not document[label]["conserved"]:
-            print(
-                f"CONSERVATION BROKEN in {label} run: "
-                "offered != served_full + served_degraded + shed + failed",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
+    return 1 if gate_failures(document["gates"]) else 0
 
 
 if __name__ == "__main__":

@@ -12,17 +12,20 @@ its default fast path) on the same graph, which must stay within
 both do the same functional work, so a larger ratio means the device model
 has forked a slower host implementation of some task.
 
-Results are written to ``BENCH_perf_preprocessing.json`` at the repo root so
-future PRs have a machine-readable perf trajectory.
+The document's ``gates`` hold, at every scale up to 100k edges, the speedup
+floor (``MIN_SPEEDUPS``, and half the committed speedup), bit-exactness and
+cycle identity, plus the device-ratio ceiling at 100k.  The exit code, the
+pytest-benchmark entry and ``check_perf_regression.py`` all evaluate them.
 
-Run standalone (``--quick`` skips the 1M-edge scale, for CI) or through
-pytest-benchmark like the figure benchmarks.
+A full run writes ``BENCH_perf_preprocessing.json`` at the repo root (the
+committed perf trajectory); ``--quick`` skips the 1M-edge scale and writes
+under ``benchmarks/results/``.  Runs standalone or through pytest-benchmark
+like the figure benchmarks.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -40,17 +43,21 @@ from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.sampling import MODE_REFERENCE, MODE_VECTORIZED
 from repro.preprocessing.pipeline import PreprocessingConfig, preprocess
 
+from common import DEFAULT_KEEP, gate_failures, run_once, write_result
+
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_perf_preprocessing.json"
 
-#: Benchmark scales: (label, nodes, edges, batch size).  The 100k-edge scale
-#: is the acceptance gate (>= 10x vectorized speedup); the 1M-edge scale
-#: documents the trajectory and is skipped in quick mode.
+#: Benchmark scales: (label, nodes, edges, batch size).  The 1M-edge scale
+#: documents the trajectory ungated and is skipped in quick mode.
 SCALES = [
     ("10k", 2_000, 10_000, 1_000),
     ("100k", 20_000, 100_000, 3_000),
     ("1m", 200_000, 1_000_000, 3_000),
 ]
+
+#: Gated scales and their minimum vectorized-vs-reference speedups.
+MIN_SPEEDUPS = {"10k": 5.0, "100k": 10.0}
 
 #: Cycle-identity verification runs the reference-mode cycle simulator too,
 #: so it is limited to scales at or below this edge count.
@@ -59,7 +66,7 @@ CYCLE_CHECK_MAX_EDGES = 100_000
 #: Ceiling on ``device_seconds / vectorized_seconds`` at the gated scale.
 DEVICE_RATIO_CEILING = 1.5
 
-#: Scale at which the speedup and device-ratio gates apply.
+#: Scale at which the device-ratio gate applies.
 GATE_SCALE = "100k"
 
 #: Workload parameters shared by every scale.
@@ -101,11 +108,6 @@ def _time_paths(graph, batch_size: int) -> Dict[str, float]:
             "device": lambda: device.preprocess(graph, workload),
         }
     )
-
-
-def device_ratio_ok(entry: Dict) -> bool:
-    """Whether a result entry's device model keeps pace with the pipeline."""
-    return entry["device_ratio"] <= DEVICE_RATIO_CEILING
 
 
 def _check_equivalence(graph, batch_size: int) -> Dict[str, bool]:
@@ -178,40 +180,46 @@ def run(quick: bool = False) -> Dict:
         "benchmark": "perf_preprocessing",
         "quick": bool(quick),
         "results": results,
+        "gates": _gates(results),
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
+    write_result(document, RESULT_PATH)
     return document
+
+
+def _gates(results: List[Dict]) -> List[Dict]:
+    gates: List[Dict] = []
+    for entry in results:
+        scale = entry["scale"]
+        if scale not in MIN_SPEEDUPS:
+            continue
+        gates += [
+            {"name": f"speedup_{scale}", "value": entry["speedup"],
+             "floor": MIN_SPEEDUPS[scale], "keep": DEFAULT_KEEP},
+            {"name": f"bit_exact_{scale}", "value": entry["bit_exact"], "floor": True},
+            {"name": f"cycles_identical_{scale}", "value": entry["cycles_identical"],
+             "floor": True},
+        ]
+        if scale == GATE_SCALE:
+            gates.append({"name": f"device_ratio_{scale}", "value": entry["device_ratio"],
+                          "ceiling": DEVICE_RATIO_CEILING})
+    return gates
 
 
 def test_perf_preprocessing(benchmark):
     """Pytest-benchmark entry point (quick scales) with the acceptance gates."""
-    from common import run_once
-
     document = run_once(benchmark, lambda: run(quick=True))
-    gated = {entry["scale"]: entry for entry in document["results"]}[GATE_SCALE]
-    assert gated["bit_exact"]
-    assert gated["cycles_identical"]
-    assert gated["speedup"] >= 10.0
-    assert device_ratio_ok(gated)
+    assert not gate_failures(document["gates"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--quick", action="store_true", help="skip the 1M-edge scale (CI mode)"
+        "--quick", action="store_true",
+        help="skip the 1M-edge scale and write under benchmarks/results/ (CI mode)",
     )
     args = parser.parse_args(argv)
     document = run(quick=args.quick)
-    failures = [
-        entry["scale"]
-        for entry in document["results"]
-        if not entry.get("bit_exact", True) or not entry.get("cycles_identical", True)
-    ]
-    if failures:
-        print(f"EQUIVALENCE FAILURE at scales: {failures}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if gate_failures(document["gates"]) else 0
 
 
 if __name__ == "__main__":

@@ -8,19 +8,19 @@ Fig. 18 (CPU / GPU / GSamp / FPGA / AutoPre / StatPre / DynPre) on the same
 trace at a fixed shard count, which is the served-traffic extension of the
 paper's end-to-end figures.
 
-Results are written to ``BENCH_serving_throughput.json`` at the repo root.
-The scaling gate — >= 2x throughput for 4 shards over 1 shard on the same
-trace — is enforced by the exit code (and by the pytest-benchmark entry), so
-CI fails if cluster scaling regresses.
+The document's one gate, >= 2x throughput for 4 shards over 1 shard on the
+same trace, is evaluated by the exit code, the pytest-benchmark entry and
+``check_perf_regression.py``, so CI fails if cluster scaling regresses.
 
-Run standalone (``--quick`` trims the trace and skips the 8-shard point) or
-through pytest-benchmark like the figure benchmarks.
+A full run writes ``BENCH_serving_throughput.json`` at the repo root;
+``--quick`` trims the trace, skips the 8-shard point and writes under
+``benchmarks/results/``.  Runs standalone or through pytest-benchmark like
+the figure benchmarks.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -43,6 +43,8 @@ from repro.serving import (
 )
 from repro.system.service import build_services
 from repro.system.workload import WorkloadProfile
+
+from common import gate_failures, run_once, write_result
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_serving_throughput.json"
@@ -235,24 +237,26 @@ def run(quick: bool = False) -> Dict:
         "replay": replay,
         "wall_clock_seconds": round(time.perf_counter() - started, 4),
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
+    document["gates"] = [
+        {"name": "speedup_4_vs_1", "value": document["speedup_4_vs_1"],
+         "floor": MIN_SPEEDUP_4_VS_1},
+    ]
+    write_result(document, RESULT_PATH)
     return document
 
 
 def test_serving_throughput(benchmark):
     """Pytest-benchmark entry point with the scaling acceptance gate."""
-    from common import run_once
-
     document = run_once(benchmark, lambda: run(quick=True))
-    assert document["speedup_4_vs_1"] >= MIN_SPEEDUP_4_VS_1
+    assert not gate_failures(document["gates"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="shorter trace, skip the 8-shard point (CI mode)",
+        help="shorter trace, skip the 8-shard point, write under benchmarks/results/ "
+             "(CI mode)",
     )
     parser.add_argument(
         "--regen-trace", action="store_true",
@@ -266,14 +270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {path}")
         return 0
     document = run(quick=args.quick)
-    if document["speedup_4_vs_1"] < MIN_SPEEDUP_4_VS_1:
-        print(
-            f"SCALING REGRESSION: 4-shard speedup {document['speedup_4_vs_1']:.2f}x "
-            f"< {MIN_SPEEDUP_4_VS_1:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return 1 if gate_failures(document["gates"]) else 0
 
 
 if __name__ == "__main__":

@@ -18,19 +18,18 @@ goodput (SLO-met requests per second) collapses while its raw throughput
 stays high — exactly the regime the paper's preprocessing-bound serving
 story cares about.
 
-Results are written to ``BENCH_slo_control.json`` at the repo root.  The
-acceptance gate — controlled goodput >= 1.5x uncontrolled goodput — is
-enforced by the exit code (and the pytest-benchmark entry), so CI fails if
-the control plane regresses.
+The document's one gate, controlled goodput >= 1.5x uncontrolled goodput,
+is evaluated by the exit code, the pytest-benchmark entry and
+``check_perf_regression.py``, so CI fails if the control plane regresses.
 
-Run standalone (``--quick`` trims the request budget) or through
-pytest-benchmark like the figure benchmarks.
+A full run writes ``BENCH_slo_control.json`` at the repo root; ``--quick``
+trims the request budget and writes under ``benchmarks/results/``.  Runs
+standalone or through pytest-benchmark like the figure benchmarks.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -52,6 +51,8 @@ from repro.serving import (
 )
 from repro.system.service import build_services
 from repro.system.workload import WorkloadProfile
+
+from common import gate_failures, run_once, write_result
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_slo_control.json"
@@ -225,38 +226,31 @@ def run(quick: bool = False) -> Dict:
         "uncontrolled": _entry(uncontrolled),
         "controlled": _entry(controlled),
         "goodput_ratio": round(goodput_ratio, 3),
-        "min_goodput_ratio": MIN_GOODPUT_RATIO,
         "wall_clock_seconds": round(time.perf_counter() - started, 4),
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
+    document["gates"] = [
+        {"name": "goodput_ratio", "value": document["goodput_ratio"],
+         "floor": MIN_GOODPUT_RATIO},
+    ]
+    write_result(document, RESULT_PATH)
     return document
 
 
 def test_slo_control(benchmark):
     """Pytest-benchmark entry point with the goodput acceptance gate."""
-    from common import run_once
-
     document = run_once(benchmark, lambda: run(quick=True))
-    assert document["goodput_ratio"] >= MIN_GOODPUT_RATIO
+    assert not gate_failures(document["gates"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller request budget (CI mode)",
+        help="smaller request budget, written under benchmarks/results/ (CI mode)",
     )
     args = parser.parse_args(argv)
     document = run(quick=args.quick)
-    if document["goodput_ratio"] < MIN_GOODPUT_RATIO:
-        print(
-            f"CONTROL REGRESSION: goodput ratio {document['goodput_ratio']:.2f}x "
-            f"< {MIN_GOODPUT_RATIO:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return 1 if gate_failures(document["gates"]) else 0
 
 
 if __name__ == "__main__":

@@ -23,20 +23,20 @@ The cluster's capacity is measured (a short saturated open-loop run), not
 taken from the analytic estimate, so the guarantees stay conservative on
 any machine and the scenario is a true 2x overload.
 
-Results are written to ``BENCH_tenant_fairness.json`` at the repo root.
-The acceptance gate — worst-tenant attainment with fairness on >= 3x the
-worst-tenant attainment with fairness off — is enforced by the exit code
-(and the pytest-benchmark entry), so CI fails if the fairness subsystem
-regresses.
+The document's one gate, worst-tenant attainment with fairness on >= 3x the
+worst-tenant attainment with fairness off, is evaluated by the exit code,
+the pytest-benchmark entry and ``check_perf_regression.py``, so CI fails if
+the fairness subsystem regresses.
 
-Run standalone (``--quick`` trims the request budget) or through
-pytest-benchmark like the figure benchmarks.
+A full run writes ``BENCH_tenant_fairness.json`` at the repo root;
+``--quick`` trims the request budget and writes under
+``benchmarks/results/``.  Runs standalone or through pytest-benchmark like
+the figure benchmarks.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -62,6 +62,8 @@ from repro.serving import (
 )
 from repro.system.service import build_services
 from repro.system.workload import WorkloadProfile
+
+from common import gate_failures, run_once, write_result
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_tenant_fairness.json"
@@ -296,39 +298,31 @@ def run(quick: bool = False) -> Dict:
         "fairness_off": off_entry,
         "fairness_on": on_entry,
         "worst_attainment_ratio": round(worst_ratio, 3),
-        "min_worst_attainment_ratio": MIN_WORST_ATTAINMENT_RATIO,
         "wall_clock_seconds": round(time.perf_counter() - started, 4),
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
+    document["gates"] = [
+        {"name": "worst_attainment_ratio", "value": document["worst_attainment_ratio"],
+         "floor": MIN_WORST_ATTAINMENT_RATIO},
+    ]
+    write_result(document, RESULT_PATH)
     return document
 
 
 def test_tenant_fairness(benchmark):
     """Pytest-benchmark entry point with the fairness acceptance gate."""
-    from common import run_once
-
     document = run_once(benchmark, lambda: run(quick=True))
-    assert document["worst_attainment_ratio"] >= MIN_WORST_ATTAINMENT_RATIO
+    assert not gate_failures(document["gates"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller request budget (CI mode)",
+        help="smaller request budget, written under benchmarks/results/ (CI mode)",
     )
     args = parser.parse_args(argv)
     document = run(quick=args.quick)
-    if document["worst_attainment_ratio"] < document["min_worst_attainment_ratio"]:
-        print(
-            f"FAIRNESS REGRESSION: worst-tenant attainment ratio "
-            f"{document['worst_attainment_ratio']:.2f}x < "
-            f"{MIN_WORST_ATTAINMENT_RATIO:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return 1 if gate_failures(document["gates"]) else 0
 
 
 if __name__ == "__main__":
