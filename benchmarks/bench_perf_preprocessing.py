@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -125,8 +126,9 @@ def _check_equivalence(graph, batch_size: int) -> Dict[str, bool]:
         and np.array_equal(ref.subgraph_csc.indices, vec.subgraph_csc.indices)
     )
     workload = PreprocessingConfig(k=K, num_layers=NUM_LAYERS, batch_size=batch_size, seed=SEED)
-    ref_dev = AutoGNNDevice(mode=MODE_REFERENCE).preprocess(graph, workload)
-    vec_dev = AutoGNNDevice(mode=MODE_VECTORIZED).preprocess(graph, workload)
+    device = AutoGNNDevice()
+    ref_dev = device.preprocess(graph, replace(workload, mode=MODE_REFERENCE))
+    vec_dev = device.preprocess(graph, workload)
     cycles_identical = ref_dev.timing.breakdown() == vec_dev.timing.breakdown()
     return {
         "bit_exact": bool(bit_exact),

@@ -143,9 +143,3 @@ def format_tenant_table(title: str, tenant_stats: Mapping[str, object]) -> str:
         for tenant, stats in tenant_stats.items()
     ]
     return format_table(title, columns, rows)
-
-
-def print_table(title: str, columns: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    """Print a formatted table (convenience for benchmark scripts)."""
-    print()
-    print(format_table(title, columns, rows))

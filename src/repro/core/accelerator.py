@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.config import DEFAULT_HARDWARE, HardwareConfig, KERNEL_CLOCK_HZ
 from repro.core.kernels import SCRKernel, UPEKernel
 from repro.graph.coo import COOGraph, VID_DTYPE
-from repro.graph.sampling import MODE_VECTORIZED, check_mode
 from repro.preprocessing.pipeline import PreprocessingConfig, PreprocessingResult
 
 #: Peak DRAM bandwidth of the device memory interface (bytes/second).  The
@@ -106,9 +105,9 @@ class AutoGNNDevice:
             correctness tests); the default fast path produces identical
             results and identical cycle counts through vectorised execution.
         clock_hz: kernel clock frequency.
-        mode: functional execution path of the non-detailed kernels —
-            ``"vectorized"`` (default) or ``"reference"``; both produce
-            bit-identical results and identical cycle counts.
+
+    The functional path of the non-detailed kernels is each run's
+    ``PreprocessingConfig.mode``.
     """
 
     def __init__(
@@ -116,14 +115,12 @@ class AutoGNNDevice:
         config: HardwareConfig = DEFAULT_HARDWARE,
         detailed: bool = False,
         clock_hz: float = KERNEL_CLOCK_HZ,
-        mode: str = MODE_VECTORIZED,
     ) -> None:
         self.config = config
         self.detailed = detailed
-        self.mode = check_mode(mode)
         self.clock_hz = clock_hz
-        self.upe_kernel = UPEKernel(config, detailed=detailed, mode=mode)
-        self.scr_kernel = SCRKernel(config, detailed=detailed, mode=mode)
+        self.upe_kernel = UPEKernel(config, detailed=detailed)
+        self.scr_kernel = SCRKernel(config, detailed=detailed)
 
     # ----------------------------------------------------------------- steps
     def convert(self, graph: COOGraph) -> tuple:
@@ -144,22 +141,17 @@ class AutoGNNDevice:
     ) -> AcceleratedPreprocessing:
         """Run the full preprocessing workflow of Fig. 14 on ``graph``.
 
-        A config with an explicitly chosen ``mode`` wins: the run is
-        delegated to a sibling device in the requested mode (identical
-        results and cycles either way — the mode only selects the execution
-        path).  A config whose ``mode`` is ``None`` inherits this device's
-        mode.
+        The config's ``mode`` selects the kernels' functional path; results
+        and cycles are identical either way.  The device models node-wise
+        selection only, so any other ``sampling_strategy`` is rejected.
         """
         workload = config or PreprocessingConfig()
-        requested = workload.mode or self.mode
-        if requested != self.mode:
-            sibling = AutoGNNDevice(
-                config=self.config,
-                detailed=self.detailed,
-                clock_hz=self.clock_hz,
-                mode=requested,
+        if workload.sampling_strategy != "node":
+            raise ValueError(
+                f"AutoGNNDevice models node-wise selection only, got sampling_strategy="
+                f"{workload.sampling_strategy!r}; run layer-wise sampling through the "
+                f'pipeline: preprocess(..., sampling_strategy="layer")'
             )
-            return sibling.preprocess(graph, workload, batch_nodes=batch_nodes)
         timing = PreprocessingTiming(clock_hz=self.clock_hz)
 
         # 1. Graph conversion of the input graph.
@@ -179,12 +171,15 @@ class AutoGNNDevice:
             workload.k,
             workload.num_layers,
             seed=workload.seed,
+            mode=workload.mode,
         )
         timing.selecting_cycles += selecting_cycles
         timing.bytes_read += sample.num_sampled_edges * BYTES_PER_EDGE
 
         # 3. Subgraph reindexing.
-        reindex, reindexing_cycles = self.scr_kernel.subgraph_reindexing(sample)
+        reindex, reindexing_cycles = self.scr_kernel.subgraph_reindexing(
+            sample, mode=workload.mode
+        )
         timing.reindexing_cycles += reindexing_cycles
         timing.bytes_written += reindex.edges.num_edges * BYTES_PER_EDGE
 
@@ -225,5 +220,5 @@ class AutoGNNDevice:
     def reconfigure(self, config: HardwareConfig) -> None:
         """Swap in a new hardware configuration (kernels are rebuilt)."""
         self.config = config
-        self.upe_kernel = UPEKernel(config, detailed=self.detailed, mode=self.mode)
-        self.scr_kernel = SCRKernel(config, detailed=self.detailed, mode=self.mode)
+        self.upe_kernel = UPEKernel(config, detailed=self.detailed)
+        self.scr_kernel = SCRKernel(config, detailed=self.detailed)

@@ -32,12 +32,7 @@ from repro.graph.reindex import (
     reindex_edges,
     reindex_mapping_sizes,
 )
-from repro.graph.sampling import (
-    MODE_VECTORIZED,
-    SampledSubgraph,
-    check_mode,
-    node_wise_sample_with_stats,
-)
+from repro.graph.sampling import MODE_VECTORIZED, SampledSubgraph, node_wise_sample_with_stats
 
 #: Per-neighbour-array overhead of the selection control path: building the
 #: index array plus the final bitmap-driven set-partition (Fig. 16).
@@ -212,11 +207,8 @@ class KernelStats:
 class UPEKernel:
     """UPE controller + scheduler + scratchpad executing ordering and selection.
 
-    ``mode`` selects the functional execution path of unique random selection:
-    ``"vectorized"`` (default) batches whole frontiers through array
-    arithmetic, ``"reference"`` runs the per-node verification loop.  Both
-    produce bit-identical samples and identical cycle counts; ``detailed``
-    additionally emulates the UPE datapath element by element.
+    ``detailed`` emulates the UPE datapath element by element; otherwise the
+    per-call ``mode`` of unique random selection picks its functional path.
     """
 
     def __init__(
@@ -224,11 +216,9 @@ class UPEKernel:
         config: HardwareConfig,
         detailed: bool = False,
         radix_bits: int = DEFAULT_RADIX_BITS,
-        mode: str = MODE_VECTORIZED,
     ) -> None:
         self.config = config
         self.detailed = detailed
-        self.mode = check_mode(mode)
         self.radix_bits = radix_bits
         # The functional datapath is emulated through a single UPE instance;
         # parallelism across the ``num_upes`` physical instances is reflected
@@ -269,19 +259,22 @@ class UPEKernel:
         k: int,
         num_layers: int,
         seed: int = 0,
+        mode: str = MODE_VECTORIZED,
     ) -> Tuple[SampledSubgraph, int, KernelStats]:
         """Node-wise unique random selection driven by UPE set-partitioning.
 
         Functionally equivalent to the reference sampler: for every frontier
         node, ``k`` unique neighbours are drawn without replacement using the
         bitmap + one-hot-extraction procedure of Fig. 16.  The fast path
-        executes the shared priority-draw sampler (in this kernel's ``mode``);
-        ``detailed`` emulates the datapath element by element.
+        executes the shared priority-draw sampler: ``"vectorized"`` batches
+        whole frontiers through array arithmetic, ``"reference"`` runs the
+        per-node verification loop, with bit-identical samples and identical
+        cycle counts.  ``detailed`` emulates the datapath element by element.
         """
         if self.detailed:
             return self._detailed_selection(csc, batch_nodes, k, num_layers, seed)
         sample, selection = node_wise_sample_with_stats(
-            csc, batch_nodes, k, num_layers, seed=seed, mode=self.mode
+            csc, batch_nodes, k, num_layers, seed=seed, mode=mode
         )
         cycles = selection_cycle_count(selection.draws, selection.arrays, self.config)
         stats = KernelStats(
@@ -386,20 +379,11 @@ class UPEKernel:
 # SCR kernel
 # ---------------------------------------------------------------------------
 class SCRKernel:
-    """SCR controllers (reshaper + reindexer) executing reshaping and reindexing.
+    """SCR controllers (reshaper + reindexer) executing reshaping and reindexing."""
 
-    ``mode`` selects the functional reindexing path: ``"vectorized"``
-    (default) factorizes the endpoint stream with one ``np.unique``,
-    ``"reference"`` walks it with the verification hash-map loop.  Both
-    produce bit-identical mappings and identical cycle counts.
-    """
-
-    def __init__(
-        self, config: HardwareConfig, detailed: bool = False, mode: str = MODE_VECTORIZED
-    ) -> None:
+    def __init__(self, config: HardwareConfig, detailed: bool = False) -> None:
         self.config = config
         self.detailed = detailed
-        self.mode = check_mode(mode)
         self._scrs = [SCR(width=config.scr_width) for _ in range(config.num_scrs)]
         self.reshaper = Reshaper(self._scrs)
         # The reindexer drives all SCR slots in parallel against its SRAM bank,
@@ -423,8 +407,16 @@ class SCRKernel:
         return csc, cycles
 
     # ------------------------------------------------------------- reindexing
-    def subgraph_reindexing(self, sample: SampledSubgraph) -> Tuple[ReindexResult, int]:
-        """Renumber the sampled subgraph; returns (reindex result, cycles)."""
+    def subgraph_reindexing(
+        self, sample: SampledSubgraph, mode: str = MODE_VECTORIZED
+    ) -> Tuple[ReindexResult, int]:
+        """Renumber the sampled subgraph; returns (reindex result, cycles).
+
+        ``mode`` picks the functional path: ``"vectorized"`` factorizes the
+        endpoint stream with one ``np.unique``, ``"reference"`` walks it with
+        the verification hash-map loop.  Both produce bit-identical mappings
+        and identical cycle counts.
+        """
         combined = sample.all_edges()
         src = combined.src
         dst = combined.dst
@@ -446,7 +438,7 @@ class SCRKernel:
         # Both functional paths live in reindex_edges; the assigned IDs are
         # first-occurrence codes in endpoint scan order, so the closed-form
         # occupancy yields the identical cycle charge for either mode.
-        result = reindex_edges(src, dst, mode=self.mode, num_vids=combined.num_nodes)
+        result = reindex_edges(src, dst, mode=mode, num_vids=combined.num_nodes)
         codes = interleave_endpoints(result.edges.src, result.edges.dst)
         cycles = reindexing_cycle_count(reindex_mapping_sizes(codes), self.config)
         return result, cycles

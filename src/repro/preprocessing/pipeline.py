@@ -36,12 +36,11 @@ class PreprocessingConfig:
         batch_size: number of inference (batch) nodes (paper default 3000).
         sampling_strategy: ``"node"`` (GraphSAGE-style) or ``"layer"``.
         seed: RNG seed used for the random selections.
-        mode: functional execution path — ``"vectorized"`` (fast path) or
-            ``"reference"`` (per-element verification loops); both produce
-            bit-identical results.  ``None`` (the default) inherits the
-            executing component's mode (pipeline default: vectorized), so
-            only an explicitly chosen mode ever overrides a device's or
-            service's own setting.
+        mode: functional execution path — ``"vectorized"`` (fast path, the
+            default) or ``"reference"`` (per-element verification loops);
+            both produce bit-identical results and identical cycle counts.
+            The pipeline and the device both read it; nothing above the
+            config chooses the path.
     """
 
     k: int = 10
@@ -49,7 +48,10 @@ class PreprocessingConfig:
     batch_size: int = 3000
     sampling_strategy: str = "node"
     seed: int = 0
-    mode: Optional[str] = None
+    mode: str = MODE_VECTORIZED
+
+    def __post_init__(self) -> None:
+        check_mode(self.mode)
 
 
 @dataclass
@@ -88,13 +90,12 @@ class PreprocessingPipeline:
 
     def __init__(self, config: Optional[PreprocessingConfig] = None) -> None:
         self.config = config or PreprocessingConfig()
-        self.mode = check_mode(self.config.mode or MODE_VECTORIZED)
         self._ordering = EdgeOrderingTask()
         self._reshaping = DataReshapingTask()
         self._selecting = UniqueRandomSelectionTask(
-            strategy=self.config.sampling_strategy, mode=self.mode
+            strategy=self.config.sampling_strategy, mode=self.config.mode
         )
-        self._reindexing = SubgraphReindexingTask(mode=self.mode)
+        self._reindexing = SubgraphReindexingTask(mode=self.config.mode)
 
     def choose_batch_nodes(self, graph: COOGraph) -> np.ndarray:
         """Pick the batch (seed) nodes for sampling, capped at the node count."""
@@ -153,7 +154,7 @@ def preprocess(
     sampling_strategy: str = "node",
     seed: int = 0,
     batch_nodes: Optional[Sequence[int]] = None,
-    mode: Optional[str] = None,
+    mode: str = MODE_VECTORIZED,
 ) -> PreprocessingResult:
     """One-call convenience wrapper around :class:`PreprocessingPipeline`."""
     config = PreprocessingConfig(

@@ -1039,7 +1039,7 @@ class ShardedServiceCluster:
         if not len(trace):
             raise ValueError("cannot serve an empty trace")
         slo = config.scoring_slo()
-        faults = config.resolved_faults()
+        faults = config.faults
         if self.engine == ENGINE_FAST and faults is None and not self.scheduler.fair:
             return _serve_trace_chunked(self, trace, slo)
         return self._serve_online_events(TraceArrivals(trace), slo, None, None, faults)
@@ -1111,7 +1111,7 @@ class ShardedServiceCluster:
             config.scoring_slo(),
             config.resolved_controller(),
             autoscaler,
-            config.resolved_faults(),
+            config.faults,
         )
 
     def _serve_online_events(

@@ -4,10 +4,9 @@
 :meth:`~repro.serving.cluster.ShardedServiceCluster.serve_trace` /
 :meth:`~repro.serving.cluster.ShardedServiceCluster.serve_online`: the
 admission controller's knobs (``batch_aware``, ``record_decisions``), the
-fault schedule's health-check awareness (``fault_aware``) and the control
-plane.  What a cluster *is* — its engine, topology, placement and
-scheduler (with its ``tenant_weights``) — is fixed at construction
-(``ShardedServiceCluster(engine=, topology=, placement=)``,
+fault schedule and the control plane.  What a cluster *is* — its engine,
+topology, placement and scheduler (with its ``tenant_weights``) — is fixed
+at construction (``ShardedServiceCluster(engine=, topology=, placement=)``,
 ``BatchScheduler(tenant_weights=)``), so a run never swaps it.
 
 * **slo** scores the run; **controller** (a pre-built
@@ -20,8 +19,8 @@ scheduler (with its ``tenant_weights``) — is fixed at construction
   turns binary shedding into quality-latency tiering: requests whose
   full-quality prediction violates the SLO are downgraded to a cheaper
   execution profile instead of shed;
-* **faults / fault_aware** inject a shard fault schedule and optionally
-  override its health-check awareness;
+* **faults** injects a shard fault schedule (its own ``fault_aware`` flag
+  switches health checks);
 * **autoscaler** attaches elastic scaling (online loop only); with its
   ``drain=True`` default a scale-down drains-and-migrates queued work to
   the surviving shards instead of stranding it.
@@ -29,7 +28,7 @@ scheduler (with its ``tenant_weights``) — is fixed at construction
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.serving.control import (
@@ -67,8 +66,6 @@ class ServingConfig:
             autoscaler's own ``drain`` flag picks drain-and-migrate
             (default) versus legacy stranding scale-downs.
         faults: shard crash/recover/slowdown schedule for the run.
-        fault_aware: override the schedule's ``fault_aware`` flag (health
-            checks on/off) without rebuilding it; requires ``faults``.
     """
 
     slo: Optional[SLOPolicy] = None
@@ -79,7 +76,6 @@ class ServingConfig:
     degradation: Optional[DegradationPolicy] = None
     autoscaler: Optional[Autoscaler] = None
     faults: Optional[FaultSchedule] = None
-    fault_aware: Optional[bool] = None
 
     def __post_init__(self) -> None:
         knobs_touched = (
@@ -104,8 +100,6 @@ class ServingConfig:
                 raise ValueError(
                     "admission (admit=True or any admission knob) requires an slo"
                 )
-        if self.fault_aware is not None and self.faults is None:
-            raise ValueError("fault_aware requires a faults schedule")
 
     # ------------------------------------------------------------- resolution
     def scoring_slo(self) -> Optional[SLOPolicy]:
@@ -133,11 +127,3 @@ class ServingConfig:
                 degradation=self.degradation,
             )
         return None
-
-    def resolved_faults(self) -> Optional[FaultSchedule]:
-        """The fault schedule with any ``fault_aware`` override applied."""
-        if self.faults is None or self.fault_aware is None:
-            return self.faults
-        if self.faults.fault_aware == self.fault_aware:
-            return self.faults
-        return replace(self.faults, fault_aware=self.fault_aware)

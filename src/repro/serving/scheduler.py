@@ -90,11 +90,6 @@ class RequestBatch:
         total = sum(request.workload.batch_size for request in self.requests)
         return base.with_batch_size(total)
 
-    @property
-    def first_arrival_seconds(self) -> float:
-        """Arrival time of the earliest member request."""
-        return self.requests[0].arrival_seconds
-
     def batching_delay(self, request: InferenceRequest) -> float:
         """Time ``request`` spent waiting for its batch to close."""
         return self.ready_seconds - request.arrival_seconds

@@ -41,11 +41,6 @@ class SystemLatency:
     extras: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def preprocessing_total(self) -> float:
-        """Total preprocessing latency excluding transfers."""
-        return self.preprocessing.total
-
-    @property
     def total(self) -> float:
         """Preprocessing + transfer + reconfiguration latency."""
         return self.preprocessing.total + self.transfers.total + self.reconfiguration
@@ -161,15 +156,6 @@ class PreprocessingSystem(ABC):
         override with the full-device reconfiguration latency.
         """
         return 0.0
-
-    # ------------------------------------------------------------- niceties
-    def preprocessing_latency(self, workload: WorkloadProfile) -> TaskLatencies:
-        """Per-task preprocessing latencies only."""
-        return self.evaluate(workload).preprocessing
-
-    def total_latency(self, workload: WorkloadProfile) -> float:
-        """Preprocessing + transfer + reconfiguration latency."""
-        return self.evaluate(workload).total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -22,7 +22,6 @@ from repro.baselines.gsamp import GSampSystem
 from repro.core.bitstream import generate_bitstream_library
 from repro.gnn.inference import InferenceLatencyModel
 from repro.graph.coo import COOGraph
-from repro.graph.sampling import MODE_VECTORIZED, check_mode
 from repro.preprocessing.pipeline import (
     PreprocessingConfig,
     PreprocessingPipeline,
@@ -74,11 +73,9 @@ class GNNService:
         preprocessing: PreprocessingSystem,
         inference: Optional[InferenceLatencyModel] = None,
         power_platform: Optional[str] = None,
-        mode: str = MODE_VECTORIZED,
     ) -> None:
         self.preprocessing = preprocessing
         self.inference = inference or InferenceLatencyModel()
-        self.mode = check_mode(mode)
         if power_platform is None:
             power_platform = self._default_power_platform(preprocessing)
         self.power = PowerModel(preprocessing_platform=power_platform)
@@ -188,16 +185,12 @@ class GNNService:
         * Passes execute sequentially on this service's single preprocessing
           system, so stateful systems (e.g. DynPre's reconfiguration state)
           carry their state from one pass to the next.
-        * Every pass runs under this service's execution ``mode``, which is
-          re-validated here so a mode mutated after construction fails fast
-          instead of silently degrading.
         * Exactly one report is returned per workload, in input order.  A
           1-shard, batch-size-1 serving cluster over the same workloads
           reproduces this report list exactly (test-enforced).
         """
         if not workloads:
             raise ValueError("serve_many requires a non-empty workload list")
-        self.mode = check_mode(self.mode)
         return [self.serve(w) for w in workloads]
 
     def replicate(self) -> "GNNService":
@@ -205,9 +198,8 @@ class GNNService:
 
         The replica shares the stateless inference-latency model but gets
         its own preprocessing-system instance (per-shard bitstream/LUT
-        state) and inherits this service's power platform and execution
-        mode.  The sharded serving cluster builds its shards with
-        :meth:`replicas`.
+        state) and inherits this service's power platform.  The sharded
+        serving cluster builds its shards with :meth:`replicas`.
         """
         return self.replicas(1)[0]
 
@@ -223,7 +215,6 @@ class GNNService:
                 preprocessing,
                 inference=self.inference,
                 power_platform=self.power.preprocessing_platform,
-                mode=self.mode,
             )
             for preprocessing in self.preprocessing.replicas(count)
         ]
@@ -238,16 +229,8 @@ class GNNService:
         """Run the functional preprocessing pipeline on an in-memory graph.
 
         Validates that a served workload's preprocessing actually produces a
-        correct subgraph.  Runs in this service's execution ``mode`` (the
-        vectorized fast path by default); a config with an explicitly chosen
-        ``mode`` wins, one with ``mode=None`` inherits the service's.
+        correct subgraph, in the ``config``'s execution mode.
         """
-        from dataclasses import replace
-
-        if config is None:
-            config = PreprocessingConfig(mode=self.mode)
-        elif config.mode is None:
-            config = replace(config, mode=self.mode)
         return PreprocessingPipeline(config).run(graph, batch_nodes=batch_nodes)
 
 

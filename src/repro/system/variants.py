@@ -41,7 +41,6 @@ from repro.core.kernels import (
 )
 from repro.core.reconfig import FULL_RECONFIG_SECONDS, ReconfigurationController
 from repro.graph.coo import COOGraph
-from repro.graph.sampling import MODE_VECTORIZED, check_mode
 from repro.preprocessing.pipeline import PreprocessingConfig
 from repro.system.pcie import PCIeLink, TransferBreakdown
 from repro.system.workload import WorkloadProfile
@@ -99,13 +98,11 @@ class AutoGNNVariant(PreprocessingSystem):
         pcie: Optional[PCIeLink] = None,
         clock_hz: float = KERNEL_CLOCK_HZ,
         device_bandwidth: Optional[float] = None,
-        mode: str = MODE_VECTORIZED,
     ) -> None:
         super().__init__(pcie=pcie)
         self.board = board
         self.config = config or scaled_default_config(board)
         self.clock_hz = clock_hz
-        self.mode = check_mode(mode)
         if device_bandwidth is None:
             device_bandwidth = getattr(board, "dram_bandwidth", DEVICE_BANDWIDTH)
         # Kept pre-efficiency so replicas can be constructed from it without
@@ -121,7 +118,6 @@ class AutoGNNVariant(PreprocessingSystem):
             pcie=self.pcie,
             clock_hz=self.clock_hz,
             device_bandwidth=self._device_bandwidth_raw,
-            mode=self.mode,
         )
         clone.name = self.name
         return clone
@@ -136,13 +132,11 @@ class AutoGNNVariant(PreprocessingSystem):
         """Run the functional preprocessing workflow on an in-memory graph.
 
         Instantiates an :class:`AutoGNNDevice` with this variant's current
-        hardware configuration and execution ``mode`` (the vectorized fast
-        path by default) and executes the full Fig. 14 workflow, returning
-        both the preprocessed subgraph and the cycle-level timing.  An
-        explicitly supplied ``config`` wins on execution mode (the device
-        delegates to the requested mode).
+        hardware configuration and executes the full Fig. 14 workflow in the
+        ``config``'s execution mode, returning both the preprocessed subgraph
+        and the cycle-level timing.
         """
-        device = AutoGNNDevice(config=self.config, clock_hz=self.clock_hz, mode=self.mode)
+        device = AutoGNNDevice(config=self.config, clock_hz=self.clock_hz)
         return device.preprocess(graph, config, batch_nodes=batch_nodes)
 
     # ------------------------------------------------------------- components
@@ -384,7 +378,6 @@ class DynPreSystem(AutoGNNVariant):
             pcie=self.pcie,
             clock_hz=self.clock_hz,
             device_bandwidth=self._device_bandwidth_raw,
-            mode=self.mode,
         )
         clone.name = self.name
         return clone

@@ -118,11 +118,6 @@ class WorkloadProfile:
         features = self.sampled_nodes * self.feature_dim * BYTES_PER_FEATURE
         return edges + features
 
-    @property
-    def embedding_bytes(self) -> int:
-        """Size of the full embedding table in bytes."""
-        return self.num_nodes * self.feature_dim * BYTES_PER_FEATURE
-
     # ----------------------------------------------------------- conversions
     def to_cost_params(self) -> WorkloadParams:
         """Convert to the cost-model parameter object (Table I inputs)."""

@@ -1,5 +1,7 @@
 """Tests for dynamic graphs and update streams."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.graph.dynamic import (
 from repro.core.accelerator import AutoGNNDevice
 from repro.graph.coo import COOGraph
 from repro.graph.generators import uniform_random_graph
-from repro.graph.sampling import MODE_REFERENCE
+from repro.graph.sampling import MODE_REFERENCE, MODE_VECTORIZED
 from repro.preprocessing.pipeline import PreprocessingConfig
 
 
@@ -95,8 +97,8 @@ class TestDynamicGraph:
 
         workload = PreprocessingConfig(k=4, num_layers=2, batch_size=20, seed=3)
         runs = [
-            device.preprocess(graph, workload)
-            for device in (AutoGNNDevice(detailed=False), AutoGNNDevice(mode=MODE_REFERENCE))
+            AutoGNNDevice().preprocess(graph, replace(workload, mode=mode))
+            for mode in (MODE_VECTORIZED, MODE_REFERENCE)
             for graph in (snapshot, direct)
         ]
 

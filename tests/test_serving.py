@@ -20,7 +20,7 @@ from repro.serving import (
     RequestTrace,
     ShardedServiceCluster,
 )
-from repro.system.service import GNNService, build_reference_systems
+from repro.system.service import build_reference_systems
 from repro.system.workload import WorkloadProfile
 
 
@@ -272,15 +272,8 @@ class TestServeManyContract:
         with pytest.raises(ValueError, match="non-empty"):
             services["CPU"].serve_many([])
 
-    def test_invalid_mode_fails_fast(self):
-        service = GNNService(build_reference_systems()["CPU"])
-        service.mode = "turbo"
-        with pytest.raises(ValueError):
-            service.serve_many([profile()])
-
     def test_service_replicate_is_fresh(self, services):
         replica = services["DynPre"].replicate()
         assert replica is not services["DynPre"]
         assert replica.preprocessing is not services["DynPre"].preprocessing
-        assert replica.mode == services["DynPre"].mode
         assert replica.power.preprocessing_platform == "fpga"

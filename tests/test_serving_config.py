@@ -25,9 +25,6 @@ from repro.serving import (
     BatchScheduler,
     BurstyArrivals,
     DegradationPolicy,
-    FAULT_CRASH,
-    FaultEvent,
-    FaultSchedule,
     OpenLoopArrivals,
     ServingConfig,
     ShardedServiceCluster,
@@ -43,14 +40,6 @@ def _render(report) -> str:
 
 def _slo() -> SLOPolicy:
     return SLOPolicy(default_slo_seconds=0.2)
-
-
-def _faults() -> FaultSchedule:
-    return FaultSchedule(
-        events=(FaultEvent(seconds=0.02, shard_id=0, kind=FAULT_CRASH),),
-        retry_budget=1,
-        retry_backoff_seconds=0.005,
-    )
 
 
 def _trace(num_requests=24, seed=5):
@@ -101,10 +90,6 @@ class TestValidation:
             with pytest.raises(ValueError, match="slo"):
                 ServingConfig(**kwargs)
 
-    def test_rejects_fault_aware_without_faults(self):
-        with pytest.raises(ValueError, match="faults"):
-            ServingConfig(fault_aware=True)
-
     def test_rejects_bad_tenant_weights(self):
         with pytest.raises(ValueError, match="positive"):
             BatchScheduler(tenant_weights={"free": 0.0})
@@ -153,14 +138,6 @@ class TestValidation:
         # Score-only config builds no controller at all.
         assert ServingConfig(slo=_slo()).resolved_controller() is None
 
-    def test_resolved_faults_applies_override(self):
-        faults = _faults()
-        assert ServingConfig(faults=faults).resolved_faults() is faults
-        same = ServingConfig(faults=faults, fault_aware=True).resolved_faults()
-        assert same is faults  # no-op override keeps the original object
-        flipped = ServingConfig(faults=faults, fault_aware=False).resolved_faults()
-        assert flipped.fault_aware is False
-        assert flipped.events == faults.events
 
 
 _NAN = math.nan

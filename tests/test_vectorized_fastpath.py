@@ -6,6 +6,7 @@ bit-identical reindexing output and identical cycle counts.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,6 +142,10 @@ class TestSamplerEquivalence:
     def test_unknown_mode_rejected(self, csc):
         with pytest.raises(ValueError):
             node_wise_sample(csc, [0], k=2, num_layers=1, mode="bogus")
+        # The config is the one place a run picks its path, so a bad mode
+        # fails at construction, naming the valid modes.
+        with pytest.raises(ValueError, match="'reference', 'vectorized'"):
+            PreprocessingConfig(mode="bogus")
 
 
 class TestReindexEquivalence:
@@ -214,13 +219,12 @@ class TestCycleFormulaEquivalence:
 
 class TestKernelEquivalence:
     def test_upe_selection_modes_identical(self, csc, config):
-        ref_kernel = UPEKernel(config, mode=MODE_REFERENCE)
-        vec_kernel = UPEKernel(config, mode=MODE_VECTORIZED)
-        ref, ref_cycles, ref_stats = ref_kernel.unique_random_selection(
-            csc, list(range(12)), k=5, num_layers=2, seed=3
+        kernel = UPEKernel(config)
+        ref, ref_cycles, ref_stats = kernel.unique_random_selection(
+            csc, list(range(12)), k=5, num_layers=2, seed=3, mode=MODE_REFERENCE
         )
-        vec, vec_cycles, vec_stats = vec_kernel.unique_random_selection(
-            csc, list(range(12)), k=5, num_layers=2, seed=3
+        vec, vec_cycles, vec_stats = kernel.unique_random_selection(
+            csc, list(range(12)), k=5, num_layers=2, seed=3, mode=MODE_VECTORIZED
         )
         assert_samples_equal(ref, vec)
         assert ref_cycles == vec_cycles
@@ -229,8 +233,9 @@ class TestKernelEquivalence:
 
     def test_scr_reindexing_modes_identical(self, csc, config):
         sample = node_wise_sample(csc, list(range(8)), k=4, num_layers=2, seed=2)
-        ref_result, ref_cycles = SCRKernel(config, mode=MODE_REFERENCE).subgraph_reindexing(sample)
-        vec_result, vec_cycles = SCRKernel(config, mode=MODE_VECTORIZED).subgraph_reindexing(sample)
+        kernel = SCRKernel(config)
+        ref_result, ref_cycles = kernel.subgraph_reindexing(sample, mode=MODE_REFERENCE)
+        vec_result, vec_cycles = kernel.subgraph_reindexing(sample, mode=MODE_VECTORIZED)
         assert ref_result.mapping == vec_result.mapping
         assert np.array_equal(ref_result.edges.src, vec_result.edges.src)
         assert np.array_equal(ref_result.edges.dst, vec_result.edges.dst)
@@ -253,25 +258,20 @@ class TestPipelineEquivalence:
 
     def test_device_cycles_identical(self, graph):
         workload = PreprocessingConfig(k=4, num_layers=2, batch_size=32, seed=6)
-        ref = AutoGNNDevice(mode=MODE_REFERENCE).preprocess(graph, workload)
-        vec = AutoGNNDevice(mode=MODE_VECTORIZED).preprocess(graph, workload)
+        assert workload.mode == MODE_VECTORIZED
+        device = AutoGNNDevice()
+        ref = device.preprocess(graph, replace(workload, mode=MODE_REFERENCE))
+        vec = device.preprocess(graph, workload)
         assert ref.timing.breakdown() == vec.timing.breakdown()
         assert ref.timing.total_cycles == vec.timing.total_cycles
         assert vec.timing.total_cycles > 0
 
-    def test_config_mode_none_inherits_device_mode(self, graph):
-        workload = PreprocessingConfig(k=4, num_layers=2, batch_size=16, seed=2)
-        assert workload.mode is None
-        ref_dev = AutoGNNDevice(mode=MODE_REFERENCE).preprocess(graph, workload)
-        vec_dev = AutoGNNDevice(mode=MODE_VECTORIZED).preprocess(graph, workload)
-        # Inherit: a default config must not silently flip a reference device
-        # to the vectorized path (results are identical either way, so check
-        # via an explicit-mode config instead).
-        explicit = PreprocessingConfig(k=4, num_layers=2, batch_size=16, seed=2,
-                                       mode=MODE_REFERENCE)
-        delegated = AutoGNNDevice(mode=MODE_VECTORIZED).preprocess(graph, explicit)
-        assert ref_dev.timing.breakdown() == vec_dev.timing.breakdown()
-        assert delegated.timing.breakdown() == ref_dev.timing.breakdown()
+    def test_device_rejects_layer_wise_strategy(self, graph):
+        # The device models node-wise selection only.
+        workload = PreprocessingConfig(k=4, num_layers=2, batch_size=16, seed=1,
+                                       sampling_strategy="layer")
+        with pytest.raises(ValueError, match='preprocess\\(..., sampling_strategy="layer"\\)'):
+            AutoGNNDevice().preprocess(graph, workload)
 
     def test_layer_wise_pipeline_modes(self, graph):
         ref = preprocess(graph, k=4, num_layers=2, batch_size=16, seed=1,
