@@ -48,7 +48,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.serving import (
-    AdmissionController,
     Autoscaler,
     BatchScheduler,
     BurstyArrivals,
@@ -212,7 +211,7 @@ def run(quick: bool = False) -> Dict:
         return cluster.serve_online(
             TraceArrivals(trace),
             config=ServingConfig(
-                controller=AdmissionController(policy=slo),
+                slo=slo, admit=True,
                 faults=_outage_schedule(horizon, fault_aware),
             ),
         )
@@ -269,7 +268,7 @@ def run(quick: bool = False) -> Dict:
     stress_report = stress_cluster.serve_online(
         TraceArrivals(stress_trace),
         config=ServingConfig(
-            controller=AdmissionController(policy=slo, record_decisions=False),
+            slo=slo, admit=True, record_decisions=False,
             autoscaler=Autoscaler(
                 min_shards=2, max_shards=NUM_SHARDS, scale_up_depth=4.0,
                 scale_down_depth=0.5, hysteresis_observations=3,

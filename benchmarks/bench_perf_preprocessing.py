@@ -98,9 +98,7 @@ def _time_paths(graph, batch_size: int) -> Dict[str, float]:
     workload = PreprocessingConfig(k=K, num_layers=NUM_LAYERS, batch_size=batch_size, seed=SEED)
 
     def pipeline(mode: str) -> Callable[[], object]:
-        return lambda: preprocess(
-            graph, k=K, num_layers=NUM_LAYERS, batch_size=batch_size, seed=SEED, mode=mode
-        )
+        return lambda: preprocess(graph, replace(workload, mode=mode))
 
     return _min_seconds(
         {
@@ -113,10 +111,9 @@ def _time_paths(graph, batch_size: int) -> Dict[str, float]:
 
 def _check_equivalence(graph, batch_size: int) -> Dict[str, bool]:
     """Bit-exactness and cycle-identity checks between the two modes."""
-    ref = preprocess(graph, k=K, num_layers=NUM_LAYERS, batch_size=batch_size, seed=SEED,
-                     mode=MODE_REFERENCE)
-    vec = preprocess(graph, k=K, num_layers=NUM_LAYERS, batch_size=batch_size, seed=SEED,
-                     mode=MODE_VECTORIZED)
+    workload = PreprocessingConfig(k=K, num_layers=NUM_LAYERS, batch_size=batch_size, seed=SEED)
+    ref = preprocess(graph, replace(workload, mode=MODE_REFERENCE))
+    vec = preprocess(graph, workload)
     bit_exact = (
         ref.reindex.mapping == vec.reindex.mapping
         and np.array_equal(ref.reindex.edges.src, vec.reindex.edges.src)
@@ -125,7 +122,6 @@ def _check_equivalence(graph, batch_size: int) -> Dict[str, bool]:
         and np.array_equal(ref.subgraph_csc.indptr, vec.subgraph_csc.indptr)
         and np.array_equal(ref.subgraph_csc.indices, vec.subgraph_csc.indices)
     )
-    workload = PreprocessingConfig(k=K, num_layers=NUM_LAYERS, batch_size=batch_size, seed=SEED)
     device = AutoGNNDevice()
     ref_dev = device.preprocess(graph, replace(workload, mode=MODE_REFERENCE))
     vec_dev = device.preprocess(graph, workload)

@@ -40,7 +40,7 @@ def main() -> None:
           f"{result.num_sampled_edges} edges")
 
     # 3. Verify against the pure-software reference pipeline.
-    reference = preprocess(graph, k=10, num_layers=2, batch_size=64, seed=0)
+    reference = preprocess(graph, config)
     assert np.array_equal(reference.csc.indptr, result.csc.indptr)
     assert np.array_equal(reference.csc.indices, result.csc.indices)
     print("  CSC conversion matches the software reference")

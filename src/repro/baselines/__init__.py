@@ -17,10 +17,6 @@ from repro.baselines.gsamp import GSampSystem
 from repro.baselines.fpga_sampler import FPGASamplerSystem
 from repro.baselines.other_accels import (
     SingleFunctionAccelerator,
-    MergeSortAccelerator,
-    InsertionSortAccelerator,
-    StreamSamplerAccelerator,
-    FLAGAccelerator,
     AcceleratorDeployment,
     OTHER_ACCELERATORS,
 )
@@ -37,10 +33,6 @@ __all__ = [
     "GSampSystem",
     "FPGASamplerSystem",
     "SingleFunctionAccelerator",
-    "MergeSortAccelerator",
-    "InsertionSortAccelerator",
-    "StreamSamplerAccelerator",
-    "FLAGAccelerator",
     "AcceleratorDeployment",
     "OTHER_ACCELERATORS",
 ]

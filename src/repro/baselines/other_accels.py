@@ -190,30 +190,3 @@ class SingleFunctionAccelerator(PreprocessingSystem):
             },
         )
 
-
-class MergeSortAccelerator(SingleFunctionAccelerator):
-    """Parallel hardware merge sorter."""
-
-    def __init__(self, deployment: AcceleratorDeployment = AcceleratorDeployment.PURE, **kwargs) -> None:
-        super().__init__(MERGE_SORT, deployment, **kwargs)
-
-
-class InsertionSortAccelerator(SingleFunctionAccelerator):
-    """Xilinx insertion-sort database application."""
-
-    def __init__(self, deployment: AcceleratorDeployment = AcceleratorDeployment.PURE, **kwargs) -> None:
-        super().__init__(INSERTION_SORT, deployment, **kwargs)
-
-
-class StreamSamplerAccelerator(SingleFunctionAccelerator):
-    """FPGA-HBM streaming sampler."""
-
-    def __init__(self, deployment: AcceleratorDeployment = AcceleratorDeployment.PURE, **kwargs) -> None:
-        super().__init__(STREAM_SAMPLER, deployment, **kwargs)
-
-
-class FLAGAccelerator(SingleFunctionAccelerator):
-    """FLAG precomputation + vector-quantisation inference service."""
-
-    def __init__(self, deployment: AcceleratorDeployment = AcceleratorDeployment.PURE, **kwargs) -> None:
-        super().__init__(FLAG, deployment, **kwargs)

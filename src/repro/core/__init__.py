@@ -26,7 +26,7 @@ from repro.core.scr import (
     Reshaper,
     Reindexer,
 )
-from repro.core.kernels import UPEKernel, SCRKernel, KernelStats
+from repro.core.kernels import UPEKernel, SCRKernel
 from repro.core.cost_model import CostModel, WorkloadParams, CostEstimate
 from repro.core.bitstream import Bitstream, BitstreamLibrary, generate_bitstream_library
 from repro.core.reconfig import ReconfigurationController, ReconfigurationEvent
@@ -52,7 +52,6 @@ __all__ = [
     "Reindexer",
     "UPEKernel",
     "SCRKernel",
-    "KernelStats",
     "CostModel",
     "WorkloadParams",
     "CostEstimate",

@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from repro.core.config import DEFAULT_HARDWARE, HardwareConfig, KERNEL_CLOCK_HZ
 from repro.core.kernels import SCRKernel, UPEKernel
-from repro.graph.coo import COOGraph, VID_DTYPE
-from repro.preprocessing.pipeline import PreprocessingConfig, PreprocessingResult
+from repro.graph.coo import COOGraph
+from repro.preprocessing.pipeline import (
+    PreprocessingConfig,
+    PreprocessingResult,
+    choose_batch_nodes,
+)
 
 #: Peak DRAM bandwidth of the device memory interface (bytes/second).  The
 #: evaluation board's DDR interface is in the tens of GB/s; 64 GB/s is used as
@@ -149,8 +151,8 @@ class AutoGNNDevice:
         if workload.sampling_strategy != "node":
             raise ValueError(
                 f"AutoGNNDevice models node-wise selection only, got sampling_strategy="
-                f"{workload.sampling_strategy!r}; run layer-wise sampling through the "
-                f'pipeline: preprocess(..., sampling_strategy="layer")'
+                f"{workload.sampling_strategy!r}; run layer-wise sampling through "
+                f'preprocess(graph, PreprocessingConfig(sampling_strategy="layer"))'
             )
         timing = PreprocessingTiming(clock_hz=self.clock_hz)
 
@@ -164,8 +166,8 @@ class AutoGNNDevice:
 
         # 2. Unique random selection over the CSC.
         if batch_nodes is None:
-            batch_nodes = self._choose_batch_nodes(graph, workload)
-        sample, selecting_cycles, _ = self.upe_kernel.unique_random_selection(
+            batch_nodes = choose_batch_nodes(graph, workload)
+        sample, selecting_cycles = self.upe_kernel.unique_random_selection(
             csc,
             batch_nodes,
             workload.k,
@@ -198,25 +200,10 @@ class AutoGNNDevice:
             sample=sample,
             reindex=reindex,
             subgraph_csc=sub_csc,
-            stats={
-                "ordering": {"cycles": float(timing.ordering_cycles)},
-                "reshaping": {"cycles": float(timing.reshaping_cycles)},
-                "selecting": {"cycles": float(timing.selecting_cycles)},
-                "reindexing": {"cycles": float(timing.reindexing_cycles)},
-            },
         )
         return AcceleratedPreprocessing(result=result, timing=timing, config=self.config)
 
     # -------------------------------------------------------------- utilities
-    def _choose_batch_nodes(
-        self, graph: COOGraph, workload: PreprocessingConfig
-    ) -> np.ndarray:
-        rng = np.random.default_rng(workload.seed)
-        if graph.num_nodes == 0:
-            return np.empty(0, dtype=VID_DTYPE)
-        size = min(workload.batch_size, graph.num_nodes)
-        return rng.choice(graph.num_nodes, size=size, replace=False).astype(VID_DTYPE)
-
     def reconfigure(self, config: HardwareConfig) -> None:
         """Swap in a new hardware configuration (kernels are rebuilt)."""
         self.config = config

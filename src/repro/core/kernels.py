@@ -14,8 +14,7 @@ costs for identical work (see DESIGN.md, "Timing model").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,12 +24,12 @@ from repro.core.scr import SCR, Reindexer, Reshaper
 from repro.core.upe import CYCLES_PER_PARTITION_PASS, DEFAULT_RADIX_BITS, UPE
 from repro.graph.coo import COOGraph, VID_DTYPE, vid_bits
 from repro.graph.csc import CSCGraph
-from repro.graph.convert import build_pointer_array, edge_order
+from repro.graph.convert import csc_from_ordered, edge_order
 from repro.graph.reindex import (
     ReindexResult,
     interleave_endpoints,
-    reindex_edges,
     reindex_mapping_sizes,
+    reindex_subgraph,
 )
 from repro.graph.sampling import MODE_VECTORIZED, SampledSubgraph, node_wise_sample_with_stats
 
@@ -168,40 +167,6 @@ def reindexing_cycle_estimate(num_endpoints: int, mapping_size: int, config: Har
 
 
 # ---------------------------------------------------------------------------
-# Kernel statistics
-# ---------------------------------------------------------------------------
-@dataclass
-class KernelStats:
-    """Cycle counters per preprocessing task, as reported by the kernels."""
-
-    ordering_cycles: int = 0
-    selecting_cycles: int = 0
-    reshaping_cycles: int = 0
-    reindexing_cycles: int = 0
-    selection_draws: int = 0
-    selection_arrays: int = 0
-
-    @property
-    def total_cycles(self) -> int:
-        """Total preprocessing cycles across all four tasks."""
-        return (
-            self.ordering_cycles
-            + self.selecting_cycles
-            + self.reshaping_cycles
-            + self.reindexing_cycles
-        )
-
-    def breakdown(self) -> Dict[str, int]:
-        """Per-task cycles keyed by the paper's task names."""
-        return {
-            "ordering": self.ordering_cycles,
-            "selecting": self.selecting_cycles,
-            "reshaping": self.reshaping_cycles,
-            "reindexing": self.reindexing_cycles,
-        }
-
-
-# ---------------------------------------------------------------------------
 # UPE kernel
 # ---------------------------------------------------------------------------
 class UPEKernel:
@@ -260,7 +225,7 @@ class UPEKernel:
         num_layers: int,
         seed: int = 0,
         mode: str = MODE_VECTORIZED,
-    ) -> Tuple[SampledSubgraph, int, KernelStats]:
+    ) -> Tuple[SampledSubgraph, int]:
         """Node-wise unique random selection driven by UPE set-partitioning.
 
         Functionally equivalent to the reference sampler: for every frontier
@@ -276,13 +241,7 @@ class UPEKernel:
         sample, selection = node_wise_sample_with_stats(
             csc, batch_nodes, k, num_layers, seed=seed, mode=mode
         )
-        cycles = selection_cycle_count(selection.draws, selection.arrays, self.config)
-        stats = KernelStats(
-            selecting_cycles=cycles,
-            selection_draws=selection.draws,
-            selection_arrays=selection.arrays,
-        )
-        return sample, cycles, stats
+        return sample, selection_cycle_count(selection.draws, selection.arrays, self.config)
 
     def _detailed_selection(
         self,
@@ -291,7 +250,7 @@ class UPEKernel:
         k: int,
         num_layers: int,
         seed: int,
-    ) -> Tuple[SampledSubgraph, int, KernelStats]:
+    ) -> Tuple[SampledSubgraph, int]:
         """Element-by-element emulation of the Fig. 16 selection control path."""
         rng = np.random.default_rng(seed)
         batch = np.asarray(list(batch_nodes), dtype=VID_DTYPE)
@@ -333,17 +292,13 @@ class UPEKernel:
             if frontier.size == 0:
                 break
 
-        cycles = selection_cycle_count(draws, arrays, self.config)
         sample = SampledSubgraph(
             batch_nodes=batch,
             layers=list(reversed(layers)),
             sampled_nodes=np.array(sorted(seen), dtype=VID_DTYPE),
             num_nodes=csc.num_nodes,
         )
-        stats = KernelStats(
-            selecting_cycles=cycles, selection_draws=draws, selection_arrays=arrays
-        )
-        return sample, cycles, stats
+        return sample, selection_cycle_count(draws, arrays, self.config)
 
     def _detailed_draw(
         self, neighbors: np.ndarray, take: int, rng: np.random.Generator
@@ -394,17 +349,10 @@ class SCRKernel:
     def data_reshaping(self, ordered: COOGraph) -> Tuple[CSCGraph, int]:
         """Build the CSC of a destination-sorted COO; returns (csc, cycles)."""
         cycles = reshaping_cycle_count(ordered.dst, ordered.num_nodes, self.config)
+        indptr = None
         if self.detailed:
             indptr = self.reshaper.build_pointer_array(ordered.dst, ordered.num_nodes)
-        else:
-            indptr = build_pointer_array(ordered.dst, ordered.num_nodes)
-        csc = CSCGraph(
-            indptr=indptr,
-            indices=ordered.src.copy(),
-            num_nodes=ordered.num_nodes,
-            name=ordered.name,
-        )
-        return csc, cycles
+        return csc_from_ordered(ordered, indptr), cycles
 
     # ------------------------------------------------------------- reindexing
     def subgraph_reindexing(
@@ -417,12 +365,10 @@ class SCRKernel:
         the verification hash-map loop.  Both produce bit-identical mappings
         and identical cycle counts.
         """
-        combined = sample.all_edges()
-        src = combined.src
-        dst = combined.dst
         if self.detailed:
+            combined = sample.all_edges()
             self.reindexer.reset()
-            new_src, new_dst = self.reindexer.reindex_edges(src, dst)
+            new_src, new_dst = self.reindexer.reindex_edges(combined.src, combined.dst)
             result = ReindexResult(
                 mapping=self.reindexer.mapping,
                 edges=COOGraph(
@@ -438,7 +384,7 @@ class SCRKernel:
         # Both functional paths live in reindex_edges; the assigned IDs are
         # first-occurrence codes in endpoint scan order, so the closed-form
         # occupancy yields the identical cycle charge for either mode.
-        result = reindex_edges(src, dst, mode=mode, num_vids=combined.num_nodes)
+        result = reindex_subgraph(sample, mode=mode)
         codes = interleave_endpoints(result.edges.src, result.edges.dst)
         cycles = reindexing_cycle_count(reindex_mapping_sizes(codes), self.config)
         return result, cycles

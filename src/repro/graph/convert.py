@@ -9,7 +9,7 @@ the repo is checked against these functions.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -47,16 +47,25 @@ def build_pointer_array(sorted_dst: np.ndarray, num_nodes: int) -> np.ndarray:
     return indptr
 
 
-def coo_to_csc(graph: COOGraph) -> CSCGraph:
-    """Convert a COO graph to CSC (edge ordering followed by data reshaping)."""
-    ordered = edge_order(graph)
-    indptr = build_pointer_array(ordered.dst, graph.num_nodes)
+def csc_from_ordered(ordered: COOGraph, indptr: Optional[np.ndarray] = None) -> CSCGraph:
+    """Data reshaping: the CSC of a destination-sorted COO.
+
+    ``indptr`` is a pointer array already built for ``ordered`` (by an
+    emulated reshaper, say); by default it is :func:`build_pointer_array`'s.
+    """
+    if indptr is None:
+        indptr = build_pointer_array(ordered.dst, ordered.num_nodes)
     return CSCGraph(
         indptr=indptr,
         indices=ordered.src.copy(),
-        num_nodes=graph.num_nodes,
-        name=graph.name,
+        num_nodes=ordered.num_nodes,
+        name=ordered.name,
     )
+
+
+def coo_to_csc(graph: COOGraph) -> CSCGraph:
+    """Convert a COO graph to CSC (edge ordering followed by data reshaping)."""
+    return csc_from_ordered(edge_order(graph))
 
 
 def csc_to_coo(graph: CSCGraph) -> COOGraph:

@@ -1,36 +1,22 @@
-"""Reference GNN preprocessing pipeline.
+"""Reference GNN preprocessing workflow.
 
 The paper decomposes GNN preprocessing into four tasks (Section II-B):
 edge ordering, data reshaping, unique random selection and subgraph
-reindexing.  This package provides the software reference pipeline that the
-CPU/GPU baselines and the AutoGNN hardware simulator are all verified against,
-plus the task-level result containers used across the repo.
+reindexing.  This package runs them in the order of Fig. 14 as plain
+functions: the software reference that the CPU/GPU baselines and the
+AutoGNN hardware simulator are all verified against.
 """
 
-from repro.preprocessing.tasks import (
-    Task,
-    TaskResult,
-    EdgeOrderingTask,
-    DataReshapingTask,
-    UniqueRandomSelectionTask,
-    SubgraphReindexingTask,
-)
 from repro.preprocessing.pipeline import (
     PreprocessingConfig,
     PreprocessingResult,
-    PreprocessingPipeline,
+    choose_batch_nodes,
     preprocess,
 )
 
 __all__ = [
-    "Task",
-    "TaskResult",
-    "EdgeOrderingTask",
-    "DataReshapingTask",
-    "UniqueRandomSelectionTask",
-    "SubgraphReindexingTask",
     "PreprocessingConfig",
     "PreprocessingResult",
-    "PreprocessingPipeline",
+    "choose_batch_nodes",
     "preprocess",
 ]

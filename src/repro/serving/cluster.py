@@ -920,15 +920,14 @@ class ShardedServiceCluster:
         re-homes when the home shard's reconfiguration state has gone
         stale relative to the live traffic mix (see :meth:`_rebalance`).
         """
-        least_loaded = min(active, key=lambda i: (busy_until[i], i))
         if self.policy == POLICY_ROUND_ROBIN:
             shard = active[self._rr_next % len(active)]
             self._rr_next += 1
             return shard
+        least_loaded = min(active, key=lambda i: (busy_until[i], i))
         if self.policy == POLICY_LOCALITY:
-            configured = [
-                i for i in active if self.shards[i].configured_for(batch.workload)
-            ]
+            workload = batch.workload
+            configured = [i for i in active if self.shards[i].configured_for(workload)]
             if configured:
                 preferred = min(configured, key=lambda i: (busy_until[i], i))
             else:
@@ -1034,11 +1033,11 @@ class ShardedServiceCluster:
         if config.resolved_controller() is not None:
             raise ValueError(
                 "serve_trace is offline and never sheds: admission control "
-                "(controller/admit/degradation) requires serve_online"
+                "(admit/degradation) requires serve_online"
             )
         if not len(trace):
             raise ValueError("cannot serve an empty trace")
-        slo = config.scoring_slo()
+        slo = config.slo
         faults = config.faults
         if self.engine == ENGINE_FAST and faults is None and not self.scheduler.fair:
             return _serve_trace_chunked(self, trace, slo)
@@ -1108,7 +1107,7 @@ class ShardedServiceCluster:
             )
         return self._serve_online_events(
             source,
-            config.scoring_slo(),
+            config.slo,
             config.resolved_controller(),
             autoscaler,
             config.faults,
@@ -1142,8 +1141,6 @@ class ShardedServiceCluster:
         pending_estimates: Dict[int, float] = {}
         # Arrival times of recent sheds: demand the autoscaler must still see.
         recent_sheds: deque = deque()
-        if admission is not None:
-            admission.reset()
         first_arrival: Optional[float] = None
         # Guaranteed-tier tenants whose open-queue pressure a tenant-aware
         # autoscaler watches separately from the global depth.

@@ -9,12 +9,11 @@ topology, placement and scheduler (with its ``tenant_weights``) — is fixed
 at construction (``ShardedServiceCluster(engine=, topology=, placement=)``,
 ``BatchScheduler(tenant_weights=)``), so a run never swaps it.
 
-* **slo** scores the run; **controller** (a pre-built
-  :class:`~repro.serving.control.AdmissionController`) sheds against it;
-* **admit=True** builds the controller from ``slo`` right here, with the
+* **slo** scores the run;
+* **admit=True** sheds against it: each run builds a fresh
+  :class:`~repro.serving.control.AdmissionController` from ``slo`` and the
   admission knobs (``record_decisions``, ``batch_aware``, ``degradation``)
-  carried by the config — the common case that previously required
-  constructing the controller by hand;
+  the config carries;
 * **degradation** (a :class:`~repro.serving.control.DegradationPolicy`)
   turns binary shedding into quality-latency tiering: requests whose
   full-quality prediction violates the SLO are downgraded to a cheaper
@@ -47,14 +46,9 @@ class ServingConfig:
     Attributes:
         slo: latency objectives the run is scored against.  On its own it
             never sheds (score-only).
-        controller: a pre-built admission controller.  Mutually exclusive
-            with the admission knobs below — a supplied controller already
-            carries its own ``record_decisions`` / ``batch_aware`` /
-            ``degradation``.  When set, ``slo`` defaults to the
-            controller's policy for scoring.
-        admit: build an :class:`AdmissionController` from ``slo`` with the
-            knobs below (requires ``slo``; ignored when ``controller`` is
-            given, which already implies admission).
+        admit: shed with an :class:`AdmissionController` built from ``slo``
+            and the knobs below (requires ``slo``; setting any knob implies
+            it).
         record_decisions: keep the per-request admission decision log
             (disable for memory-bounded 100k-request runs).
         batch_aware: predict with marginal merged-batch cost instead of the
@@ -69,7 +63,6 @@ class ServingConfig:
     """
 
     slo: Optional[SLOPolicy] = None
-    controller: Optional[AdmissionController] = None
     admit: bool = False
     record_decisions: bool = True
     batch_aware: bool = False
@@ -78,52 +71,26 @@ class ServingConfig:
     faults: Optional[FaultSchedule] = None
 
     def __post_init__(self) -> None:
-        knobs_touched = (
-            self.record_decisions is not True
-            or self.batch_aware is not False
-            or self.degradation is not None
-        )
-        if self.controller is not None:
-            if knobs_touched:
-                raise ValueError(
-                    "record_decisions / batch_aware / degradation belong to the "
-                    "supplied controller — configure them on the "
-                    "AdmissionController, not alongside it"
-                )
-            if self.slo is not None and self.slo is not self.controller.policy:
-                raise ValueError(
-                    "slo and controller.policy disagree; drop the slo field "
-                    "(scoring defaults to the controller's policy)"
-                )
-        elif self.admit or knobs_touched:
-            if self.slo is None:
-                raise ValueError(
-                    "admission (admit=True or any admission knob) requires an slo"
-                )
+        if self._admits() and self.slo is None:
+            raise ValueError(
+                "admission (admit=True or any admission knob) requires an slo"
+            )
 
-    # ------------------------------------------------------------- resolution
-    def scoring_slo(self) -> Optional[SLOPolicy]:
-        """The policy the run's goodput section is scored against."""
-        if self.slo is not None:
-            return self.slo
-        if self.controller is not None:
-            return self.controller.policy
-        return None
-
-    def resolved_controller(self) -> Optional[AdmissionController]:
-        """The admission controller this run sheds with (``None`` = no shedding)."""
-        if self.controller is not None:
-            return self.controller
-        if self.slo is not None and (
+    def _admits(self) -> bool:
+        return (
             self.admit
             or self.record_decisions is not True
             or self.batch_aware is not False
             or self.degradation is not None
-        ):
-            return AdmissionController(
-                self.slo,
-                record_decisions=self.record_decisions,
-                batch_aware=self.batch_aware,
-                degradation=self.degradation,
-            )
-        return None
+        )
+
+    def resolved_controller(self) -> Optional[AdmissionController]:
+        """A fresh admission controller for one run (``None`` = no shedding)."""
+        if not self._admits():
+            return None
+        return AdmissionController(
+            self.slo,
+            record_decisions=self.record_decisions,
+            batch_aware=self.batch_aware,
+            degradation=self.degradation,
+        )

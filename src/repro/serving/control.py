@@ -11,8 +11,8 @@ cluster's online event loop (:meth:`~repro.serving.cluster.ShardedServiceCluster
   predicted sojourn (the chosen shard's queued backlog, i.e. queue depth
   times the calibrated per-batch cost, plus the request's own estimated
   service time) would violate the workload's SLO.  Every decision is
-  recorded, so the prediction invariant (admit ⇔ predicted ≤ SLO) is
-  testable after the fact.  With tenant quotas configured the controller is
+  recorded in the run's report, so the prediction invariant (admit ⇔
+  predicted ≤ SLO) is testable after the fact.  With tenant quotas configured the controller is
   tiered: a hard ``limit_rps`` cap sheds first; traffic within a tenant's
   ``guaranteed_rps`` token bucket is always admitted (quota conservation —
   a tenant inside its guarantee is never shed); the remainder rides the
@@ -29,8 +29,8 @@ randomness, so controlled runs are exactly reproducible.  The policies are
 backend-agnostic: the one online event loop drives the same controller
 objects with the same observation sequences on either backend
 (:mod:`repro.serving.engine`), which keeps controlled runs byte-identical
-across them.  For 100k-request runs the per-decision log
-can be disabled (``AdmissionController(record_decisions=False)``) — the
+across them.  For 100k-request runs the report's per-decision log
+can be disabled (``ServingConfig(record_decisions=False)``) — the
 verdicts themselves are unaffected.
 """
 
@@ -365,9 +365,9 @@ class AdmissionController:
        guarantee — weighted shedding instead of arrival-order shedding.
 
     All tiers are pure simulated-time bookkeeping on the arrival sequence,
-    so both serving engines drive identical decisions.  The decision log
-    can be disabled (``record_decisions=False``) for memory-bounded
-    100k-request runs — verdicts are unaffected.
+    so both serving engines drive identical decisions.  The report's
+    decision log can be disabled (``record_decisions=False``) for
+    memory-bounded 100k-request runs — verdicts are unaffected.
 
     ``batch_aware=True`` opts into batching-aware admission: the serving
     loops then predict with the *marginal* cost of joining the batch
@@ -398,7 +398,6 @@ class AdmissionController:
         self.record_decisions = record_decisions
         self.batch_aware = batch_aware
         self.degradation = degradation
-        self.decisions: List[AdmissionDecision] = []
         self._guaranteed: Dict[str, Optional[_TokenBucket]] = {}
         self._limits: Dict[str, Optional[_TokenBucket]] = {}
         self._excess: Dict[str, Optional[_TokenBucket]] = {}
@@ -426,20 +425,6 @@ class AdmissionController:
             cheaper = (degraded.k, degraded.num_layers) != (workload.k, workload.num_layers)
             self._degraded_profiles[workload] = degraded if cheaper else None
         return self._degraded_profiles[workload]
-
-    def reset(self) -> None:
-        """Drop all token-bucket state (start of a serving run).
-
-        The online loop calls this when a run begins, mirroring
-        ``Autoscaler.start``: simulated clocks restart at every run, so
-        buckets anchored to a previous run's timeline must not leak into
-        the next one (a depleted guarantee would otherwise shed
-        within-guarantee traffic and break quota conservation).  The
-        decision log is an audit trail and is deliberately kept.
-        """
-        self._guaranteed.clear()
-        self._limits.clear()
-        self._excess.clear()
 
     def _bucket(
         self, table: Dict[str, Optional[_TokenBucket]], tenant: str,
@@ -509,7 +494,7 @@ class AdmissionController:
                 admitted, reason = True, "weighted-excess"
             else:
                 admitted, reason = False, "overload"
-        decision = AdmissionDecision(
+        return AdmissionDecision(
             request_id=request.request_id,
             seconds=now_seconds,
             predicted_sojourn=predicted,
@@ -519,9 +504,6 @@ class AdmissionController:
             reason=reason,
             degraded=degraded_tier,
         )
-        if self.record_decisions:
-            self.decisions.append(decision)
-        return decision
 
 
 @dataclass(frozen=True)

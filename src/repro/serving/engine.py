@@ -289,51 +289,18 @@ def _pick_shard(
     workload_id: int,
     active_count: int,
 ) -> int:
-    """Replicates ``ShardedServiceCluster._pick_shard`` on the shard heap."""
-    from repro.serving.cluster import (
-        POLICY_LOCALITY,
-        POLICY_ROUND_ROBIN,
-        _home_shard,
-    )
+    """``ShardedServiceCluster._pick_shard`` on the shard heap.
 
-    if cluster.topology is not None:
-        # Domain-aware placement: the active set is an activation-order
-        # slice, not the index prefix the heap shortcuts assume.  Delegate
-        # to the reference picker over the heap's authoritative busy list —
-        # the same call the fault path makes — so both backends pick
-        # identically under any topology.
-        return cluster._pick_shard(batch, heap.busy, cluster._order[:active_count])
-    if cluster.policy == POLICY_ROUND_ROBIN:
-        shard_id = cluster._rr_next % active_count
-        cluster._rr_next += 1
-        return shard_id
-    if cluster.policy == POLICY_LOCALITY:
-        busy = heap.busy
-        workload = cluster._workloads[workload_id]
-        configured = [
-            i
-            for i in range(active_count)
-            if cluster.shards[i].configured_for(workload)
-        ]
-        if configured:
-            preferred = min(configured, key=lambda i: (busy[i], i))
-        else:
-            preferred = _home_shard(batch, active_count)
-            if cluster.rebalance_seconds is not None:
-                # Stale-state re-homing is written once, on the cluster;
-                # the heap's busy list is the authoritative horizon view.
-                preferred = cluster._rebalance(
-                    batch, busy, range(active_count), preferred
-                )
-        backlog = busy[preferred] - batch.ready_seconds
-        if backlog <= cluster.locality_spill_seconds:
-            chosen = preferred
-        else:
-            chosen = heap.pick(active_count)
-        if cluster.rebalance_seconds is not None:
-            cluster._shard_key[chosen] = (batch.key, batch.ready_seconds)
-        return chosen
-    return heap.pick(active_count)
+    Least-loaded dispatch without a topology is a heap pick over the active
+    prefix; every other policy delegates to the cluster's picker over the
+    heap's authoritative busy list, the same call the fault path makes.
+    ``workload_id`` keeps the backend ``pick`` signature.
+    """
+    from repro.serving.cluster import POLICY_LEAST_LOADED
+
+    if cluster.topology is None and cluster.policy == POLICY_LEAST_LOADED:
+        return heap.pick(active_count)
+    return cluster._pick_shard(batch, heap.busy, cluster._order[:active_count])
 
 
 # -------------------------------------------------------------------- backends

@@ -3,9 +3,7 @@
 This is the layer the end-to-end experiments run on.  A service pairs one
 compared preprocessing system (CPU / GPU / GSamp / FPGA / AutoPre / StatPre /
 DynPre) with the analytic GPU inference-latency model and produces the
-end-to-end latency decomposition the paper's figures report.  It can also run
-the functional path on an in-memory graph to validate that the preprocessing
-actually produces a correct subgraph.
+end-to-end latency decomposition the paper's figures report.
 """
 
 from __future__ import annotations
@@ -21,12 +19,6 @@ from repro.baselines.gpu import GPUPreprocessingSystem
 from repro.baselines.gsamp import GSampSystem
 from repro.core.bitstream import generate_bitstream_library
 from repro.gnn.inference import InferenceLatencyModel
-from repro.graph.coo import COOGraph
-from repro.preprocessing.pipeline import (
-    PreprocessingConfig,
-    PreprocessingPipeline,
-    PreprocessingResult,
-)
 from repro.system.power import EnergyReport, PowerModel
 from repro.system.variants import AutoPreSystem, DynPreSystem, StatPreSystem, tuned_config_for
 from repro.system.workload import WorkloadProfile
@@ -218,20 +210,6 @@ class GNNService:
             )
             for preprocessing in self.preprocessing.replicas(count)
         ]
-
-    # ------------------------------------------------------- functional path
-    def preprocess_functional(
-        self,
-        graph: COOGraph,
-        config: Optional[PreprocessingConfig] = None,
-        batch_nodes=None,
-    ) -> PreprocessingResult:
-        """Run the functional preprocessing pipeline on an in-memory graph.
-
-        Validates that a served workload's preprocessing actually produces a
-        correct subgraph, in the ``config``'s execution mode.
-        """
-        return PreprocessingPipeline(config).run(graph, batch_nodes=batch_nodes)
 
 
 def build_reference_systems(

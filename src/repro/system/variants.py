@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 
 from repro.analysis.metrics import TaskLatencies
 from repro.system.base import PreprocessingSystem, SystemLatency
-from repro.core.accelerator import AcceleratedPreprocessing, AutoGNNDevice
 from repro.core.bitstream import BitstreamLibrary, generate_bitstream_library
 from repro.core.config import (
     FPGAResources,
@@ -40,8 +39,6 @@ from repro.core.kernels import (
     selection_cycle_count,
 )
 from repro.core.reconfig import FULL_RECONFIG_SECONDS, ReconfigurationController
-from repro.graph.coo import COOGraph
-from repro.preprocessing.pipeline import PreprocessingConfig
 from repro.system.pcie import PCIeLink, TransferBreakdown
 from repro.system.workload import WorkloadProfile
 
@@ -121,23 +118,6 @@ class AutoGNNVariant(PreprocessingSystem):
         )
         clone.name = self.name
         return clone
-
-    # ------------------------------------------------------- functional path
-    def preprocess_functional(
-        self,
-        graph: COOGraph,
-        config: Optional[PreprocessingConfig] = None,
-        batch_nodes=None,
-    ) -> AcceleratedPreprocessing:
-        """Run the functional preprocessing workflow on an in-memory graph.
-
-        Instantiates an :class:`AutoGNNDevice` with this variant's current
-        hardware configuration and executes the full Fig. 14 workflow in the
-        ``config``'s execution mode, returning both the preprocessed subgraph
-        and the cycle-level timing.
-        """
-        device = AutoGNNDevice(config=self.config, clock_hz=self.clock_hz)
-        return device.preprocess(graph, config, batch_nodes=batch_nodes)
 
     # ------------------------------------------------------------- components
     def _ordering_config(self) -> HardwareConfig:
@@ -323,9 +303,11 @@ class StatPreSystem(AutoGNNVariant):
 class DynPreSystem(AutoGNNVariant):
     """Runtime partial reconfiguration driven by the cost model.
 
+    The UPE:SCR area split is always free to change (DynArea, the first
+    ablation rung, disables the two knobs below).
+
     Args:
         library: staged bitstream library to choose from.
-        optimize_area: allow changing the UPE:SCR area split (DynArea).
         optimize_scr: allow changing the SCR width/slot count (DynSCR).
         optimize_upe: allow changing the UPE width/count (DynUPE / full DynPre).
         reconfigure_threshold: minimum fractional latency improvement required
@@ -338,7 +320,6 @@ class DynPreSystem(AutoGNNVariant):
         self,
         library: Optional[BitstreamLibrary] = None,
         board: FPGAResources = VPK180,
-        optimize_area: bool = True,
         optimize_scr: bool = True,
         optimize_upe: bool = True,
         reconfigure_threshold: float = 0.05,
@@ -347,7 +328,6 @@ class DynPreSystem(AutoGNNVariant):
         super().__init__(board=board, **kwargs)
         self.library = library or generate_bitstream_library(board)
         self.cost_model = CostModel()
-        self.optimize_area = optimize_area
         self.optimize_scr = optimize_scr
         self.optimize_upe = optimize_upe
         self.reconfigure_threshold = reconfigure_threshold
@@ -370,7 +350,6 @@ class DynPreSystem(AutoGNNVariant):
         clone = type(self)(
             library=self.library,
             board=self.board,
-            optimize_area=self.optimize_area,
             optimize_scr=self.optimize_scr,
             optimize_upe=self.optimize_upe,
             reconfigure_threshold=self.reconfigure_threshold,
@@ -465,19 +444,21 @@ class DynPreSystem(AutoGNNVariant):
         cached = self._configured_cache.get(cache_key)
         if cached is not None:
             return cached
-        current_latency = self._latency_with(self.config, workload)
-        if current_latency <= 0:
-            result = True
-        else:
-            best = self.choose_config(workload)
-            if best.key() == self.config.key():
-                result = True
-            else:
-                best_latency = self._latency_with(best, workload)
-                improvement = (current_latency - best_latency) / current_latency
-                result = improvement < self.reconfigure_threshold
+        result = self._better_config(workload) is None
         self._configured_cache[cache_key] = result
         return result
+
+    def _better_config(self, workload: WorkloadProfile) -> Optional[HardwareConfig]:
+        """The configuration worth reconfiguring to for ``workload``, or None
+        when no candidate beats the loaded one by ``reconfigure_threshold``."""
+        current_latency = self._latency_with(self.config, workload)
+        if current_latency <= 0:
+            return None
+        best = self.choose_config(workload)
+        if best.key() == self.config.key():
+            return None
+        improvement = (current_latency - self._latency_with(best, workload)) / current_latency
+        return None if improvement < self.reconfigure_threshold else best
 
     # ---------------------------------------------------------- serving state
     def state_key(self):
@@ -509,13 +490,8 @@ class DynPreSystem(AutoGNNVariant):
         Returns the reconfiguration latency charged to this pass (0 when the
         current configuration is kept).
         """
-        current_latency = self._latency_with(self.config, workload)
-        best = self.choose_config(workload)
-        if best.key() == self.config.key() or current_latency <= 0:
-            return 0.0
-        best_latency = self._latency_with(best, workload)
-        improvement = (current_latency - best_latency) / current_latency
-        if improvement < self.reconfigure_threshold:
+        best = self._better_config(workload)
+        if best is None:
             return 0.0
         event = self.reconfig.reconfigure(best)
         self.config = best
@@ -545,17 +521,17 @@ def make_dyn_ablations(
     stat = StatPreSystem(config=base, board=board)
     dyn_area = DynPreSystem(
         library=library, board=board, config=base,
-        optimize_area=True, optimize_scr=False, optimize_upe=False,
+        optimize_scr=False, optimize_upe=False,
     )
     dyn_area.name = "DynArea"
     dyn_scr = DynPreSystem(
         library=library, board=board, config=base,
-        optimize_area=True, optimize_scr=True, optimize_upe=False,
+        optimize_scr=True, optimize_upe=False,
     )
     dyn_scr.name = "DynSCR"
     dyn_upe = DynPreSystem(
         library=library, board=board, config=base,
-        optimize_area=True, optimize_scr=True, optimize_upe=True,
+        optimize_scr=True, optimize_upe=True,
     )
     dyn_upe.name = "DynUPE"
     return {"StatPre": stat, "DynArea": dyn_area, "DynSCR": dyn_scr, "DynUPE": dyn_upe}

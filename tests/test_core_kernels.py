@@ -161,9 +161,9 @@ class TestUPEKernel:
     def test_selection_valid_edges(self, small_graph, config):
         csc = coo_to_csc(small_graph)
         kernel = UPEKernel(config)
-        sample, cycles, stats = kernel.unique_random_selection(csc, [0, 1, 2], k=3, num_layers=2, seed=0)
+        sample, cycles = kernel.unique_random_selection(csc, [0, 1, 2], k=3, num_layers=2, seed=0)
         assert cycles > 0
-        assert stats.selection_draws > 0
+        assert sample.num_sampled_edges > 0
         for layer in sample.layers:
             for src, dst in zip(layer.src.tolist(), layer.dst.tolist()):
                 assert src in csc.in_neighbors(dst).tolist()
@@ -171,7 +171,7 @@ class TestUPEKernel:
     def test_selection_unique_per_node(self, small_graph, config):
         csc = coo_to_csc(small_graph)
         kernel = UPEKernel(config)
-        sample, _, _ = kernel.unique_random_selection(csc, list(range(5)), k=4, num_layers=1, seed=1)
+        sample, _ = kernel.unique_random_selection(csc, list(range(5)), k=4, num_layers=1, seed=1)
         layer = sample.layers[-1]
         for dst in np.unique(layer.dst):
             srcs = layer.src[layer.dst == dst]
@@ -180,7 +180,7 @@ class TestUPEKernel:
     def test_selection_detailed_mode(self, small_graph, tiny_hardware):
         csc = coo_to_csc(small_graph)
         kernel = UPEKernel(tiny_hardware, detailed=True)
-        sample, cycles, _ = kernel.unique_random_selection(csc, [0, 1], k=2, num_layers=1, seed=2)
+        sample, cycles = kernel.unique_random_selection(csc, [0, 1], k=2, num_layers=1, seed=2)
         assert cycles > 0
         layer = sample.layers[-1]
         for dst in np.unique(layer.dst):
@@ -209,7 +209,7 @@ class TestSCRKernel:
     def test_reindexing_matches_reference(self, small_graph, config):
         csc = coo_to_csc(small_graph)
         kernel = UPEKernel(config)
-        sample, _, _ = kernel.unique_random_selection(csc, [0, 1, 2], k=3, num_layers=2, seed=3)
+        sample, _ = kernel.unique_random_selection(csc, [0, 1, 2], k=3, num_layers=2, seed=3)
         scr = SCRKernel(config)
         result, cycles = scr.subgraph_reindexing(sample)
         combined = sample.all_edges()
@@ -220,7 +220,7 @@ class TestSCRKernel:
 
     def test_reindexing_detailed_matches_fast(self, small_graph, tiny_hardware):
         csc = coo_to_csc(small_graph)
-        sample, _, _ = UPEKernel(tiny_hardware).unique_random_selection(
+        sample, _ = UPEKernel(tiny_hardware).unique_random_selection(
             csc, [0, 1], k=2, num_layers=2, seed=4
         )
         fast_result, fast_cycles = SCRKernel(tiny_hardware, detailed=False).subgraph_reindexing(sample)

@@ -22,7 +22,6 @@ from conftest import (
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
-    AdmissionController,
     Autoscaler,
     BatchScheduler,
     ClosedLoopClients,
@@ -706,24 +705,20 @@ class TestFastEngineExtras:
 
         def run(record):
             cluster = _cluster(services, "DynPre", ENGINE_FAST)
-            controller = AdmissionController(slo, record_decisions=record)
             clients = ClosedLoopClients(
                 WORKLOAD_POOL, num_clients=8, think_seconds=0.0, seed=3,
                 max_requests=40, retry_backoff_seconds=0.05,
             )
-            report = cluster.serve_online(
-                clients, config=ServingConfig(controller=controller)
+            return cluster.serve_online(
+                clients,
+                config=ServingConfig(slo=slo, admit=True, record_decisions=record),
             )
-            return controller, report
 
-        recorded, report_a = run(True)
-        unrecorded, report_b = run(False)
+        report_a = run(True)
+        report_b = run(False)
         assert _render(report_a) == _render(report_b)
-        assert len(recorded.decisions) > 0
-        assert len(report_a.decisions) == len(recorded.decisions)
-        # The flag bounds memory: neither the controller log nor the
-        # report's decision list accumulates.
-        assert unrecorded.decisions == []
+        assert len(report_a.decisions) > 0
+        # The flag bounds memory: the report's decision list stays empty.
         assert report_b.decisions == []
 
     def test_shard_heap_matches_linear_min(self):

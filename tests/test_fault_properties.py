@@ -23,7 +23,6 @@ from conftest import WORKLOAD_POOL
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
-    AdmissionController,
     Autoscaler,
     BatchScheduler,
     ENGINES,
@@ -124,7 +123,7 @@ def test_online_conservation_with_admission(services, faults, seed):
     source = _CountingSource(trace)
     report = _cluster(services).serve_online(
         source,
-        config=ServingConfig(controller=AdmissionController(policy=slo), faults=faults),
+        config=ServingConfig(slo=slo, admit=True, faults=faults),
     )
     goodput = report.goodput
     assert goodput.offered == len(trace)
@@ -158,7 +157,7 @@ def test_engines_identical_online_under_faults(services, faults, seed):
         return _cluster(services, engine=engine).serve_online(
             TraceArrivals(trace),
             config=ServingConfig(
-                controller=AdmissionController(policy=slo),
+                slo=slo, admit=True,
                 autoscaler=Autoscaler(min_shards=1, max_shards=NUM_SHARDS),
                 faults=faults,
             ),
@@ -696,7 +695,7 @@ def test_tenant_aware_scaling_serves_more_guaranteed_traffic(services):
         return _cluster(services, engine=engine).serve_online(
             TraceArrivals(trace),
             config=ServingConfig(
-                controller=AdmissionController(policy=slo),
+                slo=slo, admit=True,
                 autoscaler=scaler,
                 faults=faults,
             ),

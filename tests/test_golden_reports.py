@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.serving import (
-    AdmissionController,
     Autoscaler,
     BatchScheduler,
     BurstyArrivals,
@@ -150,9 +149,9 @@ def _faulted_report(services, engine: str = ENGINE_FAST):
     cluster = ShardedServiceCluster(
         services["DynPre"], num_shards=3, scheduler=_scheduler(), engine=engine
     )
-    admission = AdmissionController(policy=SLOPolicy(default_slo_seconds=0.5))
+    slo = SLOPolicy(default_slo_seconds=0.5)
     return cluster.serve_online(
-        TraceArrivals(trace), config=ServingConfig(controller=admission, faults=faults)
+        TraceArrivals(trace), config=ServingConfig(slo=slo, admit=True, faults=faults)
     )
 
 

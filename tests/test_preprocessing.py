@@ -1,86 +1,78 @@
-"""Tests for the reference preprocessing tasks and pipeline."""
+"""Tests for the functional preprocessing workflow (Fig. 14)."""
 
 import numpy as np
 import pytest
 
-from repro.graph.convert import coo_to_csc
-from repro.preprocessing.pipeline import PreprocessingConfig, PreprocessingPipeline, preprocess
-from repro.preprocessing.tasks import (
-    DataReshapingTask,
-    EdgeOrderingTask,
-    SubgraphReindexingTask,
-    TaskKind,
-    UniqueRandomSelectionTask,
-)
+from repro.core.accelerator import AutoGNNDevice
+from repro.graph.convert import coo_to_csc, csc_from_ordered, edge_order
+from repro.preprocessing.pipeline import PreprocessingConfig, choose_batch_nodes, preprocess
 
 
-class TestTasks:
-    def test_edge_ordering_task(self, small_graph):
-        result = EdgeOrderingTask().run(small_graph)
-        assert result.kind is TaskKind.ORDERING
-        assert result.payload.is_sorted()
-        assert result.stats["num_edges"] == small_graph.num_edges
+class TestSteps:
+    def test_edge_ordering_step(self, small_graph):
+        result = preprocess(small_graph, PreprocessingConfig(k=3, batch_size=8))
+        assert result.ordered.is_sorted()
+        assert result.ordered.num_edges == small_graph.num_edges
 
-    def test_data_reshaping_task(self, small_graph):
-        ordered = EdgeOrderingTask().run(small_graph).payload
-        result = DataReshapingTask().run(ordered)
-        assert result.kind is TaskKind.RESHAPING
+    def test_data_reshaping_step(self, small_graph):
+        csc = csc_from_ordered(edge_order(small_graph))
         expected = coo_to_csc(small_graph)
-        assert np.array_equal(result.payload.indptr, expected.indptr)
+        assert np.array_equal(csc.indptr, expected.indptr)
+        assert np.array_equal(csc.indices, expected.indices)
 
-    def test_selection_task_node_wise(self, small_csc):
-        task = UniqueRandomSelectionTask(strategy="node")
-        result = task.run(small_csc, [0, 1, 2], k=3, num_layers=2, seed=0)
-        assert result.kind is TaskKind.SELECTING
-        assert result.stats["sampled_nodes"] > 0
+    def test_selection_step_node_wise(self, small_graph):
+        result = preprocess(small_graph, PreprocessingConfig(k=3), batch_nodes=[0, 1, 2])
+        assert result.sample.num_sampled_nodes > 0
 
-    def test_selection_task_layer_wise(self, small_csc):
-        task = UniqueRandomSelectionTask(strategy="layer")
-        result = task.run(small_csc, [0, 1, 2], k=3, num_layers=2, seed=0)
-        assert result.payload.num_layers <= 2
+    def test_unknown_strategy_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="'node', 'layer'"):
+            PreprocessingConfig(sampling_strategy="bogus")
 
-    def test_selection_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            UniqueRandomSelectionTask(strategy="bogus")
-
-    def test_reindexing_task(self, small_csc):
-        sample = UniqueRandomSelectionTask().run(small_csc, [0, 1], k=3, num_layers=2).payload
-        result = SubgraphReindexingTask().run(sample)
-        assert result.kind is TaskKind.REINDEXING
-        assert result.payload.edges.num_edges == sample.num_sampled_edges
+    def test_reindexing_step(self, small_graph):
+        result = preprocess(small_graph, PreprocessingConfig(k=3), batch_nodes=[0, 1])
+        assert result.reindex.edges.num_edges == result.sample.num_sampled_edges
 
 
 class TestPipeline:
     def test_full_run(self, small_graph):
-        result = preprocess(small_graph, k=3, num_layers=2, batch_size=8, seed=1)
+        result = preprocess(small_graph, PreprocessingConfig(k=3, batch_size=8, seed=1))
         assert result.csc.num_edges == small_graph.num_edges
         assert result.num_sampled_edges == result.reindex.edges.num_edges
         assert result.subgraph_csc.num_edges == result.num_sampled_edges
 
-    def test_stats_collected_for_all_tasks(self, small_graph):
-        result = preprocess(small_graph, k=3, num_layers=2, batch_size=8)
-        assert set(result.stats) == {"ordering", "reshaping", "selecting", "reindexing"}
+    def test_device_computes_the_same_result(self, small_graph):
+        config = PreprocessingConfig(k=3, batch_size=8, seed=4)
+        reference = preprocess(small_graph, config)
+        device = AutoGNNDevice().preprocess(small_graph, config).result
+        assert np.array_equal(reference.sample.batch_nodes, device.sample.batch_nodes)
+        assert reference.reindex.mapping == device.reindex.mapping
+        for name in ("csc", "subgraph_csc"):
+            assert np.array_equal(getattr(reference, name).indptr, getattr(device, name).indptr)
+            assert np.array_equal(getattr(reference, name).indices, getattr(device, name).indices)
 
     def test_batch_capped_by_node_count(self, small_graph):
-        pipeline = PreprocessingPipeline(PreprocessingConfig(batch_size=10_000, k=2, num_layers=1))
-        batch = pipeline.choose_batch_nodes(small_graph)
+        config = PreprocessingConfig(batch_size=10_000, k=2, num_layers=1)
+        batch = choose_batch_nodes(small_graph, config)
         assert len(batch) == small_graph.num_nodes
         assert len(set(batch.tolist())) == len(batch)
 
     def test_explicit_batch_nodes(self, small_graph):
-        result = preprocess(small_graph, k=2, num_layers=1, batch_nodes=[0, 1, 2])
+        result = preprocess(small_graph, PreprocessingConfig(k=2, num_layers=1), batch_nodes=[0, 1, 2])
         assert set(result.sample.batch_nodes.tolist()) == {0, 1, 2}
 
     def test_subgraph_csc_consistent_with_reindex(self, small_graph):
-        result = preprocess(small_graph, k=3, num_layers=2, batch_size=6, seed=2)
+        result = preprocess(small_graph, PreprocessingConfig(k=3, batch_size=6, seed=2))
         rebuilt = coo_to_csc(result.reindex.edges)
         assert np.array_equal(rebuilt.indptr, result.subgraph_csc.indptr)
 
     def test_layer_wise_strategy(self, small_graph):
-        result = preprocess(small_graph, k=3, num_layers=2, batch_size=6, sampling_strategy="layer")
+        config = PreprocessingConfig(k=3, batch_size=6, sampling_strategy="layer")
+        result = preprocess(small_graph, config)
         assert result.sample.num_layers <= 2
+        assert result.num_sampled_edges > 0
 
     def test_deterministic_given_seed(self, small_graph):
-        a = preprocess(small_graph, k=3, num_layers=2, batch_size=6, seed=5)
-        b = preprocess(small_graph, k=3, num_layers=2, batch_size=6, seed=5)
+        config = PreprocessingConfig(k=3, batch_size=6, seed=5)
+        a = preprocess(small_graph, config)
+        b = preprocess(small_graph, config)
         assert np.array_equal(a.reindex.edges.src, b.reindex.edges.src)

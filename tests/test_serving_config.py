@@ -6,8 +6,8 @@ Three contracts:
    combinations at construction, ``serve_trace`` rejects online-only
    features (admission, autoscaling) up front, and the removed per-call
    keyword arguments are rejected outright.
-2. *Shorthand equivalence*: ``admit=True`` renders **byte-identically** to
-   the hand-built controller it stands for.
+2. *Admission*: ``admit=True`` and the admission knobs build a fresh
+   controller for every run.
 3. *Override hygiene*: per-run ``engine`` / ``tenant_weights`` overrides
    never leak into later runs on the same cluster.
 """
@@ -20,7 +20,6 @@ from conftest import WORKLOAD_POOL
 
 import repro.serving as serving
 from repro.serving import (
-    AdmissionController,
     Autoscaler,
     BatchScheduler,
     BurstyArrivals,
@@ -61,24 +60,6 @@ class TestValidation:
     def test_rejects_unknown_engine(self, services):
         with pytest.raises(ValueError, match="engine"):
             _cluster(services, engine="warp")
-
-    def test_rejects_admission_knobs_alongside_controller(self):
-        controller = AdmissionController(policy=_slo())
-        for knob in (
-            {"record_decisions": False},
-            {"batch_aware": True},
-            {"degradation": DegradationPolicy()},
-        ):
-            with pytest.raises(ValueError, match="AdmissionController"):
-                ServingConfig(controller=controller, **knob)
-
-    def test_rejects_conflicting_slo_and_controller(self):
-        with pytest.raises(ValueError, match="disagree"):
-            ServingConfig(slo=_slo(), controller=AdmissionController(policy=_slo()))
-        # The controller's own policy object is fine (scoring alias).
-        controller = AdmissionController(policy=_slo())
-        config = ServingConfig(slo=controller.policy, controller=controller)
-        assert config.scoring_slo() is controller.policy
 
     def test_rejects_admission_without_slo(self):
         for kwargs in (
@@ -135,8 +116,13 @@ class TestValidation:
         assert controller.batch_aware is True
         assert controller.record_decisions is False
         assert controller.degradation is config.degradation
+        # Each run gets its own controller, so no state crosses runs.
+        assert config.resolved_controller() is not controller
         # Score-only config builds no controller at all.
         assert ServingConfig(slo=_slo()).resolved_controller() is None
+        # Admission is configured only through the knobs above.
+        with pytest.raises(TypeError, match="controller"):
+            ServingConfig(controller=None)
 
 
 
@@ -186,26 +172,6 @@ def test_rejects_non_finite_inputs(factory, kwargs, field):
     # An infinite SLO or rate cap stays valid: it disables the check.
     TenantQuota(slo_seconds=_INF, limit_rps=_INF)
     SLOPolicy(default_slo_seconds=_INF, excess_rps=_INF)
-
-
-# ------------------------------------------------------- admission shorthand
-class TestLegacyShim:
-    """``admit=True`` is shorthand for a hand-built controller.
-
-    (The class keeps its name from the removed legacy-kwarg shim suite.)
-    """
-
-    def test_admit_shorthand_equals_handbuilt_controller(self, services):
-        trace = _trace()
-        slo = _slo()
-        handbuilt = _cluster(services).serve_online(
-            TraceArrivals(trace),
-            config=ServingConfig(controller=AdmissionController(policy=slo)),
-        )
-        shorthand = _cluster(services).serve_online(
-            TraceArrivals(trace), config=ServingConfig(slo=slo, admit=True)
-        )
-        assert _render(handbuilt) == _render(shorthand)
 
 
 # ------------------------------------------------------------------- exports

@@ -27,7 +27,6 @@ from conftest import TENANTS, WORKLOAD_POOL, make_bursty_tenant_trace, make_prof
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
-    AdmissionController,
     BatchScheduler,
     InferenceRequest,
     OpenLoopArrivals,
@@ -184,7 +183,7 @@ def test_shedding_proportional_to_excess_over_guarantee(
 
 
 def test_admission_buckets_reset_between_runs(services):
-    """Reusing one admission controller across runs must not leak bucket
+    """Reusing one admission config across runs must not leak bucket
     state: the second run's simulated clock restarts at 0, so a depleted
     guarantee from run one would otherwise shed within-guarantee traffic."""
     rate = 5.0
@@ -194,7 +193,7 @@ def test_admission_buckets_reset_between_runs(services):
         per_tenant={"steady": TenantQuota(guaranteed_rps=rate)},
     )
     cluster = ShardedServiceCluster(services["CPU"], num_shards=2)
-    config = ServingConfig(controller=AdmissionController(slo))
+    config = ServingConfig(slo=slo, admit=True)
     first = cluster.serve_online(TraceArrivals(trace), config=config)
     second = cluster.serve_online(TraceArrivals(trace), config=config)
     assert first.num_shed == 0
