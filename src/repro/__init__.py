@@ -9,8 +9,9 @@ The package is organised as follows:
   cost model, bitstreams, reconfiguration, the device).
 * :mod:`repro.gnn` — GNN inference substrate (GraphSAGE/GCN/GAT/GIN).
 * :mod:`repro.baselines` — CPU/GPU/GSamp/FPGA-sampler and other accelerators.
-* :mod:`repro.system` — host integration: PCIe transfers, AGNN-lib software,
-  power/energy, FPGA board catalogue and the AutoPre/StatPre/DynPre variants.
+* :mod:`repro.system` — host integration: PCIe transfers, power/energy, FPGA
+  board catalogue and the AutoPre/StatPre/DynPre variants (DynPre holds the
+  runtime reconfiguration policy).
 * :mod:`repro.serving` — request traffic, batch scheduling and sharded
   service clusters for the served-traffic experiments.
 * :mod:`repro.analysis` — metrics and report formatting for the benchmarks.

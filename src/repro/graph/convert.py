@@ -9,7 +9,7 @@ the repo is checked against these functions.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -94,9 +94,3 @@ def validate_conversion(coo: COOGraph, csc: CSCGraph) -> bool:
         if not np.array_equal(a, b):
             return False
     return True
-
-
-def sorted_coo_arrays(graph: COOGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(src, dst)`` arrays sorted by (dst, src); convenience helper."""
-    ordered = edge_order(graph)
-    return ordered.src, ordered.dst

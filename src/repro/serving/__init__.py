@@ -117,14 +117,6 @@ from repro.serving.control import (
     TenantQuota,
 )
 from repro.serving.config import ServingConfig
-from repro.serving.chaos import (
-    INVARIANTS,
-    ChaosInvariantError,
-    ChaosScenario,
-    chaos_scenarios,
-    run_chaos_sweep,
-    run_scenario,
-)
 from repro.system.workload import QUALITY_DEGRADED, QUALITY_FULL, QUALITY_TIERS
 
 __all__ = [
@@ -182,10 +174,4 @@ __all__ = [
     "QUALITY_FULL",
     "QUALITY_DEGRADED",
     "QUALITY_TIERS",
-    "INVARIANTS",
-    "ChaosInvariantError",
-    "ChaosScenario",
-    "chaos_scenarios",
-    "run_chaos_sweep",
-    "run_scenario",
 ]

@@ -480,20 +480,6 @@ class DomainOutageStats:
 
 
 @dataclass(frozen=True)
-class DomainOutageEvent:
-    """One row of the per-domain outage timeline.
-
-    Shaped for :func:`repro.analysis.report.format_timeline`: ``seconds`` /
-    ``active_shards`` (alive members of the domain after the transition) /
-    ``reason``.
-    """
-
-    seconds: float
-    active_shards: int
-    reason: str
-
-
-@dataclass(frozen=True)
 class FaultStats:
     """The faults section of a :class:`~repro.serving.cluster.ClusterReport`.
 
@@ -519,18 +505,6 @@ class FaultStats:
         if self.served_degraded == 0:
             return 1.0
         return self.slo_met_degraded / self.served_degraded
-
-    def domain_timeline(self) -> List[DomainOutageEvent]:
-        """Whole-domain outage transitions, ready for ``format_timeline``."""
-        rows: List[DomainOutageEvent] = []
-        for stats in self.domains or ():
-            for lo, hi in stats.windows:
-                rows.append(DomainOutageEvent(lo, 0, f"domain-down:{stats.domain}"))
-                rows.append(
-                    DomainOutageEvent(hi, len(stats.shards), f"domain-up:{stats.domain}")
-                )
-        rows.sort(key=lambda row: (row.seconds, row.reason))
-        return rows
 
     def as_dict(self) -> dict:
         return {

@@ -1,12 +1,11 @@
 """System layer: host integration, AutoGNN variants, power, boards, service.
 
 This package models everything around the accelerator core: the PCIe/DMA
-transfer paths, the AGNN-lib host software (profiling + reconfiguration
-policy), the power/energy model, the FPGA board catalogue used by the
-cost-effectiveness study, the three AutoGNN system variants the paper
-evaluates (AutoPre / StatPre / DynPre) with their ablations, and the
-GNN service that combines preprocessing, transfers and inference into
-end-to-end latency.
+transfer paths, the power/energy model, the FPGA board catalogue used by
+the cost-effectiveness study, the three AutoGNN system variants the paper
+evaluates (AutoPre / StatPre / DynPre; DynPre holds the runtime
+reconfiguration policy), and the GNN service that combines preprocessing,
+transfers and inference into end-to-end latency.
 """
 
 from repro.system.workload import WorkloadProfile
@@ -20,7 +19,6 @@ from repro.system.variants import (
     DynPreSystem,
     tuned_config_for,
 )
-from repro.system.agnn_lib import AGNNLib, GraphProfile, ReconfigurationDecision
 from repro.system.service import GNNService, ServiceReport, build_reference_systems
 
 __all__ = [
@@ -37,9 +35,6 @@ __all__ = [
     "StatPreSystem",
     "DynPreSystem",
     "tuned_config_for",
-    "AGNNLib",
-    "GraphProfile",
-    "ReconfigurationDecision",
     "GNNService",
     "ServiceReport",
     "build_reference_systems",

@@ -1,4 +1,4 @@
-"""The AutoGNN system variants: AutoPre, StatPre and DynPre (plus ablations).
+"""The AutoGNN system variants: AutoPre, StatPre and DynPre.
 
 All three execute end-to-end preprocessing on the FPGA; they differ in how the
 UPE region is organised and whether the hardware reconfigures at runtime
@@ -12,8 +12,7 @@ UPE region is organised and whether the hardware reconfigures at runtime
   dataset.
 * ``DynPre`` additionally reconfigures the UPE and SCR regions at runtime,
   selecting the pre-compiled bitstream pair that minimises the cost model for
-  the current workload.  The ablations ``DynArea`` / ``DynSCR`` / ``DynUPE``
-  (Fig. 22) progressively enable area, SCR and UPE re-optimisation.
+  the current workload.  It is the only code that decides to reprogram.
 """
 
 from __future__ import annotations
@@ -56,16 +55,15 @@ ORDERING_DRAM_PASSES: int = 3
 #: doorbell/interrupt round trips of the DMA engines.
 HOST_SOFTWARE_OVERHEAD_SECONDS: float = 3e-3
 
+#: Minimum fractional latency improvement DynPre requires before paying the
+#: reconfiguration cost.
+RECONFIGURE_THRESHOLD: float = 0.05
 
-def tuned_config_for(
-    workload: WorkloadProfile,
-    library: BitstreamLibrary,
-    cost_model: Optional[CostModel] = None,
-) -> HardwareConfig:
+
+def tuned_config_for(workload: WorkloadProfile, library: BitstreamLibrary) -> HardwareConfig:
     """The bitstream pair the cost model prefers for ``workload``."""
-    cost_model = cost_model or CostModel()
     params = workload.to_cost_params()
-    config, _ = cost_model.best_configuration(params, library.configurations())
+    config, _ = CostModel().best_configuration(params, library.configurations())
     return config
 
 
@@ -278,40 +276,25 @@ class AutoPreSystem(AutoGNNVariant):
 
 
 class StatPreSystem(AutoGNNVariant):
-    """Unified UPE region, time-multiplexed; fixed configuration."""
+    """Unified UPE region, time-multiplexed; fixed configuration.
+
+    The paper tunes the fixed configuration for the MV dataset, an
+    intermediate-sized graph, which gives the best average performance
+    (:func:`tuned_config_for`).
+    """
 
     name = "StatPre"
-
-    @classmethod
-    def tuned_for(
-        cls,
-        workload: WorkloadProfile,
-        library: Optional[BitstreamLibrary] = None,
-        board: FPGAResources = VPK180,
-        **kwargs,
-    ) -> "StatPreSystem":
-        """A StatPre instance whose fixed configuration is tuned for ``workload``.
-
-        The paper tunes StatPre (and AutoPre) for the MV dataset, an
-        intermediate-sized graph, which gives the best average performance.
-        """
-        library = library or generate_bitstream_library(board)
-        config = tuned_config_for(workload, library)
-        return cls(config=config, board=board, **kwargs)
 
 
 class DynPreSystem(AutoGNNVariant):
     """Runtime partial reconfiguration driven by the cost model.
 
-    The UPE:SCR area split is always free to change (DynArea, the first
-    ablation rung, disables the two knobs below).
+    Any staged UPE x SCR bitstream pair may be loaded; a pass reconfigures
+    only when the best one beats the loaded pair by
+    :data:`RECONFIGURE_THRESHOLD`.
 
     Args:
         library: staged bitstream library to choose from.
-        optimize_scr: allow changing the SCR width/slot count (DynSCR).
-        optimize_upe: allow changing the UPE width/count (DynUPE / full DynPre).
-        reconfigure_threshold: minimum fractional latency improvement required
-            before paying the reconfiguration cost.
     """
 
     name = "DynPre"
@@ -320,17 +303,11 @@ class DynPreSystem(AutoGNNVariant):
         self,
         library: Optional[BitstreamLibrary] = None,
         board: FPGAResources = VPK180,
-        optimize_scr: bool = True,
-        optimize_upe: bool = True,
-        reconfigure_threshold: float = 0.05,
         **kwargs,
     ) -> None:
         super().__init__(board=board, **kwargs)
         self.library = library or generate_bitstream_library(board)
         self.cost_model = CostModel()
-        self.optimize_scr = optimize_scr
-        self.optimize_upe = optimize_upe
-        self.reconfigure_threshold = reconfigure_threshold
         self.reconfig = ReconfigurationController(self.library, self.config)
         # configured_for memo: the decision is pure given (config, workload),
         # and the locality dispatch policy queries it per shard per batch.
@@ -339,64 +316,45 @@ class DynPreSystem(AutoGNNVariant):
         # (config, workload shape); choose_config re-evaluates a shortlist of
         # candidates per pass, so repeated workloads hit this cache.
         self._latency_cache: Dict[tuple, float] = {}
-        # _candidate_configs memo: the reachable set is pure given the
-        # loaded configuration (the library and ablation knobs are fixed).
-        self._candidate_cache: Dict[HardwareConfig, List[HardwareConfig]] = {}
+        # The library's configurations, built on first use and handed to
+        # every replica: the library is immutable.
+        self._candidates: Optional[List[HardwareConfig]] = None
 
     def replicate(self) -> "DynPreSystem":
-        """Fresh replica: shares the immutable bitstream library but carries
-        its own configuration state and reconfiguration controller, so each
-        shard of a serving cluster adapts to its own traffic independently."""
+        """Fresh replica: shares the immutable bitstream library and its
+        candidate configurations but carries its own configuration state and
+        reconfiguration controller, so each shard of a serving cluster adapts
+        to its own traffic independently."""
         clone = type(self)(
             library=self.library,
             board=self.board,
-            optimize_scr=self.optimize_scr,
-            optimize_upe=self.optimize_upe,
-            reconfigure_threshold=self.reconfigure_threshold,
             config=self.config,
             pcie=self.pcie,
             clock_hz=self.clock_hz,
             device_bandwidth=self._device_bandwidth_raw,
         )
         clone.name = self.name
+        clone._candidates = self._candidate_configs()
         return clone
 
     def replicas(self, count: int) -> List["DynPreSystem"]:
-        """Replicas that share their pure memos — the cost model, the latency,
-        ``configured_for`` and candidate caches — with each other, never with
-        this system, so a cluster's shards rank each shape once."""
+        """Replicas that share their pure memos — the cost model, the latency
+        and ``configured_for`` caches — with each other, never with this
+        system, so a cluster's shards rank each shape once."""
         clones = [self.replicate() for _ in range(count)]
         first = clones[0]
         for clone in clones[1:]:
             clone.cost_model = first.cost_model
             clone._configured_cache = first._configured_cache
             clone._latency_cache = first._latency_cache
-            clone._candidate_cache = first._candidate_cache
         return clones
 
     # ---------------------------------------------------------- configuration
     def _candidate_configs(self) -> List[HardwareConfig]:
-        """Configurations reachable under the enabled ablation knobs
-        (memoized on the loaded configuration)."""
-        cached = self._candidate_cache.get(self.config)
-        if cached is not None:
-            return cached
-        candidates = []
-        for config in self.library.configurations():
-            if not self.optimize_upe and (
-                config.num_upes != self.config.num_upes
-                or config.upe_width != self.config.upe_width
-            ):
-                continue
-            if not self.optimize_scr and (
-                config.num_scrs != self.config.num_scrs
-                or config.scr_width != self.config.scr_width
-            ):
-                continue
-            candidates.append(config)
-        candidates = candidates or [self.config]
-        self._candidate_cache[self.config] = candidates
-        return candidates
+        """Every staged configuration (the loaded one when none is staged)."""
+        if self._candidates is None:
+            self._candidates = self.library.configurations() or [self.config]
+        return self._candidates
 
     def _latency_with(self, config: HardwareConfig, workload: WorkloadProfile) -> float:
         """Predicted per-pass preprocessing latency under ``config``.
@@ -450,7 +408,7 @@ class DynPreSystem(AutoGNNVariant):
 
     def _better_config(self, workload: WorkloadProfile) -> Optional[HardwareConfig]:
         """The configuration worth reconfiguring to for ``workload``, or None
-        when no candidate beats the loaded one by ``reconfigure_threshold``."""
+        when no candidate beats the loaded one by ``RECONFIGURE_THRESHOLD``."""
         current_latency = self._latency_with(self.config, workload)
         if current_latency <= 0:
             return None
@@ -458,7 +416,7 @@ class DynPreSystem(AutoGNNVariant):
         if best.key() == self.config.key():
             return None
         improvement = (current_latency - self._latency_with(best, workload)) / current_latency
-        return None if improvement < self.reconfigure_threshold else best
+        return None if improvement < RECONFIGURE_THRESHOLD else best
 
     # ---------------------------------------------------------- serving state
     def state_key(self):
@@ -509,29 +467,3 @@ class DynPreSystem(AutoGNNVariant):
             bandwidth_utilization=self._bandwidth_utilization(workload, preprocessing),
             extras={"lut_utilization": self.lut_utilization(workload)},
         )
-
-
-def make_dyn_ablations(
-    board: FPGAResources = VPK180,
-    base_config: Optional[HardwareConfig] = None,
-) -> Dict[str, AutoGNNVariant]:
-    """The Fig. 22 ablation ladder: StatPre, DynArea, DynSCR and DynUPE."""
-    base = base_config or scaled_default_config(board)
-    library = generate_bitstream_library(board)
-    stat = StatPreSystem(config=base, board=board)
-    dyn_area = DynPreSystem(
-        library=library, board=board, config=base,
-        optimize_scr=False, optimize_upe=False,
-    )
-    dyn_area.name = "DynArea"
-    dyn_scr = DynPreSystem(
-        library=library, board=board, config=base,
-        optimize_scr=True, optimize_upe=False,
-    )
-    dyn_scr.name = "DynSCR"
-    dyn_upe = DynPreSystem(
-        library=library, board=board, config=base,
-        optimize_scr=True, optimize_upe=True,
-    )
-    dyn_upe.name = "DynUPE"
-    return {"StatPre": stat, "DynArea": dyn_area, "DynSCR": dyn_scr, "DynUPE": dyn_upe}

@@ -6,14 +6,16 @@ the default test run so invariant regressions surface locally.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import repro.serving.chaos as chaos_module
-from repro.serving import (
-    DISPATCH_POLICIES,
+from repro.serving import DISPATCH_POLICIES, POLICY_LEAST_LOADED
+from repro.serving.chaos import (
     INVARIANTS,
-    POLICY_LEAST_LOADED,
     ChaosInvariantError,
     chaos_scenarios,
     run_chaos_sweep,
@@ -112,3 +114,14 @@ def test_random_172_standby_substitution_ends_with_the_outage(services):
     assert scenario.name == "random-172"
     row = run_scenario(services, scenario)
     assert row["offered"] == row["served"] + row["shed"] + row["failed"]
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    """``python -m repro.serving.chaos`` is the CI sweep command: the
+    package must not import the harness before runpy executes it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.serving.chaos", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr

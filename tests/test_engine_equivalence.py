@@ -685,7 +685,8 @@ class TestFastEngineExtras:
         first, second = (shard.preprocessing for shard in cluster.shards)
         assert first._latency_cache is second._latency_cache
         assert first._configured_cache is second._configured_cache
-        assert first._candidate_cache is second._candidate_cache
+        assert first._candidates is second._candidates
+        assert first._candidates == template.preprocessing.library.configurations()
         assert first.cost_model is second.cost_model
         assert first.reconfig is not second.reconfig
         trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=400.0, seed=5).trace(30)
@@ -695,7 +696,6 @@ class TestFastEngineExtras:
         system = template.preprocessing
         assert system._latency_cache == {}
         assert system._configured_cache == {}
-        assert system._candidate_cache == {}
         assert system.cost_model._estimate_cache == {}
         assert template._inference_cache == {}
         assert template._cost_cache == {}

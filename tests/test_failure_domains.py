@@ -25,7 +25,6 @@ import pytest
 from conftest import WORKLOAD_POOL, make_profile
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.report import format_timeline
 from repro.serving import (
     Autoscaler,
     BatchScheduler,
@@ -276,9 +275,10 @@ def test_domain_outages_reported_identically_by_both_engines(services):
     assert by_name["rack1"].outage_seconds > 0
     assert by_name["rack1"].downtime_seconds >= by_name["rack1"].outage_seconds
     assert by_name["rack0"].outages == 0
-    # The rendered timeline mentions the domain's transitions.
-    timeline = format_timeline("domain timeline", stats.domain_timeline())
-    assert "domain-down:rack1" in timeline and "domain-up:rack1" in timeline
+    # The outage is recorded as one down/up window of rack1.
+    ((down, up),) = by_name["rack1"].windows
+    assert up - down == by_name["rack1"].outage_seconds
+    assert not by_name["rack0"].windows
     # Without a topology the section stays absent (pre-domain report shape).
     bare = _cluster(services).serve_trace(
         trace,

@@ -9,7 +9,6 @@ from repro.graph.convert import (
     coo_to_csc,
     csc_to_coo,
     edge_order,
-    sorted_coo_arrays,
     validate_conversion,
 )
 
@@ -82,12 +81,6 @@ class TestConversion:
         g = random_graph(12, 60, 6)
         other = coo_to_csc(random_graph(12, 60, 7))
         assert not validate_conversion(g, other)
-
-    def test_sorted_coo_arrays(self):
-        g = random_graph(10, 40, 8)
-        src, dst = sorted_coo_arrays(g)
-        assert np.all(np.diff(dst) >= 0)
-        assert len(src) == g.num_edges
 
     @given(
         st.integers(1, 60),

@@ -159,11 +159,13 @@ class TestShardedServiceCluster:
         assert s0.library is s1.library
         assert s0.reconfig is not s1.reconfig
 
-    def test_replicate_preserves_ablation_names(self):
-        from repro.system.variants import make_dyn_ablations
+    def test_replicate_preserves_renamed_system_name(self):
+        from repro.system.variants import DynPreSystem
 
-        for name, system in make_dyn_ablations().items():
-            assert system.replicate().name == name
+        system = DynPreSystem()
+        system.name = "DynPre-rack0"
+        assert system.replicate().name == "DynPre-rack0"
+        assert all(clone.name == "DynPre-rack0" for clone in system.replicas(2))
 
     def test_all_seven_systems_replicate(self):
         w = WorkloadProfile.from_dataset("PH")

@@ -1,15 +1,13 @@
-"""Tests for the AutoGNN system variants and the AGNN-lib software layer."""
+"""Tests for the AutoGNN system variants."""
 
 import pytest
 
 from repro.core.bitstream import generate_bitstream_library
 from repro.core.reconfig import FULL_RECONFIG_SECONDS
-from repro.system.agnn_lib import AGNNLib, GraphProfile
 from repro.system.variants import (
     AutoPreSystem,
     DynPreSystem,
     StatPreSystem,
-    make_dyn_ablations,
     tuned_config_for,
 )
 from repro.system.workload import WorkloadProfile
@@ -64,10 +62,6 @@ class TestVariants:
         config = tuned_config_for(workload_small, library)
         assert config.fits()
 
-    def test_statpre_tuned_for(self, workload_small):
-        system = StatPreSystem.tuned_for(workload_small)
-        assert system.config.fits()
-
 
 class TestDynPre:
     def test_reconfigures_for_new_workload(self, workload_small, workload_large):
@@ -101,52 +95,3 @@ class TestDynPre:
         stat_report = stat.evaluate(workload_small)
         dyn_report = dyn.evaluate(workload_small)
         assert dyn_report.preprocessing.total <= stat_report.preprocessing.total * 1.001
-
-    def test_ablation_ladder(self, workload_small):
-        ablations = make_dyn_ablations()
-        names = list(ablations)
-        assert names == ["StatPre", "DynArea", "DynSCR", "DynUPE"]
-        totals = {}
-        for name, system in ablations.items():
-            system.evaluate(workload_small)  # warm/reconfigure
-            totals[name] = system.evaluate(workload_small).preprocessing.total
-        # Each additional degree of freedom must not hurt steady-state latency.
-        assert totals["DynSCR"] <= totals["DynArea"] * 1.001
-        assert totals["DynUPE"] <= totals["DynSCR"] * 1.001
-
-
-class TestAGNNLib:
-    def test_upload_full_then_incremental(self, small_graph):
-        lib = AGNNLib()
-        first = lib.upload_graph(small_graph)
-        grown = small_graph.add_edges([0, 1], [2, 3])
-        second = lib.update_graph(grown)
-        assert first > 0
-        assert second <= first
-        assert lib.profile.num_edges == grown.num_edges
-
-    def test_profile_fields(self, small_graph):
-        profile = GraphProfile.from_graph(small_graph)
-        assert profile.num_nodes == small_graph.num_nodes
-        assert profile.max_degree >= profile.avg_degree
-        workload = profile.to_workload(k=3, num_layers=2, batch_size=10)
-        assert workload.k == 3
-
-    def test_reconfiguration_decision_and_apply(self):
-        lib = AGNNLib()
-        workload = WorkloadProfile.from_dataset("SO")
-        decision = lib.evaluate_reconfiguration(workload)
-        assert decision.predicted_improvement >= 0 or not decision.reconfigure
-        event = lib.apply_reconfiguration(decision)
-        if decision.reconfigure:
-            assert event is not None
-            assert lib.config.key() == decision.target.key()
-        else:
-            assert event is None
-
-    def test_prepare_idempotent(self):
-        lib = AGNNLib()
-        workload = WorkloadProfile.from_dataset("AM")
-        _, first_cost = lib.prepare(workload)
-        _, second_cost = lib.prepare(workload)
-        assert second_cost == 0.0
