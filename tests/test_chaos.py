@@ -125,3 +125,14 @@ def test_module_entry_point_runs_without_runpy_warning():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert completed.returncode == 0, completed.stderr
+
+
+def test_serving_package_does_not_import_the_harness():
+    """Importing ``repro.serving`` leaves the chaos harness unloaded, which
+    is what keeps runpy from warning when it then executes the module."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    probe = "import sys, repro.serving; assert 'repro.serving.chaos' not in sys.modules"
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert completed.returncode == 0, completed.stderr

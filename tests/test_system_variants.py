@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core.bitstream import generate_bitstream_library
+import repro.system.variants as variants
+from repro.core.bitstream import BitstreamLibrary, generate_bitstream_library
 from repro.core.reconfig import FULL_RECONFIG_SECONDS
 from repro.system.variants import (
+    HOST_SOFTWARE_OVERHEAD_SECONDS,
+    RECONFIGURE_THRESHOLD,
     AutoPreSystem,
     DynPreSystem,
     StatPreSystem,
@@ -62,6 +65,14 @@ class TestVariants:
         config = tuned_config_for(workload_small, library)
         assert config.fits()
 
+    def test_statpre_tuned_for(self, workload_small):
+        config = tuned_config_for(workload_small, generate_bitstream_library())
+        system = StatPreSystem(config=config)
+        assert system.config.fits()
+        report = system.evaluate(workload_small)
+        assert report.reconfiguration == 0.0
+        assert system.config is config
+
 
 class TestDynPre:
     def test_reconfigures_for_new_workload(self, workload_small, workload_large):
@@ -95,3 +106,82 @@ class TestDynPre:
         stat_report = stat.evaluate(workload_small)
         dyn_report = dyn.evaluate(workload_small)
         assert dyn_report.preprocessing.total <= stat_report.preprocessing.total * 1.001
+
+    def test_decision_follows_the_threshold(self):
+        """A fresh DynPre reprograms exactly when the chosen pair beats the
+        loaded one by ``RECONFIGURE_THRESHOLD``."""
+        for name in ("AX", "SO", "MV", "AM"):
+            system = DynPreSystem()
+            workload = WorkloadProfile.from_dataset(name)
+            loaded = system.config
+            best = system.choose_config(workload)
+            current = system._latency_with(loaded, workload)
+            gain = (current - system._latency_with(best, workload)) / current
+            worth_it = best.key() != loaded.key() and gain >= RECONFIGURE_THRESHOLD
+            assert system.configured_for(workload) is not worth_it
+            report = system.evaluate(workload)
+            assert (report.reconfiguration > 0) is worth_it
+            assert system.config == (best if worth_it else loaded)
+
+    def test_threshold_above_any_gain_never_reconfigures(self, monkeypatch):
+        monkeypatch.setattr(variants, "RECONFIGURE_THRESHOLD", 1.0)
+        system = DynPreSystem()
+        loaded = system.config
+        for name in ("AX", "SO", "AM"):
+            assert system.evaluate(WorkloadProfile.from_dataset(name)).reconfiguration == 0.0
+        assert system.config is loaded
+        assert system.reconfig.num_reconfigurations == 0
+
+    def test_apply_state_loads_the_chosen_config(self):
+        system = DynPreSystem()
+        workload = WorkloadProfile.from_dataset("SO")
+        target = system.choose_config(workload)
+        changed = target.key() != system.config.key()
+        system.apply_state(target)
+        assert system.config == target
+        assert system.reconfig.num_reconfigurations == int(changed)
+        # The loaded pair is the chosen one, so the next pass keeps it.
+        assert system.configured_for(workload)
+        assert system.evaluate(workload).reconfiguration == 0.0
+        system.apply_state(system.snapshot_state())
+        assert system.reconfig.num_reconfigurations == int(changed)
+
+    def test_update_transfer_is_incremental(self, workload_large):
+        """The graph stays resident: a pass moves only its updates in."""
+        system = DynPreSystem()
+        no_updates = system.evaluate(workload_large.with_updates(0.0))
+        assert no_updates.transfers.host_to_accelerator == HOST_SOFTWARE_OVERHEAD_SECONDS
+        small = system.evaluate(workload_large.with_updates(0.01)).transfers.host_to_accelerator
+        large = system.evaluate(workload_large.with_updates(0.1)).transfers.host_to_accelerator
+        full_upload = HOST_SOFTWARE_OVERHEAD_SECONDS + system.pcie.dma_main(workload_large.graph_bytes)
+        assert HOST_SOFTWARE_OVERHEAD_SECONDS < small < large < full_upload
+
+    def test_candidate_list_built_once_for_all_replicas(self, monkeypatch, workload_small):
+        builds = []
+        build = BitstreamLibrary.configurations
+
+        def counting(library):
+            builds.append(library)
+            return build(library)
+
+        monkeypatch.setattr(BitstreamLibrary, "configurations", counting)
+        system = DynPreSystem()
+        clones = [system.replicate(), *system.replicas(3)]
+        for clone in clones:
+            clone.evaluate(workload_small)
+        system.evaluate(workload_small)
+        assert len(builds) == 1
+        assert all(clone._candidates is system._candidates for clone in clones)
+
+    def test_falls_back_to_the_loaded_config_without_staged_bitstreams(
+        self, workload_small, workload_large
+    ):
+        system = DynPreSystem(library=BitstreamLibrary())
+        loaded = system.config
+        assert system._candidates is None
+        assert system.choose_config(workload_small) == loaded
+        assert system._candidates == [loaded]
+        for workload in (workload_small, workload_large):
+            assert system.configured_for(workload)
+            assert system.evaluate(workload).reconfiguration == 0.0
+        assert system.config is loaded
