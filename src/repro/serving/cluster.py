@@ -38,9 +38,13 @@ from __future__ import annotations
 
 import heapq
 import zlib
+from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.metrics import GoodputStats, LatencyStats, TenantStats
 
@@ -56,7 +60,14 @@ if TYPE_CHECKING:  # control.py only imports repro.system.workload — no cycle,
         ScalingEvent,
         SLOPolicy,
     )
-from repro.serving.engine import BACKENDS, ENGINE_FAST, _serve_trace_chunked, check_engine
+from repro.serving.engine import (
+    BACKENDS,
+    ENGINE_FAST,
+    _ChunkedServedLog,
+    _serve_trace_chunked,
+    _slot_pool,
+    check_engine,
+)
 from repro.serving.faults import (
     DrainPlanner,
     FaultRuntime,
@@ -130,12 +141,13 @@ class ShedRecord:
 
 @dataclass
 class ReportAggregates:
-    """Streaming-accumulated aggregates of one serving run.
+    """Precomputed aggregates of one fast-engine serving run.
 
-    The fast backend folds every served request into these totals as it
-    dispatches (see :class:`~repro.analysis.metrics.StreamingLatencyStats`),
-    in the exact accumulation order the reference report properties use, so
-    a :class:`ClusterReport` carrying aggregates renders byte-identically to
+    The fast engine's loops commit at batch granularity and fold every
+    served request into these totals once, when the run reports
+    (``_RunAccumulator.aggregates`` in :mod:`repro.serving.engine`), in the exact
+    accumulation order the reference report properties use, so a
+    :class:`ClusterReport` carrying aggregates renders byte-identically to
     one that re-derives them from the per-request records — and can drop
     those records entirely (:meth:`ClusterReport.compact`) at 100k-request
     scale.
@@ -185,7 +197,7 @@ class ClusterReport:
         slo: the SLO policy the run was scored against, or None.
         decisions: admission decisions in arrival order (controlled runs).
         scaling_timeline: autoscaler events of the run.
-        aggregates: streaming-accumulated totals (fast backend only); when
+        aggregates: precomputed totals (fast backend only); when
             present the summary properties read them instead of re-deriving
             from the per-request records, and :meth:`compact` may drop the
             records.
@@ -599,13 +611,15 @@ class _Run:
     """State and placement step of one event-loop run, on either backend.
 
     Owns everything a committed batch updates — busy totals, per-shard
-    request counts, the served records and the backend's streaming
-    aggregates — and the active shard count the loop's autoscaler writes.
-    The fault runtime and the drain planner drive the run directly, and
-    every dispatch ends in :meth:`place`, so the commit that builds
-    :class:`ServedRequest` records exists once.  ``on_commit``/``on_failed``
-    are the loop's own effects of a committed batch and of a permanently
-    failed request.
+    request counts and the served log — and the active shard count the
+    loop's autoscaler writes.  The fault runtime and the drain planner
+    drive the run directly, and every dispatch ends in :meth:`place`, so
+    the commit exists once.  On the fast backend a commit appends one
+    record per batch to flat columns, and :meth:`report` folds them once
+    through the chunked loop's accounting
+    (:meth:`~repro.serving.engine._RunAccumulator.aggregates`).
+    ``on_commit``/``on_failed`` are the loop's own effects of a committed
+    batch and of a permanently failed request.
     """
 
     def __init__(
@@ -633,13 +647,27 @@ class _Run:
         self.merged = self.backend.merged
         self.serve = self.backend.serve
         self.pick = self.backend.pick
+        self.least_loaded = self.backend.least_loaded
         self.busy_total = [0.0] * cluster.num_shards
         self.shard_requests = [0] * cluster.num_shards
-        self.served: List[ServedRequest] = []
         self.num_batches = 0
         self.last_finish = 0.0
-        accumulator = self.backend.accumulator
-        self._push = accumulator.push if accumulator is not None else None
+        #: Served records, built per request on the reference backend only
+        #: (the oracle).  The fast backend commits whole batches into flat
+        #: columns instead — members, then per batch its ready time, start,
+        #: duration, shard, member count and report — which
+        #: :meth:`report` folds once.
+        self.served: Optional[List[ServedRequest]] = (
+            [] if self.backend.accumulator is None else None
+        )
+        if self.served is None:
+            self.members: List[InferenceRequest] = []
+            self.ready = array("d")
+            self.starts = array("d")
+            self.durations = array("d")
+            self.shard_ids = array("q")
+            self.counts = array("q")
+            self.reports: List[ServiceReport] = []
         self.on_commit = on_commit
         self.on_failed = on_failed
 
@@ -706,24 +734,29 @@ class _Run:
         self.shard_requests[shard_id] += batch_size
         self.num_batches += 1
         self.last_finish = max(self.last_finish, finish)
-        dispatch_delay = start - ready
         served = self.served
-        push = self._push
-        for request in members:
-            batching_delay = ready - request.arrival_seconds
-            served.append(
-                ServedRequest(
-                    request=request,
-                    shard_id=shard_id,
-                    batch_size=batch_size,
-                    batching_delay=batching_delay,
-                    dispatch_delay=dispatch_delay,
-                    service_seconds=duration,
-                    report=report,
+        if served is None:
+            self.members.extend(members)
+            self.ready.append(ready)
+            self.starts.append(start)
+            self.durations.append(duration)
+            self.shard_ids.append(shard_id)
+            self.counts.append(batch_size)
+            self.reports.append(report)
+        else:
+            dispatch_delay = start - ready
+            for request in members:
+                served.append(
+                    ServedRequest(
+                        request=request,
+                        shard_id=shard_id,
+                        batch_size=batch_size,
+                        batching_delay=ready - request.arrival_seconds,
+                        dispatch_delay=dispatch_delay,
+                        service_seconds=duration,
+                        report=report,
+                    )
                 )
-            )
-            if push is not None:
-                push(request, batching_delay, dispatch_delay, duration)
         self.on_commit(batch, finish)
         if self.faults is not None:
             self.faults.note_commit(batch, start, duration, finish)
@@ -731,21 +764,19 @@ class _Run:
     def report(self, first_arrival: Optional[float], **sections) -> ClusterReport:
         """The run's :class:`ClusterReport` (``sections``: online/fault parts)."""
         cluster = self.cluster
+        served = self.served
+        aggregates = None
+        if served is None:
+            served, aggregates = self._fold(len(sections.get("shed", ())))
         # A faulted replay can fail every request; an empty run has no span.
         makespan = 0.0
-        if self.served and first_arrival is not None:
+        if served and first_arrival is not None:
             makespan = self.last_finish - first_arrival
-        accumulator = self.backend.accumulator
-        aggregates = None
-        if accumulator is not None:
-            aggregates = accumulator.aggregates(
-                count=len(self.served), shed_count=len(sections.get("shed", ()))
-            )
         return ClusterReport(
             system=cluster.system_name,
             policy=cluster.policy,
             num_shards=cluster.num_shards,
-            served=self.served,
+            served=served,
             num_batches=self.num_batches,
             makespan_seconds=makespan,
             shard_busy_seconds=self.busy_total,
@@ -754,6 +785,41 @@ class _Run:
             aggregates=aggregates,
             **sections,
         )
+
+    def _fold(self, shed_count: int) -> Tuple[_ChunkedServedLog, ReportAggregates]:
+        """The fast backend's lazy served log and aggregates, folded once
+        from the batch columns by the chunked loop's accounting."""
+        members = self.members
+        count = len(members)
+        counts = np.array(self.counts, dtype=np.int64)
+        ready = np.array(self.ready, dtype=np.float64)
+        starts = np.array(self.starts, dtype=np.float64)
+        durations = np.array(self.durations, dtype=np.float64)
+        workload_pool, workload_slots = _slot_pool(list(map(attrgetter("workload"), members)))
+        tenant_pool, tenant_slots = _slot_pool(list(map(attrgetter("tenant"), members)))
+        aggregates = self.backend.accumulator.aggregates(
+            ready,
+            starts,
+            durations,
+            counts,
+            np.fromiter(map(attrgetter("arrival_seconds"), members), np.float64, count),
+            workload_slots,
+            workload_pool,
+            tenant_slots,
+            tenant_pool,
+            shed_count,
+        )
+        served = _ChunkedServedLog(
+            lambda: members,
+            count,
+            counts,
+            ready,
+            np.array(self.shard_ids, dtype=np.int64),
+            starts,
+            durations,
+            self.reports,
+        )
+        return served, aggregates
 
 
 class ShardedServiceCluster:

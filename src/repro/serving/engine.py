@@ -5,9 +5,10 @@ online and for offline replays alike.  The ``engine`` option only picks the
 *backend* that loop runs on, from :data:`BACKENDS`:
 
 * :class:`ReferenceBackend` (``"reference"``) — plain linear scans, a direct
-  ``GNNService.serve`` per batch, and no streaming aggregates: the report
-  re-derives every summary from the per-request records, which keeps it an
-  independent oracle for the fast backend's accumulators.
+  ``GNNService.serve`` per batch, and no precomputed aggregates: the run
+  keeps one ``ServedRequest`` per request and the report re-derives every
+  summary from them, which keeps it an independent oracle for the fast
+  backend's accounting.
 * :class:`FastBackend` (``"fast"``, the default) — the same loop on indexed
   structures and memoization:
 
@@ -26,12 +27,16 @@ online and for offline replays alike.  The ``engine`` option only picks the
     staleness instead of scanning every shard per batch.
   * **Deadline heap** — the event loop's next-expiring-batch query is a
     heap top instead of a scan over all open batches.
-  * **Streaming aggregates** — sojourns fold into
-    :class:`~repro.analysis.metrics.StreamingLatencyStats` and running
-    decomposition sums as requests are served (same accumulation order as
-    the reference report properties, hence bit-identical), so a report can
+  * **Batch-granular commit, one report-time fold** — a commit appends one
+    record per batch to flat columns (members, ready, start, duration,
+    shard, member count, report); no per-request object is built.  When
+    the run reports, :meth:`_RunAccumulator.aggregates` — the chunked
+    loop's vectorized accounting — folds the columns into the aggregates
+    once (same accumulation order as the reference report properties,
+    hence bit-identical), and ``report.served`` is a lazy
+    :class:`_ChunkedServedLog` over the columns, so a report can
     :meth:`~repro.serving.cluster.ClusterReport.compact` away its
-    per-request records at 100k-request scale.
+    per-request records at 100k-request scale without ever building them.
 
 Fast-engine offline replays with no faults and no fair batching skip the
 event loop altogether for the array-native chunked loop
@@ -48,7 +53,7 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,119 +122,137 @@ class ShardHeap:
 
 
 class _RunAccumulator:
-    """Streaming per-request aggregates of one engine run.
+    """Report aggregates of one fast-engine run.
 
-    Accumulation order matches the reference report properties exactly
-    (served order, left-fold sums) — per tenant too — which is what makes
-    the resulting :class:`~repro.serving.cluster.ReportAggregates`
-    bit-identical to re-deriving the values from the per-request records.
+    Sheds are tallied per tenant as they happen (:meth:`push_shed`); the
+    served requests are folded once, when the run reports, by
+    :meth:`aggregates` — one vectorized pass over the run's per-batch
+    dispatch columns.  Both the chunked offline loop and the fast event
+    loop report through it, and its accumulation order matches the
+    reference report properties exactly (served order, left-fold sums) —
+    per tenant too — which is what makes the resulting
+    :class:`~repro.serving.cluster.ReportAggregates` bit-identical to
+    re-deriving the values from the per-request records.
     """
 
-    __slots__ = (
-        "latency",
-        "batching_sum",
-        "dispatch_sum",
-        "service_sum",
-        "slo_met",
-        "slo",
-        "served_degraded",
-        "slo_met_degraded",
-        "tenant_latency",
-        "tenant_served",
-        "tenant_slo_met",
-        "tenant_shed",
-        "tenant_degraded",
-        "tenant_slo_met_degraded",
-    )
+    __slots__ = ("slo", "tenant_shed")
 
     def __init__(self, slo: Optional["SLOPolicy"]) -> None:
-        self.latency = StreamingLatencyStats()
-        self.batching_sum = 0.0
-        self.dispatch_sum = 0.0
-        self.service_sum = 0.0
-        self.slo_met = 0
         self.slo = slo
-        self.served_degraded = 0
-        self.slo_met_degraded = 0
-        self.tenant_latency: Dict[str, StreamingLatencyStats] = {}
-        self.tenant_served: Dict[str, int] = {}
-        self.tenant_slo_met: Dict[str, int] = {}
         self.tenant_shed: Dict[str, int] = {}
-        self.tenant_degraded: Dict[str, int] = {}
-        self.tenant_slo_met_degraded: Dict[str, int] = {}
-
-    def push(
-        self,
-        request: InferenceRequest,
-        batching_delay: float,
-        dispatch_delay: float,
-        service_seconds: float,
-    ) -> None:
-        sojourn = batching_delay + dispatch_delay + service_seconds
-        self.latency.push(sojourn)
-        self.batching_sum += batching_delay
-        self.dispatch_sum += dispatch_delay
-        self.service_sum += service_seconds
-        tenant = request.tenant
-        degraded = request.workload.quality == QUALITY_DEGRADED
-        per_tenant = self.tenant_latency.get(tenant)
-        if per_tenant is None:
-            per_tenant = StreamingLatencyStats()
-            self.tenant_latency[tenant] = per_tenant
-        per_tenant.push(sojourn)
-        self.tenant_served[tenant] = self.tenant_served.get(tenant, 0) + 1
-        if degraded:
-            self.served_degraded += 1
-            self.tenant_degraded[tenant] = self.tenant_degraded.get(tenant, 0) + 1
-        if self.slo is None or sojourn <= self.slo.slo_for(request.workload, tenant):
-            if self.slo is not None:
-                self.slo_met += 1
-                if degraded:
-                    self.slo_met_degraded += 1
-            self.tenant_slo_met[tenant] = self.tenant_slo_met.get(tenant, 0) + 1
-            if degraded:
-                self.tenant_slo_met_degraded[tenant] = (
-                    self.tenant_slo_met_degraded.get(tenant, 0) + 1
-                )
 
     def push_shed(self, request: InferenceRequest) -> None:
         tenant = request.tenant
         self.tenant_shed[tenant] = self.tenant_shed.get(tenant, 0) + 1
 
-    def aggregates(self, count: int, shed_count: int):
+    def aggregates(
+        self,
+        ready_seconds: np.ndarray,
+        starts: np.ndarray,
+        durations: np.ndarray,
+        counts: np.ndarray,
+        arrivals: np.ndarray,
+        workload_slots: np.ndarray,
+        workload_pool: Sequence[WorkloadProfile],
+        tenant_slots: np.ndarray,
+        tenant_pool: Sequence[str],
+        shed_count: int,
+    ):
+        """Fold the run's served requests into its aggregates, once.
+
+        The first four arrays are per committed batch, in commit order
+        (``counts`` holds each batch's member count); the next three are
+        per served request, in served order (batch commit order, members
+        in batch order), with each request's workload and tenant given as
+        a slot into its pool (tenant names distinct).  Every float is the
+        event loop's scalar expression applied elementwise — the per-batch
+        ``start - ready`` broadcast hands every member the identical
+        double — and every sum folds left-to-right from zero
+        (:func:`_left_fold_sum`, ``StreamingLatencyStats.extend``), so the
+        aggregates carry the rounding trail of a per-request ``+=`` chain.
+        """
+        from repro.analysis.metrics import TenantStats
         from repro.serving.cluster import ReportAggregates
 
-        from repro.analysis.metrics import LatencyStats, TenantStats
+        slo = self.slo
+        batch_of = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        batching = ready_seconds[batch_of] - arrivals
+        dispatch = (starts - ready_seconds)[batch_of]
+        service = durations[batch_of]
+        sojourn = batching + dispatch + service
+        degraded_of_slot = np.asarray(
+            [workload.quality == QUALITY_DEGRADED for workload in workload_pool],
+            dtype=bool,
+        )
+        degraded = degraded_of_slot[workload_slots]
+        if slo is not None:
+            # ``slo_for`` depends only on the workload's name and the tenant,
+            # so one threshold per (workload slot, tenant slot) pair covers
+            # every request.
+            thresholds = np.empty((len(workload_pool), len(tenant_pool)), dtype=np.float64)
+            for slot, workload in enumerate(workload_pool):
+                for tenant_slot, tenant in enumerate(tenant_pool):
+                    thresholds[slot, tenant_slot] = slo.slo_for(workload, tenant)
+            met = sojourn <= thresholds[workload_slots, tenant_slots]
+        else:
+            # Without an SLO every served request counts as met.
+            met = np.ones(len(sojourn), dtype=bool)
 
         tenants = {}
-        for tenant in sorted(set(self.tenant_served) | set(self.tenant_shed)):
-            served = self.tenant_served.get(tenant, 0)
+        slot_of = {tenant: slot for slot, tenant in enumerate(tenant_pool)}
+        for tenant in sorted(set(tenant_pool) | set(self.tenant_shed)):
+            mask = tenant_slots == slot_of.get(tenant, -1)
+            served = int(np.count_nonzero(mask))
             shed = self.tenant_shed.get(tenant, 0)
-            latency = self.tenant_latency.get(tenant)
+            if served == 0 and shed == 0:
+                # A pool entry no request references (merge dedupe keeps
+                # it) — the reference report never sees the tenant.
+                continue
+            latency = StreamingLatencyStats()
+            # Boolean masking preserves served order, so the per-tenant fold
+            # carries the same rounding trail as the reference per-tenant sum.
+            latency.extend(sojourn[mask])
+            tenant_met = met[mask]
+            tenant_degraded = degraded[mask]
             tenants[tenant] = TenantStats(
                 tenant=tenant,
                 offered=served + shed,
                 served=served,
                 shed=shed,
-                slo_met=self.tenant_slo_met.get(tenant, 0),
-                latency=latency.stats() if latency is not None else LatencyStats(),
-                served_degraded=self.tenant_degraded.get(tenant, 0),
-                slo_met_degraded=self.tenant_slo_met_degraded.get(tenant, 0),
+                slo_met=int(np.count_nonzero(tenant_met)),
+                latency=latency.stats(),
+                served_degraded=int(np.count_nonzero(tenant_degraded)),
+                slo_met_degraded=int(np.count_nonzero(tenant_met & tenant_degraded)),
             )
+        latency = StreamingLatencyStats()
+        latency.extend(sojourn)
         return ReportAggregates(
-            count=count,
+            count=len(sojourn),
             shed_count=shed_count,
-            latency=self.latency.stats(),
-            batching_sum=self.batching_sum,
-            dispatch_sum=self.dispatch_sum,
-            service_sum=self.service_sum,
-            slo_met=self.slo_met if self.slo is not None else count,
+            latency=latency.stats(),
+            batching_sum=_left_fold_sum(0.0, batching),
+            dispatch_sum=_left_fold_sum(0.0, dispatch),
+            service_sum=_left_fold_sum(0.0, service),
+            slo_met=int(np.count_nonzero(met)),
             tenants=tenants,
-            served_degraded=self.served_degraded,
-            slo_met_degraded=(
-                self.slo_met_degraded if self.slo is not None else self.served_degraded
-            ),
+            served_degraded=int(np.count_nonzero(degraded)),
+            slo_met_degraded=int(np.count_nonzero(met & degraded)),
         )
+
+
+def _slot_pool(values: Sequence) -> Tuple[list, np.ndarray]:
+    """``(pool, slots)`` with ``pool[slots[i]] == values[i]``.
+
+    Equal values share a slot.  The values are grouped by object identity
+    first (one sort over the ids), so only the few distinct objects are
+    hashed: a run's requests share a handful of workload profiles and
+    tenant names.
+    """
+    ids = np.fromiter(map(id, values), dtype=np.uintp, count=len(values))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    slot_of: Dict[object, int] = {}
+    remap = [slot_of.setdefault(values[i], len(slot_of)) for i in first.tolist()]
+    return list(slot_of), np.asarray(remap, dtype=np.int64)[inverse.reshape(-1)]
 
 
 def _cached_serve(
@@ -296,11 +319,17 @@ def _pick_shard(
     heap's authoritative busy list, the same call the fault path makes.
     ``workload_id`` keeps the backend ``pick`` signature.
     """
-    from repro.serving.cluster import POLICY_LEAST_LOADED
-
-    if cluster.topology is None and cluster.policy == POLICY_LEAST_LOADED:
+    if _heap_picks(cluster):
         return heap.pick(active_count)
     return cluster._pick_shard(batch, heap.busy, cluster._order[:active_count])
+
+
+def _heap_picks(cluster: "ShardedServiceCluster") -> bool:
+    """Whether the cluster's picks are least-loaded over an index prefix
+    (no topology): a heap pick, free of side effects."""
+    from repro.serving.cluster import POLICY_LEAST_LOADED
+
+    return cluster.topology is None and cluster.policy == POLICY_LEAST_LOADED
 
 
 # -------------------------------------------------------------------- backends
@@ -311,8 +340,12 @@ class ReferenceBackend:
     busy-until list the loop reads; writes go through :meth:`set_busy`.
     """
 
-    #: Streaming report aggregates (``None``: the report re-derives them).
+    #: Report aggregates (``None``: the report re-derives them).
     accumulator: Optional[_RunAccumulator] = None
+    #: Whether every pick is the side-effect-free least-loaded choice, which
+    #: the fault runtime may then make in one ordered walk over its live
+    #: candidates; the reference re-picks (the oracle for the walk).
+    least_loaded = False
 
     def __init__(self, cluster: "ShardedServiceCluster", slo: Optional["SLOPolicy"]) -> None:
         self.cluster = cluster
@@ -369,6 +402,7 @@ class FastBackend(ReferenceBackend):
         self.heap = ShardHeap(cluster.num_shards)
         self.busy = self.heap.busy
         self.accumulator = _RunAccumulator(slo)
+        self.least_loaded = _heap_picks(cluster)
         self._deadlines: List[tuple] = []
         # The per-batch pieces are bound to their module-level functions
         # (no method frame on the dispatch hot path).
@@ -436,21 +470,25 @@ class _BatchView:
 
 
 class _ChunkedServedLog:
-    """Lazy per-request record list of a chunked run.
+    """Lazy per-request record list of a fast-engine run.
 
-    Holds the plan arrays and per-batch dispatch results; the
-    ``ServedRequest`` objects (and the request objects they wrap) are built
-    only if somebody actually reads the log.  ``as_dict``/``compact`` never
-    do — they read the streaming aggregates — so a chunked 1M-request run
-    never pays the object materialization unless a caller iterates the
-    records.  Materialization order is batch dispatch order with members in
-    arrival order: exactly the event loop's append order, with every float
-    recomputed by the same scalar expression, so the records compare equal
-    to an event-loop run's list."""
+    Holds the run's per-batch dispatch columns (ready time, shard, start,
+    duration, report and member count, in commit order) and a callable
+    that returns the served requests in served order; the
+    ``ServedRequest`` objects are built only if somebody actually reads the
+    log.  ``as_dict``/``compact`` never do — they read the aggregates — so
+    neither the chunked loop nor the event loop pays the per-request
+    objects unless a caller iterates the records.  Materialization walks
+    the batches in commit order with each batch's members in order: exactly
+    the reference backend's append order, with every float recomputed by
+    the same scalar expression, so the records compare equal to a
+    reference run's list."""
 
     __slots__ = (
-        "_trace",
-        "_plan",
+        "_members",
+        "_count",
+        "_counts",
+        "_ready",
         "_shard_ids",
         "_starts",
         "_durations",
@@ -458,9 +496,21 @@ class _ChunkedServedLog:
         "_records",
     )
 
-    def __init__(self, trace, plan, shard_ids, starts, durations, reports) -> None:
-        self._trace = trace
-        self._plan = plan
+    def __init__(
+        self,
+        members: Callable[[], Sequence[InferenceRequest]],
+        count: int,
+        counts: np.ndarray,
+        ready_seconds: np.ndarray,
+        shard_ids: np.ndarray,
+        starts: np.ndarray,
+        durations: np.ndarray,
+        reports: List[object],
+    ) -> None:
+        self._members = members
+        self._count = count
+        self._counts = counts
+        self._ready = ready_seconds
         self._shard_ids = shard_ids
         self._starts = starts
         self._durations = durations
@@ -471,26 +521,22 @@ class _ChunkedServedLog:
         if self._records is None:
             from repro.serving.cluster import ServedRequest
 
-            requests = self._trace.requests
-            plan = self._plan
-            positions = plan.member_positions.tolist()
-            offsets = plan.batch_offsets.tolist()
-            ready_seconds = plan.ready_seconds.tolist()
+            members = self._members()
+            ready_seconds = self._ready.tolist()
             shard_ids = self._shard_ids.tolist()
             starts = self._starts.tolist()
             durations = self._durations.tolist()
             reports = self._reports
             records = []
-            for b in range(len(ready_seconds)):
-                lo, hi = offsets[b], offsets[b + 1]
+            hi = 0
+            for b, batch_size in enumerate(self._counts.tolist()):
+                lo, hi = hi, hi + batch_size
                 ready = ready_seconds[b]
                 shard_id = shard_ids[b]
                 duration = durations[b]
                 report = reports[b]
-                batch_size = hi - lo
                 dispatch_delay = starts[b] - ready
-                for p in positions[lo:hi]:
-                    request = requests[p]
+                for request in members[lo:hi]:
                     records.append(
                         ServedRequest(
                             request=request,
@@ -506,10 +552,10 @@ class _ChunkedServedLog:
         return self._records
 
     def __len__(self) -> int:
-        return len(self._plan.member_positions)
+        return self._count
 
     def __bool__(self) -> bool:
-        return len(self._plan.member_positions) > 0
+        return self._count > 0
 
     def __iter__(self):
         return iter(self._materialize())
@@ -551,8 +597,9 @@ def _serve_trace_chunked(
 ):
     """Array-native offline replay, the fast engine's ``serve_trace`` path.
 
-    Batch formation, per-request accounting and the streaming aggregates all
-    operate on NumPy views of the trace's structure-of-arrays form
+    Batch formation and per-request accounting
+    (:meth:`_RunAccumulator.aggregates`, shared with the event loop's
+    report) operate on NumPy views of the trace's structure-of-arrays form
     (:class:`~repro.serving.scheduler.BatchPlan`); the only per-batch Python
     work left is the dispatch decision itself — shard pick, serve-transition
     cache lookup, busy-horizon update — which is inherently sequential
@@ -576,7 +623,7 @@ def _serve_trace_chunked(
     fair-mode scheduler (both make the next event state-dependent in ways
     the plan cannot precompute); every other replay runs the event loop.
     """
-    from repro.serving.cluster import POLICY_LEAST_LOADED, ClusterReport
+    from repro.serving.cluster import ClusterReport
 
     cluster._reset_dispatch_state()
     arrays = trace.arrays()
@@ -612,7 +659,7 @@ def _serve_trace_chunked(
     # The common dispatch configuration (least-loaded, no topology) is a
     # bare heap pick; hoisting the policy test out of the loop skips the
     # delegating ``_pick_shard`` call per batch.
-    simple_pick = cluster.topology is None and cluster.policy == POLICY_LEAST_LOADED
+    simple_pick = _heap_picks(cluster)
     busy = heap.busy
     view = _BatchView()
     for b in range(num_batches):
@@ -646,69 +693,29 @@ def _serve_trace_chunked(
         durations[b] = duration
         reports[b] = report
 
-    # ---------------------------------------------- vectorized accounting
     member_positions = plan.member_positions
     total_requests = len(member_positions)
     arrivals = arrays.arrival_seconds
-    batch_of = np.repeat(np.arange(num_batches, dtype=np.int64), counts)
-    # Same scalar expressions as the event loop, elementwise: the per-batch
-    # ``start - ready`` broadcast hands every member the identical double.
-    batching = ready_array[batch_of] - arrivals[member_positions]
-    dispatch = (starts - ready_array)[batch_of]
-    service = durations[batch_of]
-    sojourn = batching + dispatch + service
-
-    workload_slots = arrays.workload_index[member_positions]
-    tenant_slots = arrays.tenant_index[member_positions]
-    tenant_pool = arrays.tenant_pool
-    degraded_of_slot = np.asarray(
-        [workload.quality == QUALITY_DEGRADED for workload in pool], dtype=bool
+    aggregates = _RunAccumulator(slo).aggregates(
+        ready_array,
+        starts,
+        durations,
+        counts,
+        arrivals[member_positions],
+        arrays.workload_index[member_positions],
+        pool,
+        arrays.tenant_index[member_positions],
+        arrays.tenant_pool,
+        shed_count=0,
     )
-    degraded = degraded_of_slot[workload_slots]
 
-    accumulator = _RunAccumulator(slo)
-    accumulator.latency.extend(sojourn)
-    accumulator.batching_sum = _left_fold_sum(0.0, batching)
-    accumulator.dispatch_sum = _left_fold_sum(0.0, dispatch)
-    accumulator.service_sum = _left_fold_sum(0.0, service)
-    accumulator.served_degraded = int(np.count_nonzero(degraded))
-    if slo is not None:
-        # ``slo_for`` depends only on the workload's name and the tenant, so
-        # one threshold per (workload slot, tenant slot) pair covers every
-        # request.
-        thresholds = np.empty((len(pool), len(tenant_pool)), dtype=np.float64)
-        for slot, workload in enumerate(pool):
-            for tenant_slot, tenant in enumerate(tenant_pool):
-                thresholds[slot, tenant_slot] = slo.slo_for(workload, tenant)
-        met = sojourn <= thresholds[workload_slots, tenant_slots]
-        accumulator.slo_met = int(np.count_nonzero(met))
-        accumulator.slo_met_degraded = int(np.count_nonzero(met & degraded))
-    else:
-        # The reference loop counts every request into the per-tenant met
-        # tallies when no SLO is set (the global ones stay zero and
-        # ``aggregates`` substitutes the counts).
-        met = np.ones(total_requests, dtype=bool)
-    for tenant_slot, tenant in enumerate(tenant_pool):
-        mask = tenant_slots == tenant_slot
-        tenant_count = int(np.count_nonzero(mask))
-        if tenant_count == 0:
-            # A pool entry no surviving request references (merge dedupe
-            # keeps it) — the reference accumulator never sees the tenant.
-            continue
-        stats = StreamingLatencyStats()
-        # Boolean masking preserves served order, so the per-tenant fold
-        # carries the same rounding trail as the reference per-tenant push.
-        stats.extend(sojourn[mask])
-        accumulator.tenant_latency[tenant] = stats
-        accumulator.tenant_served[tenant] = tenant_count
-        accumulator.tenant_slo_met[tenant] = int(np.count_nonzero(met[mask]))
-        tenant_degraded = degraded[mask]
-        accumulator.tenant_degraded[tenant] = int(np.count_nonzero(tenant_degraded))
-        accumulator.tenant_slo_met_degraded[tenant] = int(
-            np.count_nonzero(met[mask] & tenant_degraded)
-        )
+    def members() -> List[InferenceRequest]:
+        requests = trace.requests
+        return [requests[p] for p in member_positions.tolist()]
 
-    served = _ChunkedServedLog(trace, plan, shard_ids, starts, durations, reports)
+    served = _ChunkedServedLog(
+        members, total_requests, counts, ready_array, shard_ids, starts, durations, reports
+    )
     first_arrival = float(arrivals[0])
     makespan = last_finish - first_arrival if total_requests else 0.0
     return ClusterReport(
@@ -721,6 +728,6 @@ def _serve_trace_chunked(
         shard_busy_seconds=busy_total,
         shard_requests=shard_requests,
         slo=slo,
-        aggregates=accumulator.aggregates(count=total_requests, shed_count=0),
+        aggregates=aggregates,
         faults=None,
     )

@@ -742,6 +742,14 @@ class FaultRuntime:
         if degraded_open is not None:
             self._degraded.append((degraded_open, math.inf))
         self._degraded_starts = [lo for lo, _ in self._degraded]
+        # Per-epoch tables: they change only when ``advance`` applies an
+        # event.  ``_next_crash[s]`` is shard s's first unapplied crash, and
+        # ``_live_sets`` memoizes ``active_alive`` per active count.
+        self._crash_iters = [iter(crashes) for crashes in self._crashes]
+        self._next_crash: List[Optional[float]] = [
+            next(crashes, None) for crashes in self._crash_iters
+        ]
+        self._live_sets: Dict[int, List[int]] = {}
         self._retries: List[Tuple[float, int, InferenceRequest]] = []
         self._retry_seq = 0
         self._attempts: Dict[int, int] = {}
@@ -795,6 +803,16 @@ class FaultRuntime:
         return all(self.alive[s] for s in self.topology.shards_in(domain))
 
     def active_alive(self, active_count: int) -> List[int]:
+        """The dispatchable shard set (:meth:`live_set`), memoized per
+        active count until :meth:`advance` applies the next event — the
+        only place liveness changes.  Callers must not mutate it."""
+        live = self._live_sets.get(active_count)
+        if live is None:
+            live = self.live_set(active_count)
+            self._live_sets[active_count] = live
+        return live
+
+    def live_set(self, active_count: int) -> List[int]:
         """The dispatchable shard set: the autoscaler's target prefix minus
         dead shards, topped up with live standby shards past the prefix so
         crashed capacity is replaced while provisioned spares exist.
@@ -843,6 +861,7 @@ class FaultRuntime:
             shard = event.shard_id
             if event.kind == FAULT_CRASH:
                 self.alive[shard] = False
+                self._next_crash[shard] = next(self._crash_iters[shard], None)
             elif event.kind == FAULT_RECOVER:
                 self.alive[shard] = True
                 self.factor[shard] = 1.0
@@ -852,6 +871,7 @@ class FaultRuntime:
                 self.factor[shard] = event.factor
             changed = True
         if changed:
+            self._live_sets.clear()
             if serving is not None:
                 self._warm_substitutes(run, serving, until)
             self.flush(run, until)
@@ -910,7 +930,10 @@ class FaultRuntime:
         failure / place) and return the outcome.
 
         ``batch`` is ready at the event cursor, so the current live set is
-        the live set at its ready time.  On :data:`DISPATCH_PARKED` no live
+        the live set at its ready time, and — fault events firing before
+        deadlines, retries and arrivals at ties — every fault event due by
+        then has been applied: a shard's first unapplied crash is its first
+        crash after the ready time.  On :data:`DISPATCH_PARKED` no live
         shard could take it and the caller queues it: :meth:`submit` at the
         FIFO's tail, :meth:`flush` back at its head.
         """
@@ -924,18 +947,33 @@ class FaultRuntime:
         # A shard whose queue extends past its own next crash would sit the
         # batch behind doomed work; drain to another live candidate instead,
         # and park only when every live shard is doomed.
-        candidates = active
+        ready = batch.ready_seconds
+        busy = run.busy
+        next_crash = self._next_crash
         outcome = DISPATCH_PLACED
-        while True:
-            shard_id = run.pick_among(batch, candidates)
-            start = max(batch.ready_seconds, run.busy[shard_id])
-            crash_at = self.next_crash_after(shard_id, batch.ready_seconds)
-            if crash_at is None or crash_at > start:
-                break
-            outcome = DISPATCH_MOVED
-            candidates = [s for s in candidates if s != shard_id]
-            if not candidates:
+        if run.least_loaded:
+            # A least-loaded pick has no side effects, so re-picking among
+            # the undoomed candidates is one walk in (busy, id) order.
+            for shard_id in sorted(active, key=lambda s: (busy[s], s)):
+                start = max(ready, busy[shard_id])
+                crash_at = next_crash[shard_id]
+                if crash_at is None or crash_at > start:
+                    break
+                outcome = DISPATCH_MOVED
+            else:
                 return DISPATCH_PARKED
+        else:
+            candidates = active
+            while True:
+                shard_id = run.pick_among(batch, candidates)
+                start = max(ready, busy[shard_id])
+                crash_at = next_crash[shard_id]
+                if crash_at is None or crash_at > start:
+                    break
+                outcome = DISPATCH_MOVED
+                candidates = [s for s in candidates if s != shard_id]
+                if not candidates:
+                    return DISPATCH_PARKED
         self._serve_on(batch, run, workload, shard_id, start, crash_at)
         return outcome
 
@@ -960,7 +998,7 @@ class FaultRuntime:
                 self._fail(request, batch.ready_seconds, run)
             return
         start = max(batch.ready_seconds, run.busy[shard_id])
-        crash_at = self.next_crash_after(shard_id, batch.ready_seconds)
+        crash_at = self._next_crash[shard_id]
         if crash_at is not None and crash_at <= start:
             # The batch sat in the shard's queue when the crash hit: the
             # queue dies with the shard and nothing resubmits the work.

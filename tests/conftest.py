@@ -9,6 +9,7 @@ CI pipeline selects with ``--hypothesis-profile=ci``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -27,6 +28,7 @@ from repro.serving import (
     ShardedServiceCluster,
     merge_traces,
 )
+from repro.serving import cluster as cluster_module
 from repro.system.service import build_services
 from repro.system.workload import WorkloadProfile
 
@@ -105,6 +107,29 @@ def make_bursty_tenant_trace(
         for i, tenant in enumerate(tenants)
     ]
     return merge_traces([stream.trace(num_per_tenant) for stream in streams])
+
+
+@contextlib.contextmanager
+def chunked_calls():
+    """Count the runs that take the chunked offline loop.
+
+    Both fast paths return a lazy served log, so the path a replay took
+    shows only in which loop ran: this spies on the name ``serve_trace``
+    calls (``cluster.py`` imports ``_serve_trace_chunked`` by name) and
+    yields the list of calls made inside the block.
+    """
+    calls = []
+    original = cluster_module._serve_trace_chunked
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    cluster_module._serve_trace_chunked = spy
+    try:
+        yield calls
+    finally:
+        cluster_module._serve_trace_chunked = original
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from conftest import (
     SYSTEM_NAMES,
     TENANTS,
     WORKLOAD_POOL,
+    chunked_calls,
     make_bursty_tenant_trace,
     make_profile,
 )
@@ -40,7 +41,7 @@ from repro.serving import (
     TenantQuota,
     TraceArrivals,
 )
-from repro.serving.engine import ShardHeap, _ChunkedServedLog
+from repro.serving.engine import ShardHeap
 from repro.system.service import build_services
 
 
@@ -573,10 +574,11 @@ class TestBackendIdentityMatrix:
         renders = []
         for engine in (ENGINE_REFERENCE, ENGINE_FAST):
             cluster = self._cluster(services, system, engine, policy, fair, topology)
-            report = cluster.serve_trace(trace, config=config)
+            with chunked_calls() as calls:
+                report = cluster.serve_trace(trace, config=config)
             # Only fault-free, non-fair fast replays take the chunked loop.
             chunked = engine == ENGINE_FAST and not fair and not faulted
-            assert isinstance(report.served, _ChunkedServedLog) == chunked
+            assert len(calls) == int(chunked)
             self._conserved(report, len(trace))
             renders.append(_render(report))
         assert renders[0] == renders[1]
@@ -623,6 +625,54 @@ class TestFastEngineExtras:
         report.compact()
         assert _render(report) == rendered
         assert report.served == [] and report.num_requests == 30
+
+    def test_event_loop_served_log_is_lazy(self, services):
+        """An online run with faults, drain and degradation: the fast
+        event loop's log stays unmaterialized through ``as_dict``, its
+        records equal the reference backend's list, and ``compact()``
+        renders the same bytes."""
+        trace = make_bursty_tenant_trace(
+            WORKLOAD_POOL, num_per_tenant=60, base_rate_rps=2.0,
+            peak_rate_rps=40.0, seed=2,
+        )
+        faults = RandomFaults(
+            num_shards=4,
+            horizon_seconds=trace[-1].arrival_seconds,
+            mean_uptime_seconds=0.1,
+            mean_downtime_seconds=0.05,
+            retry_budget=2,
+            retry_backoff_seconds=0.002,
+            seed=2,
+        ).schedule()
+        config = ServingConfig(
+            slo=SLOPolicy(default_slo_seconds=0.6),
+            admit=True,
+            degradation=DegradationPolicy(k_factor=0.5, layer_drop=1),
+            autoscaler=Autoscaler(
+                min_shards=1, max_shards=4, scale_up_depth=3.0,
+                scale_down_depth=1.0, hysteresis_observations=2, drain=True,
+            ),
+            faults=faults,
+        )
+        reference, fast = (
+            _cluster(
+                services, "DynPre", engine, num_shards=4,
+                scheduler=BatchScheduler(max_batch_size=3, max_wait_seconds=0.003),
+            ).serve_online(TraceArrivals(trace), config=config)
+            for engine in (ENGINE_REFERENCE, ENGINE_FAST)
+        )
+        assert fast.num_shed and fast.num_degraded and fast.faults.migrated
+        assert any(event.reason == "scale-down" for event in fast.scaling_timeline)
+        log = fast.served
+        rendered = _render(fast)
+        assert log._records is None
+        assert rendered == _render(reference)
+        assert isinstance(reference.served, list)
+        assert log == reference.served
+        assert list(log) == reference.served
+        fast.compact()
+        assert fast.served == []
+        assert _render(fast) == rendered
 
     def test_compact_requires_aggregates(self, services):
         trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=500.0, seed=2).trace(5)

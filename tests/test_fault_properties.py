@@ -15,6 +15,7 @@
    starts substituting pays its activation warm-up first.
 """
 
+import dataclasses
 import json
 import math
 
@@ -25,6 +26,9 @@ from hypothesis import given, settings, strategies as st
 from repro.serving import (
     Autoscaler,
     BatchScheduler,
+    ClusterTopology,
+    CorrelatedFaults,
+    DISPATCH_POLICIES,
     ENGINES,
     FAULT_CRASH,
     FAULT_RECOVER,
@@ -358,6 +362,9 @@ def test_locality_dispatch_avoids_dead_preferred_shard(services, engine):
 class _FakeRun:
     """Minimal run over a busy list: least-loaded pick, 0.5 s service."""
 
+    #: Its picks are least-loaded, so the runtime may walk them in order.
+    least_loaded = True
+
     def __init__(self, busy, commits, active_count):
         self.busy = busy
         self.busy_total = [0.0] * len(busy)
@@ -509,6 +516,91 @@ def test_dispatch_attempts_are_linear_in_batches_and_faults(services, seed, faul
     assert counts["wakes"] <= counts["formed"], counts
     assert counts["reparks"] <= counts["flushes"], counts
     assert counts["flushes"] <= len({e.seconds for e in faults.expanded_events}), counts
+
+
+# ------------------------------------------------------- per-epoch tables
+_TABLE_SCENARIOS = ("offline", "autoscaled", "topology-standby", "oblivious")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scenario=st.sampled_from(_TABLE_SCENARIOS),
+    policy=st.sampled_from(DISPATCH_POLICIES),
+    engine=st.sampled_from(ENGINES),
+    seed=st.integers(min_value=0, max_value=2**16),
+    fault_seed=st.integers(min_value=0, max_value=2**16),
+    up=st.sampled_from([0.02, 0.05, 0.2]),
+    down=st.sampled_from([0.01, 0.05, 0.15]),
+)
+def test_per_epoch_tables_match_fresh_schedule_queries(
+    services, scenario, policy, engine, seed, fault_seed, up, down
+):
+    """The runtime's per-epoch tables equal fresh computations at every
+    dispatch: the memoized live set equals :meth:`FaultRuntime.live_set`,
+    and each live candidate's first unapplied crash equals
+    ``next_crash_after(shard, ready)``.  Covers random schedules offline,
+    under an autoscaler that moves ``active_count``, on a topology whose
+    correlated outages force standby substitution, and fault-oblivious."""
+    num_shards = 4
+    topology = ClusterTopology.uniform(num_shards, 2) if scenario == "topology-standby" else None
+    trace = _trace(seed, num_requests=60, rate_rps=400.0)
+    faults = RandomFaults(
+        num_shards=num_shards,
+        horizon_seconds=trace[-1].arrival_seconds,
+        mean_uptime_seconds=up,
+        mean_downtime_seconds=down,
+        slowdown_probability=0.3,
+        retry_budget=2,
+        retry_backoff_seconds=0.002,
+        seed=fault_seed,
+        topology=topology,
+        correlated=(
+            CorrelatedFaults(mean_uptime_seconds=0.05, mean_downtime_seconds=0.03)
+            if topology is not None
+            else None
+        ),
+    ).schedule()
+    if scenario == "oblivious":
+        faults = dataclasses.replace(faults, fault_aware=False)
+    cluster = ShardedServiceCluster(
+        services["DynPre"],
+        num_shards=num_shards,
+        scheduler=BatchScheduler(max_batch_size=3, max_wait_seconds=0.003),
+        policy=policy,
+        engine=engine,
+        topology=topology,
+    )
+    checked = []
+    dispatch = FaultRuntime.dispatch
+
+    def checked_dispatch(self, batch, run):
+        live = self.live_set(run.active_count)
+        assert self.active_alive(run.active_count) == live
+        for shard in live:
+            assert self._next_crash[shard] == self.next_crash_after(
+                shard, batch.ready_seconds
+            )
+        checked.append(batch.ready_seconds)
+        return dispatch(self, batch, run)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FaultRuntime, "dispatch", checked_dispatch)
+        if scenario in ("autoscaled", "topology-standby"):
+            autoscaler = Autoscaler(
+                min_shards=1,
+                max_shards=num_shards,
+                scale_up_depth=3.0,
+                scale_down_depth=1.0,
+                hysteresis_observations=2,
+            )
+            report = cluster.serve_online(
+                TraceArrivals(trace),
+                config=ServingConfig(autoscaler=autoscaler, faults=faults),
+            )
+        else:
+            report = cluster.serve_trace(trace, config=ServingConfig(faults=faults))
+    assert checked
+    assert report.goodput.offered == len(trace)
 
 
 # ------------------------------------------------------ schedule validation

@@ -13,6 +13,7 @@ import os
 import time
 
 import pytest
+from conftest import chunked_calls
 
 from repro.serving import (
     BatchScheduler,
@@ -53,8 +54,10 @@ def test_million_request_chunked_replay_smoke():
     trace = OpenLoopArrivals(mix, rate_rps=500.0, seed=1).trace(NUM_REQUESTS)
 
     started = time.perf_counter()
-    chunked = _cluster(services).serve_trace(trace)
+    with chunked_calls() as calls:
+        chunked = _cluster(services).serve_trace(trace)
     chunked_seconds = time.perf_counter() - started
+    assert len(calls) == 1
     assert isinstance(chunked.served, _ChunkedServedLog)
     assert chunked.num_requests == NUM_REQUESTS
     assert sum(chunked.shard_requests) == NUM_REQUESTS
@@ -63,8 +66,9 @@ def test_million_request_chunked_replay_smoke():
         f"(budget {WALL_BUDGET_SECONDS:.0f}s)"
     )
 
-    event = _cluster(services).serve_online(TraceArrivals(trace))
-    assert isinstance(event.served, list)
+    with chunked_calls() as calls:
+        event = _cluster(services).serve_online(TraceArrivals(trace))
+    assert calls == []
     assert json.dumps(chunked.as_dict(), sort_keys=True) == json.dumps(
         event.as_dict(), sort_keys=True
     )
