@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence
 
@@ -105,9 +104,9 @@ class EndToEndLatency:
 def _percentile_sorted(ordered: Sequence[float], q: float) -> float:
     """Linear-interpolated ``q``-th percentile of an already-sorted sequence.
 
-    Shared by :func:`percentile` and the streaming accumulator's exact
-    report-time path, so both produce bit-identical values from the same
-    sample multiset.
+    Shared by :func:`percentile`, :meth:`LatencyStats.from_samples` and
+    :meth:`LatencyStats.from_array`, so all produce bit-identical values
+    from the same sample multiset.
     """
     if not 0 <= q <= 100:
         raise ValueError("q must be within [0, 100]")
@@ -171,6 +170,36 @@ class LatencyStats:
             max=float(ordered[-1]),
         )
 
+    @classmethod
+    def from_array(cls, samples) -> "LatencyStats":
+        """:meth:`from_samples` of a float64 ndarray, bit-identical to
+        ``from_samples(samples.tolist())`` for samples without NaN or
+        negative zeros (``numpy.sort`` orders the rest exactly as ``sorted``).
+
+        The mean's sum folds left to right (``numpy.add.accumulate`` is a
+        sequential fold, unlike ``numpy.sum``'s pairwise reduction), so it
+        carries the rounding trail of ``sum`` over the same order, which the
+        golden-report byte-stability tests rely on.  This is the serving
+        fast engine's report-time latency summary.
+        """
+        import numpy as np
+
+        count = len(samples)
+        if count == 0:
+            return cls()
+        acc = np.empty(count + 1, dtype=np.float64)
+        acc[0] = 0.0
+        acc[1:] = samples
+        ordered = np.sort(samples).tolist()
+        return cls(
+            count=count,
+            mean=float(np.add.accumulate(acc)[-1]) / count,
+            p50=_percentile_sorted(ordered, 50),
+            p95=_percentile_sorted(ordered, 95),
+            p99=_percentile_sorted(ordered, 99),
+            max=float(ordered[-1]),
+        )
+
     def as_dict(self) -> Dict[str, float]:
         """Flat dictionary of the summary (for JSON reports)."""
         return {
@@ -181,80 +210,6 @@ class LatencyStats:
             "p99": self.p99,
             "max": self.max,
         }
-
-
-class StreamingLatencyStats:
-    """Single-pass latency accumulator with an exact report-time summary.
-
-    The serving fast engine pushes one sojourn per served request instead of
-    collecting them in a Python list of boxed floats: the sample is kept in a
-    compact ``array('d')`` buffer (8 bytes/sample) and the mean is
-    accumulated running in push order (bit-identical to ``sum(list)`` over
-    the same order).  :meth:`stats` sorts the buffer once and produces a
-    :class:`LatencyStats` that is bit-identical to
-    ``LatencyStats.from_samples`` on the same push sequence, which the
-    golden-report byte-stability tests rely on.
-    """
-
-    __slots__ = ("_samples", "_sum")
-
-    def __init__(self) -> None:
-        self._samples = array("d")
-        self._sum = 0.0
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    @property
-    def count(self) -> int:
-        """Samples pushed so far."""
-        return len(self._samples)
-
-    @property
-    def total(self) -> float:
-        """Running sum of all pushed samples (push order)."""
-        return self._sum
-
-    def push(self, sample: float) -> None:
-        """Accumulate one latency sample."""
-        self._samples.append(sample)
-        self._sum += sample
-
-    def extend(self, samples) -> None:
-        """Bulk-accumulate ``samples`` (a float64 ndarray or any iterable).
-
-        Bit-identical to pushing the samples one by one in order: the
-        running sum folds left-to-right (``numpy.add.accumulate`` is a
-        sequential fold, unlike ``numpy.sum``'s pairwise reduction), so a
-        later :meth:`stats` cannot tell the chunked path from the per-event
-        one.  This is the serving engine's array-native hot path.
-        """
-        import numpy as np
-
-        chunk = np.ascontiguousarray(samples, dtype=np.float64)
-        if chunk.size == 0:
-            return
-        # array('d') shares numpy's machine representation of float64, so
-        # the raw buffer append is exact.
-        self._samples.frombytes(chunk.tobytes())
-        acc = np.empty(chunk.size + 1, dtype=np.float64)
-        acc[0] = self._sum
-        acc[1:] = chunk
-        self._sum = float(np.add.accumulate(acc)[-1])
-
-    def stats(self) -> LatencyStats:
-        """Exact summary — bit-identical to ``LatencyStats.from_samples``."""
-        if not self._samples:
-            return LatencyStats()
-        ordered = sorted(self._samples)
-        return LatencyStats(
-            count=len(self._samples),
-            mean=self._sum / len(self._samples),
-            p50=_percentile_sorted(ordered, 50),
-            p95=_percentile_sorted(ordered, 95),
-            p99=_percentile_sorted(ordered, 99),
-            max=float(ordered[-1]),
-        )
 
 
 @dataclass

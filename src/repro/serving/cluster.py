@@ -64,6 +64,7 @@ from repro.serving.engine import (
     BACKENDS,
     ENGINE_FAST,
     _ChunkedServedLog,
+    _report_aggregates,
     _serve_trace_chunked,
     _slot_pool,
     check_engine,
@@ -145,7 +146,7 @@ class ReportAggregates:
 
     The fast engine's loops commit at batch granularity and fold every
     served request into these totals once, when the run reports
-    (``_RunAccumulator.aggregates`` in :mod:`repro.serving.engine`), in the exact
+    (``_report_aggregates`` in :mod:`repro.serving.engine`), in the exact
     accumulation order the reference report properties use, so a
     :class:`ClusterReport` carrying aggregates renders byte-identically to
     one that re-derives them from the per-request records — and can drop
@@ -155,7 +156,7 @@ class ReportAggregates:
     Attributes:
         count: requests served.
         shed_count: requests rejected at admission.
-        latency: exact sojourn-time summary (push order = served order).
+        latency: exact sojourn-time summary (mean summed in served order).
         batching_sum: total batching delay over served requests.
         dispatch_sum: total dispatch delay over served requests.
         service_sum: total service time over served requests.
@@ -617,7 +618,7 @@ class _Run:
     the commit exists once.  On the fast backend a commit appends one
     record per batch to flat columns, and :meth:`report` folds them once
     through the chunked loop's accounting
-    (:meth:`~repro.serving.engine._RunAccumulator.aggregates`).
+    (:func:`~repro.serving.engine._report_aggregates`).
     ``on_commit``/``on_failed`` are the loop's own effects of a committed
     batch and of a permanently failed request.
     """
@@ -634,7 +635,7 @@ class _Run:
     ) -> None:
         self.cluster = cluster
         self.slo = slo
-        self.backend = backend(cluster, slo)
+        self.backend = backend(cluster)
         self.planner = planner
         self.faults = faults
         #: Shards the autoscaler keeps active (a prefix of the cluster's
@@ -658,7 +659,7 @@ class _Run:
         #: duration, shard, member count and report — which
         #: :meth:`report` folds once.
         self.served: Optional[List[ServedRequest]] = (
-            [] if self.backend.accumulator is None else None
+            None if self.backend.batch_columns else []
         )
         if self.served is None:
             self.members: List[InferenceRequest] = []
@@ -767,7 +768,7 @@ class _Run:
         served = self.served
         aggregates = None
         if served is None:
-            served, aggregates = self._fold(len(sections.get("shed", ())))
+            served, aggregates = self._fold(sections.get("shed", ()))
         # A faulted replay can fail every request; an empty run has no span.
         makespan = 0.0
         if served and first_arrival is not None:
@@ -786,7 +787,7 @@ class _Run:
             **sections,
         )
 
-    def _fold(self, shed_count: int) -> Tuple[_ChunkedServedLog, ReportAggregates]:
+    def _fold(self, shed: Sequence[ShedRecord]) -> Tuple[_ChunkedServedLog, ReportAggregates]:
         """The fast backend's lazy served log and aggregates, folded once
         from the batch columns by the chunked loop's accounting."""
         members = self.members
@@ -797,7 +798,8 @@ class _Run:
         durations = np.array(self.durations, dtype=np.float64)
         workload_pool, workload_slots = _slot_pool(list(map(attrgetter("workload"), members)))
         tenant_pool, tenant_slots = _slot_pool(list(map(attrgetter("tenant"), members)))
-        aggregates = self.backend.accumulator.aggregates(
+        aggregates = _report_aggregates(
+            self.slo,
             ready,
             starts,
             durations,
@@ -807,7 +809,7 @@ class _Run:
             workload_pool,
             tenant_slots,
             tenant_pool,
-            shed_count,
+            shed,
         )
         served = _ChunkedServedLog(
             lambda: members,
@@ -1280,7 +1282,6 @@ class ShardedServiceCluster:
         )
         backend = run.backend
         busy = run.busy
-        accumulator = backend.accumulator
         if ctx is None:
             submit = run.dispatch
         else:
@@ -1510,8 +1511,6 @@ class ShardedServiceCluster:
                             slo_seconds=decision.slo_seconds,
                         )
                     )
-                    if accumulator is not None:
-                        accumulator.push_shed(request)
                     recent_sheds.append(now)
                     source.on_shed(request, now)
                     continue

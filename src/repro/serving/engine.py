@@ -30,7 +30,7 @@ online and for offline replays alike.  The ``engine`` option only picks the
   * **Batch-granular commit, one report-time fold** — a commit appends one
     record per batch to flat columns (members, ready, start, duration,
     shard, member count, report); no per-request object is built.  When
-    the run reports, :meth:`_RunAccumulator.aggregates` — the chunked
+    the run reports, :func:`_report_aggregates` — the chunked
     loop's vectorized accounting — folds the columns into the aggregates
     once (same accumulation order as the reference report properties,
     hence bit-identical), and ``report.served`` is a lazy
@@ -57,13 +57,13 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.analysis.metrics import StreamingLatencyStats
+from repro.analysis.metrics import LatencyStats
 from repro.serving.requests import InferenceRequest
 from repro.serving.scheduler import RequestBatch
 from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
 
 if TYPE_CHECKING:
-    from repro.serving.cluster import ShardedServiceCluster
+    from repro.serving.cluster import ShardedServiceCluster, ShedRecord
     from repro.serving.control import SLOPolicy
     from repro.system.service import ServiceReport
 
@@ -121,123 +121,102 @@ class ShardHeap:
         return self.busy[self.pick(active_count)]
 
 
-class _RunAccumulator:
-    """Report aggregates of one fast-engine run.
+def _report_aggregates(
+    slo: Optional["SLOPolicy"],
+    ready_seconds: np.ndarray,
+    starts: np.ndarray,
+    durations: np.ndarray,
+    counts: np.ndarray,
+    arrivals: np.ndarray,
+    workload_slots: np.ndarray,
+    workload_pool: Sequence[WorkloadProfile],
+    tenant_slots: np.ndarray,
+    tenant_pool: Sequence[str],
+    shed: Sequence["ShedRecord"] = (),
+):
+    """Fold one fast-engine run's served requests into its aggregates, once.
 
-    Sheds are tallied per tenant as they happen (:meth:`push_shed`); the
-    served requests are folded once, when the run reports, by
-    :meth:`aggregates` — one vectorized pass over the run's per-batch
-    dispatch columns.  Both the chunked offline loop and the fast event
-    loop report through it, and its accumulation order matches the
-    reference report properties exactly (served order, left-fold sums) —
-    per tenant too — which is what makes the resulting
-    :class:`~repro.serving.cluster.ReportAggregates` bit-identical to
+    Both the chunked offline loop and the fast event loop report through
+    this one vectorized pass.  The first four arrays are per committed
+    batch, in commit order (``counts`` holds each batch's member count);
+    the next three are per served request, in served order (batch commit
+    order, members in batch order), with each request's workload and
+    tenant given as a slot into its pool (tenant names distinct).
+    ``shed`` holds the run's admission sheds.  Every float is the event
+    loop's scalar expression applied elementwise — the per-batch
+    ``start - ready`` broadcast hands every member the identical double —
+    and every sum folds left-to-right from zero (:func:`_left_fold_sum`,
+    :meth:`LatencyStats.from_array`), per tenant too, so the resulting
+    :class:`~repro.serving.cluster.ReportAggregates` are bit-identical to
     re-deriving the values from the per-request records.
     """
+    from repro.analysis.metrics import TenantStats
+    from repro.serving.cluster import ReportAggregates
 
-    __slots__ = ("slo", "tenant_shed")
+    batch_of = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    batching = ready_seconds[batch_of] - arrivals
+    dispatch = (starts - ready_seconds)[batch_of]
+    service = durations[batch_of]
+    sojourn = batching + dispatch + service
+    degraded_of_slot = np.asarray(
+        [workload.quality == QUALITY_DEGRADED for workload in workload_pool],
+        dtype=bool,
+    )
+    degraded = degraded_of_slot[workload_slots]
+    if slo is not None:
+        # ``slo_for`` depends only on the workload's name and the tenant,
+        # so one threshold per (workload slot, tenant slot) pair covers
+        # every request.
+        thresholds = np.empty((len(workload_pool), len(tenant_pool)), dtype=np.float64)
+        for slot, workload in enumerate(workload_pool):
+            for tenant_slot, tenant in enumerate(tenant_pool):
+                thresholds[slot, tenant_slot] = slo.slo_for(workload, tenant)
+        met = sojourn <= thresholds[workload_slots, tenant_slots]
+    else:
+        # Without an SLO every served request counts as met.
+        met = np.ones(len(sojourn), dtype=bool)
 
-    def __init__(self, slo: Optional["SLOPolicy"]) -> None:
-        self.slo = slo
-        self.tenant_shed: Dict[str, int] = {}
-
-    def push_shed(self, request: InferenceRequest) -> None:
-        tenant = request.tenant
-        self.tenant_shed[tenant] = self.tenant_shed.get(tenant, 0) + 1
-
-    def aggregates(
-        self,
-        ready_seconds: np.ndarray,
-        starts: np.ndarray,
-        durations: np.ndarray,
-        counts: np.ndarray,
-        arrivals: np.ndarray,
-        workload_slots: np.ndarray,
-        workload_pool: Sequence[WorkloadProfile],
-        tenant_slots: np.ndarray,
-        tenant_pool: Sequence[str],
-        shed_count: int,
-    ):
-        """Fold the run's served requests into its aggregates, once.
-
-        The first four arrays are per committed batch, in commit order
-        (``counts`` holds each batch's member count); the next three are
-        per served request, in served order (batch commit order, members
-        in batch order), with each request's workload and tenant given as
-        a slot into its pool (tenant names distinct).  Every float is the
-        event loop's scalar expression applied elementwise — the per-batch
-        ``start - ready`` broadcast hands every member the identical
-        double — and every sum folds left-to-right from zero
-        (:func:`_left_fold_sum`, ``StreamingLatencyStats.extend``), so the
-        aggregates carry the rounding trail of a per-request ``+=`` chain.
-        """
-        from repro.analysis.metrics import TenantStats
-        from repro.serving.cluster import ReportAggregates
-
-        slo = self.slo
-        batch_of = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        batching = ready_seconds[batch_of] - arrivals
-        dispatch = (starts - ready_seconds)[batch_of]
-        service = durations[batch_of]
-        sojourn = batching + dispatch + service
-        degraded_of_slot = np.asarray(
-            [workload.quality == QUALITY_DEGRADED for workload in workload_pool],
-            dtype=bool,
+    tenant_shed: Dict[str, int] = {}
+    for record in shed:
+        tenant = record.request.tenant
+        tenant_shed[tenant] = tenant_shed.get(tenant, 0) + 1
+    tenants = {}
+    slot_of = {tenant: slot for slot, tenant in enumerate(tenant_pool)}
+    for tenant in sorted(set(tenant_pool) | set(tenant_shed)):
+        mask = tenant_slots == slot_of.get(tenant, -1)
+        served = int(np.count_nonzero(mask))
+        shed_count = tenant_shed.get(tenant, 0)
+        if served == 0 and shed_count == 0:
+            # A pool entry no request references (merge dedupe keeps
+            # it) — the reference report never sees the tenant.
+            continue
+        # Boolean masking preserves served order, so the per-tenant fold
+        # carries the same rounding trail as the reference per-tenant sum.
+        latency = LatencyStats.from_array(sojourn[mask])
+        tenant_met = met[mask]
+        tenant_degraded = degraded[mask]
+        tenants[tenant] = TenantStats(
+            tenant=tenant,
+            offered=served + shed_count,
+            served=served,
+            shed=shed_count,
+            slo_met=int(np.count_nonzero(tenant_met)),
+            latency=latency,
+            served_degraded=int(np.count_nonzero(tenant_degraded)),
+            slo_met_degraded=int(np.count_nonzero(tenant_met & tenant_degraded)),
         )
-        degraded = degraded_of_slot[workload_slots]
-        if slo is not None:
-            # ``slo_for`` depends only on the workload's name and the tenant,
-            # so one threshold per (workload slot, tenant slot) pair covers
-            # every request.
-            thresholds = np.empty((len(workload_pool), len(tenant_pool)), dtype=np.float64)
-            for slot, workload in enumerate(workload_pool):
-                for tenant_slot, tenant in enumerate(tenant_pool):
-                    thresholds[slot, tenant_slot] = slo.slo_for(workload, tenant)
-            met = sojourn <= thresholds[workload_slots, tenant_slots]
-        else:
-            # Without an SLO every served request counts as met.
-            met = np.ones(len(sojourn), dtype=bool)
-
-        tenants = {}
-        slot_of = {tenant: slot for slot, tenant in enumerate(tenant_pool)}
-        for tenant in sorted(set(tenant_pool) | set(self.tenant_shed)):
-            mask = tenant_slots == slot_of.get(tenant, -1)
-            served = int(np.count_nonzero(mask))
-            shed = self.tenant_shed.get(tenant, 0)
-            if served == 0 and shed == 0:
-                # A pool entry no request references (merge dedupe keeps
-                # it) — the reference report never sees the tenant.
-                continue
-            latency = StreamingLatencyStats()
-            # Boolean masking preserves served order, so the per-tenant fold
-            # carries the same rounding trail as the reference per-tenant sum.
-            latency.extend(sojourn[mask])
-            tenant_met = met[mask]
-            tenant_degraded = degraded[mask]
-            tenants[tenant] = TenantStats(
-                tenant=tenant,
-                offered=served + shed,
-                served=served,
-                shed=shed,
-                slo_met=int(np.count_nonzero(tenant_met)),
-                latency=latency.stats(),
-                served_degraded=int(np.count_nonzero(tenant_degraded)),
-                slo_met_degraded=int(np.count_nonzero(tenant_met & tenant_degraded)),
-            )
-        latency = StreamingLatencyStats()
-        latency.extend(sojourn)
-        return ReportAggregates(
-            count=len(sojourn),
-            shed_count=shed_count,
-            latency=latency.stats(),
-            batching_sum=_left_fold_sum(0.0, batching),
-            dispatch_sum=_left_fold_sum(0.0, dispatch),
-            service_sum=_left_fold_sum(0.0, service),
-            slo_met=int(np.count_nonzero(met)),
-            tenants=tenants,
-            served_degraded=int(np.count_nonzero(degraded)),
-            slo_met_degraded=int(np.count_nonzero(met & degraded)),
-        )
+    return ReportAggregates(
+        count=len(sojourn),
+        shed_count=len(shed),
+        latency=LatencyStats.from_array(sojourn),
+        batching_sum=_left_fold_sum(0.0, batching),
+        dispatch_sum=_left_fold_sum(0.0, dispatch),
+        service_sum=_left_fold_sum(0.0, service),
+        slo_met=int(np.count_nonzero(met)),
+        tenants=tenants,
+        served_degraded=int(np.count_nonzero(degraded)),
+        slo_met_degraded=int(np.count_nonzero(met & degraded)),
+    )
 
 
 def _slot_pool(values: Sequence) -> Tuple[list, np.ndarray]:
@@ -340,14 +319,17 @@ class ReferenceBackend:
     busy-until list the loop reads; writes go through :meth:`set_busy`.
     """
 
-    #: Report aggregates (``None``: the report re-derives them).
-    accumulator: Optional[_RunAccumulator] = None
+    #: Whether a run commits whole batches into flat columns and folds them
+    #: once at report time (:func:`_report_aggregates`); the reference
+    #: builds one record per request and its report re-derives every
+    #: summary from them (the oracle).
+    batch_columns = False
     #: Whether every pick is the side-effect-free least-loaded choice, which
     #: the fault runtime may then make in one ordered walk over its live
     #: candidates; the reference re-picks (the oracle for the walk).
     least_loaded = False
 
-    def __init__(self, cluster: "ShardedServiceCluster", slo: Optional["SLOPolicy"]) -> None:
+    def __init__(self, cluster: "ShardedServiceCluster") -> None:
         self.cluster = cluster
         self.busy = [0.0] * cluster.num_shards
 
@@ -397,12 +379,15 @@ class ReferenceBackend:
 class FastBackend(ReferenceBackend):
     """Indexed structures and memoization with the reference's values."""
 
-    def __init__(self, cluster: "ShardedServiceCluster", slo: Optional["SLOPolicy"]) -> None:
+    batch_columns = True
+
+    def __init__(self, cluster: "ShardedServiceCluster") -> None:
+        from repro.serving.cluster import POLICY_LEAST_LOADED
+
         self.cluster = cluster
         self.heap = ShardHeap(cluster.num_shards)
         self.busy = self.heap.busy
-        self.accumulator = _RunAccumulator(slo)
-        self.least_loaded = _heap_picks(cluster)
+        self.least_loaded = cluster.policy == POLICY_LEAST_LOADED
         self._deadlines: List[tuple] = []
         # The per-batch pieces are bound to their module-level functions
         # (no method frame on the dispatch hot path).
@@ -598,7 +583,7 @@ def _serve_trace_chunked(
     """Array-native offline replay, the fast engine's ``serve_trace`` path.
 
     Batch formation and per-request accounting
-    (:meth:`_RunAccumulator.aggregates`, shared with the event loop's
+    (:func:`_report_aggregates`, shared with the event loop's
     report) operate on NumPy views of the trace's structure-of-arrays form
     (:class:`~repro.serving.scheduler.BatchPlan`); the only per-batch Python
     work left is the dispatch decision itself — shard pick, serve-transition
@@ -617,7 +602,7 @@ def _serve_trace_chunked(
       (elementwise ``(batching + dispatch) + service``, broadcast of the
       per-batch ``start - ready``), and
     * sums fold left-to-right from the same initial values
-      (:func:`_left_fold_sum`, ``StreamingLatencyStats.extend``).
+      (:func:`_left_fold_sum`, :meth:`LatencyStats.from_array`).
 
     ``serve_trace`` gates on eligibility: no fault schedule and no
     fair-mode scheduler (both make the next event state-dependent in ways
@@ -696,7 +681,8 @@ def _serve_trace_chunked(
     member_positions = plan.member_positions
     total_requests = len(member_positions)
     arrivals = arrays.arrival_seconds
-    aggregates = _RunAccumulator(slo).aggregates(
+    aggregates = _report_aggregates(
+        slo,
         ready_array,
         starts,
         durations,
@@ -706,7 +692,6 @@ def _serve_trace_chunked(
         pool,
         arrays.tenant_index[member_positions],
         arrays.tenant_pool,
-        shed_count=0,
     )
 
     def members() -> List[InferenceRequest]:

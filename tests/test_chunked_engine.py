@@ -62,11 +62,14 @@ def _chunked(cluster, trace, slo=None):
 def _both(make_cluster, trace, slo=None):
     """(chunked report, event-loop report), each from a fresh cluster.
 
-    Stateful systems (DynPre) mutate shard preprocessing state across a
-    serve, so the two runs must not share cluster instances."""
-    chunked = _chunked(make_cluster(), trace, slo)
+    The event loop runs on the reference backend, whose per-request records
+    and re-derived summaries share no accounting code with the chunked
+    loop's fold.  Stateful systems (DynPre) mutate shard preprocessing
+    state across a serve, so the two runs must not share cluster instances.
+    ``make_cluster`` takes the engine."""
+    chunked = _chunked(make_cluster(ENGINE_FAST), trace, slo)
     with chunked_calls() as calls:
-        event = make_cluster().serve_online(
+        event = make_cluster(ENGINE_REFERENCE).serve_online(
             TraceArrivals(trace), config=ServingConfig(slo=slo)
         )
     assert calls == []
@@ -93,8 +96,8 @@ class TestChunkedEquivalence:
             num_requests
         )
         chunked, event = _both(
-            lambda: _cluster(
-                services, name, policy=policy, num_shards=num_shards,
+            lambda engine: _cluster(
+                services, name, engine, policy=policy, num_shards=num_shards,
                 scheduler=BatchScheduler(
                     max_batch_size=max_batch_size,
                     max_wait_seconds=max_wait_ms * 1e-3,
@@ -123,7 +126,9 @@ class TestChunkedEquivalence:
             per_tenant={"ent": TenantQuota(slo_seconds=0.1)},
         )
         chunked, event = _both(
-            lambda: _cluster(services, num_shards=num_shards), trace, slo=slo
+            lambda engine: _cluster(services, engine=engine, num_shards=num_shards),
+            trace,
+            slo=slo,
         )
         assert _render(chunked) == _render(event)
         assert chunked.tenant_stats == event.tenant_stats
@@ -139,7 +144,9 @@ class TestChunkedEquivalence:
 
     def test_served_records_equal_not_just_summaries(self, services):
         trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=500.0, seed=3).trace(30)
-        chunked, event = _both(lambda: _cluster(services, "StatPre"), trace)
+        chunked, event = _both(
+            lambda engine: _cluster(services, "StatPre", engine), trace
+        )
         assert len(chunked.served) == len(event.served)
         assert chunked.served == event.served
         for a, b in zip(chunked.served, event.served):
@@ -205,6 +212,6 @@ class TestLazyServedLog:
 
     def test_materialized_records_are_indexable(self, services):
         trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=500.0, seed=7).trace(25)
-        chunked, event = _both(lambda: _cluster(services), trace)
+        chunked, event = _both(lambda engine: _cluster(services, engine=engine), trace)
         assert chunked.served[0] == event.served[0]
         assert list(chunked.served) == event.served

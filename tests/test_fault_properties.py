@@ -603,6 +603,60 @@ def test_per_epoch_tables_match_fresh_schedule_queries(
     assert report.goodput.offered == len(trace)
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    with_topology=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    fault_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_least_loaded_walk_matches_reference_re_picks(
+    services, with_topology, seed, fault_seed
+):
+    """Least-loaded fault dispatch, topology or not: the fast backend's one
+    ordered walk over the live candidates renders the bytes the reference's
+    repeated ``pick_among`` does, and the fast run really walks."""
+    num_shards = 4
+    topology = ClusterTopology.uniform(num_shards, 2) if with_topology else None
+    trace = _trace(seed, num_requests=60, rate_rps=400.0)
+    faults = RandomFaults(
+        num_shards=num_shards,
+        horizon_seconds=trace[-1].arrival_seconds,
+        mean_uptime_seconds=0.03,
+        mean_downtime_seconds=0.05,
+        retry_budget=2,
+        retry_backoff_seconds=0.002,
+        seed=fault_seed,
+        topology=topology,
+        correlated=(
+            CorrelatedFaults(mean_uptime_seconds=0.05, mean_downtime_seconds=0.03)
+            if topology is not None
+            else None
+        ),
+    ).schedule()
+    walked = {}
+    dispatch = FaultRuntime.dispatch
+
+    def spied_dispatch(self, batch, run):
+        walked.setdefault(run.backend.batch_columns, set()).add(run.least_loaded)
+        return dispatch(self, batch, run)
+
+    def run(engine):
+        cluster = ShardedServiceCluster(
+            services["DynPre"],
+            num_shards=num_shards,
+            scheduler=BatchScheduler(max_batch_size=3, max_wait_seconds=0.003),
+            engine=engine,
+            topology=topology,
+        )
+        return cluster.serve_trace(trace, config=ServingConfig(faults=faults))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FaultRuntime, "dispatch", spied_dispatch)
+        reference, fast = run("reference"), run("fast")
+    assert _render(reference) == _render(fast)
+    assert walked == {False: {False}, True: {True}}
+
+
 # ------------------------------------------------------ schedule validation
 def test_schedule_rejects_crash_while_down():
     with pytest.raises(ValueError):
