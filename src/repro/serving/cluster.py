@@ -525,31 +525,29 @@ def _home_shard(batch: RequestBatch, num_candidates: int) -> int:
 
 
 def _admission_estimate(
-    template: GNNService,
-    request: InferenceRequest,
-    admission: "AdmissionController",
-    open_members: Optional[List[InferenceRequest]],
+    price_resized: Callable[[WorkloadProfile, int], float],
+    standalone: float,
+    batch_size: int,
+    open_members: List[InferenceRequest],
 ) -> float:
-    """Service-time estimate the admission prediction charges ``request``.
+    """Batch-aware estimate of a request of ``batch_size`` seed nodes that
+    would join ``open_members``' forming batch.
 
-    The conservative default prices the request as a standalone pass.  With
-    ``admission.batch_aware`` and a compatible batch already forming, the
-    request is priced at its *marginal* merged-batch cost — the merged
-    pass with the request minus the pass already committed to — which is
-    what the batch will actually add to the shard's busy horizon (batched
-    preprocessing amortizes the fixed per-pass work).  Shared by both
-    serving engines so their float arithmetic is identical.
+    The conservative default prices a request as a standalone pass
+    (``standalone``).  With ``admission.batch_aware`` and a compatible batch
+    already forming, the request is priced at its *marginal* merged-batch
+    cost when that is lower — the merged pass with the request minus the
+    pass already committed to — which is what the batch will actually add
+    to the shard's busy horizon (batched preprocessing amortizes the fixed
+    per-pass work).  ``price_resized`` is the backend's estimate of a base
+    profile resized to a merged size; both backends share this arithmetic
+    so their floats are identical.
     """
-    estimate = template.estimate_service_seconds(request.workload)
-    if admission.batch_aware and open_members:
-        base = open_members[0].workload
-        merged = sum(member.workload.batch_size for member in open_members)
-        forming = template.estimate_service_seconds(base.with_batch_size(merged))
-        joined = template.estimate_service_seconds(
-            base.with_batch_size(merged + request.workload.batch_size)
-        )
-        estimate = min(estimate, max(joined - forming, 0.0))
-    return estimate
+    base = open_members[0].workload
+    merged = sum(member.workload.batch_size for member in open_members)
+    forming = price_resized(base, merged)
+    joined = price_resized(base, merged + batch_size)
+    return min(standalone, max(joined - forming, 0.0))
 
 
 def _resolve_config(config: Optional["ServingConfig"]) -> "ServingConfig":
@@ -1199,8 +1197,10 @@ class ShardedServiceCluster:
         open_deadline: Dict[object, float] = {}
         # Requests in open batches (the autoscaler's queue depth reads it).
         open_count = 0
-        # Finish times of committed requests; only the autoscaler reads it.
-        inflight: List[float] = []
+        # ``(finish, member count)`` per committed batch, a heap, and the
+        # members still in flight; only the autoscaler reads them.
+        inflight: List[Tuple[float, int]] = []
+        inflight_count = 0
         shed_records: List[ShedRecord] = []
         decisions: List[object] = []
         # Estimated cost of requests admitted but not yet dispatched, so a
@@ -1265,13 +1265,27 @@ class ShardedServiceCluster:
             open_count -= len(members)
             dispatch_batch(RequestBatch(requests=members, ready_seconds=ready_seconds))
 
+        # A committed batch's effects.  With a drain planner the admitted
+        # estimates already cleared at plan time (``on_planned``).
+        # ``TraceArrivals`` ignores completions, so offline replays skip the
+        # per-request walk; a source that overrides ``on_complete`` is told.
+        clears_estimates = admission is not None and planner is None
+        notifies_source = (
+            getattr(source.on_complete, "__func__", None) is not TraceArrivals.on_complete
+        )
+
         def commit_online(batch: RequestBatch, finish: float) -> None:
-            for request in batch.requests:
-                if admission is not None:
+            nonlocal inflight_count
+            if autoscaler is not None:
+                count = len(batch.requests)
+                heapq.heappush(inflight, (finish, count))
+                inflight_count += count
+            if clears_estimates:
+                for request in batch.requests:
                     pending_estimates.pop(request.request_id, None)
-                if autoscaler is not None:
-                    heapq.heappush(inflight, finish)
-                source.on_complete(request, finish)
+            if notifies_source:
+                for request in batch.requests:
+                    source.on_complete(request, finish)
 
         def fail_request(request: InferenceRequest, seconds: float) -> None:
             pending_estimates.pop(request.request_id, None)
@@ -1282,6 +1296,9 @@ class ShardedServiceCluster:
         )
         backend = run.backend
         busy = run.busy
+        batch_aware = admission is not None and admission.batch_aware
+        admission_row = backend.admission_row
+        price_resized = backend.price_resized
         if ctx is None:
             submit = run.dispatch
         else:
@@ -1307,6 +1324,19 @@ class ShardedServiceCluster:
                     pending_estimates.pop(request.request_id, None)
 
             planner.on_planned = on_planned
+
+        def joinable_members(
+            key: object, tenant: str
+        ) -> Optional[List[InferenceRequest]]:
+            """Members of the forming batch an arrival under ``key`` would
+            join, or None: the marginal price's base (``batch_aware``)."""
+            if fair:
+                # A request the fair batcher would spill pays a full
+                # standalone pass, not the marginal increment of a batch it
+                # will not join.  Asked with or without ``batch_aware``:
+                # ``can_join`` seeds the tenant's deficit credit.
+                return batcher.open_members(key) if batcher.can_join(key, tenant) else None
+            return open_members.get(key)
 
         def enqueue(request: InferenceRequest, now: float, key: object) -> None:
             """Add ``request`` (batch key ``key``) to its forming batch."""
@@ -1376,17 +1406,16 @@ class ShardedServiceCluster:
                 break
             request = source.pop()
             now = request.arrival_seconds
-            key = request.workload.batch_key
             if first_arrival is None:
                 first_arrival = now
             if autoscaler is not None:
-                while inflight and inflight[0] <= now:
-                    heapq.heappop(inflight)
+                while inflight and inflight[0][0] <= now:
+                    inflight_count -= heapq.heappop(inflight)[1]
                 while recent_sheds and recent_sheds[0] < now - autoscaler.shed_memory_seconds:
                     recent_sheds.popleft()
                 pending = batcher.pending_count if fair else open_count
                 # The arriving request itself counts toward the depth.
-                queue_depth = 1 + len(inflight) + pending + len(recent_sheds)
+                queue_depth = 1 + inflight_count + pending + len(recent_sheds)
                 if ctx is not None:
                     # Work the fault layer is holding (retries, parked
                     # batches) is still demand the autoscaler must see.
@@ -1439,86 +1468,72 @@ class ShardedServiceCluster:
                     # billed to its lowered (post-migration) horizon.
                     for shard_id in order[active_count:previous]:
                         leases.close(shard_id, max(now, busy[shard_id]))
-            if admission is not None:
-                # Backlog of the least-loaded active shard plus the admitted
-                # but undispatched work, spread across the active shards —
-                # the queue depth times the calibrated per-batch cost.  The
-                # pending sum is re-reduced, not maintained incrementally,
-                # so its float accumulation order never depends on history.
-                if ctx is not None:
-                    # Only live shards can absorb work; with none, the
-                    # prediction is unbounded and only guaranteed-tier
-                    # traffic gets through (to queue until recovery).
-                    alive = ctx.active_alive(run.active_count)
-                    if alive:
-                        backlog = min(
-                            max(busy[i] - now, 0.0) for i in alive
-                        ) + sum(pending_estimates.values()) / len(alive)
-                    else:
-                        backlog = float("inf")
+            if admission is None:
+                enqueue(request, now, request.workload.batch_key)
+                continue
+            # Backlog of the least-loaded active shard plus the admitted but
+            # undispatched work, spread across the active shards — the queue
+            # depth times the calibrated per-batch cost.  The pending sum is
+            # re-reduced, not maintained incrementally, so its float
+            # accumulation order never depends on history.
+            if ctx is not None:
+                # Only live shards can absorb work; with none, the
+                # prediction is unbounded and only guaranteed-tier traffic
+                # gets through (to queue until recovery).
+                alive = ctx.active_alive(run.active_count)
+                if alive:
+                    backlog = min(
+                        max(busy[i] - now, 0.0) for i in alive
+                    ) + sum(pending_estimates.values()) / len(alive)
                 else:
-                    backlog = backend.min_backlog(run.active_count, now) + sum(
-                        pending_estimates.values()
-                    ) / run.active_count
-                if fair:
-                    # A request the fair batcher would spill pays a full
-                    # standalone pass, not the marginal increment of a
-                    # batch it will not join.
-                    joinable = (
-                        batcher.open_members(key)
-                        if batcher.can_join(key, request.tenant)
-                        else None
+                    backlog = float("inf")
+            else:
+                backlog = backend.min_backlog(run.active_count, now) + sum(
+                    pending_estimates.values()
+                ) / run.active_count
+            # The request's batch key and standalone price, and its cheaper
+            # degraded-quality tier (own batch key, own batches) that the
+            # controller may admit when the full-quality prediction
+            # violates the SLO.
+            key, estimate, degraded_workload, degraded_key, degraded_estimate = (
+                admission_row(request, admission)
+            )
+            if batch_aware or fair:
+                joinable = joinable_members(key, request.tenant)
+                if batch_aware and joinable:
+                    estimate = _admission_estimate(
+                        price_resized, estimate, request.workload.batch_size, joinable
                     )
-                else:
-                    joinable = open_members.get(key)
-                estimate = _admission_estimate(
-                    self.template, request, admission, joinable
-                )
-                # Degraded-quality tier: price the request's cheaper profile
-                # against *its own* open batch (degraded requests batch under
-                # their own key) so the controller can admit it degraded when
-                # the full-quality prediction violates the SLO.
-                degraded_workload = admission.degraded_profile(
-                    request.workload, request.tenant
-                )
-                degraded_estimate = None
-                degraded_request = None
                 if degraded_workload is not None:
-                    degraded_key = degraded_workload.batch_key
-                    if fair:
-                        degraded_joinable = (
-                            batcher.open_members(degraded_key)
-                            if batcher.can_join(degraded_key, request.tenant)
-                            else None
+                    # Degraded requests price against *their own* open batch.
+                    joinable = joinable_members(degraded_key, request.tenant)
+                    if batch_aware and joinable:
+                        degraded_estimate = _admission_estimate(
+                            price_resized,
+                            degraded_estimate,
+                            degraded_workload.batch_size,
+                            joinable,
                         )
-                    else:
-                        degraded_joinable = open_members.get(degraded_key)
-                    degraded_request = replace(request, workload=degraded_workload)
-                    degraded_estimate = _admission_estimate(
-                        self.template, degraded_request, admission, degraded_joinable
+            decision = admission.decide(request, now, backlog, estimate, degraded_estimate)
+            if admission.record_decisions:
+                decisions.append(decision)
+            if not decision.admitted:
+                shed_records.append(
+                    ShedRecord(
+                        request=request,
+                        shed_seconds=now,
+                        predicted_sojourn=decision.predicted_sojourn,
+                        slo_seconds=decision.slo_seconds,
                     )
-                decision = admission.decide(
-                    request, now, backlog, estimate, degraded_estimate
                 )
-                if admission.record_decisions:
-                    decisions.append(decision)
-                if not decision.admitted:
-                    shed_records.append(
-                        ShedRecord(
-                            request=request,
-                            shed_seconds=now,
-                            predicted_sojourn=decision.predicted_sojourn,
-                            slo_seconds=decision.slo_seconds,
-                        )
-                    )
-                    recent_sheds.append(now)
-                    source.on_shed(request, now)
-                    continue
-                if decision.degraded:
-                    request = degraded_request
-                    key = degraded_key
-                    estimate = degraded_estimate
-                pending_estimates[request.request_id] = estimate
+                recent_sheds.append(now)
+                source.on_shed(request, now)
+                continue
+            if decision.degraded:
+                request = replace(request, workload=degraded_workload)
+                key = degraded_key
+                estimate = degraded_estimate
+            pending_estimates[request.request_id] = estimate
             enqueue(request, now, key)
 
         return run.report(

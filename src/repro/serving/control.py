@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.serving.requests import DEFAULT_TENANT
 from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
@@ -340,6 +340,16 @@ class _TokenBucket:
         return False
 
 
+def _bucket(
+    rate: Optional[float], burst_seconds: float, now_seconds: float
+) -> Optional[_TokenBucket]:
+    """A token bucket started at ``now_seconds`` (None without a rate)."""
+    if rate is None or rate <= 0:
+        return None
+    capacity = max(1.0, min(rate * burst_seconds, MAX_BURST_TOKENS))
+    return _TokenBucket(rate, capacity, now_seconds)
+
+
 class AdmissionController:
     """Predictive, tenant-aware admission control against an :class:`SLOPolicy`.
 
@@ -398,8 +408,13 @@ class AdmissionController:
         self.record_decisions = record_decisions
         self.batch_aware = batch_aware
         self.degradation = degradation
-        self._guaranteed: Dict[str, Optional[_TokenBucket]] = {}
-        self._limits: Dict[str, Optional[_TokenBucket]] = {}
+        # Per tenant, resolved at its first decision (when its buckets
+        # start): ``(quota, limit bucket, guaranteed bucket, SLO by
+        # workload name)``.
+        self._tenants: Dict[
+            str,
+            Tuple[TenantQuota, Optional[_TokenBucket], Optional[_TokenBucket], Dict[str, float]],
+        ] = {}
         self._excess: Dict[str, Optional[_TokenBucket]] = {}
         self._degraded_profiles: Dict[WorkloadProfile, Optional[WorkloadProfile]] = {}
         weights = [quota.weight for quota in policy.per_tenant.values()]
@@ -426,17 +441,18 @@ class AdmissionController:
             self._degraded_profiles[workload] = degraded if cheaper else None
         return self._degraded_profiles[workload]
 
-    def _bucket(
-        self, table: Dict[str, Optional[_TokenBucket]], tenant: str,
-        rate: Optional[float], burst_seconds: float, now_seconds: float,
-    ) -> Optional[_TokenBucket]:
-        if tenant not in table:
-            if rate is None or rate <= 0:
-                table[tenant] = None
-            else:
-                capacity = max(1.0, min(rate * burst_seconds, MAX_BURST_TOKENS))
-                table[tenant] = _TokenBucket(rate, capacity, now_seconds)
-        return table[tenant]
+    def _tenant(self, tenant: str, now_seconds: float):
+        """Resolve ``tenant``'s quota and start its limit and guaranteed
+        buckets at ``now_seconds``, its first decision."""
+        quota = self.policy.quota_for(tenant)
+        state = (
+            quota,
+            _bucket(quota.limit_rps, quota.burst_seconds, now_seconds),
+            _bucket(quota.guaranteed_rps, quota.burst_seconds, now_seconds),
+            {},
+        )
+        self._tenants[tenant] = state
+        return state
 
     def decide(
         self,
@@ -453,17 +469,18 @@ class AdmissionController:
         degradation policy is configured — enables the degraded-quality
         prediction tier; ``None`` keeps the verdict binary (admit/shed).
         """
-        predicted = max(backlog_seconds, 0.0) + max(service_estimate_seconds, 0.0)
+        backlog = max(backlog_seconds, 0.0)
+        predicted = backlog + max(service_estimate_seconds, 0.0)
         tenant = request.tenant
-        slo = self.policy.slo_for(request.workload, tenant)
-        quota = self.policy.quota_for(tenant)
-        limit = self._bucket(
-            self._limits, tenant, quota.limit_rps, quota.burst_seconds, now_seconds
-        )
-        guaranteed = self._bucket(
-            self._guaranteed, tenant, quota.guaranteed_rps, quota.burst_seconds,
-            now_seconds,
-        )
+        state = self._tenants.get(tenant)
+        if state is None:
+            state = self._tenant(tenant, now_seconds)
+        quota, limit, guaranteed, slos = state
+        # ``slo_for`` depends only on the workload's name and the tenant.
+        workload = request.workload
+        slo = slos.get(workload.name)
+        if slo is None:
+            slo = slos[workload.name] = self.policy.slo_for(workload, tenant)
         degraded_tier = False
         if limit is not None and not limit.take(now_seconds):
             admitted, reason = False, "rate-limit"
@@ -474,9 +491,9 @@ class AdmissionController:
         elif (
             degraded_estimate_seconds is not None
             and not quota.no_degrade
-            and max(backlog_seconds, 0.0) + max(degraded_estimate_seconds, 0.0) <= slo
+            and backlog + max(degraded_estimate_seconds, 0.0) <= slo
         ):
-            predicted = max(backlog_seconds, 0.0) + max(degraded_estimate_seconds, 0.0)
+            predicted = backlog + max(degraded_estimate_seconds, 0.0)
             admitted, reason, degraded_tier = True, "degraded", True
         else:
             # Only quota-listed tenants share the excess budget: an unlisted
@@ -487,9 +504,11 @@ class AdmissionController:
                 excess_rate = (
                     self.policy.excess_rps * quota.weight / self._total_weight
                 )
-            excess = self._bucket(
-                self._excess, tenant, excess_rate, quota.burst_seconds, now_seconds
-            )
+            if tenant not in self._excess:
+                self._excess[tenant] = _bucket(
+                    excess_rate, quota.burst_seconds, now_seconds
+                )
+            excess = self._excess[tenant]
             if excess is not None and excess.take(now_seconds):
                 admitted, reason = True, "weighted-excess"
             else:

@@ -27,6 +27,12 @@ online and for offline replays alike.  The ``engine`` option only picks the
     staleness instead of scanning every shard per batch.
   * **Deadline heap** — the event loop's next-expiring-batch query is a
     heap top instead of a scan over all open batches.
+  * **Per-run price tables** — admission prices each distinct thing once
+    per run: standalone estimates keyed on interned workload ids, merged
+    (``batch_aware``) estimates on ``(base workload id, merged size)``,
+    and each ``(profile, tenant)`` pair's batch key, estimate and degraded
+    tier in one row.  The template is never served during a run, so its
+    estimates are run constants; the tables die with the run.
   * **Batch-granular commit, one report-time fold** — a commit appends one
     record per batch to flat columns (members, ready, start, duration,
     shard, member count, report); no per-request object is built.  When
@@ -64,7 +70,7 @@ from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
 
 if TYPE_CHECKING:
     from repro.serving.cluster import ShardedServiceCluster, ShedRecord
-    from repro.serving.control import SLOPolicy
+    from repro.serving.control import AdmissionController, SLOPolicy
     from repro.system.service import ServiceReport
 
 class ShardHeap:
@@ -263,11 +269,34 @@ def _cached_serve(
     return report, duration
 
 
+def _interned_id(
+    cluster: "ShardedServiceCluster",
+    interned: Dict[int, Tuple[int, WorkloadProfile]],
+    workload: WorkloadProfile,
+) -> int:
+    """``cluster._workload_id(workload)``, memoized per run on the profile's
+    identity.
+
+    A run's requests share a handful of profile objects, so an ``id()``
+    lookup replaces hashing every field of the frozen dataclass.  The
+    table holds each profile it has seen, so no ``id`` is reused while the
+    table lives (one run).
+    """
+    entry = interned.get(id(workload))
+    if entry is None:
+        entry = (cluster._workload_id(workload), workload)
+        interned[id(workload)] = entry
+    return entry[0]
+
+
 def _merged_workload_id(
-    cluster: "ShardedServiceCluster", batch: RequestBatch, merged_ids: Dict[tuple, int]
+    cluster: "ShardedServiceCluster",
+    interned: Dict[int, Tuple[int, WorkloadProfile]],
+    batch: RequestBatch,
+    merged_ids: Dict[Tuple[int, int], int],
 ) -> int:
     """Interned id of the batch's merged workload, memoized per run on
-    (base profile, summed size).
+    (interned base profile, summed size).
 
     The merge itself is delegated to ``RequestBatch.workload`` — the same
     property the reference backend evaluates — so the two backends cannot
@@ -276,7 +305,7 @@ def _merged_workload_id(
     """
     base = batch.requests[0].workload
     total = sum(request.workload.batch_size for request in batch.requests)
-    key = (base, total)
+    key = (_interned_id(cluster, interned, base), total)
     workload_id = merged_ids.get(key)
     if workload_id is None:
         workload_id = cluster._workload_id(batch.workload)
@@ -291,24 +320,34 @@ def _pick_shard(
     workload_id: int,
     active_count: int,
 ) -> int:
-    """``ShardedServiceCluster._pick_shard`` on the shard heap.
-
-    Least-loaded dispatch without a topology is a heap pick over the active
-    prefix; every other policy delegates to the cluster's picker over the
-    heap's authoritative busy list, the same call the fault path makes.
-    ``workload_id`` keeps the backend ``pick`` signature.
-    """
-    if _heap_picks(cluster):
-        return heap.pick(active_count)
+    """``ShardedServiceCluster._pick_shard`` over the heap's authoritative
+    busy list, the same call the fault path makes: every policy but
+    least-loaded without a topology.  ``workload_id`` keeps the backend
+    ``pick`` signature."""
     return cluster._pick_shard(batch, heap.busy, cluster._order[:active_count])
+
+
+def _heap_pick(heap: ShardHeap, batch: RequestBatch, workload_id: int, active_count: int) -> int:
+    """Least-loaded dispatch without a topology: a heap pick over the
+    active prefix (backend ``pick`` signature)."""
+    return heap.pick(active_count)
 
 
 def _heap_picks(cluster: "ShardedServiceCluster") -> bool:
     """Whether the cluster's picks are least-loaded over an index prefix
-    (no topology): a heap pick, free of side effects."""
+    (no topology): a heap pick, free of side effects.  Resolved once per
+    run."""
     from repro.serving.cluster import POLICY_LEAST_LOADED
 
     return cluster.topology is None and cluster.policy == POLICY_LEAST_LOADED
+
+
+#: One request's admission prices: ``(batch key, standalone estimate,
+#: degraded profile, degraded batch key, degraded standalone estimate)``;
+#: the last three are None when the request has no degraded tier.
+AdmissionRow = Tuple[
+    tuple, float, Optional[WorkloadProfile], Optional[tuple], Optional[float]
+]
 
 
 # -------------------------------------------------------------------- backends
@@ -347,6 +386,30 @@ class ReferenceBackend:
         """Dispatch target among the first ``active_count`` activated shards."""
         cluster = self.cluster
         return cluster._pick_shard(batch, self.busy, cluster._order[:active_count])
+
+    def price(self, workload: WorkloadProfile) -> float:
+        """Calibrated standalone estimate of one pass of ``workload``."""
+        return self.cluster.template.estimate_service_seconds(workload)
+
+    def price_resized(self, base: WorkloadProfile, size: int) -> float:
+        """Estimate of ``base`` resized to ``size`` seed nodes (a merged batch)."""
+        return self.price(base.with_batch_size(size))
+
+    def admission_row(
+        self, request: InferenceRequest, admission: "AdmissionController"
+    ) -> AdmissionRow:
+        """The :data:`AdmissionRow` of ``request`` under ``admission``."""
+        workload = request.workload
+        degraded = admission.degraded_profile(workload, request.tenant)
+        if degraded is None:
+            return workload.batch_key, self.price(workload), None, None, None
+        return (
+            workload.batch_key,
+            self.price(workload),
+            degraded,
+            degraded.batch_key,
+            self.price(degraded),
+        )
 
     def min_backlog(self, active_count: int, now: float) -> float:
         """Smallest remaining backlog among the active shards."""
@@ -389,15 +452,55 @@ class FastBackend(ReferenceBackend):
         self.busy = self.heap.busy
         self.least_loaded = cluster.policy == POLICY_LEAST_LOADED
         self._deadlines: List[tuple] = []
+        # Per-run tables, filled lazily.  Profile identity -> interned
+        # workload id; interned id -> standalone estimate; (interned base
+        # id, merged size) -> resized estimate; (profile identity, tenant)
+        # -> admission row.  They live as long as the backend, one run, so
+        # a template whose state changes between runs is re-priced.
+        self._interned: Dict[int, Tuple[int, WorkloadProfile]] = {}
+        self._estimates: Dict[int, float] = {}
+        self._resized: Dict[Tuple[int, int], float] = {}
+        self._rows: Dict[Tuple[int, str], AdmissionRow] = {}
         # The per-batch pieces are bound to their module-level functions
         # (no method frame on the dispatch hot path).
         self.set_busy = self.heap.update
         # ``merged`` hands out interned workload ids, which ``pick`` and
         # ``serve`` take in place of the profile.
-        self.merged = partial(_merged_workload_id, cluster, merged_ids={})
+        self.merged = partial(_merged_workload_id, cluster, self._interned, merged_ids={})
         states = [cluster._state_id(shard) for shard in cluster.shards]
         self.serve = partial(_cached_serve, cluster, states)
-        self.pick = partial(_pick_shard, cluster, self.heap)
+        if _heap_picks(cluster):
+            self.pick = partial(_heap_pick, self.heap)
+        else:
+            self.pick = partial(_pick_shard, cluster, self.heap)
+
+    def price(self, workload: WorkloadProfile) -> float:
+        workload_id = _interned_id(self.cluster, self._interned, workload)
+        estimate = self._estimates.get(workload_id)
+        if estimate is None:
+            estimate = super().price(workload)
+            self._estimates[workload_id] = estimate
+        return estimate
+
+    def price_resized(self, base: WorkloadProfile, size: int) -> float:
+        key = (_interned_id(self.cluster, self._interned, base), size)
+        estimate = self._resized.get(key)
+        if estimate is None:
+            estimate = self.price(base.with_batch_size(size))
+            self._resized[key] = estimate
+        return estimate
+
+    def admission_row(
+        self, request: InferenceRequest, admission: "AdmissionController"
+    ) -> AdmissionRow:
+        # ``price`` interns (and so keeps alive) the request's profile
+        # before the row is stored under its identity.
+        key = (id(request.workload), request.tenant)
+        row = self._rows.get(key)
+        if row is None:
+            row = super().admission_row(request, admission)
+            self._rows[key] = row
+        return row
 
     def min_backlog(self, active_count: int, now: float) -> float:
         if self.cluster.topology is not None:

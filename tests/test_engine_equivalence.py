@@ -42,7 +42,8 @@ from repro.serving import (
     TraceArrivals,
 )
 from repro.serving.engine import ShardHeap
-from repro.system.service import build_services
+from repro.system.service import GNNService, build_services
+from repro.system.workload import QUALITY_DEGRADED
 
 
 def _render(report) -> str:
@@ -322,7 +323,7 @@ class TestTenantEquivalence:
             assert stats.slo_met == other.slo_met
             assert stats.latency == other.latency
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(
         name=st.sampled_from(SYSTEM_NAMES),
         seed=st.integers(min_value=0, max_value=2**16),
@@ -333,11 +334,20 @@ class TestTenantEquivalence:
         num_shards=st.integers(min_value=1, max_value=4),
         fair=st.booleans(),
         slo_ms=st.sampled_from([50.0, 300.0]),
+        pro_slo_ms=st.sampled_from([None, 30.0, 400.0]),
+        ent_no_degrade=st.booleans(),
+        excess_rps=st.sampled_from([0.0, 15.0]),
+        degrade=st.booleans(),
+        batch_aware=st.booleans(),
     )
     def test_property_sweep_tenants(
         self, services, name, seed, num_per_tenant, peak, max_batch_size,
-        max_wait_ms, num_shards, fair, slo_ms,
+        max_wait_ms, num_shards, fair, slo_ms, pro_slo_ms, ent_no_degrade,
+        excess_rps, degrade, batch_aware,
     ):
+        """Quota-tiered admission across tenants, with per-tenant SLO
+        overrides, a ``no_degrade`` tenant, a shared excess budget, the
+        degraded tier and ``batch_aware`` pricing in any combination."""
         trace = make_bursty_tenant_trace(
             WORKLOAD_POOL, num_per_tenant=num_per_tenant, peak_rate_rps=peak,
             seed=seed,
@@ -349,19 +359,37 @@ class TestTenantEquivalence:
         )
         slo = SLOPolicy(
             default_slo_seconds=slo_ms * 1e-3,
-            per_tenant={"free": TenantQuota(guaranteed_rps=20.0)},
+            per_tenant={
+                "free": TenantQuota(guaranteed_rps=20.0),
+                "pro": TenantQuota(
+                    weight=2.0,
+                    slo_seconds=pro_slo_ms * 1e-3 if pro_slo_ms is not None else None,
+                ),
+                "ent": TenantQuota(weight=3.0, no_degrade=ent_no_degrade),
+            },
+            excess_rps=excess_rps,
+        )
+        config = ServingConfig(
+            slo=slo,
+            admit=True,
+            batch_aware=batch_aware,
+            degradation=DegradationPolicy(k_factor=0.5, layer_drop=1) if degrade else None,
         )
 
         def run(engine):
             cluster = _cluster(
                 services, name, engine, num_shards=num_shards, scheduler=scheduler
             )
-            return cluster.serve_online(
-                TraceArrivals(trace),
-                config=ServingConfig(slo=slo, admit=True, batch_aware=True),
-            )
+            return cluster.serve_online(TraceArrivals(trace), config=config)
 
-        assert _render(run(ENGINE_REFERENCE)) == _render(run(ENGINE_FAST))
+        reference, fast = run(ENGINE_REFERENCE), run(ENGINE_FAST)
+        assert _render(reference) == _render(fast)
+        assert reference.decisions == fast.decisions
+        if ent_no_degrade:
+            assert not any(
+                decision.degraded for decision in fast.decisions
+                if decision.tenant == "ent"
+            )
 
 
 # ------------------------------------------------------ graceful degradation
@@ -749,6 +777,103 @@ class TestFastEngineExtras:
         assert system.cost_model._estimate_cache == {}
         assert template._inference_cache == {}
         assert template._cost_cache == {}
+
+    def test_estimates_priced_once_per_distinct_key(self, services):
+        """Admission with degradation and ``batch_aware`` pricing: the fast
+        backend's per-run tables ask the template for each distinct
+        ``(state, batch key, size)`` estimate at most once, and its report
+        and decision log equal the reference backend's, which prices every
+        request directly."""
+        trace = make_bursty_tenant_trace(WORKLOAD_POOL, num_per_tenant=25, seed=11)
+        config = ServingConfig(
+            slo=SLOPolicy(
+                default_slo_seconds=0.05,
+                per_tenant={
+                    "free": TenantQuota(guaranteed_rps=10.0),
+                    "pro": TenantQuota(slo_seconds=0.08, no_degrade=True),
+                },
+            ),
+            admit=True,
+            batch_aware=True,
+            degradation=DegradationPolicy(k_factor=0.5, layer_drop=1),
+        )
+        scheduler = BatchScheduler(max_batch_size=3, max_wait_seconds=0.004)
+        original = GNNService.estimate_service_seconds
+        priced = []
+
+        def spy(self, workload):
+            priced.append((self.state_key(), workload.batch_key, workload.batch_size))
+            return original(self, workload)
+
+        def run(engine):
+            priced.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(GNNService, "estimate_service_seconds", spy)
+                report = _cluster(
+                    services, "DynPre", engine, scheduler=scheduler
+                ).serve_online(TraceArrivals(trace), config=config)
+            return report, list(priced)
+
+        reference, reference_priced = run(ENGINE_REFERENCE)
+        fast, fast_priced = run(ENGINE_FAST)
+        assert len(fast_priced) == len(set(fast_priced))
+        assert set(fast_priced) == set(reference_priced)
+        assert len(reference_priced) > len(trace)
+        # The run priced merged batches and degraded profiles, and used
+        # every admission outcome.
+        request_sizes = {workload.batch_size for workload in WORKLOAD_POOL}
+        assert any(size not in request_sizes for _, _, size in fast_priced)
+        assert any(key[-1] == QUALITY_DEGRADED for _, key, _ in fast_priced)
+        assert fast.num_shed and fast.num_degraded
+        assert _render(fast) == _render(reference)
+        assert fast.decisions == reference.decisions
+
+    def test_price_tables_do_not_outlive_a_run(self, services):
+        """Two runs on one cluster render the reference backend's bytes.
+        After the template's preprocessing state changes between runs, the
+        next run prices against the new state, as a fresh cluster does:
+        no table survives its run."""
+        template = services["DynPre"].replicate()
+        # One request per second: every shard is idle at each arrival and
+        # nothing is pending, so a prediction is exactly the estimate.
+        trace = RequestTrace(
+            [
+                InferenceRequest(
+                    request_id=i,
+                    arrival_seconds=float(i),
+                    workload=WORKLOAD_POOL[i % len(WORKLOAD_POOL)],
+                    tenant=TENANTS[i % len(TENANTS)],
+                )
+                for i in range(9)
+            ]
+        )
+        config = ServingConfig(
+            slo=SLOPolicy(default_slo_seconds=1.0),
+            admit=True,
+            degradation=DegradationPolicy(),
+        )
+        fast = ShardedServiceCluster(template, num_shards=2, engine=ENGINE_FAST)
+        reference = ShardedServiceCluster(template, num_shards=2, engine=ENGINE_REFERENCE)
+
+        def serve(cluster):
+            return cluster.serve_online(TraceArrivals(trace), config=config)
+
+        first, second = serve(fast), serve(fast)
+        assert _render(first) == _render(serve(reference))
+        assert _render(second) == _render(serve(reference))
+        assert first.decisions == second.decisions
+
+        before = [template.estimate_service_seconds(w) for w in WORKLOAD_POOL]
+        template.serve(WORKLOAD_POOL[1])
+        after = [template.estimate_service_seconds(w) for w in WORKLOAD_POOL]
+        assert before != after, "the template's new state must move an estimate"
+        third = serve(fast)
+        fresh = serve(ShardedServiceCluster(template, num_shards=2, engine=ENGINE_FAST))
+        assert third.decisions == fresh.decisions
+        assert [d.predicted_sojourn for d in third.decisions] == [
+            template.estimate_service_seconds(request.workload) for request in trace
+        ]
+        assert _render(third) == _render(serve(reference))
 
     def test_unrecorded_decisions_do_not_change_outcomes(self, services):
         slo = SLOPolicy(default_slo_seconds=0.2)
