@@ -53,9 +53,7 @@ if TYPE_CHECKING:  # control.py only imports repro.system.workload — no cycle,
     # one-way.
     from repro.serving.config import ServingConfig
     from repro.serving.control import (
-        AdmissionController,
         AdmissionDecision,
-        Autoscaler,
         DegradationPolicy,
         ScalingEvent,
         SLOPolicy,
@@ -69,12 +67,7 @@ from repro.serving.engine import (
     _slot_pool,
     check_engine,
 )
-from repro.serving.faults import (
-    DrainPlanner,
-    FaultRuntime,
-    FaultSchedule,
-    FaultStats,
-)
+from repro.serving.faults import DrainPlanner, FaultStats
 from repro.serving.requests import InferenceRequest, RequestTrace, TraceArrivals
 from repro.serving.scheduler import BatchScheduler, RequestBatch
 from repro.serving.topology import PLACEMENT_SPREAD, PLACEMENTS, ClusterTopology
@@ -607,48 +600,96 @@ class ShardLeaseTracker:
 
 
 class _Run:
-    """State and placement step of one event-loop run, on either backend.
+    """One event-loop run on either backend: its state and its steps.
 
-    Owns everything a committed batch updates — busy totals, per-shard
-    request counts and the served log — and the active shard count the
-    loop's autoscaler writes.  The fault runtime and the drain planner
-    drive the run directly, and every dispatch ends in :meth:`place`, so
-    the commit exists once.  On the fast backend a commit appends one
-    record per batch to flat columns, and :meth:`report` folds them once
-    through the chunked loop's accounting
-    (:func:`~repro.serving.engine._report_aggregates`).
-    ``on_commit``/``on_failed`` are the loop's own effects of a committed
-    batch and of a permanently failed request.
+    ``serve_trace`` and ``serve_online`` build one per call and call
+    :meth:`run`, which drains the arrival source and returns the report.
+    The run holds everything the loop touches: the forming batches and
+    their deadlines, the control plane's bookkeeping (in-flight heap,
+    admitted estimates, recent sheds, guaranteed-tier counts, leases, shed
+    records and decisions), the active shard count the autoscaler writes,
+    and the accounting a committed batch updates (busy totals, per-shard
+    request counts, the served log).
+
+    The steps are methods: :meth:`enqueue` adds a request to its forming
+    batch, :meth:`close` closes one and :meth:`release` hands it on,
+    :meth:`submit` dispatches it (through the fault runtime when the run
+    has one), :meth:`joinable` finds the batch an arrival would join,
+    :meth:`scale` applies the autoscaler's verdict at an arrival and
+    :meth:`admit` admits, degrades or sheds it.  The fault runtime and the
+    drain planner drive the run directly, and every dispatch ends in
+    :meth:`place`, so the commit exists once.  Admitted estimates clear in
+    :meth:`place` and :meth:`on_failed` and nowhere else.
     """
 
+    # Slots keep attribute reads on the per-event path fast: an instance
+    # dict this wide no longer shares its keys.
+    __slots__ = (
+        "cluster", "source", "slo", "admission", "autoscaler", "backend", "warmup",
+        "faults", "planner", "busy", "set_busy", "merged", "serve", "pick",
+        "least_loaded", "admission_row", "price_resized", "min_backlog",
+        "busy_total", "shard_requests", "num_batches", "last_finish", "served",
+        "members", "ready", "starts", "durations", "shard_ids", "counts", "reports",
+        "max_batch_size", "max_wait_seconds", "batcher", "open_members",
+        "open_deadline", "open_count", "inflight", "inflight_count",
+        "pending_estimates", "recent_sheds", "guaranteed_tenants", "guaranteed_open",
+        "shed", "decisions", "notifies_source", "first_arrival", "active_count",
+        "leases",
+    )
+
     def __init__(
-        self,
-        cluster: "ShardedServiceCluster",
-        backend: type,
-        slo: Optional["SLOPolicy"],
-        on_commit: Callable[[RequestBatch, float], None],
-        on_failed: Callable[[InferenceRequest, float], None],
-        planner: Optional[DrainPlanner],
-        faults: Optional[FaultRuntime],
+        self, cluster: "ShardedServiceCluster", source, config: "ServingConfig"
     ) -> None:
+        cluster._reset_dispatch_state()
         self.cluster = cluster
-        self.slo = slo
-        self.backend = backend(cluster)
-        self.planner = planner
-        self.faults = faults
-        #: Shards the autoscaler keeps active (a prefix of the cluster's
-        #: activation order); the loop writes it.
-        self.active_count = cluster.num_shards
+        self.source = source
+        self.slo = slo = config.slo
+        self.admission = config.resolved_controller()
+        self.autoscaler = autoscaler = config.autoscaler
+        self.backend = backend = BACKENDS[cluster.engine](cluster)
+        num_shards = cluster.num_shards
+        # Warm-up a shard pays each time it is activated: a scale-up join,
+        # or a standby starting to substitute for a crashed shard.
+        self.warmup = (
+            tuple(
+                autoscaler.warmup_seconds
+                if autoscaler.warmup_seconds is not None
+                else shard.warmup_seconds
+                for shard in cluster.shards
+            )
+            if autoscaler is not None
+            else None
+        )
+        faults = config.faults
+        self.faults = (
+            faults.runtime(
+                num_shards,
+                slo,
+                order=cluster._order,
+                topology=cluster.topology,
+                warmup=self.warmup,
+            )
+            if faults is not None
+            else None
+        )
+        self.planner = (
+            DrainPlanner(num_shards)
+            if autoscaler is not None and autoscaler.drain
+            else None
+        )
         #: The backend's authoritative busy-until list (written through
         #: :attr:`set_busy`).
-        self.busy = self.backend.busy
-        self.set_busy = self.backend.set_busy
-        self.merged = self.backend.merged
-        self.serve = self.backend.serve
-        self.pick = self.backend.pick
-        self.least_loaded = self.backend.least_loaded
-        self.busy_total = [0.0] * cluster.num_shards
-        self.shard_requests = [0] * cluster.num_shards
+        self.busy = backend.busy
+        self.set_busy = backend.set_busy
+        self.merged = backend.merged
+        self.serve = backend.serve
+        self.pick = backend.pick
+        self.least_loaded = backend.least_loaded
+        self.admission_row = backend.admission_row
+        self.price_resized = backend.price_resized
+        self.min_backlog = backend.min_backlog
+        self.busy_total = [0.0] * num_shards
+        self.shard_requests = [0] * num_shards
         self.num_batches = 0
         self.last_finish = 0.0
         #: Served records, built per request on the reference backend only
@@ -657,7 +698,7 @@ class _Run:
         #: duration, shard, member count and report — which
         #: :meth:`report` folds once.
         self.served: Optional[List[ServedRequest]] = (
-            None if self.backend.batch_columns else []
+            None if backend.batch_columns else []
         )
         if self.served is None:
             self.members: List[InferenceRequest] = []
@@ -667,8 +708,324 @@ class _Run:
             self.shard_ids = array("q")
             self.counts = array("q")
             self.reports: List[ServiceReport] = []
-        self.on_commit = on_commit
-        self.on_failed = on_failed
+        scheduler = cluster.scheduler
+        self.max_batch_size = scheduler.max_batch_size
+        self.max_wait_seconds = scheduler.max_wait_seconds
+        self.batcher = scheduler.fair_batcher() if scheduler.fair else None
+        self.open_members: Dict[object, List[InferenceRequest]] = {}
+        self.open_deadline: Dict[object, float] = {}
+        #: Requests in open batches (the autoscaler's queue depth reads it).
+        self.open_count = 0
+        #: ``(finish, member count)`` per committed batch, a heap, and the
+        #: members still in flight; only the autoscaler reads them.
+        self.inflight: List[Tuple[float, int]] = []
+        self.inflight_count = 0
+        #: Estimated cost of requests admitted but not yet placed, so a
+        #: same-instant arrival burst cannot all be admitted against the
+        #: same (still-empty) shard backlog.
+        self.pending_estimates: Dict[int, float] = {}
+        #: Arrival times of recent sheds: demand the autoscaler must still see.
+        self.recent_sheds: deque = deque()
+        #: Guaranteed-tier tenants whose open-queue pressure a tenant-aware
+        #: autoscaler watches separately from the global depth (empty for
+        #: any other run), and how many of their requests are open.
+        self.guaranteed_tenants: frozenset = frozenset()
+        if autoscaler is not None and autoscaler.tenant_aware and slo is not None:
+            self.guaranteed_tenants = frozenset(
+                tenant
+                for tenant, quota in slo.per_tenant.items()
+                if quota.guaranteed_rps > 0
+            )
+        self.guaranteed_open = 0
+        self.shed: List[ShedRecord] = []
+        self.decisions: List[object] = []
+        # ``TraceArrivals`` ignores completions, so offline replays skip the
+        # per-request walk; a source that overrides ``on_complete`` is told.
+        self.notifies_source = (
+            getattr(source.on_complete, "__func__", None) is not TraceArrivals.on_complete
+        )
+        #: The makespan's origin (None for an empty source).
+        self.first_arrival: Optional[float] = source.peek_time()
+        #: Shards the autoscaler keeps active (a prefix of the cluster's
+        #: activation order); :meth:`scale` writes it.
+        self.active_count = num_shards
+        self.leases: Optional[ShardLeaseTracker] = None
+        if autoscaler is not None:
+            start = self.first_arrival if self.first_arrival is not None else 0.0
+            self.active_count = autoscaler.start(start)
+            self.leases = ShardLeaseTracker(num_shards)
+            for shard_id in cluster._order[: self.active_count]:
+                self.leases.open(shard_id, start)
+
+    def run(self) -> ClusterReport:
+        """Fire events in simulated-time order until the source is drained.
+
+        Each pass picks the earliest event.  At timestamp ties the
+        precedence is commit < fault < deadline < retry < arrival: sources
+        are ranked from last to first and a higher-ranked source takes over
+        on ``<=``.  Commits fire first so work whose service has begun is in
+        flight — and immovable — before any same-instant scale decision or
+        fault consults the plan; faults apply before anything dispatches at
+        their instant; a deadline closes its batch before a same-instant
+        retry or arrival could join it (the offline scheduler's order); and
+        retries re-enter ahead of new arrivals.  The pick stays inline: as a
+        method it costs 3-5% of the serving workloads' throughput.
+        """
+        source = self.source
+        faults = self.faults
+        planner = self.planner
+        batcher = self.batcher
+        next_deadline = self.backend.next_deadline
+        open_members = self.open_members
+        open_deadline = self.open_deadline
+        enqueue = self.enqueue
+        scale = self.scale if self.autoscaler is not None else None
+        admit = self.admit if self.admission is not None else None
+        while True:
+            t_next = source.peek_time()
+            event = _ARRIVAL
+            if faults is not None:
+                t_retry = faults.next_retry_time()
+                if t_retry is not None and (t_next is None or t_retry <= t_next):
+                    t_next, event = t_retry, _RETRY
+            if batcher is not None:
+                expiring = batcher.peek_deadline()
+            else:
+                expiring = next_deadline(open_members, open_deadline)
+            if expiring is not None and (t_next is None or expiring[0] <= t_next):
+                t_next, event = expiring[0], _DEADLINE
+            if faults is not None:
+                t_fault = faults.next_fault_time()
+                if t_fault is not None and (t_next is None or t_fault <= t_next):
+                    t_next, event = t_fault, _FAULT
+            if planner is not None:
+                t_commit = planner.next_commit_time()
+                if t_commit is not None and (t_next is None or t_commit <= t_next):
+                    t_next, event = t_commit, _COMMIT
+            if event == _ARRIVAL:
+                if t_next is None:
+                    return self.report()
+                request = source.pop()
+                now = request.arrival_seconds
+                if scale is not None:
+                    scale(request, now)
+                if admit is None:
+                    enqueue(request, now, request.workload.batch_key)
+                else:
+                    admit(request, now)
+            elif event == _DEADLINE:
+                if batcher is not None:
+                    for batch in batcher.fire_deadline(expiring):
+                        self.release(batch)
+                else:
+                    self.backend.fired()
+                    self.close(expiring[1], expiring[0])
+            elif event == _COMMIT:
+                planner.commit_next(self)
+            elif event == _FAULT:
+                faults.advance(self, t_next)
+            else:
+                request, now = faults.pop_retry()
+                enqueue(request, now, request.workload.batch_key)
+
+    # -------------------------------------------------------------- batching
+    def enqueue(self, request: InferenceRequest, now: float, key: object) -> None:
+        """Add ``request`` (batch key ``key``) to its forming batch."""
+        guaranteed = self.guaranteed_tenants
+        if guaranteed and request.tenant in guaranteed:
+            self.guaranteed_open += 1
+        if self.batcher is not None:
+            for batch in self.batcher.add(request, now):
+                self.release(batch)
+            return
+        members = self.open_members.get(key)
+        if members is None:
+            members = self.open_members[key] = []
+            deadline = now + self.max_wait_seconds
+            self.open_deadline[key] = deadline
+            self.backend.opened(key, deadline, request.request_id)
+        members.append(request)
+        self.open_count += 1
+        if len(members) >= self.max_batch_size:
+            self.close(key, now)
+
+    def close(self, key: object, ready_seconds: float) -> None:
+        """Close the forming batch under ``key``, ready at ``ready_seconds``."""
+        members = self.open_members.pop(key)
+        del self.open_deadline[key]
+        self.open_count -= len(members)
+        self.release(RequestBatch(requests=members, ready_seconds=ready_seconds))
+
+    def release(self, batch: RequestBatch) -> None:
+        """Submit a batch that left batching; its guaranteed-tier members
+        stop counting as open."""
+        guaranteed = self.guaranteed_tenants
+        if guaranteed:
+            for request in batch.requests:
+                if request.tenant in guaranteed:
+                    self.guaranteed_open -= 1
+        self.submit(batch)
+
+    def joinable(self, key: object, tenant: str) -> Optional[List[InferenceRequest]]:
+        """Members of the forming batch an arrival under ``key`` would join,
+        or None: the marginal price's base (``batch_aware``)."""
+        batcher = self.batcher
+        if batcher is None:
+            return self.open_members.get(key)
+        # A request the fair batcher would spill pays a full standalone
+        # pass, not the marginal increment of a batch it will not join.
+        # Asked with or without ``batch_aware``: ``can_join`` seeds the
+        # tenant's deficit credit.
+        return batcher.open_members(key) if batcher.can_join(key, tenant) else None
+
+    # --------------------------------------------------------- control plane
+    def scale(self, request: InferenceRequest, now: float) -> None:
+        """Show the autoscaler the queue depth at an arrival; apply its verdict.
+
+        The depth counts the arriving request, requests in open batches and
+        in flight, recently shed arrivals (shed demand within the
+        autoscaler's ``shed_memory_seconds`` still signals overload), work
+        the fault layer holds and planned-but-uncommitted dispatches.  A
+        joining shard warms up before it can start a batch, and parked
+        batches wake.  A scale-down drains the leaving shards when the run
+        has a planner, then closes their leases.
+        """
+        autoscaler = self.autoscaler
+        inflight = self.inflight
+        while inflight and inflight[0][0] <= now:
+            self.inflight_count -= heapq.heappop(inflight)[1]
+        recent_sheds = self.recent_sheds
+        while recent_sheds and recent_sheds[0] < now - autoscaler.shed_memory_seconds:
+            recent_sheds.popleft()
+        pending = self.batcher.pending_count if self.batcher is not None else self.open_count
+        queue_depth = 1 + self.inflight_count + pending + len(recent_sheds)
+        faults = self.faults
+        if faults is not None:
+            queue_depth += faults.backlog_count()
+        planner = self.planner
+        if planner is not None:
+            queue_depth += planner.planned
+        previous = self.active_count
+        active_count = autoscaler.observe(
+            now,
+            queue_depth,
+            self.guaranteed_open + (request.tenant in self.guaranteed_tenants),
+        )
+        if active_count == previous:
+            return
+        self.active_count = active_count
+        order = self.cluster._order
+        busy = self.busy
+        leases = self.leases
+        for shard_id in order[previous:active_count]:
+            self.set_busy(shard_id, max(busy[shard_id], now + self.warmup[shard_id]))
+            leases.open(shard_id, now)
+        if active_count > previous:
+            if faults is not None:
+                faults.flush(self, now)
+            return
+        if planner is not None:
+            if faults is not None:
+                # Leaving = dispatchable before minus dispatchable after, so
+                # standby substitution under faults is honoured (a dead
+                # prefix shard drains nothing).
+                surviving = set(faults.active_alive(active_count))
+                leaving = [
+                    shard_id
+                    for shard_id in faults.active_alive(previous)
+                    if shard_id not in surviving
+                ]
+            else:
+                leaving = order[active_count:previous]
+            drained, completed = planner.drain(leaving, now, self)
+            migrated = 0
+            for stranded in drained:
+                migrated += len(stranded.requests)
+                self.submit(RequestBatch(requests=stranded.requests, ready_seconds=now))
+            autoscaler.record_drain(migrated, completed)
+        # Leases close after the drain so a drained shard is billed to its
+        # lowered (post-migration) horizon.
+        for shard_id in order[active_count:previous]:
+            leases.close(shard_id, max(now, busy[shard_id]))
+
+    def admit(self, request: InferenceRequest, now: float) -> None:
+        """Admit, degrade or shed an arrival on its predicted sojourn.
+
+        The backlog is the least-loaded active shard's plus the admitted but
+        unplaced work spread across the active shards.  The pending sum is
+        re-reduced, not maintained incrementally, so its float accumulation
+        order never depends on history.  Under faults only live shards can
+        absorb work; with none the prediction is unbounded and only
+        guaranteed-tier traffic gets through (to queue until recovery).
+        """
+        admission = self.admission
+        pending = self.pending_estimates
+        if self.faults is not None:
+            alive = self.faults.active_alive(self.active_count)
+            if alive:
+                backlog = min(max(self.busy[i] - now, 0.0) for i in alive) + sum(
+                    pending.values()
+                ) / len(alive)
+            else:
+                backlog = float("inf")
+        else:
+            backlog = self.min_backlog(self.active_count, now) + sum(
+                pending.values()
+            ) / self.active_count
+        # The request's batch key and standalone price, and its cheaper
+        # degraded-quality tier (own batch key, own batches) that the
+        # controller may admit when the full-quality prediction violates
+        # the SLO.
+        key, estimate, degraded_workload, degraded_key, degraded_estimate = (
+            self.admission_row(request, admission)
+        )
+        batch_aware = admission.batch_aware
+        if batch_aware or self.batcher is not None:
+            joinable = self.joinable(key, request.tenant)
+            if batch_aware and joinable:
+                estimate = _admission_estimate(
+                    self.price_resized, estimate, request.workload.batch_size, joinable
+                )
+            if degraded_workload is not None:
+                # Degraded requests price against *their own* open batch.
+                joinable = self.joinable(degraded_key, request.tenant)
+                if batch_aware and joinable:
+                    degraded_estimate = _admission_estimate(
+                        self.price_resized,
+                        degraded_estimate,
+                        degraded_workload.batch_size,
+                        joinable,
+                    )
+        decision = admission.decide(request, now, backlog, estimate, degraded_estimate)
+        if admission.record_decisions:
+            self.decisions.append(decision)
+        if not decision.admitted:
+            self.shed.append(
+                ShedRecord(
+                    request=request,
+                    shed_seconds=now,
+                    predicted_sojourn=decision.predicted_sojourn,
+                    slo_seconds=decision.slo_seconds,
+                )
+            )
+            self.recent_sheds.append(now)
+            self.source.on_shed(request, now)
+            return
+        if decision.degraded:
+            request = replace(request, workload=degraded_workload)
+            key = degraded_key
+            estimate = degraded_estimate
+        pending[request.request_id] = estimate
+        self.enqueue(request, now, key)
+
+    # -------------------------------------------------------------- dispatch
+    def submit(self, batch: RequestBatch) -> None:
+        """Dispatch a closed or migrated batch, through the fault runtime
+        when the run has one."""
+        if self.faults is None:
+            self.dispatch(batch)
+        else:
+            self.faults.submit(batch, self)
 
     def pick_among(self, batch: RequestBatch, candidates: Sequence[int]) -> int:
         """The cluster's scan picker over a live subset (the fault runtime's
@@ -707,14 +1064,26 @@ class _Run:
     ) -> None:
         """Occupy ``shard_id`` until ``finish``, then plan or commit ``batch``.
 
-        With a drain planner the commit waits for the batch's start (a
-        scale-down may still migrate it); otherwise it lands now.
+        The members' admitted estimates clear here: from now on the busy
+        horizon the admission backlog reads prices their work.  With a
+        drain planner the commit waits for the batch's start (a scale-down
+        may still migrate it); otherwise it lands now.
         """
         self.set_busy(shard_id, finish)
+        pending = self.pending_estimates
+        if pending:
+            for request in batch.requests:
+                pending.pop(request.request_id, None)
         if self.planner is not None:
             self.planner.plan(batch, shard_id, start, duration, report, finish)
         else:
             self.commit(batch, shard_id, start, duration, report, finish)
+
+    def on_failed(self, request: InferenceRequest, seconds: float) -> None:
+        """A request the fault runtime gave up on: its estimate clears and
+        the source sees it shed."""
+        self.pending_estimates.pop(request.request_id, None)
+        self.source.on_shed(request, seconds)
 
     def commit(
         self,
@@ -756,18 +1125,25 @@ class _Run:
                         report=report,
                     )
                 )
-        self.on_commit(batch, finish)
+        if self.autoscaler is not None:
+            heapq.heappush(self.inflight, (finish, batch_size))
+            self.inflight_count += batch_size
+        if self.notifies_source:
+            for request in members:
+                self.source.on_complete(request, finish)
         if self.faults is not None:
             self.faults.note_commit(batch, start, duration, finish)
 
-    def report(self, first_arrival: Optional[float], **sections) -> ClusterReport:
-        """The run's :class:`ClusterReport` (``sections``: online/fault parts)."""
+    # ---------------------------------------------------------------- report
+    def report(self) -> ClusterReport:
+        """The run's :class:`ClusterReport`."""
         cluster = self.cluster
         served = self.served
         aggregates = None
         if served is None:
-            served, aggregates = self._fold(sections.get("shed", ()))
+            served, aggregates = self._fold(self.shed)
         # A faulted replay can fail every request; an empty run has no span.
+        first_arrival = self.first_arrival
         makespan = 0.0
         if served and first_arrival is not None:
             makespan = self.last_finish - first_arrival
@@ -780,9 +1156,21 @@ class _Run:
             makespan_seconds=makespan,
             shard_busy_seconds=self.busy_total,
             shard_requests=self.shard_requests,
+            shed=self.shed,
             slo=self.slo,
+            decisions=self.decisions,
+            scaling_timeline=(
+                list(self.autoscaler.timeline()) if self.autoscaler is not None else []
+            ),
             aggregates=aggregates,
-            **sections,
+            faults=(
+                self.faults.finalize(first_arrival, self.last_finish)
+                if self.faults is not None
+                else None
+            ),
+            shard_seconds=(
+                self.leases.finish(self.last_finish) if self.leases is not None else None
+            ),
         )
 
     def _fold(self, shed: Sequence[ShedRecord]) -> Tuple[_ChunkedServedLog, ReportAggregates]:
@@ -1103,11 +1491,9 @@ class ShardedServiceCluster:
             )
         if not len(trace):
             raise ValueError("cannot serve an empty trace")
-        slo = config.slo
-        faults = config.faults
-        if self.engine == ENGINE_FAST and faults is None and not self.scheduler.fair:
-            return _serve_trace_chunked(self, trace, slo)
-        return self._serve_online_events(TraceArrivals(trace), slo, None, None, faults)
+        if self.engine == ENGINE_FAST and config.faults is None and not self.scheduler.fair:
+            return _serve_trace_chunked(self, trace, config.slo)
+        return _Run(self, TraceArrivals(trace), config).run()
 
     def serve_online(
         self,
@@ -1153,11 +1539,14 @@ class ShardedServiceCluster:
         Completion times are committed at batch dispatch (the simulation is
         deterministic, so the finish instant is known then) and fed to the
         source, which is what lets closed-loop clients issue their next
-        request only after their previous one actually finished.
+        request only after their previous one actually finished.  A
+        draining autoscaler (``drain=True``, the default) defers each
+        commit to its batch's start instead, as one more event kind.
 
         With a ``faults`` schedule the loop interleaves two more event
-        kinds — fault events and retry timers — with the precedence
-        ``fault < deadline < retry < arrival`` at timestamp ties.  Dispatch
+        kinds — fault events and retry timers.  At timestamp ties the
+        precedence of all five kinds is ``commit < fault < deadline <
+        retry < arrival`` (see ``_Run.run``).  Dispatch
         then goes through the shared fault runtime: dead shards leave the
         dispatchable set (live standby shards past the autoscaler's prefix
         replace them), doomed batches drain and migrate, in-flight failures
@@ -1171,380 +1560,4 @@ class ShardedServiceCluster:
                 f"autoscaler max_shards ({autoscaler.max_shards}) exceeds the "
                 f"cluster's shard count ({self.num_shards})"
             )
-        return self._serve_online_events(
-            source,
-            config.slo,
-            config.resolved_controller(),
-            autoscaler,
-            config.faults,
-        )
-
-    def _serve_online_events(
-        self,
-        source,
-        slo: Optional["SLOPolicy"],
-        admission: Optional["AdmissionController"],
-        autoscaler: Optional["Autoscaler"],
-        faults: Optional[FaultSchedule],
-    ) -> ClusterReport:
-        """The event loop of online runs and non-chunked offline replays,
-        on the backend :attr:`engine` names."""
-        self._reset_dispatch_state()
-        scheduler = self.scheduler
-        fair = scheduler.fair
-        batcher = scheduler.fair_batcher() if fair else None
-        open_members: Dict[object, List[InferenceRequest]] = {}
-        open_deadline: Dict[object, float] = {}
-        # Requests in open batches (the autoscaler's queue depth reads it).
-        open_count = 0
-        # ``(finish, member count)`` per committed batch, a heap, and the
-        # members still in flight; only the autoscaler reads them.
-        inflight: List[Tuple[float, int]] = []
-        inflight_count = 0
-        shed_records: List[ShedRecord] = []
-        decisions: List[object] = []
-        # Estimated cost of requests admitted but not yet dispatched, so a
-        # same-instant arrival burst cannot all be admitted against the same
-        # (still-empty) shard backlog.
-        pending_estimates: Dict[int, float] = {}
-        # Arrival times of recent sheds: demand the autoscaler must still see.
-        recent_sheds: deque = deque()
-        first_arrival: Optional[float] = None
-        # Guaranteed-tier tenants whose open-queue pressure a tenant-aware
-        # autoscaler watches separately from the global depth.
-        guaranteed_tenants: Optional[frozenset] = None
-        if autoscaler is not None and autoscaler.tenant_aware and slo is not None:
-            guaranteed_tenants = frozenset(
-                tenant
-                for tenant, quota in slo.per_tenant.items()
-                if quota.guaranteed_rps > 0
-            )
-        guaranteed_open = 0
-        # Warm-up a shard pays each time it is activated: a scale-up join,
-        # or a standby starting to substitute for a crashed shard.
-        warmup = (
-            tuple(
-                autoscaler.warmup_seconds
-                if autoscaler.warmup_seconds is not None
-                else shard.warmup_seconds
-                for shard in self.shards
-            )
-            if autoscaler is not None
-            else None
-        )
-        order = self._order
-        ctx = (
-            faults.runtime(
-                self.num_shards,
-                slo,
-                order=order,
-                topology=self.topology,
-                warmup=warmup,
-            )
-            if faults is not None
-            else None
-        )
-        planner = (
-            DrainPlanner(self.num_shards)
-            if autoscaler is not None and autoscaler.drain
-            else None
-        )
-
-        def dispatch_batch(batch: RequestBatch) -> None:
-            nonlocal guaranteed_open
-            if guaranteed_tenants:
-                for request in batch.requests:
-                    if request.tenant in guaranteed_tenants:
-                        guaranteed_open -= 1
-            submit(batch)
-
-        def close_batch(key: object, ready_seconds: float) -> None:
-            nonlocal open_count
-            members = open_members.pop(key)
-            open_deadline.pop(key)
-            open_count -= len(members)
-            dispatch_batch(RequestBatch(requests=members, ready_seconds=ready_seconds))
-
-        # A committed batch's effects.  With a drain planner the admitted
-        # estimates already cleared at plan time (``on_planned``).
-        # ``TraceArrivals`` ignores completions, so offline replays skip the
-        # per-request walk; a source that overrides ``on_complete`` is told.
-        clears_estimates = admission is not None and planner is None
-        notifies_source = (
-            getattr(source.on_complete, "__func__", None) is not TraceArrivals.on_complete
-        )
-
-        def commit_online(batch: RequestBatch, finish: float) -> None:
-            nonlocal inflight_count
-            if autoscaler is not None:
-                count = len(batch.requests)
-                heapq.heappush(inflight, (finish, count))
-                inflight_count += count
-            if clears_estimates:
-                for request in batch.requests:
-                    pending_estimates.pop(request.request_id, None)
-            if notifies_source:
-                for request in batch.requests:
-                    source.on_complete(request, finish)
-
-        def fail_request(request: InferenceRequest, seconds: float) -> None:
-            pending_estimates.pop(request.request_id, None)
-            source.on_shed(request, seconds)
-
-        run = _Run(
-            self, BACKENDS[self.engine], slo, commit_online, fail_request, planner, ctx
-        )
-        backend = run.backend
-        busy = run.busy
-        batch_aware = admission is not None and admission.batch_aware
-        admission_row = backend.admission_row
-        price_resized = backend.price_resized
-        if ctx is None:
-            submit = run.dispatch
-        else:
-
-            def submit(batch: RequestBatch) -> None:
-                ctx.submit(batch, run)
-
-        leases: Optional[ShardLeaseTracker] = None
-        if autoscaler is not None:
-            first_peek = source.peek_time()
-            start_seconds = first_peek if first_peek is not None else 0.0
-            run.active_count = autoscaler.start(start_seconds)
-            leases = ShardLeaseTracker(self.num_shards)
-            for shard_id in order[: run.active_count]:
-                leases.open(shard_id, start_seconds)
-        if planner is not None:
-
-            def on_planned(batch: RequestBatch) -> None:
-                # Admitted estimates clear at plan time, not commit time:
-                # the planned work is already priced into the busy horizon
-                # the admission backlog reads.
-                for request in batch.requests:
-                    pending_estimates.pop(request.request_id, None)
-
-            planner.on_planned = on_planned
-
-        def joinable_members(
-            key: object, tenant: str
-        ) -> Optional[List[InferenceRequest]]:
-            """Members of the forming batch an arrival under ``key`` would
-            join, or None: the marginal price's base (``batch_aware``)."""
-            if fair:
-                # A request the fair batcher would spill pays a full
-                # standalone pass, not the marginal increment of a batch it
-                # will not join.  Asked with or without ``batch_aware``:
-                # ``can_join`` seeds the tenant's deficit credit.
-                return batcher.open_members(key) if batcher.can_join(key, tenant) else None
-            return open_members.get(key)
-
-        def enqueue(request: InferenceRequest, now: float, key: object) -> None:
-            """Add ``request`` (batch key ``key``) to its forming batch."""
-            nonlocal guaranteed_open, open_count
-            if guaranteed_tenants and request.tenant in guaranteed_tenants:
-                guaranteed_open += 1
-            if fair:
-                for batch in batcher.add(request, now):
-                    dispatch_batch(batch)
-                return
-            members = open_members.get(key)
-            if members is None:
-                members = []
-                open_members[key] = members
-                deadline = now + scheduler.max_wait_seconds
-                open_deadline[key] = deadline
-                backend.opened(key, deadline, request.request_id)
-            members.append(request)
-            open_count += 1
-            if len(members) >= scheduler.max_batch_size:
-                close_batch(key, now)
-
-        while True:
-            # Pick the earliest event in one pass.  At timestamp ties the
-            # precedence is commit < fault < deadline < retry < arrival:
-            # sources are ranked from last to first and a higher-ranked
-            # source takes over on ``<=``.  Commits fire first so work whose
-            # service has begun is in flight — and immovable — before any
-            # same-instant scale decision or fault consults the plan.
-            t_next = source.peek_time()
-            event = _ARRIVAL
-            if ctx is not None:
-                t_retry = ctx.next_retry_time()
-                if t_retry is not None and (t_next is None or t_retry <= t_next):
-                    t_next, event = t_retry, _RETRY
-            if fair:
-                expiring = batcher.peek_deadline()
-            else:
-                expiring = backend.next_deadline(open_members, open_deadline)
-            if expiring is not None and (t_next is None or expiring[0] <= t_next):
-                t_next, event = expiring[0], _DEADLINE
-            if ctx is not None:
-                t_fault = ctx.next_fault_time()
-                if t_fault is not None and (t_next is None or t_fault <= t_next):
-                    t_next, event = t_fault, _FAULT
-            if planner is not None:
-                t_commit = planner.next_commit_time()
-                if t_commit is not None and (t_next is None or t_commit <= t_next):
-                    t_next, event = t_commit, _COMMIT
-            if event != _ARRIVAL:
-                if event == _DEADLINE:
-                    if fair:
-                        for batch in batcher.fire_deadline(expiring):
-                            dispatch_batch(batch)
-                    else:
-                        backend.fired()
-                        close_batch(expiring[1], expiring[0])
-                elif event == _COMMIT:
-                    planner.commit_next(run)
-                elif event == _FAULT:
-                    ctx.advance(run, t_next)
-                else:
-                    retry_request, retry_now = ctx.pop_retry()
-                    enqueue(retry_request, retry_now, retry_request.workload.batch_key)
-                continue
-            if t_next is None:
-                break
-            request = source.pop()
-            now = request.arrival_seconds
-            if first_arrival is None:
-                first_arrival = now
-            if autoscaler is not None:
-                while inflight and inflight[0][0] <= now:
-                    inflight_count -= heapq.heappop(inflight)[1]
-                while recent_sheds and recent_sheds[0] < now - autoscaler.shed_memory_seconds:
-                    recent_sheds.popleft()
-                pending = batcher.pending_count if fair else open_count
-                # The arriving request itself counts toward the depth.
-                queue_depth = 1 + inflight_count + pending + len(recent_sheds)
-                if ctx is not None:
-                    # Work the fault layer is holding (retries, parked
-                    # batches) is still demand the autoscaler must see.
-                    queue_depth += ctx.backlog_count()
-                if planner is not None:
-                    # Planned-but-uncommitted dispatches are queued work
-                    # too; commit-at-dispatch counted them via inflight.
-                    queue_depth += planner.planned
-                previous = run.active_count
-                if guaranteed_tenants is not None:
-                    guaranteed_depth = guaranteed_open + (
-                        1 if request.tenant in guaranteed_tenants else 0
-                    )
-                    active_count = autoscaler.observe(
-                        now, queue_depth, guaranteed_depth=guaranteed_depth
-                    )
-                else:
-                    active_count = autoscaler.observe(now, queue_depth)
-                run.active_count = active_count
-                for shard_id in order[previous:active_count]:
-                    backend.set_busy(
-                        shard_id, max(busy[shard_id], now + warmup[shard_id])
-                    )
-                    leases.open(shard_id, now)
-                if ctx is not None and active_count > previous:
-                    ctx.flush(run, now)
-                if active_count < previous:
-                    if planner is not None:
-                        if ctx is not None:
-                            # Leaving = dispatchable before minus dispatchable
-                            # after, so standby substitution under faults is
-                            # honoured (a dead prefix shard drains nothing).
-                            surviving = set(ctx.active_alive(active_count))
-                            leaving = [
-                                shard_id
-                                for shard_id in ctx.active_alive(previous)
-                                if shard_id not in surviving
-                            ]
-                        else:
-                            leaving = order[active_count:previous]
-                        drained, completed = planner.drain(leaving, now, run)
-                        migrated = 0
-                        for stranded in drained:
-                            migrated += len(stranded.requests)
-                            submit(
-                                RequestBatch(requests=stranded.requests, ready_seconds=now)
-                            )
-                        autoscaler.record_drain(migrated, completed)
-                    # Leases close after the drain so a drained shard is
-                    # billed to its lowered (post-migration) horizon.
-                    for shard_id in order[active_count:previous]:
-                        leases.close(shard_id, max(now, busy[shard_id]))
-            if admission is None:
-                enqueue(request, now, request.workload.batch_key)
-                continue
-            # Backlog of the least-loaded active shard plus the admitted but
-            # undispatched work, spread across the active shards — the queue
-            # depth times the calibrated per-batch cost.  The pending sum is
-            # re-reduced, not maintained incrementally, so its float
-            # accumulation order never depends on history.
-            if ctx is not None:
-                # Only live shards can absorb work; with none, the
-                # prediction is unbounded and only guaranteed-tier traffic
-                # gets through (to queue until recovery).
-                alive = ctx.active_alive(run.active_count)
-                if alive:
-                    backlog = min(
-                        max(busy[i] - now, 0.0) for i in alive
-                    ) + sum(pending_estimates.values()) / len(alive)
-                else:
-                    backlog = float("inf")
-            else:
-                backlog = backend.min_backlog(run.active_count, now) + sum(
-                    pending_estimates.values()
-                ) / run.active_count
-            # The request's batch key and standalone price, and its cheaper
-            # degraded-quality tier (own batch key, own batches) that the
-            # controller may admit when the full-quality prediction
-            # violates the SLO.
-            key, estimate, degraded_workload, degraded_key, degraded_estimate = (
-                admission_row(request, admission)
-            )
-            if batch_aware or fair:
-                joinable = joinable_members(key, request.tenant)
-                if batch_aware and joinable:
-                    estimate = _admission_estimate(
-                        price_resized, estimate, request.workload.batch_size, joinable
-                    )
-                if degraded_workload is not None:
-                    # Degraded requests price against *their own* open batch.
-                    joinable = joinable_members(degraded_key, request.tenant)
-                    if batch_aware and joinable:
-                        degraded_estimate = _admission_estimate(
-                            price_resized,
-                            degraded_estimate,
-                            degraded_workload.batch_size,
-                            joinable,
-                        )
-            decision = admission.decide(request, now, backlog, estimate, degraded_estimate)
-            if admission.record_decisions:
-                decisions.append(decision)
-            if not decision.admitted:
-                shed_records.append(
-                    ShedRecord(
-                        request=request,
-                        shed_seconds=now,
-                        predicted_sojourn=decision.predicted_sojourn,
-                        slo_seconds=decision.slo_seconds,
-                    )
-                )
-                recent_sheds.append(now)
-                source.on_shed(request, now)
-                continue
-            if decision.degraded:
-                request = replace(request, workload=degraded_workload)
-                key = degraded_key
-                estimate = degraded_estimate
-            pending_estimates[request.request_id] = estimate
-            enqueue(request, now, key)
-
-        return run.report(
-            first_arrival,
-            shed=shed_records,
-            decisions=decisions,
-            scaling_timeline=list(autoscaler.timeline()) if autoscaler is not None else [],
-            faults=(
-                ctx.finalize(first_arrival, run.last_finish) if ctx is not None else None
-            ),
-            shard_seconds=(
-                leases.finish(run.last_finish) if leases is not None else None
-            ),
-        )
+        return _Run(self, source, config).run()

@@ -648,19 +648,19 @@ class Autoscaler:
         self,
         now_seconds: float,
         queue_depth: float,
-        guaranteed_depth: Optional[float] = None,
+        guaranteed_depth: float = 0.0,
     ) -> int:
         """Feed one queue-depth observation; returns the new active count.
 
         ``guaranteed_depth`` (guaranteed-tier requests currently queueing)
-        only matters on a tenant-aware scaler: breaching
+        only matters on a tenant-aware scaler, and others ignore it: breaching
         ``guaranteed_scale_up_depth`` per shard starts an up streak even
         when the global depth is calm, and any guaranteed pressure at or
         above the down threshold vetoes a down streak.
         """
         per_shard = queue_depth / max(self.active, 1)
         guaranteed_per_shard = 0.0
-        if self.guaranteed_scale_up_depth is not None and guaranteed_depth is not None:
+        if self.guaranteed_scale_up_depth is not None:
             guaranteed_per_shard = guaranteed_depth / max(self.active, 1)
         breach_up = per_shard > self.scale_up_depth or (
             self.guaranteed_scale_up_depth is not None

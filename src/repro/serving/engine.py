@@ -313,20 +313,6 @@ def _merged_workload_id(
     return workload_id
 
 
-def _pick_shard(
-    cluster: "ShardedServiceCluster",
-    heap: ShardHeap,
-    batch: RequestBatch,
-    workload_id: int,
-    active_count: int,
-) -> int:
-    """``ShardedServiceCluster._pick_shard`` over the heap's authoritative
-    busy list, the same call the fault path makes: every policy but
-    least-loaded without a topology.  ``workload_id`` keeps the backend
-    ``pick`` signature."""
-    return cluster._pick_shard(batch, heap.busy, cluster._order[:active_count])
-
-
 def _heap_pick(heap: ShardHeap, batch: RequestBatch, workload_id: int, active_count: int) -> int:
     """Least-loaded dispatch without a topology: a heap pick over the
     active prefix (backend ``pick`` signature)."""
@@ -469,10 +455,9 @@ class FastBackend(ReferenceBackend):
         self.merged = partial(_merged_workload_id, cluster, self._interned, merged_ids={})
         states = [cluster._state_id(shard) for shard in cluster.shards]
         self.serve = partial(_cached_serve, cluster, states)
+        # Any other policy inherits the reference scan over the heap's busy list.
         if _heap_picks(cluster):
             self.pick = partial(_heap_pick, self.heap)
-        else:
-            self.pick = partial(_pick_shard, cluster, self.heap)
 
     def price(self, workload: WorkloadProfile) -> float:
         workload_id = _interned_id(self.cluster, self._interned, workload)
@@ -549,10 +534,10 @@ def check_engine(engine: str) -> None:
 class _BatchView:
     """Mutable stand-in for :class:`RequestBatch` in the chunked dispatch loop.
 
-    ``_pick_shard`` (both the heap shortcut and the delegated reference
-    picker) reads only ``key``, ``ready_seconds`` and ``workload`` — never
-    the member list — so the chunked loop reuses one view object per run
-    instead of materializing a ``RequestBatch`` per batch."""
+    ``ShardedServiceCluster._pick_shard`` reads only ``key``,
+    ``ready_seconds`` and ``workload`` — never the member list — so the
+    chunked loop reuses one view object per run instead of materializing a
+    ``RequestBatch`` per batch."""
 
     __slots__ = ("key", "ready_seconds", "workload")
 
@@ -745,8 +730,8 @@ def _serve_trace_chunked(
     reports: List[object] = [None] * num_batches
 
     # The common dispatch configuration (least-loaded, no topology) is a
-    # bare heap pick; hoisting the policy test out of the loop skips the
-    # delegating ``_pick_shard`` call per batch.
+    # bare heap pick; every other one is the cluster's scan picker over
+    # the heap's busy list.
     simple_pick = _heap_picks(cluster)
     busy = heap.busy
     view = _BatchView()
@@ -767,7 +752,7 @@ def _serve_trace_chunked(
             view.key = key_of_slot[slot]
             view.ready_seconds = ready
             view.workload = cluster._workloads[workload_id]
-            shard_id = _pick_shard(cluster, heap, view, workload_id, num_shards)
+            shard_id = cluster._pick_shard(view, busy, cluster._order)
         start = max(ready, busy[shard_id])
         report, duration = _cached_serve(cluster, states, shard_id, workload_id)
         finish = start + duration

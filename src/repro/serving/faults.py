@@ -71,7 +71,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -559,16 +559,15 @@ class DrainPlanner:
         self._heap: List[Tuple[float, int]] = []  # (start_seconds, plan seq)
         self._entries: Dict[int, tuple] = {}
         self._queued: List[deque] = [deque() for _ in range(num_shards)]
-        self._inflight: List[deque] = [deque() for _ in range(num_shards)]
+        #: Per shard: ``(finish, member count)`` of its last commit, the only
+        #: batch that can still be in flight (commits fire at batch starts,
+        #: and no start precedes the shard's floor).
+        self._inflight: List[Tuple[float, int]] = [(0.0, 0)] * num_shards
         self._seq = 0
         #: Per shard: the horizon a drain may not lower ``busy`` below.
         self.floor: List[float] = [0.0] * num_shards
         #: Requests planned but not yet committed (counts toward queue depth).
         self.planned = 0
-        #: Loop hook fired at plan time (the loops clear their
-        #: pending-admission estimates here, not at commit, so the planned
-        #: work is not double-counted against the busy horizon).
-        self.on_planned: Optional[Callable[[RequestBatch], None]] = None
 
     # ------------------------------------------------------------- planning
     def plan(
@@ -587,8 +586,6 @@ class DrainPlanner:
         self._queued[shard_id].append(seq)
         heapq.heappush(self._heap, (start, seq))
         self.planned += len(batch.requests)
-        if self.on_planned is not None:
-            self.on_planned(batch)
 
     # -------------------------------------------------------------- commits
     def next_commit_time(self) -> Optional[float]:
@@ -617,7 +614,7 @@ class DrainPlanner:
         self.planned -= len(batch.requests)
         if finish > self.floor[shard_id]:
             self.floor[shard_id] = finish
-        self._inflight[shard_id].append((finish, len(batch.requests)))
+        self._inflight[shard_id] = (finish, len(batch.requests))
         run.commit(batch, shard_id, start, duration, report, finish)
 
     # --------------------------------------------------------------- drains
@@ -642,10 +639,9 @@ class DrainPlanner:
         batches: List[RequestBatch] = []
         completed = 0
         for shard_id in leaving:
-            inflight = self._inflight[shard_id]
-            while inflight and inflight[0][0] <= now:
-                inflight.popleft()
-            completed += sum(count for _, count in inflight)
+            finish, count = self._inflight[shard_id]
+            if finish > now:
+                completed += count
             for seq in self._queued[shard_id]:
                 entry = self._entries.pop(seq, None)
                 if entry is None:

@@ -11,6 +11,7 @@ paper's figures — or from an in-memory synthetic graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from repro.core.cost_model import WorkloadParams
@@ -139,14 +140,16 @@ class WorkloadProfile:
             raise ValueError("batch_size must be >= 1")
         return replace(self, batch_size=batch_size)
 
-    @property
+    @cached_property
     def batch_key(self) -> tuple:
         """Key under which requests can share one batched preprocessing pass.
 
         Two workloads are batch-compatible when they agree on everything
         except ``batch_size``: their seed sets can then be concatenated and
         preprocessed together, with the merged pass priced at the summed
-        batch size.
+        batch size.  Built once per profile: the cached value lives in the
+        instance ``__dict__``, which the frozen dataclass's ``asdict``,
+        ``==``, ``hash`` and ``replace`` never read.
         """
         return (
             self.name,

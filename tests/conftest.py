@@ -29,6 +29,7 @@ from repro.serving import (
     merge_traces,
 )
 from repro.serving import cluster as cluster_module
+from repro.serving.scheduler import RequestBatch
 from repro.system.service import build_services
 from repro.system.workload import WorkloadProfile
 
@@ -52,6 +53,21 @@ def make_profile(name: str = "synth", batch_size: int = 100, **kwargs) -> Worklo
     defaults = dict(num_nodes=50_000, num_edges=400_000, avg_degree=8.0)
     defaults.update(kwargs)
     return WorkloadProfile(name=name, batch_size=batch_size, **defaults)
+
+
+def profile_with_home(home: int, num_candidates: int, batch_size: int = 800):
+    """A workload profile whose locality home shard is ``home``."""
+    for i in range(64):
+        profile = make_profile(f"drain-{i}", batch_size=batch_size)
+        batch = RequestBatch(
+            requests=[
+                InferenceRequest(request_id=0, arrival_seconds=0.0, workload=profile)
+            ],
+            ready_seconds=0.0,
+        )
+        if cluster_module._home_shard(batch, num_candidates) == home:
+            return profile
+    raise AssertionError("no candidate profile hashed to the requested home shard")
 
 
 def zero_gap_trace(workloads) -> RequestTrace:

@@ -21,7 +21,12 @@ says a pass costs.
 import json
 
 import pytest
-from conftest import WORKLOAD_POOL, make_bursty_tenant_trace, make_profile
+from conftest import (
+    WORKLOAD_POOL,
+    make_bursty_tenant_trace,
+    make_profile,
+    profile_with_home,
+)
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.report import format_timeline
@@ -49,25 +54,10 @@ def _render(report) -> str:
     return json.dumps(report.as_dict(), sort_keys=True)
 
 
-def _profile_with_home(home: int, num_candidates: int, batch_size: int = 800):
-    """A workload profile whose locality home shard is ``home``."""
-    for i in range(64):
-        profile = make_profile(f"drain-{i}", batch_size=batch_size)
-        batch = RequestBatch(
-            requests=[
-                InferenceRequest(request_id=0, arrival_seconds=0.0, workload=profile)
-            ],
-            ready_seconds=0.0,
-        )
-        if _home_shard(batch, num_candidates) == home:
-            return profile
-    raise AssertionError("no candidate profile hashed to the requested home shard")
-
-
 @pytest.fixture(scope="module")
 def drain_setup(services):
     """The pinned drain scenario's profile and its measured pass time."""
-    profile = _profile_with_home(home=1, num_candidates=2)
+    profile = profile_with_home(home=1, num_candidates=2)
     d = services["CPU"].replicate().serve(profile).total_seconds
     return profile, d
 
@@ -418,3 +408,95 @@ def test_scale_down_sweep_conserves_and_matches(
     assert migrated >= 0 and completed >= 0
     if not drain:
         assert migrated == 0 and completed == 0
+
+
+# ----------------------------------------------- drain accounting, counted apart
+def _in_flight_at_scale_downs(report, order):
+    """Per scale-down event: ``(completed, independent count)``.
+
+    The count reads only the served records: requests on the leaving
+    shards ``order[after:before]`` whose batch started at or before the
+    event and finishes after it.  Starts and finishes are rebuilt from the
+    records' delays, so boundaries get a 1e-9 margin: a batch starting at
+    the event instant committed first (commits precede same-instant
+    arrivals), and one finishing then is done.
+    """
+    eps = 1e-9
+    timeline = report.scaling_timeline
+    pairs = []
+    for previous, event in zip(timeline, timeline[1:]):
+        if event.reason != "scale-down":
+            continue
+        leaving = set(order[event.active_shards : previous.active_shards])
+        t = event.seconds
+        count = sum(
+            1
+            for served in report.served
+            if served.shard_id in leaving
+            and served.finish_seconds - served.service_seconds <= t + eps
+            and served.finish_seconds > t + eps
+        )
+        pairs.append((event.completed, count))
+    return pairs
+
+
+def test_completed_matches_records_on_pinned_drain(services, drain_setup):
+    """The independent count agrees on the pinned drain (one in flight)."""
+    profile, d = drain_setup
+    cluster = _drain_cluster(services, ENGINE_REFERENCE)
+    report = cluster.serve_online(
+        TraceArrivals(_trace(profile, d, BURST_THEN_TROUGH)),
+        config=ServingConfig(autoscaler=_scaler()),
+    )
+    assert _in_flight_at_scale_downs(report, cluster._order) == [(1, 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    num_per_tenant=st.integers(min_value=5, max_value=15),
+    min_shards=st.integers(min_value=1, max_value=2),
+    hysteresis=st.integers(min_value=1, max_value=3),
+    scale_down_depth=st.sampled_from([0.5, 1.0, 3.0]),
+    max_batch_size=st.integers(min_value=1, max_value=3),
+    policy=st.sampled_from(["least-loaded", "round-robin", "locality"]),
+)
+def test_completed_counts_requests_in_flight_on_leaving_shards(
+    services, seed, num_per_tenant, min_shards, hysteresis, scale_down_depth,
+    max_batch_size, policy,
+):
+    """``ScalingEvent.completed`` equals the served records in flight on the
+    leaving shards at the scale-down, over fault-free drained runs.
+
+    Light passes at a modest rate leave troughs between bursts, so most
+    examples scale down, many with work in flight.
+    """
+    trace = make_bursty_tenant_trace(
+        [make_profile("light", batch_size=100), make_profile("mid", batch_size=300)],
+        num_per_tenant=num_per_tenant,
+        base_rate_rps=20.0,
+        peak_rate_rps=100.0,
+        seed=seed,
+    )
+    cluster = ShardedServiceCluster(
+        services["CPU"],
+        num_shards=3,
+        scheduler=BatchScheduler(max_batch_size=max_batch_size, max_wait_seconds=0.004),
+        policy=policy,
+        engine=ENGINE_REFERENCE,
+    )
+    report = cluster.serve_online(
+        TraceArrivals(trace),
+        config=ServingConfig(
+            autoscaler=Autoscaler(
+                min_shards=min_shards,
+                max_shards=3,
+                scale_up_depth=scale_down_depth + 2.0,
+                scale_down_depth=scale_down_depth,
+                hysteresis_observations=hysteresis,
+                warmup_seconds=0.002,
+            )
+        ),
+    )
+    for completed, count in _in_flight_at_scale_downs(report, cluster._order):
+        assert completed == count

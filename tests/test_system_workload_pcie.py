@@ -1,5 +1,7 @@
 """Tests for workload profiles, the PCIe model, boards, power and metrics."""
 
+from dataclasses import asdict, replace
+
 import pytest
 
 from repro.analysis.metrics import (
@@ -52,6 +54,17 @@ class TestWorkloadProfile:
     def test_per_seed_nodes_capped_by_graph(self):
         w = WorkloadProfile(name="tiny", num_nodes=20, num_edges=100, avg_degree=5, k=10, num_layers=2)
         assert w.per_seed_subgraph_nodes == 20
+
+    def test_cached_batch_key_stays_out_of_value_semantics(self):
+        w = WorkloadProfile.from_dataset("AX")
+        key = w.batch_key
+        assert w.batch_key is key  # built once
+        fresh = WorkloadProfile.from_dataset("AX")
+        assert w == fresh and hash(w) == hash(fresh)
+        assert asdict(w) == asdict(fresh) and "batch_key" not in asdict(w)
+        degraded = replace(w, quality="degraded")
+        assert degraded.batch_key == key[:-1] + ("degraded",)
+        assert replace(w, batch_size=7).batch_key == key
 
 
 class TestPCIe:
