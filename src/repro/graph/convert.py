@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graph.coo import COOGraph, VID_DTYPE
+from repro.graph.coo import COOGraph, VID_DTYPE, pack_keys
 from repro.graph.csc import CSCGraph
 
 
@@ -25,7 +25,14 @@ def edge_order(graph: COOGraph) -> COOGraph:
     Sorting the concatenated ``(dst, src)`` keys with a single-key sort is
     equivalent to ``np.lexsort((src, dst))`` (destination occupies the high
     bits) and several times faster.
+
+    A snapshot built by :meth:`repro.graph.dynamic.DynamicGraph.apply`
+    carries its ordered layout, merged from the previous snapshot's by
+    :func:`merge_edge_order`; that layout is returned as is.  Any other graph
+    is sorted afresh on every call, and nothing is cached on it.
     """
+    if graph._ordered is not None:
+        return graph._ordered
     keys = np.sort(graph.concatenate_vids())
     src, dst = COOGraph.deconcatenate_vids(keys, graph.num_nodes)
     # A permutation of already-validated edges needs no range re-check.
@@ -42,22 +49,64 @@ def build_pointer_array(sorted_dst: np.ndarray, num_nodes: int) -> np.ndarray:
     counts = np.bincount(sorted_dst, minlength=num_nodes) if sorted_dst.size else np.zeros(
         num_nodes, dtype=VID_DTYPE
     )
-    indptr = np.zeros(num_nodes + 1, dtype=VID_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
+    return _pointers_from_degrees(counts)
+
+
+def _pointers_from_degrees(degrees: np.ndarray) -> np.ndarray:
+    """The pointer array whose gaps are ``degrees`` (a leading zero, then the cumsum)."""
+    indptr = np.zeros(degrees.shape[0] + 1, dtype=VID_DTYPE)
+    np.cumsum(degrees, out=indptr[1:])
     return indptr
+
+
+def merge_edge_order(
+    ordered: COOGraph, src: np.ndarray, dst: np.ndarray, num_nodes: int
+) -> COOGraph:
+    """The ordered layout of ``ordered``'s edges plus ``(src, dst)``, without a full sort.
+
+    ``ordered`` is an :func:`edge_order` result; the merged graph has
+    ``num_nodes`` vertices (at least ``ordered.num_nodes``) and equals
+    :func:`edge_order` of any graph holding the same edges.  Only the added
+    keys are sorted; their positions among the old keys, recomputed at
+    ``vid_bits(num_nodes)``, come from one binary search.  The merged graph
+    also carries its in-degrees (the old ones padded to ``num_nodes`` plus
+    the added edges' counts), from which :func:`csc_from_ordered` takes the
+    pointer array.
+    """
+    added = np.sort(pack_keys(src, dst, num_nodes))
+    positions = np.searchsorted(pack_keys(ordered.src, ordered.dst, num_nodes), added)
+    added_src, added_dst = COOGraph.deconcatenate_vids(added, num_nodes)
+    merged = COOGraph(
+        src=np.insert(ordered.src, positions, added_src),
+        dst=np.insert(ordered.dst, positions, added_dst),
+        num_nodes=num_nodes,
+        name=ordered.name,
+        validate_vids=False,
+    )
+    degrees = np.bincount(dst, minlength=num_nodes)
+    degrees[: ordered.num_nodes] += ordered.in_degrees()
+    merged._degree_cache = degrees
+    return merged
 
 
 def csc_from_ordered(ordered: COOGraph, indptr: Optional[np.ndarray] = None) -> CSCGraph:
     """Data reshaping: the CSC of a destination-sorted COO.
 
     ``indptr`` is a pointer array already built for ``ordered`` (by an
-    emulated reshaper, say); by default it is :func:`build_pointer_array`'s.
+    emulated reshaper, say).  By default it is the cumsum of ``ordered``'s
+    in-degrees when they are cached (a :func:`merge_edge_order` result
+    carries them), else :func:`build_pointer_array`'s.  The index array is
+    ``ordered.src`` itself, not a copy: graph arrays are immutable once built.
     """
     if indptr is None:
-        indptr = build_pointer_array(ordered.dst, ordered.num_nodes)
+        degrees = ordered._degree_cache
+        if degrees is None:
+            indptr = build_pointer_array(ordered.dst, ordered.num_nodes)
+        else:
+            indptr = _pointers_from_degrees(degrees)
     return CSCGraph(
         indptr=indptr,
-        indices=ordered.src.copy(),
+        indices=ordered.src,
         num_nodes=ordered.num_nodes,
         name=ordered.name,
     )

@@ -21,6 +21,17 @@ def vid_bits(num_nodes: int) -> int:
     return max(int(num_nodes - 1).bit_length(), 1)
 
 
+def pack_keys(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
+    """One int64 sort key per edge: ``dst`` in the high bits, ``src`` in the low.
+
+    Each half is :func:`vid_bits` of ``num_nodes`` wide, so the keys of a
+    graph order its edges by (dst, src) and fit in twice that width.
+    """
+    keys = dst.astype(np.int64, copy=False) << vid_bits(num_nodes)
+    keys |= src.astype(np.int64, copy=False)
+    return keys
+
+
 @dataclass
 class COOGraph:
     """An edge-array graph.
@@ -32,6 +43,11 @@ class COOGraph:
         name: optional human-readable name (dataset key).
         validate_vids: skip the O(E) VID range check when False — only for
             internal constructions whose edges are valid by derivation.
+
+    The edge arrays are immutable once built: the degree caches and the
+    ordered layout an update stream seeds (``_ordered``, read by
+    :func:`repro.graph.convert.edge_order`) describe them as they were built.
+    Every method that derives a graph returns a fresh instance with no caches.
     """
 
     src: np.ndarray
@@ -40,6 +56,7 @@ class COOGraph:
     name: str = ""
     _degree_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _out_degree_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _ordered: Optional["COOGraph"] = field(default=None, init=False, repr=False, compare=False)
     validate_vids: InitVar[bool] = True
 
     def __post_init__(self, validate_vids: bool = True) -> None:
@@ -131,10 +148,7 @@ class COOGraph:
         by source (Section V-A, Fig. 15).  Destination occupies the high bits;
         each half is :func:`vid_bits` wide, so keys fit in twice that.
         """
-        shift = vid_bits(self.num_nodes)
-        keys = self.dst.astype(np.int64, copy=False) << shift
-        keys |= self.src.astype(np.int64, copy=False)
-        return keys
+        return pack_keys(self.src, self.dst, self.num_nodes)
 
     @staticmethod
     def deconcatenate_vids(keys: np.ndarray, num_nodes: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,10 @@ class CSCGraph:
         indices: index array of source VIDs, grouped by destination.
         num_nodes: number of vertices.
         name: optional dataset name.
+
+    The arrays are immutable once built: a CSC reshaped from an ordered COO
+    shares that graph's source array as ``indices`` (see
+    :func:`repro.graph.convert.csc_from_ordered`).  :meth:`copy` is independent.
     """
 
     indptr: np.ndarray

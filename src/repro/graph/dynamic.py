@@ -13,8 +13,9 @@ from typing import Iterator, List
 
 import numpy as np
 
+from repro.graph.convert import coo_to_csc, edge_order, merge_edge_order
 from repro.graph.coo import COOGraph, VID_DTYPE
-from repro.graph.generators import grow_graph
+from repro.graph.generators import attachment_edges
 
 #: Daily edge-growth rates reported in the paper for the two dynamic datasets.
 DAILY_GROWTH_RATE = {"SO": 0.0052, "TB": 0.0095}
@@ -55,11 +56,33 @@ class DynamicGraph:
         return len(self.history)
 
     def apply(self, batch: UpdateBatch) -> COOGraph:
-        """Apply an update batch and return the new snapshot."""
+        """Apply an update batch and return the new snapshot.
+
+        The snapshot carries its graph conversion's ordered layout, which
+        :func:`~repro.graph.convert.edge_order` returns instead of sorting:
+        the previous snapshot's layout with the batch merged in, or one full
+        sort when the previous graph has none (the first snapshot after the
+        base).  The layout moves to the new snapshot, so only the current
+        one holds it.  A rejected batch changes nothing.
+        """
         num_nodes = self.graph.num_nodes + batch.new_nodes
-        self.graph = self.graph.add_edges(batch.src, batch.dst, num_nodes=num_nodes)
+        old_edges = self.graph.num_edges
+        ordered = self.graph._ordered
+        snapshot = self.graph.add_edges(batch.src, batch.dst, num_nodes=num_nodes)
+        # Let the previous snapshot go before the merge allocates the new
+        # layout, so its edges and both layouts are never alive together.
+        self.graph._ordered = None
+        self.graph = snapshot
         self.history.append(batch)
-        return self.graph
+        if ordered is None:
+            snapshot._ordered = edge_order(snapshot)
+        else:
+            snapshot._ordered = merge_edge_order(
+                ordered, snapshot.src[old_edges:], snapshot.dst[old_edges:], num_nodes
+            )
+            # The merged layout carries the in-degrees on; the old copy is spare.
+            ordered._degree_cache = None
+        return snapshot
 
     def update_ratio(self, batch: UpdateBatch) -> float:
         """Fraction of the current edge set that a batch represents."""
@@ -94,29 +117,36 @@ class GraphUpdateStream:
         self._rng = np.random.default_rng(seed)
 
     def generate(self, num_steps: int) -> Iterator[UpdateBatch]:
-        """Yield ``num_steps`` update batches, growing the edge count geometrically."""
-        current = self.base_graph.copy()
+        """Yield ``num_steps`` update batches, growing the edge count geometrically.
+
+        Each step draws its edges as :func:`~repro.graph.generators.grow_graph`
+        would on the graph grown so far.  Preferential attachment reads only
+        that graph's destinations, so the stream keeps them in one growing
+        buffer and a step costs O(batch), not O(graph).
+        """
+        num_edges = self.base_graph.num_edges
+        num_nodes = self.base_graph.num_nodes
+        dst_buffer = self.base_graph.dst.copy()
         for step in range(num_steps):
-            add = max(int(round(current.num_edges * self.growth_rate)), 1)
+            add = max(int(round(num_edges * self.growth_rate)), 1)
             new_nodes = int(round(add * self.new_node_rate))
-            total_nodes = current.num_nodes + new_nodes
-            grown = grow_graph(
-                current, add, rng=self._rng, preferential=self.preferential
+            src, dst = attachment_edges(
+                dst_buffer[:num_edges], num_nodes, add, self._rng, self.preferential
             )
-            src = grown.src[current.num_edges :].copy()
-            dst = grown.dst[current.num_edges :].copy()
+            # grow_graph's range check; it fails only on a graph with no vertices.
+            COOGraph(src=src, dst=dst, num_nodes=num_nodes)
             if new_nodes > 0:
                 # Route a share of the new edges to the freshly added vertices.
                 idx = self._rng.choice(add, size=min(new_nodes, add), replace=False)
-                dst[idx] = current.num_nodes + np.arange(len(idx), dtype=VID_DTYPE)
-            batch = UpdateBatch(step=step, src=src, dst=dst, new_nodes=new_nodes)
-            current = COOGraph(
-                src=np.concatenate([current.src, src]),
-                dst=np.concatenate([current.dst, dst]),
-                num_nodes=total_nodes,
-                name=current.name,
-            )
-            yield batch
+                dst[idx] = num_nodes + np.arange(len(idx), dtype=VID_DTYPE)
+            if num_edges + add > dst_buffer.shape[0]:
+                grown = np.empty(max(2 * dst_buffer.shape[0], num_edges + add), dtype=VID_DTYPE)
+                grown[:num_edges] = dst_buffer[:num_edges]
+                dst_buffer = grown
+            dst_buffer[num_edges : num_edges + add] = dst
+            num_edges += add
+            num_nodes += new_nodes
+            yield UpdateBatch(step=step, src=src, dst=dst, new_nodes=new_nodes)
 
     def replay(self, num_steps: int) -> DynamicGraph:
         """Build a :class:`DynamicGraph` by applying ``num_steps`` batches."""
@@ -139,8 +169,6 @@ def affected_vertex_ratio(
     """
     if graph.num_nodes == 0:
         return 0.0
-    from repro.graph.convert import coo_to_csc
-
     csc = coo_to_csc(graph)
     affected = set(np.unique(np.asarray(updated_dst, dtype=VID_DTYPE)).tolist())
     frontier = set(affected)

@@ -10,7 +10,7 @@ substitution preserves the trends the evaluation reports (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -122,10 +122,27 @@ def grow_graph(
         rng = np.random.default_rng(0)
     if new_edges <= 0:
         return graph.copy()
-    if preferential and graph.num_edges > 0:
-        picked = rng.integers(0, graph.num_edges, size=new_edges)
-        dst = graph.dst[picked]
+    src, dst = attachment_edges(graph.dst, graph.num_nodes, new_edges, rng, preferential)
+    return graph.add_edges(src, dst)
+
+
+def attachment_edges(
+    dst: np.ndarray,
+    num_nodes: int,
+    new_edges: int,
+    rng: np.random.Generator,
+    preferential: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw ``new_edges`` ``(src, dst)`` edges for a graph with destinations ``dst``.
+
+    With ``preferential`` attachment each new destination copies an existing
+    edge's, so popular destinations attract more; otherwise (or on a graph
+    with no edges) destinations are uniform.  Sources are always uniform.
+    """
+    if preferential and dst.shape[0] > 0:
+        picked = rng.integers(0, dst.shape[0], size=new_edges)
+        new_dst = dst[picked]
     else:
-        dst = rng.integers(0, max(graph.num_nodes, 1), size=new_edges)
-    src = rng.integers(0, max(graph.num_nodes, 1), size=new_edges)
-    return graph.add_edges(src.astype(VID_DTYPE), dst.astype(VID_DTYPE))
+        new_dst = rng.integers(0, max(num_nodes, 1), size=new_edges)
+    src = rng.integers(0, max(num_nodes, 1), size=new_edges)
+    return src.astype(VID_DTYPE), new_dst.astype(VID_DTYPE)

@@ -1,9 +1,11 @@
 """Tests for dynamic graphs and update streams."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from repro.graph.dynamic import (
     DAILY_GROWTH_RATE,
@@ -14,10 +16,10 @@ from repro.graph.dynamic import (
     critical_update_ratio,
 )
 from repro.core.accelerator import AutoGNNDevice
-from repro.graph.coo import COOGraph
-from repro.graph.generators import uniform_random_graph
+from repro.graph.coo import COOGraph, VID_DTYPE
+from repro.graph.generators import grow_graph, uniform_random_graph
 from repro.graph.sampling import MODE_REFERENCE, MODE_VECTORIZED
-from repro.preprocessing.pipeline import PreprocessingConfig
+from repro.preprocessing.pipeline import PreprocessingConfig, preprocess
 
 
 @pytest.fixture
@@ -49,6 +51,40 @@ class TestUpdateStream:
         dynamic = stream.replay(2)
         assert dynamic.graph.num_nodes > base.num_nodes
 
+    @pytest.mark.parametrize(
+        "num_nodes, num_edges, new_node_rate, preferential",
+        [(100, 1000, 0.1, True), (100, 1000, 0.5, False), (30, 0, 0.3, True), (7, 20, 1.0, True)],
+    )
+    def test_generate_draws_as_grow_graph_does(
+        self, num_nodes, num_edges, new_node_rate, preferential
+    ):
+        """The O(batch) stream yields the batches of growing a full copy of
+        the graph with ``grow_graph`` at every step."""
+        base = uniform_random_graph(num_nodes, num_edges, seed=5)
+        stream = GraphUpdateStream(
+            base, growth_rate=0.05, new_node_rate=new_node_rate, preferential=preferential, seed=8
+        )
+        rng = np.random.default_rng(8)
+        current = base.copy()
+        for batch in stream.generate(12):
+            add = max(int(round(current.num_edges * 0.05)), 1)
+            new_nodes = int(round(add * new_node_rate))
+            grown = grow_graph(current, add, rng=rng, preferential=preferential)
+            dst = grown.dst[current.num_edges :].copy()
+            if new_nodes > 0:
+                idx = rng.choice(add, size=min(new_nodes, add), replace=False)
+                dst[idx] = current.num_nodes + np.arange(len(idx), dtype=VID_DTYPE)
+            assert batch.new_nodes == new_nodes
+            assert np.array_equal(batch.src, grown.src[current.num_edges :])
+            assert np.array_equal(batch.dst, dst)
+            assert batch.src.dtype == batch.dst.dtype == VID_DTYPE
+            current = current.add_edges(batch.src, dst, num_nodes=current.num_nodes + new_nodes)
+
+    def test_generate_rejects_graph_without_vertices(self):
+        empty = COOGraph(src=np.empty(0), dst=np.empty(0), num_nodes=0)
+        with pytest.raises(ValueError, match="out of range"):
+            next(GraphUpdateStream(empty, growth_rate=0.1).generate(1))
+
     def test_paper_growth_rates_present(self):
         assert DAILY_GROWTH_RATE["SO"] == pytest.approx(0.0052)
         assert DAILY_GROWTH_RATE["TB"] == pytest.approx(0.0095)
@@ -79,6 +115,26 @@ class TestDynamicGraph:
         with pytest.raises(ValueError, match="non-negative"):
             dynamic.apply(batch)
         assert dynamic.num_steps == 0
+
+        # A rejected batch also leaves a snapshot's seeded layout untouched.
+        snapshot = dynamic.apply(UpdateBatch(step=0, src=np.array([1]), dst=np.array([2])))
+        layout = snapshot._ordered
+        assert layout is not None
+        layout_arrays = [layout.src.copy(), layout.dst.copy(), layout.in_degrees().copy()]
+        edges = [snapshot.src.copy(), snapshot.dst.copy()]
+        for bad in (
+            UpdateBatch(step=1, src=np.array([0]), dst=np.array([base.num_nodes])),
+            UpdateBatch(step=1, src=np.array([-1]), dst=np.array([0]), new_nodes=1),
+        ):
+            with pytest.raises(ValueError):
+                dynamic.apply(bad)
+        assert dynamic.num_steps == 1
+        assert dynamic.graph is snapshot and snapshot._ordered is layout
+        assert layout.num_nodes == snapshot.num_nodes == base.num_nodes
+        for got, want in zip([layout.src, layout.dst, layout.in_degrees()], layout_arrays):
+            assert np.array_equal(got, want)
+        for got, want in zip([snapshot.src, snapshot.dst], edges):
+            assert np.array_equal(got, want)
 
     def test_stream_snapshot_equals_direct_build_and_preprocesses_identically(self, base):
         stream = GraphUpdateStream(base, growth_rate=0.05, new_node_rate=0.3, seed=4)
@@ -114,6 +170,109 @@ class TestDynamicGraph:
             assert run.timing.breakdown() == runs[0].timing.breakdown()
             for got, want in zip(arrays(run), arrays(runs[0])):
                 assert np.array_equal(got, want)
+
+
+def _result_arrays(result):
+    return [
+        result.ordered.src, result.ordered.dst, result.csc.indptr, result.csc.indices,
+        result.reindex.edges.src, result.reindex.edges.dst, result.reindex.original_vids,
+        result.subgraph_csc.indptr, result.subgraph_csc.indices,
+    ]
+
+
+def _assert_same_results(got, want):
+    for a, b in zip(_result_arrays(got), _result_arrays(want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.ordered.num_nodes == want.ordered.num_nodes == got.csc.num_nodes
+
+
+@st.composite
+def update_streams(draw):
+    """A small base graph and a stream of batches: multi-edges, empty batches
+    and new vertices that carry ``num_nodes`` across powers of two."""
+    num_nodes = draw(st.integers(min_value=1, max_value=20))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    base_edges = draw(st.integers(min_value=0, max_value=40))
+    # Endpoints come from a few VIDs, so parallel edges are common.
+    hot = max(num_nodes // 3, 1)
+    base = COOGraph(
+        src=rng.integers(0, hot, size=base_edges),
+        dst=rng.integers(0, num_nodes, size=base_edges),
+        num_nodes=num_nodes,
+    )
+    batches = []
+    for step in range(draw(st.integers(min_value=1, max_value=5))):
+        new_nodes = draw(st.sampled_from([0, 0, 1, 3, 9, 17]))
+        size = draw(st.sampled_from([0, 1, 2, 7, 15]))
+        total = num_nodes + new_nodes
+        src = rng.integers(0, total, size=size)
+        dst = rng.integers(0, total, size=size)
+        if size and base_edges and draw(st.booleans()):
+            # Repeat an edge of the base graph within the batch.
+            src[0], dst[0] = base.src[0], base.dst[0]
+        batches.append(UpdateBatch(step=step, src=src, dst=dst, new_nodes=new_nodes))
+        num_nodes = total
+    return base, batches
+
+
+#: Wall-clock budget of the equivalence sweep: past it, the remaining
+#: generated examples return at once, so a slow host cannot stretch the
+#: sweep.  The pinned examples always run first.
+EQUIVALENCE_BUDGET_SECONDS = 30.0
+
+
+@pytest.fixture(scope="module")
+def equivalence_deadline():
+    """The monotonic time at which the equivalence sweep's budget runs out."""
+    return time.monotonic() + EQUIVALENCE_BUDGET_SECONDS
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None)
+@given(stream=update_streams())
+@example(
+    stream=(
+        COOGraph(src=np.array([0, 0, 3, 3]), dst=np.array([1, 1, 2, 2]), num_nodes=4),
+        [
+            UpdateBatch(step=0, src=np.array([0, 0]), dst=np.array([1, 4]), new_nodes=1),
+            UpdateBatch(step=1, src=np.empty(0, dtype=VID_DTYPE), dst=np.empty(0, dtype=VID_DTYPE)),
+            UpdateBatch(step=2, src=np.array([8, 3]), dst=np.array([2, 8]), new_nodes=4),
+            UpdateBatch(step=3, src=np.empty(0, dtype=VID_DTYPE), dst=np.empty(0, dtype=VID_DTYPE), new_nodes=9),
+        ],
+    )
+)
+@example(
+    stream=(
+        COOGraph(src=np.empty(0, dtype=VID_DTYPE), dst=np.empty(0, dtype=VID_DTYPE), num_nodes=1),
+        [
+            UpdateBatch(step=0, src=np.empty(0, dtype=VID_DTYPE), dst=np.empty(0, dtype=VID_DTYPE)),
+            UpdateBatch(step=1, src=np.array([0, 1, 1]), dst=np.array([1, 0, 0]), new_nodes=1),
+        ],
+    )
+)
+def test_snapshots_preprocess_as_their_copies(equivalence_deadline, stream):
+    """Every snapshot's results and timing, through the device and the
+    reference pipeline in both modes, equal those of a plain copy, which
+    has no seeded layout and is ordered and reshaped from scratch."""
+    if time.monotonic() > equivalence_deadline:
+        return
+    base, batches = stream
+    dynamic = DynamicGraph(graph=base)
+    for batch in batches:
+        snapshot = dynamic.apply(batch)
+        plain = snapshot.copy()
+        assert snapshot._ordered is not None and plain._ordered is None
+        for mode in (MODE_VECTORIZED, MODE_REFERENCE):
+            config = PreprocessingConfig(
+                k=2, num_layers=2, batch_size=4, seed=batch.step, mode=mode
+            )
+            device, expected = (
+                AutoGNNDevice().preprocess(graph, config) for graph in (snapshot, plain)
+            )
+            _assert_same_results(device.result, expected.result)
+            assert device.timing == expected.timing
+            _assert_same_results(preprocess(snapshot, config), preprocess(plain, config))
+    assert base._ordered is None
 
 
 class TestInfluence:

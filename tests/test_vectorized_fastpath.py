@@ -22,6 +22,7 @@ from repro.core.kernels import (
 )
 from repro.graph.convert import coo_to_csc, edge_order
 from repro.graph.coo import VID_DTYPE
+from repro.graph.dynamic import DynamicGraph, UpdateBatch
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.reindex import (
     factorize_first_occurrence,
@@ -310,3 +311,31 @@ class TestSatelliteFixes:
         assert appended._degree_cache is None
         assert appended._out_degree_cache is None
         assert int(appended.out_degrees()[0]) == int(graph.out_degrees()[0]) + 1
+
+    def test_ordered_layout_not_inherited(self, graph):
+        """Only ``DynamicGraph.apply`` seeds an ordered layout: graphs derived
+        from a snapshot carry none, and ordering a static graph caches none."""
+        dynamic = DynamicGraph(graph=graph)
+        for step in range(2):
+            snapshot = dynamic.apply(
+                UpdateBatch(step=step, src=np.array([0, 3]), dst=np.array([5, 5]))
+            )
+        assert snapshot._ordered is not None
+        assert edge_order(snapshot) is snapshot._ordered
+        derived = [
+            snapshot.copy(),
+            snapshot.with_edges(snapshot.src[:10], snapshot.dst[:10]),
+            snapshot.add_edges(np.array([0]), np.array([1])),
+            snapshot.subgraph_edges(snapshot.dst % 2 == 0),
+        ]
+        assert all(g._ordered is None for g in derived)
+
+        static = derived[0]
+        first, second = edge_order(static), edge_order(static)
+        assert first is not second
+        assert static._ordered is None and static._degree_cache is None
+        assert first._ordered is None and first._degree_cache is None
+        assert np.array_equal(first.src, snapshot._ordered.src)
+        assert np.array_equal(first.dst, snapshot._ordered.dst)
+        # The base graph was never ordered, so it carries no layout either.
+        assert graph._ordered is None
