@@ -23,8 +23,10 @@ online and for offline replays alike.  The ``engine`` option only picks the
     the per-batch bitstream-library sweep; for stateless systems it
     eliminates the analytic model evaluation outright.
   * **Indexed shard heap** — least-loaded dispatch and admission backlog
-    reads pop a ``(busy_until, shard_id)`` priority structure with lazy
-    staleness instead of scanning every shard per batch.
+    reads pop a ``(busy_until, shard_id)`` priority structure
+    (:class:`ShardHeap`) with lazy staleness instead of scanning every
+    shard per batch; the autoscaler's drains and scale-downs are why an
+    entry can go stale.
   * **Deadline heap** — the event loop's next-expiring-batch query is a
     heap top instead of a scan over all open batches.
   * **Per-run price tables** — admission prices each distinct thing once
@@ -47,7 +49,9 @@ online and for offline replays alike.  The ``engine`` option only picks the
 Fast-engine offline replays with no faults and no fair batching skip the
 event loop altogether for the array-native chunked loop
 (:func:`_serve_trace_chunked`): its batch plan comes from the trace's
-structure-of-arrays view (``BatchScheduler.schedule_arrays``) in one pass.
+structure-of-arrays view (``BatchScheduler.schedule_arrays``) in one pass,
+and, with every shard always active, its least-loaded pick is a plain heap
+of one entry per shard, re-timed in place after each serve.
 
 Every piece a backend swaps returns the value the reference piece would, so
 both backends — and the chunked loop — render byte-identical reports
@@ -58,6 +62,7 @@ expression that lands in a report live once, in the event loop.
 from __future__ import annotations
 
 import heapq
+from array import array
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -249,18 +254,23 @@ def _cached_serve(
     ``states`` holds each shard's interned state id for the current run and
     is moved to the transition's end state.  A hit replays the memoized
     ``(report, duration, end state)`` transition: the report object is
-    shared (it is immutable in practice and compares by value), and
-    ``apply_state`` moves the shard to the exact state a fresh pass would
-    have left — including the reconfiguration event log, which the
-    controller re-derives from the (old, new) configuration pair.
+    shared (it is immutable in practice and compares by value).  When the
+    end state differs from the shard's tracked state, ``apply_state`` moves
+    the shard to the exact state a fresh pass would have left — including
+    the reconfiguration event log, which the controller re-derives from the
+    (old, new) configuration pair.  When it is the same state id the shard
+    already holds an equal state, and ``apply_state`` would be a no-op, so
+    it is not called.
     """
-    key = (states[shard_id], workload_id)
+    state = states[shard_id]
+    key = (state, workload_id)
     hit = cluster._serve_cache.get(key)
-    shard = cluster.shards[shard_id]
     if hit is not None:
         report, duration, end_state = hit
-        shard.preprocessing.apply_state(cluster._snapshots[end_state])
+        if end_state != state:
+            cluster.shards[shard_id].preprocessing.apply_state(cluster._snapshots[end_state])
     else:
+        shard = cluster.shards[shard_id]
         report = shard.serve(cluster._workloads[workload_id])
         duration = report.total_seconds
         end_state = cluster._state_id(shard)
@@ -677,6 +687,20 @@ def _serve_trace_chunked(
     work left is the dispatch decision itself — shard pick, serve-transition
     cache lookup, busy-horizon update — which is inherently sequential
     because each pick depends on the horizons the previous batch wrote.
+    Everything else is per run: each batch's merged workload is interned
+    in one pass before the loop, the loop appends its shard, start and
+    duration to typed columns, and the per-shard request counts and the
+    last finish come from those columns afterwards.
+
+    An offline replay has no autoscaler, so every shard stays active and
+    the least-loaded pick is the top of a heap holding exactly one
+    ``(busy_until, shard_id)`` entry per shard — the reference picker's
+    tie order.  The picked shard is always the one re-timed, so one
+    ``heapreplace`` per batch keeps the heap exact: no entry goes stale.
+    A serve-cache hit is inlined, and moves the shard's state
+    (``apply_state``) only when the transition ends in a different state
+    id, as :func:`_cached_serve` does on the event loop.
+
     Request objects are never materialized: the returned report carries a
     :class:`_ChunkedServedLog` that builds the per-request records only on
     first access.
@@ -688,7 +712,7 @@ def _serve_trace_chunked(
       (``schedule_fast`` wraps the same plan as objects),
     * every float lands through the same scalar expression shape
       (elementwise ``(batching + dispatch) + service``, broadcast of the
-      per-batch ``start - ready``), and
+      per-batch ``start - ready``, ``busy += duration`` in commit order), and
     * sums fold left-to-right from the same initial values
       (:func:`_left_fold_sum`, :meth:`LatencyStats.from_array`).
 
@@ -702,69 +726,97 @@ def _serve_trace_chunked(
     arrays = trace.arrays()
     plan = cluster.scheduler.schedule_arrays(trace)
     num_shards = cluster.num_shards
-    heap = ShardHeap(num_shards)
-    busy_total = [0.0] * num_shards
-    shard_requests = [0] * num_shards
-    # Interned ids: each shard's preprocessing state, and the merged
-    # workload of each (pool slot, summed size) pair seen this run.
-    states = [cluster._state_id(shard) for shard in cluster.shards]
-    workload_ids: Dict[Tuple[int, int], int] = {}
-    last_finish = 0.0
-
-    pool = arrays.workload_pool
-    key_of_slot = [workload.batch_key for workload in pool]
     num_batches = plan.num_batches
-    offsets = plan.batch_offsets
-    counts = np.diff(offsets)
+    pool = arrays.workload_pool
+
+    # Intern each batch's merged workload — the base profile with the
+    # member sizes summed, the merge the event loop evaluates through
+    # ``RequestBatch.workload`` — once per distinct (pool slot, summed
+    # size) pair, in first-batch order.
+    base_slot = plan.base_slot
+    merged_sizes = plan.merged_sizes
+    pair_codes = base_slot * (int(merged_sizes.max(initial=0)) + 1) + merged_sizes
+    _, first_batch, pair_of_batch = np.unique(
+        pair_codes, return_index=True, return_inverse=True
+    )
+    pair_ids = np.empty(len(first_batch), dtype=np.int64)
+    for pair in np.argsort(first_batch).tolist():
+        b = first_batch[pair]
+        merged = pool[base_slot[b]].with_batch_size(int(merged_sizes[b]))
+        pair_ids[pair] = cluster._workload_id(merged)
+    workload_ids = pair_ids[pair_of_batch.reshape(-1)].tolist()
     ready_array = plan.ready_seconds
     # Python scalars for the dispatch loop: ndarray item reads in a tight
     # loop cost ~3x a list index.
     ready_list = ready_array.tolist()
-    counts_list = counts.tolist()
-    base_slots = plan.base_slot.tolist()
-    merged_totals = plan.merged_sizes.tolist()
 
-    shard_ids = np.empty(num_batches, dtype=np.int64)
-    starts = np.empty(num_batches, dtype=np.float64)
-    durations = np.empty(num_batches, dtype=np.float64)
-    reports: List[object] = [None] * num_batches
+    shards = cluster.shards
+    workloads = cluster._workloads
+    snapshots = cluster._snapshots
+    cache = cluster._serve_cache
+    # Each shard's interned preprocessing state id, tracked through the run.
+    states = [cluster._state_id(shard) for shard in shards]
+    busy_total = [0.0] * num_shards
+    # Typed columns: one machine word per batch, no boxed floats kept.
+    shard_column = array("q")
+    start_column = array("d")
+    duration_column = array("d")
+    add_shard = shard_column.append
+    add_start = start_column.append
+    add_duration = duration_column.append
+    reports: List[object] = []
+    add_report = reports.append
 
-    # The common dispatch configuration (least-loaded, no topology) is a
-    # bare heap pick; every other one is the cluster's scan picker over
-    # the heap's busy list.
+    # The common dispatch configuration (least-loaded, no topology) is the
+    # heap top; every other one is the cluster's scan picker over ``busy``.
     simple_pick = _heap_picks(cluster)
-    busy = heap.busy
+    heap = [(0.0, shard_id) for shard_id in range(num_shards)]
+    retime = heapq.heapreplace
+    busy = [0.0] * num_shards
+    order = cluster._order
     view = _BatchView()
     for b in range(num_batches):
-        slot = base_slots[b]
-        total = merged_totals[b]
-        merged_key = (slot, total)
-        workload_id = workload_ids.get(merged_key)
-        if workload_id is None:
-            # Same merge the event loop evaluates through
-            # ``RequestBatch.workload``: base profile, member sizes summed.
-            workload_id = cluster._workload_id(pool[slot].with_batch_size(total))
-            workload_ids[merged_key] = workload_id
+        workload_id = workload_ids[b]
         ready = ready_list[b]
         if simple_pick:
-            shard_id = heap.pick(num_shards)
+            busy_until, shard_id = heap[0]
         else:
-            view.key = key_of_slot[slot]
+            view.workload = workloads[workload_id]
+            view.key = view.workload.batch_key
             view.ready_seconds = ready
-            view.workload = cluster._workloads[workload_id]
-            shard_id = cluster._pick_shard(view, busy, cluster._order)
-        start = max(ready, busy[shard_id])
-        report, duration = _cached_serve(cluster, states, shard_id, workload_id)
+            shard_id = cluster._pick_shard(view, busy, order)
+            busy_until = busy[shard_id]
+        start = ready if ready >= busy_until else busy_until
+        state = states[shard_id]
+        hit = cache.get((state, workload_id))
+        if hit is None:
+            shard = shards[shard_id]
+            report = shard.serve(workloads[workload_id])
+            duration = report.total_seconds
+            end_state = cluster._state_id(shard)
+            cache[(state, workload_id)] = (report, duration, end_state)
+        else:
+            report, duration, end_state = hit
+            if end_state != state:
+                shards[shard_id].preprocessing.apply_state(snapshots[end_state])
+        states[shard_id] = end_state
         finish = start + duration
-        heap.update(shard_id, finish)
+        if simple_pick:
+            retime(heap, (finish, shard_id))
+        else:
+            busy[shard_id] = finish
         busy_total[shard_id] += duration
-        shard_requests[shard_id] += counts_list[b]
-        if finish > last_finish:
-            last_finish = finish
-        shard_ids[b] = shard_id
-        starts[b] = start
-        durations[b] = duration
-        reports[b] = report
+        add_shard(shard_id)
+        add_start(start)
+        add_duration(duration)
+        add_report(report)
+
+    shard_ids = np.frombuffer(shard_column, dtype=np.int64)
+    starts = np.frombuffer(start_column, dtype=np.float64)
+    durations = np.frombuffer(duration_column, dtype=np.float64)
+    counts = np.diff(plan.batch_offsets)
+    shard_requests = np.bincount(shard_ids, weights=counts, minlength=num_shards)
+    last_finish = float(np.max(starts + durations, initial=0.0))
 
     member_positions = plan.member_positions
     total_requests = len(member_positions)
@@ -799,7 +851,7 @@ def _serve_trace_chunked(
         num_batches=num_batches,
         makespan_seconds=makespan,
         shard_busy_seconds=busy_total,
-        shard_requests=shard_requests,
+        shard_requests=shard_requests.astype(np.int64).tolist(),
         slo=slo,
         aggregates=aggregates,
         faults=None,

@@ -18,7 +18,6 @@ contract the 1-shard identity test leans on.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Hashable, List, Mapping, NamedTuple, Optional, Tuple
@@ -229,8 +228,9 @@ class BatchScheduler:
         arrival exactly at the deadline fires the timer first and starts
         the next batch, the event loop's tie-break) up to
         ``max_batch_size``, closing at the filling member's arrival or at
-        the deadline.  Each chunk boundary is one bisection *from the
-        chunk's start* (not over the key's whole timestamp array).
+        the deadline.  Every arrival's would-be batch end and close time
+        come from one ``searchsorted`` per key group; the batches are then
+        the chain of starts from each group's first arrival.
 
         The plan rows are sorted into the event loop's closing order.  At one
         instant, timers fire before arrivals are processed, in first-request-
@@ -272,37 +272,42 @@ class BatchScheduler:
             group_ends = cuts + [num_requests]
 
         wait = self.max_wait_seconds
-        cap = self.max_batch_size
-        batch_starts: List[int] = []
-        batch_ends: List[int] = []
-        ready_list: List[float] = []
+        # No batch can hold more than the whole trace, so a larger cap acts
+        # as ``num_requests + 1`` and index arithmetic stays within int64.
+        cap = min(self.max_batch_size, num_requests + 1)
+        # Every arrival's would-be batch if it opened one, in one pass per
+        # group: the batch absorbs same-key arrivals strictly before the
+        # deadline (side="left": an arrival exactly at the deadline fires
+        # the timer first and starts the next batch) up to ``cap``, and at
+        # least its opener (max_wait_seconds == 0).  A full batch closes at
+        # its filling member's arrival, any other at the opener's deadline.
+        times = arrivals[order]
+        deadlines = times + wait
+        bound = np.empty(num_requests, dtype=np.int64)
         for group_start, group_end in zip(group_starts, group_ends):
-            times = arrivals[order[group_start:group_end]].tolist()
-            count = group_end - group_start
-            start = 0
-            while start < count:
-                deadline = times[start] + wait
-                # Bisect from the chunk's start: an arrival exactly at the
-                # deadline belongs to the next batch (side="left").
-                boundary = bisect_left(times, deadline, start)
-                if boundary <= start:
-                    # max_wait_seconds == 0: the opener always joins its own
-                    # batch before the timer can fire.
-                    boundary = start + 1
-                if boundary - start >= cap:
-                    end = start + cap
-                    ready = times[end - 1]
-                else:
-                    end = boundary
-                    ready = deadline
-                batch_starts.append(group_start + start)
-                batch_ends.append(group_start + end)
-                ready_list.append(ready)
-                start = end
+            group = slice(group_start, group_end)
+            bound[group] = group_start + np.searchsorted(
+                times[group], deadlines[group], side="left"
+            )
+        position = np.arange(num_requests, dtype=np.int64)
+        np.maximum(bound, position + 1, out=bound)
+        full = bound - position >= cap
+        batch_end = np.where(full, position + cap, bound)
+        close = np.where(full, times[batch_end - 1], deadlines)
+        # Batches chain from each group's first arrival: the next batch
+        # opens at the arrival that did not fit.  A group's last batch ends
+        # at the group's end, where the next group's chain starts.
+        end_of = batch_end.tolist()
+        batch_starts: List[int] = []
+        add_start = batch_starts.append
+        start = 0
+        while start < num_requests:
+            add_start(start)
+            start = end_of[start]
 
         starts = np.asarray(batch_starts, dtype=np.int64)
-        ends = np.asarray(batch_ends, dtype=np.int64)
-        ready_seconds = np.asarray(ready_list, dtype=np.float64)
+        ends = batch_end[starts]
+        ready_seconds = close[starts]
         request_ids = arrays.request_ids
         first_ids = request_ids[order[starts]] if len(starts) else starts
         last_positions = order[ends - 1] if len(ends) else ends

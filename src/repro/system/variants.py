@@ -30,7 +30,7 @@ from repro.core.config import (
     VPK180,
     scaled_default_config,
 )
-from repro.core.cost_model import CostModel
+from repro.core.cost_model import CostModel, WorkloadParams
 from repro.core.kernels import (
     ordering_cycle_count,
     reindexing_cycle_estimate,
@@ -316,6 +316,10 @@ class DynPreSystem(AutoGNNVariant):
         # (config, workload shape); choose_config re-evaluates a shortlist of
         # candidates per pass, so repeated workloads hit this cache.
         self._latency_cache: Dict[tuple, float] = {}
+        # choose_config's shortlist memo: the cost model's top-ranked
+        # candidates are pure given the workload's cost parameters (the
+        # candidates are the immutable library's).
+        self._shortlists: Dict[WorkloadParams, List[HardwareConfig]] = {}
         # The library's configurations, built on first use and handed to
         # every replica: the library is immutable.
         self._candidates: Optional[List[HardwareConfig]] = None
@@ -339,14 +343,15 @@ class DynPreSystem(AutoGNNVariant):
 
     def replicas(self, count: int) -> List["DynPreSystem"]:
         """Replicas that share their pure memos — the cost model, the latency
-        and ``configured_for`` caches — with each other, never with this
-        system, so a cluster's shards rank each shape once."""
+        and ``configured_for`` caches and the shortlists — with each other,
+        never with this system, so a cluster's shards rank each shape once."""
         clones = [self.replicate() for _ in range(count)]
         first = clones[0]
         for clone in clones[1:]:
             clone.cost_model = first.cost_model
             clone._configured_cache = first._configured_cache
             clone._latency_cache = first._latency_cache
+            clone._shortlists = first._shortlists
         return clones
 
     # ---------------------------------------------------------- configuration
@@ -382,12 +387,18 @@ class DynPreSystem(AutoGNNVariant):
         """Best candidate configuration for ``workload``.
 
         The Table I cost model pre-ranks the candidates; the best-ranked ones
-        are then re-evaluated with the bandwidth-aware latency model.
+        and the loaded pair are then re-evaluated with the bandwidth-aware
+        latency model.  The ranking is memoized per cost parameters.
         """
         params = workload.to_cost_params()
-        ranked = self.cost_model.rank_configurations(params, self._candidate_configs())
-        shortlist = [cfg for cfg, _ in ranked[:8]] + [self.config]
-        return min(shortlist, key=lambda cfg: self._latency_with(cfg, workload))
+        shortlist = self._shortlists.get(params)
+        if shortlist is None:
+            ranked = self.cost_model.rank_configurations(params, self._candidate_configs())
+            shortlist = [cfg for cfg, _ in ranked[:8]]
+            self._shortlists[params] = shortlist
+        return min(
+            shortlist + [self.config], key=lambda cfg: self._latency_with(cfg, workload)
+        )
 
     def configured_for(self, workload: WorkloadProfile) -> bool:
         """Whether evaluating ``workload`` now would keep the loaded bitstreams.

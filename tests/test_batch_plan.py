@@ -11,10 +11,12 @@ expires.
 """
 
 import json
+import random
+import time
 
 import numpy as np
 import pytest
-from conftest import make_profile
+from conftest import chunked_calls, make_profile
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
@@ -94,6 +96,17 @@ class TestBoundaryPins:
         assert batches[0].ready_seconds == 0.002
         assert len(batches[0]) == 2
 
+    def test_cap_beyond_the_trace_and_int64(self):
+        """A cap larger than the trace (even than int64) never fills: each
+        batch closes on its timer."""
+        w = make_profile()
+        trace = _trace([0.0, 0.001, 0.001, 0.004], [w] * 4)
+        for cap in (4, 5, 2**62, 2**70):
+            scheduler = BatchScheduler(max_batch_size=cap, max_wait_seconds=0.003)
+            _assert_same_batches(scheduler, trace)
+            batches = scheduler.schedule_fast(trace)
+            assert [b.ready_seconds for b in batches] == [0.003, 0.007]
+
     def test_duplicate_arrivals_split_across_keys(self):
         a, b = make_profile("a"), make_profile("b", batch_size=7)
         scheduler = BatchScheduler(max_batch_size=2, max_wait_seconds=0.001)
@@ -148,6 +161,15 @@ class TestBatchPlanStructure:
         assert plan.batch_offsets.tolist() == [0]
 
 
+#: The many-key fuzz draws its cases from this seed until the wall-clock
+#: budget is spent (at least ``MANY_KEY_MIN_CASES``, at most
+#: ``MANY_KEY_MAX_CASES``), so every case a run checks is reproducible.
+MANY_KEY_SEED = 20261019
+MANY_KEY_BUDGET_SECONDS = 3.0
+MANY_KEY_MIN_CASES = 10
+MANY_KEY_MAX_CASES = 200
+
+
 class TestTieHeavyFuzz:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -158,8 +180,6 @@ class TestTieHeavyFuzz:
     )
     def test_duplicate_grid_fuzz(self, seed, cap, wait, num_requests):
         """Arrivals on a coarse grid force deadline/arrival/cap collisions."""
-        import random
-
         rng = random.Random(seed)
         profiles = [make_profile("a"), make_profile("b", batch_size=3)]
         arrivals = sorted(rng.choice(range(12)) * 1e-3 for _ in range(num_requests))
@@ -180,8 +200,6 @@ class TestTieHeavyFuzz:
     ):
         """On tie-heavy traces the reference replay (event loop), the fast
         replay (chunked loop) and the fast online loop render one report."""
-        import random
-
         rng = random.Random(seed)
         # Different graph sizes: batches differ in service time, so any
         # dispatch-order difference shows in the sojourns.
@@ -203,3 +221,53 @@ class TestTieHeavyFuzz:
         ]
         rendered = [json.dumps(report.as_dict(), sort_keys=True) for report in reports]
         assert rendered[0] == rendered[1] == rendered[2]
+
+    def test_many_key_grid_fuzz(self, services):
+        """2-6 compatibility keys, up to 200 arrivals on a coarse grid,
+        ``cap`` 1-4 and ``wait`` down to 0: several per-key batch chains
+        interleave.  ``schedule_fast`` equals ``schedule`` batch for batch,
+        and the reference replay, the chunked replay and the fast online
+        loop render one report."""
+        rng = random.Random(MANY_KEY_SEED)
+        deadline = time.perf_counter() + MANY_KEY_BUDGET_SECONDS
+        cases = 0
+        while cases < MANY_KEY_MAX_CASES and (
+            cases < MANY_KEY_MIN_CASES or time.perf_counter() < deadline
+        ):
+            cases += 1
+            num_keys = rng.randint(2, 6)
+            # Two batch sizes per key: slots share a key, so a batch's
+            # merged size depends on which members it took.  Graph sizes
+            # differ per key, so service times (and picks) differ too.
+            profiles = [
+                make_profile(f"k{key}", num_nodes=50_000 + 20_000 * key, batch_size=size)
+                for key in range(num_keys)
+                for size in (rng.choice((1, 3)), rng.choice((50, 100)))
+            ]
+            num_requests = rng.randint(1, 200)
+            arrivals = sorted(rng.randrange(40) * 1e-3 for _ in range(num_requests))
+            workloads = [rng.choice(profiles) for _ in range(num_requests)]
+            trace = _trace(arrivals, workloads)
+            scheduler = BatchScheduler(
+                max_batch_size=rng.randint(1, 4),
+                max_wait_seconds=rng.choice((0.0, 0.001, 0.002, 0.01)),
+            )
+            _assert_same_batches(scheduler, trace)
+            name = rng.choice(("CPU", "DynPre"))
+            num_shards = rng.randint(1, 3)
+
+            def cluster(engine):
+                return ShardedServiceCluster(
+                    services[name], num_shards=num_shards, scheduler=scheduler, engine=engine
+                )
+
+            with chunked_calls() as calls:
+                chunked = cluster("fast").serve_trace(trace)
+            assert len(calls) == 1
+            reports = [
+                cluster("reference").serve_trace(trace),
+                chunked,
+                cluster("fast").serve_online(TraceArrivals(trace)),
+            ]
+            rendered = [json.dumps(report.as_dict(), sort_keys=True) for report in reports]
+            assert rendered[0] == rendered[1] == rendered[2], f"case {cases}"

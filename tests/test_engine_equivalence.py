@@ -754,6 +754,39 @@ class TestFastEngineExtras:
             )
         assert any(shard.preprocessing.reconfig.events for shard in fast.shards)
 
+    @pytest.mark.parametrize("first", ["chunked", "event"])
+    def test_state_hand_off_between_the_two_fast_loops(self, services, first):
+        """Both fast loops skip ``apply_state`` on a hit that keeps the
+        shard's state id, so each must leave the shards in the state the
+        other then starts from.  One DynPre cluster replays one trace
+        through each loop, in either order; after every replay each shard's
+        state and reconfiguration log, and the report, equal those of a
+        cluster that ran the reference backend throughout."""
+        traces = [
+            OpenLoopArrivals(WORKLOAD_POOL, rate_rps=400.0, seed=seed).trace(60)
+            for seed in (6, 7)
+        ]
+        loops = ["chunked", "event"] if first == "chunked" else ["event", "chunked"]
+        scheduler = BatchScheduler(max_batch_size=3, max_wait_seconds=0.004)
+        reference, fast = _pair(services, "DynPre", scheduler=scheduler)
+        batches = 0
+        for trace, loop in zip(traces, loops):
+            with chunked_calls() as calls:
+                if loop == "chunked":
+                    report = fast.serve_trace(trace)
+                else:
+                    report = fast.serve_online(TraceArrivals(trace))
+            assert len(calls) == (loop == "chunked")
+            assert _render(report) == _render(reference.serve_trace(trace))
+            batches += report.num_batches
+            for ref_shard, fast_shard in zip(reference.shards, fast.shards):
+                assert fast_shard.state_key() == ref_shard.state_key()
+                assert fast_shard.preprocessing.reconfig.events == (
+                    ref_shard.preprocessing.reconfig.events
+                )
+        assert len(fast._serve_cache) < batches
+        assert any(shard.preprocessing.reconfig.events for shard in fast.shards)
+
     def test_pure_memos_are_shared_per_cluster_not_with_the_template(self):
         template = build_services()["DynPre"]
         cluster = ShardedServiceCluster(
@@ -763,6 +796,7 @@ class TestFastEngineExtras:
         first, second = (shard.preprocessing for shard in cluster.shards)
         assert first._latency_cache is second._latency_cache
         assert first._configured_cache is second._configured_cache
+        assert first._shortlists is second._shortlists
         assert first._candidates is second._candidates
         assert first._candidates == template.preprocessing.library.configurations()
         assert first.cost_model is second.cost_model
@@ -770,10 +804,11 @@ class TestFastEngineExtras:
         trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=400.0, seed=5).trace(30)
         cluster.serve_trace(trace)
         cluster.serve_online(TraceArrivals(trace))
-        assert first._latency_cache and first._configured_cache
+        assert first._latency_cache and first._configured_cache and first._shortlists
         system = template.preprocessing
         assert system._latency_cache == {}
         assert system._configured_cache == {}
+        assert system._shortlists == {}
         assert system.cost_model._estimate_cache == {}
         assert template._inference_cache == {}
         assert template._cost_cache == {}

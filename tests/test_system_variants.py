@@ -5,6 +5,7 @@ import pytest
 import repro.system.variants as variants
 from repro.core.bitstream import BitstreamLibrary, generate_bitstream_library
 from repro.core.reconfig import FULL_RECONFIG_SECONDS
+from repro.graph.datasets import DATASET_ORDER
 from repro.system.variants import (
     HOST_SOFTWARE_OVERHEAD_SECONDS,
     RECONFIGURE_THRESHOLD,
@@ -172,6 +173,34 @@ class TestDynPre:
         system.evaluate(workload_small)
         assert len(builds) == 1
         assert all(clone._candidates is system._candidates for clone in clones)
+
+    def test_shortlist_memo_does_not_change_the_choice(self):
+        """``choose_config`` with a cold shortlist memo equals the choice
+        with a warm one, for every Table II dataset x batch size {1000,
+        3000} under three loaded configurations."""
+        system = DynPreSystem()
+        staged = system.library.configurations()
+        loaded_configs = [system.config, staged[0], staged[-1]]
+        workloads = [
+            WorkloadProfile.from_dataset(key, batch_size=batch_size)
+            for key in DATASET_ORDER
+            for batch_size in (1000, 3000)
+        ]
+        cold = {}
+        for loaded in loaded_configs:
+            system.config = loaded
+            for workload in workloads:
+                system._shortlists = {}
+                cold[loaded, workload] = system.choose_config(workload)
+        system._shortlists = {}
+        for loaded in loaded_configs:
+            system.config = loaded
+            for workload in workloads:
+                assert system.choose_config(workload) == cold[loaded, workload]
+        # One ranking per distinct cost-parameter set, whatever is loaded.
+        assert len(system._shortlists) == len(
+            {workload.to_cost_params() for workload in workloads}
+        )
 
     def test_falls_back_to_the_loaded_config_without_staged_bitstreams(
         self, workload_small, workload_large
