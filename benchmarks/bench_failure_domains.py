@@ -15,10 +15,10 @@ differs:
   instant; fault-time substitution walks the dense order onto rack1, and
   the second hit takes the substitutes down too (the correlated-failure
   death march).
-* **domain-aware** — ``topology=..., placement="spread"``: the activation
-  order round-robins across racks, so the same 2-shard steady state spans
-  two racks and each rack outage clips at most one active shard; standby
-  substitution prefers shards in racks whose members are all alive.
+* **domain-aware** — ``topology=...``: the activation order round-robins
+  across racks, so the same 2-shard steady state spans two racks and each
+  rack outage clips at most one active shard; standby substitution prefers
+  shards in racks whose members are all alive.
 
 Where the advantage comes from.  Substitution keeps two live shards on
 both placements, so the damage is what a hit costs on the way:
@@ -261,7 +261,6 @@ def run(quick: bool = False) -> Dict:
             num_shards=NUM_SHARDS,
             scheduler=_scheduler(),
             topology=topology if domain_aware else None,
-            placement="spread",
         )
         slo = SLOPolicy(default_slo_seconds=slo_seconds)
         return cluster.serve_online(
@@ -343,7 +342,7 @@ def run(quick: bool = False) -> Dict:
     slo = SLOPolicy(default_slo_seconds=slo_seconds)
     stress_cluster = ShardedServiceCluster(
         template, num_shards=NUM_SHARDS, scheduler=_scheduler(),
-        topology=topology, placement="spread",
+        topology=topology,
     )
     stress_started = time.perf_counter()
     stress_report = stress_cluster.serve_online(

@@ -135,6 +135,22 @@ def percentile(values: Sequence[float], q: float) -> float:
     return _percentile_sorted(sorted(values), q)
 
 
+def left_fold_sum(values) -> float:
+    """Sequential left-to-right sum of a float64 ndarray, from ``0.0``.
+
+    Bit-identical to ``sum(values.tolist())``: ``numpy.add.accumulate`` is a
+    sequential fold (unlike ``numpy.sum``'s pairwise reduction), so it
+    carries the exact rounding trail of a ``+=`` chain over the same order,
+    which the golden-report byte-stability tests rely on.
+    """
+    import numpy as np
+
+    acc = np.empty(len(values) + 1, dtype=np.float64)
+    acc[0] = 0.0
+    acc[1:] = values
+    return float(np.add.accumulate(acc)[-1])
+
+
 @dataclass
 class LatencyStats:
     """Summary statistics of a latency sample (seconds).
@@ -176,24 +192,19 @@ class LatencyStats:
         ``from_samples(samples.tolist())`` for samples without NaN or
         negative zeros (``numpy.sort`` orders the rest exactly as ``sorted``).
 
-        The mean's sum folds left to right (``numpy.add.accumulate`` is a
-        sequential fold, unlike ``numpy.sum``'s pairwise reduction), so it
-        carries the rounding trail of ``sum`` over the same order, which the
-        golden-report byte-stability tests rely on.  This is the serving
-        fast engine's report-time latency summary.
+        The mean's sum folds left to right (:func:`left_fold_sum`), so it
+        carries the rounding trail of ``sum`` over the same order.  This is
+        the serving fast engine's report-time latency summary.
         """
         import numpy as np
 
         count = len(samples)
         if count == 0:
             return cls()
-        acc = np.empty(count + 1, dtype=np.float64)
-        acc[0] = 0.0
-        acc[1:] = samples
         ordered = np.sort(samples).tolist()
         return cls(
             count=count,
-            mean=float(np.add.accumulate(acc)[-1]) / count,
+            mean=left_fold_sum(samples) / count,
             p50=_percentile_sorted(ordered, 50),
             p95=_percentile_sorted(ordered, 95),
             p99=_percentile_sorted(ordered, 99),

@@ -13,7 +13,8 @@ traffic regime:
   (deficit round-robin) slot allocation across tenants
   (:class:`TenantFairBatcher`).
 * :mod:`repro.serving.cluster` — N-way replicated GNN services with
-  round-robin / least-loaded / reconfiguration-state-aware locality dispatch,
+  least-loaded or reconfiguration-state-aware locality dispatch (each pick
+  a pure function of the batch, the busy horizons and the candidates),
   one offline trace-replay loop and one online co-simulated event loop,
   merged into cluster reports (throughput, latency percentiles, queueing
   decomposition, utilisation, goodput/shed accounting).
@@ -28,7 +29,7 @@ traffic regime:
   configuration object behind ``serve_trace(trace, config=...)`` /
   ``serve_online(source, config=...)`` and the only way to pass per-run
   options (SLO, admission, degradation, autoscaler, faults).  The engine,
-  topology, placement and scheduler are fixed when the cluster is built.
+  topology and scheduler are fixed when the cluster is built.
 * :mod:`repro.serving.faults` — deterministic shard failure injection
   (:class:`FaultSchedule`: crash / recover / slowdown events, or a seeded
   :class:`RandomFaults` generator) with drain-and-migrate recovery, retry
@@ -43,8 +44,8 @@ traffic regime:
   fault events (``crash_domain`` / ``recover_domain``) expand against it,
   :class:`RandomFaults` can draw seeded whole-domain outages from a
   :class:`CorrelatedFaults` profile, and dispatch / autoscaler activation /
-  drain re-pick become domain-aware (``placement="spread"`` round-robins
-  activation across domains).
+  drain re-pick become domain-aware (activation round-robins across
+  domains).
 * :mod:`repro.serving.chaos` — the chaos-sweep invariant harness: seeded
   scenario schedules (whole-domain outages racing autoscaler drains, retry
   storms, recover-at-the-same-instant edges) replayed on both backends,
@@ -77,19 +78,13 @@ from repro.serving.cluster import (
     DISPATCH_POLICIES,
     POLICY_LEAST_LOADED,
     POLICY_LOCALITY,
-    POLICY_ROUND_ROBIN,
     ClusterReport,
     ReportAggregates,
     ServedRequest,
     ShardedServiceCluster,
     ShedRecord,
 )
-from repro.serving.topology import (
-    PLACEMENT_DENSE,
-    PLACEMENT_SPREAD,
-    PLACEMENTS,
-    ClusterTopology,
-)
+from repro.serving.topology import ClusterTopology
 from repro.serving.faults import (
     DOMAIN_FAULT_KINDS,
     FAULT_CRASH,
@@ -142,13 +137,9 @@ __all__ = [
     "ENGINES",
     "ENGINE_REFERENCE",
     "ENGINE_FAST",
-    "POLICY_ROUND_ROBIN",
     "POLICY_LEAST_LOADED",
     "POLICY_LOCALITY",
     "ClusterTopology",
-    "PLACEMENTS",
-    "PLACEMENT_DENSE",
-    "PLACEMENT_SPREAD",
     "DrainPlanner",
     "FaultEvent",
     "DomainFaultEvent",

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serving.cluster import (
-    DISPATCH_POLICIES,
     POLICY_LEAST_LOADED,
     POLICY_LOCALITY,
     ShardedServiceCluster,
@@ -98,10 +97,8 @@ CHAOS_WORKLOADS = (
 #: Tenant weights of fair-batching scenarios (their trace has both tenants).
 CHAOS_TENANT_WEIGHTS = {"gold": 2.0, "bronze": 1.0}
 
-#: Locality-dispatch knobs of locality scenarios: spill past a short
-#: backlog, and re-home on stale reconfiguration state.
+#: Locality scenarios spill past a short backlog.
 CHAOS_LOCALITY_SPILL_SECONDS = 0.01
-CHAOS_REBALANCE_SECONDS = 0.05
 
 
 class ChaosInvariantError(AssertionError):
@@ -302,8 +299,9 @@ def _random_scenarios(count: int, seed: int) -> List[ChaosScenario]:
                 trace_seed=seed * 7 + i,
                 degradation=i % 2 == 1,
                 # Every policy meets both shard counts, slowdowns and fair
-                # batching on and off.
-                policy=DISPATCH_POLICIES[(i // 4) % len(DISPATCH_POLICIES)],
+                # batching on and off: every third block of four scenarios
+                # runs locality.
+                policy=POLICY_LOCALITY if (i // 4) % 3 == 2 else POLICY_LEAST_LOADED,
                 fair=(i // 2) % 2 == 1,
             )
         )
@@ -529,7 +527,6 @@ def run_scenario(services, scenario: ChaosScenario) -> Dict[str, object]:
             locality_spill_seconds=(
                 CHAOS_LOCALITY_SPILL_SECONDS if locality else float("inf")
             ),
-            rebalance_seconds=CHAOS_REBALANCE_SECONDS if locality else None,
         )
         source = _CountingSource(trace)
         config = ServingConfig(

@@ -70,18 +70,19 @@ from repro.serving.engine import (
 from repro.serving.faults import DrainPlanner, FaultStats
 from repro.serving.requests import InferenceRequest, RequestTrace, TraceArrivals
 from repro.serving.scheduler import BatchScheduler, RequestBatch
-from repro.serving.topology import PLACEMENT_SPREAD, PLACEMENTS, ClusterTopology
+from repro.serving.topology import ClusterTopology
 from repro.system.service import GNNService, ServiceReport
 from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
 
-#: Dispatch policies: cycle shards, pick the earliest-free shard, or prefer
-#: shards whose reconfigurable state already suits the batch (falling back to
-#: a stable home shard by workload-key hash, and spilling to the earliest-free
-#: shard when the preferred shard's backlog exceeds the spill threshold).
-POLICY_ROUND_ROBIN = "round-robin"
+#: Dispatch policies: pick the earliest-free shard, or prefer shards whose
+#: reconfigurable state already suits the batch (falling back to a stable
+#: home shard by workload-key hash, and spilling to the earliest-free shard
+#: when the preferred shard's backlog exceeds the spill threshold).  Either
+#: pick is a pure function of the batch, the busy horizons and the
+#: candidate shards.
 POLICY_LEAST_LOADED = "least-loaded"
 POLICY_LOCALITY = "locality"
-DISPATCH_POLICIES = (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED, POLICY_LOCALITY)
+DISPATCH_POLICIES = (POLICY_LEAST_LOADED, POLICY_LOCALITY)
 
 @dataclass
 class ServedRequest:
@@ -511,6 +512,13 @@ class ClusterReport:
 #: Event kinds of the event loop, in their precedence order at timestamp ties.
 _COMMIT, _FAULT, _DEADLINE, _RETRY, _ARRIVAL = range(5)
 
+#: How long a *shed* arrival keeps counting as demand pressure in the
+#: autoscaler's queue-depth signal.  Without it, heavy shedding hides
+#: overload from the autoscaler entirely (rejected requests never enter the
+#: queue), and the cluster can wedge at ``min_shards`` while shedding nearly
+#: everything.
+SHED_MEMORY_SECONDS = 1.0
+
 
 def _home_shard(batch: RequestBatch, num_candidates: int) -> int:
     """Stable home slot of a batch's workload key (process-independent)."""
@@ -606,15 +614,14 @@ class _Run:
     :meth:`run`, which drains the arrival source and returns the report.
     The run holds everything the loop touches: the forming batches and
     their deadlines, the control plane's bookkeeping (in-flight heap,
-    admitted estimates, recent sheds, guaranteed-tier counts, leases, shed
-    records and decisions), the active shard count the autoscaler writes,
+    admitted estimates, recent sheds, leases, shed records and
+    decisions), the active shard count the autoscaler writes,
     and the accounting a committed batch updates (busy totals, per-shard
     request counts, the served log).
 
     The steps are methods: :meth:`enqueue` adds a request to its forming
-    batch, :meth:`close` closes one and :meth:`release` hands it on,
-    :meth:`submit` dispatches it (through the fault runtime when the run
-    has one), :meth:`joinable` finds the batch an arrival would join,
+    batch, :meth:`close` closes one, :meth:`submit` dispatches it (through
+    the fault runtime when the run has one), :meth:`joinable` finds the batch an arrival would join,
     :meth:`scale` applies the autoscaler's verdict at an arrival and
     :meth:`admit` admits, degrades or sheds it.  The fault runtime and the
     drain planner drive the run directly, and every dispatch ends in
@@ -632,15 +639,13 @@ class _Run:
         "members", "ready", "starts", "durations", "shard_ids", "counts", "reports",
         "max_batch_size", "max_wait_seconds", "batcher", "open_members",
         "open_deadline", "open_count", "inflight", "inflight_count",
-        "pending_estimates", "recent_sheds", "guaranteed_tenants", "guaranteed_open",
-        "shed", "decisions", "notifies_source", "first_arrival", "active_count",
-        "leases",
+        "pending_estimates", "recent_sheds", "shed", "decisions",
+        "notifies_source", "first_arrival", "active_count", "leases",
     )
 
     def __init__(
         self, cluster: "ShardedServiceCluster", source, config: "ServingConfig"
     ) -> None:
-        cluster._reset_dispatch_state()
         self.cluster = cluster
         self.source = source
         self.slo = slo = config.slo
@@ -726,17 +731,6 @@ class _Run:
         self.pending_estimates: Dict[int, float] = {}
         #: Arrival times of recent sheds: demand the autoscaler must still see.
         self.recent_sheds: deque = deque()
-        #: Guaranteed-tier tenants whose open-queue pressure a tenant-aware
-        #: autoscaler watches separately from the global depth (empty for
-        #: any other run), and how many of their requests are open.
-        self.guaranteed_tenants: frozenset = frozenset()
-        if autoscaler is not None and autoscaler.tenant_aware and slo is not None:
-            self.guaranteed_tenants = frozenset(
-                tenant
-                for tenant, quota in slo.per_tenant.items()
-                if quota.guaranteed_rps > 0
-            )
-        self.guaranteed_open = 0
         self.shed: List[ShedRecord] = []
         self.decisions: List[object] = []
         # ``TraceArrivals`` ignores completions, so offline replays skip the
@@ -808,7 +802,7 @@ class _Run:
                 request = source.pop()
                 now = request.arrival_seconds
                 if scale is not None:
-                    scale(request, now)
+                    scale(now)
                 if admit is None:
                     enqueue(request, now, request.workload.batch_key)
                 else:
@@ -816,7 +810,7 @@ class _Run:
             elif event == _DEADLINE:
                 if batcher is not None:
                     for batch in batcher.fire_deadline(expiring):
-                        self.release(batch)
+                        self.submit(batch)
                 else:
                     self.backend.fired()
                     self.close(expiring[1], expiring[0])
@@ -831,12 +825,9 @@ class _Run:
     # -------------------------------------------------------------- batching
     def enqueue(self, request: InferenceRequest, now: float, key: object) -> None:
         """Add ``request`` (batch key ``key``) to its forming batch."""
-        guaranteed = self.guaranteed_tenants
-        if guaranteed and request.tenant in guaranteed:
-            self.guaranteed_open += 1
         if self.batcher is not None:
             for batch in self.batcher.add(request, now):
-                self.release(batch)
+                self.submit(batch)
             return
         members = self.open_members.get(key)
         if members is None:
@@ -854,17 +845,7 @@ class _Run:
         members = self.open_members.pop(key)
         del self.open_deadline[key]
         self.open_count -= len(members)
-        self.release(RequestBatch(requests=members, ready_seconds=ready_seconds))
-
-    def release(self, batch: RequestBatch) -> None:
-        """Submit a batch that left batching; its guaranteed-tier members
-        stop counting as open."""
-        guaranteed = self.guaranteed_tenants
-        if guaranteed:
-            for request in batch.requests:
-                if request.tenant in guaranteed:
-                    self.guaranteed_open -= 1
-        self.submit(batch)
+        self.submit(RequestBatch(requests=members, ready_seconds=ready_seconds))
 
     def joinable(self, key: object, tenant: str) -> Optional[List[InferenceRequest]]:
         """Members of the forming batch an arrival under ``key`` would join,
@@ -879,15 +860,14 @@ class _Run:
         return batcher.open_members(key) if batcher.can_join(key, tenant) else None
 
     # --------------------------------------------------------- control plane
-    def scale(self, request: InferenceRequest, now: float) -> None:
+    def scale(self, now: float) -> None:
         """Show the autoscaler the queue depth at an arrival; apply its verdict.
 
         The depth counts the arriving request, requests in open batches and
-        in flight, recently shed arrivals (shed demand within the
-        autoscaler's ``shed_memory_seconds`` still signals overload), work
-        the fault layer holds and planned-but-uncommitted dispatches.  A
-        joining shard warms up before it can start a batch, and parked
-        batches wake.  A scale-down drains the leaving shards when the run
+        in flight, recently shed arrivals (shed demand within
+        :data:`SHED_MEMORY_SECONDS` still signals overload), work the fault
+        layer holds and planned-but-uncommitted dispatches.  A joining shard
+        warms up before it can start a batch, and parked batches wake.  A scale-down drains the leaving shards when the run
         has a planner, then closes their leases.
         """
         autoscaler = self.autoscaler
@@ -895,7 +875,7 @@ class _Run:
         while inflight and inflight[0][0] <= now:
             self.inflight_count -= heapq.heappop(inflight)[1]
         recent_sheds = self.recent_sheds
-        while recent_sheds and recent_sheds[0] < now - autoscaler.shed_memory_seconds:
+        while recent_sheds and recent_sheds[0] < now - SHED_MEMORY_SECONDS:
             recent_sheds.popleft()
         pending = self.batcher.pending_count if self.batcher is not None else self.open_count
         queue_depth = 1 + self.inflight_count + pending + len(recent_sheds)
@@ -906,11 +886,7 @@ class _Run:
         if planner is not None:
             queue_depth += planner.planned
         previous = self.active_count
-        active_count = autoscaler.observe(
-            now,
-            queue_depth,
-            self.guaranteed_open + (request.tenant in self.guaranteed_tenants),
-        )
+        active_count = autoscaler.observe(now, queue_depth)
         if active_count == previous:
             return
         self.active_count = active_count
@@ -1224,15 +1200,6 @@ class ShardedServiceCluster:
             from its preferred shard to the earliest-free shard when the
             preferred backlog exceeds this many seconds (``inf`` pins
             strictly).
-        rebalance_seconds: under the locality policy, enables stale-state
-            rebalancing of the home-shard hash fallback: when the home
-            shard served a *different* workload key within the last
-            ``rebalance_seconds``, its reconfiguration state no longer
-            matches this batch and dispatch re-homes to the earliest-free
-            shard whose recent traffic does not conflict (unclaimed,
-            same-key, or stale) instead of paying reconfiguration churn on
-            every alternating batch.  ``None`` (default) disables
-            rebalancing.
         engine: one of :data:`~repro.serving.engine.ENGINES`, the backend
             the event loop runs on (see :mod:`repro.serving.engine`) —
             ``"fast"`` (default) uses indexed heaps, serve-transition
@@ -1242,15 +1209,11 @@ class ShardedServiceCluster:
         topology: optional :class:`~repro.serving.topology.ClusterTopology`
             mapping shards to failure domains.  With one, placement becomes
             domain-aware: the autoscaler's active set follows the
-            topology's activation order, locality dispatch hashes to a
-            *domain* before a member shard, and fault-time standby
-            substitution prefers shards in healthy domains.  ``None``
-            (default) activates shards in index order.
-        placement: activation-order policy over the topology —
-            ``"spread"`` (default) round-robins activation across domains
-            so any active prefix spans the maximum number of failure
-            domains; ``"dense"`` fills domains in shard-index order (the
-            domain-oblivious baseline).  Ignored without a topology.
+            topology's activation order, which spreads any active prefix
+            across as many failure domains as it can, locality dispatch
+            hashes to a *domain* before a member shard, and fault-time
+            standby substitution prefers shards in healthy domains.
+            ``None`` (default) activates shards in index order.
     """
 
     def __init__(
@@ -1260,10 +1223,8 @@ class ShardedServiceCluster:
         scheduler: Optional[BatchScheduler] = None,
         policy: str = POLICY_LEAST_LOADED,
         locality_spill_seconds: float = float("inf"),
-        rebalance_seconds: Optional[float] = None,
         engine: str = ENGINE_FAST,
         topology: Optional[ClusterTopology] = None,
-        placement: str = PLACEMENT_SPREAD,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
@@ -1271,33 +1232,27 @@ class ShardedServiceCluster:
             raise ValueError(
                 f"unknown dispatch policy {policy!r}; expected one of {DISPATCH_POLICIES}"
             )
-        if locality_spill_seconds < 0:
-            raise ValueError("locality_spill_seconds must be non-negative")
-        if rebalance_seconds is not None and rebalance_seconds < 0:
-            raise ValueError("rebalance_seconds must be non-negative")
+        if not locality_spill_seconds >= 0:
+            raise ValueError(
+                "locality_spill_seconds must be a number >= 0 (inf: never "
+                f"spill), got {locality_spill_seconds}"
+            )
         check_engine(engine)
         self.template = service
         self.shards: List[GNNService] = service.replicas(num_shards)
         self.scheduler = scheduler or BatchScheduler(max_batch_size=1)
         self.policy = policy
         self.locality_spill_seconds = locality_spill_seconds
-        self.rebalance_seconds = rebalance_seconds
         self.engine = engine
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
         self.topology = topology
-        self.placement = placement
         if topology is not None:
             topology.validate_for(num_shards)
-            order = topology.activation_order(placement)
+            order = topology.activation_order()
         else:
             order = tuple(range(num_shards))
         #: The order in which the autoscaler activates shards: an active set
         #: of ``n`` shards is ``_order[:n]``.
         self._order = order
-        self._reset_dispatch_state()
         # Serve-transition cache shared by every fast-engine run on this
         # cluster: the shards are replicas of one template, so a transition
         # observed on one shard replays soundly on any other.  It keys on
@@ -1331,17 +1286,6 @@ class ShardedServiceCluster:
             self._workloads.append(workload)
         return workload_id
 
-    def _reset_dispatch_state(self) -> None:
-        """Reset per-run dispatch memory (round-robin cursor, shard keys).
-
-        Both engines call this at the start of every run so dispatch
-        history never leaks across runs on the same cluster.
-        """
-        self._rr_next = 0
-        # Per shard: (workload key, ready time) of the last batch the
-        # locality hash fallback dispatched there (stale-state rebalance).
-        self._shard_key: List[Optional[tuple]] = [None] * self.num_shards
-
     @property
     def num_shards(self) -> int:
         """Number of service replicas."""
@@ -1370,33 +1314,22 @@ class ShardedServiceCluster:
         the earliest-free active shard once the preferred backlog exceeds
         ``locality_spill_seconds``.
 
-        With ``rebalance_seconds`` set, the hash fallback additionally
-        re-homes when the home shard's reconfiguration state has gone
-        stale relative to the live traffic mix (see :meth:`_rebalance`).
+        The pick is a pure function of the batch, the busy horizons, the
+        candidates and the shards' states: it changes nothing, so a caller
+        may re-pick freely.
         """
-        if self.policy == POLICY_ROUND_ROBIN:
-            shard = active[self._rr_next % len(active)]
-            self._rr_next += 1
-            return shard
-        least_loaded = min(active, key=lambda i: (busy_until[i], i))
         if self.policy == POLICY_LOCALITY:
             workload = batch.workload
             configured = [i for i in active if self.shards[i].configured_for(workload)]
             if configured:
                 preferred = min(configured, key=lambda i: (busy_until[i], i))
+            elif self.topology is not None:
+                preferred = self._domain_home(batch, active)
             else:
-                if self.topology is not None:
-                    preferred = self._domain_home(batch, active)
-                else:
-                    preferred = active[_home_shard(batch, len(active))]
-                if self.rebalance_seconds is not None:
-                    preferred = self._rebalance(batch, busy_until, active, preferred)
-            backlog = busy_until[preferred] - batch.ready_seconds
-            chosen = preferred if backlog <= self.locality_spill_seconds else least_loaded
-            if self.rebalance_seconds is not None:
-                self._shard_key[chosen] = (batch.key, batch.ready_seconds)
-            return chosen
-        return least_loaded
+                preferred = active[_home_shard(batch, len(active))]
+            if busy_until[preferred] - batch.ready_seconds <= self.locality_spill_seconds:
+                return preferred
+        return min(active, key=lambda i: (busy_until[i], i))
 
     def _domain_home(self, batch: RequestBatch, active: Sequence[int]) -> int:
         """Domain-spread home shard for the locality hash fallback.
@@ -1417,41 +1350,6 @@ class ShardedServiceCluster:
             if members:
                 return members[(digest // len(names)) % len(members)]
         return active[_home_shard(batch, len(active))]
-
-    def _rebalance(
-        self,
-        batch: RequestBatch,
-        busy_until: List[float],
-        active: Sequence[int],
-        home: int,
-    ) -> int:
-        """Stale-state re-homing for the locality hash fallback.
-
-        The home shard keeps the batch unless it *recently* (within
-        ``rebalance_seconds`` of this batch's ready time) dispatched a
-        batch with a *different* workload key — its reconfiguration state
-        is then warm for conflicting traffic, and pinning this batch there
-        pays reconfiguration churn on every alternation.  In that case the
-        batch re-homes to the earliest-free active shard whose recent
-        traffic does not conflict: unclaimed, same-key, or stale.  When
-        every active shard conflicts the home shard keeps the batch (no
-        rebalance target is better than any other).
-        """
-
-        def conflicts(shard_id: int) -> bool:
-            entry = self._shard_key[shard_id]
-            return (
-                entry is not None
-                and entry[0] != batch.key
-                and batch.ready_seconds - entry[1] <= self.rebalance_seconds
-            )
-
-        if not conflicts(home):
-            return home
-        candidates = [i for i in active if not conflicts(i)]
-        if not candidates:
-            return home
-        return min(candidates, key=lambda i: (busy_until[i], i))
 
     # --------------------------------------------------------------- serving
     def serve_trace(
@@ -1476,10 +1374,10 @@ class ShardedServiceCluster:
         control, degradation and autoscaling are online-only and rejected
         here.
 
-        A fast-engine replay with no faults and no fair batching runs the
-        array-native chunked loop; every other replay is the online event
-        loop over ``TraceArrivals(trace)``, so a trace has one fault
-        semantics offline and online.
+        A fast-engine least-loaded replay with no faults and no fair
+        batching runs the array-native chunked loop; every other replay is
+        the online event loop over ``TraceArrivals(trace)``, so a trace has
+        one fault semantics offline and online.
         """
         config = _resolve_config(config)
         if config.autoscaler is not None:
@@ -1491,7 +1389,12 @@ class ShardedServiceCluster:
             )
         if not len(trace):
             raise ValueError("cannot serve an empty trace")
-        if self.engine == ENGINE_FAST and config.faults is None and not self.scheduler.fair:
+        if (
+            self.engine == ENGINE_FAST
+            and self.policy == POLICY_LEAST_LOADED
+            and config.faults is None
+            and not self.scheduler.fair
+        ):
             return _serve_trace_chunked(self, trace, config.slo)
         return _Run(self, TraceArrivals(trace), config).run()
 
@@ -1519,8 +1422,8 @@ class ShardedServiceCluster:
 
         1. ``autoscaler.observe`` sees the queue depth — the arriving
            request, requests in open batches, requests in flight, and
-           recently shed arrivals (shed demand within the autoscaler's
-           ``shed_memory_seconds`` still signals overload) — and may
+           recently shed arrivals (shed demand within
+           :data:`SHED_MEMORY_SECONDS` still signals overload) — and may
            activate a shard, which is then warm-up-penalised (bitstream
            load) before it can start a batch, or drain one (it finishes its
            backlog but receives nothing new).

@@ -5,8 +5,8 @@
 :meth:`~repro.serving.cluster.ShardedServiceCluster.serve_online`: the
 admission controller's knobs (``batch_aware``, ``record_decisions``), the
 fault schedule and the control plane.  What a cluster *is* — its engine,
-topology, placement and scheduler (with its ``tenant_weights``) — is fixed
-at construction (``ShardedServiceCluster(engine=, topology=, placement=)``,
+topology and scheduler (with its ``tenant_weights``) — is fixed at
+construction (``ShardedServiceCluster(engine=, topology=)``,
 ``BatchScheduler(tenant_weights=)``), so a run never swaps it.
 
 * **slo** scores the run;

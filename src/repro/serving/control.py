@@ -568,18 +568,6 @@ class Autoscaler:
         warmup_seconds: warm-up charged to a newly activated shard; ``None``
             defers to the shard's own ``warmup_seconds`` (bitstream load for
             the AutoGNN variants, 0 for the software baselines).
-        shed_memory_seconds: how long a *shed* arrival keeps counting as
-            demand pressure in the queue-depth signal.  Without it, heavy
-            shedding hides overload from the autoscaler entirely (rejected
-            requests never enter the queue), and the cluster can wedge at
-            ``min_shards`` while shedding nearly everything.
-        guaranteed_scale_up_depth: optional per-shard queue depth of
-            *guaranteed-tier* requests (tenants with ``guaranteed_rps > 0``
-            in the run's SLO policy) that also starts an up streak and
-            blocks scale-down.  A small guaranteed backlog then scales the
-            cluster even while the global depth looks healthy, so paying
-            tenants are not starved behind best-effort load.  ``None``
-            keeps the scaler global-depth-only.
         drain: drain-and-migrate on voluntary scale-down (the default).
             The serving loops then defer commits through a
             :class:`~repro.serving.faults.DrainPlanner`: a scale-down hands
@@ -599,42 +587,36 @@ class Autoscaler:
         scale_down_depth: float = 1.0,
         hysteresis_observations: int = 3,
         warmup_seconds: Optional[float] = None,
-        shed_memory_seconds: float = 1.0,
-        guaranteed_scale_up_depth: Optional[float] = None,
         drain: bool = True,
     ) -> None:
         if min_shards < 1:
             raise ValueError("min_shards must be >= 1")
         if max_shards < min_shards:
             raise ValueError("max_shards must be >= min_shards")
-        if scale_down_depth < 0 or scale_up_depth <= scale_down_depth:
-            raise ValueError("need 0 <= scale_down_depth < scale_up_depth")
+        if not 0 <= scale_down_depth < scale_up_depth:
+            raise ValueError(
+                "scale_down_depth and scale_up_depth must be numbers with "
+                "0 <= scale_down_depth < scale_up_depth, got "
+                f"{scale_down_depth} and {scale_up_depth}"
+            )
         if hysteresis_observations < 1:
             raise ValueError("hysteresis_observations must be >= 1")
-        if warmup_seconds is not None and warmup_seconds < 0:
-            raise ValueError("warmup_seconds must be non-negative")
-        if shed_memory_seconds < 0:
-            raise ValueError("shed_memory_seconds must be non-negative")
-        if guaranteed_scale_up_depth is not None and guaranteed_scale_up_depth <= 0:
-            raise ValueError("guaranteed_scale_up_depth must be > 0")
+        if warmup_seconds is not None and not warmup_seconds >= 0:
+            raise ValueError(
+                "warmup_seconds must be a number >= 0 (None: the shard's own), "
+                f"got {warmup_seconds}"
+            )
         self.min_shards = min_shards
         self.max_shards = max_shards
         self.scale_up_depth = scale_up_depth
         self.scale_down_depth = scale_down_depth
         self.hysteresis_observations = hysteresis_observations
         self.warmup_seconds = warmup_seconds
-        self.shed_memory_seconds = shed_memory_seconds
-        self.guaranteed_scale_up_depth = guaranteed_scale_up_depth
         self.drain = drain
         self.active = min_shards
         self.events: List[ScalingEvent] = []
         self._above = 0
         self._below = 0
-
-    @property
-    def tenant_aware(self) -> bool:
-        """Whether the scaler watches guaranteed-tier pressure separately."""
-        return self.guaranteed_scale_up_depth is not None
 
     def start(self, now_seconds: float = 0.0) -> int:
         """Reset to the initial active set and record the starting point."""
@@ -644,32 +626,13 @@ class Autoscaler:
         self.events = [ScalingEvent(now_seconds, self.active, "init")]
         return self.active
 
-    def observe(
-        self,
-        now_seconds: float,
-        queue_depth: float,
-        guaranteed_depth: float = 0.0,
-    ) -> int:
-        """Feed one queue-depth observation; returns the new active count.
-
-        ``guaranteed_depth`` (guaranteed-tier requests currently queueing)
-        only matters on a tenant-aware scaler, and others ignore it: breaching
-        ``guaranteed_scale_up_depth`` per shard starts an up streak even
-        when the global depth is calm, and any guaranteed pressure at or
-        above the down threshold vetoes a down streak.
-        """
+    def observe(self, now_seconds: float, queue_depth: float) -> int:
+        """Feed one queue-depth observation; returns the new active count."""
         per_shard = queue_depth / max(self.active, 1)
-        guaranteed_per_shard = 0.0
-        if self.guaranteed_scale_up_depth is not None:
-            guaranteed_per_shard = guaranteed_depth / max(self.active, 1)
-        breach_up = per_shard > self.scale_up_depth or (
-            self.guaranteed_scale_up_depth is not None
-            and guaranteed_per_shard > self.guaranteed_scale_up_depth
-        )
-        if breach_up:
+        if per_shard > self.scale_up_depth:
             self._above += 1
             self._below = 0
-        elif per_shard < self.scale_down_depth and guaranteed_per_shard < self.scale_down_depth:
+        elif per_shard < self.scale_down_depth:
             self._below += 1
             self._above = 0
         else:

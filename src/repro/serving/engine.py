@@ -46,8 +46,8 @@ online and for offline replays alike.  The ``engine`` option only picks the
     :meth:`~repro.serving.cluster.ClusterReport.compact` away its
     per-request records at 100k-request scale without ever building them.
 
-Fast-engine offline replays with no faults and no fair batching skip the
-event loop altogether for the array-native chunked loop
+Fast-engine least-loaded offline replays with no faults and no fair
+batching skip the event loop altogether for the array-native chunked loop
 (:func:`_serve_trace_chunked`): its batch plan comes from the trace's
 structure-of-arrays view (``BatchScheduler.schedule_arrays``) in one pass,
 and, with every shard always active, its least-loaded pick is a plain heap
@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.analysis.metrics import LatencyStats
+from repro.analysis.metrics import LatencyStats, left_fold_sum
 from repro.serving.requests import InferenceRequest
 from repro.serving.scheduler import RequestBatch
 from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
@@ -156,7 +156,8 @@ def _report_aggregates(
     ``shed`` holds the run's admission sheds.  Every float is the event
     loop's scalar expression applied elementwise — the per-batch
     ``start - ready`` broadcast hands every member the identical double —
-    and every sum folds left-to-right from zero (:func:`_left_fold_sum`,
+    and every sum folds left-to-right from zero
+    (:func:`~repro.analysis.metrics.left_fold_sum`,
     :meth:`LatencyStats.from_array`), per tenant too, so the resulting
     :class:`~repro.serving.cluster.ReportAggregates` are bit-identical to
     re-deriving the values from the per-request records.
@@ -220,9 +221,9 @@ def _report_aggregates(
         count=len(sojourn),
         shed_count=len(shed),
         latency=LatencyStats.from_array(sojourn),
-        batching_sum=_left_fold_sum(0.0, batching),
-        dispatch_sum=_left_fold_sum(0.0, dispatch),
-        service_sum=_left_fold_sum(0.0, service),
+        batching_sum=left_fold_sum(batching),
+        dispatch_sum=left_fold_sum(dispatch),
+        service_sum=left_fold_sum(service),
         slo_met=int(np.count_nonzero(met)),
         tenants=tenants,
         served_degraded=int(np.count_nonzero(degraded)),
@@ -329,15 +330,6 @@ def _heap_pick(heap: ShardHeap, batch: RequestBatch, workload_id: int, active_co
     return heap.pick(active_count)
 
 
-def _heap_picks(cluster: "ShardedServiceCluster") -> bool:
-    """Whether the cluster's picks are least-loaded over an index prefix
-    (no topology): a heap pick, free of side effects.  Resolved once per
-    run."""
-    from repro.serving.cluster import POLICY_LEAST_LOADED
-
-    return cluster.topology is None and cluster.policy == POLICY_LEAST_LOADED
-
-
 #: One request's admission prices: ``(batch key, standalone estimate,
 #: degraded profile, degraded batch key, degraded standalone estimate)``;
 #: the last three are None when the request has no degraded tier.
@@ -359,9 +351,9 @@ class ReferenceBackend:
     #: builds one record per request and its report re-derives every
     #: summary from them (the oracle).
     batch_columns = False
-    #: Whether every pick is the side-effect-free least-loaded choice, which
-    #: the fault runtime may then make in one ordered walk over its live
-    #: candidates; the reference re-picks (the oracle for the walk).
+    #: Whether every pick is the least-loaded choice, which the fault
+    #: runtime may then make in one ordered walk over its live candidates;
+    #: the reference re-picks (the oracle for the walk).
     least_loaded = False
 
     def __init__(self, cluster: "ShardedServiceCluster") -> None:
@@ -465,8 +457,9 @@ class FastBackend(ReferenceBackend):
         self.merged = partial(_merged_workload_id, cluster, self._interned, merged_ids={})
         states = [cluster._state_id(shard) for shard in cluster.shards]
         self.serve = partial(_cached_serve, cluster, states)
-        # Any other policy inherits the reference scan over the heap's busy list.
-        if _heap_picks(cluster):
+        # A topology's active set is not an index prefix, and locality is
+        # not a heap order: both inherit the reference scan over ``busy``.
+        if self.least_loaded and cluster.topology is None:
             self.pick = partial(_heap_pick, self.heap)
 
     def price(self, workload: WorkloadProfile) -> float:
@@ -539,17 +532,6 @@ def check_engine(engine: str) -> None:
     """Reject an ``engine`` value that names no backend."""
     if engine not in BACKENDS:
         raise ValueError(f"unknown serving engine {engine!r}; expected one of {ENGINES}")
-
-
-class _BatchView:
-    """Mutable stand-in for :class:`RequestBatch` in the chunked dispatch loop.
-
-    ``ShardedServiceCluster._pick_shard`` reads only ``key``,
-    ``ready_seconds`` and ``workload`` — never the member list — so the
-    chunked loop reuses one view object per run instead of materializing a
-    ``RequestBatch`` per batch."""
-
-    __slots__ = ("key", "ready_seconds", "workload")
 
 
 class _ChunkedServedLog:
@@ -658,21 +640,6 @@ class _ChunkedServedLog:
         return f"<_ChunkedServedLog {len(self)} records ({state})>"
 
 
-def _left_fold_sum(prior: float, values: np.ndarray) -> float:
-    """Sequential left-fold sum of ``values`` starting from ``prior``.
-
-    Bit-identical to ``for v in values: prior += v``:
-    ``numpy.add.accumulate`` is a sequential fold (unlike ``numpy.sum``'s
-    pairwise reduction), so the chunked engine's decomposition sums carry
-    the exact rounding trail of the event loop's ``+=`` chain."""
-    if values.size == 0:
-        return prior
-    acc = np.empty(values.size + 1, dtype=np.float64)
-    acc[0] = prior
-    acc[1:] = values
-    return float(np.add.accumulate(acc)[-1])
-
-
 def _serve_trace_chunked(
     cluster: "ShardedServiceCluster",
     trace,
@@ -695,8 +662,9 @@ def _serve_trace_chunked(
     An offline replay has no autoscaler, so every shard stays active and
     the least-loaded pick is the top of a heap holding exactly one
     ``(busy_until, shard_id)`` entry per shard — the reference picker's
-    tie order.  The picked shard is always the one re-timed, so one
-    ``heapreplace`` per batch keeps the heap exact: no entry goes stale.
+    tie order, which no topology's activation order changes.  The picked
+    shard is always the one re-timed, so one ``heapreplace`` per batch
+    keeps the heap exact: no entry goes stale.
     A serve-cache hit is inlined, and moves the shard's state
     (``apply_state``) only when the transition ends in a different state
     id, as :func:`_cached_serve` does on the event loop.
@@ -714,15 +682,16 @@ def _serve_trace_chunked(
       (elementwise ``(batching + dispatch) + service``, broadcast of the
       per-batch ``start - ready``, ``busy += duration`` in commit order), and
     * sums fold left-to-right from the same initial values
-      (:func:`_left_fold_sum`, :meth:`LatencyStats.from_array`).
+      (:func:`~repro.analysis.metrics.left_fold_sum`,
+      :meth:`LatencyStats.from_array`).
 
-    ``serve_trace`` gates on eligibility: no fault schedule and no
-    fair-mode scheduler (both make the next event state-dependent in ways
-    the plan cannot precompute); every other replay runs the event loop.
+    ``serve_trace`` gates on eligibility: least-loaded dispatch, no fault
+    schedule and no fair-mode scheduler (faults and fair batching make the
+    next event state-dependent in ways the plan cannot precompute); every
+    other replay runs the event loop.
     """
     from repro.serving.cluster import ClusterReport
 
-    cluster._reset_dispatch_state()
     arrays = trace.arrays()
     plan = cluster.scheduler.schedule_arrays(trace)
     num_shards = cluster.num_shards
@@ -767,25 +736,12 @@ def _serve_trace_chunked(
     reports: List[object] = []
     add_report = reports.append
 
-    # The common dispatch configuration (least-loaded, no topology) is the
-    # heap top; every other one is the cluster's scan picker over ``busy``.
-    simple_pick = _heap_picks(cluster)
     heap = [(0.0, shard_id) for shard_id in range(num_shards)]
     retime = heapq.heapreplace
-    busy = [0.0] * num_shards
-    order = cluster._order
-    view = _BatchView()
     for b in range(num_batches):
         workload_id = workload_ids[b]
         ready = ready_list[b]
-        if simple_pick:
-            busy_until, shard_id = heap[0]
-        else:
-            view.workload = workloads[workload_id]
-            view.key = view.workload.batch_key
-            view.ready_seconds = ready
-            shard_id = cluster._pick_shard(view, busy, order)
-            busy_until = busy[shard_id]
+        busy_until, shard_id = heap[0]
         start = ready if ready >= busy_until else busy_until
         state = states[shard_id]
         hit = cache.get((state, workload_id))
@@ -800,11 +756,7 @@ def _serve_trace_chunked(
             if end_state != state:
                 shards[shard_id].preprocessing.apply_state(snapshots[end_state])
         states[shard_id] = end_state
-        finish = start + duration
-        if simple_pick:
-            retime(heap, (finish, shard_id))
-        else:
-            busy[shard_id] = finish
+        retime(heap, (start + duration, shard_id))
         busy_total[shard_id] += duration
         add_shard(shard_id)
         add_start(start)

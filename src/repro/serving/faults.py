@@ -31,8 +31,7 @@ anything is parked :meth:`FaultRuntime.submit` appends a newly formed
 batch to the tail without a dispatch attempt: the head parked because no
 live shard could take it, and until the next fault event or scale-up the
 live set is fixed and its busy horizons only grow, so the newcomer would
-park too (a round-robin picker's cursor just does not advance for it).
-At every applied fault instant, and at a scale-up,
+park too.  At every applied fault instant, and at a scale-up,
 :meth:`FaultRuntime.flush` wakes the parked batches oldest first with
 their ready time moved to the wake instant, and stops at the first one
 that parks again — every batch behind it sees the same live set,
@@ -948,8 +947,8 @@ class FaultRuntime:
         next_crash = self._next_crash
         outcome = DISPATCH_PLACED
         if run.least_loaded:
-            # A least-loaded pick has no side effects, so re-picking among
-            # the undoomed candidates is one walk in (busy, id) order.
+            # Re-picking least-loaded among the undoomed candidates is one
+            # walk in (busy, id) order.
             for shard_id in sorted(active, key=lambda s: (busy[s], s)):
                 start = max(ready, busy[shard_id])
                 crash_at = next_crash[shard_id]

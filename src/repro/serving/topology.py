@@ -11,9 +11,9 @@ failure domains.  It feeds three consumers:
   per-shard events, and :class:`~repro.serving.faults.RandomFaults` with
   ``correlated=`` generates seeded whole-domain outages;
 * **placement** — :meth:`activation_order` linearises the shards so the
-  autoscaler's active prefix spreads across domains (``"spread"``) instead
-  of filling one rack first (``"dense"``), and locality dispatch hashes
-  request keys to a *domain* before picking a member shard;
+  autoscaler's active prefix spreads across domains instead of filling one
+  rack first, and locality dispatch hashes request keys to a *domain*
+  before picking a member shard;
 * **reporting** — :class:`~repro.serving.faults.FaultStats` aggregates
   outage intervals per domain for the cluster report / timeline renderer.
 
@@ -25,11 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
-
-#: Activation-order placement policies understood by the cluster.
-PLACEMENT_DENSE = "dense"
-PLACEMENT_SPREAD = "spread"
-PLACEMENTS = (PLACEMENT_DENSE, PLACEMENT_SPREAD)
 
 
 @dataclass(frozen=True)
@@ -122,22 +117,14 @@ class ClusterTopology:
             )
 
     # ------------------------------------------------------------- placement
-    def activation_order(self, placement: str = PLACEMENT_SPREAD) -> Tuple[int, ...]:
+    def activation_order(self) -> Tuple[int, ...]:
         """Linearise the shards for autoscaler activation.
 
-        ``"dense"`` keeps the natural ``0..num_shards-1`` order (fill one
-        domain before touching the next, assuming contiguous domains);
-        ``"spread"`` round-robins across the domains in declaration order so
+        The order round-robins across the domains in declaration order so
         any active prefix spans as many failure domains as possible — the
         k-th activated shard is the ``k // num_domains``-th member of the
         ``k % num_domains``-th domain (skipping exhausted domains).
         """
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
-        if placement == PLACEMENT_DENSE:
-            return tuple(range(self.num_shards))
         pools: List[List[int]] = [list(members) for members in self.domains.values()]
         order: List[int] = []
         cursor = 0

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import repro.serving.chaos as chaos_module
-from repro.serving import DISPATCH_POLICIES, POLICY_LEAST_LOADED
+from repro.serving import DISPATCH_POLICIES, POLICY_LEAST_LOADED, POLICY_LOCALITY
 from repro.serving.chaos import (
     INVARIANTS,
     ChaosInvariantError,
@@ -57,6 +57,10 @@ def test_random_scenarios_cycle_policies_and_fair_batching():
     assert {(s.policy, s.fair) for s in random} == {
         (policy, fair) for policy in DISPATCH_POLICIES for fair in (False, True)
     }
+    # Every third block of four runs locality; the rest run least-loaded.
+    assert [i for i, s in enumerate(random) if s.policy == POLICY_LOCALITY] == [
+        8, 9, 10, 11
+    ]
     # Both are recorded in the reproduction artifact.
     record = random[2].as_dict()
     assert (record["policy"], record["fair"]) == (random[2].policy, random[2].fair)

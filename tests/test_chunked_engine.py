@@ -1,13 +1,14 @@
 """Chunked (array-native) offline loop ↔ event loop equivalence.
 
 ``serve_trace`` on the fast engine runs the chunked loop for eligible
-offline replays (no fault schedule, no fair-mode batching) and the event
-loop — ``serve_online`` over ``TraceArrivals`` — for every other replay.
+offline replays (least-loaded, no fault schedule, no fair-mode batching)
+and the event loop — ``serve_online`` over ``TraceArrivals`` — for every
+other replay.
 These suites pin that the selection is invisible: byte-identical
 ``ClusterReport.as_dict()`` output *and* equal per-request records across
-systems, dispatch policies, shard counts, tenants and degraded-quality
-traffic — and that ineligible runs take the event loop instead of
-diverging or crashing.
+systems, topologies, shard counts, tenants and degraded-quality traffic —
+and that ineligible runs (locality dispatch, faults, fair batching) take
+the event loop instead of diverging or crashing.
 """
 
 import json
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
     BatchScheduler,
-    DISPATCH_POLICIES,
+    ClusterTopology,
     ENGINE_FAST,
     ENGINE_REFERENCE,
     OpenLoopArrivals,
@@ -80,24 +81,29 @@ class TestChunkedEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(
         name=st.sampled_from(SYSTEM_NAMES),
-        policy=st.sampled_from(DISPATCH_POLICIES),
         num_requests=st.integers(min_value=1, max_value=60),
         rate_rps=st.sampled_from([50.0, 400.0, 2000.0]),
         seed=st.integers(min_value=0, max_value=2**16),
         max_batch_size=st.integers(min_value=1, max_value=5),
         max_wait_ms=st.sampled_from([0.0, 1.0, 5.0, 50.0]),
         num_shards=st.integers(min_value=1, max_value=5),
+        num_domains=st.integers(min_value=0, max_value=3),
     )
     def test_property_sweep(
-        self, services, name, policy, num_requests, rate_rps, seed,
-        max_batch_size, max_wait_ms, num_shards,
+        self, services, name, num_requests, rate_rps, seed,
+        max_batch_size, max_wait_ms, num_shards, num_domains,
     ):
+        """The chunked loop's heap pick matches the event loop's scan, with
+        or without a topology (0 domains: none)."""
         trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=rate_rps, seed=seed).trace(
             num_requests
         )
+        topology = None
+        if num_domains:
+            topology = ClusterTopology.uniform(num_shards, min(num_domains, num_shards))
         chunked, event = _both(
             lambda engine: _cluster(
-                services, name, engine, policy=policy, num_shards=num_shards,
+                services, name, engine, num_shards=num_shards, topology=topology,
                 scheduler=BatchScheduler(
                     max_batch_size=max_batch_size,
                     max_wait_seconds=max_wait_ms * 1e-3,
@@ -157,6 +163,17 @@ class TestChunkedEquivalence:
 
 
 class TestIneligibleReplays:
+    def test_locality_runs_the_event_loop(self, services):
+        trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=500.0, seed=7).trace(20)
+        with chunked_calls() as calls:
+            report = _cluster(services, policy="locality").serve_trace(trace)
+        assert calls == []
+        assert _render(report) == _render(
+            _cluster(services, policy="locality", engine=ENGINE_REFERENCE).serve_trace(
+                trace
+            )
+        )
+
     def test_fault_schedule_runs_the_event_loop(self, services):
         trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=500.0, seed=5).trace(20)
         config = ServingConfig(faults=FaultSchedule(events=()))

@@ -45,8 +45,6 @@ from repro.serving import (
     TenantQuota,
     TraceArrivals,
 )
-from repro.serving.cluster import _home_shard
-from repro.serving.scheduler import RequestBatch
 
 
 def _render(report) -> str:
@@ -202,60 +200,6 @@ def test_drained_runs_byte_identical_across_engines(services, drain_setup, units
                     f"request {served.request.request_id} started on the "
                     f"drained shard at {start:.6f}"
                 )
-
-
-# ----------------------------------------------------------- stale rebalance
-def test_rebalance_rehomes_stale_traffic(services):
-    """Alternating workload keys stop ping-ponging one home shard."""
-    sharing_home = []
-    for i in range(64):
-        profile = make_profile(f"key-{i}", batch_size=300)
-        batch = RequestBatch(
-            requests=[
-                InferenceRequest(request_id=0, arrival_seconds=0.0, workload=profile)
-            ],
-            ready_seconds=0.0,
-        )
-        if _home_shard(batch, 2) == 1:
-            sharing_home.append(profile)
-        if len(sharing_home) == 2:
-            break
-    first, second = sharing_home
-    assert first.batch_key != second.batch_key
-
-    def run(engine, rebalance_seconds):
-        cluster = ShardedServiceCluster(
-            services["CPU"],
-            num_shards=2,
-            scheduler=BatchScheduler(max_batch_size=1),
-            policy="locality",
-            rebalance_seconds=rebalance_seconds,
-            engine=engine,
-        )
-        trace = RequestTrace(
-            [
-                InferenceRequest(
-                    request_id=i,
-                    arrival_seconds=0.001 * i,
-                    workload=first if i % 2 == 0 else second,
-                )
-                for i in range(12)
-            ]
-        )
-        return cluster.serve_trace(trace)
-
-    pinned = run(ENGINE_FAST, None)
-    rebalanced = run(ENGINE_FAST, 10.0)
-    # Both keys hash to shard 1: without rebalancing everything lands there;
-    # with it, the conflicting key re-homes to the idle shard.
-    assert pinned.shard_requests == [0, 12]
-    assert sorted(rebalanced.shard_requests) == [6, 6]
-    assert _render(run(ENGINE_REFERENCE, 10.0)) == _render(rebalanced)
-
-
-def test_rebalance_rejects_negative_window(services):
-    with pytest.raises(ValueError):
-        ShardedServiceCluster(services["CPU"], num_shards=2, rebalance_seconds=-0.1)
 
 
 # ------------------------------------------------------------ event reporting
@@ -483,7 +427,7 @@ def test_completed_matches_records_on_pinned_drain(services, drain_setup):
     hysteresis=st.integers(min_value=1, max_value=3),
     scale_down_depth=st.sampled_from([0.5, 1.0, 3.0]),
     max_batch_size=st.integers(min_value=1, max_value=3),
-    policy=st.sampled_from(["least-loaded", "round-robin", "locality"]),
+    policy=st.sampled_from(["least-loaded", "locality"]),
 )
 def test_completed_counts_requests_in_flight_on_leaving_shards(
     services, seed, num_per_tenant, min_shards, hysteresis, scale_down_depth,

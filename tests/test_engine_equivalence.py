@@ -479,26 +479,32 @@ class TestDegradationEquivalence:
 #: last, so every other cell keeps its index (trace seed and system).
 _FAULT_MODES = ((False, True), ("oblivious",))
 
+#: The policy axis with a retired first slot (None), so every cell keeps
+#: its index (trace seed and system) whatever the policy count.
+_POLICY_SLOTS = (None,) + DISPATCH_POLICIES
+
 #: Online matrix: policy x fair batching x faults x autoscaler x topology.
-_ONLINE_CELLS = [
+_ONLINE_SLOTS = [
     (policy, fair, faulted, scaler, topology)
     for modes in _FAULT_MODES
-    for policy in DISPATCH_POLICIES
+    for policy in _POLICY_SLOTS
     for fair in (False, True)
     for faulted in modes
     for scaler in ("none", "drain", "no-drain")
     for topology in (False, True)
 ]
+_ONLINE_CELLS = [cell for cell in _ONLINE_SLOTS if cell[0] is not None]
 
 #: Offline matrix: policy x fair batching x faults x topology.
-_OFFLINE_CELLS = [
+_OFFLINE_SLOTS = [
     (policy, fair, faulted, topology)
     for modes in _FAULT_MODES
-    for policy in DISPATCH_POLICIES
+    for policy in _POLICY_SLOTS
     for fair in (False, True)
     for faulted in modes
     for topology in (False, True)
 ]
+_OFFLINE_CELLS = [cell for cell in _OFFLINE_SLOTS if cell[0] is not None]
 
 
 class TestBackendIdentityMatrix:
@@ -526,7 +532,6 @@ class TestBackendIdentityMatrix:
                 tenant_weights=self.WEIGHTS if fair else None,
             ),
             locality_spill_seconds=0.02,
-            rebalance_seconds=0.05 if policy == "locality" else None,
             topology=ClusterTopology.uniform(self.NUM_SHARDS, 2) if topology else None,
         )
 
@@ -563,7 +568,7 @@ class TestBackendIdentityMatrix:
 
     @pytest.mark.parametrize("policy,fair,faulted,scaler,topology", _ONLINE_CELLS)
     def test_online(self, services, policy, fair, faulted, scaler, topology):
-        index = _ONLINE_CELLS.index((policy, fair, faulted, scaler, topology))
+        index = _ONLINE_SLOTS.index((policy, fair, faulted, scaler, topology))
         system = "DynPre" if index % 3 == 0 else "GPU"
         trace = make_bursty_tenant_trace(
             WORKLOAD_POOL, num_per_tenant=15, peak_rate_rps=900.0, seed=index
@@ -593,7 +598,7 @@ class TestBackendIdentityMatrix:
 
     @pytest.mark.parametrize("policy,fair,faulted,topology", _OFFLINE_CELLS)
     def test_offline(self, services, policy, fair, faulted, topology):
-        index = _OFFLINE_CELLS.index((policy, fair, faulted, topology))
+        index = _OFFLINE_SLOTS.index((policy, fair, faulted, topology))
         system = "DynPre" if index % 3 == 0 else "GPU"
         trace = make_bursty_tenant_trace(
             WORKLOAD_POOL, num_per_tenant=15, peak_rate_rps=900.0, seed=index
@@ -604,8 +609,14 @@ class TestBackendIdentityMatrix:
             cluster = self._cluster(services, system, engine, policy, fair, topology)
             with chunked_calls() as calls:
                 report = cluster.serve_trace(trace, config=config)
-            # Only fault-free, non-fair fast replays take the chunked loop.
-            chunked = engine == ENGINE_FAST and not fair and not faulted
+            # Only fault-free, non-fair, least-loaded fast replays take the
+            # chunked loop.
+            chunked = (
+                engine == ENGINE_FAST
+                and policy == "least-loaded"
+                and not fair
+                and not faulted
+            )
             assert len(calls) == int(chunked)
             self._conserved(report, len(trace))
             renders.append(_render(report))

@@ -11,7 +11,7 @@ Covers the correlated-failure layer end to end:
   leave the independent per-shard stream bit-identical, and the
   :meth:`provenance` dict that rebuilds the exact schedule.
 * Serving integration — per-domain outage reporting in both engines,
-  spread placement activating across domains, topology via
+  topology-spread activation across domains, topology via
   ``ServingConfig`` overrides, the ``no_degrade`` tenant buy-out and
   per-tenant ``degraded_utility`` floors.
 * Late recovery — a recover past ``horizon_seconds`` (and past an
@@ -101,13 +101,10 @@ def test_topology_validation_rejects_bad_partitions():
 
 def test_activation_order_spread_round_robins_across_domains():
     topo = ClusterTopology.uniform(6, 3)
-    assert topo.activation_order("dense") == (0, 1, 2, 3, 4, 5)
-    assert topo.activation_order("spread") == (0, 2, 4, 1, 3, 5)
+    assert topo.activation_order() == (0, 2, 4, 1, 3, 5)
     # Uneven domains: exhausted pools are skipped, every shard appears once.
     uneven = ClusterTopology({"big": (0, 1, 2), "small": (3,)})
-    assert uneven.activation_order("spread") == (0, 3, 1, 2)
-    with pytest.raises(ValueError, match="unknown placement"):
-        topo.activation_order("sparse")
+    assert uneven.activation_order() == (0, 3, 1, 2)
 
 
 def test_topology_dict_round_trip():
@@ -290,26 +287,22 @@ def test_domain_outages_reported_identically_by_both_engines(services):
 
 
 def test_spread_placement_activates_across_domains(services):
-    """With ``placement="spread"`` a 2-shard active prefix lands one shard
-    per rack instead of both in rack0."""
+    """With a topology a 2-shard active prefix lands one shard per rack;
+    without one it takes shards 0 and 1, both in rack0."""
     topo = ClusterTopology.uniform(4, 2)
     trace = _trace(5)
     autoscaler = Autoscaler(
         min_shards=2, max_shards=2, scale_up_depth=1e9, hysteresis_observations=3
     )
     config = ServingConfig(autoscaler=autoscaler)
-    spread = _cluster(services, topology=topo, placement="spread").serve_online(
+    spread = _cluster(services, topology=topo).serve_online(
         TraceArrivals(trace), config=config
     )
     assert spread.shard_requests[0] > 0 and spread.shard_requests[2] > 0
     assert spread.shard_requests[1] == 0 and spread.shard_requests[3] == 0
-    dense = _cluster(services, topology=topo, placement="dense").serve_online(
-        TraceArrivals(trace), config=config
-    )
+    dense = _cluster(services).serve_online(TraceArrivals(trace), config=config)
     assert dense.shard_requests[0] > 0 and dense.shard_requests[1] > 0
     assert dense.shard_requests[2] == 0 and dense.shard_requests[3] == 0
-    with pytest.raises(ValueError, match="unknown placement"):
-        _cluster(services, topology=topo, placement="sparse")
 
 
 # --------------------------------------------------- tenant degraded buy-out

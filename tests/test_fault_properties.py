@@ -43,9 +43,7 @@ from repro.serving import (
     ServingConfig,
     ShardedServiceCluster,
     SLOPolicy,
-    TenantQuota,
     TraceArrivals,
-    merge_traces,
 )
 from repro.serving.faults import DISPATCH_PARKED, FaultRuntime
 
@@ -782,76 +780,3 @@ def test_random_faults_outages_are_closed():
             assert not up[event.shard_id]
             up[event.shard_id] = True
     assert all(up)
-
-
-# ------------------------------------------------- tenant-aware autoscaling
-def test_tenant_aware_autoscaler_reacts_to_guaranteed_pressure():
-    """Guaranteed-tier queue pressure alone triggers scale-up even when the
-    global per-shard depth stays below the global threshold."""
-    scaler = Autoscaler(
-        min_shards=1, max_shards=4, scale_up_depth=100.0, scale_down_depth=0.01,
-        hysteresis_observations=2, guaranteed_scale_up_depth=1.0,
-    )
-    assert scaler.tenant_aware
-    scaler.start(0.0)
-    scaler.observe(0.01, queue_depth=3, guaranteed_depth=3)
-    active = scaler.observe(0.02, queue_depth=3, guaranteed_depth=3)
-    assert active == 2
-
-
-def test_plain_autoscaler_ignores_guaranteed_signal():
-    scaler = Autoscaler(
-        min_shards=1, max_shards=4, scale_up_depth=100.0, scale_down_depth=0.01,
-        hysteresis_observations=2,
-    )
-    assert not scaler.tenant_aware
-    scaler.start(0.0)
-    scaler.observe(0.01, queue_depth=3, guaranteed_depth=50)
-    active = scaler.observe(0.02, queue_depth=3, guaranteed_depth=50)
-    assert active == 1
-
-
-def test_tenant_aware_scaling_serves_more_guaranteed_traffic(services):
-    """End to end: under faults, the guaranteed-pressure signal scales out
-    earlier and both engines agree byte-for-byte on the result."""
-    streams = [
-        OpenLoopArrivals(WORKLOAD_POOL, rate_rps=200.0, seed=11, tenant="ent"),
-        OpenLoopArrivals(WORKLOAD_POOL, rate_rps=200.0, seed=12, tenant="free"),
-    ]
-    trace = merge_traces([stream.trace(25) for stream in streams])
-    slo = SLOPolicy(
-        default_slo_seconds=0.5,
-        per_tenant={"ent": TenantQuota(guaranteed_rps=100.0, weight=2.0)},
-    )
-    faults = FaultSchedule(
-        events=(
-            FaultEvent(seconds=0.02, shard_id=0, kind=FAULT_CRASH),
-            FaultEvent(seconds=0.15, shard_id=0, kind=FAULT_RECOVER),
-        ),
-        retry_budget=2,
-        retry_backoff_seconds=0.005,
-    )
-
-    def run(engine, guaranteed_depth):
-        scaler = Autoscaler(
-            min_shards=1, max_shards=NUM_SHARDS, scale_up_depth=6.0,
-            scale_down_depth=0.5, hysteresis_observations=2,
-            guaranteed_scale_up_depth=guaranteed_depth,
-        )
-        return _cluster(services, engine=engine).serve_online(
-            TraceArrivals(trace),
-            config=ServingConfig(
-                slo=slo, admit=True,
-                autoscaler=scaler,
-                faults=faults,
-            ),
-        )
-
-    tenant_aware = run("fast", 2.0)
-    plain = run("fast", None)
-    assert _render(run("reference", 2.0)) == _render(tenant_aware)
-    aware_events = len(tenant_aware.scaling_timeline)
-    plain_events = len(plain.scaling_timeline)
-    assert aware_events >= plain_events
-    assert tenant_aware.goodput.offered == tenant_aware.goodput.served + \
-        tenant_aware.goodput.shed + tenant_aware.goodput.failed

@@ -16,7 +16,6 @@ from repro.serving import (
     InferenceRequest,
     OpenLoopArrivals,
     POLICY_LOCALITY,
-    POLICY_ROUND_ROBIN,
     RequestTrace,
     ShardedServiceCluster,
 )
@@ -175,17 +174,6 @@ class TestShardedServiceCluster:
             assert clone.name == name
             assert type(clone) is type(system)
             assert clone.evaluate(w).total > 0
-
-    def test_round_robin_cycles(self, services):
-        trace = zero_gap_trace([profile()] * 6)
-        cluster = ShardedServiceCluster(
-            services["CPU"],
-            num_shards=3,
-            scheduler=BatchScheduler(max_batch_size=1),
-            policy=POLICY_ROUND_ROBIN,
-        )
-        report = cluster.serve_trace(trace)
-        assert report.shard_requests == [2, 2, 2]
 
     def test_locality_pins_workload_to_home_shard(self, services):
         trace = OpenLoopArrivals(

@@ -174,6 +174,28 @@ def test_rejects_non_finite_inputs(factory, kwargs, field):
     SLOPolicy(default_slo_seconds=_INF, excess_rps=_INF)
 
 
+@pytest.mark.parametrize(
+    "owner,field",
+    [
+        ("cluster", "locality_spill_seconds"),
+        ("autoscaler", "scale_up_depth"),
+        ("autoscaler", "scale_down_depth"),
+        ("autoscaler", "warmup_seconds"),
+    ],
+)
+def test_rejects_nan_dispatch_and_scaling_thresholds(services, owner, field):
+    """NaN fails every comparison: an accepted NaN spill threshold spills
+    every batch, and an accepted NaN scale-up depth never scales up."""
+    with pytest.raises(ValueError, match=field) as error:
+        if owner == "cluster":
+            ShardedServiceCluster(services["CPU"], **{field: _NAN})
+        else:
+            Autoscaler(**{field: _NAN})
+    assert "number" in str(error.value)
+    # An infinite spill threshold stays valid: it pins strictly.
+    ShardedServiceCluster(services["CPU"], locality_spill_seconds=_INF)
+
+
 # ------------------------------------------------------------------- exports
 def test_public_surface_is_importable():
     for name in serving.__all__:

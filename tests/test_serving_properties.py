@@ -135,22 +135,6 @@ def test_monotonicity_gate_two_x_at_four_shards(services):
     assert throughput(4) >= 2.0 * throughput(1)
 
 
-def test_monotonicity_tolerates_round_robin_smoke(services):
-    """Round-robin is not covered by the monotonicity proof; it must still
-    serve every request and produce a positive throughput."""
-    trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=500.0, seed=4).trace(20)
-    for num_shards in (1, 3, 5):
-        cluster = ShardedServiceCluster(
-            services["GSamp"],
-            num_shards=num_shards,
-            scheduler=BatchScheduler(max_batch_size=2, max_wait_seconds=0.001),
-            policy="round-robin",
-        )
-        report = cluster.serve_trace(trace)
-        assert report.num_requests == 20
-        assert report.throughput_rps > 0
-
-
 if __name__ == "__main__":  # pragma: no cover
     import sys
 
