@@ -101,6 +101,20 @@ class TestOfflineEquivalence:
         )
         assert _render(reference.serve_trace(trace)) == _render(fast.serve_trace(trace))
 
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_all_systems_least_loaded_under_topology(self, services, name):
+        """The chunked loop's heap pick with failure domains declared."""
+        trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=400.0, seed=5).trace(40)
+        scheduler = BatchScheduler(max_batch_size=3, max_wait_seconds=0.004)
+        reference, fast = _pair(
+            services, name, num_shards=4, scheduler=scheduler,
+            topology=ClusterTopology.uniform(4, 2),
+        )
+        expected = _render(reference.serve_trace(trace))
+        with chunked_calls() as calls:
+            assert _render(fast.serve_trace(trace)) == expected
+        assert len(calls) == 1
+
     def test_slo_scored_offline_run(self, services):
         trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=1000.0, seed=9).trace(30)
         slo = SLOPolicy(default_slo_seconds=0.1, per_workload={"wl-m": 0.2})
@@ -479,12 +493,15 @@ class TestDegradationEquivalence:
 #: last, so every other cell keeps its index (trace seed and system).
 _FAULT_MODES = ((False, True), ("oblivious",))
 
-#: The policy axis with a retired first slot (None), so every cell keeps
-#: its index (trace seed and system) whatever the policy count.
-_POLICY_SLOTS = (None,) + DISPATCH_POLICIES
+#: The dispatch axis.  Its first slot runs locality that never spills (the
+#: default ``locality_spill_seconds=inf``); the ``locality`` slot spills
+#: past a 20 ms backlog.  The slot order is fixed, so every cell keeps its
+#: index (trace seed and system).
+_PINNED_LOCALITY = "locality-pinned"
+_POLICY_SLOTS = (_PINNED_LOCALITY,) + DISPATCH_POLICIES
 
 #: Online matrix: policy x fair batching x faults x autoscaler x topology.
-_ONLINE_SLOTS = [
+_ONLINE_CELLS = [
     (policy, fair, faulted, scaler, topology)
     for modes in _FAULT_MODES
     for policy in _POLICY_SLOTS
@@ -493,10 +510,9 @@ _ONLINE_SLOTS = [
     for scaler in ("none", "drain", "no-drain")
     for topology in (False, True)
 ]
-_ONLINE_CELLS = [cell for cell in _ONLINE_SLOTS if cell[0] is not None]
 
 #: Offline matrix: policy x fair batching x faults x topology.
-_OFFLINE_SLOTS = [
+_OFFLINE_CELLS = [
     (policy, fair, faulted, topology)
     for modes in _FAULT_MODES
     for policy in _POLICY_SLOTS
@@ -504,7 +520,6 @@ _OFFLINE_SLOTS = [
     for faulted in modes
     for topology in (False, True)
 ]
-_OFFLINE_CELLS = [cell for cell in _OFFLINE_SLOTS if cell[0] is not None]
 
 
 class TestBackendIdentityMatrix:
@@ -521,17 +536,18 @@ class TestBackendIdentityMatrix:
     NUM_SHARDS = 4
 
     def _cluster(self, services, system, engine, policy, fair, topology):
+        pinned = policy == _PINNED_LOCALITY
         return ShardedServiceCluster(
             services[system],
             num_shards=self.NUM_SHARDS,
             engine=engine,
-            policy=policy,
+            policy="locality" if pinned else policy,
             scheduler=BatchScheduler(
                 max_batch_size=3,
                 max_wait_seconds=0.004,
                 tenant_weights=self.WEIGHTS if fair else None,
             ),
-            locality_spill_seconds=0.02,
+            locality_spill_seconds=float("inf") if pinned else 0.02,
             topology=ClusterTopology.uniform(self.NUM_SHARDS, 2) if topology else None,
         )
 
@@ -568,7 +584,7 @@ class TestBackendIdentityMatrix:
 
     @pytest.mark.parametrize("policy,fair,faulted,scaler,topology", _ONLINE_CELLS)
     def test_online(self, services, policy, fair, faulted, scaler, topology):
-        index = _ONLINE_SLOTS.index((policy, fair, faulted, scaler, topology))
+        index = _ONLINE_CELLS.index((policy, fair, faulted, scaler, topology))
         system = "DynPre" if index % 3 == 0 else "GPU"
         trace = make_bursty_tenant_trace(
             WORKLOAD_POOL, num_per_tenant=15, peak_rate_rps=900.0, seed=index
@@ -598,7 +614,7 @@ class TestBackendIdentityMatrix:
 
     @pytest.mark.parametrize("policy,fair,faulted,topology", _OFFLINE_CELLS)
     def test_offline(self, services, policy, fair, faulted, topology):
-        index = _OFFLINE_SLOTS.index((policy, fair, faulted, topology))
+        index = _OFFLINE_CELLS.index((policy, fair, faulted, topology))
         system = "DynPre" if index % 3 == 0 else "GPU"
         trace = make_bursty_tenant_trace(
             WORKLOAD_POOL, num_per_tenant=15, peak_rate_rps=900.0, seed=index
@@ -743,6 +759,34 @@ class TestFastEngineExtras:
         report_b = serve(fast, trace_b)
         assert _render(report_b) == _render(serve(reference, trace_b))
         assert len(fast._serve_cache) - populated < report_b.num_batches
+
+    @pytest.mark.parametrize("engine", [ENGINE_REFERENCE, ENGINE_FAST])
+    @pytest.mark.parametrize("policy", DISPATCH_POLICIES)
+    def test_repeat_runs_render_the_same_bytes(self, services, policy, engine):
+        """A cluster keeps no per-run dispatch state: on the stateless GPU
+        system, a replay repeated on the same cluster, offline or online
+        under an autoscaler, renders the bytes of its first run."""
+        trace = make_bursty_tenant_trace(
+            WORKLOAD_POOL, num_per_tenant=15, peak_rate_rps=900.0, seed=3
+        )
+        cluster = _cluster(
+            services, "GPU", engine, num_shards=4, policy=policy,
+            scheduler=BatchScheduler(max_batch_size=3, max_wait_seconds=0.004),
+            locality_spill_seconds=0.02, topology=ClusterTopology.uniform(4, 2),
+        )
+        config = ServingConfig(
+            autoscaler=Autoscaler(
+                min_shards=1, max_shards=4, scale_up_depth=3.0,
+                scale_down_depth=0.5, hysteresis_observations=2,
+            )
+        )
+        runs = (
+            lambda: cluster.serve_trace(trace),
+            lambda: cluster.serve_online(TraceArrivals(trace), config=config),
+        )
+        for run in runs:
+            first = _render(run())
+            assert _render(run()) == first
 
     @pytest.mark.parametrize("policy", ["least-loaded", "locality"])
     def test_replayed_hits_keep_shard_state_and_reconfig_log(self, services, policy):

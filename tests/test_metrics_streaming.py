@@ -6,11 +6,13 @@ The fast engine's report aggregates are only sound if
 not approximately: the golden-report suite compares rendered JSON bytes.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.metrics import LatencyStats, percentile
+from repro.analysis.metrics import LatencyStats, left_fold_sum, percentile
 
 samples_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -41,6 +43,20 @@ class TestStreamingExactFallback:
         assert sum(samples) != float(np.sum(np.asarray(samples)))
         stats = LatencyStats.from_array(np.asarray(samples, dtype=np.float64))
         assert stats.mean == sum(samples) / len(samples)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [-0.0], [1.0] + [1e-16] * 200, [1e16, 1.0, -1e16, 3.0]],
+        ids=["empty", "negative-zero", "small-tail", "cancellation"],
+    )
+    def test_left_fold_sum_is_a_plus_equals_chain(self, values):
+        total = 0.0
+        for value in values:
+            total += value
+        folded = left_fold_sum(np.asarray(values, dtype=np.float64))
+        assert type(folded) is float
+        assert math.copysign(1.0, folded) == math.copysign(1.0, total)
+        assert folded == total
 
     def test_percentile_helper_unchanged(self):
         values = [1.0, 2.0, 3.0, 4.0]
