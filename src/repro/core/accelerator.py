@@ -6,7 +6,9 @@ reshaping), unique random selection over the CSC, subgraph reindexing, and
 finally conversion of the reindexed subgraph back to CSC for the GNN.  The
 device reports per-task cycle counts, wall-clock latency at the kernel clock,
 and the memory traffic it generated (used for the bandwidth-utilisation
-analysis of Fig. 18).
+analysis of Fig. 18).  Selection draws through the same node-wise sampler as
+:func:`repro.preprocessing.preprocess`, so the device, with or without its
+datapath emulation, returns the software pipeline's exact result.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ class AutoGNNDevice:
     Args:
         config: hardware configuration (UPE/SCR count and width).
         detailed: emulate the datapaths element by element (slow, used by the
-            correctness tests); the default fast path produces identical
-            results and identical cycle counts through vectorised execution.
+            correctness tests); the default fast path produces the identical
+            sample, subgraph and cycle counts through vectorised execution.
         clock_hz: kernel clock frequency.
 
     The functional path of the non-detailed kernels is each run's
@@ -144,16 +146,9 @@ class AutoGNNDevice:
         """Run the full preprocessing workflow of Fig. 14 on ``graph``.
 
         The config's ``mode`` selects the kernels' functional path; results
-        and cycles are identical either way.  The device models node-wise
-        selection only, so any other ``sampling_strategy`` is rejected.
+        and cycles are identical either way.
         """
         workload = config or PreprocessingConfig()
-        if workload.sampling_strategy != "node":
-            raise ValueError(
-                f"AutoGNNDevice models node-wise selection only, got sampling_strategy="
-                f"{workload.sampling_strategy!r}; run layer-wise sampling through "
-                f'preprocess(graph, PreprocessingConfig(sampling_strategy="layer"))'
-            )
         timing = PreprocessingTiming(clock_hz=self.clock_hz)
 
         # 1. Graph conversion of the input graph.

@@ -8,13 +8,15 @@ subgraph reindexing.
 
 Cycle accounting is centralised in the ``*_cycle_count`` functions so the
 functional simulator and the analytic performance models charge identical
-costs for identical work (see DESIGN.md, "Timing model").
+costs for identical work (see DESIGN.md, "Timing model").  Selection has one
+sampler for every path; the ``detailed`` emulation re-gathers its output
+through the UPE datapath rather than drawing a sample of its own.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from repro.core.config import HardwareConfig
 from repro.core.merge import merge_rounds, upe_merge_sort
 from repro.core.scr import SCR, Reindexer, Reshaper
 from repro.core.upe import CYCLES_PER_PARTITION_PASS, DEFAULT_RADIX_BITS, UPE
-from repro.graph.coo import COOGraph, VID_DTYPE, vid_bits
+from repro.graph.coo import COOGraph, vid_bits
 from repro.graph.csc import CSCGraph
 from repro.graph.convert import csc_from_ordered, edge_order
 from repro.graph.reindex import (
@@ -172,8 +174,8 @@ def reindexing_cycle_estimate(num_endpoints: int, mapping_size: int, config: Har
 class UPEKernel:
     """UPE controller + scheduler + scratchpad executing ordering and selection.
 
-    ``detailed`` emulates the UPE datapath element by element; otherwise the
-    per-call ``mode`` of unique random selection picks its functional path.
+    ``detailed`` emulates the UPE datapath element by element.  The per-call
+    ``mode`` of unique random selection picks its functional path either way.
     """
 
     def __init__(
@@ -188,7 +190,7 @@ class UPEKernel:
         # The functional datapath is emulated through a single UPE instance;
         # parallelism across the ``num_upes`` physical instances is reflected
         # in the cycle formulas, not by instantiating hundreds of objects.
-        self.upe = UPE(width=config.upe_width, radix_bits=radix_bits, detailed=detailed)
+        self.upe = UPE(width=config.upe_width, radix_bits=radix_bits)
 
     # --------------------------------------------------------- edge ordering
     def edge_ordering(self, graph: COOGraph) -> Tuple[COOGraph, int]:
@@ -228,106 +230,36 @@ class UPEKernel:
     ) -> Tuple[SampledSubgraph, int]:
         """Node-wise unique random selection driven by UPE set-partitioning.
 
-        Functionally equivalent to the reference sampler: for every frontier
-        node, ``k`` unique neighbours are drawn without replacement using the
-        bitmap + one-hot-extraction procedure of Fig. 16.  The fast path
-        executes the shared priority-draw sampler: ``"vectorized"`` batches
-        whole frontiers through array arithmetic, ``"reference"`` runs the
-        per-node verification loop, with bit-identical samples and identical
-        cycle counts.  ``detailed`` emulates the datapath element by element.
+        Every path draws with the shared priority-draw sampler:
+        ``"vectorized"`` batches whole frontiers through array arithmetic,
+        ``"reference"`` runs the per-node verification loop, with
+        bit-identical samples and identical cycle counts.  ``detailed`` then
+        gathers each layer's sources through the UPE datapath: one bitmap
+        set-partition per ``w_upe`` chunk of every neighbour array, the final
+        step of Fig. 16.
         """
-        if self.detailed:
-            return self._detailed_selection(csc, batch_nodes, k, num_layers, seed)
         sample, selection = node_wise_sample_with_stats(
             csc, batch_nodes, k, num_layers, seed=seed, mode=mode
         )
+        if self.detailed:
+            sample.layers = [self._gather_by_bitmap(csc, layer) for layer in sample.layers]
         return sample, selection_cycle_count(selection.draws, selection.arrays, self.config)
 
-    def _detailed_selection(
-        self,
-        csc: CSCGraph,
-        batch_nodes: Sequence[int],
-        k: int,
-        num_layers: int,
-        seed: int,
-    ) -> Tuple[SampledSubgraph, int]:
-        """Element-by-element emulation of the Fig. 16 selection control path."""
-        rng = np.random.default_rng(seed)
-        batch = np.asarray(list(batch_nodes), dtype=VID_DTYPE)
-        frontier = np.unique(batch)
-        layers: List[COOGraph] = []
-        seen = set(frontier.tolist())
-        draws = 0
-        arrays = 0
-
-        for _ in range(num_layers):
-            layer_src: List[int] = []
-            layer_dst: List[int] = []
-            next_frontier: List[int] = []
-            for node in frontier.tolist():
-                neighbors = np.unique(csc.in_neighbors(int(node)))
-                if neighbors.size == 0:
-                    continue
-                arrays += 1
-                take = min(k, int(neighbors.size))
-                picked = self._detailed_draw(neighbors, take, rng)
-                draws += take
-                for src in np.sort(np.asarray(picked, dtype=VID_DTYPE)).tolist():
-                    layer_src.append(int(src))
-                    layer_dst.append(int(node))
-                    next_frontier.append(int(src))
-                    seen.add(int(src))
-            layers.append(
-                COOGraph(
-                    src=np.array(layer_src, dtype=VID_DTYPE),
-                    dst=np.array(layer_dst, dtype=VID_DTYPE),
-                    num_nodes=csc.num_nodes,
-                )
-            )
-            frontier = (
-                np.unique(np.array(next_frontier, dtype=VID_DTYPE))
-                if next_frontier
-                else np.empty(0, dtype=VID_DTYPE)
-            )
-            if frontier.size == 0:
-                break
-
-        sample = SampledSubgraph(
-            batch_nodes=batch,
-            layers=list(reversed(layers)),
-            sampled_nodes=np.array(sorted(seen), dtype=VID_DTYPE),
-            num_nodes=csc.num_nodes,
-        )
-        return sample, selection_cycle_count(draws, arrays, self.config)
-
-    def _detailed_draw(
-        self, neighbors: np.ndarray, take: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw ``take`` unique neighbours with explicit bitmap + set-partition.
-
-        Emulates the control path of Fig. 16: maintain a sampled-bitmap, draw a
-        random index from the unsampled bucket, extract it with a one-hot
-        set-partition, and finally gather the sampled set with one more
-        set-partition over the bitmap.
-        """
-        neighbors = np.asarray(neighbors, dtype=np.int64)
-        n = neighbors.shape[0]
-        bitmap = np.zeros(n, dtype=bool)
+    def _gather_by_bitmap(self, csc: CSCGraph, layer: COOGraph) -> COOGraph:
+        """Re-gather one sampled layer's sources with the UPE's bitmap extraction."""
         w = self.config.upe_width
-        for _ in range(take):
-            unsampled_idx = np.flatnonzero(~bitmap)
-            chosen = int(rng.choice(unsampled_idx))
-            one_hot = np.zeros(n, dtype=bool)
-            one_hot[chosen] = True
-            # One-hot extraction through the UPE datapath, chunked by width.
-            for start in range(0, n, w):
-                self.upe.set_partition(neighbors[start : start + w], one_hot[start : start + w])
-            bitmap[chosen] = True
-        sampled_parts = []
-        for start in range(0, n, w):
-            res = self.upe.extract_by_bitmap(neighbors[start : start + w], bitmap[start : start + w])
-            sampled_parts.append(res.selected)
-        return np.concatenate(sampled_parts) if sampled_parts else np.empty(0, dtype=np.int64)
+        parts = []
+        # Layers are grouped by destination, ascending; each group is one array.
+        nodes, starts = np.unique(layer.dst, return_index=True)
+        ends = np.append(starts[1:], layer.num_edges)
+        for node, start, end in zip(nodes.tolist(), starts.tolist(), ends.tolist()):
+            neighbors = np.unique(csc.in_neighbors(node))
+            bitmap = np.isin(neighbors, layer.src[start:end])
+            for lo in range(0, neighbors.shape[0], w):
+                result = self.upe.extract_by_bitmap(neighbors[lo : lo + w], bitmap[lo : lo + w])
+                parts.append(result.selected)
+        src = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        return layer.with_edges(src.astype(layer.src.dtype), layer.dst, validate=False)
 
 
 # ---------------------------------------------------------------------------

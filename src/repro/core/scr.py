@@ -290,6 +290,8 @@ class Reindexer:
         if keys.shape[0] == 0:
             # An empty SRAM bank still takes one cycle to report a miss.
             self.stats.cycles += 1
+        # Every resident mapping is scanned, hit or miss: the controller has
+        # no early exit, which is what ``reindexing_cycle_count`` charges.
         for chunk_start in range(0, keys.shape[0], self.scr.width):
             chunk_keys = keys[chunk_start : chunk_start + self.scr.width]
             chunk_payloads = payloads[chunk_start : chunk_start + self.scr.width]
@@ -298,7 +300,6 @@ class Reindexer:
             self.stats.comparisons += int(chunk_keys.shape[0])
             if found:
                 hit, value = True, payload
-                break
         if hit:
             return int(value)
         new_id = self.counter

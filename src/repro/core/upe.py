@@ -11,7 +11,9 @@ The classes below emulate the datapath faithfully at element granularity and
 charge cycles according to its structure: the prefix-sum network has
 ``log2(width)`` adder layers and the relocation network ``log2(width)``
 routing layers, and a whole pass over one chunk is pipelined so it retires in
-a constant number of cycles independent of the chunk width.
+a constant number of cycles independent of the chunk width.  Only the
+kernels' ``detailed`` datapath emulation drives a UPE, so it has no NumPy
+shortcut of its own; the fast kernels charge the same cycles in closed form.
 """
 
 from __future__ import annotations
@@ -171,15 +173,14 @@ class UPE:
     Args:
         width: number of elements processed per pass (power of two).
         radix_bits: digit width used by :meth:`radix_sort_chunk`.
-        detailed: when True the relocation network is emulated layer by layer;
-            when False a functionally identical vectorised path is used (the
-            cycle accounting is the same either way).
+
+    Both networks are always emulated: the relocation network layer by layer
+    and the radix sort as bucket extractions.
     """
 
-    def __init__(self, width: int = 64, radix_bits: int = DEFAULT_RADIX_BITS, detailed: bool = False) -> None:
+    def __init__(self, width: int = 64, radix_bits: int = DEFAULT_RADIX_BITS) -> None:
         self.width = int(width)
         self.radix_bits = int(radix_bits)
-        self.detailed = detailed
         self.prefix = PrefixSumLogic(self.width)
         self.relocation = RelocationLogic(self.width)
         self.cycles_consumed = 0
@@ -205,12 +206,8 @@ class UPE:
             )
 
         displacement = self.prefix.scan(condition.astype(np.int64))
-        if self.detailed:
-            routed = self.relocation.relocate(values, condition, displacement)
-            num_selected = int(condition.sum())
-            selected = routed[:num_selected].copy()
-        else:
-            selected = values[condition].copy()
+        routed = self.relocation.relocate(values, condition, displacement)
+        selected = routed[: int(condition.sum())].copy()
         rejected = values[~condition].copy()
         self.cycles_consumed += CYCLES_PER_PARTITION_PASS
         return SetPartitionResult(
@@ -241,34 +238,30 @@ class UPE:
             )
         passes = self.radix_sort_passes(key_bits)
         cycles = passes * CYCLES_PER_PARTITION_PASS
-        if self.detailed:
-            current = keys.copy()
-            for digit in range(passes):
-                shift = digit * self.radix_bits
-                mask = (1 << self.radix_bits) - 1
-                digits = (current >> shift) & mask
-                # A stable counting pass: extract buckets in ascending digit
-                # order with one set-partition each; displacement offsets give
-                # the concatenation order.
-                buckets: List[np.ndarray] = []
-                remaining = current
-                remaining_digits = digits
-                for value in range(1 << self.radix_bits):
-                    if remaining.size == 0:
-                        break
-                    cond = remaining_digits == value
-                    if not np.any(cond):
-                        continue
-                    buckets.append(remaining[cond])
-                    keep = ~cond
-                    remaining = remaining[keep]
-                    remaining_digits = remaining_digits[keep]
-                current = np.concatenate(buckets) if buckets else current
-            sorted_keys = current
-        else:
-            sorted_keys = np.sort(keys, kind="stable")
+        current = keys.copy()
+        for digit in range(passes):
+            shift = digit * self.radix_bits
+            mask = (1 << self.radix_bits) - 1
+            digits = (current >> shift) & mask
+            # A stable counting pass: extract buckets in ascending digit
+            # order with one set-partition each; displacement offsets give
+            # the concatenation order.
+            buckets: List[np.ndarray] = []
+            remaining = current
+            remaining_digits = digits
+            for value in range(1 << self.radix_bits):
+                if remaining.size == 0:
+                    break
+                cond = remaining_digits == value
+                if not np.any(cond):
+                    continue
+                buckets.append(remaining[cond])
+                keep = ~cond
+                remaining = remaining[keep]
+                remaining_digits = remaining_digits[keep]
+            current = np.concatenate(buckets) if buckets else current
         self.cycles_consumed += cycles
-        return sorted_keys, cycles
+        return current, cycles
 
     # -------------------------------------------------------------- sampling
     def extract_by_bitmap(self, values: np.ndarray, bitmap: np.ndarray) -> SetPartitionResult:
@@ -282,4 +275,4 @@ class UPE:
         return self.set_partition(values, np.asarray(bitmap, dtype=bool))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"UPE(width={self.width}, radix_bits={self.radix_bits}, detailed={self.detailed})"
+        return f"UPE(width={self.width}, radix_bits={self.radix_bits})"

@@ -27,7 +27,6 @@ from repro.graph.sampling import (
     MODE_VECTORIZED,
     sample_neighbors,
     node_wise_sample,
-    layer_wise_sample,
     SampledSubgraph,
     SelectionStats,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "MODE_VECTORIZED",
     "sample_neighbors",
     "node_wise_sample",
-    "layer_wise_sample",
     "SampledSubgraph",
     "SelectionStats",
     "reindex_subgraph",

@@ -6,7 +6,8 @@ new indices (Section II-B, Fig. 4b).  The reference implementation walks the
 edge list with a hash map; the vectorized fast path reproduces the exact same
 first-encounter numbering through a single ``np.unique`` factorization (both
 the SCR reindexer and the fast path are verified bit-exact against the
-reference — see DESIGN.md, "Reference vs. vectorized fast path").
+reference — see DESIGN.md, "Reference vs. vectorized fast path").  Every
+call numbers from an empty mapping.
 """
 
 from __future__ import annotations
@@ -157,7 +158,6 @@ def reindex_edges_reference(
 def reindex_edges(
     src: np.ndarray,
     dst: np.ndarray,
-    mapping: Optional[Dict[int, int]] = None,
     mode: str = MODE_VECTORIZED,
     num_vids: Optional[int] = None,
 ) -> ReindexResult:
@@ -166,17 +166,16 @@ def reindex_edges(
     New IDs are assigned in first-encounter order while scanning the
     destination array then the source array edge by edge — the same order the
     hardware reindexer processes the uni-random selection output, so results
-    are directly comparable.  Both modes produce bit-identical results; a
-    pre-populated ``mapping`` forces the reference walk (the fast path only
-    factorizes from an empty mapping).  ``num_vids`` optionally bounds the
-    VID range, enabling the O(n) lookup-table factorization.
+    are directly comparable.  Both modes produce bit-identical results.
+    ``num_vids`` optionally bounds the VID range, enabling the O(n)
+    lookup-table factorization.
     """
     check_mode(mode)
     src = np.asarray(src, dtype=VID_DTYPE)
     dst = np.asarray(dst, dtype=VID_DTYPE)
-    if mode == MODE_REFERENCE or mapping:
-        if mapping is None:
-            mapping = {}
+    mapping: Optional[Dict[int, int]] = None
+    if mode == MODE_REFERENCE:
+        mapping = {}
         new_src, new_dst = reindex_edges_reference(src, dst, mapping)
         original = np.empty(len(mapping), dtype=VID_DTYPE)
         for vid, new in mapping.items():
@@ -187,9 +186,6 @@ def reindex_edges(
         )
         new_dst = codes[0::2].astype(VID_DTYPE, copy=False)
         new_src = codes[1::2].astype(VID_DTYPE, copy=False)
-        if mapping is not None:
-            # The caller's dict must observe the assignment (legacy contract).
-            mapping.update(zip(original.tolist(), range(original.shape[0])))
     num_nodes = int(original.shape[0])
     edges = COOGraph(
         src=new_src,

@@ -1,10 +1,10 @@
 """Neighbour sampling (unique random selection): reference and fast paths.
 
 GNN preprocessing samples a fixed number ``k`` of unique neighbours per node
-(node-wise) or per layer (layer-wise) before inference, bounding the node
-explosion of multi-hop traversal (Section II-B).
+(node-wise, the only strategy the AutoGNN pipeline of Fig. 14 runs) before
+inference, bounding the node explosion of multi-hop traversal (Section II-B).
 
-Every sampler exists in two functionally identical execution modes:
+The sampler exists in two functionally identical execution modes:
 
 * ``"reference"`` — the per-node Python loop the accelerated implementations
   are verified against;
@@ -25,7 +25,8 @@ the same order, so their outputs are bit-identical (see DESIGN.md,
 
 The equivalence relies on NumPy's ``Generator.random`` producing the same
 stream whether drawn in one flat call or in consecutive per-node calls of the
-same total length.
+same total length.  The device's selection kernel, its datapath emulation
+included, draws through this sampler too, so every path samples alike.
 """
 
 from __future__ import annotations
@@ -179,11 +180,6 @@ def _node_layer_reference(
     )
 
 
-def _vid_shift(num_nodes: int) -> int:
-    """Bits needed to pack a VID below a segment id in one 64-bit key."""
-    return max(int(num_nodes).bit_length(), 1)
-
-
 def _unique_per_segment(
     flat: np.ndarray, offsets: np.ndarray, num_nodes: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,7 +199,8 @@ def _unique_per_segment(
             np.empty(0, dtype=np.int64),
             np.zeros(num_segments, dtype=np.int64),
         )
-    shift = _vid_shift(num_nodes)
+    # Bits needed to pack a VID below a segment id in one 64-bit key.
+    shift = max(int(num_nodes).bit_length(), 1)
     seg = np.repeat(np.arange(num_segments, dtype=np.int64), degs)
     keys = (seg << shift) | flat.astype(np.int64, copy=False)
     # CSCs built by the pipeline store each neighbour list ascending, making
@@ -345,71 +342,6 @@ def node_wise_sample(
         graph, batch_nodes, k, num_layers, seed=seed, mode=mode
     )
     return sample
-
-
-def layer_wise_sample(
-    graph: CSCGraph,
-    batch_nodes: Sequence[int],
-    k: int,
-    num_layers: int,
-    seed: int = 0,
-    mode: str = MODE_VECTORIZED,
-) -> SampledSubgraph:
-    """Layer-wise sampling (FastGCN-style): ``k`` nodes per layer, aggregated.
-
-    All frontier neighbour arrays of a layer are pooled into one candidate set
-    and ``k`` unique nodes are drawn from the pool (Section V-A control path).
-    Edges are emitted source-major with destinations ascending within a
-    source, identically in both execution modes.
-    """
-    check_mode(mode)
-    rng = np.random.default_rng(seed)
-    batch = np.asarray(list(batch_nodes), dtype=VID_DTYPE)
-    frontier = _sorted_unique(batch, graph.num_nodes)
-    layers: List[COOGraph] = []
-    touched: List[np.ndarray] = [frontier]
-
-    for _ in range(num_layers):
-        if mode == MODE_REFERENCE:
-            cand_src: List[int] = []
-            cand_dst: List[int] = []
-            for node in frontier.tolist():
-                unique = np.unique(graph.in_neighbors(int(node)))
-                for src in unique.tolist():
-                    cand_src.append(int(src))
-                    cand_dst.append(int(node))
-            values = np.array(cand_src, dtype=VID_DTYPE)
-            dsts = np.array(cand_dst, dtype=VID_DTYPE)
-        else:
-            flat, offsets = graph.in_neighbors_batch(frontier)
-            values, segments, _ = _unique_per_segment(flat, offsets, graph.num_nodes)
-            dsts = frontier[segments] if segments.size else np.empty(0, dtype=VID_DTYPE)
-        if values.size == 0:
-            break
-        pool = _sorted_unique(values, graph.num_nodes)
-        chosen = draw_k_smallest(pool, k, rng)
-        keep = np.isin(values, chosen)
-        src = values[keep]
-        dst = dsts[keep]
-        # Emit source-major with destinations ascending within a source.
-        shift = _vid_shift(graph.num_nodes)
-        keys = np.sort((src.astype(np.int64, copy=False) << shift) | dst)
-        layers.append(
-            COOGraph(
-                src=(keys >> shift).astype(VID_DTYPE, copy=False),
-                dst=(keys & ((1 << shift) - 1)).astype(VID_DTYPE, copy=False),
-                num_nodes=graph.num_nodes,
-                validate_vids=False,
-            )
-        )
-        touched.append(chosen)
-        frontier = chosen
-
-    sampled = _sorted_unique(np.concatenate(touched), graph.num_nodes)
-    layers = list(reversed(layers))
-    return SampledSubgraph(
-        batch_nodes=batch, layers=layers, sampled_nodes=sampled, num_nodes=graph.num_nodes
-    )
 
 
 def expected_sampled_nodes(batch_size: int, k: int, num_layers: int) -> int:

@@ -2,9 +2,11 @@
 
 Edge ordering -> data reshaping -> unique random selection -> subgraph
 reindexing -> (edge ordering + reshaping of the sampled subgraph) producing
-the final CSC the GNN consumes.  :func:`preprocess` is the software
-reference the AutoGNN device (``AutoGNNDevice.preprocess``, same signature)
-and the baselines are verified against.
+the final CSC the GNN consumes.  Selection is node-wise
+(:func:`~repro.graph.sampling.node_wise_sample`), the one strategy the
+device runs.  :func:`preprocess` is the software reference the AutoGNN
+device (``AutoGNNDevice.preprocess``, same signature) and the baselines are
+verified against.
 """
 
 from __future__ import annotations
@@ -18,16 +20,7 @@ from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.csc import CSCGraph
 from repro.graph.convert import coo_to_csc, csc_from_ordered, edge_order
 from repro.graph.reindex import ReindexResult, reindex_subgraph
-from repro.graph.sampling import (
-    MODE_VECTORIZED,
-    SampledSubgraph,
-    check_mode,
-    layer_wise_sample,
-    node_wise_sample,
-)
-
-#: Unique random selection strategies, by ``sampling_strategy`` name.
-SAMPLERS = {"node": node_wise_sample, "layer": layer_wise_sample}
+from repro.graph.sampling import MODE_VECTORIZED, SampledSubgraph, check_mode, node_wise_sample
 
 
 @dataclass(frozen=True)
@@ -38,7 +31,6 @@ class PreprocessingConfig:
         k: neighbours sampled per node (paper default 10).
         num_layers: GNN layer count / sampling hops (paper default 2).
         batch_size: number of inference (batch) nodes (paper default 3000).
-        sampling_strategy: ``"node"`` (GraphSAGE-style) or ``"layer"``.
         seed: RNG seed used for the random selections.
         mode: functional execution path — ``"vectorized"`` (fast path, the
             default) or ``"reference"`` (per-element verification loops);
@@ -50,17 +42,15 @@ class PreprocessingConfig:
     k: int = 10
     num_layers: int = 2
     batch_size: int = 3000
-    sampling_strategy: str = "node"
     seed: int = 0
     mode: str = MODE_VECTORIZED
 
     def __post_init__(self) -> None:
         check_mode(self.mode)
-        if self.sampling_strategy not in SAMPLERS:
-            raise ValueError(
-                f"unknown sampling strategy {self.sampling_strategy!r}; "
-                f"expected one of {tuple(SAMPLERS)}"
-            )
+        for name in ("k", "num_layers", "batch_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"PreprocessingConfig.{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -115,7 +105,7 @@ def preprocess(
     csc = csc_from_ordered(ordered)
     if batch_nodes is None:
         batch_nodes = choose_batch_nodes(graph, config)
-    sample = SAMPLERS[config.sampling_strategy](
+    sample = node_wise_sample(
         csc, batch_nodes, config.k, config.num_layers, seed=config.seed, mode=config.mode
     )
     reindex = reindex_subgraph(sample, mode=config.mode)

@@ -1,12 +1,21 @@
 """End-to-end tests of the AutoGNN device simulator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.accelerator import AutoGNNDevice
 from repro.core.config import HardwareConfig
+from repro.core.kernels import reindexer_scan_width
 from repro.graph.convert import coo_to_csc, validate_conversion
+from repro.graph.generators import GraphSpec, power_law_graph
 from repro.preprocessing.pipeline import PreprocessingConfig
+
+
+def _edge_lists(result):
+    """Every COO edge list of a preprocessing result, sample layers included."""
+    return [result.ordered, *result.sample.layers, result.reindex.edges]
 
 
 @pytest.fixture
@@ -50,13 +59,41 @@ class TestPreprocess:
         assert timing.total_seconds > 0
         assert 0 <= timing.bandwidth_utilization() <= 1
 
-    def test_detailed_matches_fast(self, small_graph, tiny_hardware):
-        cfg = PreprocessingConfig(batch_size=6, k=2, num_layers=2, seed=3)
-        fast = AutoGNNDevice(tiny_hardware, detailed=False).preprocess(small_graph, cfg)
-        detailed = AutoGNNDevice(tiny_hardware, detailed=True).preprocess(small_graph, cfg)
-        # The full-graph conversion is deterministic, so both modes agree on it.
-        assert np.array_equal(fast.result.csc.indptr, detailed.result.csc.indptr)
-        assert np.array_equal(fast.result.ordered.dst, detailed.result.ordered.dst)
+    @pytest.mark.parametrize(
+        "num_nodes, num_edges, batch_size, k, seed",
+        [
+            (60, 400, 6, 2, 1),
+            (60, 400, 6, 2, 2),
+            (60, 400, 8, 3, 3),
+            # The subgraph's mapping outgrows one reindexer scan.
+            (120, 900, 10, 3, 0),
+        ],
+    )
+    def test_detailed_matches_fast(self, tiny_hardware, num_nodes, num_edges, batch_size, k, seed):
+        """The datapath emulation, the reference loops and the vectorized
+        path return one result and charge the same four cycle counts."""
+        graph = power_law_graph(
+            GraphSpec(num_nodes=num_nodes, num_edges=num_edges, degree_skew=0.4, seed=seed)
+        )
+        cfg = PreprocessingConfig(batch_size=batch_size, k=k, num_layers=2, seed=seed)
+        fast = AutoGNNDevice(tiny_hardware).preprocess(graph, cfg)
+        runs = [
+            AutoGNNDevice(tiny_hardware).preprocess(graph, replace(cfg, mode="reference")),
+            AutoGNNDevice(tiny_hardware, detailed=True).preprocess(graph, cfg),
+        ]
+        if num_nodes > reindexer_scan_width(tiny_hardware):
+            assert fast.result.num_sampled_nodes > reindexer_scan_width(tiny_hardware)
+        for other in runs:
+            a, b = fast.result, other.result
+            assert a.sample.num_layers == b.sample.num_layers
+            for x, y in zip(_edge_lists(a), _edge_lists(b)):
+                assert np.array_equal(x.src, y.src) and np.array_equal(x.dst, y.dst)
+            assert np.array_equal(a.sample.sampled_nodes, b.sample.sampled_nodes)
+            assert np.array_equal(a.reindex.original_vids, b.reindex.original_vids)
+            for csc_a, csc_b in ((a.csc, b.csc), (a.subgraph_csc, b.subgraph_csc)):
+                assert np.array_equal(csc_a.indptr, csc_b.indptr)
+                assert np.array_equal(csc_a.indices, csc_b.indices)
+            assert fast.timing.breakdown() == other.timing.breakdown()
 
     def test_detailed_matches_fast_conversion_cycles(self, small_graph, tiny_hardware):
         _, fast_csc, fast_ord, fast_resh = AutoGNNDevice(

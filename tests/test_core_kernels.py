@@ -180,13 +180,18 @@ class TestUPEKernel:
     def test_selection_detailed_mode(self, small_graph, tiny_hardware):
         csc = coo_to_csc(small_graph)
         kernel = UPEKernel(tiny_hardware, detailed=True)
-        sample, cycles = kernel.unique_random_selection(csc, [0, 1], k=2, num_layers=1, seed=2)
-        assert cycles > 0
-        layer = sample.layers[-1]
-        for dst in np.unique(layer.dst):
-            srcs = layer.src[layer.dst == dst]
-            assert len(srcs) <= 2
-            assert len(set(srcs.tolist())) == len(srcs)
+        args = (csc, [0, 1, 5], 3, 2)
+        sample, cycles = kernel.unique_random_selection(*args, seed=2)
+        fast, fast_cycles = UPEKernel(tiny_hardware).unique_random_selection(*args, seed=2)
+        # The layers were gathered through the UPE datapath, and match bit for bit.
+        assert kernel.upe.cycles_consumed > 0
+        assert cycles == fast_cycles > 0
+        assert sample.num_layers == fast.num_layers == 2
+        for layer, fast_layer in zip(sample.layers, fast.layers):
+            assert np.array_equal(layer.src, fast_layer.src)
+            assert np.array_equal(layer.dst, fast_layer.dst)
+            assert layer.src.dtype == fast_layer.src.dtype
+        assert np.array_equal(sample.sampled_nodes, fast.sampled_nodes)
 
 
 class TestSCRKernel:

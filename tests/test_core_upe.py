@@ -86,7 +86,7 @@ class TestRelocation:
 
 class TestSetPartition:
     def test_partition_preserves_order(self):
-        upe = UPE(width=16, detailed=True)
+        upe = UPE(width=16)
         values = np.arange(100, 116)
         condition = values % 3 == 0
         result = upe.set_partition(values, condition)
@@ -100,13 +100,12 @@ class TestSetPartition:
         upe.reset_cycles()
         assert upe.cycles_consumed == 0
 
-    def test_detailed_and_fast_agree(self):
+    def test_matches_boolean_masking(self):
         values = np.array([5, 3, 9, 1, 7, 2, 8, 6])
         condition = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=bool)
-        fast = UPE(width=8, detailed=False).set_partition(values, condition)
-        detailed = UPE(width=8, detailed=True).set_partition(values, condition)
-        assert np.array_equal(fast.selected, detailed.selected)
-        assert np.array_equal(fast.rejected, detailed.rejected)
+        result = UPE(width=8).set_partition(values, condition)
+        assert np.array_equal(result.selected, values[condition])
+        assert np.array_equal(result.rejected, values[~condition])
 
     def test_length_mismatch_rejected(self):
         upe = UPE(width=8)
@@ -128,7 +127,7 @@ class TestSetPartition:
 
 class TestRadixSort:
     def test_sorts_chunk(self):
-        upe = UPE(width=32, detailed=True)
+        upe = UPE(width=32)
         keys = np.array([9, 3, 27, 1, 14, 3, 0, 255, 128])
         out, cycles = upe.radix_sort_chunk(keys, key_bits=8)
         assert out.tolist() == sorted(keys.tolist())
@@ -139,16 +138,15 @@ class TestRadixSort:
         assert upe.radix_sort_passes(24) == 3
         assert upe.radix_sort_passes(1) == 1
 
-    def test_fast_mode_matches_detailed(self):
+    def test_matches_stable_sort(self):
         rng = np.random.default_rng(4)
         keys = rng.integers(0, 1 << 16, size=48)
-        fast, _ = UPE(width=64, detailed=False).radix_sort_chunk(keys, key_bits=16)
-        detailed, _ = UPE(width=64, detailed=True).radix_sort_chunk(keys, key_bits=16)
-        assert np.array_equal(fast, detailed)
+        out, _ = UPE(width=64).radix_sort_chunk(keys, key_bits=16)
+        assert np.array_equal(out, np.sort(keys, kind="stable"))
 
-    @given(st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=64), st.booleans())
+    @given(st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=64))
     @settings(max_examples=25, deadline=None)
-    def test_radix_sort_property(self, values, detailed):
-        upe = UPE(width=64, detailed=detailed)
+    def test_radix_sort_property(self, values):
+        upe = UPE(width=64)
         out, _ = upe.radix_sort_chunk(np.array(values), key_bits=20)
         assert out.tolist() == sorted(values)

@@ -38,12 +38,6 @@ class TestReindexEdges:
         assert result.num_sampled_nodes == 0
         assert result.edges.num_edges == 0
 
-    def test_existing_mapping_respected(self):
-        mapping = {42: 0}
-        result = reindex_edges(np.array([42]), np.array([43]), mapping=mapping)
-        assert result.mapping[42] == 0
-        assert result.mapping[43] == 1
-
 
 class TestReindexSubgraph:
     @pytest.fixture

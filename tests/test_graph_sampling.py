@@ -7,7 +7,6 @@ from repro.graph.convert import coo_to_csc
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.sampling import (
     expected_sampled_nodes,
-    layer_wise_sample,
     node_wise_sample,
     sample_neighbors,
 )
@@ -88,25 +87,6 @@ class TestNodeWise:
         sample = node_wise_sample(csc, [0, 1], k=3, num_layers=2, seed=5)
         combined = sample.all_edges()
         assert combined.num_edges == sample.num_sampled_edges
-
-
-class TestLayerWise:
-    def test_k_per_layer(self, csc):
-        k = 5
-        sample = layer_wise_sample(csc, [0, 1, 2], k=k, num_layers=2, seed=0)
-        for layer in sample.layers:
-            assert len(np.unique(layer.src)) <= k
-
-    def test_edges_exist_in_graph(self, csc):
-        sample = layer_wise_sample(csc, [0, 1], k=4, num_layers=2, seed=1)
-        for layer in sample.layers:
-            for src, dst in zip(layer.src.tolist(), layer.dst.tolist()):
-                assert src in csc.in_neighbors(dst).tolist()
-
-    def test_fewer_or_equal_edges_than_node_wise(self, csc):
-        node = node_wise_sample(csc, list(range(10)), k=5, num_layers=2, seed=2)
-        layer = layer_wise_sample(csc, list(range(10)), k=5, num_layers=2, seed=2)
-        assert layer.num_sampled_nodes <= node.num_sampled_nodes + 10
 
 
 class TestBounds:

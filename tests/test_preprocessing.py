@@ -24,9 +24,11 @@ class TestSteps:
         result = preprocess(small_graph, PreprocessingConfig(k=3), batch_nodes=[0, 1, 2])
         assert result.sample.num_sampled_nodes > 0
 
-    def test_unknown_strategy_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="'node', 'layer'"):
-            PreprocessingConfig(sampling_strategy="bogus")
+    @pytest.mark.parametrize("field", ["k", "num_layers", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=rf"PreprocessingConfig\.{field} must be >= 1, got {value}"):
+            PreprocessingConfig(**{field: value})
 
     def test_reindexing_step(self, small_graph):
         result = preprocess(small_graph, PreprocessingConfig(k=3), batch_nodes=[0, 1])
@@ -64,12 +66,6 @@ class TestPipeline:
         result = preprocess(small_graph, PreprocessingConfig(k=3, batch_size=6, seed=2))
         rebuilt = coo_to_csc(result.reindex.edges)
         assert np.array_equal(rebuilt.indptr, result.subgraph_csc.indptr)
-
-    def test_layer_wise_strategy(self, small_graph):
-        config = PreprocessingConfig(k=3, batch_size=6, sampling_strategy="layer")
-        result = preprocess(small_graph, config)
-        assert result.sample.num_layers <= 2
-        assert result.num_sampled_edges > 0
 
     def test_deterministic_given_seed(self, small_graph):
         config = PreprocessingConfig(k=3, batch_size=6, seed=5)

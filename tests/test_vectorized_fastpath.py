@@ -34,7 +34,6 @@ from repro.graph.sampling import (
     MODE_REFERENCE,
     MODE_VECTORIZED,
     SampledSubgraph,
-    layer_wise_sample,
     node_wise_sample,
     node_wise_sample_with_stats,
 )
@@ -95,13 +94,6 @@ class TestSamplerEquivalence:
         vec = node_wise_sample(csc, batch, k=4, num_layers=3, seed=seed, mode=MODE_VECTORIZED)
         assert_samples_equal(ref, vec)
 
-    @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_layer_wise_bit_identical(self, csc, seed):
-        batch = list(range(0, 40, 2))
-        ref = layer_wise_sample(csc, batch, k=6, num_layers=3, seed=seed, mode=MODE_REFERENCE)
-        vec = layer_wise_sample(csc, batch, k=6, num_layers=3, seed=seed, mode=MODE_VECTORIZED)
-        assert_samples_equal(ref, vec)
-
     def test_stats_identical(self, csc):
         _, ref = node_wise_sample_with_stats(csc, [0, 1, 2], 3, 2, seed=5, mode=MODE_REFERENCE)
         _, vec = node_wise_sample_with_stats(csc, [0, 1, 2], 3, 2, seed=5, mode=MODE_VECTORIZED)
@@ -125,13 +117,6 @@ class TestSamplerEquivalence:
                 assert len(set(srcs.tolist())) == srcs.shape[0]
                 neighbors = set(csc.in_neighbors(int(dst)).tolist())
                 assert set(srcs.tolist()).issubset(neighbors)
-
-    def test_layer_wise_vectorized_k_per_layer(self, csc):
-        k = 5
-        sample = layer_wise_sample(csc, list(range(8)), k=k, num_layers=2, seed=0,
-                                   mode=MODE_VECTORIZED)
-        for layer in sample.layers:
-            assert len(np.unique(layer.src)) <= k
 
     def test_empty_batch(self, csc):
         ref = node_wise_sample(csc, [], k=3, num_layers=2, seed=0, mode=MODE_REFERENCE)
@@ -264,22 +249,6 @@ class TestPipelineEquivalence:
         assert ref.timing.breakdown() == vec.timing.breakdown()
         assert ref.timing.total_cycles == vec.timing.total_cycles
         assert vec.timing.total_cycles > 0
-
-    def test_device_rejects_layer_wise_strategy(self, graph):
-        # The device models node-wise selection only.
-        workload = PreprocessingConfig(k=4, num_layers=2, batch_size=16, seed=1,
-                                       sampling_strategy="layer")
-        with pytest.raises(ValueError, match=r'PreprocessingConfig\(sampling_strategy="layer"\)'):
-            AutoGNNDevice().preprocess(graph, workload)
-
-    def test_layer_wise_pipeline_modes(self, graph):
-        workload = PreprocessingConfig(k=4, num_layers=2, batch_size=16, seed=1,
-                                       sampling_strategy="layer")
-        ref = preprocess(graph, replace(workload, mode=MODE_REFERENCE))
-        vec = preprocess(graph, workload)
-        assert np.array_equal(ref.reindex.edges.src, vec.reindex.edges.src)
-        assert np.array_equal(ref.reindex.original_vids, vec.reindex.original_vids)
-
 
 class TestSatelliteFixes:
     def test_all_edges_empty_layers_keeps_num_nodes(self):
