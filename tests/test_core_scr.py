@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import HardwareConfig
+from repro.core.kernels import reindexing_cycle_count
 from repro.core.scr import SCR, AdderTree, ComparatorBank, FilterTree, Reindexer, Reshaper
 from repro.graph.convert import build_pointer_array, edge_order
 from repro.graph.generators import GraphSpec, power_law_graph
-from repro.graph.reindex import reindex_edges
+from repro.graph.reindex import interleave_endpoints, reindex_edges, reindex_mapping_sizes
 
 
 class TestComparatorBank:
@@ -153,3 +155,21 @@ class TestReindexer:
         reindexer = Reindexer(SCR(width=2))
         reindexer.reindex_edges(np.arange(10), np.arange(10, 20))
         assert reindexer.stats.cycles >= 20
+
+    @pytest.mark.parametrize(
+        "width, num_vids",
+        [(64, 30), (16, 16), (16, 50), (4, 60)],
+        ids=["one-scan", "exact-scan", "several-scans", "many-scans"],
+    )
+    def test_cycles_match_closed_form(self, width, num_vids):
+        # Each lookup scans every resident mapping, hit or miss, so its charge
+        # follows the occupancy at the lookup, not where the VID sits.
+        rng = np.random.default_rng(num_vids)
+        src = rng.integers(0, num_vids, size=120)
+        dst = rng.integers(0, num_vids, size=120)
+        reindexer = Reindexer(SCR(width=width))
+        reindexer.reindex_edges(src, dst)
+        reference = reindex_edges(src, dst)
+        sizes = reindex_mapping_sizes(interleave_endpoints(reference.edges.src, reference.edges.dst))
+        config = HardwareConfig(num_scrs=1, scr_width=width)
+        assert reindexer.stats.cycles == reindexing_cycle_count(sizes, config)
