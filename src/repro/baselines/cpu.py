@@ -65,6 +65,7 @@ class CPUPreprocessingSystem(PreprocessingSystem):
     """DGL preprocessing on the host CPU."""
 
     name = "CPU"
+    power_platform = "cpu"
 
     def __init__(
         self,
@@ -73,11 +74,6 @@ class CPUPreprocessingSystem(PreprocessingSystem):
     ) -> None:
         super().__init__(pcie=pcie)
         self.calibration = calibration
-
-    def replicate(self) -> "CPUPreprocessingSystem":
-        clone = type(self)(calibration=self.calibration, pcie=self.pcie)
-        clone.name = self.name
-        return clone
 
     def evaluate(self, workload: WorkloadProfile) -> SystemLatency:
         preprocessing = software_task_latencies(workload, self.calibration)

@@ -39,15 +39,6 @@ class FPGASamplerSystem(PreprocessingSystem):
         self.sampling_speedup = sampling_speedup
         self.calibration = calibration
 
-    def replicate(self) -> "FPGASamplerSystem":
-        clone = type(self)(
-            sampling_speedup=self.sampling_speedup,
-            calibration=self.calibration,
-            pcie=self.pcie,
-        )
-        clone.name = self.name
-        return clone
-
     def evaluate(self, workload: WorkloadProfile) -> SystemLatency:
         gpu = software_task_latencies(workload, self.calibration)
         preprocessing = TaskLatencies(

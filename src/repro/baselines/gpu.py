@@ -24,6 +24,7 @@ class GPUPreprocessingSystem(PreprocessingSystem):
     """DGL preprocessing on the GPU that also runs inference."""
 
     name = "GPU"
+    power_platform = "gpu"
 
     def __init__(
         self,
@@ -32,11 +33,6 @@ class GPUPreprocessingSystem(PreprocessingSystem):
     ) -> None:
         super().__init__(pcie=pcie)
         self.calibration = calibration
-
-    def replicate(self) -> "GPUPreprocessingSystem":
-        clone = type(self)(calibration=self.calibration, pcie=self.pcie)
-        clone.name = self.name
-        return clone
 
     def evaluate(self, workload: WorkloadProfile) -> SystemLatency:
         preprocessing = software_task_latencies(workload, self.calibration)

@@ -25,6 +25,7 @@ class GSampSystem(PreprocessingSystem):
     """GPU preprocessing with gSampler-accelerated sampling."""
 
     name = "GSamp"
+    power_platform = "gpu"
 
     def __init__(
         self,
@@ -37,15 +38,6 @@ class GSampSystem(PreprocessingSystem):
             raise ValueError("sampling_speedup must be positive")
         self.sampling_speedup = sampling_speedup
         self.calibration = calibration
-
-    def replicate(self) -> "GSampSystem":
-        clone = type(self)(
-            sampling_speedup=self.sampling_speedup,
-            calibration=self.calibration,
-            pcie=self.pcie,
-        )
-        clone.name = self.name
-        return clone
 
     def evaluate(self, workload: WorkloadProfile) -> SystemLatency:
         gpu = software_task_latencies(workload, self.calibration)

@@ -12,8 +12,8 @@ reprogrammed independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.core.config import (
     DEFAULT_SCR_AREA_FRACTION,
@@ -56,12 +56,12 @@ class Bitstream:
         return f"{self.region}_{self.count}x{self.width}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BitstreamLibrary:
     """The set of staged bitstreams plus the fixed region split they assume."""
 
-    upe_variants: List[Bitstream] = field(default_factory=list)
-    scr_variants: List[Bitstream] = field(default_factory=list)
+    upe_variants: Tuple[Bitstream, ...] = ()
+    scr_variants: Tuple[Bitstream, ...] = ()
     scr_area_fraction: float = DEFAULT_SCR_AREA_FRACTION
     board: FPGAResources = VPK180
 
@@ -151,8 +151,8 @@ def generate_bitstream_library(
         count *= 2
 
     return BitstreamLibrary(
-        upe_variants=upe_variants,
-        scr_variants=scr_variants,
+        upe_variants=tuple(upe_variants),
+        scr_variants=tuple(scr_variants),
         scr_area_fraction=scr_area_fraction,
         board=board,
     )

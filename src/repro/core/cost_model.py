@@ -114,18 +114,10 @@ class CostEstimate:
 
 
 class CostModel:
-    """Evaluates Table I for (hardware configuration, workload) pairs.
-
-    Estimates are memoized on the (workload, configuration) pair — both are
-    frozen dataclasses, so the key is exact.  The serving layer re-ranks the
-    whole bitstream library against the same handful of workload shapes on
-    every pass, which makes the sweep a cache hit after the first request of
-    each shape.
-    """
+    """Evaluates Table I for (hardware configuration, workload) pairs."""
 
     def __init__(self, clock_hz: float = KERNEL_CLOCK_HZ) -> None:
         self.clock_hz = clock_hz
-        self._estimate_cache: Dict[Tuple[WorkloadParams, HardwareConfig], CostEstimate] = {}
 
     # --------------------------------------------------------------- Table I
     @staticmethod
@@ -179,20 +171,14 @@ class CostModel:
 
     # ------------------------------------------------------------- interface
     def estimate(self, workload: WorkloadParams, config: HardwareConfig) -> CostEstimate:
-        """Full per-task estimate for one configuration (memoized)."""
-        cache_key = (workload, config)
-        cached = self._estimate_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        estimate = CostEstimate(
+        """Full per-task estimate for one configuration."""
+        return CostEstimate(
             ordering_cycles=self.ordering_cycles(workload, config),
             selecting_cycles=self.selecting_cycles(workload, config),
             reshaping_cycles=self.reshaping_cycles(workload, config),
             reindexing_cycles=self.reindexing_cycles(workload, config),
             config=config,
         )
-        self._estimate_cache[cache_key] = estimate
-        return estimate
 
     def best_configuration(
         self,

@@ -1190,8 +1190,9 @@ class ShardedServiceCluster:
     """N replicated GNN services behind one queue and batch scheduler.
 
     Args:
-        service: template service; each shard is an independent
-            ``service.replicate()`` (own preprocessing-system state).
+        service: template service; the shards are its
+            ``service.replicas(num_shards)`` (each with its own
+            preprocessing-system state).
         num_shards: replica count (>= 1).
         scheduler: batching policy (defaults to per-request batches, i.e.
             ``BatchScheduler(max_batch_size=1)``).
@@ -1260,21 +1261,20 @@ class ShardedServiceCluster:
         # ints: (state id, workload id) -> (report, duration, end state id).
         self._serve_cache: Dict[Tuple[int, int], Tuple[ServiceReport, float, int]] = {}
         self._state_ids: Dict[Hashable, int] = {}
-        #: Per state id, the snapshot a hit hands to ``apply_state``.
-        self._snapshots: List[object] = []
+        #: Per state id, the ``state_key()`` a hit hands to ``apply_state``.
+        self._states: List[Hashable] = []
         self._workload_ids: Dict[WorkloadProfile, int] = {}
         #: Per workload id, the merged workload.
         self._workloads: List[WorkloadProfile] = []
 
     def _state_id(self, shard: GNNService) -> int:
         """Interned id of ``shard``'s preprocessing state (its ``state_key()``)."""
-        system = shard.preprocessing
-        key = system.state_key()
+        key = shard.preprocessing.state_key()
         state_id = self._state_ids.get(key)
         if state_id is None:
-            state_id = len(self._snapshots)
+            state_id = len(self._states)
             self._state_ids[key] = state_id
-            self._snapshots.append(system.snapshot_state())
+            self._states.append(key)
         return state_id
 
     def _workload_id(self, workload: WorkloadProfile) -> int:

@@ -16,10 +16,12 @@ online and for offline replays alike.  The ``engine`` option only picks the
     function of ``(preprocessing state, merged workload)``; the backend
     caches the ``(state, workload) -> (report, duration, next state)``
     transition and replays it on any shard in the same starting state
-    (``PreprocessingSystem.state_key`` / ``snapshot_state`` /
-    ``apply_state``).  States and merged workloads are interned to small
-    ints for the cluster's lifetime and each run tracks every shard's
-    state id, so a hit is an int-tuple lookup.  For DynPre this eliminates
+    (``PreprocessingSystem.state_key`` / ``apply_state``).  Every shard
+    is a ``replicate`` of one template, whose only per-shard mutable state
+    is what ``state_key`` returns, so equal keys mean equal passes.  States
+    and merged workloads are interned to small ints for the cluster's
+    lifetime and each run tracks every shard's state id, so a hit is an
+    int-tuple lookup.  For DynPre this eliminates
     the per-batch bitstream-library sweep; for stateless systems it
     eliminates the analytic model evaluation outright.
   * **Indexed shard heap** — least-loaded dispatch and admission backlog
@@ -269,7 +271,7 @@ def _cached_serve(
     if hit is not None:
         report, duration, end_state = hit
         if end_state != state:
-            cluster.shards[shard_id].preprocessing.apply_state(cluster._snapshots[end_state])
+            cluster.shards[shard_id].preprocessing.apply_state(cluster._states[end_state])
     else:
         shard = cluster.shards[shard_id]
         report = shard.serve(cluster._workloads[workload_id])
@@ -721,7 +723,7 @@ def _serve_trace_chunked(
 
     shards = cluster.shards
     workloads = cluster._workloads
-    snapshots = cluster._snapshots
+    interned_states = cluster._states
     cache = cluster._serve_cache
     # Each shard's interned preprocessing state id, tracked through the run.
     states = [cluster._state_id(shard) for shard in shards]
@@ -754,7 +756,7 @@ def _serve_trace_chunked(
         else:
             report, duration, end_state = hit
             if end_state != state:
-                shards[shard_id].preprocessing.apply_state(snapshots[end_state])
+                shards[shard_id].preprocessing.apply_state(interned_states[end_state])
         states[shard_id] = end_state
         retime(heap, (start + duration, shard_id))
         busy_total[shard_id] += duration

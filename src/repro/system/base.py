@@ -12,6 +12,7 @@ here rather than in either package.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
@@ -56,10 +57,21 @@ class SystemLatency:
 
 
 class PreprocessingSystem(ABC):
-    """Abstract compared system (CPU, GPU, GSamp, FPGA sampler, AutoGNN ...)."""
+    """Abstract compared system (CPU, GPU, GSamp, FPGA sampler, AutoGNN ...).
+
+    Replication rule: a system's instance attributes are immutable inputs
+    (calibrations, PCIe links, board and bitstream descriptions, the loaded
+    configuration) or pure memos.  :meth:`replicate` is therefore a shallow
+    copy; a subclass that carries per-shard mutable state resets exactly
+    that state there, and everything else is shared.
+    """
 
     #: Display name used in benchmark output (matches the paper's labels).
     name: str = "system"
+
+    #: Power model the GNN service bills preprocessing at (``"cpu"``,
+    #: ``"gpu"`` or ``"fpga"``); it does not follow a renamed ``name``.
+    power_platform: str = "fpga"
 
     def __init__(self, pcie: Optional[PCIeLink] = None) -> None:
         self.pcie = pcie or PCIeLink()
@@ -70,71 +82,46 @@ class PreprocessingSystem(ABC):
         """Model one preprocessing pass of ``workload`` on this system."""
 
     def replicate(self) -> "PreprocessingSystem":
-        """A fresh instance with the same configuration and no shared state.
+        """A copy for one more shard: ``copy.copy(self)``.
 
-        The sharded serving cluster calls this once per shard so that every
-        replica carries its own mutable state (bitstream configuration,
-        reconfiguration history, caches).  Immutable inputs (calibrations,
-        PCIe links, bitstream libraries) may be shared.  Subclasses whose
-        constructors take more than ``pcie`` must override.
+        The sharded serving cluster builds every shard this way.  The copy
+        shares every attribute with this system, so per-shard mutable state
+        (DynPre's reconfiguration controller) must be reset by an override.
         """
-        clone = type(self)(pcie=self.pcie)
-        clone.name = self.name
-        return clone
+        return copy.copy(self)
 
     def replicas(self, count: int) -> List["PreprocessingSystem"]:
         """``count`` replicas for the shards of one serving cluster.
 
-        Each is a :meth:`replicate` with its own mutable state.  Systems
-        with pure memos (results that depend only on the memo key) may share
-        them among the replicas, but never with ``self``: a template's
-        caches stay as they were.
+        Each is a :meth:`replicate`.  Systems with pure memos (results that
+        depend only on the memo key) may share them among the replicas, but
+        never with ``self``: a template's caches stay as they were.
         """
         return [self.replicate() for _ in range(count)]
 
     # -------------------------------------------------------- serving state
     def state_key(self) -> Optional[Hashable]:
-        """Hashable digest of the mutable state that affects ``evaluate``.
+        """The mutable state that affects ``evaluate``, as a hashable value.
 
         ``None`` (the default) declares the system *stateless for serving*:
         ``evaluate`` is a pure function of the workload, so results may be
         memoized on the workload alone and replayed on any replica.  Systems
         whose passes depend on mutable state (DynPre's currently loaded
-        bitstream pair) override this with a digest of that state; the
-        serving fast engine and the service-level cost cache key their
-        memoization on it, which is what makes a post-reconfigure estimate
-        unable to reuse a pre-reconfigure cost.
+        bitstream pair) return that state.  The serving fast engine keys
+        its serve-transition cache on it and replays a cached transition's
+        end state through :meth:`apply_state`; the service-level cost cache
+        keys on it too, so a post-reconfigure estimate cannot reuse a
+        pre-reconfigure cost.
         """
         return None
 
-    def snapshot_state(self) -> Optional[object]:
-        """Opaque snapshot of the mutable serving state (None = stateless).
-
-        Taken by the serving fast engine right after a freshly computed pass
-        so the (state, workload) -> (report, next state) transition can be
-        replayed from cache on any replica in the same starting state.
-        """
-        return None
-
-    def apply_state(self, snapshot: Optional[object]) -> None:
-        """Restore a snapshot captured by :meth:`snapshot_state` (no-op here).
+    def apply_state(self, state: Optional[Hashable]) -> None:
+        """Move to a ``state`` returned by :meth:`state_key` (no-op here).
 
         Replaying a cached transition must leave the replica in exactly the
         state a fresh pass would have produced — including bookkeeping such
         as reconfiguration event logs — so stateful systems override this.
         """
-
-    # ----------------------------------------------------------- cost hints
-    def cost_hint(self, workload: WorkloadProfile) -> float:
-        """Side-effect-free estimate of one full pass (preprocessing + moves).
-
-        The serving control plane uses this to predict a request's sojourn
-        before admitting it, so the estimate must not mutate this instance:
-        the default evaluates a throwaway replica, which leaves stateful
-        systems (DynPre's reconfiguration history) untouched.  Stateless
-        systems may override with a direct evaluation.
-        """
-        return self.replicate().evaluate(workload).total
 
     def configured_for(self, workload: WorkloadProfile) -> bool:
         """Whether serving ``workload`` now would trigger no state change.

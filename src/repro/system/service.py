@@ -68,24 +68,15 @@ class GNNService:
     ) -> None:
         self.preprocessing = preprocessing
         self.inference = inference or InferenceLatencyModel()
-        if power_platform is None:
-            power_platform = self._default_power_platform(preprocessing)
-        self.power = PowerModel(preprocessing_platform=power_platform)
+        self.power = PowerModel(
+            preprocessing_platform=power_platform or preprocessing.power_platform
+        )
         # Calibrated per-batch cost estimates, keyed by (preprocessing state,
         # batch_key, batch_size): a post-reconfigure estimate must never reuse
         # a pre-reconfigure cost, so the system's state_key is part of the key.
         self._cost_cache: Dict[tuple, float] = {}
         # Modelled inference latency is pure in the workload's subgraph shape.
         self._inference_cache: Dict[tuple, float] = {}
-
-    @staticmethod
-    def _default_power_platform(system: PreprocessingSystem) -> str:
-        name = system.name.lower()
-        if name in ("cpu",):
-            return "cpu"
-        if name in ("gpu", "gsamp"):
-            return "gpu"
-        return "fpga"
 
     # ---------------------------------------------------------------- serving
     def inference_latency(self, workload: WorkloadProfile) -> float:
@@ -133,33 +124,25 @@ class GNNService:
 
         The admission controller multiplies queue depth by this per-batch
         cost to predict a request's sojourn before letting it in.  The
-        estimate is the preprocessing system's :meth:`cost_hint` (evaluated
-        on a throwaway replica, so stateful systems are not perturbed) plus
-        the modelled inference latency, memoized per batch-compatible
-        workload shape *and* per preprocessing state: a stateful system's
-        hint depends on what is currently loaded (a DynPre replica starts
-        from this service's configuration and may pay a reconfiguration), so
-        an estimate taken after a reconfiguration must not reuse the cost
-        cached before it.
+        estimate is one full pass (preprocessing, transfers and any
+        reconfiguration) evaluated on a throwaway replica, so stateful
+        systems are not perturbed, plus the modelled inference latency.  It
+        is memoized per batch-compatible workload shape *and* per
+        preprocessing state: a stateful system's pass depends on what is
+        currently loaded (a DynPre replica starts from this service's
+        configuration and may pay a reconfiguration), so an estimate taken
+        after a reconfiguration must not reuse the cost cached before it.
         """
         key = (self.preprocessing.state_key(), workload.batch_key, workload.batch_size)
         if key not in self._cost_cache:
-            self._cost_cache[key] = self.preprocessing.cost_hint(
+            self._cost_cache[key] = self.preprocessing.replicate().evaluate(
                 workload
-            ) + self.inference_latency(workload)
+            ).total + self.inference_latency(workload)
         return self._cost_cache[key]
 
     def configured_for(self, workload: WorkloadProfile) -> bool:
         """Whether this service's preprocessing state already suits ``workload``."""
         return self.preprocessing.configured_for(workload)
-
-    def state_key(self):
-        """Digest of the preprocessing state a pass's outcome depends on.
-
-        ``None`` for stateless systems; the serving fast engine keys its
-        serve-transition cache on this (see ``PreprocessingSystem.state_key``).
-        """
-        return self.preprocessing.state_key()
 
     @property
     def warmup_seconds(self) -> float:

@@ -17,6 +17,7 @@ UPE region is organised and whether the hardware reconfigures at runtime
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -100,31 +101,16 @@ class AutoGNNVariant(PreprocessingSystem):
         self.clock_hz = clock_hz
         if device_bandwidth is None:
             device_bandwidth = getattr(board, "dram_bandwidth", DEVICE_BANDWIDTH)
-        # Kept pre-efficiency so replicas can be constructed from it without
-        # compounding the efficiency factor.
-        self._device_bandwidth_raw = device_bandwidth
         self.device_bandwidth = device_bandwidth * DEVICE_BANDWIDTH_EFFICIENCY
 
-    def replicate(self) -> "AutoGNNVariant":
-        """Fresh instance with this variant's configuration (per-shard state)."""
-        clone = type(self)(
-            config=self.config,
-            board=self.board,
-            pcie=self.pcie,
-            clock_hz=self.clock_hz,
-            device_bandwidth=self._device_bandwidth_raw,
-        )
-        clone.name = self.name
-        return clone
-
     # ------------------------------------------------------------- components
-    def _ordering_config(self) -> HardwareConfig:
-        """Hardware configuration effective during edge ordering."""
-        return self.config
+    def _ordering_config(self, config: HardwareConfig) -> HardwareConfig:
+        """Hardware configuration effective during edge ordering under ``config``."""
+        return config
 
-    def _selection_config(self) -> HardwareConfig:
+    def _selection_config(self, config: HardwareConfig) -> HardwareConfig:
         """Hardware configuration effective during unique random selection."""
-        return self.config
+        return config
 
     def _task_bytes(self, workload: WorkloadProfile) -> _TaskBytes:
         """DRAM traffic each task generates."""
@@ -142,11 +128,13 @@ class AutoGNNVariant(PreprocessingSystem):
             return compute_seconds
         return max(compute_seconds, num_bytes / self.device_bandwidth)
 
-    def _compute_task_latencies(self, workload: WorkloadProfile) -> TaskLatencies:
-        """Per-task preprocessing latency for this variant's configuration."""
-        ordering_cfg = self._ordering_config()
-        selection_cfg = self._selection_config()
-        scr_cfg = self.config
+    def _compute_task_latencies(
+        self, workload: WorkloadProfile, config: HardwareConfig
+    ) -> TaskLatencies:
+        """Per-task preprocessing latency with ``config`` loaded."""
+        ordering_cfg = self._ordering_config(config)
+        selection_cfg = self._selection_config(config)
+        scr_cfg = config
         traffic = self._task_bytes(workload)
 
         ordering_cycles = ordering_cycle_count(
@@ -219,8 +207,9 @@ class AutoGNNVariant(PreprocessingSystem):
         """A fresh AutoGNN shard must program its initial bitstream pair."""
         return FULL_RECONFIG_SECONDS
 
-    def lut_utilization(self, workload: WorkloadProfile) -> float:
-        """Time-averaged fraction of the reconfigurable region doing useful work.
+    def lut_utilization(self, latencies: TaskLatencies) -> float:
+        """Time-averaged fraction of the reconfigurable region doing useful work
+        during a pass with the loaded configuration's task ``latencies``.
 
         The UPE region is busy during ordering and selection, the SCR region
         during reshaping and reindexing.  Variants whose stages stream into
@@ -228,7 +217,6 @@ class AutoGNNVariant(PreprocessingSystem):
         is the longer of the two; AutoPre's fixed sub-engines execute serially
         and only half of the UPE region is ever active.
         """
-        latencies = self._compute_task_latencies(workload)
         budget = self.board.reconfigurable_luts()
         upe_region = self.config.upe_region_budget()
         scr_region = self.config.scr_region_budget()
@@ -246,15 +234,20 @@ class AutoGNNVariant(PreprocessingSystem):
         return 1.0
 
     # -------------------------------------------------------------- evaluate
+    def reconfigure_for(self, workload: WorkloadProfile) -> float:
+        """Reconfiguration latency charged to a pass of ``workload`` (none:
+        the configuration is fixed; DynPre overrides)."""
+        return 0.0
+
     def evaluate(self, workload: WorkloadProfile) -> SystemLatency:
-        preprocessing = self._compute_task_latencies(workload)
-        transfers = self._transfers(workload)
+        reconfiguration = self.reconfigure_for(workload)
+        preprocessing = self._compute_task_latencies(workload, self.config)
         return SystemLatency(
             preprocessing=preprocessing,
-            transfers=transfers,
-            reconfiguration=0.0,
+            transfers=self._transfers(workload),
+            reconfiguration=reconfiguration,
             bandwidth_utilization=self._bandwidth_utilization(workload, preprocessing),
-            extras={"lut_utilization": self.lut_utilization(workload)},
+            extras={"lut_utilization": self.lut_utilization(preprocessing)},
         )
 
 
@@ -264,11 +257,11 @@ class AutoPreSystem(AutoGNNVariant):
     name = "AutoPre"
     pipelined = False
 
-    def _ordering_config(self) -> HardwareConfig:
-        return self.config.with_upe(num_upes=max(self.config.num_upes // 2, 1))
+    def _ordering_config(self, config: HardwareConfig) -> HardwareConfig:
+        return config.with_upe(num_upes=max(config.num_upes // 2, 1))
 
-    def _selection_config(self) -> HardwareConfig:
-        return self.config.with_upe(num_upes=max(self.config.num_upes // 2, 1))
+    def _selection_config(self, config: HardwareConfig) -> HardwareConfig:
+        return config.with_upe(num_upes=max(config.num_upes // 2, 1))
 
     def _active_upe_fraction(self) -> float:
         # Only one of the two fixed sub-engines is ever busy at a time.
@@ -309,6 +302,13 @@ class DynPreSystem(AutoGNNVariant):
         self.library = library or generate_bitstream_library(board)
         self.cost_model = CostModel()
         self.reconfig = ReconfigurationController(self.library, self.config)
+        # The library's configurations, built on first use and shared with
+        # every replica: the library is immutable.
+        self._candidates: Optional[List[HardwareConfig]] = None
+        self._new_memos()
+
+    def _new_memos(self) -> None:
+        """Empty pure memos: each result depends only on its key."""
         # configured_for memo: the decision is pure given (config, workload),
         # and the locality dispatch policy queries it per shard per batch.
         self._configured_cache: Dict[tuple, bool] = {}
@@ -320,38 +320,25 @@ class DynPreSystem(AutoGNNVariant):
         # candidates are pure given the workload's cost parameters (the
         # candidates are the immutable library's).
         self._shortlists: Dict[WorkloadParams, List[HardwareConfig]] = {}
-        # The library's configurations, built on first use and handed to
-        # every replica: the library is immutable.
-        self._candidates: Optional[List[HardwareConfig]] = None
 
     def replicate(self) -> "DynPreSystem":
-        """Fresh replica: shares the immutable bitstream library and its
-        candidate configurations but carries its own configuration state and
-        reconfiguration controller, so each shard of a serving cluster adapts
-        to its own traffic independently."""
-        clone = type(self)(
-            library=self.library,
-            board=self.board,
-            config=self.config,
-            pcie=self.pcie,
-            clock_hz=self.clock_hz,
-            device_bandwidth=self._device_bandwidth_raw,
-        )
-        clone.name = self.name
-        clone._candidates = self._candidate_configs()
-        return clone
+        """A copy with its own reconfiguration controller and empty memos."""
+        return self.replicas(1)[0]
 
     def replicas(self, count: int) -> List["DynPreSystem"]:
-        """Replicas that share their pure memos — the cost model, the latency
-        and ``configured_for`` caches and the shortlists — with each other,
-        never with this system, so a cluster's shards rank each shape once."""
-        clones = [self.replicate() for _ in range(count)]
-        first = clones[0]
-        for clone in clones[1:]:
-            clone.cost_model = first.cost_model
-            clone._configured_cache = first._configured_cache
-            clone._latency_cache = first._latency_cache
-            clone._shortlists = first._shortlists
+        """Copies for one cluster's shards.
+
+        The reconfiguration controller is the only per-shard state, so each
+        copy gets its own.  The copies share one set of empty pure memos
+        with each other, never with this system: a cluster's shards rank
+        each shape once, and the template's memos stay as they were.
+        """
+        self._candidate_configs()
+        prototype = copy.copy(self)
+        prototype._new_memos()
+        clones = [copy.copy(prototype) for _ in range(count)]
+        for clone in clones:
+            clone.reconfig = ReconfigurationController(self.library, self.config)
         return clones
 
     # ---------------------------------------------------------- configuration
@@ -371,16 +358,10 @@ class DynPreSystem(AutoGNNVariant):
         (configuration, workload shape): the model is pure given those.
         """
         cache_key = (config, workload.batch_key, workload.batch_size)
-        cached = self._latency_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        saved = self.config
-        try:
-            self.config = config
-            latency = self._compute_task_latencies(workload).total
-        finally:
-            self.config = saved
-        self._latency_cache[cache_key] = latency
+        latency = self._latency_cache.get(cache_key)
+        if latency is None:
+            latency = self._compute_task_latencies(workload, config).total
+            self._latency_cache[cache_key] = latency
         return latency
 
     def choose_config(self, workload: WorkloadProfile) -> HardwareConfig:
@@ -430,16 +411,12 @@ class DynPreSystem(AutoGNNVariant):
         return None if improvement < RECONFIGURE_THRESHOLD else best
 
     # ---------------------------------------------------------- serving state
-    def state_key(self):
+    def state_key(self) -> HardwareConfig:
         """The loaded bitstream pair: the state a pass's outcome depends on."""
         return self.config
 
-    def snapshot_state(self):
-        """The configuration left loaded after the most recent pass."""
-        return self.config
-
-    def apply_state(self, snapshot) -> None:
-        """Replay a cached transition's end state onto this replica.
+    def apply_state(self, state: HardwareConfig) -> None:
+        """Load ``state``, a cached transition's end state, onto this replica.
 
         Routes the change through the reconfiguration controller so the
         event log stays faithful: the controller derives the affected
@@ -447,11 +424,11 @@ class DynPreSystem(AutoGNNVariant):
         configuration pair, exactly as the fresh pass that populated the
         cache did.
         """
-        # Identity first: hits replay the cluster's canonical snapshot object.
-        if snapshot is self.config or snapshot is None or snapshot == self.config:
+        # Identity first: hits replay the cluster's interned state object.
+        if state is self.config or state == self.config:
             return
-        self.reconfig.reconfigure(snapshot)
-        self.config = snapshot
+        self.reconfig.reconfigure(state)
+        self.config = state
 
     def reconfigure_for(self, workload: WorkloadProfile) -> float:
         """Reconfigure if the predicted improvement clears the threshold.
@@ -465,16 +442,3 @@ class DynPreSystem(AutoGNNVariant):
         event = self.reconfig.reconfigure(best)
         self.config = best
         return event.latency_seconds if event else 0.0
-
-    # -------------------------------------------------------------- evaluate
-    def evaluate(self, workload: WorkloadProfile) -> SystemLatency:
-        reconfig_seconds = self.reconfigure_for(workload)
-        preprocessing = self._compute_task_latencies(workload)
-        transfers = self._transfers(workload)
-        return SystemLatency(
-            preprocessing=preprocessing,
-            transfers=transfers,
-            reconfiguration=reconfig_seconds,
-            bandwidth_utilization=self._bandwidth_utilization(workload, preprocessing),
-            extras={"lut_utilization": self.lut_utilization(workload)},
-        )

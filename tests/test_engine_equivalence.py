@@ -803,7 +803,9 @@ class TestFastEngineExtras:
         # Some batches replayed a cached transition.
         assert len(fast._serve_cache) < report.num_batches
         for ref_shard, fast_shard in zip(reference.shards, fast.shards):
-            assert fast_shard.state_key() == ref_shard.state_key()
+            assert fast_shard.preprocessing.state_key() == (
+                ref_shard.preprocessing.state_key()
+            )
             assert fast_shard.preprocessing.reconfig.events == (
                 ref_shard.preprocessing.reconfig.events
             )
@@ -835,7 +837,9 @@ class TestFastEngineExtras:
             assert _render(report) == _render(reference.serve_trace(trace))
             batches += report.num_batches
             for ref_shard, fast_shard in zip(reference.shards, fast.shards):
-                assert fast_shard.state_key() == ref_shard.state_key()
+                assert fast_shard.preprocessing.state_key() == (
+                    ref_shard.preprocessing.state_key()
+                )
                 assert fast_shard.preprocessing.reconfig.events == (
                     ref_shard.preprocessing.reconfig.events
                 )
@@ -864,7 +868,6 @@ class TestFastEngineExtras:
         assert system._latency_cache == {}
         assert system._configured_cache == {}
         assert system._shortlists == {}
-        assert system.cost_model._estimate_cache == {}
         assert template._inference_cache == {}
         assert template._cost_cache == {}
 
@@ -892,7 +895,9 @@ class TestFastEngineExtras:
         priced = []
 
         def spy(self, workload):
-            priced.append((self.state_key(), workload.batch_key, workload.batch_size))
+            priced.append(
+                (self.preprocessing.state_key(), workload.batch_key, workload.batch_size)
+            )
             return original(self, workload)
 
         def run(engine):

@@ -101,7 +101,9 @@ class TestServe:
             "test needs a workload that actually triggers a reconfiguration"
         )
         after = service.estimate_service_seconds(probe)
-        fresh = service.preprocessing.cost_hint(probe) + service.inference_latency(probe)
+        fresh = service.preprocessing.replicate().evaluate(probe).total + service.inference_latency(
+            probe
+        )
         assert after == fresh
         assert after != before
 
@@ -116,3 +118,19 @@ class TestServe:
         assert GNNService(systems["CPU"]).power.preprocessing_platform == "cpu"
         assert GNNService(systems["GPU"]).power.preprocessing_platform == "gpu"
         assert GNNService(systems["DynPre"]).power.preprocessing_platform == "fpga"
+
+    @pytest.mark.parametrize(
+        "name, platform",
+        [("CPU", "cpu"), ("GPU", "gpu"), ("GSamp", "gpu"), ("FPGA", "fpga"), ("DynPre", "fpga")],
+    )
+    def test_power_platform_survives_a_rename(self, name, platform):
+        """The power model follows the system's class, not its display name:
+        a GPU renamed ``GPU-rack0`` is still billed at GPU power."""
+        w = WorkloadProfile.from_dataset("PH")
+        expected = GNNService(build_reference_systems()[name]).serve(w).energy
+        system = build_reference_systems()[name]
+        system.name = f"{name}-rack0"
+        service = GNNService(system)
+        assert service.power.preprocessing_platform == platform
+        assert all(r.power.preprocessing_platform == platform for r in service.replicas(2))
+        assert service.serve(w).energy == expected

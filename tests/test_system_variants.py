@@ -144,7 +144,7 @@ class TestDynPre:
         # The loaded pair is the chosen one, so the next pass keeps it.
         assert system.configured_for(workload)
         assert system.evaluate(workload).reconfiguration == 0.0
-        system.apply_state(system.snapshot_state())
+        system.apply_state(system.state_key())
         assert system.reconfig.num_reconfigurations == int(changed)
 
     def test_update_transfer_is_incremental(self, workload_large):
