@@ -49,13 +49,8 @@ def build_pointer_array(sorted_dst: np.ndarray, num_nodes: int) -> np.ndarray:
     counts = np.bincount(sorted_dst, minlength=num_nodes) if sorted_dst.size else np.zeros(
         num_nodes, dtype=VID_DTYPE
     )
-    return _pointers_from_degrees(counts)
-
-
-def _pointers_from_degrees(degrees: np.ndarray) -> np.ndarray:
-    """The pointer array whose gaps are ``degrees`` (a leading zero, then the cumsum)."""
-    indptr = np.zeros(degrees.shape[0] + 1, dtype=VID_DTYPE)
-    np.cumsum(degrees, out=indptr[1:])
+    indptr = np.zeros(num_nodes + 1, dtype=VID_DTYPE)
+    np.cumsum(counts, out=indptr[1:])
     return indptr
 
 
@@ -67,15 +62,21 @@ def merge_edge_order(
     ``ordered`` is an :func:`edge_order` result; the merged graph has
     ``num_nodes`` vertices (at least ``ordered.num_nodes``) and equals
     :func:`edge_order` of any graph holding the same edges.  Only the added
-    keys are sorted; their positions among the old keys, recomputed at
-    ``vid_bits(num_nodes)``, come from one binary search.  The merged graph
-    also carries its in-degrees (the old ones padded to ``num_nodes`` plus
-    the added edges' counts), from which :func:`csc_from_ordered` takes the
-    pointer array.
+    keys are sorted.  Each added edge ``(d, s)`` is placed by a binary search
+    for the leftmost ``s`` among the sources of ``d``'s run, which the
+    layout's pointer array bounds (destinations the layout does not have go
+    to the end), so no key is packed for the old edges; all searches step
+    together.  The places are exactly ``np.searchsorted`` of the added keys
+    among the old ones.  The merged graph carries its pointer array, the old
+    one shifted by the batch's counts, which :func:`csc_from_ordered` takes
+    as is and the next merge searches in.
     """
+    indptr = ordered._indptr
+    if indptr is None:
+        indptr = build_pointer_array(ordered.dst, ordered.num_nodes)
     added = np.sort(pack_keys(src, dst, num_nodes))
-    positions = np.searchsorted(pack_keys(ordered.src, ordered.dst, num_nodes), added)
     added_src, added_dst = COOGraph.deconcatenate_vids(added, num_nodes)
+    positions = _run_positions(ordered.src, indptr, added_src, added_dst)
     merged = COOGraph(
         src=np.insert(ordered.src, positions, added_src),
         dst=np.insert(ordered.dst, positions, added_dst),
@@ -83,27 +84,49 @@ def merge_edge_order(
         name=ordered.name,
         validate_vids=False,
     )
-    degrees = np.bincount(dst, minlength=num_nodes)
-    degrees[: ordered.num_nodes] += ordered.in_degrees()
-    merged._degree_cache = degrees
+    pointers = build_pointer_array(added_dst, num_nodes)
+    pointers[: indptr.shape[0]] += indptr
+    pointers[indptr.shape[0] :] += indptr[-1]
+    merged._indptr = pointers
     return merged
+
+
+def _run_positions(
+    sources: np.ndarray, indptr: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """Leftmost place of each ``(dst, src)`` among a layout's (dst, src)-sorted edges.
+
+    ``sources`` and ``indptr`` are the layout's sources and pointer array.
+    Every edge bisects its own destination's run, ``sources[indptr[d]:
+    indptr[d + 1]]``; one vectorised step halves every run at once, so the
+    loop takes about log2 of the largest in-degree steps.
+    """
+    last = indptr.shape[0] - 1
+    lo = indptr[np.minimum(dst, last)]
+    hi = indptr[np.minimum(dst + 1, last)]
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) >> 1
+        below = sources[np.minimum(mid, sources.shape[0] - 1)] < src
+        lo = np.where(active & below, mid + 1, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active = lo < hi
+    return lo
 
 
 def csc_from_ordered(ordered: COOGraph, indptr: Optional[np.ndarray] = None) -> CSCGraph:
     """Data reshaping: the CSC of a destination-sorted COO.
 
     ``indptr`` is a pointer array already built for ``ordered`` (by an
-    emulated reshaper, say).  By default it is the cumsum of ``ordered``'s
-    in-degrees when they are cached (a :func:`merge_edge_order` result
-    carries them), else :func:`build_pointer_array`'s.  The index array is
-    ``ordered.src`` itself, not a copy: graph arrays are immutable once built.
+    emulated reshaper, say).  By default it is the pointer array ``ordered``
+    carries (an update-stream layout does, see :func:`merge_edge_order`),
+    else :func:`build_pointer_array`'s.  The index array is ``ordered.src``
+    itself, not a copy: graph arrays are immutable once built.
     """
     if indptr is None:
-        degrees = ordered._degree_cache
-        if degrees is None:
-            indptr = build_pointer_array(ordered.dst, ordered.num_nodes)
-        else:
-            indptr = _pointers_from_degrees(degrees)
+        indptr = ordered._indptr
+    if indptr is None:
+        indptr = build_pointer_array(ordered.dst, ordered.num_nodes)
     return CSCGraph(
         indptr=indptr,
         indices=ordered.src,
@@ -121,25 +144,3 @@ def csc_to_coo(graph: CSCGraph) -> COOGraph:
     """Convert a CSC graph back to COO (destination-major edge order)."""
     src, dst = graph.edge_arrays()
     return COOGraph(src=src, dst=dst, num_nodes=graph.num_nodes, name=graph.name)
-
-
-def validate_conversion(coo: COOGraph, csc: CSCGraph) -> bool:
-    """Return True when ``csc`` is a faithful conversion of ``coo``.
-
-    The check is order-insensitive on the COO side: the multiset of edges must
-    match and the CSC must be internally consistent.
-    """
-    csc.validate()
-    if coo.num_edges != csc.num_edges or coo.num_nodes != csc.num_nodes:
-        return False
-    ref = coo_to_csc(coo)
-    if not np.array_equal(ref.indptr, csc.indptr):
-        return False
-    # Within a destination group, source order may legitimately differ between
-    # implementations; compare groups as multisets.
-    for dst in range(csc.num_nodes):
-        a = np.sort(ref.in_neighbors(dst))
-        b = np.sort(csc.in_neighbors(dst))
-        if not np.array_equal(a, b):
-            return False
-    return True

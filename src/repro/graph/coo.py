@@ -44,10 +44,13 @@ class COOGraph:
         validate_vids: skip the O(E) VID range check when False — only for
             internal constructions whose edges are valid by derivation.
 
-    The edge arrays are immutable once built: the degree caches and the
+    The edge arrays are immutable once built: the degree caches, the
     ordered layout an update stream seeds (``_ordered``, read by
-    :func:`repro.graph.convert.edge_order`) describe them as they were built.
-    Every method that derives a graph returns a fresh instance with no caches.
+    :func:`repro.graph.convert.edge_order`) and the pointer array such a
+    layout carries (``_indptr``, read by
+    :func:`repro.graph.convert.csc_from_ordered`) describe them as they were
+    built.  Every method that derives a graph returns a fresh instance with
+    no caches.
     """
 
     src: np.ndarray
@@ -57,6 +60,7 @@ class COOGraph:
     _degree_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _out_degree_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _ordered: Optional["COOGraph"] = field(default=None, init=False, repr=False, compare=False)
+    _indptr: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     validate_vids: InitVar[bool] = True
 
     def __post_init__(self, validate_vids: bool = True) -> None:

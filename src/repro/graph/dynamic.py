@@ -9,13 +9,14 @@ substrate they run on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.convert import coo_to_csc, edge_order, merge_edge_order
+from repro.graph.convert import build_pointer_array, coo_to_csc, edge_order, merge_edge_order
 from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.generators import attachment_edges
+from repro.graph.sampling import sorted_unique
 
 #: Daily edge-growth rates reported in the paper for the two dynamic datasets.
 DAILY_GROWTH_RATE = {"SO": 0.0052, "TB": 0.0095}
@@ -29,7 +30,8 @@ class UpdateBatch:
         step: the time-step index (e.g. day or hour).
         src: source VIDs of the new edges.
         dst: destination VIDs of the new edges.
-        new_nodes: number of vertices added in this step.
+        new_nodes: number of vertices added in this step (non-negative:
+            :meth:`DynamicGraph.apply` rejects a batch that removes vertices).
     """
 
     step: int
@@ -43,12 +45,55 @@ class UpdateBatch:
         return int(self.src.shape[0])
 
 
+class _EdgeBuffer:
+    """One growing ``src``/``dst`` buffer pair; snapshots' edge arrays are its prefixes.
+
+    :meth:`append` writes only past :attr:`size`, the end of every view it
+    has handed out, and hands out read-only views.  When the edges do not
+    fit it moves to a buffer a quarter larger than they need; the views made
+    so far keep the old one alive, unchanged.
+    """
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray) -> None:
+        self.src = self.dst = np.empty(0, dtype=VID_DTYPE)
+        self.size = 0
+        self.append(src, dst)
+
+    def is_last(self, graph: COOGraph) -> bool:
+        """True when ``graph``'s edge arrays are this buffer's whole filled prefix."""
+        return (
+            graph.num_edges == self.size
+            and graph.src.base is self.src
+            and graph.dst.base is self.dst
+        )
+
+    def append(self, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Append edges; return read-only views of every edge held so far."""
+        start, end = self.size, self.size + src.shape[0]
+        if end > self.src.shape[0]:
+            # Grow by a quarter: copies stay O(1) amortised per edge, and the
+            # spare capacity (allocated but not yet touched) stays small.
+            capacity = end + end // 4 + 64
+            grown = (np.empty(capacity, dtype=VID_DTYPE), np.empty(capacity, dtype=VID_DTYPE))
+            grown[0][:start] = self.src[:start]
+            grown[1][:start] = self.dst[:start]
+            self.src, self.dst = grown
+        self.src[start:end] = src
+        self.dst[start:end] = dst
+        self.size = end
+        views = (self.src[:end], self.dst[:end])
+        for view in views:
+            view.flags.writeable = False
+        return views
+
+
 @dataclass
 class DynamicGraph:
     """A graph that accumulates update batches over time."""
 
     graph: COOGraph
     history: List[UpdateBatch] = field(default_factory=list)
+    _edges: Optional[_EdgeBuffer] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_steps(self) -> int:
@@ -58,30 +103,50 @@ class DynamicGraph:
     def apply(self, batch: UpdateBatch) -> COOGraph:
         """Apply an update batch and return the new snapshot.
 
+        Only the batch's edges are range-checked and written.  The snapshot's
+        ``src`` and ``dst`` are read-only prefix views of one buffer pair
+        that this graph owns and grows geometrically; later batches are
+        written past the end of every earlier snapshot's views.  The first
+        ``apply``, and any to a graph that is not the buffer's last snapshot
+        (say :attr:`graph` was replaced), copies the current edges into a
+        fresh buffer, so the base graph's arrays are never written.
+
         The snapshot carries its graph conversion's ordered layout, which
         :func:`~repro.graph.convert.edge_order` returns instead of sorting:
-        the previous snapshot's layout with the batch merged in, or one full
-        sort when the previous graph has none (the first snapshot after the
-        base).  The layout moves to the new snapshot, so only the current
-        one holds it.  A rejected batch changes nothing.
+        the previous snapshot's layout with the batch merged in
+        (:func:`~repro.graph.convert.merge_edge_order`), or one full sort
+        when the previous graph has none (the first snapshot after the
+        base).  The layout carries its pointer array and moves to the new
+        snapshot, so only the current one holds it.  A rejected batch
+        changes nothing.
         """
+        if batch.new_nodes < 0:
+            raise ValueError(
+                f"new_nodes must be non-negative, got {batch.new_nodes}: an update "
+                "stream only adds vertices; build a new DynamicGraph to shrink one"
+            )
         num_nodes = self.graph.num_nodes + batch.new_nodes
-        old_edges = self.graph.num_edges
+        added = COOGraph(src=batch.src, dst=batch.dst, num_nodes=num_nodes)
+        if self._edges is None or not self._edges.is_last(self.graph):
+            self._edges = _EdgeBuffer(self.graph.src, self.graph.dst)
+        src, dst = self._edges.append(added.src, added.dst)
+        snapshot = COOGraph(
+            src=src, dst=dst, num_nodes=num_nodes, name=self.graph.name, validate_vids=False
+        )
         ordered = self.graph._ordered
-        snapshot = self.graph.add_edges(batch.src, batch.dst, num_nodes=num_nodes)
-        # Let the previous snapshot go before the merge allocates the new
-        # layout, so its edges and both layouts are never alive together.
+        # The layout moves: the previous snapshot drops it, so it is freed
+        # once the merge has read it.
         self.graph._ordered = None
         self.graph = snapshot
         self.history.append(batch)
         if ordered is None:
-            snapshot._ordered = edge_order(snapshot)
+            layout = edge_order(snapshot)
+            layout._indptr = build_pointer_array(layout.dst, num_nodes)
         else:
-            snapshot._ordered = merge_edge_order(
-                ordered, snapshot.src[old_edges:], snapshot.dst[old_edges:], num_nodes
-            )
-            # The merged layout carries the in-degrees on; the old copy is spare.
-            ordered._degree_cache = None
+            layout = merge_edge_order(ordered, added.src, added.dst, num_nodes)
+            # The merged layout carries its own pointer array; the old one is spare.
+            ordered._indptr = None
+        snapshot._ordered = layout
         return snapshot
 
     def update_ratio(self, batch: UpdateBatch) -> float:
@@ -170,7 +235,7 @@ def affected_vertex_ratio(
     if graph.num_nodes == 0:
         return 0.0
     csc = coo_to_csc(graph)
-    affected = set(np.unique(np.asarray(updated_dst, dtype=VID_DTYPE)).tolist())
+    affected = set(sorted_unique(np.asarray(updated_dst, dtype=VID_DTYPE)).tolist())
     frontier = set(affected)
     for _ in range(num_layers):
         next_frontier = set()

@@ -12,12 +12,14 @@ from __future__ import annotations
 import contextlib
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.config import HardwareConfig
 from repro.graph.coo import COOGraph
 from repro.graph.convert import coo_to_csc
+from repro.graph.csc import CSCGraph
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.serving import (
     BatchScheduler,
@@ -192,6 +194,29 @@ def cluster_factory(services):
         return ShardedServiceCluster(services[name], num_shards=num_shards, **kwargs)
 
     return build
+
+
+# ------------------------------------------------------------- graph helpers
+def validate_conversion(coo: COOGraph, csc: CSCGraph) -> bool:
+    """Return True when ``csc`` is a faithful conversion of ``coo``.
+
+    The check is order-insensitive on the COO side: the multiset of edges must
+    match and the CSC must be internally consistent.
+    """
+    csc.validate()
+    if coo.num_edges != csc.num_edges or coo.num_nodes != csc.num_nodes:
+        return False
+    ref = coo_to_csc(coo)
+    if not np.array_equal(ref.indptr, csc.indptr):
+        return False
+    # Within a destination group, source order may legitimately differ between
+    # implementations; compare groups as multisets.
+    for dst in range(csc.num_nodes):
+        a = np.sort(ref.in_neighbors(dst))
+        b = np.sort(csc.in_neighbors(dst))
+        if not np.array_equal(a, b):
+            return False
+    return True
 
 
 # ------------------------------------------------------------ graph fixtures

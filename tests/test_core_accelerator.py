@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import validate_conversion
 
 from repro.core.accelerator import AutoGNNDevice
 from repro.core.config import HardwareConfig
 from repro.core.kernels import reindexer_scan_width
-from repro.graph.convert import coo_to_csc, validate_conversion
+from repro.graph.convert import coo_to_csc
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.preprocessing.pipeline import PreprocessingConfig
 

@@ -1,15 +1,17 @@
 """Tests for COO <-> CSC conversion, including property-based checks."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from conftest import validate_conversion
+from hypothesis import example, given, seed, settings, strategies as st
 
-from repro.graph.coo import COOGraph
+from repro.graph.coo import COOGraph, VID_DTYPE, pack_keys
 from repro.graph.convert import (
+    _run_positions,
     build_pointer_array,
     coo_to_csc,
     csc_to_coo,
     edge_order,
-    validate_conversion,
+    merge_edge_order,
 )
 
 
@@ -95,3 +97,68 @@ class TestConversion:
         assert csc.num_edges == g.num_edges
         assert int(csc.indptr[-1]) == g.num_edges
         assert np.array_equal(np.diff(csc.indptr), g.in_degrees())
+
+
+def _edges(pairs):
+    src = np.array([p[0] for p in pairs], dtype=VID_DTYPE)
+    dst = np.array([p[1] for p in pairs], dtype=VID_DTYPE)
+    return src, dst
+
+
+@st.composite
+def merges(draw):
+    """An old graph and two batches; the node count grows by amounts that
+    carry it across powers of two, and endpoints come from few VIDs so
+    parallel edges and destinations of in-degree 0 are common."""
+
+    def pairs(num_nodes, max_size):
+        if num_nodes == 0:
+            return []
+        vid = st.integers(0, num_nodes - 1)
+        return draw(st.lists(st.tuples(vid, vid), max_size=max_size))
+
+    old_nodes = draw(st.integers(0, 9))
+    old = pairs(old_nodes, 30)
+    batches = []
+    num_nodes = old_nodes
+    for _ in range(2):
+        num_nodes += draw(st.sampled_from([0, 1, 2, 7, 9]))
+        batches.append((pairs(num_nodes, 12), num_nodes))
+    return old, old_nodes, batches
+
+
+class TestMergeEdgeOrder:
+    @seed(20261019)
+    @settings(max_examples=80, deadline=None)
+    @given(case=merges())
+    @example(case=([], 0, [([(0, 0), (1, 0)], 2), ([], 2)]))  # empty old layout
+    @example(case=([(1, 3), (1, 3), (0, 3)], 4, [([(1, 3), (2, 3), (0, 1)], 4), ([], 5)]))
+    @example(case=([(0, 1)], 2, [([(3, 3), (0, 2), (1, 1)], 4), ([(8, 0), (0, 8)], 9)]))
+    def test_places_the_batch_as_packed_keys_do(self, case):
+        """Each merge equals a full sort of all the edges, places the batch
+        exactly where ``np.searchsorted`` over the packed old keys does (ties
+        included) and carries the merged graph's pointer array."""
+        old, old_nodes, batches = case
+        layout = edge_order(COOGraph(*_edges(old), num_nodes=old_nodes))
+        all_edges = list(old)
+        for batch, num_nodes in batches:
+            src, dst = _edges(batch)
+            added = np.sort(pack_keys(src, dst, num_nodes))
+            added_src, added_dst = COOGraph.deconcatenate_vids(added, num_nodes)
+            indptr = (
+                build_pointer_array(layout.dst, layout.num_nodes)
+                if layout._indptr is None else layout._indptr
+            )
+            want = np.searchsorted(
+                pack_keys(layout.src, layout.dst, num_nodes), added, side="left"
+            )
+            got = _run_positions(layout.src, indptr, added_src, added_dst)
+            assert got.tolist() == want.tolist()
+
+            layout = merge_edge_order(layout, src, dst, num_nodes)
+            all_edges += batch
+            expected = edge_order(COOGraph(*_edges(all_edges), num_nodes=num_nodes))
+            assert layout.num_nodes == num_nodes
+            assert np.array_equal(layout.src, expected.src)
+            assert np.array_equal(layout.dst, expected.dst)
+            assert np.array_equal(layout._indptr, build_pointer_array(expected.dst, num_nodes))

@@ -1,5 +1,6 @@
 """Tests for dynamic graphs and update streams."""
 
+import copy
 import time
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from repro.graph.dynamic import (
     critical_update_ratio,
 )
 from repro.core.accelerator import AutoGNNDevice
+from repro.graph.convert import edge_order
 from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.generators import grow_graph, uniform_random_graph
 from repro.graph.sampling import MODE_REFERENCE, MODE_VECTORIZED
@@ -135,6 +137,90 @@ class TestDynamicGraph:
             assert np.array_equal(got, want)
         for got, want in zip([snapshot.src, snapshot.dst], edges):
             assert np.array_equal(got, want)
+
+    def test_apply_rejects_shrinking_batch(self, base):
+        """A negative ``new_nodes`` is rejected before anything changes, on
+        the first apply and on a snapshot that carries a layout."""
+        dynamic = DynamicGraph(graph=base)
+        shrink = UpdateBatch(step=0, src=np.array([0]), dst=np.array([1]), new_nodes=-2)
+        with pytest.raises(ValueError, match="new_nodes must be non-negative"):
+            dynamic.apply(shrink)
+        assert dynamic.graph is base and dynamic.num_steps == 0
+        assert base.num_nodes == 100 and base._ordered is None
+
+        snapshot = dynamic.apply(UpdateBatch(step=0, src=np.array([1]), dst=np.array([2])))
+        layout = snapshot._ordered
+        kept = [snapshot.src.copy(), snapshot.dst.copy(), layout.src.copy(), layout.dst.copy()]
+        pointers = layout._indptr.copy()
+        with pytest.raises(ValueError, match="new_nodes must be non-negative"):
+            dynamic.apply(replace(shrink, step=1))
+        assert dynamic.graph is snapshot and dynamic.num_steps == 1
+        assert snapshot.num_nodes == layout.num_nodes == base.num_nodes
+        assert snapshot._ordered is layout and np.array_equal(layout._indptr, pointers)
+        for got, want in zip([snapshot.src, snapshot.dst, layout.src, layout.dst], kept):
+            assert np.array_equal(got, want)
+        # The graph still takes the next valid batch.
+        grown = dynamic.apply(UpdateBatch(step=1, src=np.array([3]), dst=np.array([4])))
+        assert grown.num_edges == base.num_edges + 2 and grown.num_nodes == base.num_nodes
+
+    def test_earlier_snapshots_survive_later_applies(self):
+        """Snapshots are read-only prefix views of one growing buffer: after
+        many applies, buffer moves included, every snapshot still holds the
+        edges it was made with, orders as its copy does, and the base graph
+        was never written."""
+        base = uniform_random_graph(40, 60, seed=3)
+        base_arrays = [base.src.copy(), base.dst.copy()]
+        stream = GraphUpdateStream(base, growth_rate=0.1, new_node_rate=0.2, seed=6)
+        dynamic = DynamicGraph(graph=base)
+        made = []
+        for batch in stream.generate(22):
+            snapshot = dynamic.apply(batch)
+            made.append((snapshot, snapshot.src.copy(), snapshot.dst.copy()))
+        buffers = {id(snapshot.src.base) for snapshot, _, _ in made}
+        assert len(buffers) >= 2, "the stream must outgrow the first buffer"
+        for snapshot, src, dst in made:
+            assert np.array_equal(snapshot.src, src) and np.array_equal(snapshot.dst, dst)
+            for array in (snapshot.src, snapshot.dst):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+                assert not np.shares_memory(array, base.src)
+                assert not np.shares_memory(array, base.dst)
+            ordered, fresh = edge_order(snapshot), edge_order(snapshot.copy())
+            assert np.array_equal(ordered.src, fresh.src)
+            assert np.array_equal(ordered.dst, fresh.dst)
+        assert made[-1][0]._ordered is not None
+        assert all(snapshot._ordered is None for snapshot, _, _ in made[:-1])
+        assert np.array_equal(base.src, base_arrays[0])
+        assert np.array_equal(base.dst, base_arrays[1])
+        assert base.src.flags.writeable and base._ordered is None
+
+    def test_apply_never_writes_over_a_later_snapshot(self, base):
+        """Applying to a graph that is not the buffer's last snapshot (one
+        a copy of the ``DynamicGraph`` has grown past, or an earlier one put
+        back) copies it into a fresh buffer."""
+        dynamic = DynamicGraph(graph=base)
+        first = dynamic.apply(UpdateBatch(step=0, src=np.array([1]), dst=np.array([2])))
+        second = dynamic.apply(UpdateBatch(step=1, src=np.array([3]), dst=np.array([4])))
+        twin = copy.copy(dynamic)
+        twin_next = twin.apply(UpdateBatch(step=2, src=np.array([5]), dst=np.array([6])))
+        kept = [twin_next.src.copy(), twin_next.dst.copy()]
+        branches = [dynamic.apply(UpdateBatch(step=2, src=np.array([7]), dst=np.array([8])))]
+        dynamic.graph = first
+        branches.append(dynamic.apply(UpdateBatch(step=1, src=np.array([9]), dst=np.array([0]))))
+        assert np.array_equal(twin_next.src, kept[0]) and np.array_equal(twin_next.dst, kept[1])
+        assert (twin_next.src[-1], twin_next.dst[-1]) == (5, 6)
+        assert twin_next.src.base is second.src.base
+        for branch, (src, dst) in zip(branches, [(7, 8), (9, 0)]):
+            assert (branch.src[-1], branch.dst[-1]) == (src, dst)
+            assert not np.shares_memory(branch.src, twin_next.src)
+        assert branches[1].num_edges == first.num_edges + 1
+        # A replacement of the same length is not the buffer's snapshot either.
+        other = COOGraph(src=twin_next.dst, dst=twin_next.src, num_nodes=twin_next.num_nodes)
+        twin.graph = other
+        swapped = twin.apply(UpdateBatch(step=3, src=np.array([1]), dst=np.array([1])))
+        assert np.array_equal(swapped.src[:-1], other.src)
+        assert np.array_equal(swapped.dst[:-1], other.dst)
 
     def test_stream_snapshot_equals_direct_build_and_preprocesses_identically(self, base):
         stream = GraphUpdateStream(base, growth_rate=0.05, new_node_rate=0.3, seed=4)

@@ -6,9 +6,11 @@ import pytest
 from repro.graph.convert import coo_to_csc
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.sampling import (
+    _sorted_unique,
     expected_sampled_nodes,
     node_wise_sample,
     sample_neighbors,
+    sorted_unique,
 )
 
 
@@ -101,3 +103,28 @@ class TestBounds:
         batch = list(range(5))
         sample = node_wise_sample(csc, batch, k=3, num_layers=2, seed=6)
         assert sample.num_sampled_nodes <= expected_sampled_nodes(5, 3, 2)
+
+
+#: A VID range whose ``_sorted_unique`` takes the dense scatter for any input
+#: below, and one so large that it takes the sort for every input below.
+DENSE_NODES = 64
+SPARSE_NODES = 10**9
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize(
+        "values",
+        [[], [5], [7, 7, 7, 7], [3, 0, 3, 63, 1, 0], list(range(63, -1, -1))],
+        ids=["empty", "single", "all-equal", "repeats", "reversed"],
+    )
+    @pytest.mark.parametrize("num_nodes", [DENSE_NODES, SPARSE_NODES], ids=["dense", "sparse"])
+    def test_both_branches_equal_np_unique(self, values, num_nodes):
+        values = np.array(values, dtype=np.int64)
+        want = np.unique(values)
+        for got in (_sorted_unique(values, num_nodes), sorted_unique(values)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_leaves_its_input_unsorted(self):
+        values = np.array([4, 1, 4, 0], dtype=np.int64)
+        sorted_unique(values)
+        assert values.tolist() == [4, 1, 4, 0]
