@@ -1,10 +1,15 @@
-"""Scaling microbenchmark: reference vs. vectorized preprocessing pipeline.
+"""Scaling microbenchmark: the preprocessing pipeline against its oracles.
 
 Times the end-to-end functional preprocessing pipeline (edge ordering, data
 reshaping, unique random selection, subgraph reindexing, subgraph conversion)
-in both execution modes on synthetic power-law graphs of increasing size, and
-verifies the fast-path contract along the way: bit-exact reindexing output and
-identical cycle counts between modes (see DESIGN.md).
+on synthetic power-law graphs of increasing size, once as ``preprocess`` runs
+it (the vectorized fast path) and once as a reference leg that swaps in the
+per-element oracles ``node_wise_sample_reference`` and
+``reindex_edges_reference``.  It verifies the fast-path contract along the
+way: reindexing output bit-exact with the oracles', and the device's
+selection and reindexing cycles equal to the charge of the oracle's
+``SelectionStats`` and per-lookup occupancies (see DESIGN.md, "The fast path
+and its oracles").
 
 It also times ``AutoGNNDevice.preprocess`` (the cycle-level device model in
 its default fast path) on the same graph, which must stay within
@@ -28,7 +33,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -40,9 +44,13 @@ if str(_SRC) not in sys.path:
 import numpy as np
 
 from repro.core.accelerator import AutoGNNDevice
+from repro.core.config import DEFAULT_HARDWARE, HardwareConfig
+from repro.core.kernels import reindexing_cycle_count, selection_cycle_count
+from repro.graph.convert import coo_to_csc, csc_from_ordered, edge_order
 from repro.graph.generators import GraphSpec, power_law_graph
-from repro.graph.sampling import MODE_REFERENCE, MODE_VECTORIZED
-from repro.preprocessing.pipeline import PreprocessingConfig, preprocess
+from repro.graph.reindex import reindex_edges_reference
+from repro.graph.sampling import node_wise_sample_reference
+from repro.preprocessing.pipeline import PreprocessingConfig, choose_batch_nodes, preprocess
 
 from common import DEFAULT_KEEP, gate_failures, run_once, write_result
 
@@ -60,9 +68,15 @@ SCALES = [
 #: Gated scales and their minimum vectorized-vs-reference speedups.
 MIN_SPEEDUPS = {"10k": 5.0, "100k": 10.0}
 
-#: Cycle-identity verification runs the reference-mode cycle simulator too,
-#: so it is limited to scales at or below this edge count.
+#: Bit-exactness and cycle-identity verification run the oracles once more,
+#: so they are limited to scales at or below this edge count.
 CYCLE_CHECK_MAX_EDGES = 100_000
+
+#: Cycle identity is checked on the default device and on this one, whose
+#: reindexer scans 128 mappings per cycle: the default scans 16,384, more
+#: than the 10k-edge subgraph maps, so there every lookup costs one cycle
+#: and an occupancy off by one would go uncharged.
+NARROW_REINDEXER = HardwareConfig(num_upes=8, upe_width=32, num_scrs=2, scr_width=64)
 
 #: Ceiling on ``device_seconds / vectorized_seconds`` at the gated scale.
 DEVICE_RATIO_CEILING = 1.5
@@ -92,44 +106,65 @@ def _min_seconds(runs: Dict[str, Callable[[], object]], repeats: int = 5) -> Dic
     return best
 
 
+def _reference_leg(graph, workload: PreprocessingConfig) -> Dict[str, object]:
+    """The pipeline of ``preprocess`` with the oracles in place of the fast
+    selection and reindexing: the baseline of the speedup gates."""
+    ordered = edge_order(graph)
+    csc = csc_from_ordered(ordered)
+    sample, stats = node_wise_sample_reference(
+        csc, choose_batch_nodes(graph, workload), workload.k, workload.num_layers, workload.seed
+    )
+    combined = sample.all_edges()
+    reindex, occupancy = reindex_edges_reference(combined.src, combined.dst)
+    return {
+        "stats": stats,
+        "reindex": reindex,
+        "occupancy": occupancy,
+        "subgraph_csc": coo_to_csc(reindex.edges),
+    }
+
+
 def _time_paths(graph, batch_size: int) -> Dict[str, float]:
-    """Best pass of both pipeline modes and of the device model's fast path."""
+    """Best pass of the pipeline, its reference leg and the device model."""
     device = AutoGNNDevice()
     workload = PreprocessingConfig(k=K, num_layers=NUM_LAYERS, batch_size=batch_size, seed=SEED)
-
-    def pipeline(mode: str) -> Callable[[], object]:
-        return lambda: preprocess(graph, replace(workload, mode=mode))
-
     return _min_seconds(
         {
-            MODE_VECTORIZED: pipeline(MODE_VECTORIZED),
-            MODE_REFERENCE: pipeline(MODE_REFERENCE),
+            "vectorized": lambda: preprocess(graph, workload),
+            "reference": lambda: _reference_leg(graph, workload),
             "device": lambda: device.preprocess(graph, workload),
         }
     )
 
 
 def _check_equivalence(graph, batch_size: int) -> Dict[str, bool]:
-    """Bit-exactness and cycle-identity checks between the two modes."""
+    """Bit-exactness against the oracles, and the device's selection and
+    reindexing cycles against the charge of what the oracles counted."""
     workload = PreprocessingConfig(k=K, num_layers=NUM_LAYERS, batch_size=batch_size, seed=SEED)
-    ref = preprocess(graph, replace(workload, mode=MODE_REFERENCE))
+    ref = _reference_leg(graph, workload)
     vec = preprocess(graph, workload)
     bit_exact = (
-        ref.reindex.mapping == vec.reindex.mapping
-        and np.array_equal(ref.reindex.edges.src, vec.reindex.edges.src)
-        and np.array_equal(ref.reindex.edges.dst, vec.reindex.edges.dst)
-        and np.array_equal(ref.reindex.original_vids, vec.reindex.original_vids)
-        and np.array_equal(ref.subgraph_csc.indptr, vec.subgraph_csc.indptr)
-        and np.array_equal(ref.subgraph_csc.indices, vec.subgraph_csc.indices)
+        ref["reindex"].mapping == vec.reindex.mapping
+        and np.array_equal(ref["reindex"].edges.src, vec.reindex.edges.src)
+        and np.array_equal(ref["reindex"].edges.dst, vec.reindex.edges.dst)
+        and np.array_equal(ref["reindex"].original_vids, vec.reindex.original_vids)
+        and np.array_equal(ref["subgraph_csc"].indptr, vec.subgraph_csc.indptr)
+        and np.array_equal(ref["subgraph_csc"].indices, vec.subgraph_csc.indices)
     )
-    device = AutoGNNDevice()
-    ref_dev = device.preprocess(graph, replace(workload, mode=MODE_REFERENCE))
-    vec_dev = device.preprocess(graph, workload)
-    cycles_identical = ref_dev.timing.breakdown() == vec_dev.timing.breakdown()
+    stats = ref["stats"]
+    timings = [
+        (config, AutoGNNDevice(config).preprocess(graph, workload).timing)
+        for config in (DEFAULT_HARDWARE, NARROW_REINDEXER)
+    ]
+    cycles_identical = all(
+        timing.selecting_cycles == selection_cycle_count(stats.draws, stats.arrays, config)
+        and timing.reindexing_cycles == reindexing_cycle_count(ref["occupancy"], config)
+        for config, timing in timings
+    )
     return {
         "bit_exact": bool(bit_exact),
         "cycles_identical": bool(cycles_identical),
-        "total_cycles": int(vec_dev.timing.total_cycles),
+        "total_cycles": int(timings[0][1].total_cycles),
     }
 
 
@@ -143,8 +178,8 @@ def run(quick: bool = False) -> Dict:
             GraphSpec(num_nodes=num_nodes, num_edges=num_edges, degree_skew=0.5, seed=42)
         )
         seconds = _time_paths(graph, batch_size)
-        vectorized_seconds = seconds[MODE_VECTORIZED]
-        reference_seconds = seconds[MODE_REFERENCE]
+        vectorized_seconds = seconds["vectorized"]
+        reference_seconds = seconds["reference"]
         device_seconds = seconds["device"]
         entry = {
             "scale": label,

@@ -109,9 +109,6 @@ class AutoGNNDevice:
             correctness tests); the default fast path produces the identical
             sample, subgraph and cycle counts through vectorised execution.
         clock_hz: kernel clock frequency.
-
-    The functional path of the non-detailed kernels is each run's
-    ``PreprocessingConfig.mode``.
     """
 
     def __init__(
@@ -143,11 +140,7 @@ class AutoGNNDevice:
         config: Optional[PreprocessingConfig] = None,
         batch_nodes: Optional[Sequence[int]] = None,
     ) -> AcceleratedPreprocessing:
-        """Run the full preprocessing workflow of Fig. 14 on ``graph``.
-
-        The config's ``mode`` selects the kernels' functional path; results
-        and cycles are identical either way.
-        """
+        """Run the full preprocessing workflow of Fig. 14 on ``graph``."""
         workload = config or PreprocessingConfig()
         timing = PreprocessingTiming(clock_hz=self.clock_hz)
 
@@ -163,20 +156,13 @@ class AutoGNNDevice:
         if batch_nodes is None:
             batch_nodes = choose_batch_nodes(graph, workload)
         sample, selecting_cycles = self.upe_kernel.unique_random_selection(
-            csc,
-            batch_nodes,
-            workload.k,
-            workload.num_layers,
-            seed=workload.seed,
-            mode=workload.mode,
+            csc, batch_nodes, workload.k, workload.num_layers, seed=workload.seed
         )
         timing.selecting_cycles += selecting_cycles
         timing.bytes_read += sample.num_sampled_edges * BYTES_PER_EDGE
 
         # 3. Subgraph reindexing.
-        reindex, reindexing_cycles = self.scr_kernel.subgraph_reindexing(
-            sample, mode=workload.mode
-        )
+        reindex, reindexing_cycles = self.scr_kernel.subgraph_reindexing(sample)
         timing.reindexing_cycles += reindexing_cycles
         timing.bytes_written += reindex.edges.num_edges * BYTES_PER_EDGE
 

@@ -32,8 +32,9 @@ from repro.graph.reindex import (
     interleave_endpoints,
     reindex_mapping_sizes,
     reindex_subgraph,
+    reindexed_result,
 )
-from repro.graph.sampling import MODE_VECTORIZED, SampledSubgraph, node_wise_sample_with_stats
+from repro.graph.sampling import SampledSubgraph, node_wise_sample_with_stats
 
 #: Per-neighbour-array overhead of the selection control path: building the
 #: index array plus the final bitmap-driven set-partition (Fig. 16).
@@ -174,8 +175,7 @@ def reindexing_cycle_estimate(num_endpoints: int, mapping_size: int, config: Har
 class UPEKernel:
     """UPE controller + scheduler + scratchpad executing ordering and selection.
 
-    ``detailed`` emulates the UPE datapath element by element.  The per-call
-    ``mode`` of unique random selection picks its functional path either way.
+    ``detailed`` emulates the UPE datapath element by element.
     """
 
     def __init__(
@@ -226,21 +226,15 @@ class UPEKernel:
         k: int,
         num_layers: int,
         seed: int = 0,
-        mode: str = MODE_VECTORIZED,
     ) -> Tuple[SampledSubgraph, int]:
         """Node-wise unique random selection driven by UPE set-partitioning.
 
-        Every path draws with the shared priority-draw sampler:
-        ``"vectorized"`` batches whole frontiers through array arithmetic,
-        ``"reference"`` runs the per-node verification loop, with
-        bit-identical samples and identical cycle counts.  ``detailed`` then
-        gathers each layer's sources through the UPE datapath: one bitmap
-        set-partition per ``w_upe`` chunk of every neighbour array, the final
-        step of Fig. 16.
+        Every device draws with the one node-wise sampler and charges its
+        ``SelectionStats``.  ``detailed`` then gathers each layer's sources
+        through the UPE datapath: one bitmap set-partition per ``w_upe`` chunk
+        of every neighbour array, the final step of Fig. 16.
         """
-        sample, selection = node_wise_sample_with_stats(
-            csc, batch_nodes, k, num_layers, seed=seed, mode=mode
-        )
+        sample, selection = node_wise_sample_with_stats(csc, batch_nodes, k, num_layers, seed=seed)
         if self.detailed:
             sample.layers = [self._gather_by_bitmap(csc, layer) for layer in sample.layers]
         return sample, selection_cycle_count(selection.draws, selection.arrays, self.config)
@@ -287,36 +281,25 @@ class SCRKernel:
         return csc_from_ordered(ordered, indptr), cycles
 
     # ------------------------------------------------------------- reindexing
-    def subgraph_reindexing(
-        self, sample: SampledSubgraph, mode: str = MODE_VECTORIZED
-    ) -> Tuple[ReindexResult, int]:
+    def subgraph_reindexing(self, sample: SampledSubgraph) -> Tuple[ReindexResult, int]:
         """Renumber the sampled subgraph; returns (reindex result, cycles).
 
-        ``mode`` picks the functional path: ``"vectorized"`` factorizes the
-        endpoint stream with one ``np.unique``, ``"reference"`` walks it with
-        the verification hash-map loop.  Both produce bit-identical mappings
-        and identical cycle counts.
+        The fast path factorizes the endpoint stream and charges the
+        closed-form occupancy of ``reindex_mapping_sizes``; ``detailed`` runs
+        the SCR reindexer's scans.  Both equal what the hash-map oracle
+        ``reindex_edges_reference`` numbers and sees.
         """
         if self.detailed:
             combined = sample.all_edges()
             self.reindexer.reset()
             new_src, new_dst = self.reindexer.reindex_edges(combined.src, combined.dst)
-            result = ReindexResult(
-                mapping=self.reindexer.mapping,
-                edges=COOGraph(
-                    src=new_src,
-                    dst=new_dst,
-                    num_nodes=max(self.reindexer.counter, 1),
-                    name="reindexed",
-                    validate_vids=False,
-                ),
-                original_vids=self.reindexer.original_vids(),
+            result = reindexed_result(
+                new_src, new_dst, self.reindexer.original_vids(), mapping=self.reindexer.mapping
             )
             return result, self.reindexer.stats.cycles
-        # Both functional paths live in reindex_edges; the assigned IDs are
-        # first-occurrence codes in endpoint scan order, so the closed-form
-        # occupancy yields the identical cycle charge for either mode.
-        result = reindex_subgraph(sample, mode=mode)
+        # The assigned IDs are first-occurrence codes in endpoint scan order,
+        # so their running maximum is the occupancy each lookup scans.
+        result = reindex_subgraph(sample)
         codes = interleave_endpoints(result.edges.src, result.edges.dst)
         cycles = reindexing_cycle_count(reindex_mapping_sizes(codes), self.config)
         return result, cycles

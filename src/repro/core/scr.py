@@ -311,8 +311,9 @@ class Reindexer:
     def reindex_edges(self, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Renumber an edge list, processing destination then source per edge.
 
-        Matches the reference :func:`repro.graph.reindex.reindex_edges` order so
-        the resulting IDs are bit-identical to the software mapping.
+        The scan order of the hash-map oracle
+        :func:`repro.graph.reindex.reindex_edges_reference`, so the IDs equal
+        its mapping and each lookup scans the occupancy the oracle records.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)

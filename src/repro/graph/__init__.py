@@ -23,9 +23,6 @@ from repro.graph.datasets import (
     dataset_table,
 )
 from repro.graph.sampling import (
-    MODE_REFERENCE,
-    MODE_VECTORIZED,
-    sample_neighbors,
     node_wise_sample,
     SampledSubgraph,
     SelectionStats,
@@ -48,9 +45,6 @@ __all__ = [
     "DATASET_ORDER",
     "load_dataset",
     "dataset_table",
-    "MODE_REFERENCE",
-    "MODE_VECTORIZED",
-    "sample_neighbors",
     "node_wise_sample",
     "SampledSubgraph",
     "SelectionStats",

@@ -1,23 +1,23 @@
-"""Subgraph reindexing: reference hash-map loop and vectorized fast path.
+"""Subgraph reindexing: the vectorized fast path and its hash-map oracle.
 
 After sampling, the subgraph's original VIDs must be renumbered to a compact
 ``[0, num_sampled)`` range so the extracted embedding table lines up with the
-new indices (Section II-B, Fig. 4b).  The reference implementation walks the
-edge list with a hash map; the vectorized fast path reproduces the exact same
-first-encounter numbering through a single ``np.unique`` factorization (both
-the SCR reindexer and the fast path are verified bit-exact against the
-reference — see DESIGN.md, "Reference vs. vectorized fast path").  Every
-call numbers from an empty mapping.
+new indices (Section II-B, Fig. 4b).  :func:`reindex_edges` assigns the
+first-encounter numbering of a hash-map walk through one first-occurrence
+factorization of the endpoint stream.  :func:`reindex_edges_reference` is
+that walk, the oracle that tests and the preprocessing bench hold the fast
+path, its closed-form occupancies and the SCR reindexer to (see DESIGN.md,
+"The fast path and its oracles").  Every call numbers from an empty mapping.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.coo import COOGraph, VID_DTYPE
-from repro.graph.sampling import MODE_REFERENCE, MODE_VECTORIZED, SampledSubgraph, check_mode
+from repro.graph.sampling import SampledSubgraph, dense_vid_range
 
 
 class ReindexResult:
@@ -69,7 +69,7 @@ class ReindexResult:
 def interleave_endpoints(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Endpoint stream in reindexer scan order: ``dst[0], src[0], dst[1], ...``.
 
-    This is the order the hardware reindexer (and the reference loop) assigns
+    This is the order the hardware reindexer (and the oracle's walk) assigns
     new IDs in, so factorizing this stream reproduces the same numbering.
     """
     src = np.asarray(src, dtype=VID_DTYPE)
@@ -89,15 +89,15 @@ def factorize_first_occurrence(
     by first appearance, and ``originals[code]`` recovers the value — exactly
     the numbering a first-encounter hash map produces, without a per-element
     loop.  When ``num_vids`` bounds the value range (VIDs live in
-    ``[0, num_vids)``) and the bound is not wildly larger than the input, an
-    O(n) scatter through a lookup table is used; otherwise a sort-based
-    ``np.unique`` factorization.  Both paths are bit-identical.
+    ``[0, num_vids)``) and :func:`~repro.graph.sampling.dense_vid_range`
+    holds, an O(n) scatter through a lookup table is used; otherwise a
+    sort-based ``np.unique`` factorization.  Both paths are bit-identical.
     """
     values = np.asarray(values, dtype=VID_DTYPE)
     n = int(values.shape[0])
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=VID_DTYPE)
-    if num_vids is not None and 0 < num_vids <= max(4 * n, 1024):
+    if num_vids is not None and dense_vid_range(num_vids, n):
         # Scatter positions in reverse: with duplicate indices the last write
         # wins, so each VID's slot ends up holding its *first* occurrence.
         positions = np.arange(n, dtype=np.int64)
@@ -136,71 +136,78 @@ def reindex_mapping_sizes(codes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Reindexing entry points
 # ---------------------------------------------------------------------------
-def reindex_edges_reference(
-    src: np.ndarray, dst: np.ndarray, mapping: Dict[int, int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-edge hash-map walk assigning IDs in (dst, src) scan order.
-
-    The verification reference the vectorized factorization and the SCR
-    kernel are both held bit-exact against; ``mapping`` is filled in place.
-    """
-    new_src = np.empty_like(src)
-    new_dst = np.empty_like(dst)
-    for i in range(src.shape[0]):
-        for arr, out in ((dst, new_dst), (src, new_src)):
-            vid = int(arr[i])
-            if vid not in mapping:
-                mapping[vid] = len(mapping)
-            out[i] = mapping[vid]
-    return new_src, new_dst
+def reindexed_result(
+    new_src: np.ndarray,
+    new_dst: np.ndarray,
+    original_vids: np.ndarray,
+    mapping: Optional[Dict[int, int]] = None,
+) -> ReindexResult:
+    """Wrap renumbered endpoints and ``original_vids`` as a :class:`ReindexResult`."""
+    edges = COOGraph(
+        src=new_src,
+        dst=new_dst,
+        num_nodes=max(int(original_vids.shape[0]), 1),
+        name="reindexed",
+        validate_vids=False,
+    )
+    return ReindexResult(mapping=mapping, edges=edges, original_vids=original_vids)
 
 
 def reindex_edges(
-    src: np.ndarray,
-    dst: np.ndarray,
-    mode: str = MODE_VECTORIZED,
-    num_vids: Optional[int] = None,
+    src: np.ndarray, dst: np.ndarray, num_vids: Optional[int] = None
 ) -> ReindexResult:
     """Renumber the VIDs of an edge list to a dense ``[0, n)`` range.
 
     New IDs are assigned in first-encounter order while scanning the
     destination array then the source array edge by edge — the same order the
     hardware reindexer processes the uni-random selection output, so results
-    are directly comparable.  Both modes produce bit-identical results.
-    ``num_vids`` optionally bounds the VID range, enabling the O(n)
-    lookup-table factorization.
+    are directly comparable.  ``num_vids`` optionally bounds the VID range,
+    enabling the O(n) lookup-table factorization.
     """
-    check_mode(mode)
+    codes, original = factorize_first_occurrence(
+        interleave_endpoints(src, dst), num_vids=num_vids
+    )
+    return reindexed_result(
+        codes[1::2].astype(VID_DTYPE, copy=False),
+        codes[0::2].astype(VID_DTYPE, copy=False),
+        original,
+    )
+
+
+def reindex_edges_reference(
+    src: np.ndarray, dst: np.ndarray
+) -> Tuple[ReindexResult, np.ndarray]:
+    """Per-edge hash-map walk: the oracle of :func:`reindex_edges`.
+
+    Assigns IDs in (dst, src) scan order from an empty mapping and records the
+    occupancy each lookup sees: ``len(mapping)`` before it, at least 1 (an
+    empty SRAM bank still takes one scan).  Returns ``(result, occupancy)``;
+    ``reindexing_cycle_count(occupancy, config)`` is the reindexing charge,
+    which the SCR kernel computes from :func:`reindex_mapping_sizes` instead.
+    """
     src = np.asarray(src, dtype=VID_DTYPE)
     dst = np.asarray(dst, dtype=VID_DTYPE)
-    mapping: Optional[Dict[int, int]] = None
-    if mode == MODE_REFERENCE:
-        mapping = {}
-        new_src, new_dst = reindex_edges_reference(src, dst, mapping)
-        original = np.empty(len(mapping), dtype=VID_DTYPE)
-        for vid, new in mapping.items():
-            original[new] = vid
-    else:
-        codes, original = factorize_first_occurrence(
-            interleave_endpoints(src, dst), num_vids=num_vids
-        )
-        new_dst = codes[0::2].astype(VID_DTYPE, copy=False)
-        new_src = codes[1::2].astype(VID_DTYPE, copy=False)
-    num_nodes = int(original.shape[0])
-    edges = COOGraph(
-        src=new_src,
-        dst=new_dst,
-        num_nodes=max(num_nodes, 1),
-        name="reindexed",
-        validate_vids=False,
-    )
-    return ReindexResult(mapping=mapping, edges=edges, original_vids=original)
+    mapping: Dict[int, int] = {}
+    occupancy: List[int] = []
+    new_src = np.empty_like(src)
+    new_dst = np.empty_like(dst)
+    for i in range(src.shape[0]):
+        for arr, out in ((dst, new_dst), (src, new_src)):
+            vid = int(arr[i])
+            occupancy.append(len(mapping))
+            if vid not in mapping:
+                mapping[vid] = len(mapping)
+            out[i] = mapping[vid]
+    # Dicts keep insertion order, which is new-ID order.
+    original = np.array(list(mapping), dtype=VID_DTYPE)
+    result = reindexed_result(new_src, new_dst, original, mapping=mapping)
+    return result, np.maximum(np.array(occupancy, dtype=np.int64), 1)
 
 
-def reindex_subgraph(sample: SampledSubgraph, mode: str = MODE_VECTORIZED) -> ReindexResult:
+def reindex_subgraph(sample: SampledSubgraph) -> ReindexResult:
     """Reindex all layers of a sampled subgraph into one compact edge list."""
     combined = sample.all_edges()
-    return reindex_edges(combined.src, combined.dst, mode=mode, num_vids=combined.num_nodes)
+    return reindex_edges(combined.src, combined.dst, num_vids=combined.num_nodes)
 
 
 def gather_embeddings(embeddings: np.ndarray, result: ReindexResult) -> np.ndarray:

@@ -1,20 +1,16 @@
-"""Neighbour sampling (unique random selection): reference and fast paths.
+"""Neighbour sampling (unique random selection): the fast path and its oracle.
 
 GNN preprocessing samples a fixed number ``k`` of unique neighbours per node
 (node-wise, the only strategy the AutoGNN pipeline of Fig. 14 runs) before
 inference, bounding the node explosion of multi-hop traversal (Section II-B).
 
-The sampler exists in two functionally identical execution modes:
-
-* ``"reference"`` — the per-node Python loop the accelerated implementations
-  are verified against;
-* ``"vectorized"`` — a NumPy fast path that gathers whole frontiers through
-  ``CSCGraph.in_neighbors_batch`` and replaces the per-node loops with
-  segment arithmetic.
-
-Both modes follow the same *priority-draw* rule and consume the RNG stream in
-the same order, so their outputs are bit-identical (see DESIGN.md,
-"Reference vs. vectorized fast path"):
+:func:`node_wise_sample_with_stats` is the one sampler every path runs: it
+gathers whole frontiers through ``CSCGraph.in_neighbors_batch`` and replaces
+per-node loops with segment arithmetic.  :func:`node_wise_sample_reference`
+is its per-node oracle, called only by tests and the preprocessing bench.
+Both follow the same *priority-draw* rule and consume the RNG stream in the
+same order, so their outputs are bit-identical (see DESIGN.md, "The fast path
+and its oracles"):
 
 * a node's candidate set is its unique in-neighbour array, ascending;
 * if the candidate set has at most ``k`` entries it is taken whole and the
@@ -38,19 +34,6 @@ import numpy as np
 
 from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.csc import CSCGraph
-
-#: Execution-mode names shared by the samplers, kernels and pipeline.
-MODE_REFERENCE = "reference"
-MODE_VECTORIZED = "vectorized"
-SAMPLING_MODES = (MODE_REFERENCE, MODE_VECTORIZED)
-
-
-def check_mode(mode: str) -> str:
-    """Validate an execution-mode name and return it."""
-    if mode not in SAMPLING_MODES:
-        raise ValueError(f"unknown execution mode {mode!r}; expected one of {SAMPLING_MODES}")
-    return mode
-
 
 @dataclass
 class SelectionStats:
@@ -116,70 +99,8 @@ class SampledSubgraph:
 
 
 # ---------------------------------------------------------------------------
-# The shared priority-draw rule
+# Fast path: one hop over a whole frontier
 # ---------------------------------------------------------------------------
-def draw_k_smallest(candidates: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Select ``k`` of the ``candidates`` by priority draw; ascending output.
-
-    ``candidates`` must be unique and ascending.  When the set already fits in
-    ``k`` it is returned whole without consuming the RNG; otherwise one
-    priority per candidate is drawn and the ``k`` smallest win (the random
-    64-bit priorities are almost surely distinct, so the winning set does not
-    depend on the sort algorithm).
-    """
-    candidates = np.asarray(candidates, dtype=VID_DTYPE)
-    if candidates.shape[0] <= k:
-        return candidates.copy()
-    priorities = rng.random(candidates.shape[0])
-    winners = np.argsort(priorities)[:k]
-    return candidates[np.sort(winners)]
-
-
-def sample_neighbors(
-    graph: CSCGraph,
-    node: int,
-    k: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample up to ``k`` unique in-neighbours of ``node`` uniformly at random.
-
-    If the node has fewer than ``k`` neighbours, all of them are returned.
-    Uniqueness is guaranteed (priority draw over the unique neighbour set).
-    """
-    unique = np.unique(graph.in_neighbors(node))
-    return draw_k_smallest(unique, k, rng)
-
-
-# ---------------------------------------------------------------------------
-# Per-layer cores (reference loop vs. vectorized segment arithmetic)
-# ---------------------------------------------------------------------------
-def _node_layer_reference(
-    graph: CSCGraph, frontier: np.ndarray, k: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """One node-wise hop, per-node loop.  Returns (src, dst, arrays, draws)."""
-    layer_src: List[int] = []
-    layer_dst: List[int] = []
-    arrays = 0
-    draws = 0
-    for node in frontier.tolist():
-        unique = np.unique(graph.in_neighbors(int(node)))
-        if unique.shape[0] == 0:
-            continue
-        arrays += 1
-        take = min(k, int(unique.shape[0]))
-        draws += take
-        picked = draw_k_smallest(unique, k, rng)
-        for src in picked.tolist():
-            layer_src.append(int(src))
-            layer_dst.append(int(node))
-    return (
-        np.array(layer_src, dtype=VID_DTYPE),
-        np.array(layer_dst, dtype=VID_DTYPE),
-        arrays,
-        draws,
-    )
-
-
 def _unique_per_segment(
     flat: np.ndarray, offsets: np.ndarray, num_nodes: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,10 +142,10 @@ def _node_layer_vectorized(
 ) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """One node-wise hop over the whole frontier with array arithmetic.
 
-    Bit-identical to :func:`_node_layer_reference`: uniques per frontier node
-    are enumerated in the same (node-major, ascending) order, priorities are
-    drawn from the same RNG stream, and stable sorting reproduces the same
-    tie-breaking.
+    Bit-identical to a hop of :func:`node_wise_sample_reference`: uniques per
+    frontier node are enumerated in the same (node-major, ascending) order,
+    priorities are drawn from the same RNG stream, and stable sorting
+    reproduces the same tie-breaking.
     """
     flat, offsets = graph.in_neighbors_batch(frontier)
     values, segments, unique_degrees = _unique_per_segment(flat, offsets, graph.num_nodes)
@@ -237,7 +158,7 @@ def _node_layer_vectorized(
     needs_draw = oversized[segments]
     draw_positions = np.flatnonzero(needs_draw)
     # One flat priority draw covers every oversized segment, assigned in the
-    # same (node-major, ascending-candidate) order the reference loop uses;
+    # same (node-major, ascending-candidate) order the oracle's loop uses;
     # segments that fit in k are taken whole and never touch the RNG.
     num_draw_entries = draw_positions.shape[0]
     priorities = rng.random(num_draw_entries)
@@ -285,17 +206,24 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def _sorted_unique(values: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Sorted distinct VIDs, by boolean scatter or :func:`sorted_unique`.
+def dense_vid_range(num_vids: int, size: int) -> bool:
+    """Whether ``size`` VIDs in ``[0, num_vids)`` are dense enough to scatter.
 
-    The O(n + N) scatter wins when the VID range is comparable to the input
-    size (the dense frontiers of the pipeline); for small inputs against a
-    huge graph it would allocate and scan O(num_nodes) per call, so sparse
-    inputs fall back to a sort.  Both produce the identical array.
+    A scatter over the VID range costs O(size + num_vids) and beats a sort
+    when the range is comparable to the input (the pipeline's frontiers and
+    subgraph endpoints); against a much larger graph it would allocate and
+    scan the whole range, so sparse inputs sort instead.  The one rule
+    :func:`_sorted_unique` and ``reindex.factorize_first_occurrence`` both
+    choose by; each function's two branches return identical arrays.
     """
+    return 0 < num_vids <= 4 * size + 1024
+
+
+def _sorted_unique(values: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Sorted distinct VIDs, by boolean scatter or :func:`sorted_unique`."""
     if values.size == 0:
         return np.empty(0, dtype=VID_DTYPE)
-    if num_nodes <= 4 * values.size + 1024:
+    if dense_vid_range(num_nodes, values.size):
         mask = np.zeros(num_nodes, dtype=bool)
         mask[values] = True
         return np.flatnonzero(mask).astype(VID_DTYPE, copy=False)
@@ -308,20 +236,17 @@ def node_wise_sample_with_stats(
     k: int,
     num_layers: int,
     seed: int = 0,
-    mode: str = MODE_VECTORIZED,
 ) -> Tuple[SampledSubgraph, SelectionStats]:
     """Node-wise sampling plus the work counters the UPE kernel charges for."""
-    check_mode(mode)
     rng = np.random.default_rng(seed)
     batch = np.asarray(list(batch_nodes), dtype=VID_DTYPE)
     frontier = _sorted_unique(batch, graph.num_nodes)
     layers: List[COOGraph] = []
     touched: List[np.ndarray] = [frontier]
     stats = SelectionStats()
-    layer_fn = _node_layer_reference if mode == MODE_REFERENCE else _node_layer_vectorized
 
     for _ in range(num_layers):
-        src, dst, arrays, draws = layer_fn(graph, frontier, k, rng)
+        src, dst, arrays, draws = _node_layer_vectorized(graph, frontier, k, rng)
         stats.arrays += arrays
         stats.draws += draws
         layers.append(COOGraph(src=src, dst=dst, num_nodes=graph.num_nodes, validate_vids=False))
@@ -347,17 +272,70 @@ def node_wise_sample(
     k: int,
     num_layers: int,
     seed: int = 0,
-    mode: str = MODE_VECTORIZED,
 ) -> SampledSubgraph:
     """Node-wise neighbourhood sampling (GraphSAGE-style, Fig. 4a).
 
     Starting from the batch nodes, each hop samples ``k`` unique neighbours of
     every frontier node; the sampled neighbours become the next frontier.
     """
-    sample, _ = node_wise_sample_with_stats(
-        graph, batch_nodes, k, num_layers, seed=seed, mode=mode
+    return node_wise_sample_with_stats(graph, batch_nodes, k, num_layers, seed=seed)[0]
+
+
+def node_wise_sample_reference(
+    graph: CSCGraph,
+    batch_nodes: Sequence[int],
+    k: int,
+    num_layers: int,
+    seed: int = 0,
+) -> Tuple[SampledSubgraph, SelectionStats]:
+    """Per-node oracle of :func:`node_wise_sample_with_stats`.
+
+    Walks every hop node by node: one ``np.unique`` per neighbour array and
+    one ``rng.random`` call per oversized array, with its own frontier dedup.
+    It shares only the result containers with the fast path; tests and the
+    preprocessing bench hold the fast path's sample and stats to it.
+    """
+    rng = np.random.default_rng(seed)
+    batch = np.asarray(list(batch_nodes), dtype=VID_DTYPE)
+    frontier = np.unique(batch)
+    layers: List[COOGraph] = []
+    touched = set(frontier.tolist())
+    stats = SelectionStats()
+    for _ in range(num_layers):
+        layer_src: List[int] = []
+        layer_dst: List[int] = []
+        for node in frontier.tolist():
+            candidates = np.unique(graph.in_neighbors(node))
+            if candidates.shape[0] == 0:
+                continue
+            stats.arrays += 1
+            if candidates.shape[0] > k:
+                winners = np.argsort(rng.random(candidates.shape[0]))[:k]
+                candidates = candidates[np.sort(winners)]
+            stats.draws += int(candidates.shape[0])
+            for src in candidates.tolist():
+                layer_src.append(src)
+                layer_dst.append(node)
+        src = np.array(layer_src, dtype=VID_DTYPE)
+        layers.append(
+            COOGraph(
+                src=src,
+                dst=np.array(layer_dst, dtype=VID_DTYPE),
+                num_nodes=graph.num_nodes,
+                validate_vids=False,
+            )
+        )
+        touched.update(layer_src)
+        frontier = np.unique(src)
+        if frontier.size == 0:
+            break
+    sample = SampledSubgraph(
+        batch_nodes=batch,
+        layers=list(reversed(layers)),
+        sampled_nodes=np.array(sorted(touched), dtype=VID_DTYPE),
+        num_nodes=graph.num_nodes,
     )
-    return sample
+    return sample, stats
 
 
 def expected_sampled_nodes(batch_size: int, k: int, num_layers: int) -> int:

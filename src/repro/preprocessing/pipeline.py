@@ -20,7 +20,7 @@ from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.csc import CSCGraph
 from repro.graph.convert import coo_to_csc, csc_from_ordered, edge_order
 from repro.graph.reindex import ReindexResult, reindex_subgraph
-from repro.graph.sampling import MODE_VECTORIZED, SampledSubgraph, check_mode, node_wise_sample
+from repro.graph.sampling import SampledSubgraph, node_wise_sample
 
 
 @dataclass(frozen=True)
@@ -32,21 +32,14 @@ class PreprocessingConfig:
         num_layers: GNN layer count / sampling hops (paper default 2).
         batch_size: number of inference (batch) nodes (paper default 3000).
         seed: RNG seed used for the random selections.
-        mode: functional execution path — ``"vectorized"`` (fast path, the
-            default) or ``"reference"`` (per-element verification loops);
-            both produce bit-identical results and identical cycle counts.
-            :func:`preprocess` and the device both read it; nothing above the
-            config chooses the path.
     """
 
     k: int = 10
     num_layers: int = 2
     batch_size: int = 3000
     seed: int = 0
-    mode: str = MODE_VECTORIZED
 
     def __post_init__(self) -> None:
-        check_mode(self.mode)
         for name in ("k", "num_layers", "batch_size"):
             value = getattr(self, name)
             if value < 1:
@@ -105,10 +98,8 @@ def preprocess(
     csc = csc_from_ordered(ordered)
     if batch_nodes is None:
         batch_nodes = choose_batch_nodes(graph, config)
-    sample = node_wise_sample(
-        csc, batch_nodes, config.k, config.num_layers, seed=config.seed, mode=config.mode
-    )
-    reindex = reindex_subgraph(sample, mode=config.mode)
+    sample = node_wise_sample(csc, batch_nodes, config.k, config.num_layers, seed=config.seed)
+    reindex = reindex_subgraph(sample)
     # The sampled subgraph is re-converted to CSC for the GNN (Section II-B:
     # reindexing outputs COO, which then undergoes ordering + reshaping).
     return PreprocessingResult(

@@ -20,7 +20,6 @@ from repro.core.accelerator import AutoGNNDevice
 from repro.graph.convert import edge_order
 from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.generators import grow_graph, uniform_random_graph
-from repro.graph.sampling import MODE_REFERENCE, MODE_VECTORIZED
 from repro.preprocessing.pipeline import PreprocessingConfig, preprocess
 
 
@@ -238,11 +237,7 @@ class TestDynamicGraph:
         assert np.array_equal(snapshot.dst, direct.dst)
 
         workload = PreprocessingConfig(k=4, num_layers=2, batch_size=20, seed=3)
-        runs = [
-            AutoGNNDevice().preprocess(graph, replace(workload, mode=mode))
-            for mode in (MODE_VECTORIZED, MODE_REFERENCE)
-            for graph in (snapshot, direct)
-        ]
+        runs = [AutoGNNDevice().preprocess(graph, workload) for graph in (snapshot, direct)]
 
         def arrays(run):
             r = run.result
@@ -338,8 +333,8 @@ def equivalence_deadline():
 )
 def test_snapshots_preprocess_as_their_copies(equivalence_deadline, stream):
     """Every snapshot's results and timing, through the device and the
-    reference pipeline in both modes, equal those of a plain copy, which
-    has no seeded layout and is ordered and reshaped from scratch."""
+    pipeline, equal those of a plain copy, which has no seeded layout and is
+    ordered and reshaped from scratch."""
     if time.monotonic() > equivalence_deadline:
         return
     base, batches = stream
@@ -348,16 +343,13 @@ def test_snapshots_preprocess_as_their_copies(equivalence_deadline, stream):
         snapshot = dynamic.apply(batch)
         plain = snapshot.copy()
         assert snapshot._ordered is not None and plain._ordered is None
-        for mode in (MODE_VECTORIZED, MODE_REFERENCE):
-            config = PreprocessingConfig(
-                k=2, num_layers=2, batch_size=4, seed=batch.step, mode=mode
-            )
-            device, expected = (
-                AutoGNNDevice().preprocess(graph, config) for graph in (snapshot, plain)
-            )
-            _assert_same_results(device.result, expected.result)
-            assert device.timing == expected.timing
-            _assert_same_results(preprocess(snapshot, config), preprocess(plain, config))
+        config = PreprocessingConfig(k=2, num_layers=2, batch_size=4, seed=batch.step)
+        device, expected = (
+            AutoGNNDevice().preprocess(graph, config) for graph in (snapshot, plain)
+        )
+        _assert_same_results(device.result, expected.result)
+        assert device.timing == expected.timing
+        _assert_same_results(preprocess(snapshot, config), preprocess(plain, config))
     assert base._ordered is None
 
 

@@ -5,38 +5,61 @@ import pytest
 
 from repro.graph.convert import coo_to_csc
 from repro.graph.generators import GraphSpec, power_law_graph
-from repro.graph.reindex import gather_embeddings, reindex_edges, reindex_subgraph
+from repro.graph.reindex import (
+    gather_embeddings,
+    reindex_edges,
+    reindex_edges_reference,
+    reindex_subgraph,
+)
 from repro.graph.sampling import node_wise_sample
 
 
+def reindex_edges_oracle(src, dst):
+    """The hash-map oracle's result, without its occupancies."""
+    return reindex_edges_reference(src, dst)[0]
+
+
+#: Every contract below holds for the fast path and for its oracle.
+@pytest.fixture(params=[reindex_edges, reindex_edges_oracle], ids=["fast", "oracle"])
+def reindex(request):
+    return request.param
+
+
 class TestReindexEdges:
-    def test_dense_range(self):
-        result = reindex_edges(np.array([10, 20, 10]), np.array([30, 30, 20]))
+    def test_dense_range(self, reindex):
+        result = reindex(np.array([10, 20, 10]), np.array([30, 30, 20]))
         all_ids = set(result.edges.src.tolist()) | set(result.edges.dst.tolist())
         assert all_ids == set(range(len(result.mapping)))
 
-    def test_first_seen_order_dst_then_src(self):
-        result = reindex_edges(np.array([7]), np.array([9]))
+    def test_first_seen_order_dst_then_src(self, reindex):
+        result = reindex(np.array([7]), np.array([9]))
         assert result.mapping[9] == 0
         assert result.mapping[7] == 1
 
-    def test_mapping_consistency(self):
+    def test_mapping_consistency(self, reindex):
         src = np.array([5, 6, 5, 8])
         dst = np.array([6, 5, 8, 5])
-        result = reindex_edges(src, dst)
+        result = reindex(src, dst)
         for i in range(len(src)):
             assert result.edges.src[i] == result.mapping[int(src[i])]
             assert result.edges.dst[i] == result.mapping[int(dst[i])]
 
-    def test_original_vids_inverse(self):
-        result = reindex_edges(np.array([3, 9, 12]), np.array([9, 3, 3]))
+    def test_original_vids_inverse(self, reindex):
+        result = reindex(np.array([3, 9, 12]), np.array([9, 3, 3]))
         for orig, new in result.mapping.items():
             assert result.original_vids[new] == orig
 
-    def test_empty_edges(self):
-        result = reindex_edges(np.array([], dtype=int), np.array([], dtype=int))
+    def test_empty_edges(self, reindex):
+        result = reindex(np.array([], dtype=int), np.array([], dtype=int))
         assert result.num_sampled_nodes == 0
         assert result.edges.num_edges == 0
+
+    def test_oracle_records_each_lookups_occupancy(self):
+        # Lookups in scan order: 30, 10, 30, 20, 20, 10; an empty bank reads 1.
+        _, occupancy = reindex_edges_reference(
+            np.array([10, 20, 10]), np.array([30, 30, 20])
+        )
+        assert occupancy.tolist() == [1, 1, 2, 2, 3, 3]
 
 
 class TestReindexSubgraph:

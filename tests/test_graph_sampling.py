@@ -7,9 +7,10 @@ from repro.graph.convert import coo_to_csc
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.sampling import (
     _sorted_unique,
+    dense_vid_range,
     expected_sampled_nodes,
     node_wise_sample,
-    sample_neighbors,
+    node_wise_sample_reference,
     sorted_unique,
 )
 
@@ -20,32 +21,31 @@ def csc():
     return coo_to_csc(graph)
 
 
-class TestSampleNeighbors:
+def one_hop_picks(csc, k, seed):
+    """Every node's picks from one hop over all nodes, keyed by node."""
+    layer = node_wise_sample(csc, range(csc.num_nodes), k=k, num_layers=1, seed=seed).layers[0]
+    return {node: layer.src[layer.dst == node] for node in range(csc.num_nodes)}
+
+
+class TestOneHopSelection:
     def test_returns_at_most_k(self, csc):
-        rng = np.random.default_rng(0)
-        for node in range(csc.num_nodes):
-            picked = sample_neighbors(csc, node, 3, rng)
+        for picked in one_hop_picks(csc, 3, seed=0).values():
             assert len(picked) <= 3
 
     def test_unique(self, csc):
-        rng = np.random.default_rng(1)
-        for node in range(csc.num_nodes):
-            picked = sample_neighbors(csc, node, 5, rng)
+        for picked in one_hop_picks(csc, 5, seed=1).values():
             assert len(set(picked.tolist())) == len(picked)
 
     def test_subset_of_neighbors(self, csc):
-        rng = np.random.default_rng(2)
-        for node in range(0, csc.num_nodes, 7):
-            picked = set(sample_neighbors(csc, node, 4, rng).tolist())
-            assert picked.issubset(set(csc.in_neighbors(node).tolist()))
+        for node, picked in one_hop_picks(csc, 4, seed=2).items():
+            assert set(picked.tolist()).issubset(set(csc.in_neighbors(node).tolist()))
 
     def test_small_neighborhood_returned_whole(self, csc):
-        rng = np.random.default_rng(3)
+        picks = one_hop_picks(csc, 10, seed=3)
         for node in range(csc.num_nodes):
             neighbors = np.unique(csc.in_neighbors(node))
-            if neighbors.size <= 2:
-                picked = sample_neighbors(csc, node, 10, rng)
-                assert sorted(picked.tolist()) == sorted(neighbors.tolist())
+            if neighbors.size <= 10:
+                assert picks[node].tolist() == neighbors.tolist()
 
 
 class TestNodeWise:
@@ -123,6 +123,25 @@ class TestSortedUnique:
         want = np.unique(values)
         for got in (_sorted_unique(values, num_nodes), sorted_unique(values)):
             assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "above-threshold"])
+    def test_either_side_of_the_dense_range_rule(self, extra):
+        """A batch whose VID range sits at the shared threshold scatters, one
+        above sorts; both equal ``np.unique``, and the sampler that dedups its
+        batch by the rule equals the oracle."""
+        values = np.array([0, 5, 5, 9, 3, 0, 77], dtype=np.int64)
+        num_nodes = 4 * values.size + 1024 + extra
+        assert dense_vid_range(num_nodes, values.size) == (extra == 0)
+        assert np.array_equal(_sorted_unique(values, num_nodes), np.unique(values))
+        graph = power_law_graph(
+            GraphSpec(num_nodes=num_nodes, num_edges=4000, degree_skew=0.5, seed=5)
+        )
+        csc = coo_to_csc(graph)
+        fast = node_wise_sample(csc, values, k=3, num_layers=2, seed=4)
+        ref, _ = node_wise_sample_reference(csc, values, 3, 2, 4)
+        for a, b in zip(fast.layers, ref.layers):
+            assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
+        assert np.array_equal(fast.sampled_nodes, ref.sampled_nodes)
 
     def test_leaves_its_input_unsorted(self):
         values = np.array([4, 1, 4, 0], dtype=np.int64)

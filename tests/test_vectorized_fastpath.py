@@ -1,15 +1,19 @@
-"""Reference vs. vectorized fast-path equivalence tests.
+"""The vectorized fast path against its per-element oracles.
 
-The contract (DESIGN.md, "Reference vs. vectorized fast path"): for the same
-inputs and seed, the two execution modes produce bit-identical samples,
-bit-identical reindexing output and identical cycle counts.
+The contract (DESIGN.md, "The fast path and its oracles"): for the same
+inputs and seed, the sampler and reindexer every path runs return what the
+oracles ``node_wise_sample_reference`` and ``reindex_edges_reference`` return
+(sample, ``SelectionStats``, reindexed subgraph), the closed-form occupancies
+equal the ones the oracle's walk records, and the device charges the cycles of
+what the oracles counted.
 """
 
 import math
-from dataclasses import replace
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from repro.core.accelerator import AutoGNNDevice
 from repro.core.config import HardwareConfig
@@ -19,25 +23,27 @@ from repro.core.kernels import (
     reindexer_scan_width,
     reindexing_cycle_count,
     reshaping_cycle_count,
+    selection_cycle_count,
 )
-from repro.graph.convert import coo_to_csc, edge_order
-from repro.graph.coo import VID_DTYPE
+from repro.graph.convert import coo_to_csc, csc_from_ordered, edge_order
+from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.dynamic import DynamicGraph, UpdateBatch
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.reindex import (
     factorize_first_occurrence,
     interleave_endpoints,
-    reindex_edges,
+    reindex_edges_reference,
     reindex_mapping_sizes,
+    reindex_subgraph,
 )
 from repro.graph.sampling import (
-    MODE_REFERENCE,
-    MODE_VECTORIZED,
     SampledSubgraph,
+    dense_vid_range,
     node_wise_sample,
+    node_wise_sample_reference,
     node_wise_sample_with_stats,
 )
-from repro.preprocessing.pipeline import PreprocessingConfig, preprocess
+from repro.preprocessing.pipeline import PreprocessingConfig, choose_batch_nodes, preprocess
 
 
 @pytest.fixture
@@ -65,6 +71,14 @@ def assert_samples_equal(a: SampledSubgraph, b: SampledSubgraph):
     assert a.num_nodes == b.num_nodes
 
 
+def assert_reindex_equal(got, want):
+    assert got.mapping == want.mapping
+    assert np.array_equal(got.edges.src, want.edges.src)
+    assert np.array_equal(got.edges.dst, want.edges.dst)
+    assert got.edges.num_nodes == want.edges.num_nodes
+    assert np.array_equal(got.original_vids, want.original_vids)
+
+
 class TestCSCBatchHelpers:
     def test_in_neighbors_batch_matches_per_node(self, csc):
         nodes = np.arange(0, csc.num_nodes, 3)
@@ -90,26 +104,20 @@ class TestSamplerEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 7, 23])
     def test_node_wise_bit_identical(self, csc, seed):
         batch = list(range(0, 60, 2))
-        ref = node_wise_sample(csc, batch, k=4, num_layers=3, seed=seed, mode=MODE_REFERENCE)
-        vec = node_wise_sample(csc, batch, k=4, num_layers=3, seed=seed, mode=MODE_VECTORIZED)
+        ref, ref_stats = node_wise_sample_reference(csc, batch, 4, 3, seed)
+        vec, vec_stats = node_wise_sample_with_stats(csc, batch, 4, 3, seed=seed)
         assert_samples_equal(ref, vec)
-
-    def test_stats_identical(self, csc):
-        _, ref = node_wise_sample_with_stats(csc, [0, 1, 2], 3, 2, seed=5, mode=MODE_REFERENCE)
-        _, vec = node_wise_sample_with_stats(csc, [0, 1, 2], 3, 2, seed=5, mode=MODE_VECTORIZED)
-        assert ref.arrays == vec.arrays
-        assert ref.draws == vec.draws
-        assert vec.draws > 0
+        assert ref_stats == vec_stats
+        assert vec_stats.draws > 0
 
     def test_vectorized_deterministic(self, csc):
-        a = node_wise_sample(csc, [0, 1, 5], k=3, num_layers=2, seed=9, mode=MODE_VECTORIZED)
-        b = node_wise_sample(csc, [0, 1, 5], k=3, num_layers=2, seed=9, mode=MODE_VECTORIZED)
+        a = node_wise_sample(csc, [0, 1, 5], k=3, num_layers=2, seed=9)
+        b = node_wise_sample(csc, [0, 1, 5], k=3, num_layers=2, seed=9)
         assert_samples_equal(a, b)
 
     def test_vectorized_per_node_cap_unique_membership(self, csc):
         k = 4
-        sample = node_wise_sample(csc, list(range(10)), k=k, num_layers=2, seed=2,
-                                  mode=MODE_VECTORIZED)
+        sample = node_wise_sample(csc, list(range(10)), k=k, num_layers=2, seed=2)
         for layer in sample.layers:
             for dst in np.unique(layer.dst):
                 srcs = layer.src[layer.dst == dst]
@@ -118,32 +126,8 @@ class TestSamplerEquivalence:
                 neighbors = set(csc.in_neighbors(int(dst)).tolist())
                 assert set(srcs.tolist()).issubset(neighbors)
 
-    def test_empty_batch(self, csc):
-        ref = node_wise_sample(csc, [], k=3, num_layers=2, seed=0, mode=MODE_REFERENCE)
-        vec = node_wise_sample(csc, [], k=3, num_layers=2, seed=0, mode=MODE_VECTORIZED)
-        assert_samples_equal(ref, vec)
-        assert vec.num_sampled_nodes == 0
-
-    def test_unknown_mode_rejected(self, csc):
-        with pytest.raises(ValueError):
-            node_wise_sample(csc, [0], k=2, num_layers=1, mode="bogus")
-        # The config is the one place a run picks its path, so a bad mode
-        # fails at construction, naming the valid modes.
-        with pytest.raises(ValueError, match="'reference', 'vectorized'"):
-            PreprocessingConfig(mode="bogus")
-
 
 class TestReindexEquivalence:
-    def test_bit_identical_modes(self, csc):
-        sample = node_wise_sample(csc, [0, 1, 2, 3], k=4, num_layers=2, seed=1)
-        combined = sample.all_edges()
-        ref = reindex_edges(combined.src, combined.dst, mode=MODE_REFERENCE)
-        vec = reindex_edges(combined.src, combined.dst, mode=MODE_VECTORIZED)
-        assert ref.mapping == vec.mapping
-        assert np.array_equal(ref.edges.src, vec.edges.src)
-        assert np.array_equal(ref.edges.dst, vec.edges.dst)
-        assert np.array_equal(ref.original_vids, vec.original_vids)
-
     def test_factorize_lut_matches_sort_path(self):
         rng = np.random.default_rng(4)
         values = rng.integers(0, 50, size=500).astype(VID_DTYPE)
@@ -151,6 +135,26 @@ class TestReindexEquivalence:
         codes_gen, orig_gen = factorize_first_occurrence(values)
         assert np.array_equal(codes_lut, codes_gen)
         assert np.array_equal(orig_lut, orig_gen)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "above-threshold"])
+    def test_factorize_either_side_of_the_dense_range_rule(self, extra):
+        """The VID range at the shared threshold scatters, one above sorts;
+        both number the endpoints as the oracle's walk does."""
+        rng = np.random.default_rng(11)
+        num_edges = 300
+        num_vids = 4 * (2 * num_edges) + 1024 + extra
+        assert dense_vid_range(num_vids, 2 * num_edges) == (extra == 0)
+        # Endpoints include the range's last VID, so a short table would fail.
+        src = rng.integers(0, num_vids, size=num_edges)
+        dst = rng.integers(num_vids - 40, num_vids, size=num_edges)
+        codes, original = factorize_first_occurrence(
+            interleave_endpoints(src, dst), num_vids=num_vids
+        )
+        want, occupancy = reindex_edges_reference(src, dst)
+        assert np.array_equal(codes[1::2], want.edges.src)
+        assert np.array_equal(codes[0::2], want.edges.dst)
+        assert np.array_equal(original, want.original_vids)
+        assert np.array_equal(reindex_mapping_sizes(codes), occupancy)
 
     def test_mapping_sizes_closed_form(self):
         rng = np.random.default_rng(6)
@@ -169,14 +173,6 @@ class TestReindexEquivalence:
         src = np.array([1, 2], dtype=VID_DTYPE)
         dst = np.array([3, 4], dtype=VID_DTYPE)
         assert interleave_endpoints(src, dst).tolist() == [3, 1, 4, 2]
-
-    def test_empty(self):
-        ref = reindex_edges(np.array([], dtype=int), np.array([], dtype=int),
-                            mode=MODE_REFERENCE)
-        vec = reindex_edges(np.array([], dtype=int), np.array([], dtype=int),
-                            mode=MODE_VECTORIZED)
-        assert ref.mapping == vec.mapping == {}
-        assert vec.num_sampled_nodes == 0
 
 
 class TestCycleFormulaEquivalence:
@@ -202,53 +198,45 @@ class TestCycleFormulaEquivalence:
         assert reindexing_cycle_count([], config) == 0
 
 
-class TestKernelEquivalence:
-    def test_upe_selection_modes_identical(self, csc, config):
-        kernel = UPEKernel(config)
-        ref, ref_cycles = kernel.unique_random_selection(
-            csc, list(range(12)), k=5, num_layers=2, seed=3, mode=MODE_REFERENCE
-        )
-        vec, vec_cycles = kernel.unique_random_selection(
-            csc, list(range(12)), k=5, num_layers=2, seed=3, mode=MODE_VECTORIZED
-        )
-        assert_samples_equal(ref, vec)
-        assert ref_cycles == vec_cycles
-
-    def test_scr_reindexing_modes_identical(self, csc, config):
-        sample = node_wise_sample(csc, list(range(8)), k=4, num_layers=2, seed=2)
-        kernel = SCRKernel(config)
-        ref_result, ref_cycles = kernel.subgraph_reindexing(sample, mode=MODE_REFERENCE)
-        vec_result, vec_cycles = kernel.subgraph_reindexing(sample, mode=MODE_VECTORIZED)
-        assert ref_result.mapping == vec_result.mapping
-        assert np.array_equal(ref_result.edges.src, vec_result.edges.src)
-        assert np.array_equal(ref_result.edges.dst, vec_result.edges.dst)
-        assert np.array_equal(ref_result.original_vids, vec_result.original_vids)
-        assert ref_cycles == vec_cycles
+#: Pipeline-scale graphs of at least 10k edges, as (nodes, edges, batch):
+#: one whose sample is dense in its VID range, one so sparse that the
+#: frontier dedup and the endpoint factorization take their sort branches.
+PIPELINE_GRAPHS = [(2_000, 10_000, 1_000), (100_000, 20_000, 20_000)]
 
 
 class TestPipelineEquivalence:
-    def test_end_to_end_bit_exact(self, graph):
-        workload = PreprocessingConfig(k=4, num_layers=2, batch_size=32, seed=6)
-        ref = preprocess(graph, replace(workload, mode=MODE_REFERENCE))
+    @pytest.mark.parametrize(
+        "num_nodes, num_edges, batch_size", PIPELINE_GRAPHS, ids=["dense", "sparse"]
+    )
+    def test_pipeline_and_device_cycles_match_the_oracles(
+        self, config, num_nodes, num_edges, batch_size
+    ):
+        """``preprocess`` equals the pipeline with the oracles swapped in, and
+        the fast device's selection and reindexing cycles equal the charge of
+        the oracle's stats and recorded occupancies.  The device's reindexer
+        scans far fewer entries per cycle than the mapping grows to, so an
+        occupancy off by one changes the charge."""
+        graph = power_law_graph(
+            GraphSpec(num_nodes=num_nodes, num_edges=num_edges, degree_skew=0.5, seed=42)
+        )
+        workload = PreprocessingConfig(k=10, num_layers=2, batch_size=batch_size, seed=0)
         vec = preprocess(graph, workload)
-        assert np.array_equal(ref.ordered.src, vec.ordered.src)
-        assert np.array_equal(ref.csc.indptr, vec.csc.indptr)
-        assert_samples_equal(ref.sample, vec.sample)
-        assert ref.reindex.mapping == vec.reindex.mapping
-        assert np.array_equal(ref.reindex.edges.src, vec.reindex.edges.src)
-        assert np.array_equal(ref.reindex.edges.dst, vec.reindex.edges.dst)
-        assert np.array_equal(ref.subgraph_csc.indptr, vec.subgraph_csc.indptr)
-        assert np.array_equal(ref.subgraph_csc.indices, vec.subgraph_csc.indices)
+        sample, stats = node_wise_sample_reference(
+            vec.csc, choose_batch_nodes(graph, workload), workload.k, workload.num_layers, 0
+        )
+        combined = sample.all_edges()
+        reindex, occupancy = reindex_edges_reference(combined.src, combined.dst)
+        assert_samples_equal(vec.sample, sample)
+        assert_reindex_equal(vec.reindex, reindex)
+        subgraph_csc = coo_to_csc(reindex.edges)
+        assert np.array_equal(vec.subgraph_csc.indptr, subgraph_csc.indptr)
+        assert np.array_equal(vec.subgraph_csc.indices, subgraph_csc.indices)
 
-    def test_device_cycles_identical(self, graph):
-        workload = PreprocessingConfig(k=4, num_layers=2, batch_size=32, seed=6)
-        assert workload.mode == MODE_VECTORIZED
-        device = AutoGNNDevice()
-        ref = device.preprocess(graph, replace(workload, mode=MODE_REFERENCE))
-        vec = device.preprocess(graph, workload)
-        assert ref.timing.breakdown() == vec.timing.breakdown()
-        assert ref.timing.total_cycles == vec.timing.total_cycles
-        assert vec.timing.total_cycles > 0
+        timing = AutoGNNDevice(config).preprocess(graph, workload).timing
+        assert timing.selecting_cycles == selection_cycle_count(stats.draws, stats.arrays, config)
+        assert timing.reindexing_cycles == reindexing_cycle_count(occupancy, config)
+        assert occupancy.max() > 10 * reindexer_scan_width(config)
+
 
 class TestSatelliteFixes:
     def test_all_edges_empty_layers_keeps_num_nodes(self):
@@ -308,3 +296,105 @@ class TestSatelliteFixes:
         assert np.array_equal(first.dst, snapshot._ordered.dst)
         # The base graph was never ordered, so it carries no layout either.
         assert graph._ordered is None
+
+
+# --------------------------------------------------------------- property test
+#: A reindexer that scans 4 mappings per cycle and UPEs 4 wide, so the tiny
+#: generated subgraphs cross many scan boundaries.
+NARROW_HARDWARE = HardwareConfig(num_upes=2, upe_width=4, num_scrs=1, scr_width=4)
+
+#: Vertices added to a "sparse" case's graph: far more than its endpoints, so
+#: the frontier dedup and the endpoint factorization take their sort branch.
+SPARSE_EXTRA_NODES = 1_000_000
+
+#: Wall-clock budget of the property sweep: past it, the remaining generated
+#: examples return at once, so a slow host cannot stretch the sweep.  The
+#: pinned examples always run first.
+ORACLE_BUDGET_SECONDS = 20.0
+
+
+@pytest.fixture(scope="module")
+def oracle_deadline():
+    """The monotonic time at which the property sweep's budget runs out."""
+    return time.monotonic() + ORACLE_BUDGET_SECONDS
+
+
+@st.composite
+def oracle_cases(draw):
+    """``(kind, num_nodes, src, dst, batch, k, num_layers, seed)``.
+
+    Endpoints come from the lower half of the VIDs, so the upper half is
+    isolated; a batch may repeat a node or pick an isolated one.
+    """
+    kind = draw(st.sampled_from(["plain", "sparse", "snapshot"]))
+    num_nodes = draw(st.integers(min_value=1, max_value=40))
+    hot = max(num_nodes // 2, 1)
+    num_edges = draw(st.integers(min_value=0, max_value=150))
+    endpoint = st.integers(min_value=0, max_value=hot - 1)
+    src = draw(st.lists(endpoint, min_size=num_edges, max_size=num_edges))
+    dst = draw(st.lists(endpoint, min_size=num_edges, max_size=num_edges))
+    batch = draw(st.lists(st.integers(min_value=0, max_value=num_nodes - 1), max_size=8))
+    k = draw(st.sampled_from([1, 2, 3, 5, 1000]))
+    num_layers = draw(st.integers(min_value=1, max_value=3))
+    return kind, num_nodes, src, dst, batch, k, num_layers, draw(st.integers(0, 2**16))
+
+
+def _case_csc(kind, num_nodes, src, dst):
+    """The CSC a case samples from; a snapshot's comes from its carried layout."""
+    if kind == "sparse":
+        num_nodes += SPARSE_EXTRA_NODES
+    src = np.array(src, dtype=VID_DTYPE)
+    dst = np.array(dst, dtype=VID_DTYPE)
+    if kind != "snapshot":
+        return coo_to_csc(COOGraph(src=src, dst=dst, num_nodes=num_nodes))
+    # A base graph and two update batches: the second apply merges into the
+    # layout the first one seeded.
+    cuts = [0, len(src) // 3, 2 * len(src) // 3, len(src)]
+    base = COOGraph(src=src[: cuts[1]], dst=dst[: cuts[1]], num_nodes=num_nodes)
+    dynamic = DynamicGraph(graph=base)
+    for step in (1, 2):
+        part = slice(cuts[step], cuts[step + 1])
+        snapshot = dynamic.apply(UpdateBatch(step=step, src=src[part], dst=dst[part]))
+    assert snapshot._ordered is not None
+    return csc_from_ordered(edge_order(snapshot))
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(case=oracle_cases())
+# An empty batch; k at the maximum in-degree (node 1 has four neighbours);
+# isolated vertices (7 and 8) in a batch with a repeat; a graph with far more
+# vertices than endpoints; an update-stream snapshot.
+@example(case=("plain", 6, [0, 1, 2, 1], [1, 2, 0, 0], [], 2, 2, 0))
+@example(case=("plain", 8, [0, 1, 2, 3, 0, 2], [1, 1, 1, 1, 3, 3], [1, 3], 4, 2, 5))
+@example(case=("plain", 10, [0, 1, 1, 2], [1, 0, 2, 1], [7, 8, 8, 1], 1, 3, 2))
+@example(case=("sparse", 12, [0, 1, 2, 3, 4, 5, 0], [5, 4, 3, 2, 1, 0, 1], [0, 1, 5], 2, 3, 9))
+@example(
+    case=("snapshot", 9, [0, 1, 2, 3, 0, 2, 3, 1, 4], [1, 2, 3, 0, 2, 1, 1, 3, 0], [0, 2], 2, 2, 1)
+)
+def test_fast_path_matches_oracles(oracle_deadline, case):
+    """Sample, ``SelectionStats``, reindex result and per-lookup occupancy of
+    the fast path equal the oracles', and the kernels charge what the oracles
+    counted."""
+    if time.monotonic() > oracle_deadline:
+        return
+    kind, num_nodes, src, dst, batch, k, num_layers, draw_seed = case
+    csc = _case_csc(kind, num_nodes, src, dst)
+    fast, fast_stats = node_wise_sample_with_stats(csc, batch, k, num_layers, seed=draw_seed)
+    ref, ref_stats = node_wise_sample_reference(csc, batch, k, num_layers, draw_seed)
+    assert_samples_equal(fast, ref)
+    assert fast_stats == ref_stats
+
+    combined = ref.all_edges()
+    want, occupancy = reindex_edges_reference(combined.src, combined.dst)
+    got = reindex_subgraph(fast)
+    assert_reindex_equal(got, want)
+    codes = interleave_endpoints(got.edges.src, got.edges.dst)
+    assert np.array_equal(reindex_mapping_sizes(codes), occupancy)
+
+    _, selecting = UPEKernel(NARROW_HARDWARE).unique_random_selection(
+        csc, batch, k, num_layers, seed=draw_seed
+    )
+    assert selecting == selection_cycle_count(ref_stats.draws, ref_stats.arrays, NARROW_HARDWARE)
+    _, reindexing = SCRKernel(NARROW_HARDWARE).subgraph_reindexing(fast)
+    assert reindexing == reindexing_cycle_count(occupancy, NARROW_HARDWARE)
