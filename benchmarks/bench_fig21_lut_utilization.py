@@ -13,8 +13,8 @@ def reproduce_fig21():
     totals = {"AutoPre": 0.0, "StatPre": 0.0}
     workloads = all_workloads()
     for key, workload in workloads.items():
-        a = auto.evaluate(workload).extras["lut_utilization"]
-        s = stat.evaluate(workload).extras["lut_utilization"]
+        a = auto.evaluate(workload).lut_utilization
+        s = stat.evaluate(workload).lut_utilization
         totals["AutoPre"] += a
         totals["StatPre"] += s
         rows.append([key, round(100 * a, 1), round(100 * s, 1)])

@@ -7,11 +7,19 @@ single-function accelerators (merge-sort, insertion-sort, stream sampler and
 FLAG).  Every system implements the common :class:`~repro.system.base.
 PreprocessingSystem` interface so the benchmark harness can sweep them
 uniformly.
+
+The four baselines share one pass model,
+:class:`~repro.baselines.cpu.SoftwarePreprocessingSystem`: per-task software
+latencies from a fixed calibration (:mod:`repro.baselines.calibration`),
+selection and reindexing divided by a fixed sampling speedup, and per-system
+transfer hops.  GSamp and FPGA are the GPU baseline with a faster sampler.
+The single-function accelerators price AutoGNN's SCR and UPE stages with
+the variants' own cycle counts (:func:`repro.system.variants.task_cycles`).
 """
 
 from repro.system.base import PreprocessingSystem, SystemLatency
 from repro.baselines.calibration import CPU_CALIBRATION, GPU_CALIBRATION, BaselineCalibration
-from repro.baselines.cpu import CPUPreprocessingSystem
+from repro.baselines.cpu import CPUPreprocessingSystem, SoftwarePreprocessingSystem
 from repro.baselines.gpu import GPUPreprocessingSystem, GPUSerializationAnalysis
 from repro.baselines.gsamp import GSampSystem
 from repro.baselines.fpga_sampler import FPGASamplerSystem
@@ -27,6 +35,7 @@ __all__ = [
     "BaselineCalibration",
     "CPU_CALIBRATION",
     "GPU_CALIBRATION",
+    "SoftwarePreprocessingSystem",
     "CPUPreprocessingSystem",
     "GPUPreprocessingSystem",
     "GPUSerializationAnalysis",

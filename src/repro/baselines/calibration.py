@@ -36,8 +36,6 @@ class BaselineCalibration:
         selection_seconds_per_draw: fixed cost of one unique random draw.
         selection_seconds_per_neighbor: extra per-neighbour scan cost of a draw.
         reindexing_seconds_per_endpoint: cost of one hash-map lookup/insert.
-        serialized_fraction: fraction of the redesigned-kernel execution that
-            remains serialized on this platform (Fig. 10a).
         memory_bandwidth: peak DRAM bandwidth in bytes/second.
         access_amplification: extra DRAM traffic factor caused by uncoalesced
             and atomic accesses (used by the bandwidth-utilisation metric).
@@ -49,7 +47,6 @@ class BaselineCalibration:
     selection_seconds_per_draw: float
     selection_seconds_per_neighbor: float
     reindexing_seconds_per_endpoint: float
-    serialized_fraction: float
     memory_bandwidth: float
     access_amplification: float = 1.0
     ordering_fixed_seconds: float = 0.0
@@ -64,7 +61,6 @@ CPU_CALIBRATION = BaselineCalibration(
     selection_seconds_per_draw=220e-9,
     selection_seconds_per_neighbor=1.2e-9,
     reindexing_seconds_per_endpoint=160e-9,
-    serialized_fraction=0.95,
     memory_bandwidth=200e9,
     access_amplification=2.0,
     ordering_fixed_seconds=5e-3,
@@ -79,7 +75,6 @@ GPU_CALIBRATION = BaselineCalibration(
     selection_seconds_per_draw=62e-9,
     selection_seconds_per_neighbor=0.25e-9,
     reindexing_seconds_per_endpoint=20e-9,
-    serialized_fraction=0.641,
     memory_bandwidth=936e9,
     access_amplification=18.0,
     ordering_fixed_seconds=8e-3,

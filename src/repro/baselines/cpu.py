@@ -4,16 +4,20 @@ Functionally the CPU baseline is the reference pipeline; its timing model uses
 the :data:`~repro.baselines.calibration.CPU_CALIBRATION` throughput constants.
 The CPU keeps the graph in host memory, so the only transfer is shipping the
 sampled subgraph (plus gathered features) to the GPU for inference.
+
+This module also holds the pass model every software baseline shares
+(:class:`SoftwarePreprocessingSystem`): the GPU, GSamp and FPGA baselines
+differ from the CPU only in calibration, sampling speedup and transfers.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from abc import abstractmethod
 
 from repro.analysis.metrics import TaskLatencies
 from repro.system.base import PreprocessingSystem, SystemLatency
 from repro.baselines.calibration import CPU_CALIBRATION, BaselineCalibration
-from repro.system.pcie import PCIeLink, TransferBreakdown
+from repro.system.pcie import TransferBreakdown
 from repro.system.workload import WorkloadProfile
 
 
@@ -61,30 +65,49 @@ def software_bandwidth_utilization(
     return min(achieved / calibration.memory_bandwidth, 1.0)
 
 
-class CPUPreprocessingSystem(PreprocessingSystem):
+class SoftwarePreprocessingSystem(PreprocessingSystem):
+    """A preprocessing pass priced by :func:`software_task_latencies`.
+
+    A subclass sets its :attr:`calibration`, the :attr:`sampling_speedup` an
+    accelerated sampler gives selection and reindexing, and the hops it
+    moves data over (:meth:`_transfers`).
+    """
+
+    #: Throughput constants of the platform that runs the pass.
+    calibration: BaselineCalibration
+
+    #: Speedup of the sampling stage (selection + reindexing) over the
+    #: software model; 1.0 for plain DGL, where dividing by it is exact.
+    sampling_speedup: float = 1.0
+
+    @abstractmethod
+    def _transfers(self, workload: WorkloadProfile) -> TransferBreakdown:
+        """The data movement one pass of ``workload`` pays."""
+
+    def evaluate(self, workload: WorkloadProfile) -> SystemLatency:
+        software = software_task_latencies(workload, self.calibration)
+        preprocessing = TaskLatencies(
+            ordering=software.ordering,
+            reshaping=software.reshaping,
+            selecting=software.selecting / self.sampling_speedup,
+            reindexing=software.reindexing / self.sampling_speedup,
+        )
+        return SystemLatency(
+            preprocessing=preprocessing,
+            transfers=self._transfers(workload),
+            bandwidth_utilization=software_bandwidth_utilization(
+                workload, preprocessing, self.calibration
+            ),
+        )
+
+
+class CPUPreprocessingSystem(SoftwarePreprocessingSystem):
     """DGL preprocessing on the host CPU."""
 
     name = "CPU"
     power_platform = "cpu"
+    calibration = CPU_CALIBRATION
 
-    def __init__(
-        self,
-        calibration: BaselineCalibration = CPU_CALIBRATION,
-        pcie: Optional[PCIeLink] = None,
-    ) -> None:
-        super().__init__(pcie=pcie)
-        self.calibration = calibration
-
-    def evaluate(self, workload: WorkloadProfile) -> SystemLatency:
-        preprocessing = software_task_latencies(workload, self.calibration)
-        transfers = TransferBreakdown(
-            # Only the sampled subgraph and its features move to the GPU.
-            host_to_gpu=self.pcie.best_path(workload.subgraph_bytes),
-        )
-        utilization = software_bandwidth_utilization(workload, preprocessing, self.calibration)
-        return SystemLatency(
-            preprocessing=preprocessing,
-            transfers=transfers,
-            bandwidth_utilization=utilization,
-            extras={"serialized_fraction": self.calibration.serialized_fraction},
-        )
+    def _transfers(self, workload: WorkloadProfile) -> TransferBreakdown:
+        # Only the sampled subgraph and its features move to the GPU.
+        return TransferBreakdown(host_to_gpu=self.pcie.best_path(workload.subgraph_bytes))

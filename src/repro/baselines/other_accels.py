@@ -17,20 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.metrics import TaskLatencies
 from repro.system.base import PreprocessingSystem, SystemLatency
-from repro.baselines.calibration import GPU_CALIBRATION, BaselineCalibration
+from repro.baselines.calibration import GPU_CALIBRATION
 from repro.baselines.cpu import software_task_latencies
 from repro.core.config import KERNEL_CLOCK_HZ, HardwareConfig, scaled_default_config
-from repro.core.kernels import (
-    ordering_cycle_count,
-    reshaping_cycle_estimate,
-    reindexing_cycle_estimate,
-    selection_cycle_count,
-)
 from repro.system.pcie import PCIeLink, TransferBreakdown
+from repro.system.variants import task_cycles
 from repro.system.workload import WorkloadProfile
 
 
@@ -89,46 +84,25 @@ FLAG = AcceleratorSpec(
 OTHER_ACCELERATORS: List[AcceleratorSpec] = [MERGE_SORT, INSERTION_SORT, STREAM_SAMPLER, FLAG]
 
 
-def _autognn_scr_latencies(workload: WorkloadProfile, config: HardwareConfig) -> Dict[str, float]:
-    """Reshaping + reindexing latency when AutoGNN's SCR handles them."""
-    reshaping_cycles = reshaping_cycle_estimate(workload.num_edges, workload.num_nodes, config)
-    reindexing_cycles = reindexing_cycle_estimate(
-        2 * workload.sampled_edges, workload.per_seed_subgraph_nodes, config
-    )
-    return {
-        "reshaping": reshaping_cycles / KERNEL_CLOCK_HZ,
-        "reindexing": reindexing_cycles / KERNEL_CLOCK_HZ,
-    }
-
-
-def _autognn_upe_latencies(
-    workload: WorkloadProfile, config: HardwareConfig
-) -> Dict[str, float]:
-    """Ordering + selection latency when AutoGNN's UPE handles them."""
-    ordering_cycles = ordering_cycle_count(workload.num_edges, workload.num_nodes, config)
-    arrays = max(workload.total_selections // max(workload.k, 1), 1)
-    selecting_cycles = selection_cycle_count(workload.total_selections, arrays, config)
-    return {
-        "ordering": ordering_cycles / KERNEL_CLOCK_HZ,
-        "selecting": selecting_cycles / KERNEL_CLOCK_HZ,
-    }
-
-
 class SingleFunctionAccelerator(PreprocessingSystem):
-    """One published accelerator in one of the three Fig. 27 deployments."""
+    """One published accelerator in one of the three Fig. 27 deployments.
+
+    Stages the accelerator does not take run on the GPU
+    (:data:`~repro.baselines.calibration.GPU_CALIBRATION`); AutoGNN's SCR and
+    UPE stages are priced by :func:`~repro.system.variants.task_cycles` on
+    ``base_config``.
+    """
 
     def __init__(
         self,
         spec: AcceleratorSpec,
         deployment: AcceleratorDeployment = AcceleratorDeployment.PURE,
-        calibration: BaselineCalibration = GPU_CALIBRATION,
         pcie: Optional[PCIeLink] = None,
         base_config: Optional[HardwareConfig] = None,
     ) -> None:
         super().__init__(pcie=pcie)
         self.spec = spec
         self.deployment = deployment
-        self.calibration = calibration
         self.base_config = base_config or scaled_default_config()
         self.name = f"{spec.key}-{deployment.value}"
 
@@ -142,16 +116,15 @@ class SingleFunctionAccelerator(PreprocessingSystem):
         return 0.35  # AUTO: the 70 % region is split with AutoGNN's UPE
 
     def evaluate(self, workload: WorkloadProfile) -> SystemLatency:
-        gpu = software_task_latencies(workload, self.calibration)
-        area = self._accelerator_area_fraction()
-        stage_speedup = self.spec.speedup_vs_gpu * area
+        gpu = software_task_latencies(workload, GPU_CALIBRATION)
+        stage_speedup = max(self.spec.speedup_vs_gpu * self._accelerator_area_fraction(), 1e-9)
 
         latencies = gpu.as_dict()
         if self.spec.stage == "ordering":
-            latencies["ordering"] = gpu.ordering / max(stage_speedup, 1e-9)
+            latencies["ordering"] = gpu.ordering / stage_speedup
         else:
-            latencies["selecting"] = gpu.selecting / max(stage_speedup, 1e-9)
-            latencies["reindexing"] = gpu.reindexing / max(stage_speedup, 1e-9)
+            latencies["selecting"] = gpu.selecting / stage_speedup
+            latencies["reindexing"] = gpu.reindexing / stage_speedup
 
         transfers = TransferBreakdown()
         if self.deployment in (AcceleratorDeployment.PURE, AcceleratorDeployment.WITH_SCR):
@@ -164,29 +137,23 @@ class SingleFunctionAccelerator(PreprocessingSystem):
             transfers.host_to_accelerator = self.pcie.best_path(workload.update_bytes)
             transfers.accelerator_to_gpu = self.pcie.best_path(workload.subgraph_bytes)
 
-        if self.deployment in (AcceleratorDeployment.WITH_SCR, AcceleratorDeployment.AUTO):
-            scr_config = self.base_config
-            scr = _autognn_scr_latencies(workload, scr_config)
-            latencies["reshaping"] = scr["reshaping"]
-            latencies["reindexing"] = min(latencies["reindexing"], scr["reindexing"])
-
-        if self.deployment is AcceleratorDeployment.AUTO:
-            # AutoGNN's UPE (half of the UPE region) covers the stage the
+        if self.deployment is not AcceleratorDeployment.PURE:
+            # AutoGNN's SCR takes reshaping and reindexing; under AUTO, its
+            # UPE (half of the UPE region) also covers the stage the
             # published accelerator does not.
             half_upe = self.base_config.with_upe(num_upes=max(self.base_config.num_upes // 2, 1))
-            upe = _autognn_upe_latencies(workload, half_upe)
-            if self.spec.stage == "ordering":
-                latencies["selecting"] = upe["selecting"]
-            else:
-                latencies["ordering"] = upe["ordering"]
+            ordering, reshaping, selecting, reindexing = (
+                cycles / KERNEL_CLOCK_HZ
+                for cycles in task_cycles(workload, half_upe, half_upe, self.base_config)
+            )
+            latencies["reshaping"] = reshaping
+            latencies["reindexing"] = min(latencies["reindexing"], reindexing)
+            if self.deployment is AcceleratorDeployment.AUTO:
+                if self.spec.stage == "ordering":
+                    latencies["selecting"] = selecting
+                else:
+                    latencies["ordering"] = ordering
 
-        preprocessing = TaskLatencies.from_dict(latencies)
         return SystemLatency(
-            preprocessing=preprocessing,
-            transfers=transfers,
-            extras={
-                "deployment": float(list(AcceleratorDeployment).index(self.deployment)),
-                "stage_speedup": stage_speedup,
-            },
+            preprocessing=TaskLatencies.from_dict(latencies), transfers=transfers
         )
-

@@ -14,6 +14,32 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import HardwareConfig, KERNEL_CLOCK_HZ
+from repro.core.kernels import reindexing_cycle_estimate
+
+
+def total_selections(batch_size: int, k: int, num_layers: int) -> int:
+    """Total node selections ``s`` over all hops, the batch nodes included.
+
+    Table I writes ``s = b * k^(l+1) - 1``; we interpret it as the
+    geometric series ``b * (k^(l+1) - 1) / (k - 1)`` (the total number of
+    nodes drawn over all hops including the batch nodes), which is the
+    quantity the selection hardware actually iterates over.
+    """
+    if k <= 1:
+        return batch_size * (num_layers + 1)
+    return int(batch_size * (k ** (num_layers + 1) - 1) // (k - 1))
+
+
+def per_seed_subgraph_nodes(k: int, num_layers: int, num_nodes: int) -> int:
+    """Distinct vertices of one batch node's sampled neighbourhood.
+
+    One seed's share of :func:`total_selections`, capped at the graph's
+    node count (uncapped when ``num_nodes`` is 0).  The reindexer renumbers
+    each seed's neighbourhood against its own mapping, so this bounds the
+    SRAM occupancy per reindexing pass.
+    """
+    per_seed = total_selections(1, k, num_layers)
+    return int(min(per_seed, num_nodes)) if num_nodes else per_seed
 
 
 @dataclass(frozen=True)
@@ -36,30 +62,13 @@ class WorkloadParams:
 
     @property
     def total_selections(self) -> int:
-        """Total node selections ``s``.
-
-        Table I writes ``s = b * k^(l+1) - 1``; we interpret it as the
-        geometric series ``b * (k^(l+1) - 1) / (k - 1)`` (the total number of
-        nodes drawn over all hops including the batch nodes), which is the
-        quantity the selection hardware actually iterates over.
-        """
-        if self.k <= 1:
-            return self.batch_size * (self.num_layers + 1)
-        return int(
-            self.batch_size * (self.k ** (self.num_layers + 1) - 1) // (self.k - 1)
-        )
+        """Total node selections ``s`` (:func:`total_selections`)."""
+        return total_selections(self.batch_size, self.k, self.num_layers)
 
     @property
     def per_seed_subgraph_nodes(self) -> int:
-        """Distinct vertices of one batch node's sampled neighbourhood.
-
-        The reindexer renumbers each seed's neighbourhood against its own
-        mapping, so this bounds the SRAM occupancy per reindexing pass.
-        """
-        if self.k <= 1:
-            return self.num_layers + 1
-        per_seed = (self.k ** (self.num_layers + 1) - 1) // (self.k - 1)
-        return int(min(per_seed, self.num_nodes)) if self.num_nodes else int(per_seed)
+        """One seed's neighbourhood size (:func:`per_seed_subgraph_nodes`)."""
+        return per_seed_subgraph_nodes(self.k, self.num_layers, self.num_nodes)
 
     @classmethod
     def from_graph(
@@ -161,13 +170,15 @@ class CostModel:
         edge).  Each lookup scans the per-seed mapping SRAM through the
         combined filter trees of all SCR slots; because every batch node's
         neighbourhood is reindexed against its own mapping, the mapping stays
-        small and a lookup almost always completes in a single cycle.
+        small and a lookup almost always completes in a single cycle.  The
+        count is :func:`~repro.core.kernels.reindexing_cycle_estimate`'s.
         """
         sampled_edges = max(workload.total_selections - workload.batch_size, 0)
-        mapping_size = workload.per_seed_subgraph_nodes
-        scan_width = config.num_scrs * config.scr_width
-        scans = max(math.ceil((mapping_size / 2) / scan_width), 1)
-        return 2.0 * sampled_edges * scans
+        return float(
+            reindexing_cycle_estimate(
+                2 * sampled_edges, workload.per_seed_subgraph_nodes, config
+            )
+        )
 
     # ------------------------------------------------------------- interface
     def estimate(self, workload: WorkloadParams, config: HardwareConfig) -> CostEstimate:

@@ -337,14 +337,3 @@ def node_wise_sample_reference(
     )
     return sample, stats
 
-
-def expected_sampled_nodes(batch_size: int, k: int, num_layers: int) -> int:
-    """Upper bound on sampled node count: ``b * (k^(l+1) - 1) / (k - 1)``.
-
-    The paper's cost model (Table I) uses the related total-selection count
-    ``s = b * (k^(l+1) - 1)``; this helper gives the geometric-series bound on
-    distinct nodes, useful for sanity checks and memory provisioning.
-    """
-    if k <= 1:
-        return batch_size * (num_layers + 1)
-    return int(batch_size * (k ** (num_layers + 1) - 1) // (k - 1))

@@ -170,7 +170,7 @@ class ReportAggregates:
     dispatch_sum: float
     service_sum: float
     slo_met: int
-    tenants: Optional[Dict[str, TenantStats]] = None
+    tenants: Dict[str, TenantStats]
     served_degraded: int = 0
     slo_met_degraded: int = 0
 
@@ -372,7 +372,7 @@ class ClusterReport:
         per-request records — byte-identically, since both fold sojourns in
         served order.
         """
-        if self.aggregates is not None and self.aggregates.tenants is not None:
+        if self.aggregates is not None:
             return self.aggregates.tenants
         sojourns: Dict[str, List[float]] = {}
         served_count: Dict[str, int] = {}
@@ -535,7 +535,7 @@ def _admission_estimate(
     would join ``open_members``' forming batch.
 
     The conservative default prices a request as a standalone pass
-    (``standalone``).  With ``admission.batch_aware`` and a compatible batch
+    (``standalone``).  With ``ServingConfig.batch_aware`` and a compatible batch
     already forming, the request is priced at its *marginal* merged-batch
     cost when that is lower — the merged pass with the request minus the
     pass already committed to — which is what the batch will actually add
@@ -641,6 +641,7 @@ class _Run:
         "open_deadline", "open_count", "inflight", "inflight_count",
         "pending_estimates", "recent_sheds", "shed", "decisions",
         "notifies_source", "first_arrival", "active_count", "leases",
+        "record_decisions", "batch_aware",
     )
 
     def __init__(
@@ -650,6 +651,8 @@ class _Run:
         self.source = source
         self.slo = slo = config.slo
         self.admission = config.resolved_controller()
+        self.record_decisions = config.record_decisions
+        self.batch_aware = config.batch_aware
         self.autoscaler = autoscaler = config.autoscaler
         self.backend = backend = BACKENDS[cluster.engine](cluster)
         num_shards = cluster.num_shards
@@ -955,7 +958,7 @@ class _Run:
         key, estimate, degraded_workload, degraded_key, degraded_estimate = (
             self.admission_row(request, admission)
         )
-        batch_aware = admission.batch_aware
+        batch_aware = self.batch_aware
         if batch_aware or self.batcher is not None:
             joinable = self.joinable(key, request.tenant)
             if batch_aware and joinable:
@@ -973,7 +976,7 @@ class _Run:
                         joinable,
                     )
         decision = admission.decide(request, now, backlog, estimate, degraded_estimate)
-        if admission.record_decisions:
+        if self.record_decisions:
             self.decisions.append(decision)
         if not decision.admitted:
             self.shed.append(

@@ -11,9 +11,9 @@ construction (``ShardedServiceCluster(engine=, topology=)``,
 
 * **slo** scores the run;
 * **admit=True** sheds against it: each run builds a fresh
-  :class:`~repro.serving.control.AdmissionController` from ``slo`` and the
-  admission knobs (``record_decisions``, ``batch_aware``, ``degradation``)
-  the config carries;
+  :class:`~repro.serving.control.AdmissionController` from ``slo`` and
+  ``degradation``; the run itself reads the other admission knobs
+  (``record_decisions``, ``batch_aware``);
 * **degradation** (a :class:`~repro.serving.control.DegradationPolicy`)
   turns binary shedding into quality-latency tiering: requests whose
   full-quality prediction violates the SLO are downgraded to a cheaper
@@ -88,9 +88,4 @@ class ServingConfig:
         """A fresh admission controller for one run (``None`` = no shedding)."""
         if not self._admits():
             return None
-        return AdmissionController(
-            self.slo,
-            record_decisions=self.record_decisions,
-            batch_aware=self.batch_aware,
-            degradation=self.degradation,
-        )
+        return AdmissionController(self.slo, degradation=self.degradation)

@@ -375,16 +375,12 @@ class AdmissionController:
        guarantee — weighted shedding instead of arrival-order shedding.
 
     All tiers are pure simulated-time bookkeeping on the arrival sequence,
-    so both serving engines drive identical decisions.  The report's
-    decision log can be disabled (``record_decisions=False``) for
-    memory-bounded 100k-request runs — verdicts are unaffected.
-
-    ``batch_aware=True`` opts into batching-aware admission: the serving
-    loops then predict with the *marginal* cost of joining the batch
-    already forming for the request's compatibility key (merged-batch cost
-    minus the forming batch's cost) instead of the conservative standalone
-    per-request estimate.  The controller itself only carries the flag; the
-    loops own the estimate because only they see the open batches.
+    so both serving engines drive identical decisions.  Whether the report
+    logs the decisions and whether an estimate is priced at the marginal
+    cost of joining a forming batch are the run's choices
+    (``ServingConfig.record_decisions`` and ``batch_aware``): the serving
+    loop makes both, because only it sees the open batches, and the
+    controller only ever sees the estimates it is handed.
 
     ``degradation`` (a :class:`DegradationPolicy`) inserts a degraded-quality
     prediction tier between the full-quality prediction and the weighted
@@ -400,13 +396,9 @@ class AdmissionController:
     def __init__(
         self,
         policy: SLOPolicy,
-        record_decisions: bool = True,
-        batch_aware: bool = False,
         degradation: Optional[DegradationPolicy] = None,
     ) -> None:
         self.policy = policy
-        self.record_decisions = record_decisions
-        self.batch_aware = batch_aware
         self.degradation = degradation
         # Per tenant, resolved at its first decision (when its buckets
         # start): ``(quota, limit bucket, guaranteed bucket, SLO by

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from typing import Hashable, List, Optional
 
 from repro.analysis.metrics import EndToEndLatency, TaskLatencies
 from repro.system.pcie import PCIeLink, TransferBreakdown
@@ -32,14 +32,15 @@ class SystemLatency:
         reconfiguration: FPGA reconfiguration latency (seconds, AutoGNN only).
         bandwidth_utilization: fraction of the platform's peak memory bandwidth
             sustained during preprocessing.
-        extras: free-form additional metrics (LUT utilisation, power, ...).
+        lut_utilization: time-averaged fraction of the reconfigurable
+            region doing useful work (AutoGNN variants only; Fig. 21).
     """
 
     preprocessing: TaskLatencies = field(default_factory=TaskLatencies)
     transfers: TransferBreakdown = field(default_factory=TransferBreakdown)
     reconfiguration: float = 0.0
     bandwidth_utilization: float = 0.0
-    extras: Dict[str, float] = field(default_factory=dict)
+    lut_utilization: float = 0.0
 
     @property
     def total(self) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.metrics import TaskLatencies
 from repro.system.base import PreprocessingSystem, SystemLatency
@@ -59,6 +59,30 @@ HOST_SOFTWARE_OVERHEAD_SECONDS: float = 3e-3
 #: Minimum fractional latency improvement DynPre requires before paying the
 #: reconfiguration cost.
 RECONFIGURE_THRESHOLD: float = 0.05
+
+
+def task_cycles(
+    workload: WorkloadProfile,
+    ordering_cfg: HardwareConfig,
+    selection_cfg: HardwareConfig,
+    scr_cfg: HardwareConfig,
+) -> Tuple[int, int, int, int]:
+    """Ordering, reshaping, selecting and reindexing cycles of one pass.
+
+    Each task runs on the configuration effective for it: ordering and
+    selection on the UPE region (``ordering_cfg``, ``selection_cfg``),
+    reshaping and reindexing on the SCR region (``scr_cfg``).  The counts
+    cover the input graph only, not the reindexed subgraph's conversion.
+    """
+    arrays = max(workload.total_selections // max(workload.k, 1), 1)
+    return (
+        ordering_cycle_count(workload.num_edges, workload.num_nodes, ordering_cfg),
+        reshaping_cycle_estimate(workload.num_edges, workload.num_nodes, scr_cfg),
+        selection_cycle_count(workload.total_selections, arrays, selection_cfg),
+        reindexing_cycle_estimate(
+            2 * workload.sampled_edges, workload.per_seed_subgraph_nodes, scr_cfg
+        ),
+    )
 
 
 def tuned_config_for(workload: WorkloadProfile, library: BitstreamLibrary) -> HardwareConfig:
@@ -133,48 +157,23 @@ class AutoGNNVariant(PreprocessingSystem):
     ) -> TaskLatencies:
         """Per-task preprocessing latency with ``config`` loaded."""
         ordering_cfg = self._ordering_config(config)
-        selection_cfg = self._selection_config(config)
-        scr_cfg = config
-        traffic = self._task_bytes(workload)
-
-        ordering_cycles = ordering_cycle_count(
-            workload.num_edges, workload.num_nodes, ordering_cfg
-        )
-        reshaping_cycles = reshaping_cycle_estimate(
-            workload.num_edges, workload.num_nodes, scr_cfg
-        )
-        arrays = max(workload.total_selections // max(workload.k, 1), 1)
-        selecting_cycles = selection_cycle_count(
-            workload.total_selections, arrays, selection_cfg
-        )
-        reindexing_cycles = reindexing_cycle_estimate(
-            2 * workload.sampled_edges, workload.per_seed_subgraph_nodes, scr_cfg
+        ordering, reshaping, selecting, reindexing = task_cycles(
+            workload, ordering_cfg, self._selection_config(config), config
         )
         # The reindexed subgraph is converted once more (ordering + reshaping).
-        sub_ordering = ordering_cycle_count(
+        ordering += ordering_cycle_count(
             workload.sampled_edges, workload.sampled_nodes, ordering_cfg
         )
-        sub_reshaping = reshaping_cycle_estimate(
-            workload.sampled_edges, workload.sampled_nodes, scr_cfg
+        reshaping += reshaping_cycle_estimate(
+            workload.sampled_edges, workload.sampled_nodes, config
         )
-
-        ordering = self._bandwidth_bound(
-            (ordering_cycles + sub_ordering) / self.clock_hz, traffic.ordering
-        )
-        reshaping = self._bandwidth_bound(
-            (reshaping_cycles + sub_reshaping) / self.clock_hz, traffic.reshaping
-        )
-        selecting = self._bandwidth_bound(
-            selecting_cycles / self.clock_hz, traffic.selecting
-        )
-        reindexing = self._bandwidth_bound(
-            reindexing_cycles / self.clock_hz, traffic.reindexing
-        )
+        traffic = self._task_bytes(workload)
+        bound = self._bandwidth_bound
         return TaskLatencies(
-            ordering=ordering,
-            reshaping=reshaping,
-            selecting=selecting,
-            reindexing=reindexing,
+            ordering=bound(ordering / self.clock_hz, traffic.ordering),
+            reshaping=bound(reshaping / self.clock_hz, traffic.reshaping),
+            selecting=bound(selecting / self.clock_hz, traffic.selecting),
+            reindexing=bound(reindexing / self.clock_hz, traffic.reindexing),
         )
 
     def _transfers(self, workload: WorkloadProfile) -> TransferBreakdown:
@@ -247,7 +246,7 @@ class AutoGNNVariant(PreprocessingSystem):
             transfers=self._transfers(workload),
             reconfiguration=reconfiguration,
             bandwidth_utilization=self._bandwidth_utilization(workload, preprocessing),
-            extras={"lut_utilization": self.lut_utilization(preprocessing)},
+            lut_utilization=self.lut_utilization(preprocessing),
         )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
-from repro.core.cost_model import WorkloadParams
+from repro.core.cost_model import WorkloadParams, per_seed_subgraph_nodes, total_selections
 from repro.graph.coo import COOGraph
 from repro.graph.datasets import DATASETS, DatasetInfo
 
@@ -74,9 +74,7 @@ class WorkloadProfile:
     @property
     def total_selections(self) -> int:
         """Total node selections across all hops (geometric series incl. batch)."""
-        if self.k <= 1:
-            return self.batch_size * (self.num_layers + 1)
-        return int(self.batch_size * (self.k ** (self.num_layers + 1) - 1) // (self.k - 1))
+        return total_selections(self.batch_size, self.k, self.num_layers)
 
     @property
     def sampled_edges(self) -> int:
@@ -91,11 +89,7 @@ class WorkloadProfile:
     @property
     def per_seed_subgraph_nodes(self) -> int:
         """Distinct vertices of one batch node's sampled neighbourhood."""
-        if self.k <= 1:
-            per_seed = self.num_layers + 1
-        else:
-            per_seed = (self.k ** (self.num_layers + 1) - 1) // (self.k - 1)
-        return int(min(per_seed, self.num_nodes)) if self.num_nodes else int(per_seed)
+        return per_seed_subgraph_nodes(self.k, self.num_layers, self.num_nodes)
 
     @property
     def graph_bytes(self) -> int:

@@ -74,12 +74,6 @@ class TestSamplingAccelerators:
         assert fpga.transfers.total > gpu.transfers.total
         assert fpga.preprocessing.selecting < gpu.preprocessing.selecting
 
-    def test_invalid_speedup_rejected(self):
-        with pytest.raises(ValueError):
-            GSampSystem(sampling_speedup=0)
-        with pytest.raises(ValueError):
-            FPGASamplerSystem(sampling_speedup=-1)
-
 
 class TestSerializationAnalysis:
     def test_fraction_in_range(self, small_workload, large_workload):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.cost_model import total_selections
 from repro.graph.convert import coo_to_csc
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.sampling import (
     _sorted_unique,
     dense_vid_range,
-    expected_sampled_nodes,
     node_wise_sample,
     node_wise_sample_reference,
     sorted_unique,
@@ -92,17 +92,17 @@ class TestNodeWise:
 
 
 class TestBounds:
-    def test_expected_sampled_nodes_geometric(self):
-        assert expected_sampled_nodes(1, 10, 2) == 111
-        assert expected_sampled_nodes(2, 10, 2) == 222
+    def test_total_selections_geometric(self):
+        assert total_selections(1, 10, 2) == 111
+        assert total_selections(2, 10, 2) == 222
 
-    def test_expected_sampled_nodes_k1(self):
-        assert expected_sampled_nodes(3, 1, 2) == 9
+    def test_total_selections_k1(self):
+        assert total_selections(3, 1, 2) == 9
 
     def test_sample_never_exceeds_bound(self, csc):
         batch = list(range(5))
         sample = node_wise_sample(csc, batch, k=3, num_layers=2, seed=6)
-        assert sample.num_sampled_nodes <= expected_sampled_nodes(5, 3, 2)
+        assert sample.num_sampled_nodes <= total_selections(5, 3, 2)
 
 
 #: A VID range whose ``_sorted_unique`` takes the dense scatter for any input

@@ -113,8 +113,11 @@ class TestValidation:
             degradation=DegradationPolicy(k_factor=0.5),
         )
         controller = config.resolved_controller()
-        assert controller.batch_aware is True
-        assert controller.record_decisions is False
+        # The run reads the batch-aware and decision-log knobs off the
+        # config; the controller carries the policy and the degradation.
+        assert config.batch_aware is True
+        assert config.record_decisions is False
+        assert controller.policy is config.slo
         assert controller.degradation is config.degradation
         # Each run gets its own controller, so no state crosses runs.
         assert config.resolved_controller() is not controller

@@ -67,7 +67,7 @@ def _system_factories():
     factories.update(
         {
             "cpu-slow-link": lambda: CPUPreprocessingSystem(pcie=SLOW_LINK),
-            "gsamp-custom": lambda: GSampSystem(sampling_speedup=3.0, pcie=SLOW_LINK),
+            "gsamp-custom": lambda: GSampSystem(pcie=SLOW_LINK),
             "gpu-renamed": lambda: _renamed(GPUPreprocessingSystem(), "GPU-rack0"),
             "autopre-bandwidth": lambda: AutoPreSystem(device_bandwidth=16e9, clock_hz=250e6),
             "statpre-board": lambda: StatPreSystem(

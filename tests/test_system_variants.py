@@ -43,9 +43,9 @@ class TestVariants:
     def test_lut_utilization_ordering(self, workload_large):
         auto = AutoPreSystem().evaluate(workload_large)
         stat = StatPreSystem().evaluate(workload_large)
-        assert auto.extras["lut_utilization"] < stat.extras["lut_utilization"]
-        assert 0 < auto.extras["lut_utilization"] < 1
-        assert 0 < stat.extras["lut_utilization"] <= 1
+        assert auto.lut_utilization < stat.lut_utilization
+        assert 0 < auto.lut_utilization < 1
+        assert 0 < stat.lut_utilization <= 1
 
     def test_transfers_only_updates_and_subgraph(self, workload_large):
         report = StatPreSystem().evaluate(workload_large)

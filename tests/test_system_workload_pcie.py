@@ -55,6 +55,23 @@ class TestWorkloadProfile:
         w = WorkloadProfile(name="tiny", num_nodes=20, num_edges=100, avg_degree=5, k=10, num_layers=2)
         assert w.per_seed_subgraph_nodes == 20
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 10])
+    @pytest.mark.parametrize("num_layers", [1, 3, 6])
+    @pytest.mark.parametrize("num_nodes", [1, 2, 50, 10**8])
+    def test_cost_params_count_like_the_profile(self, k, num_layers, num_nodes):
+        # The cost model ranks DynPre's candidates and the latency model
+        # scores them, so both must see the same selection counts.  The
+        # node counts fall below and above one seed's neighbourhood.
+        w = WorkloadProfile(
+            name="g", num_nodes=num_nodes, num_edges=4 * num_nodes, avg_degree=4.0,
+            num_layers=num_layers, k=k, batch_size=7,
+        )
+        params = w.to_cost_params()
+        assert params.total_selections == w.total_selections
+        assert params.per_seed_subgraph_nodes == w.per_seed_subgraph_nodes
+        uncapped = w.total_selections // w.batch_size
+        assert w.per_seed_subgraph_nodes == min(uncapped, num_nodes)
+
     def test_cached_batch_key_stays_out_of_value_semantics(self):
         w = WorkloadProfile.from_dataset("AX")
         key = w.batch_key
