@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import HardwareConfig, KERNEL_CLOCK_HZ
-from repro.core.kernels import reindexing_cycle_estimate
+from repro.core.kernels import reindexer_scan_width, reindexing_cycle_estimate
 
 
 def total_selections(batch_size: int, k: int, num_layers: int) -> int:
@@ -122,6 +124,57 @@ class CostEstimate:
         }
 
 
+def _distinct(
+    configs: Sequence[HardwareConfig], key: Callable[[HardwareConfig], Hashable]
+) -> Tuple[Tuple[HardwareConfig, ...], np.ndarray]:
+    """The first configuration of each distinct ``key``, in candidate order,
+    and each candidate's row among them."""
+    rows: Dict[Hashable, int] = {}
+    firsts: List[HardwareConfig] = []
+    index = []
+    for config in configs:
+        variant = key(config)
+        row = rows.get(variant)
+        if row is None:
+            row = rows[variant] = len(firsts)
+            firsts.append(config)
+        index.append(row)
+    return tuple(firsts), np.asarray(index, dtype=np.intp)
+
+
+class CandidateTable:
+    """Candidate configurations as arrays over their distinct region variants.
+
+    Each Table I term reads one region's parameters only: ordering and
+    selecting the UPE region's ``(n_upe, w_upe)``, reshaping the SCR
+    region's ``(n_scr, w_scr)`` and reindexing only their product, the
+    reindexer's scan width.  A staged library pairs every UPE variant
+    with every SCR variant, so its 100 candidates hold only ten distinct
+    variants per region and one scan width.  The table keeps the first
+    candidate of each variant and, per candidate, the row of its variant:
+    the cost model evaluates each term once per variant and gathers.
+
+    Attributes:
+        configs: the candidates, in the order ties are broken by.
+        upe_variants: first candidate of each distinct ``(n_upe, w_upe)``.
+        upe_rows: each candidate's row in ``upe_variants``.
+        scr_variants: first candidate of each distinct ``(n_scr, w_scr)``.
+        scr_rows: each candidate's row in ``scr_variants``.
+        lane_variants: first candidate of each distinct scan width.
+        lane_rows: each candidate's row in ``lane_variants``.
+    """
+
+    def __init__(self, configs: Iterable[HardwareConfig]) -> None:
+        self.configs: Tuple[HardwareConfig, ...] = tuple(configs)
+        self.upe_variants, self.upe_rows = _distinct(
+            self.configs, lambda config: (config.num_upes, config.upe_width)
+        )
+        self.scr_variants, self.scr_rows = _distinct(
+            self.configs, lambda config: (config.num_scrs, config.scr_width)
+        )
+        self.lane_variants, self.lane_rows = _distinct(self.configs, reindexer_scan_width)
+
+
 class CostModel:
     """Evaluates Table I for (hardware configuration, workload) pairs."""
 
@@ -191,29 +244,49 @@ class CostModel:
             config=config,
         )
 
-    def best_configuration(
-        self,
-        workload: WorkloadParams,
-        candidates: Iterable[HardwareConfig],
-    ) -> Tuple[HardwareConfig, CostEstimate]:
-        """Pick the candidate with the lowest total cycle estimate.
+    def ranking(self, workload: WorkloadParams, table: CandidateTable) -> np.ndarray:
+        """Candidate indices by ascending total estimate.
 
-        Raises ``ValueError`` when no candidate is supplied.
+        Each term is evaluated by its scalar method once per distinct region
+        variant and gathered per candidate, so every value equals
+        :meth:`estimate`'s.  Totals sum the terms in
+        :attr:`CostEstimate.total_cycles`' order; the sort is stable, so
+        tied candidates keep the table's order.
         """
-        best: Optional[Tuple[HardwareConfig, CostEstimate]] = None
-        for config in candidates:
-            est = self.estimate(workload, config)
-            if best is None or est.total_cycles < best[1].total_cycles:
-                best = (config, est)
-        if best is None:
-            raise ValueError("no candidate configurations supplied")
-        return best
+
+        def per_variant(term, variants, rows):
+            return np.array([term(workload, c) for c in variants], dtype=np.float64)[rows]
+
+        totals = (
+            per_variant(self.ordering_cycles, table.upe_variants, table.upe_rows)
+            + per_variant(self.selecting_cycles, table.upe_variants, table.upe_rows)
+            + per_variant(self.reshaping_cycles, table.scr_variants, table.scr_rows)
+            + per_variant(self.reindexing_cycles, table.lane_variants, table.lane_rows)
+        )
+        return np.argsort(totals, kind="stable")
 
     def rank_configurations(
         self,
         workload: WorkloadParams,
         candidates: Iterable[HardwareConfig],
     ) -> List[Tuple[HardwareConfig, CostEstimate]]:
-        """All candidates sorted by ascending total estimate."""
-        scored = [(cfg, self.estimate(workload, cfg)) for cfg in candidates]
-        return sorted(scored, key=lambda pair: pair[1].total_cycles)
+        """All candidates sorted by ascending total estimate (ties in
+        candidate order)."""
+        table = CandidateTable(candidates)
+        ranked = [table.configs[i] for i in self.ranking(workload, table).tolist()]
+        return [(config, self.estimate(workload, config)) for config in ranked]
+
+    def best_configuration(
+        self,
+        workload: WorkloadParams,
+        candidates: Iterable[HardwareConfig],
+    ) -> Tuple[HardwareConfig, CostEstimate]:
+        """The candidate with the lowest total estimate (the first of tied ones).
+
+        Raises ``ValueError`` when no candidate is supplied.
+        """
+        table = CandidateTable(candidates)
+        if not table.configs:
+            raise ValueError("no candidate configurations supplied")
+        best = table.configs[int(self.ranking(workload, table)[0])]
+        return best, self.estimate(workload, best)

@@ -31,7 +31,7 @@ from repro.core.config import (
     VPK180,
     scaled_default_config,
 )
-from repro.core.cost_model import CostModel, WorkloadParams
+from repro.core.cost_model import CandidateTable, CostModel, WorkloadParams
 from repro.core.kernels import (
     ordering_cycle_count,
     reindexing_cycle_estimate,
@@ -125,6 +125,9 @@ class AutoGNNVariant(PreprocessingSystem):
         self.clock_hz = clock_hz
         if device_bandwidth is None:
             device_bandwidth = getattr(board, "dram_bandwidth", DEVICE_BANDWIDTH)
+        #: The device DRAM's peak bandwidth, and the share of it the
+        #: streaming datapaths sustain (bytes/second).
+        self.peak_bandwidth = device_bandwidth
         self.device_bandwidth = device_bandwidth * DEVICE_BANDWIDTH_EFFICIENCY
 
     # ------------------------------------------------------------- components
@@ -195,7 +198,7 @@ class AutoGNNVariant(PreprocessingSystem):
         if latencies.total <= 0:
             return 0.0
         achieved = traffic.total / latencies.total
-        return min(achieved / (DEVICE_BANDWIDTH), 1.0)
+        return min(achieved / self.peak_bandwidth, 1.0)
 
     #: Whether the UPE and SCR stages of this variant overlap (stream through
     #: each other) or execute strictly serially.
@@ -301,9 +304,9 @@ class DynPreSystem(AutoGNNVariant):
         self.library = library or generate_bitstream_library(board)
         self.cost_model = CostModel()
         self.reconfig = ReconfigurationController(self.library, self.config)
-        # The library's configurations, built on first use and shared with
-        # every replica: the library is immutable.
-        self._candidates: Optional[List[HardwareConfig]] = None
+        # The library's configurations as a cost-model table, built on first
+        # use and shared with every replica: the library is immutable.
+        self._candidates: Optional[CandidateTable] = None
         self._new_memos()
 
     def _new_memos(self) -> None:
@@ -311,10 +314,10 @@ class DynPreSystem(AutoGNNVariant):
         # configured_for memo: the decision is pure given (config, workload),
         # and the locality dispatch policy queries it per shard per batch.
         self._configured_cache: Dict[tuple, bool] = {}
-        # _latency_with memo: the bandwidth-aware latency model is pure given
-        # (config, workload shape); choose_config re-evaluates a shortlist of
-        # candidates per pass, so repeated workloads hit this cache.
-        self._latency_cache: Dict[tuple, float] = {}
+        # _compute_task_latencies memo: the bandwidth-aware latency model is
+        # pure given (config, workload shape).  choose_config scores a
+        # shortlist per shape, and evaluate then reads the loaded pair's entry.
+        self._latency_cache: Dict[tuple, TaskLatencies] = {}
         # choose_config's shortlist memo: the cost model's top-ranked
         # candidates are pure given the workload's cost parameters (the
         # candidates are the immutable library's).
@@ -332,7 +335,7 @@ class DynPreSystem(AutoGNNVariant):
         with each other, never with this system: a cluster's shards rank
         each shape once, and the template's memos stay as they were.
         """
-        self._candidate_configs()
+        self._candidate_table()
         prototype = copy.copy(self)
         prototype._new_memos()
         clones = [copy.copy(prototype) for _ in range(count)]
@@ -341,11 +344,24 @@ class DynPreSystem(AutoGNNVariant):
         return clones
 
     # ---------------------------------------------------------- configuration
-    def _candidate_configs(self) -> List[HardwareConfig]:
+    def _candidate_table(self) -> CandidateTable:
         """Every staged configuration (the loaded one when none is staged)."""
         if self._candidates is None:
-            self._candidates = self.library.configurations() or [self.config]
+            self._candidates = CandidateTable(self.library.configurations() or [self.config])
         return self._candidates
+
+    def _compute_task_latencies(
+        self, workload: WorkloadProfile, config: HardwareConfig
+    ) -> TaskLatencies:
+        """Per-task latency with ``config`` loaded, memoized on (configuration,
+        workload shape): the model is pure given those.  The memo's values
+        are shared by every pass that hits them and never mutated."""
+        cache_key = (config, workload.batch_key, workload.batch_size)
+        latencies = self._latency_cache.get(cache_key)
+        if latencies is None:
+            latencies = super()._compute_task_latencies(workload, config)
+            self._latency_cache[cache_key] = latencies
+        return latencies
 
     def _latency_with(self, config: HardwareConfig, workload: WorkloadProfile) -> float:
         """Predicted per-pass preprocessing latency under ``config``.
@@ -353,28 +369,24 @@ class DynPreSystem(AutoGNNVariant):
         The cost model of Table I ranks candidates quickly, but the final
         decision uses the variant's own latency model (which includes the
         device-DRAM bandwidth bound) so that a reconfiguration is only paid
-        for when it actually shortens the pass.  Memoized on
-        (configuration, workload shape): the model is pure given those.
+        for when it actually shortens the pass.
         """
-        cache_key = (config, workload.batch_key, workload.batch_size)
-        latency = self._latency_cache.get(cache_key)
-        if latency is None:
-            latency = self._compute_task_latencies(workload, config).total
-            self._latency_cache[cache_key] = latency
-        return latency
+        return self._compute_task_latencies(workload, config).total
 
     def choose_config(self, workload: WorkloadProfile) -> HardwareConfig:
         """Best candidate configuration for ``workload``.
 
-        The Table I cost model pre-ranks the candidates; the best-ranked ones
-        and the loaded pair are then re-evaluated with the bandwidth-aware
-        latency model.  The ranking is memoized per cost parameters.
+        The Table I cost model ranks the candidates as arrays; the eight
+        best-ranked (ties in library order) and the loaded pair are then
+        re-evaluated with the bandwidth-aware latency model.  The shortlist
+        is memoized per cost parameters.
         """
         params = workload.to_cost_params()
         shortlist = self._shortlists.get(params)
         if shortlist is None:
-            ranked = self.cost_model.rank_configurations(params, self._candidate_configs())
-            shortlist = [cfg for cfg, _ in ranked[:8]]
+            table = self._candidate_table()
+            ranking = self.cost_model.ranking(params, table)
+            shortlist = [table.configs[i] for i in ranking[:8].tolist()]
             self._shortlists[params] = shortlist
         return min(
             shortlist + [self.config], key=lambda cfg: self._latency_with(cfg, workload)

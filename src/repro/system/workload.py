@@ -71,22 +71,24 @@ class WorkloadProfile:
             raise ValueError(f"quality must be one of {QUALITY_TIERS}, got {self.quality!r}")
 
     # ------------------------------------------------------------ quantities
-    @property
+    # The selection counts are read a few dozen times per priced pass, so
+    # they are built once per profile, as :attr:`batch_key` is.
+    @cached_property
     def total_selections(self) -> int:
         """Total node selections across all hops (geometric series incl. batch)."""
         return total_selections(self.batch_size, self.k, self.num_layers)
 
-    @property
+    @cached_property
     def sampled_edges(self) -> int:
         """Edges in the sampled subgraph (one per non-batch selection)."""
         return max(self.total_selections - self.batch_size, 0)
 
-    @property
+    @cached_property
     def sampled_nodes(self) -> int:
         """Distinct vertices in the sampled subgraph (bounded by the graph)."""
         return min(self.total_selections, self.num_nodes) if self.num_nodes else self.total_selections
 
-    @property
+    @cached_property
     def per_seed_subgraph_nodes(self) -> int:
         """Distinct vertices of one batch node's sampled neighbourhood."""
         return per_seed_subgraph_nodes(self.k, self.num_layers, self.num_nodes)

@@ -1,9 +1,14 @@
 """Tests for the Table I cost model."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.bitstream import generate_bitstream_library
 from repro.core.config import HardwareConfig
-from repro.core.cost_model import CostModel, WorkloadParams
+from repro.core.cost_model import CandidateTable, CostModel, WorkloadParams
+from repro.graph.datasets import DATASETS
+from repro.system.workload import WorkloadProfile
 
 
 @pytest.fixture
@@ -111,6 +116,78 @@ class TestSelection:
         ranked = model.rank_configurations(workload, candidates)
         totals = [est.total_cycles for _, est in ranked]
         assert totals == sorted(totals)
+
+    def test_exact_ties_keep_candidate_order(self):
+        # Node-bound reshaping and one-scan reindexing: the SCR width does
+        # not move the total, so these two candidates tie exactly.
+        workload = WorkloadParams(num_nodes=100_000, num_edges=50_000, batch_size=10)
+        model = CostModel()
+        wide = HardwareConfig(num_upes=64, upe_width=64, num_scrs=4, scr_width=256)
+        narrow = HardwareConfig(num_upes=64, upe_width=64, num_scrs=4, scr_width=128)
+        slow = HardwareConfig(num_upes=8, upe_width=64, num_scrs=4, scr_width=128)
+        assert model.estimate(workload, wide).total_cycles == (
+            model.estimate(workload, narrow).total_cycles
+        )
+        for candidates in ([slow, wide, narrow], [slow, narrow, wide]):
+            ranked = [config for config, _ in model.rank_configurations(workload, candidates)]
+            assert ranked == [candidates[1], candidates[2], slow]
+            assert model.best_configuration(workload, candidates)[0] is candidates[1]
+
+    def test_duplicate_candidates_are_all_ranked(self, workload, config):
+        model = CostModel()
+        other = HardwareConfig(num_upes=4, upe_width=64, num_scrs=1, scr_width=64)
+        twin = replace(config)
+        ranked = model.rank_configurations(workload, [other, config, twin, config])
+        assert [c for c, _ in ranked][:3] == [config, twin, config]
+        assert ranked[0][0] is config and ranked[1][0] is twin
+        assert len({repr(estimate) for _, estimate in ranked[:3]}) == 1
+        assert model.best_configuration(workload, [twin, config])[0] is twin
+
+    def test_single_candidate(self, workload, config):
+        model = CostModel()
+        [(ranked, estimate)] = model.rank_configurations(workload, [config])
+        assert ranked is config
+        assert estimate == model.estimate(workload, config)
+        assert model.best_configuration(workload, [config]) == (config, estimate)
+
+    def test_empty_candidate_list(self, workload):
+        model = CostModel()
+        assert model.rank_configurations(workload, []) == []
+        with pytest.raises(ValueError):
+            model.best_configuration(workload, [])
+
+    def test_array_ranking_equals_the_scalar_sort(self):
+        """The ranking of the staged library equals a stable sort of the
+        one-config estimates, value for value, over a grid of workloads and
+        a 0-edge graph."""
+        model = CostModel()
+        configs = generate_bitstream_library().configurations()
+        workloads = [WorkloadParams(num_nodes=10, num_edges=0, batch_size=4)] + [
+            WorkloadProfile.from_dataset(
+                key, k=k, batch_size=batch_size, num_layers=layers
+            ).to_cost_params()
+            for key in DATASETS
+            for batch_size in (1, 1000, 12000)
+            for k in (0, 1, 10, 25)
+            for layers in (1, 3)
+        ]
+        for params in workloads:
+            scored = [(c, model.estimate(params, c)) for c in configs]
+            expected = sorted(scored, key=lambda pair: pair[1].total_cycles)
+            assert model.rank_configurations(params, configs) == expected
+            assert model.best_configuration(params, configs)[0] is expected[0][0]
+
+    def test_candidate_table_groups_region_variants(self):
+        configs = generate_bitstream_library().configurations()
+        table = CandidateTable(configs)
+        assert table.configs == tuple(configs)
+        assert len(configs) == len(table.upe_variants) * len(table.scr_variants)
+        assert len(table.lane_variants) == 1
+        for i, config in enumerate(configs):
+            upe = table.upe_variants[table.upe_rows[i]]
+            scr = table.scr_variants[table.scr_rows[i]]
+            assert (upe.num_upes, upe.upe_width) == (config.num_upes, config.upe_width)
+            assert (scr.num_scrs, scr.scr_width) == (config.num_scrs, config.scr_width)
 
     def test_from_graph_constructor(self, small_graph):
         params = WorkloadParams.from_graph(small_graph, num_layers=3, k=5, batch_size=7)

@@ -857,7 +857,7 @@ class TestFastEngineExtras:
         assert first._configured_cache is second._configured_cache
         assert first._shortlists is second._shortlists
         assert first._candidates is second._candidates
-        assert first._candidates == template.preprocessing.library.configurations()
+        assert first._candidates.configs == tuple(template.preprocessing.library.configurations())
         assert first.cost_model is second.cost_model
         assert first.reconfig is not second.reconfig
         trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=400.0, seed=5).trace(30)

@@ -6,6 +6,7 @@ import repro.system.variants as variants
 from repro.core.bitstream import BitstreamLibrary, generate_bitstream_library
 from repro.core.reconfig import FULL_RECONFIG_SECONDS
 from repro.graph.datasets import DATASET_ORDER
+from repro.system.boards import board_by_name
 from repro.system.variants import (
     HOST_SOFTWARE_OVERHEAD_SECONDS,
     RECONFIGURE_THRESHOLD,
@@ -34,6 +35,30 @@ class TestVariants:
             assert report.preprocessing.total > 0
             assert report.transfers.total > 0
             assert 0 <= report.bandwidth_utilization <= 1
+
+    @pytest.mark.parametrize("board_name", ["Artix-7 200T", "Kintex UltraScale KU115"])
+    def test_bandwidth_utilization_is_a_fraction_of_the_boards_own_peak(
+        self, board_name, workload_large
+    ):
+        board = board_by_name(board_name).resources()
+        system = StatPreSystem(board=board)
+        report = system.evaluate(workload_large)
+        achieved = system._task_bytes(workload_large).total / report.preprocessing.total
+        assert system.peak_bandwidth == board.dram_bandwidth < 64e9
+        assert report.bandwidth_utilization == min(achieved / board.dram_bandwidth, 1.0)
+        # A streaming pass on a narrow-memory board is bandwidth bound: it
+        # keeps its own DRAM about as busy as the VPK180 pass keeps 64 GB/s.
+        assert 0.9 < report.bandwidth_utilization <= 1.0
+
+    def test_bandwidth_utilization_follows_a_given_device_bandwidth(self, workload_large):
+        system = StatPreSystem(device_bandwidth=16e9)
+        report = system.evaluate(workload_large)
+        achieved = system._task_bytes(workload_large).total / report.preprocessing.total
+        assert system.peak_bandwidth == 16e9
+        assert report.bandwidth_utilization == min(achieved / 16e9, 1.0)
+        assert report.bandwidth_utilization > StatPreSystem().evaluate(
+            workload_large
+        ).bandwidth_utilization
 
     def test_autopre_not_faster_than_statpre(self, workload_large):
         auto = AutoPreSystem().evaluate(workload_large)
@@ -209,7 +234,7 @@ class TestDynPre:
         loaded = system.config
         assert system._candidates is None
         assert system.choose_config(workload_small) == loaded
-        assert system._candidates == [loaded]
+        assert system._candidates.configs == (loaded,)
         for workload in (workload_small, workload_large):
             assert system.configured_for(workload)
             assert system.evaluate(workload).reconfiguration == 0.0
