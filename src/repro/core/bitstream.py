@@ -11,7 +11,6 @@ reprogrammed independently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -22,6 +21,7 @@ from repro.core.config import (
     LUTS_PER_SCR_ELEMENT,
     LUTS_PER_UPE_ELEMENT,
     VPK180,
+    power_of_two_floor,
 )
 
 #: Size of one partial bitstream file staged in device DRAM (Section V-B).
@@ -85,20 +85,7 @@ class BitstreamLibrary:
 
     def configurations(self) -> List[HardwareConfig]:
         """Every UPE x SCR combination expressible with the staged bitstreams."""
-        configs = []
-        for upe in self.upe_variants:
-            for scr in self.scr_variants:
-                configs.append(
-                    HardwareConfig(
-                        num_upes=upe.count,
-                        upe_width=upe.width,
-                        num_scrs=scr.count,
-                        scr_width=scr.width,
-                        scr_area_fraction=self.scr_area_fraction,
-                        board=self.board,
-                    )
-                )
-        return configs
+        return [self.config_for(upe, scr) for upe in self.upe_variants for scr in self.scr_variants]
 
     def config_for(self, upe: Bitstream, scr: Bitstream) -> HardwareConfig:
         """Build the :class:`HardwareConfig` for a specific bitstream pair."""
@@ -112,10 +99,18 @@ class BitstreamLibrary:
         )
 
 
-def _power_of_two_floor(value: int) -> int:
-    if value < 1:
-        return 1
-    return 1 << int(math.floor(math.log2(value)))
+def _halving_series(
+    region: str, budget_elements: int, min_width: int, max_variants: int
+) -> Tuple[Bitstream, ...]:
+    """One block as wide as ``budget_elements`` allows (a power of two), then
+    each variant halves the width and doubles the count, down to
+    ``min_width`` or ``max_variants`` variants."""
+    widest = power_of_two_floor(budget_elements)
+    return tuple(
+        Bitstream(region=region, count=1 << i, width=widest >> i)
+        for i in range(max_variants)
+        if widest >> i >= min_width
+    )
 
 
 def generate_bitstream_library(
@@ -133,26 +128,13 @@ def generate_bitstream_library(
     reconfigurable = board.reconfigurable_luts()
     upe_budget = int(reconfigurable * (1.0 - scr_area_fraction))
     scr_budget = int(reconfigurable * scr_area_fraction)
-
-    upe_variants: List[Bitstream] = []
-    width = _power_of_two_floor(upe_budget // LUTS_PER_UPE_ELEMENT)
-    count = 1
-    while len(upe_variants) < max_variants_per_region and width >= MIN_UPE_WIDTH:
-        upe_variants.append(Bitstream(region="upe", count=count, width=width))
-        width //= 2
-        count *= 2
-
-    scr_variants: List[Bitstream] = []
-    width = _power_of_two_floor(scr_budget // LUTS_PER_SCR_ELEMENT)
-    count = 1
-    while len(scr_variants) < max_variants_per_region and width >= MIN_SCR_WIDTH:
-        scr_variants.append(Bitstream(region="scr", count=count, width=width))
-        width //= 2
-        count *= 2
-
     return BitstreamLibrary(
-        upe_variants=tuple(upe_variants),
-        scr_variants=tuple(scr_variants),
+        upe_variants=_halving_series(
+            "upe", upe_budget // LUTS_PER_UPE_ELEMENT, MIN_UPE_WIDTH, max_variants_per_region
+        ),
+        scr_variants=_halving_series(
+            "scr", scr_budget // LUTS_PER_SCR_ELEMENT, MIN_SCR_WIDTH, max_variants_per_region
+        ),
         scr_area_fraction=scr_area_fraction,
         board=board,
     )

@@ -9,7 +9,6 @@ validated against a board's resource budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -155,6 +154,11 @@ class HardwareConfig:
         )
 
 
+def power_of_two_floor(value: int) -> int:
+    """Largest power of two not above ``value`` (1 when ``value`` is below 1)."""
+    return 1 << (max(value, 1).bit_length() - 1)
+
+
 def max_upes_for_budget(budget_luts: int, upe_width: int) -> int:
     """Largest UPE count of the given width that fits in ``budget_luts``."""
     per_upe = upe_width * LUTS_PER_UPE_ELEMENT
@@ -166,10 +170,7 @@ def max_scr_width_for_budget(budget_luts: int, num_scrs: int) -> int:
     per_lane = num_scrs * LUTS_PER_SCR_ELEMENT
     if per_lane <= 0:
         return 1
-    width = budget_luts // per_lane
-    if width < 1:
-        return 1
-    return 2 ** int(math.floor(math.log2(width)))
+    return power_of_two_floor(budget_luts // per_lane)
 
 
 def scaled_default_config(board: FPGAResources = VPK180) -> HardwareConfig:
@@ -184,8 +185,7 @@ def scaled_default_config(board: FPGAResources = VPK180) -> HardwareConfig:
     scr_budget = int(reconfigurable * scr_fraction)
     # Round the UPE count down to a power of two so the default configuration
     # coincides with one of the staged bitstream variants (Section V-B).
-    num_upes = max_upes_for_budget(upe_budget, 64)
-    num_upes = 2 ** int(math.floor(math.log2(num_upes))) if num_upes > 1 else 1
+    num_upes = power_of_two_floor(max_upes_for_budget(upe_budget, 64))
     scr_width = max_scr_width_for_budget(scr_budget, 1)
     return HardwareConfig(
         num_upes=num_upes,

@@ -9,14 +9,14 @@ hyperparameters).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import HardwareConfig, KERNEL_CLOCK_HZ
-from repro.core.kernels import reindexer_scan_width, reindexing_cycle_estimate
+from repro.core import merge
+from repro.core.kernels import reindexing_cycle_estimate
 
 
 def total_selections(batch_size: int, k: int, num_layers: int) -> int:
@@ -124,55 +124,27 @@ class CostEstimate:
         }
 
 
-def _distinct(
-    configs: Sequence[HardwareConfig], key: Callable[[HardwareConfig], Hashable]
-) -> Tuple[Tuple[HardwareConfig, ...], np.ndarray]:
-    """The first configuration of each distinct ``key``, in candidate order,
-    and each candidate's row among them."""
-    rows: Dict[Hashable, int] = {}
-    firsts: List[HardwareConfig] = []
-    index = []
-    for config in configs:
-        variant = key(config)
-        row = rows.get(variant)
-        if row is None:
-            row = rows[variant] = len(firsts)
-            firsts.append(config)
-        index.append(row)
-    return tuple(firsts), np.asarray(index, dtype=np.intp)
-
-
 class CandidateTable:
-    """Candidate configurations as arrays over their distinct region variants.
+    """Candidate configurations as one configuration whose fields are columns.
 
-    Each Table I term reads one region's parameters only: ordering and
-    selecting the UPE region's ``(n_upe, w_upe)``, reshaping the SCR
-    region's ``(n_scr, w_scr)`` and reindexing only their product, the
-    reindexer's scan width.  A staged library pairs every UPE variant
-    with every SCR variant, so its 100 candidates hold only ten distinct
-    variants per region and one scan width.  The table keeps the first
-    candidate of each variant and, per candidate, the row of its variant:
-    the cost model evaluates each term once per variant and gathers.
+    ``num_upes``, ``upe_width``, ``num_scrs`` and ``scr_width`` are int64
+    arrays, one entry per candidate, so every Table I term of
+    :class:`CostModel` evaluates the whole table with the same expression
+    that evaluates one :class:`~repro.core.config.HardwareConfig`.
 
     Attributes:
         configs: the candidates, in the order ties are broken by.
-        upe_variants: first candidate of each distinct ``(n_upe, w_upe)``.
-        upe_rows: each candidate's row in ``upe_variants``.
-        scr_variants: first candidate of each distinct ``(n_scr, w_scr)``.
-        scr_rows: each candidate's row in ``scr_variants``.
-        lane_variants: first candidate of each distinct scan width.
-        lane_rows: each candidate's row in ``lane_variants``.
     """
 
     def __init__(self, configs: Iterable[HardwareConfig]) -> None:
         self.configs: Tuple[HardwareConfig, ...] = tuple(configs)
-        self.upe_variants, self.upe_rows = _distinct(
-            self.configs, lambda config: (config.num_upes, config.upe_width)
-        )
-        self.scr_variants, self.scr_rows = _distinct(
-            self.configs, lambda config: (config.num_scrs, config.scr_width)
-        )
-        self.lane_variants, self.lane_rows = _distinct(self.configs, reindexer_scan_width)
+        rows = [(c.num_upes, c.upe_width, c.num_scrs, c.scr_width) for c in self.configs]
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        self.num_upes, self.upe_width, self.num_scrs, self.scr_width = columns
+
+
+#: One configuration or a whole candidate table: every Table I term takes either.
+Configs = Union[HardwareConfig, CandidateTable]
 
 
 class CostModel:
@@ -182,39 +154,40 @@ class CostModel:
         self.clock_hz = clock_hz
 
     # --------------------------------------------------------------- Table I
+    # Each term is one NumPy expression: a HardwareConfig gives a scalar, a
+    # CandidateTable an array with one entry per candidate.
     @staticmethod
-    def merge_rounds(num_edges: int, upe_width: int) -> int:
-        """``m = log2(e / w_upe) - 1`` merging rounds (at least zero)."""
-        if num_edges <= upe_width:
-            return 0
-        return max(int(math.ceil(math.log2(num_edges / upe_width))) - 1, 0)
+    def merge_rounds(num_edges: int, upe_width: int | np.ndarray) -> np.integer | np.ndarray:
+        """``m = log2(e / w_upe) - 1`` merging rounds (at least zero), counted
+        exactly: one round fewer than merging the ``ceil(e / w_upe)`` chunks
+        takes (:func:`repro.core.merge.merge_rounds`)."""
+        return np.maximum(merge.merge_rounds(-(-num_edges // upe_width)) - 1, 0)
 
-    def ordering_cycles(self, workload: WorkloadParams, config: HardwareConfig) -> float:
+    def ordering_cycles(self, workload: WorkloadParams, config: Configs) -> float | np.ndarray:
         """Edge-ordering estimate: ``2 * m * e / (n_upe * w_upe)``."""
         e = workload.num_edges
         if e == 0:
             return 0.0
-        m = self.merge_rounds(e, config.upe_width)
         throughput = config.num_upes * config.upe_width
         # Local chunk sorting contributes one additional pass over the edges
         # even when no merging is needed.
-        effective_rounds = max(m, 1)
+        effective_rounds = np.maximum(self.merge_rounds(e, config.upe_width), 1)
         return 2.0 * effective_rounds * e / throughput
 
-    def selecting_cycles(self, workload: WorkloadParams, config: HardwareConfig) -> float:
+    def selecting_cycles(self, workload: WorkloadParams, config: Configs) -> float | np.ndarray:
         """Unique-random-selection estimate: ``s / n_upe``."""
         return workload.total_selections / config.num_upes
 
-    def reshaping_cycles(self, workload: WorkloadParams, config: HardwareConfig) -> float:
+    def reshaping_cycles(self, workload: WorkloadParams, config: Configs) -> float | np.ndarray:
         """Data-reshaping estimate: ``max(n / n_scr, e / w_scr)``."""
         if workload.num_edges == 0:
             return 0.0
-        return max(
+        return np.maximum(
             workload.num_nodes / config.num_scrs,
             workload.num_edges / config.scr_width,
         )
 
-    def reindexing_cycles(self, workload: WorkloadParams, config: HardwareConfig) -> float:
+    def reindexing_cycles(self, workload: WorkloadParams, config: Configs) -> int | np.ndarray:
         """Subgraph-reindexing estimate: one filter-tree lookup per endpoint.
 
         Not part of Table I (the paper folds it into the selection path); the
@@ -227,54 +200,35 @@ class CostModel:
         count is :func:`~repro.core.kernels.reindexing_cycle_estimate`'s.
         """
         sampled_edges = max(workload.total_selections - workload.batch_size, 0)
-        return float(
-            reindexing_cycle_estimate(
-                2 * sampled_edges, workload.per_seed_subgraph_nodes, config
-            )
+        return reindexing_cycle_estimate(
+            2 * sampled_edges, workload.per_seed_subgraph_nodes, config
         )
 
     # ------------------------------------------------------------- interface
     def estimate(self, workload: WorkloadParams, config: HardwareConfig) -> CostEstimate:
-        """Full per-task estimate for one configuration."""
+        """Full per-task estimate for one configuration, as Python floats."""
         return CostEstimate(
-            ordering_cycles=self.ordering_cycles(workload, config),
-            selecting_cycles=self.selecting_cycles(workload, config),
-            reshaping_cycles=self.reshaping_cycles(workload, config),
-            reindexing_cycles=self.reindexing_cycles(workload, config),
+            ordering_cycles=float(self.ordering_cycles(workload, config)),
+            selecting_cycles=float(self.selecting_cycles(workload, config)),
+            reshaping_cycles=float(self.reshaping_cycles(workload, config)),
+            reindexing_cycles=float(self.reindexing_cycles(workload, config)),
             config=config,
         )
 
     def ranking(self, workload: WorkloadParams, table: CandidateTable) -> np.ndarray:
         """Candidate indices by ascending total estimate.
 
-        Each term is evaluated by its scalar method once per distinct region
-        variant and gathered per candidate, so every value equals
-        :meth:`estimate`'s.  Totals sum the terms in
-        :attr:`CostEstimate.total_cycles`' order; the sort is stable, so
-        tied candidates keep the table's order.
+        The terms are the ones :meth:`estimate` evaluates, over the table's
+        columns, summed in :attr:`CostEstimate.total_cycles`' order; the sort
+        is stable, so tied candidates keep the table's order.
         """
-
-        def per_variant(term, variants, rows):
-            return np.array([term(workload, c) for c in variants], dtype=np.float64)[rows]
-
         totals = (
-            per_variant(self.ordering_cycles, table.upe_variants, table.upe_rows)
-            + per_variant(self.selecting_cycles, table.upe_variants, table.upe_rows)
-            + per_variant(self.reshaping_cycles, table.scr_variants, table.scr_rows)
-            + per_variant(self.reindexing_cycles, table.lane_variants, table.lane_rows)
+            self.ordering_cycles(workload, table)
+            + self.selecting_cycles(workload, table)
+            + self.reshaping_cycles(workload, table)
+            + self.reindexing_cycles(workload, table)
         )
         return np.argsort(totals, kind="stable")
-
-    def rank_configurations(
-        self,
-        workload: WorkloadParams,
-        candidates: Iterable[HardwareConfig],
-    ) -> List[Tuple[HardwareConfig, CostEstimate]]:
-        """All candidates sorted by ascending total estimate (ties in
-        candidate order)."""
-        table = CandidateTable(candidates)
-        ranked = [table.configs[i] for i in self.ranking(workload, table).tolist()]
-        return [(config, self.estimate(workload, config)) for config in ranked]
 
     def best_configuration(
         self,

@@ -161,11 +161,18 @@ def reindexing_cycle_count(
     return int(scans.sum())
 
 
-def reindexing_cycle_estimate(num_endpoints: int, mapping_size: int, config: HardwareConfig) -> int:
-    """Reindexing cycles from aggregate counts (average mapping occupancy of 1/2)."""
+def reindexing_cycle_estimate(
+    num_endpoints: int, mapping_size: int, config: HardwareConfig
+) -> int | np.ndarray:
+    """Reindexing cycles from aggregate counts (average mapping occupancy of 1/2).
+
+    Each lookup takes ``max(ceil((mapping_size / 2) / scan width), 1)``
+    cycles.  ``config`` may be a :class:`~repro.core.cost_model.CandidateTable`:
+    the count then broadcasts over its columns.
+    """
     if num_endpoints == 0:
         return 0
-    avg_scan = max(int(math.ceil((mapping_size / 2) / reindexer_scan_width(config))), 1)
+    avg_scan = -(-max(mapping_size, 1) // (2 * reindexer_scan_width(config)))
     return num_endpoints * avg_scan
 
 

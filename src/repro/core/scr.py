@@ -237,17 +237,6 @@ class Reshaper:
         # counts[v] currently holds "#edges with dst < v" for v in [0, n].
         return indptr[: num_nodes + 1].astype(VID_DTYPE)
 
-    def estimated_cycles(self, num_edges: int, num_nodes: int) -> int:
-        """Cost-model envelope for reshaping (Table I): ``max(n/n_scr, e/w_scr)``."""
-        if num_edges == 0:
-            return 0
-        return int(
-            max(
-                math.ceil(num_nodes / self.num_scrs),
-                math.ceil(num_edges / self.scr_width),
-            )
-        )
-
 
 class Reindexer:
     """SCR-kernel controller that renumbers sampled VIDs (subgraph reindexing).

@@ -9,7 +9,7 @@ turns it into CSC.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -128,22 +128,6 @@ class COOGraph:
         return int(degrees.max()) if degrees.size else 0
 
     # ------------------------------------------------------------ operations
-    @classmethod
-    def from_edge_list(
-        cls, edges: Iterable[Tuple[int, int]], num_nodes: Optional[int] = None, name: str = ""
-    ) -> "COOGraph":
-        """Build a COO graph from an iterable of ``(src, dst)`` pairs."""
-        pairs = list(edges)
-        if pairs:
-            src = np.array([p[0] for p in pairs], dtype=VID_DTYPE)
-            dst = np.array([p[1] for p in pairs], dtype=VID_DTYPE)
-        else:
-            src = np.empty(0, dtype=VID_DTYPE)
-            dst = np.empty(0, dtype=VID_DTYPE)
-        if num_nodes is None:
-            num_nodes = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1 if pairs else 0
-        return cls(src=src, dst=dst, num_nodes=num_nodes, name=name)
-
     def concatenate_vids(self) -> np.ndarray:
         """Concatenate (dst, src) VID pairs into single 64-bit sort keys.
 

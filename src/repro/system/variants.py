@@ -304,9 +304,10 @@ class DynPreSystem(AutoGNNVariant):
         self.library = library or generate_bitstream_library(board)
         self.cost_model = CostModel()
         self.reconfig = ReconfigurationController(self.library, self.config)
-        # The library's configurations as a cost-model table, built on first
-        # use and shared with every replica: the library is immutable.
-        self._candidates: Optional[CandidateTable] = None
+        # Every staged configuration (the loaded one when none is staged) as
+        # a cost-model table, shared with every replica: the library is
+        # immutable.
+        self._candidates = CandidateTable(self.library.configurations() or [self.config])
         self._new_memos()
 
     def _new_memos(self) -> None:
@@ -335,7 +336,6 @@ class DynPreSystem(AutoGNNVariant):
         with each other, never with this system: a cluster's shards rank
         each shape once, and the template's memos stay as they were.
         """
-        self._candidate_table()
         prototype = copy.copy(self)
         prototype._new_memos()
         clones = [copy.copy(prototype) for _ in range(count)]
@@ -344,12 +344,6 @@ class DynPreSystem(AutoGNNVariant):
         return clones
 
     # ---------------------------------------------------------- configuration
-    def _candidate_table(self) -> CandidateTable:
-        """Every staged configuration (the loaded one when none is staged)."""
-        if self._candidates is None:
-            self._candidates = CandidateTable(self.library.configurations() or [self.config])
-        return self._candidates
-
     def _compute_task_latencies(
         self, workload: WorkloadProfile, config: HardwareConfig
     ) -> TaskLatencies:
@@ -384,9 +378,8 @@ class DynPreSystem(AutoGNNVariant):
         params = workload.to_cost_params()
         shortlist = self._shortlists.get(params)
         if shortlist is None:
-            table = self._candidate_table()
-            ranking = self.cost_model.ranking(params, table)
-            shortlist = [table.configs[i] for i in ranking[:8].tolist()]
+            ranking = self.cost_model.ranking(params, self._candidates)
+            shortlist = [self._candidates.configs[i] for i in ranking[:8].tolist()]
             self._shortlists[params] = shortlist
         return min(
             shortlist + [self.config], key=lambda cfg: self._latency_with(cfg, workload)

@@ -49,6 +49,17 @@ settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
+# ------------------------------------------------------------------- oracles
+def loop_merge_rounds(num_chunks: int) -> int:
+    """Pairwise merge rounds counted by halving the run count, one round at
+    a time: the oracle of ``repro.core.merge.merge_rounds``."""
+    rounds = 0
+    while num_chunks > 1:
+        num_chunks = (num_chunks + 1) // 2
+        rounds += 1
+    return rounds
+
+
 # ------------------------------------------------------------ serving helpers
 def make_profile(name: str = "synth", batch_size: int = 100, **kwargs) -> WorkloadProfile:
     """A small synthetic workload profile (kwargs override the defaults)."""

@@ -1,14 +1,39 @@
 """Tests for the Table I cost model."""
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from conftest import loop_merge_rounds
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.core.bitstream import generate_bitstream_library
 from repro.core.config import HardwareConfig
 from repro.core.cost_model import CandidateTable, CostModel, WorkloadParams
 from repro.graph.datasets import DATASETS
 from repro.system.workload import WorkloadProfile
+
+
+def term_columns(model, params, table):
+    """Each Table I term over ``table``, broadcast to one value per candidate."""
+    return {
+        f"{term}_cycles": np.broadcast_to(
+            getattr(model, f"{term}_cycles")(params, table), table.num_upes.shape
+        )
+        for term in ("ordering", "selecting", "reshaping", "reindexing")
+    }
+
+
+def log2_merge_rounds(num_edges, upe_width):
+    """The ``math.log2`` form of Table I's ``m``, kept as an oracle."""
+    if num_edges <= upe_width:
+        return 0
+    return max(int(math.ceil(math.log2(num_edges / upe_width))) - 1, 0)
+
+
+#: The staged library's UPE widths (powers of two, as HardwareConfig requires).
+LIBRARY_WIDTHS = sorted({b.width for b in generate_bitstream_library().upe_variants})
 
 
 @pytest.fixture
@@ -26,6 +51,28 @@ class TestFormulas:
         assert CostModel.merge_rounds(64, 64) == 0
         assert CostModel.merge_rounds(1024, 64) == 3
         assert CostModel.merge_rounds(10_000, 64) == 7
+
+    def test_merge_rounds_are_exact_at_powers_of_two(self):
+        """Every library width x ``2^r +- 3`` for ``r < 40``, scalar and as a
+        column, where a rounded ``log2`` could slip: the count is one round
+        fewer than merging the ``ceil(e / w)`` chunks takes, and equals the
+        ``math.log2`` form wherever that form is exact (``e < 2^49``)."""
+        widths = np.array(LIBRARY_WIDTHS, dtype=np.int64)
+        for r in range(40):
+            for delta in range(-3, 4):
+                for w in LIBRARY_WIDTHS:
+                    e = max(w * 2**r + delta, 0)
+                    exact = max(loop_merge_rounds(-(-e // w)) - 1, 0)
+                    assert CostModel.merge_rounds(e, w) == exact
+                    assert CostModel.merge_rounds(e, widths)[LIBRARY_WIDTHS.index(w)] == exact
+                    if e < 2**49:
+                        assert exact == log2_merge_rounds(e, w)
+
+    @seed(20240607)
+    @given(st.integers(0, 2**48 - 1), st.sampled_from(LIBRARY_WIDTHS))
+    @settings(max_examples=300, deadline=None)
+    def test_merge_rounds_equal_the_log2_form_on_random_draws(self, num_edges, width):
+        assert CostModel.merge_rounds(num_edges, width) == log2_merge_rounds(num_edges, width)
 
     def test_ordering_matches_table1(self, workload, config):
         model = CostModel()
@@ -89,6 +136,8 @@ class TestScaling:
         assert estimate.total_cycles > 0
         assert estimate.latency_seconds() > 0
         assert set(estimate.breakdown()) == {"ordering", "selecting", "reshaping", "reindexing"}
+        # Python floats, not NumPy scalars: the model goldens compare reprs.
+        assert all(type(value) is float for value in estimate.breakdown().values())
 
 
 class TestSelection:
@@ -106,15 +155,16 @@ class TestSelection:
         with pytest.raises(ValueError):
             CostModel().best_configuration(workload, [])
 
-    def test_rank_configurations_sorted(self, workload):
+    def test_ranking_sorted(self, workload):
         model = CostModel()
         candidates = [
             HardwareConfig(num_upes=4, upe_width=64, num_scrs=1, scr_width=64),
             HardwareConfig(num_upes=32, upe_width=64, num_scrs=2, scr_width=512),
             HardwareConfig(num_upes=128, upe_width=64, num_scrs=8, scr_width=1024),
         ]
-        ranked = model.rank_configurations(workload, candidates)
-        totals = [est.total_cycles for _, est in ranked]
+        ranking = model.ranking(workload, CandidateTable(candidates)).tolist()
+        assert sorted(ranking) == [0, 1, 2]
+        totals = [model.estimate(workload, candidates[i]).total_cycles for i in ranking]
         assert totals == sorted(totals)
 
     def test_exact_ties_keep_candidate_order(self):
@@ -129,39 +179,38 @@ class TestSelection:
             model.estimate(workload, narrow).total_cycles
         )
         for candidates in ([slow, wide, narrow], [slow, narrow, wide]):
-            ranked = [config for config, _ in model.rank_configurations(workload, candidates)]
-            assert ranked == [candidates[1], candidates[2], slow]
+            assert model.ranking(workload, CandidateTable(candidates)).tolist() == [1, 2, 0]
             assert model.best_configuration(workload, candidates)[0] is candidates[1]
 
     def test_duplicate_candidates_are_all_ranked(self, workload, config):
         model = CostModel()
         other = HardwareConfig(num_upes=4, upe_width=64, num_scrs=1, scr_width=64)
         twin = replace(config)
-        ranked = model.rank_configurations(workload, [other, config, twin, config])
-        assert [c for c, _ in ranked][:3] == [config, twin, config]
-        assert ranked[0][0] is config and ranked[1][0] is twin
-        assert len({repr(estimate) for _, estimate in ranked[:3]}) == 1
+        table = CandidateTable([other, config, twin, config])
+        assert model.ranking(workload, table).tolist() == [1, 2, 3, 0]
+        assert model.best_configuration(workload, [other, config, twin])[0] is config
         assert model.best_configuration(workload, [twin, config])[0] is twin
 
     def test_single_candidate(self, workload, config):
         model = CostModel()
-        [(ranked, estimate)] = model.rank_configurations(workload, [config])
-        assert ranked is config
+        assert model.ranking(workload, CandidateTable([config])).tolist() == [0]
+        best, estimate = model.best_configuration(workload, [config])
+        assert best is config
         assert estimate == model.estimate(workload, config)
-        assert model.best_configuration(workload, [config]) == (config, estimate)
 
     def test_empty_candidate_list(self, workload):
         model = CostModel()
-        assert model.rank_configurations(workload, []) == []
+        assert model.ranking(workload, CandidateTable([])).tolist() == []
         with pytest.raises(ValueError):
             model.best_configuration(workload, [])
 
     def test_array_ranking_equals_the_scalar_sort(self):
-        """The ranking of the staged library equals a stable sort of the
-        one-config estimates, value for value, over a grid of workloads and
-        a 0-edge graph."""
+        """Every term over the staged library's table equals the one-config
+        estimates, value for value, and the ranking equals a stable sort of
+        their totals, over a grid of workloads and a 0-edge graph."""
         model = CostModel()
         configs = generate_bitstream_library().configurations()
+        table = CandidateTable(configs)
         workloads = [WorkloadParams(num_nodes=10, num_edges=0, batch_size=4)] + [
             WorkloadProfile.from_dataset(
                 key, k=k, batch_size=batch_size, num_layers=layers
@@ -172,22 +221,22 @@ class TestSelection:
             for layers in (1, 3)
         ]
         for params in workloads:
-            scored = [(c, model.estimate(params, c)) for c in configs]
-            expected = sorted(scored, key=lambda pair: pair[1].total_cycles)
-            assert model.rank_configurations(params, configs) == expected
-            assert model.best_configuration(params, configs)[0] is expected[0][0]
+            estimates = [model.estimate(params, c) for c in configs]
+            for term, values in term_columns(model, params, table).items():
+                assert values.tolist() == [getattr(est, term) for est in estimates]
+            expected = sorted(range(len(configs)), key=lambda i: estimates[i].total_cycles)
+            assert model.ranking(params, table).tolist() == expected
+            assert model.best_configuration(params, configs)[0] is configs[expected[0]]
 
-    def test_candidate_table_groups_region_variants(self):
+    def test_candidate_table_columns(self):
         configs = generate_bitstream_library().configurations()
         table = CandidateTable(configs)
         assert table.configs == tuple(configs)
-        assert len(configs) == len(table.upe_variants) * len(table.scr_variants)
-        assert len(table.lane_variants) == 1
-        for i, config in enumerate(configs):
-            upe = table.upe_variants[table.upe_rows[i]]
-            scr = table.scr_variants[table.scr_rows[i]]
-            assert (upe.num_upes, upe.upe_width) == (config.num_upes, config.upe_width)
-            assert (scr.num_scrs, scr.scr_width) == (config.num_scrs, config.scr_width)
+        for field in ("num_upes", "upe_width", "num_scrs", "scr_width"):
+            column = getattr(table, field)
+            assert column.dtype == np.int64
+            assert column.tolist() == [getattr(config, field) for config in configs]
+        assert CandidateTable([]).num_upes.shape == (0,)
 
     def test_from_graph_constructor(self, small_graph):
         params = WorkloadParams.from_graph(small_graph, num_layers=3, k=5, batch_size=7)

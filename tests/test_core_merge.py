@@ -1,7 +1,8 @@
 """Tests for Algorithm 1: UPE-based merge sorting."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from conftest import loop_merge_rounds
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.core.merge import merge_rounds, upe_merge, upe_merge_sort
 from repro.core.upe import UPE
@@ -9,11 +10,29 @@ from repro.core.upe import UPE
 
 class TestMergeRounds:
     def test_values(self):
+        assert merge_rounds(0) == 0
         assert merge_rounds(1) == 0
         assert merge_rounds(2) == 1
         assert merge_rounds(3) == 2
         assert merge_rounds(8) == 3
         assert merge_rounds(9) == 4
+
+    def test_scalar_count_is_a_python_int(self):
+        assert type(merge_rounds(5)) is int
+        assert type(merge_rounds(np.int64(5))) is int
+
+    def test_equals_the_halving_loop(self):
+        counts = np.arange(1 << 16, dtype=np.int64)
+        expected = [loop_merge_rounds(n) for n in counts.tolist()]
+        assert merge_rounds(counts).tolist() == expected
+        assert [merge_rounds(n) for n in range(1 << 12)] == expected[: 1 << 12]
+
+    @seed(7)
+    @given(st.integers(0, 2**52 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_halving_loop_on_random_counts(self, num_chunks):
+        assert merge_rounds(num_chunks) == loop_merge_rounds(num_chunks)
+        assert merge_rounds(np.array([num_chunks])).tolist() == [loop_merge_rounds(num_chunks)]
 
 
 class TestUPEMerge:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import HardwareConfig
+from repro.core.cost_model import CostModel, WorkloadParams
 from repro.core.kernels import reindexing_cycle_count
 from repro.core.scr import SCR, AdderTree, ComparatorBank, FilterTree, Reindexer, Reshaper
 from repro.graph.convert import build_pointer_array, edge_order
@@ -100,7 +101,10 @@ class TestReshaper:
         reshaper = Reshaper([SCR(width=16)])
         reshaper.build_pointer_array(ordered.dst, graph.num_nodes)
         assert reshaper.stats.cycles > 0
-        assert reshaper.stats.cycles >= reshaper.estimated_cycles(graph.num_edges, graph.num_nodes) * 0.5
+        envelope = CostModel().reshaping_cycles(
+            WorkloadParams.from_graph(graph), HardwareConfig(num_scrs=1, scr_width=16)
+        )
+        assert reshaper.stats.cycles >= envelope * 0.5
 
     @given(st.integers(1, 30), st.integers(0, 150), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

@@ -40,16 +40,6 @@ class TestConstruction:
         assert g.avg_degree == 0.0
         assert g.is_sorted()
 
-    def test_from_edge_list(self):
-        g = COOGraph.from_edge_list([(0, 1), (2, 3)])
-        assert g.num_nodes == 4
-        assert g.num_edges == 2
-
-    def test_from_empty_edge_list(self):
-        g = COOGraph.from_edge_list([])
-        assert g.num_nodes == 0
-        assert g.num_edges == 0
-
 
 class TestDegrees:
     def test_in_degrees(self):

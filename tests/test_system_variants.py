@@ -232,9 +232,8 @@ class TestDynPre:
     ):
         system = DynPreSystem(library=BitstreamLibrary())
         loaded = system.config
-        assert system._candidates is None
-        assert system.choose_config(workload_small) == loaded
         assert system._candidates.configs == (loaded,)
+        assert system.choose_config(workload_small) == loaded
         for workload in (workload_small, workload_large):
             assert system.configured_for(workload)
             assert system.evaluate(workload).reconfiguration == 0.0
