@@ -40,7 +40,7 @@ import heapq
 import zlib
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -975,23 +975,20 @@ class _Run:
                         degraded_workload.batch_size,
                         joinable,
                     )
-        decision = admission.decide(request, now, backlog, estimate, degraded_estimate)
-        if self.record_decisions:
-            self.decisions.append(decision)
-        if not decision.admitted:
-            self.shed.append(
-                ShedRecord(
-                    request=request,
-                    shed_seconds=now,
-                    predicted_sojourn=decision.predicted_sojourn,
-                    slo_seconds=decision.slo_seconds,
-                )
-            )
+        admitted, degraded, predicted, slo = admission.decide(
+            request, now, backlog, estimate, degraded_estimate,
+            self.decisions if self.record_decisions else None,
+        )
+        if not admitted:
+            self.shed.append(ShedRecord(request, now, predicted, slo))
             self.recent_sheds.append(now)
             self.source.on_shed(request, now)
             return
-        if decision.degraded:
-            request = replace(request, workload=degraded_workload)
+        if degraded:
+            request = InferenceRequest(
+                request.request_id, request.arrival_seconds, degraded_workload,
+                request.tenant,
+            )
             key = degraded_key
             estimate = degraded_estimate
         pending[request.request_id] = estimate

@@ -10,9 +10,12 @@ cluster's online event loop (:meth:`~repro.serving.cluster.ShardedServiceCluster
 * :class:`AdmissionController` — sheds a request at arrival when its
   predicted sojourn (the chosen shard's queued backlog, i.e. queue depth
   times the calibrated per-batch cost, plus the request's own estimated
-  service time) would violate the workload's SLO.  Every decision is
-  recorded in the run's report, so the prediction invariant (admit ⇔
-  predicted ≤ SLO) is testable after the fact.  With tenant quotas configured the controller is
+  service time) would violate the workload's SLO.  A run with
+  ``ServingConfig(record_decisions=True)`` (the default) records every
+  decision in its report, so the prediction invariant (admit ⇔ predicted ≤
+  SLO) is testable after the fact; with ``False`` no record is built, which
+  bounds a 100k-request run's memory and leaves the verdicts unchanged.
+  With tenant quotas configured the controller is
   tiered: a hard ``limit_rps`` cap sheds first; traffic within a tenant's
   ``guaranteed_rps`` token bucket is always admitted (quota conservation —
   a tenant inside its guarantee is never shed); the remainder rides the
@@ -29,9 +32,7 @@ randomness, so controlled runs are exactly reproducible.  The policies are
 backend-agnostic: the one online event loop drives the same controller
 objects with the same observation sequences on either backend
 (:mod:`repro.serving.engine`), which keeps controlled runs byte-identical
-across them.  For 100k-request runs the report's per-decision log
-can be disabled (``ServingConfig(record_decisions=False)``) — the
-verdicts themselves are unaffected.
+across them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.serving.requests import DEFAULT_TENANT
-from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
+from repro.system.workload import (
+    QUALITY_DEGRADED, WorkloadProfile, check_count, check_degradation,
+)
 
 
 @dataclass(frozen=True)
@@ -224,14 +227,7 @@ class DegradationPolicy:
     degraded_utility: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.k_factor <= 1.0:
-            raise ValueError("k_factor must be in (0, 1]")
-        if self.min_k < 1:
-            raise ValueError("min_k must be >= 1")
-        if self.layer_drop < 0:
-            raise ValueError("layer_drop must be >= 0")
-        if self.min_layers < 1:
-            raise ValueError("min_layers must be >= 1")
+        check_degradation(self.k_factor, self.min_k, self.layer_drop, self.min_layers)
         if not 0.0 <= self.degraded_utility <= 1.0:
             raise ValueError("degraded_utility must be in [0, 1]")
 
@@ -375,9 +371,12 @@ class AdmissionController:
        guarantee — weighted shedding instead of arrival-order shedding.
 
     All tiers are pure simulated-time bookkeeping on the arrival sequence,
-    so both serving engines drive identical decisions.  Whether the report
-    logs the decisions and whether an estimate is priced at the marginal
-    cost of joining a forming batch are the run's choices
+    so both serving engines drive identical decisions.  :meth:`decide`
+    returns the verdict as plain values, ``(admitted, degraded,
+    predicted_sojourn, slo_seconds)``, and builds an
+    :class:`AdmissionDecision` only for a ``log`` list it is handed.
+    Whether the report logs the decisions and whether an estimate is priced
+    at the marginal cost of joining a forming batch are the run's choices
     (``ServingConfig.record_decisions`` and ``batch_aware``): the serving
     loop makes both, because only it sees the open batches, and the
     controller only ever sees the estimates it is handed.
@@ -401,13 +400,11 @@ class AdmissionController:
         self.policy = policy
         self.degradation = degradation
         # Per tenant, resolved at its first decision (when its buckets
-        # start): ``(quota, limit bucket, guaranteed bucket, SLO by
-        # workload name)``.
-        self._tenants: Dict[
-            str,
-            Tuple[TenantQuota, Optional[_TokenBucket], Optional[_TokenBucket], Dict[str, float]],
-        ] = {}
-        self._excess: Dict[str, Optional[_TokenBucket]] = {}
+        # start): ``(quota, limit bucket, guaranteed bucket, excess bucket,
+        # SLO by workload name)``.  A bucket starts full, never holds more,
+        # and sees decisions in time order, so starting the excess bucket
+        # before its first use changes no verdict.
+        self._tenants: Dict[str, tuple] = {}
         self._degraded_profiles: Dict[WorkloadProfile, Optional[WorkloadProfile]] = {}
         weights = [quota.weight for quota in policy.per_tenant.values()]
         self._total_weight = sum(weights) if weights else 1.0
@@ -434,16 +431,24 @@ class AdmissionController:
         return self._degraded_profiles[workload]
 
     def _tenant(self, tenant: str, now_seconds: float):
-        """Resolve ``tenant``'s quota and start its limit and guaranteed
-        buckets at ``now_seconds``, its first decision."""
+        """Resolve ``tenant``'s quota and start its buckets at
+        ``now_seconds``, its first decision."""
         quota = self.policy.quota_for(tenant)
-        state = (
+        # Only quota-listed tenants share the excess budget: an unlisted
+        # tenant minting its own weight-1 slice would oversubscribe the
+        # "shared" excess_rps by a full budget per tenant.
+        excess_rate = self.policy.excess_rps * quota.weight / self._total_weight
+        state = self._tenants[tenant] = (
             quota,
             _bucket(quota.limit_rps, quota.burst_seconds, now_seconds),
             _bucket(quota.guaranteed_rps, quota.burst_seconds, now_seconds),
+            _bucket(
+                excess_rate if tenant in self.policy.per_tenant else None,
+                quota.burst_seconds,
+                now_seconds,
+            ),
             {},
         )
-        self._tenants[tenant] = state
         return state
 
     def decide(
@@ -453,13 +458,17 @@ class AdmissionController:
         backlog_seconds: float,
         service_estimate_seconds: float,
         degraded_estimate_seconds: Optional[float] = None,
-    ) -> AdmissionDecision:
+        log: Optional[List[AdmissionDecision]] = None,
+    ) -> Tuple[bool, bool, float, float]:
         """Admit or shed ``request`` given the cluster's current backlog.
 
         ``degraded_estimate_seconds`` — the estimated service seconds of the
         request's degraded profile, supplied by the serving loop when a
         degradation policy is configured — enables the degraded-quality
         prediction tier; ``None`` keeps the verdict binary (admit/shed).
+        Returns ``(admitted, degraded, predicted_sojourn, slo_seconds)``
+        and appends the verdict's :class:`AdmissionDecision` to ``log``
+        when one is given.
         """
         backlog = max(backlog_seconds, 0.0)
         predicted = backlog + max(service_estimate_seconds, 0.0)
@@ -467,13 +476,13 @@ class AdmissionController:
         state = self._tenants.get(tenant)
         if state is None:
             state = self._tenant(tenant, now_seconds)
-        quota, limit, guaranteed, slos = state
+        quota, limit, guaranteed, excess, slos = state
         # ``slo_for`` depends only on the workload's name and the tenant.
         workload = request.workload
         slo = slos.get(workload.name)
         if slo is None:
             slo = slos[workload.name] = self.policy.slo_for(workload, tenant)
-        degraded_tier = False
+        degraded = False
         if limit is not None and not limit.take(now_seconds):
             admitted, reason = False, "rate-limit"
         elif guaranteed is not None and guaranteed.take(now_seconds):
@@ -486,35 +495,19 @@ class AdmissionController:
             and backlog + max(degraded_estimate_seconds, 0.0) <= slo
         ):
             predicted = backlog + max(degraded_estimate_seconds, 0.0)
-            admitted, reason, degraded_tier = True, "degraded", True
+            admitted, reason, degraded = True, "degraded", True
+        elif excess is not None and excess.take(now_seconds):
+            admitted, reason = True, "weighted-excess"
         else:
-            # Only quota-listed tenants share the excess budget: an unlisted
-            # tenant minting its own weight-1 slice would oversubscribe the
-            # "shared" excess_rps by a full budget per tenant.
-            excess_rate = None
-            if self.policy.excess_rps > 0 and tenant in self.policy.per_tenant:
-                excess_rate = (
-                    self.policy.excess_rps * quota.weight / self._total_weight
+            admitted, reason = False, "overload"
+        if log is not None:
+            log.append(
+                AdmissionDecision(
+                    request.request_id, now_seconds, predicted, slo, admitted,
+                    tenant, reason, degraded,
                 )
-            if tenant not in self._excess:
-                self._excess[tenant] = _bucket(
-                    excess_rate, quota.burst_seconds, now_seconds
-                )
-            excess = self._excess[tenant]
-            if excess is not None and excess.take(now_seconds):
-                admitted, reason = True, "weighted-excess"
-            else:
-                admitted, reason = False, "overload"
-        return AdmissionDecision(
-            request_id=request.request_id,
-            seconds=now_seconds,
-            predicted_sojourn=predicted,
-            slo_seconds=slo,
-            admitted=admitted,
-            tenant=tenant,
-            reason=reason,
-            degraded=degraded_tier,
-        )
+            )
+        return admitted, degraded, predicted, slo
 
 
 @dataclass(frozen=True)
@@ -581,18 +574,15 @@ class Autoscaler:
         warmup_seconds: Optional[float] = None,
         drain: bool = True,
     ) -> None:
-        if min_shards < 1:
-            raise ValueError("min_shards must be >= 1")
-        if max_shards < min_shards:
-            raise ValueError("max_shards must be >= min_shards")
+        check_count("min_shards", min_shards, 1)
+        check_count("max_shards", max_shards, min_shards)
+        check_count("hysteresis_observations", hysteresis_observations, 1)
         if not 0 <= scale_down_depth < scale_up_depth:
             raise ValueError(
                 "scale_down_depth and scale_up_depth must be numbers with "
                 "0 <= scale_down_depth < scale_up_depth, got "
                 f"{scale_down_depth} and {scale_up_depth}"
             )
-        if hysteresis_observations < 1:
-            raise ValueError("hysteresis_observations must be >= 1")
         if warmup_seconds is not None and not warmup_seconds >= 0:
             raise ValueError(
                 "warmup_seconds must be a number >= 0 (None: the shard's own), "

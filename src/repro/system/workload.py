@@ -10,6 +10,7 @@ paper's figures — or from an in-memory synthetic graph.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -32,6 +33,25 @@ QUALITY_FULL: str = "full"
 QUALITY_DEGRADED: str = "degraded"
 
 QUALITY_TIERS = (QUALITY_FULL, QUALITY_DEGRADED)
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Reject ``value`` unless it is an integer >= ``minimum``.
+
+    Floats are refused, NaN and ``1.5`` included: a count ends up as a
+    profile's ``k`` or ``num_layers``, or as a slice bound.
+    """
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+
+
+def check_degradation(k_factor: float, min_k: int, layer_drop: int, min_layers: int) -> None:
+    """Reject knobs :meth:`WorkloadProfile.degrade` cannot apply."""
+    if not 0.0 < k_factor <= 1.0:
+        raise ValueError(f"k_factor must be in (0, 1], got {k_factor}")
+    check_count("min_k", min_k, 1)
+    check_count("layer_drop", layer_drop, 0)
+    check_count("min_layers", min_layers, 1)
 
 
 @dataclass(frozen=True)
@@ -177,14 +197,7 @@ class WorkloadProfile:
         cost.  The ``name`` is unchanged: SLO/quota policies resolve degraded
         requests exactly like their full-quality originals.
         """
-        if not 0.0 < k_factor <= 1.0:
-            raise ValueError("k_factor must be in (0, 1]")
-        if min_k < 1:
-            raise ValueError("min_k must be >= 1")
-        if layer_drop < 0:
-            raise ValueError("layer_drop must be >= 0")
-        if min_layers < 1:
-            raise ValueError("min_layers must be >= 1")
+        check_degradation(k_factor, min_k, layer_drop, min_layers)
         return replace(
             self,
             k=max(min(min_k, self.k), int(self.k * k_factor)),

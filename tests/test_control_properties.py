@@ -15,6 +15,7 @@ Invariants under test (see ISSUE/DESIGN "Control plane"):
 """
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -81,6 +82,19 @@ def test_admission_prediction_invariant_closed_loop(
     assert report.num_requests + report.num_shed == report.num_offered
     assert report.num_offered == clients.num_issued
     assert clients.num_outstanding == 0
+
+
+@pytest.mark.parametrize("field", ["min_k", "layer_drop", "min_layers"])
+@pytest.mark.parametrize("value", [math.nan, 1.5, 2.0])
+def test_degradation_counts_must_be_integers(field, value):
+    """A NaN count passes every ``< 1`` check and a fractional one slips
+    through, and either becomes the degraded profile's ``k`` or
+    ``num_layers``: both the policy and ``degrade`` refuse non-integers."""
+    message = rf"{field} must be an integer >= [01], got {value}"
+    with pytest.raises(ValueError, match=message):
+        DegradationPolicy(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        make_profile().degrade(**{field: value})
 
 
 @settings(max_examples=15, deadline=None)

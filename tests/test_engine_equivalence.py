@@ -9,6 +9,7 @@ batching timeout boundaries where a tie-break bug would first show up.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from conftest import (
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
+    AdmissionDecision,
     Autoscaler,
     BatchScheduler,
     ClosedLoopClients,
@@ -970,26 +972,86 @@ class TestFastEngineExtras:
         ]
         assert _render(third) == _render(serve(reference))
 
-    def test_unrecorded_decisions_do_not_change_outcomes(self, services):
-        slo = SLOPolicy(default_slo_seconds=0.2)
+    #: SHA-256 of the recorded decision logs below, field for field, as the
+    #: controller built them when it returned an ``AdmissionDecision`` per
+    #: arrival: the plain-value verdict must log the same records.
+    DECISION_DIGESTS = {
+        "closed-loop": "160842cc7c1e91643721b6f96e64dc6d1434a3cab2e3b12ee30e3f1de582ebde",
+        "tiered": "b40b9a990b7d5f33f3c055fcad68ae353d8730d4d41341317a8e7f8f0f136dc9",
+    }
+
+    @pytest.mark.parametrize("engine", [ENGINE_REFERENCE, ENGINE_FAST])
+    @pytest.mark.parametrize("case", ["closed-loop", "tiered"])
+    def test_unrecorded_decisions_do_not_change_outcomes(self, services, engine, case):
+        """With ``record_decisions=False`` the run renders the same bytes
+        and builds no ``AdmissionDecision``.  The tiered case reaches all
+        six admission reasons."""
+        if case == "closed-loop":
+            # Sheds two of the 40 arrivals, so the retries see the verdicts.
+            slo = SLOPolicy(default_slo_seconds=0.5)
+            degradation = None
+            cluster_kwargs = {}
+
+            def arrivals():
+                return ClosedLoopClients(
+                    WORKLOAD_POOL, num_clients=8, think_seconds=0.0, seed=3,
+                    max_requests=40, retry_backoff_seconds=0.05,
+                )
+        else:
+            slo = SLOPolicy(
+                default_slo_seconds=0.45,
+                per_tenant={
+                    "free": TenantQuota(
+                        guaranteed_rps=20.0, limit_rps=30.0, burst_seconds=0.05
+                    ),
+                    "pro": TenantQuota(weight=2.0),
+                    "ent": TenantQuota(weight=3.0, guaranteed_rps=5.0),
+                },
+                excess_rps=10.0,
+            )
+            degradation = DegradationPolicy(k_factor=0.5, layer_drop=1)
+            cluster_kwargs = dict(
+                num_shards=2,
+                scheduler=BatchScheduler(max_batch_size=3, max_wait_seconds=0.004),
+            )
+            trace = make_bursty_tenant_trace(WORKLOAD_POOL, num_per_tenant=20, seed=4)
+
+            def arrivals():
+                return TraceArrivals(trace)
+
+        built = []
+        original_init = AdmissionDecision.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            original_init(self, *args, **kwargs)
 
         def run(record):
-            cluster = _cluster(services, "DynPre", ENGINE_FAST)
-            clients = ClosedLoopClients(
-                WORKLOAD_POOL, num_clients=8, think_seconds=0.0, seed=3,
-                max_requests=40, retry_backoff_seconds=0.05,
+            built.clear()
+            config = ServingConfig(
+                slo=slo, admit=True, degradation=degradation, record_decisions=record
             )
-            return cluster.serve_online(
-                clients,
-                config=ServingConfig(slo=slo, admit=True, record_decisions=record),
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(AdmissionDecision, "__init__", counting_init)
+                report = _cluster(services, "DynPre", engine, **cluster_kwargs).serve_online(
+                    arrivals(), config=config
+                )
+            return report, len(built)
 
-        report_a = run(True)
-        report_b = run(False)
+        report_a, built_a = run(True)
+        report_b, built_b = run(False)
         assert _render(report_a) == _render(report_b)
-        assert len(report_a.decisions) > 0
-        # The flag bounds memory: the report's decision list stays empty.
+        assert built_a == len(report_a.decisions) == report_a.num_offered
+        # The flag bounds memory: no record is built and the list stays empty.
+        assert built_b == 0
         assert report_b.decisions == []
+        rows = json.dumps([dataclasses.asdict(d) for d in report_a.decisions])
+        assert hashlib.sha256(rows.encode()).hexdigest() == self.DECISION_DIGESTS[case]
+        if case == "tiered":
+            assert {d.reason for d in report_a.decisions} == {
+                "rate-limit", "guaranteed", "predicted", "degraded",
+                "weighted-excess", "overload",
+            }
 
     def test_shard_heap_matches_linear_min(self):
         import random

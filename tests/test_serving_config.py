@@ -199,6 +199,24 @@ def test_rejects_nan_dispatch_and_scaling_thresholds(services, owner, field):
     ShardedServiceCluster(services["CPU"], locality_spill_seconds=_INF)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("min_shards", 1.5),
+        ("min_shards", _NAN),
+        ("max_shards", 4.5),
+        ("max_shards", 4.0),
+        ("hysteresis_observations", 2.5),
+        ("hysteresis_observations", _NAN),
+    ],
+)
+def test_autoscaler_counts_must_be_integers(field, value):
+    """A fractional shard count would slice the cluster's shard order in
+    the serving loop; NaN passes every ``< 1`` check."""
+    with pytest.raises(ValueError, match=rf"{field} must be an integer >= \d+, got {value}"):
+        Autoscaler(**{field: value})
+
+
 # ------------------------------------------------------------------- exports
 def test_public_surface_is_importable():
     for name in serving.__all__:
