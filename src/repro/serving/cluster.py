@@ -625,15 +625,15 @@ class _Run:
     :meth:`scale` applies the autoscaler's verdict at an arrival and
     :meth:`admit` admits, degrades or sheds it.  The fault runtime and the
     drain planner drive the run directly, and every dispatch ends in
-    :meth:`place`, so the commit exists once.  Admitted estimates clear in
-    :meth:`place` and :meth:`on_failed` and nowhere else.
+    :attr:`place`, so the commit exists once.  Admitted estimates clear in
+    :meth:`plan_or_commit` and :meth:`on_failed` and nowhere else.
     """
 
     # Slots keep attribute reads on the per-event path fast: an instance
     # dict this wide no longer shares its keys.
     __slots__ = (
         "cluster", "source", "slo", "admission", "autoscaler", "backend", "warmup",
-        "faults", "planner", "busy", "set_busy", "merged", "serve", "pick",
+        "faults", "planner", "busy", "set_busy", "place", "merged", "serve", "pick",
         "least_loaded", "admission_row", "price_resized", "min_backlog",
         "busy_total", "shard_requests", "num_batches", "last_finish", "served",
         "members", "ready", "starts", "durations", "shard_ids", "counts", "reports",
@@ -686,9 +686,20 @@ class _Run:
             else None
         )
         #: The backend's authoritative busy-until list (written through
-        #: :attr:`set_busy`).
+        #: :attr:`set_busy`).  Under faults every pick reads the list (the
+        #: fault runtime walks its live set), so nothing reads the fast
+        #: backend's shard heap and writes skip it.
         self.busy = backend.busy
-        self.set_busy = backend.set_busy
+        self.set_busy = backend.busy.__setitem__ if self.faults is not None else backend.set_busy
+        #: Where every successful dispatch ends, once the caller has moved
+        #: the shard's horizon to the batch's finish: :meth:`plan_or_commit`,
+        #: or :meth:`commit` itself when the run has neither a drain planner
+        #: (nothing defers) nor admission (no estimate is ever pending).
+        self.place = (
+            self.commit
+            if self.planner is None and self.admission is None
+            else self.plan_or_commit
+        )
         self.merged = backend.merged
         self.serve = backend.serve
         self.pick = backend.pick
@@ -778,12 +789,13 @@ class _Run:
         enqueue = self.enqueue
         scale = self.scale if self.autoscaler is not None else None
         admit = self.admit if self.admission is not None else None
+        retries = faults.retries if faults is not None else None
         while True:
             t_next = source.peek_time()
             event = _ARRIVAL
-            if faults is not None:
-                t_retry = faults.next_retry_time()
-                if t_retry is not None and (t_next is None or t_retry <= t_next):
+            if retries:
+                t_retry = retries[0][0]
+                if t_next is None or t_retry <= t_next:
                     t_next, event = t_retry, _RETRY
             if batcher is not None:
                 expiring = batcher.peek_deadline()
@@ -792,7 +804,7 @@ class _Run:
             if expiring is not None and (t_next is None or expiring[0] <= t_next):
                 t_next, event = expiring[0], _DEADLINE
             if faults is not None:
-                t_fault = faults.next_fault_time()
+                t_fault = faults.next_fault
                 if t_fault is not None and (t_next is None or t_fault <= t_next):
                     t_next, event = t_fault, _FAULT
             if planner is not None:
@@ -1027,9 +1039,11 @@ class _Run:
         shard_id = self.pick(batch, workload, self.active_count)
         start = max(batch.ready_seconds, self.busy[shard_id])
         report, duration = self.serve(shard_id, workload)
-        self.place(batch, shard_id, start, duration, report, start + duration)
+        finish = start + duration
+        self.set_busy(shard_id, finish)
+        self.place(batch, shard_id, start, duration, report, finish)
 
-    def place(
+    def plan_or_commit(
         self,
         batch: RequestBatch,
         shard_id: int,
@@ -1038,14 +1052,15 @@ class _Run:
         report: ServiceReport,
         finish: float,
     ) -> None:
-        """Occupy ``shard_id`` until ``finish``, then plan or commit ``batch``.
+        """Plan or commit ``batch``, which already occupies ``shard_id``
+        until ``finish`` (the run's :attr:`place` when something may
+        intervene).
 
         The members' admitted estimates clear here: from now on the busy
         horizon the admission backlog reads prices their work.  With a
         drain planner the commit waits for the batch's start (a scale-down
         may still migrate it); otherwise it lands now.
         """
-        self.set_busy(shard_id, finish)
         pending = self.pending_estimates
         if pending:
             for request in batch.requests:
@@ -1077,7 +1092,8 @@ class _Run:
         batch_size = len(members)
         self.shard_requests[shard_id] += batch_size
         self.num_batches += 1
-        self.last_finish = max(self.last_finish, finish)
+        if finish > self.last_finish:
+            self.last_finish = finish
         served = self.served
         if served is None:
             self.members.extend(members)
@@ -1101,14 +1117,16 @@ class _Run:
                         report=report,
                     )
                 )
+            # The fast backend counts degraded-window completions once, at
+            # report time, over its batch columns (:meth:`_fold`).
+            if self.faults is not None:
+                self.faults.note_commit(batch, start, duration, finish)
         if self.autoscaler is not None:
             heapq.heappush(self.inflight, (finish, batch_size))
             self.inflight_count += batch_size
         if self.notifies_source:
             for request in members:
                 self.source.on_complete(request, finish)
-        if self.faults is not None:
-            self.faults.note_commit(batch, start, duration, finish)
 
     # ---------------------------------------------------------------- report
     def report(self) -> ClusterReport:
@@ -1151,7 +1169,9 @@ class _Run:
 
     def _fold(self, shed: Sequence[ShedRecord]) -> Tuple[_ChunkedServedLog, ReportAggregates]:
         """The fast backend's lazy served log and aggregates, folded once
-        from the batch columns by the chunked loop's accounting."""
+        from the batch columns by the chunked loop's accounting; under
+        faults the degraded-window completions are counted from the same
+        columns."""
         members = self.members
         count = len(members)
         counts = np.array(self.counts, dtype=np.int64)
@@ -1160,7 +1180,7 @@ class _Run:
         durations = np.array(self.durations, dtype=np.float64)
         workload_pool, workload_slots = _slot_pool(list(map(attrgetter("workload"), members)))
         tenant_pool, tenant_slots = _slot_pool(list(map(attrgetter("tenant"), members)))
-        aggregates = _report_aggregates(
+        aggregates, met = _report_aggregates(
             self.slo,
             ready,
             starts,
@@ -1173,6 +1193,8 @@ class _Run:
             tenant_pool,
             shed,
         )
+        if self.faults is not None:
+            self.faults.note_batches(starts + durations, counts, met)
         served = _ChunkedServedLog(
             lambda: members,
             count,

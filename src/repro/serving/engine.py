@@ -28,7 +28,9 @@ online and for offline replays alike.  The ``engine`` option only picks the
     reads pop a ``(busy_until, shard_id)`` priority structure
     (:class:`ShardHeap`) with lazy staleness instead of scanning every
     shard per batch; the autoscaler's drains and scale-downs are why an
-    entry can go stale.
+    entry can go stale.  A faulted run never reads it (the fault runtime
+    picks from its live set over the busy list), so that run writes its
+    horizons to the list alone and the heap keeps its one entry per shard.
   * **Deadline heap** — the event loop's next-expiring-batch query is a
     heap top instead of a scan over all open batches.
   * **Per-run price tables** — admission prices each distinct thing once
@@ -162,7 +164,8 @@ def _report_aggregates(
     (:func:`~repro.analysis.metrics.left_fold_sum`,
     :meth:`LatencyStats.from_array`), per tenant too, so the resulting
     :class:`~repro.serving.cluster.ReportAggregates` are bit-identical to
-    re-deriving the values from the per-request records.
+    re-deriving the values from the per-request records.  Returns them with
+    the per-request SLO verdicts (all true without an SLO), in served order.
     """
     from repro.analysis.metrics import TenantStats
     from repro.serving.cluster import ReportAggregates
@@ -230,7 +233,7 @@ def _report_aggregates(
         tenants=tenants,
         served_degraded=int(np.count_nonzero(degraded)),
         slo_met_degraded=int(np.count_nonzero(met & degraded)),
-    )
+    ), met
 
 
 def _slot_pool(values: Sequence) -> Tuple[list, np.ndarray]:
@@ -309,18 +312,24 @@ def _merged_workload_id(
     merged_ids: Dict[Tuple[int, int], int],
 ) -> int:
     """Interned id of the batch's merged workload, memoized per run on
-    (interned base profile, summed size).
+    (base profile identity, summed size).
 
     The merge itself is delegated to ``RequestBatch.workload`` — the same
     property the reference backend evaluates — so the two backends cannot
     drift if the merge formula ever changes; this wrapper only avoids
-    re-running it for every batch of an identical composition.
+    re-running it for every batch of an identical composition.  A miss
+    interns the base profile, which keeps it alive for the run, so its
+    ``id`` names it in the memo as it does in ``interned``.
     """
-    base = batch.requests[0].workload
-    total = sum(request.workload.batch_size for request in batch.requests)
-    key = (_interned_id(cluster, interned, base), total)
+    requests = batch.requests
+    base = requests[0].workload
+    total = 0
+    for request in requests:
+        total += request.workload.batch_size
+    key = (id(base), total)
     workload_id = merged_ids.get(key)
     if workload_id is None:
+        _interned_id(cluster, interned, base)
         workload_id = cluster._workload_id(batch.workload)
         merged_ids[key] = workload_id
     return workload_id
@@ -775,7 +784,7 @@ def _serve_trace_chunked(
     member_positions = plan.member_positions
     total_requests = len(member_positions)
     arrivals = arrays.arrival_seconds
-    aggregates = _report_aggregates(
+    aggregates, _ = _report_aggregates(
         slo,
         ready_array,
         starts,

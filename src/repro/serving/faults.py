@@ -56,7 +56,8 @@ stranding it (see the class docstring).
 Both drive the event loop's run (``_Run`` in
 :mod:`repro.serving.cluster`) directly: they read its ``active_count`` and
 ``busy`` horizons, pick and serve through it, and end every successful
-dispatch in ``run.place``, which plans the batch when a drain planner is
+dispatch by moving the shard's horizon to the batch's finish and handing
+the batch to ``run.place``, which plans it when a drain planner is
 attached and commits it otherwise.
 
 :class:`RandomFaults` generates reproducible schedules from a seed,
@@ -77,6 +78,7 @@ import numpy as np
 from repro.serving.requests import InferenceRequest
 from repro.serving.scheduler import RequestBatch
 from repro.serving.topology import ClusterTopology
+from repro.system.workload import check_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.serving.cluster import _Run
@@ -103,6 +105,16 @@ DISPATCH_MOVED = "moved"
 DISPATCH_PARKED = "parked"
 
 
+def _check_finite(name: str, value: float, minimum: float, *, inclusive: bool = True) -> None:
+    """Reject ``value`` unless it is a finite number ``>= minimum`` (``>``
+    when not ``inclusive``).  NaN and infinities fail too: a schedule
+    parameter ends up as an event time, a backoff or a duration factor."""
+    low = value >= minimum if inclusive else value > minimum
+    if not (math.isfinite(value) and low):
+        bound = ">=" if inclusive else ">"
+        raise ValueError(f"{name} must be a finite number {bound} {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One timestamped fault event targeting one shard."""
@@ -119,8 +131,7 @@ class FaultEvent:
             raise ValueError(f"fault event time must be finite and >= 0, got {self.seconds!r}")
         if self.shard_id < 0:
             raise ValueError(f"fault event shard_id must be >= 0, got {self.shard_id}")
-        if self.kind == FAULT_SLOWDOWN and self.factor < 1.0:
-            raise ValueError(f"slowdown factor must be >= 1.0, got {self.factor!r}")
+        _check_finite("fault event factor", self.factor, 1.0)
 
     def as_dict(self) -> dict:
         return {
@@ -217,12 +228,8 @@ class FaultSchedule:
         # Kept off the dataclass fields so dataclasses.replace() re-expands
         # from (events, domain_events) instead of double-applying the macros.
         object.__setattr__(self, "_expanded", ordered)
-        if self.retry_budget < 0:
-            raise ValueError(f"retry_budget must be >= 0, got {self.retry_budget}")
-        if self.retry_backoff_seconds <= 0:
-            raise ValueError(
-                f"retry_backoff_seconds must be > 0, got {self.retry_backoff_seconds!r}"
-            )
+        check_count("retry_budget", self.retry_budget, 0)
+        _check_finite("retry_backoff_seconds", self.retry_backoff_seconds, 0.0, inclusive=False)
         down: Dict[int, bool] = {}
         last_at: Dict[int, float] = {}
         for event in ordered:
@@ -308,8 +315,12 @@ class CorrelatedFaults:
     mean_downtime_seconds: float
 
     def __post_init__(self) -> None:
-        if self.mean_uptime_seconds <= 0 or self.mean_downtime_seconds <= 0:
-            raise ValueError("correlated mean uptime/downtime must be > 0")
+        _check_finite(
+            "correlated mean_uptime_seconds", self.mean_uptime_seconds, 0.0, inclusive=False
+        )
+        _check_finite(
+            "correlated mean_downtime_seconds", self.mean_downtime_seconds, 0.0, inclusive=False
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -355,18 +366,17 @@ class RandomFaults:
     correlated: Optional[CorrelatedFaults] = None
 
     def __post_init__(self) -> None:
-        if self.num_shards <= 0:
-            raise ValueError(f"num_shards must be > 0, got {self.num_shards}")
-        if self.horizon_seconds <= 0:
-            raise ValueError(f"horizon_seconds must be > 0, got {self.horizon_seconds!r}")
-        if self.mean_uptime_seconds <= 0 or self.mean_downtime_seconds <= 0:
-            raise ValueError("mean uptime/downtime must be > 0")
+        check_count("num_shards", self.num_shards, 1)
+        _check_finite("horizon_seconds", self.horizon_seconds, 0.0, inclusive=False)
+        _check_finite("mean_uptime_seconds", self.mean_uptime_seconds, 0.0, inclusive=False)
+        _check_finite("mean_downtime_seconds", self.mean_downtime_seconds, 0.0, inclusive=False)
         if not 0.0 <= self.slowdown_probability <= 1.0:
             raise ValueError(
                 f"slowdown_probability must be in [0, 1], got {self.slowdown_probability!r}"
             )
-        if self.slowdown_factor < 1.0:
-            raise ValueError(f"slowdown_factor must be >= 1.0, got {self.slowdown_factor!r}")
+        _check_finite("slowdown_factor", self.slowdown_factor, 1.0)
+        check_count("retry_budget", self.retry_budget, 0)
+        _check_finite("retry_backoff_seconds", self.retry_backoff_seconds, 0.0, inclusive=False)
         if self.correlated is not None and self.topology is None:
             raise ValueError("correlated faults require a topology")
         if self.topology is not None:
@@ -549,7 +559,7 @@ class DrainPlanner:
       current by :meth:`raise_floor` when the fault runtime moves a
       horizon without a planned entry (recovery, in-flight kill).
 
-    The run's ``place`` calls :meth:`plan` for every successful dispatch,
+    The run's ``place`` hands :meth:`plan` every successful dispatch,
     fault-free or through the fault runtime, on either backend.
     """
 
@@ -707,6 +717,9 @@ class FaultRuntime:
         self.factor = [1.0] * num_shards
         self._events = list(schedule.expanded_events)
         self._cursor = 0
+        #: Timestamp of the next unapplied fault event (None when exhausted);
+        #: only :meth:`advance` moves it.
+        self.next_fault: Optional[float] = self._events[0].seconds if self._events else None
         # Static views of the schedule: per-shard crash instants, per-shard
         # dead intervals and the merged cluster-degraded intervals (half-open,
         # an unclosed outage extends to +inf).
@@ -745,7 +758,9 @@ class FaultRuntime:
             next(crashes, None) for crashes in self._crash_iters
         ]
         self._live_sets: Dict[int, List[int]] = {}
-        self._retries: List[Tuple[float, int, InferenceRequest]] = []
+        #: Pending retries, a heap of ``(retry_at, seq, request)``: the event
+        #: loop reads its head as the next retry time.
+        self.retries: List[Tuple[float, int, InferenceRequest]] = []
         self._retry_seq = 0
         self._attempts: Dict[int, int] = {}
         #: Batches waiting for capacity, in the order they parked.
@@ -759,12 +774,6 @@ class FaultRuntime:
         self.slo_met_degraded = 0
 
     # ------------------------------------------------------ schedule queries
-    def next_fault_time(self) -> Optional[float]:
-        """Timestamp of the next unapplied fault event (None when exhausted)."""
-        if self._cursor >= len(self._events):
-            return None
-        return self._events[self._cursor].seconds
-
     def next_crash_after(self, shard_id: int, seconds: float) -> Optional[float]:
         """The shard's first crash strictly after ``seconds`` (None: never)."""
         crashes = self._crashes[shard_id]
@@ -833,13 +842,10 @@ class FaultRuntime:
 
     def backlog_count(self) -> int:
         """Requests the fault layer is holding (retry heap + parked batches)."""
-        return len(self._retries) + self._parked_requests
-
-    def next_retry_time(self) -> Optional[float]:
-        return self._retries[0][0] if self._retries else None
+        return len(self.retries) + self._parked_requests
 
     def pop_retry(self) -> Tuple[InferenceRequest, float]:
-        retry_at, _seq, request = heapq.heappop(self._retries)
+        retry_at, _seq, request = heapq.heappop(self.retries)
         return request, retry_at
 
     def advance(self, run: "_Run", until: float) -> None:
@@ -850,8 +856,9 @@ class FaultRuntime:
             if self.warmup is not None
             else None
         )
-        while self._cursor < len(self._events) and self._events[self._cursor].seconds <= until:
-            event = self._events[self._cursor]
+        events = self._events
+        while self._cursor < len(events) and events[self._cursor].seconds <= until:
+            event = events[self._cursor]
             self._cursor += 1
             shard = event.shard_id
             if event.kind == FAULT_CRASH:
@@ -865,6 +872,7 @@ class FaultRuntime:
             else:
                 self.factor[shard] = event.factor
             changed = True
+        self.next_fault = events[self._cursor].seconds if self._cursor < len(events) else None
         if changed:
             self._live_sets.clear()
             if serving is not None:
@@ -948,15 +956,26 @@ class FaultRuntime:
         outcome = DISPATCH_PLACED
         if run.least_loaded:
             # Re-picking least-loaded among the undoomed candidates is one
-            # walk in (busy, id) order.
-            for shard_id in sorted(active, key=lambda s: (busy[s], s)):
-                start = max(ready, busy[shard_id])
-                crash_at = next_crash[shard_id]
-                if crash_at is None or crash_at > start:
-                    break
-                outcome = DISPATCH_MOVED
-            else:
+            # pass: the (busy, id) minimum of the live set is the first
+            # pick, and the (busy, id) minimum of its undoomed members is
+            # where the batch runs.  A shard id no live shard has starts
+            # both minima, so an infinite horizon still orders by id.
+            first = shard_id = self.num_shards
+            first_busy = best_busy = math.inf
+            for s in active:
+                b = busy[s]
+                if b < first_busy or (b == first_busy and s < first):
+                    first_busy, first = b, s
+                if b < best_busy or (b == best_busy and s < shard_id):
+                    crash_at = next_crash[s]
+                    if crash_at is None or crash_at > (ready if ready >= b else b):
+                        best_busy, shard_id = b, s
+            if shard_id == self.num_shards:
                 return DISPATCH_PARKED
+            if shard_id != first:
+                outcome = DISPATCH_MOVED
+            start = ready if ready >= best_busy else best_busy
+            crash_at = next_crash[shard_id]
         else:
             candidates = active
             while True:
@@ -1027,6 +1046,7 @@ class FaultRuntime:
             for request in batch.requests:
                 self._retry_or_fail(request, crash_at, run)
             return
+        run.set_busy(shard_id, finish)
         run.place(batch, shard_id, start, duration, report, finish)
 
     def _retry_or_fail(self, request: InferenceRequest, seconds: float, run: "_Run") -> None:
@@ -1035,7 +1055,7 @@ class FaultRuntime:
             self._attempts[request.request_id] = attempt + 1
             self.retried += 1
             retry_at = seconds + self.schedule.retry_backoff_seconds * (2.0 ** attempt)
-            heapq.heappush(self._retries, (retry_at, self._retry_seq, request))
+            heapq.heappush(self.retries, (retry_at, self._retry_seq, request))
             self._retry_seq += 1
         else:
             self._fail(request, seconds, run)
@@ -1047,7 +1067,8 @@ class FaultRuntime:
     def note_commit(
         self, batch: RequestBatch, start: float, duration: float, finish: float
     ) -> None:
-        """Count a committed batch's requests that finish in a degraded window."""
+        """Count a committed batch's requests that finish in a degraded window
+        (the reference backend's per-commit count; see :meth:`note_batches`)."""
         if not self.degraded_at(finish):
             return
         for request in batch.requests:
@@ -1059,6 +1080,22 @@ class FaultRuntime:
             )
             if self.slo is None or sojourn <= self.slo.slo_for(request.workload, request.tenant):
                 self.slo_met_degraded += 1
+
+    def note_batches(self, finish: np.ndarray, counts: np.ndarray, met: np.ndarray) -> None:
+        """:meth:`note_commit` over a whole run's committed batches at once.
+
+        ``finish`` and ``counts`` are per batch, ``met`` (each request's SLO
+        verdict, all true without an SLO) per request in commit order.  The
+        window test is :meth:`degraded_at`'s, elementwise.
+        """
+        if not self._degraded:
+            return
+        ends = np.array([hi for _, hi in self._degraded])
+        index = np.searchsorted(self._degraded_starts, finish, side="right") - 1
+        inside = (index >= 0) & (finish < ends[np.maximum(index, 0)])
+        per_request = np.repeat(inside, counts)
+        self.served_degraded += int(np.count_nonzero(per_request))
+        self.slo_met_degraded += int(np.count_nonzero(per_request & met))
 
     # -------------------------------------------------------------- summary
     def finalize(self, first_arrival: Optional[float], last_finish: float) -> FaultStats:

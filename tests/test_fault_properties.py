@@ -18,7 +18,9 @@
 import dataclasses
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 from conftest import WORKLOAD_POOL
 from hypothesis import given, settings, strategies as st
@@ -45,7 +47,13 @@ from repro.serving import (
     SLOPolicy,
     TraceArrivals,
 )
-from repro.serving.faults import DISPATCH_PARKED, FaultRuntime
+from repro.serving.cluster import _Run
+from repro.serving.faults import (
+    DISPATCH_MOVED,
+    DISPATCH_PARKED,
+    DISPATCH_PLACED,
+    FaultRuntime,
+)
 
 NUM_SHARDS = 3
 
@@ -655,6 +663,133 @@ def test_least_loaded_walk_matches_reference_re_picks(
     assert walked == {False: {False}, True: {True}}
 
 
+class _PickRun:
+    """Least-loaded run over a busy list whose serves take no time, so a
+    dispatch's only effect is its pick: ``placed`` records ``(shard, start)``."""
+
+    least_loaded = True
+
+    def __init__(self, busy, active_count):
+        self.busy = busy
+        self.active_count = active_count
+        self.placed = []
+
+    def set_busy(self, shard_id, seconds):
+        self.busy[shard_id] = seconds
+
+    def merged(self, batch):
+        return None
+
+    def serve(self, shard_id, workload):
+        return None, 0.0
+
+    def place(self, batch, shard_id, start, duration, report, finish):
+        self.placed.append((shard_id, start))
+
+
+def _sorted_walk(live, busy, next_crash, ready):
+    """Oracle: the least-loaded fault walk as a sort in ``(busy, id)``
+    order, stopping at the first shard whose next crash falls after its
+    start.  Returns ``(shard or None, outcome)``."""
+    outcome = DISPATCH_PLACED
+    for shard_id in sorted(live, key=lambda s: (busy[s], s)):
+        start = max(ready, busy[shard_id])
+        crash_at = next_crash[shard_id]
+        if crash_at is None or crash_at > start:
+            return shard_id, outcome
+        outcome = DISPATCH_MOVED
+    return None, DISPATCH_PARKED
+
+
+def test_one_pass_pick_matches_the_sorted_walk():
+    """The one-pass least-loaded pick returns the shard and the
+    ``PLACED``/``MOVED``/``PARKED`` outcome of the sorted ``(busy, id)``
+    walk.  Seeded draws force ties: busy horizons and ready times come
+    from a few values, next crashes are None, equal to the start (doomed),
+    just before or just after it, and live sets hold 1-8 shards in any
+    order (a topology's live set is not sorted by id)."""
+    rng = random.Random(2024)
+    num_shards = 8
+    outcomes = set()
+    for _ in range(3000):
+        runtime = FaultSchedule().runtime(num_shards)
+        busy = [rng.choice((0.0, 1.0, 2.0, 3.0)) for _ in range(num_shards)]
+        ready = rng.choice((0.0, 1.0, 1.5, 2.0))
+        live = rng.sample(range(num_shards), rng.randint(1, num_shards))
+        next_crash = []
+        for shard_id in range(num_shards):
+            start = max(ready, busy[shard_id])
+            next_crash.append(
+                rng.choice((None, start, start - 0.5, start + 0.5, start + 4.0))
+            )
+        runtime._next_crash = list(next_crash)
+        runtime._live_sets[num_shards] = live
+        run = _PickRun(list(busy), num_shards)
+        request = InferenceRequest(
+            request_id=0, arrival_seconds=ready, workload=WORKLOAD_POOL[0]
+        )
+        outcome = runtime.dispatch(RequestBatch(requests=[request], ready_seconds=ready), run)
+        expected_shard, expected_outcome = _sorted_walk(live, busy, next_crash, ready)
+        assert outcome == expected_outcome, (live, busy, next_crash, ready)
+        if expected_shard is None:
+            assert run.placed == []
+        else:
+            assert run.placed == [(expected_shard, max(ready, busy[expected_shard]))]
+        outcomes.add(outcome)
+    assert outcomes == {DISPATCH_PLACED, DISPATCH_MOVED, DISPATCH_PARKED}
+
+
+def test_report_time_degraded_count_matches_per_commit_rule():
+    """The fast backend's report-time count of degraded-window completions
+    (:meth:`FaultRuntime.note_batches`) applies :meth:`degraded_at`, the
+    reference's per-commit rule, to every batch: window edges included
+    (a window holds its start, not its end), overlapping outages merged
+    and an outage left open to the end of the run."""
+    schedule = FaultSchedule(
+        events=(
+            FaultEvent(seconds=1.0, shard_id=0, kind=FAULT_CRASH),
+            FaultEvent(seconds=1.5, shard_id=1, kind=FAULT_CRASH),
+            FaultEvent(seconds=2.0, shard_id=0, kind=FAULT_RECOVER),
+            FaultEvent(seconds=2.5, shard_id=1, kind=FAULT_RECOVER),
+            FaultEvent(seconds=4.0, shard_id=2, kind=FAULT_CRASH),
+        ),
+    )
+    rng = random.Random(7)
+    edges = [0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 9.0]
+    finish = [rng.choice(edges) + rng.choice((0.0, 0.0, 0.25, -0.25)) for _ in range(400)]
+    counts = [rng.randint(1, 3) for _ in finish]
+    met = [rng.random() < 0.7 for _ in range(sum(counts))]
+    runtime = schedule.runtime(3)
+    runtime.note_batches(np.array(finish), np.array(counts), np.array(met))
+    served = slo_met = position = 0
+    for seconds, count in zip(finish, counts):
+        if runtime.degraded_at(seconds):
+            served += count
+            slo_met += sum(met[position:position + count])
+        position += count
+    assert 0 < served < sum(counts)
+    assert (runtime.served_degraded, runtime.slo_met_degraded) == (served, slo_met)
+
+
+def test_faulted_fast_replay_keeps_no_busy_entry_per_batch(services):
+    """Under faults every pick reads the busy list, so the fast backend's
+    shard heap must not grow with the batches: after a few thousand
+    requests it still holds its one initial entry per shard."""
+    trace = _trace(5, num_requests=3000, rate_rps=400.0)
+    faults = RandomFaults(
+        num_shards=NUM_SHARDS,
+        horizon_seconds=trace[-1].arrival_seconds,
+        mean_uptime_seconds=1.0,
+        mean_downtime_seconds=0.2,
+        seed=1,
+    ).schedule()
+    run = _Run(_cluster(services), TraceArrivals(trace), ServingConfig(faults=faults))
+    report = run.run()
+    assert report.num_batches > 10 * NUM_SHARDS
+    assert report.faults.migrated > 0
+    assert len(run.backend.heap._heap) <= NUM_SHARDS
+
+
 # ------------------------------------------------------ schedule validation
 def test_schedule_rejects_crash_while_down():
     with pytest.raises(ValueError):
@@ -698,6 +833,62 @@ def test_event_rejects_bad_kind_and_times():
         FaultEvent(seconds=-1.0, shard_id=0, kind=FAULT_CRASH)
     with pytest.raises(ValueError):
         FaultEvent(seconds=0.1, shard_id=0, kind=FAULT_SLOWDOWN, factor=0.5)
+
+
+_RANDOM_FAULTS = dict(
+    num_shards=2, horizon_seconds=1.0, mean_uptime_seconds=0.3, mean_downtime_seconds=0.1
+)
+_CORRELATED = dict(mean_uptime_seconds=0.3, mean_downtime_seconds=0.1)
+
+
+def _build(kind, field, value):
+    if kind == "event":
+        return FaultEvent(seconds=0.1, shard_id=0, kind=FAULT_SLOWDOWN, **{field: value})
+    if kind == "schedule":
+        return FaultSchedule(**{field: value})
+    if kind == "correlated":
+        return CorrelatedFaults(**{**_CORRELATED, field: value})
+    return RandomFaults(**{**_RANDOM_FAULTS, field: value})
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("event", "factor"),
+        ("schedule", "retry_backoff_seconds"),
+        ("schedule", "retry_budget"),
+        ("correlated", "mean_uptime_seconds"),
+        ("correlated", "mean_downtime_seconds"),
+        ("random", "num_shards"),
+        ("random", "horizon_seconds"),
+        ("random", "mean_uptime_seconds"),
+        ("random", "mean_downtime_seconds"),
+        ("random", "slowdown_probability"),
+        ("random", "slowdown_factor"),
+        ("random", "retry_budget"),
+        ("random", "retry_backoff_seconds"),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_fault_inputs_reject_non_finite_values(kind, field, value):
+    """Every numeric fault input rejects NaN and infinity at construction,
+    with a message naming the field, instead of building an empty
+    schedule, a NaN duration or an event-time error inside ``schedule()``."""
+    with pytest.raises(ValueError, match=field.replace("_", "[_ ]")):
+        _build(kind, field, value)
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("schedule", "retry_budget", 1.5),
+        ("random", "retry_budget", 2.0),
+        ("random", "num_shards", 2.5),
+    ],
+)
+def test_fault_counts_reject_non_integers(kind, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        _build(kind, field, value)
 
 
 def test_random_faults_schedule_is_deterministic():
