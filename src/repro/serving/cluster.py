@@ -638,9 +638,9 @@ class _Run:
         "busy_total", "shard_requests", "num_batches", "last_finish", "served",
         "members", "ready", "starts", "durations", "shard_ids", "counts", "reports",
         "max_batch_size", "max_wait_seconds", "batcher", "open_members",
-        "open_deadline", "open_count", "inflight", "inflight_count",
+        "open_deadline", "expiring", "open_count", "inflight", "inflight_count",
         "pending_estimates", "recent_sheds", "shed", "decisions",
-        "notifies_source", "first_arrival", "active_count", "leases",
+        "notifies_source", "replays_source", "first_arrival", "active_count", "leases",
         "record_decisions", "batch_aware",
     )
 
@@ -733,6 +733,9 @@ class _Run:
         self.batcher = scheduler.fair_batcher() if scheduler.fair else None
         self.open_members: Dict[object, List[InferenceRequest]] = {}
         self.open_deadline: Dict[object, float] = {}
+        #: ``(deadline, key)`` of the open batch due next, or None; kept by
+        #: :meth:`enqueue` and :meth:`close` (fair runs ask their batcher).
+        self.expiring: Optional[Tuple[float, object]] = None
         #: Requests in open batches (the autoscaler's queue depth reads it).
         self.open_count = 0
         #: ``(finish, member count)`` per committed batch, a heap, and the
@@ -751,6 +754,11 @@ class _Run:
         # per-request walk; a source that overrides ``on_complete`` is told.
         self.notifies_source = (
             getattr(source.on_complete, "__func__", None) is not TraceArrivals.on_complete
+        )
+        #: Whether only ``pop`` moves the source's next arrival (it ignores
+        #: sheds too), so the loop need peek only after a pop.
+        self.replays_source = not self.notifies_source and (
+            getattr(source.on_shed, "__func__", None) is TraceArrivals.on_shed
         )
         #: The makespan's origin (None for an empty source).
         self.first_arrival: Optional[float] = source.peek_time()
@@ -783,15 +791,14 @@ class _Run:
         faults = self.faults
         planner = self.planner
         batcher = self.batcher
-        next_deadline = self.backend.next_deadline
-        open_members = self.open_members
-        open_deadline = self.open_deadline
         enqueue = self.enqueue
         scale = self.scale if self.autoscaler is not None else None
         admit = self.admit if self.admission is not None else None
         retries = faults.retries if faults is not None else None
+        replays = self.replays_source
+        t_arrival = self.first_arrival
         while True:
-            t_next = source.peek_time()
+            t_next = t_arrival if replays else source.peek_time()
             event = _ARRIVAL
             if retries:
                 t_retry = retries[0][0]
@@ -800,7 +807,7 @@ class _Run:
             if batcher is not None:
                 expiring = batcher.peek_deadline()
             else:
-                expiring = next_deadline(open_members, open_deadline)
+                expiring = self.expiring
             if expiring is not None and (t_next is None or expiring[0] <= t_next):
                 t_next, event = expiring[0], _DEADLINE
             if faults is not None:
@@ -815,6 +822,8 @@ class _Run:
                 if t_next is None:
                     return self.report()
                 request = source.pop()
+                if replays:
+                    t_arrival = source.peek_time()
                 now = request.arrival_seconds
                 if scale is not None:
                     scale(now)
@@ -827,7 +836,6 @@ class _Run:
                     for batch in batcher.fire_deadline(expiring):
                         self.submit(batch)
                 else:
-                    self.backend.fired()
                     self.close(expiring[1], expiring[0])
             elif event == _COMMIT:
                 planner.commit_next(self)
@@ -839,7 +847,10 @@ class _Run:
 
     # -------------------------------------------------------------- batching
     def enqueue(self, request: InferenceRequest, now: float, key: object) -> None:
-        """Add ``request`` (batch key ``key``) to its forming batch."""
+        """Add ``request`` (batch key ``key``) to its forming batch.
+
+        ``now`` is the event time, which never decreases, so a batch opening
+        now is due next only into an empty set or at a tie it wins on id."""
         if self.batcher is not None:
             for batch in self.batcher.add(request, now):
                 self.submit(batch)
@@ -850,6 +861,11 @@ class _Run:
             deadline = now + self.max_wait_seconds
             self.open_deadline[key] = deadline
             self.backend.opened(key, deadline, request.request_id)
+            head = self.expiring
+            if head is None or deadline == head[0] and (
+                request.request_id < self.open_members[head[1]][0].request_id
+            ):
+                self.expiring = (deadline, key)
         members.append(request)
         self.open_count += 1
         if len(members) >= self.max_batch_size:
@@ -859,6 +875,8 @@ class _Run:
         """Close the forming batch under ``key``, ready at ``ready_seconds``."""
         members = self.open_members.pop(key)
         del self.open_deadline[key]
+        if key == self.expiring[1]:
+            self.expiring = self.backend.next_deadline(self.open_members, self.open_deadline)
         self.open_count -= len(members)
         self.submit(RequestBatch(requests=members, ready_seconds=ready_seconds))
 

@@ -419,6 +419,7 @@ class ReferenceBackend:
 
     # Open-batch deadlines.  Ties between expiring batches fire in (deadline,
     # first request id) order, the order ``BatchScheduler.schedule`` sweeps.
+    # The run asks only when the batch due next has closed.
     def opened(self, key: object, deadline: float, first_id: int) -> None:
         """A batch opened under ``key`` (the scan needs no index)."""
 
@@ -433,9 +434,6 @@ class ReferenceBackend:
             key=lambda k: (open_deadline[k], open_members[k][0].request_id),
         )
         return open_deadline[key], key
-
-    def fired(self) -> None:
-        """The :meth:`next_deadline` batch was just closed."""
 
 
 class FastBackend(ReferenceBackend):
@@ -526,9 +524,6 @@ class FastBackend(ReferenceBackend):
                 return deadline, key
             heapq.heappop(heap)
         return None
-
-    def fired(self) -> None:
-        heapq.heappop(self._deadlines)
 
 
 ENGINE_REFERENCE = "reference"

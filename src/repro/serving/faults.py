@@ -899,15 +899,16 @@ class FaultRuntime:
         """Wake parked batches at ``now``, oldest first, until one re-parks.
 
         Each woken batch is re-dispatched with its ready time moved to
-        ``now``.  The first one that parks again stays at the head and the
+        ``now``, in place: nothing reads a parked batch's earlier ready
+        time.  The first one that parks again stays at the head and the
         rest are not tried: they would meet the same live set, busy
         horizons and upcoming crashes, and park too.
         """
         parked = self.parked
         while parked:
             head = parked[0]
-            woken = RequestBatch(requests=head.requests, ready_seconds=now)
-            if self.dispatch(woken, run) == DISPATCH_PARKED:
+            head.ready_seconds = now
+            if self.dispatch(head, run) == DISPATCH_PARKED:
                 return
             parked.popleft()
             self._parked_requests -= len(head.requests)

@@ -25,7 +25,7 @@ from typing import Deque, Dict, Hashable, List, Mapping, NamedTuple, Optional, T
 import numpy as np
 
 from repro.serving.requests import InferenceRequest, RequestTrace
-from repro.system.workload import WorkloadProfile
+from repro.system.workload import WorkloadProfile, check_count
 
 
 class BatchPlan(NamedTuple):
@@ -60,7 +60,7 @@ class BatchPlan(NamedTuple):
         return len(self.ready_seconds)
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestBatch:
     """A group of compatible requests served by one preprocessing pass.
 
@@ -117,8 +117,7 @@ class BatchScheduler:
         max_wait_seconds: float = 0.0,
         tenant_weights: Optional[Mapping[str, float]] = None,
     ) -> None:
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
+        check_count("max_batch_size", max_batch_size, 1)
         if not (math.isfinite(max_wait_seconds) and max_wait_seconds >= 0):
             raise ValueError(
                 f"max_wait_seconds must be a finite number >= 0, got {max_wait_seconds}"

@@ -39,9 +39,9 @@ def check_count(name: str, value, minimum: int) -> None:
     """Reject ``value`` unless it is an integer >= ``minimum``.
 
     Floats are refused, NaN and ``1.5`` included: a count ends up as a
-    profile's ``k`` or ``num_layers``, or as a slice bound.
+    profile's ``k`` or ``num_layers``, or as a slice bound.  So are bools.
     """
-    if not (isinstance(value, numbers.Integral) and value >= minimum):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
 
 

@@ -5,14 +5,21 @@ Workload/trace/cluster setup shared with the property suites lives in
 ``services`` fixture).
 """
 
+import copy
+import dataclasses
 import json
+import math
+import pickle
+import re
 
+import numpy as np
 import pytest
 from conftest import make_profile as profile, zero_gap_trace
 
 from repro.analysis.metrics import LatencyStats, percentile
 from repro.serving import (
     BatchScheduler,
+    ClosedLoopClients,
     InferenceRequest,
     OpenLoopArrivals,
     POLICY_LOCALITY,
@@ -90,6 +97,70 @@ def test_non_finite_inputs_rejected_at_construction(build, message, value):
     # arrivals.
     with pytest.raises(ValueError, match=message):
         build(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_arrivals_rejected_at_construction(value):
+    """A NaN arrival reached both engines, which served it with different
+    makespans and a NaN p99; both trace constructors now refuse it."""
+    w = profile()
+    message = re.escape(f"arrival_seconds must be finite, got {value!r} at request 1")
+    with pytest.raises(ValueError, match=message):
+        RequestTrace(
+            [InferenceRequest(0, 0.0, w), InferenceRequest(1, value, w),
+             InferenceRequest(2, 0.5, w)]
+        )
+    with pytest.raises(ValueError, match=message):
+        RequestTrace.from_arrays(
+            np.array([0.0, value, 0.5]), [w], np.zeros(3, dtype=np.int64)
+        )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("think_seconds", math.nan, "think_seconds must be a finite number >= 0, got nan"),
+        ("think_seconds", math.inf, "think_seconds must be a finite number >= 0, got inf"),
+        (
+            "retry_backoff_seconds", math.nan,
+            "retry_backoff_seconds must be a finite number >= 0, got nan",
+        ),
+        ("num_clients", 2.5, "num_clients must be an integer >= 1, got 2.5"),
+        ("max_requests", 5.5, "max_requests must be an integer >= 1, got 5.5"),
+    ],
+)
+def test_closed_loop_clients_reject_bad_inputs(field, value, message):
+    """``think_seconds=nan`` served 2 of 6 requests and ``max_requests=5.5``
+    served 6: each field is checked at construction."""
+    kwargs = {"num_clients": 2, "max_requests": 6, field: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ClosedLoopClients([profile()], **kwargs)
+
+
+@pytest.mark.parametrize("value", [2.5, True, 0])
+def test_max_batch_size_must_be_an_integer(value):
+    """A fractional cap crashed the fast chunked replay's index arithmetic."""
+    with pytest.raises(ValueError, match=f"max_batch_size must be an integer >= 1, got {value}"):
+        BatchScheduler(max_batch_size=value)
+
+
+def test_bulk_built_requests_behave_like_constructed_ones():
+    """A generated trace builds its requests without ``__init__``; they
+    compare, hash, print, copy and pickle like constructed ones and stay
+    frozen."""
+    trace = OpenLoopArrivals([profile("a"), profile("b")], rate_rps=100.0, seed=3).trace(20)
+    for request in trace:
+        built = InferenceRequest(
+            request.request_id, request.arrival_seconds, request.workload, request.tenant
+        )
+        assert request == built
+        assert hash(request) == hash(built)
+        assert repr(request) == repr(built)
+        assert pickle.loads(pickle.dumps(request)) == built
+        assert copy.copy(request) == built
+        assert dataclasses.replace(request, tenant="t") == dataclasses.replace(built, tenant="t")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace[0].arrival_seconds = 1.0
 
 
 # --------------------------------------------------------------- scheduler

@@ -13,6 +13,7 @@ Regenerate after an intentional format change with::
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.serving import (
@@ -254,7 +255,12 @@ class TestMergeContract:
 
     def test_rejects_non_finite_input(self):
         w = GOLDEN_MIX[0]
-        bad = RequestTrace([InferenceRequest(0, float("inf"), w)])
+        # The constructors refuse non-finite arrivals, so forge the SoA view
+        # as above to exercise the defence.
+        bad = RequestTrace([InferenceRequest(0, 0.5, w)])
+        bad._arrays = bad.arrays()._replace(
+            arrival_seconds=np.array([float("inf")])
+        )
         with pytest.raises(ValueError, match="non-finite"):
             merge_traces([bad])
 
