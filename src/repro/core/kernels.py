@@ -27,13 +27,7 @@ from repro.core.upe import CYCLES_PER_PARTITION_PASS, DEFAULT_RADIX_BITS, UPE
 from repro.graph.coo import COOGraph, vid_bits
 from repro.graph.csc import CSCGraph
 from repro.graph.convert import csc_from_ordered, edge_order
-from repro.graph.reindex import (
-    ReindexResult,
-    interleave_endpoints,
-    reindex_mapping_sizes,
-    reindex_subgraph,
-    reindexed_result,
-)
+from repro.graph.reindex import ReindexResult, reindex_subgraph, reindexed_result
 from repro.graph.sampling import SampledSubgraph, node_wise_sample_with_stats
 
 #: Per-neighbour-array overhead of the selection control path: building the
@@ -159,6 +153,45 @@ def reindexing_cycle_count(
     width = reindexer_scan_width(config)
     scans = np.maximum((sizes + width - 1) // width, 1)
     return int(scans.sum())
+
+
+#: Scan boundaries whose first crossings the closed form searches one by one;
+#: past this many, one running maximum per endpoint array finds them all.
+SEARCHED_SCAN_BOUNDARIES = 8
+
+
+def reindexing_cycles_of(result: ReindexResult, config: HardwareConfig) -> int:
+    """:func:`reindexing_cycle_count` of the occupancies ``result``'s numbering saw.
+
+    ``result`` numbers its ``n`` endpoint lookups (``dst[0], src[0], dst[1],
+    ...``) by first appearance from an empty mapping, so lookup ``i`` sees
+    ``max(codes[:i]) + 1`` mappings, at least 1.  It takes one scan more for
+    each multiple ``tW`` of the scan width that its occupancy exceeds, that
+    is for each code ``tW`` first seen before it.  With ``m`` distinct VIDs
+    and ``p_c`` where code ``c`` first appears, the charge is ``n + sum over
+    t >= 1, tW < m of (n - 1 - p_tW)``: just ``n`` while ``m <= W``.  No
+    larger code precedes ``c``, so ``p_c`` is the first lookup of a code
+    ``>= c`` (DESIGN.md, "The fast path and its oracles").
+    """
+    src, dst = result.edges.src, result.edges.dst
+    n = 2 * dst.shape[0]
+    width = reindexer_scan_width(config)
+    boundaries = np.arange(width, result.num_sampled_nodes, width)
+    if boundaries.shape[0] > SEARCHED_SCAN_BOUNDARIES:
+        dst_at = np.searchsorted(np.maximum.accumulate(dst), boundaries)
+        src_at = np.searchsorted(np.maximum.accumulate(src), boundaries)
+    else:
+        dst_at = np.array([_first_at_least(dst, c) for c in boundaries], dtype=np.int64)
+        src_at = np.array([_first_at_least(src, c) for c in boundaries], dtype=np.int64)
+    first_seen = np.minimum(2 * dst_at, 2 * src_at + 1)
+    return n + int((n - 1 - first_seen).sum())
+
+
+def _first_at_least(values: np.ndarray, bound: int) -> int:
+    """Index of the first entry ``>= bound``, or ``len(values)`` if none is."""
+    hit = values >= bound
+    at = int(hit.argmax())
+    return at if hit[at] else values.shape[0]
 
 
 def reindexing_cycle_estimate(
@@ -291,9 +324,9 @@ class SCRKernel:
     def subgraph_reindexing(self, sample: SampledSubgraph) -> Tuple[ReindexResult, int]:
         """Renumber the sampled subgraph; returns (reindex result, cycles).
 
-        The fast path factorizes the endpoint stream and charges the
-        closed-form occupancy of ``reindex_mapping_sizes``; ``detailed`` runs
-        the SCR reindexer's scans.  Both equal what the hash-map oracle
+        The fast path factorizes the endpoint stream and charges it in
+        closed form (:func:`reindexing_cycles_of`); ``detailed`` runs the SCR
+        reindexer's scans.  Both equal what the hash-map oracle
         ``reindex_edges_reference`` numbers and sees.
         """
         if self.detailed:
@@ -304,9 +337,5 @@ class SCRKernel:
                 new_src, new_dst, self.reindexer.original_vids(), mapping=self.reindexer.mapping
             )
             return result, self.reindexer.stats.cycles
-        # The assigned IDs are first-occurrence codes in endpoint scan order,
-        # so their running maximum is the occupancy each lookup scans.
         result = reindex_subgraph(sample)
-        codes = interleave_endpoints(result.edges.src, result.edges.dst)
-        cycles = reindexing_cycle_count(reindex_mapping_sizes(codes), self.config)
-        return result, cycles
+        return result, reindexing_cycles_of(result, self.config)

@@ -84,7 +84,10 @@ def merge_edge_order(
         name=ordered.name,
         validate_vids=False,
     )
-    pointers = build_pointer_array(added_dst, num_nodes)
+    # The added destinations are sorted, so the batch's shift of pointer v,
+    # its count of destinations below v, is one repeat of 0..len(added).
+    bounds = np.concatenate(([0], added_dst + 1, [num_nodes + 1]))
+    pointers = np.repeat(np.arange(added.shape[0] + 1, dtype=VID_DTYPE), np.diff(bounds))
     pointers[: indptr.shape[0]] += indptr
     pointers[indptr.shape[0] :] += indptr[-1]
     merged._indptr = pointers

@@ -50,7 +50,7 @@ class CSCGraph:
                 f"indptr[-1]={int(self.indptr[-1])} does not match "
                 f"len(indices)={self.indices.shape[0]}"
             )
-        if self.indptr.size and np.any(np.diff(self.indptr) < 0):
+        if (self.indptr[1:] < self.indptr[:-1]).any():
             raise ValueError("indptr must be non-decreasing")
 
     # ------------------------------------------------------------------ basic

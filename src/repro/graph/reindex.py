@@ -6,7 +6,7 @@ new indices (Section II-B, Fig. 4b).  :func:`reindex_edges` assigns the
 first-encounter numbering of a hash-map walk through one first-occurrence
 factorization of the endpoint stream.  :func:`reindex_edges_reference` is
 that walk, the oracle that tests and the preprocessing bench hold the fast
-path, its closed-form occupancies and the SCR reindexer to (see DESIGN.md,
+path, its closed-form reindexing charge and the SCR reindexer to (see DESIGN.md,
 "The fast path and its oracles").  Every call numbers from an empty mapping.
 """
 
@@ -66,6 +66,11 @@ class ReindexResult:
 # ---------------------------------------------------------------------------
 # Vectorized building blocks (shared with the SCR kernel)
 # ---------------------------------------------------------------------------
+#: VIDs per endpoint up to which the one-table scatter beats the sort path
+#: (DESIGN.md, "Scatter or sort").
+SCATTER_VIDS_PER_ENDPOINT = 64
+
+
 def interleave_endpoints(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Endpoint stream in reindexer scan order: ``dst[0], src[0], dst[1], ...``.
 
@@ -89,48 +94,35 @@ def factorize_first_occurrence(
     by first appearance, and ``originals[code]`` recovers the value — exactly
     the numbering a first-encounter hash map produces, without a per-element
     loop.  When ``num_vids`` bounds the value range (VIDs live in
-    ``[0, num_vids)``) and :func:`~repro.graph.sampling.dense_vid_range`
-    holds, an O(n) scatter through a lookup table is used; otherwise a
-    sort-based ``np.unique`` factorization.  Both paths are bit-identical.
+    ``[0, num_vids)``, else :class:`ValueError`) and
+    :func:`~repro.graph.sampling.dense_vid_range` holds at
+    :data:`SCATTER_VIDS_PER_ENDPOINT`, an O(n) scatter through one lookup
+    table is used; otherwise a sort-based ``np.unique`` factorization.  Both paths return the same values; the scatter's codes
+    are int32 when ``n < 2**31``.
     """
     values = np.asarray(values, dtype=VID_DTYPE)
     n = int(values.shape[0])
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=VID_DTYPE)
-    if num_vids is not None and dense_vid_range(num_vids, n):
+    if num_vids is not None and (values.min() < 0 or values.max() >= num_vids):
+        raise ValueError(f"values must lie in [0, num_vids) = [0, {num_vids})")
+    if num_vids is not None and dense_vid_range(num_vids, n, SCATTER_VIDS_PER_ENDPOINT):
+        # Positions and codes are below n, so the one table can be int32.
+        dtype = np.int32 if n < 2**31 else np.int64
+        positions = np.arange(n, dtype=dtype)
+        table = np.empty(num_vids, dtype=dtype)
         # Scatter positions in reverse: with duplicate indices the last write
         # wins, so each VID's slot ends up holding its *first* occurrence.
-        positions = np.arange(n, dtype=np.int64)
-        first_pos = np.empty(num_vids, dtype=np.int64)
-        first_pos[values[::-1]] = positions[::-1]
-        is_first = first_pos[values] == positions
-        originals = values[is_first]
-        code_lut = np.empty(num_vids, dtype=np.int64)
-        code_lut[originals] = np.arange(originals.shape[0], dtype=np.int64)
-        return code_lut[values], originals
+        table[values[::-1]] = positions[::-1]
+        originals = values[table[values] == positions]
+        # The same table then maps each distinct VID to its code.
+        table[originals] = np.arange(originals.shape[0], dtype=dtype)
+        return table[values], originals
     uniques, first_index, inverse = np.unique(values, return_index=True, return_inverse=True)
     appearance = np.argsort(first_index, kind="stable")
     rank = np.empty(appearance.shape[0], dtype=np.int64)
     rank[appearance] = np.arange(appearance.shape[0], dtype=np.int64)
     return rank[inverse.ravel()], uniques[appearance]
-
-
-def reindex_mapping_sizes(codes: np.ndarray) -> np.ndarray:
-    """Mapping occupancy seen by each endpoint lookup, in closed form.
-
-    ``sizes[i]`` is the number of mappings resident when endpoint ``i`` is
-    looked up (at least 1: an empty SRAM bank still takes one scan).  Because
-    ``codes`` are first-appearance ranks, the occupancy before position ``i``
-    is ``max(codes[:i]) + 1``.
-    """
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    running_max = np.maximum.accumulate(codes)
-    sizes = np.empty(codes.shape[0], dtype=np.int64)
-    sizes[0] = 1
-    sizes[1:] = running_max[:-1] + 1
-    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +175,8 @@ def reindex_edges_reference(
     occupancy each lookup sees: ``len(mapping)`` before it, at least 1 (an
     empty SRAM bank still takes one scan).  Returns ``(result, occupancy)``;
     ``reindexing_cycle_count(occupancy, config)`` is the reindexing charge,
-    which the SCR kernel computes from :func:`reindex_mapping_sizes` instead.
+    which the SCR kernel's fast path computes in closed form instead
+    (``repro.core.kernels.reindexing_cycles_of``).
     """
     src = np.asarray(src, dtype=VID_DTYPE)
     dst = np.asarray(dst, dtype=VID_DTYPE)

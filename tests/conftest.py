@@ -60,6 +60,23 @@ def loop_merge_rounds(num_chunks: int) -> int:
     return rounds
 
 
+def reindex_mapping_sizes(codes: np.ndarray) -> np.ndarray:
+    """Mapping occupancy each endpoint lookup sees, from first-appearance codes.
+
+    ``sizes[i]`` is ``max(codes[:i]) + 1``, at least 1 (an empty SRAM bank
+    still takes one scan); ``reindexing_cycle_count(sizes, config)`` is the
+    reindexing charge that ``repro.core.kernels.reindexing_cycles_of``
+    computes without these sizes.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    sizes = np.empty(codes.shape[0], dtype=np.int64)
+    sizes[0] = 1
+    sizes[1:] = np.maximum.accumulate(codes)[:-1] + 1
+    return sizes
+
+
 # ------------------------------------------------------------ serving helpers
 def make_profile(name: str = "synth", batch_size: int = 100, **kwargs) -> WorkloadProfile:
     """A small synthetic workload profile (kwargs override the defaults)."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import reindex_mapping_sizes
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import HardwareConfig
@@ -10,7 +11,7 @@ from repro.core.kernels import reindexing_cycle_count
 from repro.core.scr import SCR, AdderTree, ComparatorBank, FilterTree, Reindexer, Reshaper
 from repro.graph.convert import build_pointer_array, edge_order
 from repro.graph.generators import GraphSpec, power_law_graph
-from repro.graph.reindex import interleave_endpoints, reindex_edges, reindex_mapping_sizes
+from repro.graph.reindex import interleave_endpoints, reindex_edges
 
 
 class TestComparatorBank:

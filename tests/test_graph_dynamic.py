@@ -17,7 +17,7 @@ from repro.graph.dynamic import (
     critical_update_ratio,
 )
 from repro.core.accelerator import AutoGNNDevice
-from repro.graph.convert import edge_order
+from repro.graph.convert import build_pointer_array, edge_order, merge_edge_order
 from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.generators import grow_graph, uniform_random_graph
 from repro.preprocessing.pipeline import PreprocessingConfig, preprocess
@@ -351,6 +351,39 @@ def test_snapshots_preprocess_as_their_copies(equivalence_deadline, stream):
         assert device.timing == expected.timing
         _assert_same_results(preprocess(snapshot, config), preprocess(plain, config))
     assert base._ordered is None
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(stream=update_streams())
+@example(
+    stream=(
+        COOGraph(src=np.array([0, 1, 2]), dst=np.array([2, 2, 0]), num_nodes=3),
+        [
+            # Duplicate destinations, one past the old node count, an empty
+            # batch that adds vertices, then one into the last new vertex.
+            UpdateBatch(step=0, src=np.array([1, 1, 0, 3]), dst=np.array([2, 2, 4, 0]), new_nodes=2),
+            UpdateBatch(step=1, src=np.empty(0, dtype=VID_DTYPE), dst=np.empty(0, dtype=VID_DTYPE),
+                        new_nodes=3),
+            UpdateBatch(step=2, src=np.array([7, 0]), dst=np.array([7, 7])),
+        ],
+    )
+)
+def test_merged_pointer_array_is_built_from_the_merged_layout(equivalence_deadline, stream):
+    """The pointer array ``merge_edge_order`` shifts by the batch equals the
+    one built from the merged destinations, new vertices included."""
+    if time.monotonic() > equivalence_deadline:
+        return
+    base, batches = stream
+    dynamic = DynamicGraph(graph=base)
+    for batch in batches:
+        layout = dynamic.apply(batch)._ordered
+        want = build_pointer_array(layout.dst, layout.num_nodes)
+        assert layout._indptr.dtype == want.dtype and np.array_equal(layout._indptr, want)
+    # A layout that carries no pointer array merges from a built one.
+    ordered = edge_order(base)
+    merged = merge_edge_order(ordered, base.src, base.dst, base.num_nodes + 2)
+    assert np.array_equal(merged._indptr, build_pointer_array(merged.dst, merged.num_nodes))
 
 
 class TestInfluence:

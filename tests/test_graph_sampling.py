@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
+from repro.core.accelerator import AutoGNNDevice
 from repro.core.cost_model import total_selections
 from repro.graph.convert import coo_to_csc
+from repro.graph.coo import COOGraph
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.sampling import (
+    MAX_SCATTER_VIDS,
     _sorted_unique,
     dense_vid_range,
     node_wise_sample,
     node_wise_sample_reference,
+    node_wise_sample_with_stats,
     sorted_unique,
 )
+from repro.preprocessing.pipeline import PreprocessingConfig, preprocess
 
 
 @pytest.fixture
@@ -147,3 +153,92 @@ class TestSortedUnique:
         values = np.array([4, 1, 4, 0], dtype=np.int64)
         sorted_unique(values)
         assert values.tolist() == [4, 1, 4, 0]
+
+
+class TestDenseRangeRule:
+    def test_four_vids_per_value_by_default(self):
+        assert dense_vid_range(4 * 1000 + 1024, 1000)
+        assert not dense_vid_range(4 * 1000 + 1025, 1000)
+        assert not dense_vid_range(0, 1000)
+
+    def test_wider_rules_are_capped_past_four_vids_per_value(self):
+        assert dense_vid_range(64 * 1000 + 1024, 1000, 64)
+        assert not dense_vid_range(64 * 1000 + 1025, 1000, 64)
+        size = MAX_SCATTER_VIDS // 16
+        assert dense_vid_range(MAX_SCATTER_VIDS + 1024, size, 64)
+        assert not dense_vid_range(MAX_SCATTER_VIDS + 1025, size, 64)
+        # Up to 4 per value the cap never applies.
+        assert dense_vid_range(4 * MAX_SCATTER_VIDS + 1024, MAX_SCATTER_VIDS, 64)
+
+
+class TestBatchRange:
+    @pytest.mark.parametrize("bad", [-1, 80, -(2**40)], ids=["negative", "at-range", "far-below"])
+    def test_out_of_range_batch_vids_raise_on_every_path(self, csc, bad):
+        """A negative VID once sampled around VID ``num_nodes - 1`` while the
+        sample still read ``-1``; every path now raises ``IndexError``."""
+        batch = [3, bad]
+        with pytest.raises(IndexError, match=r"\[0, num_nodes\) = \[0, 80\)"):
+            node_wise_sample_with_stats(csc, batch, k=3, num_layers=1)
+        with pytest.raises(IndexError, match="out of range"):
+            node_wise_sample_reference(csc, batch, k=3, num_layers=1)
+        dst = np.repeat(np.arange(80), np.diff(csc.indptr))
+        graph = COOGraph(src=csc.indices, dst=dst, num_nodes=80)
+        config = PreprocessingConfig(k=3, num_layers=1, batch_size=1)
+        for run in (preprocess, AutoGNNDevice().preprocess):
+            with pytest.raises(IndexError, match=r"\[0, 80\)"):
+                run(graph, config, batch_nodes=[bad])
+
+    def test_batch_array_is_copied(self, csc):
+        batch = np.array([4, 2, 4], dtype=np.int64)
+        sample = node_wise_sample(csc, batch, k=3, num_layers=1, seed=0)
+        batch[0] = 7
+        assert sample.batch_nodes.tolist() == [4, 2, 4]
+        assert node_wise_sample(csc, (4, 2), k=3, num_layers=1, seed=0).num_layers == 1
+
+
+@st.composite
+def sampler_cases(draw):
+    """``(csc, batch, k, num_layers, seed)`` on a small graph whose upper VIDs
+    are isolated, so frontiers may run dry before the last hop."""
+    num_nodes = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    num_edges = draw(st.integers(0, 120))
+    hot = draw(st.integers(1, num_nodes))
+    graph = COOGraph(
+        src=rng.integers(0, hot, size=num_edges),
+        dst=rng.integers(0, hot, size=num_edges),
+        num_nodes=num_nodes,
+    )
+    batch = draw(st.lists(st.integers(0, num_nodes - 1), max_size=6))
+    k = draw(st.sampled_from([1, 2, 3, 1000]))
+    return coo_to_csc(graph), batch, k, draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
+
+
+def _chain_csc():
+    """1 -> 0 and 2 -> 1: a frontier from 0 runs dry at hop three."""
+    return coo_to_csc(COOGraph(src=np.array([1, 2]), dst=np.array([0, 1]), num_nodes=4))
+
+
+@seed(20261020)
+@settings(max_examples=80, deadline=None)
+@given(case=sampler_cases())
+@example(case=(_chain_csc(), [0], 2, 4, 0))
+@example(case=(_chain_csc(), [3], 2, 2, 0))
+def test_sampler_equals_its_oracle_at_one_to_four_layers(case):
+    """Sample and stats equal the oracle's at every depth, also when the
+    frontier empties before the last hop (no frontier follows that hop)."""
+    csc, batch, k, num_layers, draw_seed = case
+    fast, fast_stats = node_wise_sample_with_stats(csc, batch, k, num_layers, seed=draw_seed)
+    ref, ref_stats = node_wise_sample_reference(csc, batch, k, num_layers, seed=draw_seed)
+    assert fast_stats == ref_stats
+    assert fast.num_layers == ref.num_layers <= num_layers
+    for got, want in zip(fast.layers, ref.layers):
+        assert np.array_equal(got.src, want.src) and np.array_equal(got.dst, want.dst)
+    assert np.array_equal(fast.sampled_nodes, ref.sampled_nodes)
+    assert np.array_equal(fast.batch_nodes, ref.batch_nodes)
+
+
+def test_chain_frontier_runs_dry_before_the_last_hop():
+    sample = node_wise_sample(_chain_csc(), [0], k=2, num_layers=4, seed=0)
+    assert [layer.num_edges for layer in sample.layers] == [0, 1, 1]
+    assert sample.sampled_nodes.tolist() == [0, 1, 2]

@@ -13,15 +13,18 @@ import time
 
 import numpy as np
 import pytest
+from conftest import reindex_mapping_sizes
 from hypothesis import example, given, seed, settings, strategies as st
 
 from repro.core.accelerator import AutoGNNDevice
 from repro.core.config import HardwareConfig
 from repro.core.kernels import (
+    SEARCHED_SCAN_BOUNDARIES,
     SCRKernel,
     UPEKernel,
     reindexer_scan_width,
     reindexing_cycle_count,
+    reindexing_cycles_of,
     reshaping_cycle_count,
     selection_cycle_count,
 )
@@ -30,10 +33,11 @@ from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.dynamic import DynamicGraph, UpdateBatch
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.reindex import (
+    SCATTER_VIDS_PER_ENDPOINT,
     factorize_first_occurrence,
     interleave_endpoints,
+    reindex_edges,
     reindex_edges_reference,
-    reindex_mapping_sizes,
     reindex_subgraph,
 )
 from repro.graph.sampling import (
@@ -138,12 +142,13 @@ class TestReindexEquivalence:
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "above-threshold"])
     def test_factorize_either_side_of_the_dense_range_rule(self, extra):
-        """The VID range at the shared threshold scatters, one above sorts;
-        both number the endpoints as the oracle's walk does."""
+        """The VID range at the factorization's threshold scatters, one above
+        sorts; both number the endpoints as the oracle's walk does."""
         rng = np.random.default_rng(11)
         num_edges = 300
-        num_vids = 4 * (2 * num_edges) + 1024 + extra
-        assert dense_vid_range(num_vids, 2 * num_edges) == (extra == 0)
+        num_vids = SCATTER_VIDS_PER_ENDPOINT * (2 * num_edges) + 1024 + extra
+        rule = dense_vid_range(num_vids, 2 * num_edges, SCATTER_VIDS_PER_ENDPOINT)
+        assert rule == (extra == 0)
         # Endpoints include the range's last VID, so a short table would fail.
         src = rng.integers(0, num_vids, size=num_edges)
         dst = rng.integers(num_vids - 40, num_vids, size=num_edges)
@@ -175,6 +180,122 @@ class TestReindexEquivalence:
         assert interleave_endpoints(src, dst).tolist() == [3, 1, 4, 2]
 
 
+#: Reindexer scan widths ``W = num_scrs * scr_width`` and configs with them.
+SCAN_WIDTH_CONFIGS = {
+    1: HardwareConfig(num_scrs=1, scr_width=1),
+    2: HardwareConfig(num_scrs=1, scr_width=2),
+    3: HardwareConfig(num_scrs=3, scr_width=1),
+    7: HardwareConfig(num_scrs=7, scr_width=1),
+    16384: HardwareConfig(num_scrs=1, scr_width=16384),
+}
+
+
+def numbered_stream(distinct, extra_edges, spare_vids, rng_seed):
+    """``(src, dst, num_vids)``: an endpoint stream over exactly ``distinct`` VIDs."""
+    rng = np.random.default_rng(rng_seed)
+    num_edges = (distinct + 1) // 2 + extra_edges if distinct else 0
+    num_vids = max(distinct + spare_vids, 1)
+    vids = rng.choice(num_vids, size=distinct, replace=False)
+    # Every distinct VID appears at a random place; the rest repeat them.
+    stream = np.zeros(2 * num_edges, dtype=VID_DTYPE)
+    if distinct:
+        stream[:] = vids[rng.integers(0, distinct, size=2 * num_edges)]
+        stream[rng.permutation(2 * num_edges)[:distinct]] = vids
+    return stream[1::2], stream[0::2], num_vids
+
+
+def assert_closed_form_charge(width, src, dst, num_vids):
+    """``reindexing_cycles_of`` charges what ``reindexing_cycle_count``
+    charges for the occupancies each lookup saw."""
+    config = SCAN_WIDTH_CONFIGS[width]
+    assert reindexer_scan_width(config) == width
+    result = reindex_edges(src, dst, num_vids=num_vids)
+    codes = interleave_endpoints(result.edges.src, result.edges.dst)
+    expected = reindexing_cycle_count(reindex_mapping_sizes(codes), config)
+    assert reindexing_cycles_of(result, config) == expected
+    _, occupancy = reindex_edges_reference(src[:300], dst[:300])
+    head = reindex_edges(src[:300], dst[:300])
+    assert reindexing_cycles_of(head, config) == reindexing_cycle_count(occupancy, config)
+
+
+#: ``(W, multiples of W)``: few scan boundaries for every width, and for the
+#: narrow ones more than the closed form searches one by one.
+BOUNDARY_CASES = [(w, t) for w in SCAN_WIDTH_CONFIGS for t in (0, 1, 2)] + [
+    (w, SEARCHED_SCAN_BOUNDARIES + 2) for w in (1, 2, 3, 7)
+]
+
+
+class TestClosedFormReindexCharge:
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("width, multiple", BOUNDARY_CASES)
+    def test_distinct_count_around_each_multiple_of_the_width(self, width, multiple, offset):
+        distinct = max(multiple * width + offset, 0)
+        assert_closed_form_charge(width, *numbered_stream(distinct, 7, 5, rng_seed=distinct))
+
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        width=st.sampled_from([1, 2, 3, 7]),
+        multiple=st.integers(0, 2 * SEARCHED_SCAN_BOUNDARIES),
+        offset=st.sampled_from([-1, 0, 1]),
+        extra_edges=st.integers(0, 40),
+        spare_vids=st.sampled_from([0, 5, 10**7]),
+        rng_seed=st.integers(0, 2**16),
+    )
+    def test_closed_form_on_random_streams(
+        self, width, multiple, offset, extra_edges, spare_vids, rng_seed
+    ):
+        distinct = max(multiple * width + offset, 0)
+        stream = numbered_stream(distinct, extra_edges, spare_vids, rng_seed)
+        assert_closed_form_charge(width, *stream)
+
+    def test_charge_is_the_lookup_count_within_one_scan(self):
+        result = reindex_edges(np.array([3, 1, 3]), np.array([2, 2, 1]))
+        assert reindexing_cycles_of(result, SCAN_WIDTH_CONFIGS[16384]) == 6
+        # W = 1: the lookups see 1 (empty), 1, 2, 2, 3 and 3 mappings.
+        assert reindexing_cycles_of(result, SCAN_WIDTH_CONFIGS[1]) == 1 + 1 + 2 + 2 + 3 + 3
+
+
+@st.composite
+def dense_value_streams(draw):
+    """``(values, num_vids)`` whose VID range the one-table scatter takes."""
+    size = draw(st.integers(0, 600))
+    num_vids = draw(st.integers(1, SCATTER_VIDS_PER_ENDPOINT * size + 1024))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    hot = draw(st.integers(1, num_vids))
+    return rng.integers(num_vids - hot, num_vids, size=size).astype(VID_DTYPE), num_vids
+
+
+class TestOneTableFactorization:
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None)
+    @given(case=dense_value_streams())
+    def test_one_table_equals_the_sort_path(self, case):
+        values, num_vids = case
+        assert dense_vid_range(num_vids, values.shape[0], SCATTER_VIDS_PER_ENDPOINT)
+        codes, originals = factorize_first_occurrence(values, num_vids=num_vids)
+        want_codes, want_originals = factorize_first_occurrence(values)
+        assert np.array_equal(codes, want_codes)
+        assert np.array_equal(originals, want_originals)
+        assert originals.dtype == VID_DTYPE
+        if values.shape[0]:
+            assert codes.dtype == np.int32
+
+    @pytest.mark.parametrize("num_vids", [10, 10**9], ids=["scatter", "sort"])
+    def test_values_outside_the_range_are_rejected(self, num_vids):
+        """A negative VID once aliased the table's last slot: -1 took 9's code."""
+        for bad in (-1, num_vids, -(2**40)):
+            values = np.array([9, 3, bad, 2], dtype=VID_DTYPE)
+            with pytest.raises(ValueError, match=rf"\[0, {num_vids}\)"):
+                factorize_first_occurrence(values, num_vids=num_vids)
+            with pytest.raises(ValueError, match="num_vids"):
+                reindex_edges(values[:2], values[2:], num_vids=num_vids)
+
+    def test_unbounded_values_are_not_range_checked(self):
+        codes, originals = factorize_first_occurrence(np.array([9, 3, -1, 9]))
+        assert codes.tolist() == [0, 1, 2, 0] and originals.tolist() == [9, 3, -1]
+
+
 class TestCycleFormulaEquivalence:
     def test_reshaping_vectorized_matches_loop(self, graph, config):
         ordered = edge_order(graph)
@@ -201,7 +322,7 @@ class TestCycleFormulaEquivalence:
 #: Pipeline-scale graphs of at least 10k edges, as (nodes, edges, batch):
 #: one whose sample is dense in its VID range, one so sparse that the
 #: frontier dedup and the endpoint factorization take their sort branches.
-PIPELINE_GRAPHS = [(2_000, 10_000, 1_000), (100_000, 20_000, 20_000)]
+PIPELINE_GRAPHS = [(2_000, 10_000, 1_000), (400_000, 30_000, 30_000)]
 
 
 class TestPipelineEquivalence:
@@ -236,6 +357,9 @@ class TestPipelineEquivalence:
         assert timing.selecting_cycles == selection_cycle_count(stats.draws, stats.arrays, config)
         assert timing.reindexing_cycles == reindexing_cycle_count(occupancy, config)
         assert occupancy.max() > 10 * reindexer_scan_width(config)
+        # The dense case scatters its endpoints, the sparse one sorts them.
+        scatters = dense_vid_range(num_nodes, occupancy.shape[0], SCATTER_VIDS_PER_ENDPOINT)
+        assert scatters == (num_nodes == PIPELINE_GRAPHS[0][0])
 
 
 class TestSatelliteFixes:
