@@ -73,7 +73,7 @@ MIN_SPEEDUPS = {"10k": 5.0, "100k": 10.0}
 CYCLE_CHECK_MAX_EDGES = 100_000
 
 #: Cycle identity is checked on the default device and on this one, whose
-#: reindexer scans 128 mappings per cycle: the default scans 16,384, more
+#: reindexer scans 128 mappings per cycle: the default scans 4,096, more
 #: than the 10k-edge subgraph maps, so there every lookup costs one cycle
 #: and an occupancy off by one would go uncharged.
 NARROW_REINDEXER = HardwareConfig(num_upes=8, upe_width=32, num_scrs=2, scr_width=64)

@@ -155,11 +155,6 @@ def reindexing_cycle_count(
     return int(scans.sum())
 
 
-#: Scan boundaries whose first crossings the closed form searches one by one;
-#: past this many, one running maximum per endpoint array finds them all.
-SEARCHED_SCAN_BOUNDARIES = 8
-
-
 def reindexing_cycles_of(result: ReindexResult, config: HardwareConfig) -> int:
     """:func:`reindexing_cycle_count` of the occupancies ``result``'s numbering saw.
 
@@ -171,27 +166,17 @@ def reindexing_cycles_of(result: ReindexResult, config: HardwareConfig) -> int:
     and ``p_c`` where code ``c`` first appears, the charge is ``n + sum over
     t >= 1, tW < m of (n - 1 - p_tW)``: just ``n`` while ``m <= W``.  No
     larger code precedes ``c``, so ``p_c`` is the first lookup of a code
-    ``>= c`` (DESIGN.md, "The fast path and its oracles").
+    ``>= c``, which bisecting each endpoint array's running maximum finds
+    (DESIGN.md, "The fast path and its oracles").
     """
     src, dst = result.edges.src, result.edges.dst
     n = 2 * dst.shape[0]
     width = reindexer_scan_width(config)
     boundaries = np.arange(width, result.num_sampled_nodes, width)
-    if boundaries.shape[0] > SEARCHED_SCAN_BOUNDARIES:
-        dst_at = np.searchsorted(np.maximum.accumulate(dst), boundaries)
-        src_at = np.searchsorted(np.maximum.accumulate(src), boundaries)
-    else:
-        dst_at = np.array([_first_at_least(dst, c) for c in boundaries], dtype=np.int64)
-        src_at = np.array([_first_at_least(src, c) for c in boundaries], dtype=np.int64)
+    dst_at = np.searchsorted(np.maximum.accumulate(dst), boundaries)
+    src_at = np.searchsorted(np.maximum.accumulate(src), boundaries)
     first_seen = np.minimum(2 * dst_at, 2 * src_at + 1)
     return n + int((n - 1 - first_seen).sum())
-
-
-def _first_at_least(values: np.ndarray, bound: int) -> int:
-    """Index of the first entry ``>= bound``, or ``len(values)`` if none is."""
-    hit = values >= bound
-    at = int(hit.argmax())
-    return at if hit[at] else values.shape[0]
 
 
 def reindexing_cycle_estimate(

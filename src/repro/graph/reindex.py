@@ -66,11 +66,6 @@ class ReindexResult:
 # ---------------------------------------------------------------------------
 # Vectorized building blocks (shared with the SCR kernel)
 # ---------------------------------------------------------------------------
-#: VIDs per endpoint up to which the one-table scatter beats the sort path
-#: (DESIGN.md, "Scatter or sort").
-SCATTER_VIDS_PER_ENDPOINT = 64
-
-
 def interleave_endpoints(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Endpoint stream in reindexer scan order: ``dst[0], src[0], dst[1], ...``.
 
@@ -95,10 +90,9 @@ def factorize_first_occurrence(
     the numbering a first-encounter hash map produces, without a per-element
     loop.  When ``num_vids`` bounds the value range (VIDs live in
     ``[0, num_vids)``, else :class:`ValueError`) and
-    :func:`~repro.graph.sampling.dense_vid_range` holds at
-    :data:`SCATTER_VIDS_PER_ENDPOINT`, an O(n) scatter through one lookup
-    table is used; otherwise a sort-based ``np.unique`` factorization.  Both paths return the same values; the scatter's codes
-    are int32 when ``n < 2**31``.
+    :func:`~repro.graph.sampling.dense_vid_range` holds, an O(n) scatter
+    through one lookup table is used; otherwise a sort-based ``np.unique``
+    factorization.  Both paths are bit-identical (int64 codes).
     """
     values = np.asarray(values, dtype=VID_DTYPE)
     n = int(values.shape[0])
@@ -106,7 +100,7 @@ def factorize_first_occurrence(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=VID_DTYPE)
     if num_vids is not None and (values.min() < 0 or values.max() >= num_vids):
         raise ValueError(f"values must lie in [0, num_vids) = [0, {num_vids})")
-    if num_vids is not None and dense_vid_range(num_vids, n, SCATTER_VIDS_PER_ENDPOINT):
+    if num_vids is not None and dense_vid_range(num_vids, n):
         # Positions and codes are below n, so the one table can be int32.
         dtype = np.int32 if n < 2**31 else np.int64
         positions = np.arange(n, dtype=dtype)
@@ -117,7 +111,7 @@ def factorize_first_occurrence(
         originals = values[table[values] == positions]
         # The same table then maps each distinct VID to its code.
         table[originals] = np.arange(originals.shape[0], dtype=dtype)
-        return table[values], originals
+        return table[values].astype(np.int64), originals
     uniques, first_index, inverse = np.unique(values, return_index=True, return_inverse=True)
     appearance = np.argsort(first_index, kind="stable")
     rank = np.empty(appearance.shape[0], dtype=np.int64)

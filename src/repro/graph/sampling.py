@@ -27,8 +27,8 @@ included, draws through this sampler too, so every path samples alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class SelectionStats:
     draws: int = 0
 
 
+@dataclass
 class SampledSubgraph:
     """The result of multi-hop neighbourhood sampling.
 
@@ -57,34 +58,16 @@ class SampledSubgraph:
         layers: one COO edge list per GNN layer, outermost hop first, with
             original VIDs.  ``layers[i]`` holds the edges traversed at hop
             ``num_layers - i`` (matching the paper's layer-1-first inference).
-        sampled_nodes: all distinct original VIDs touched by the sample (the
-            batch nodes and every layer's sources), ascending.  Built lazily
-            from those when not supplied, so the fast path never pays for a
-            dedup nobody reads.
+        sampled_nodes: all distinct original VIDs touched by the sample,
+            including the batch nodes.
         num_nodes: node count of the graph the sample was drawn from (kept so
             degenerate zero-layer samples still carry the VID range).
     """
 
-    def __init__(
-        self,
-        batch_nodes: np.ndarray,
-        layers: Optional[List[COOGraph]] = None,
-        sampled_nodes: Optional[np.ndarray] = None,
-        num_nodes: int = 0,
-    ) -> None:
-        self.batch_nodes = batch_nodes
-        self.layers = [] if layers is None else layers
-        self._sampled_nodes = sampled_nodes
-        self.num_nodes = num_nodes
-
-    @property
-    def sampled_nodes(self) -> np.ndarray:
-        """Distinct touched VIDs, ascending (materialised on first access)."""
-        if self._sampled_nodes is None:
-            touched = [np.asarray(self.batch_nodes, dtype=VID_DTYPE)]
-            touched += [layer.src for layer in self.layers]
-            self._sampled_nodes = _sorted_unique(np.concatenate(touched), self.num_nodes)
-        return self._sampled_nodes
+    batch_nodes: np.ndarray
+    layers: List[COOGraph] = field(default_factory=list)
+    sampled_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=VID_DTYPE))
+    num_nodes: int = 0
 
     @property
     def num_layers(self) -> int:
@@ -100,9 +83,6 @@ class SampledSubgraph:
     def num_sampled_edges(self) -> int:
         """Total number of edges across all sampled layers."""
         return int(sum(layer.num_edges for layer in self.layers))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SampledSubgraph(layers={self.num_layers}, edges={self.num_sampled_edges})"
 
     def all_edges(self) -> COOGraph:
         """Concatenate every layer's edges into one COO graph (original VIDs)."""
@@ -226,23 +206,17 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-#: The most VIDs a scatter table spans past 4 VIDs per value: 2**24, 64 MB as int32.
-MAX_SCATTER_VIDS = 2**24
-
-
-def dense_vid_range(num_vids: int, size: int, vids_per_value: int = 4) -> bool:
+def dense_vid_range(num_vids: int, size: int) -> bool:
     """Whether ``size`` VIDs in ``[0, num_vids)`` are dense enough to scatter.
 
     A scatter over the VID range costs O(size + num_vids) and beats a sort
-    while the range holds at most about ``vids_per_value`` VIDs per value
-    (measured in DESIGN.md, "Scatter or sort"): 4 for :func:`_sorted_unique`,
-    whose sort is cheap, and 64 for ``reindex.factorize_first_occurrence``,
-    whose sort path is ~10x its scatter.  Past 4 per value a table spans at
-    most :data:`MAX_SCATTER_VIDS`.  Each function's two branches return
-    identical arrays.
+    when the range is comparable to the input (the pipeline's frontiers and
+    subgraph endpoints); against a much larger graph it would allocate and
+    scan the whole range, so sparse inputs sort instead.  The one rule
+    :func:`_sorted_unique` and ``reindex.factorize_first_occurrence`` both
+    choose by; each function's two branches return identical arrays.
     """
-    limit = max(min(vids_per_value * size, MAX_SCATTER_VIDS), 4 * size)
-    return 0 < num_vids <= limit + 1024
+    return 0 < num_vids <= 4 * size + 1024
 
 
 def _sorted_unique(values: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -270,6 +244,7 @@ def node_wise_sample_with_stats(
         raise IndexError(f"batch VIDs must lie in [0, num_nodes) = [0, {graph.num_nodes})")
     frontier = _sorted_unique(batch, graph.num_nodes)
     layers: List[COOGraph] = []
+    touched: List[np.ndarray] = [frontier]
     stats = SelectionStats()
 
     for hop in range(num_layers):
@@ -277,14 +252,21 @@ def node_wise_sample_with_stats(
         stats.arrays += arrays
         stats.draws += draws
         layers.append(COOGraph(src=src, dst=dst, num_nodes=graph.num_nodes, validate_vids=False))
+        touched.append(src)
         # The last hop's sources are no frontier: nothing reads their dedup.
         if hop + 1 < num_layers:
             frontier = _sorted_unique(src, graph.num_nodes)
             if frontier.size == 0:
                 break
 
+    sampled = _sorted_unique(np.concatenate(touched), graph.num_nodes)
     # Present layers outermost-hop first, matching the inference order.
-    sample = SampledSubgraph(batch, list(reversed(layers)), num_nodes=graph.num_nodes)
+    sample = SampledSubgraph(
+        batch_nodes=batch,
+        layers=list(reversed(layers)),
+        sampled_nodes=sampled,
+        num_nodes=graph.num_nodes,
+    )
     return sample, stats
 
 

@@ -10,7 +10,6 @@ from repro.graph.convert import coo_to_csc
 from repro.graph.coo import COOGraph
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.sampling import (
-    MAX_SCATTER_VIDS,
     _sorted_unique,
     dense_vid_range,
     node_wise_sample,
@@ -156,19 +155,10 @@ class TestSortedUnique:
 
 
 class TestDenseRangeRule:
-    def test_four_vids_per_value_by_default(self):
+    def test_four_vids_per_value(self):
         assert dense_vid_range(4 * 1000 + 1024, 1000)
         assert not dense_vid_range(4 * 1000 + 1025, 1000)
         assert not dense_vid_range(0, 1000)
-
-    def test_wider_rules_are_capped_past_four_vids_per_value(self):
-        assert dense_vid_range(64 * 1000 + 1024, 1000, 64)
-        assert not dense_vid_range(64 * 1000 + 1025, 1000, 64)
-        size = MAX_SCATTER_VIDS // 16
-        assert dense_vid_range(MAX_SCATTER_VIDS + 1024, size, 64)
-        assert not dense_vid_range(MAX_SCATTER_VIDS + 1025, size, 64)
-        # Up to 4 per value the cap never applies.
-        assert dense_vid_range(4 * MAX_SCATTER_VIDS + 1024, MAX_SCATTER_VIDS, 64)
 
 
 class TestBatchRange:

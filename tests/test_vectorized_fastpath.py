@@ -19,7 +19,6 @@ from hypothesis import example, given, seed, settings, strategies as st
 from repro.core.accelerator import AutoGNNDevice
 from repro.core.config import HardwareConfig
 from repro.core.kernels import (
-    SEARCHED_SCAN_BOUNDARIES,
     SCRKernel,
     UPEKernel,
     reindexer_scan_width,
@@ -33,7 +32,6 @@ from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.dynamic import DynamicGraph, UpdateBatch
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.reindex import (
-    SCATTER_VIDS_PER_ENDPOINT,
     factorize_first_occurrence,
     interleave_endpoints,
     reindex_edges,
@@ -142,13 +140,12 @@ class TestReindexEquivalence:
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "above-threshold"])
     def test_factorize_either_side_of_the_dense_range_rule(self, extra):
-        """The VID range at the factorization's threshold scatters, one above
-        sorts; both number the endpoints as the oracle's walk does."""
+        """The VID range at the shared threshold scatters, one above sorts;
+        both number the endpoints as the oracle's walk does."""
         rng = np.random.default_rng(11)
         num_edges = 300
-        num_vids = SCATTER_VIDS_PER_ENDPOINT * (2 * num_edges) + 1024 + extra
-        rule = dense_vid_range(num_vids, 2 * num_edges, SCATTER_VIDS_PER_ENDPOINT)
-        assert rule == (extra == 0)
+        num_vids = 4 * (2 * num_edges) + 1024 + extra
+        assert dense_vid_range(num_vids, 2 * num_edges) == (extra == 0)
         # Endpoints include the range's last VID, so a short table would fail.
         src = rng.integers(0, num_vids, size=num_edges)
         dst = rng.integers(num_vids - 40, num_vids, size=num_edges)
@@ -186,6 +183,7 @@ SCAN_WIDTH_CONFIGS = {
     2: HardwareConfig(num_scrs=1, scr_width=2),
     3: HardwareConfig(num_scrs=3, scr_width=1),
     7: HardwareConfig(num_scrs=7, scr_width=1),
+    4096: HardwareConfig(),
     16384: HardwareConfig(num_scrs=1, scr_width=16384),
 }
 
@@ -218,10 +216,10 @@ def assert_closed_form_charge(width, src, dst, num_vids):
     assert reindexing_cycles_of(head, config) == reindexing_cycle_count(occupancy, config)
 
 
-#: ``(W, multiples of W)``: few scan boundaries for every width, and for the
-#: narrow ones more than the closed form searches one by one.
+#: ``(W, multiples of W)``: few scan boundaries for every width, and ten
+#: for the narrow ones.
 BOUNDARY_CASES = [(w, t) for w in SCAN_WIDTH_CONFIGS for t in (0, 1, 2)] + [
-    (w, SEARCHED_SCAN_BOUNDARIES + 2) for w in (1, 2, 3, 7)
+    (w, 10) for w in (1, 2, 3, 7)
 ]
 
 
@@ -236,7 +234,7 @@ class TestClosedFormReindexCharge:
     @settings(max_examples=60, deadline=None)
     @given(
         width=st.sampled_from([1, 2, 3, 7]),
-        multiple=st.integers(0, 2 * SEARCHED_SCAN_BOUNDARIES),
+        multiple=st.integers(0, 16),
         offset=st.sampled_from([-1, 0, 1]),
         extra_edges=st.integers(0, 40),
         spare_vids=st.sampled_from([0, 5, 10**7]),
@@ -260,7 +258,7 @@ class TestClosedFormReindexCharge:
 def dense_value_streams(draw):
     """``(values, num_vids)`` whose VID range the one-table scatter takes."""
     size = draw(st.integers(0, 600))
-    num_vids = draw(st.integers(1, SCATTER_VIDS_PER_ENDPOINT * size + 1024))
+    num_vids = draw(st.integers(1, 4 * size + 1024))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     hot = draw(st.integers(1, num_vids))
     return rng.integers(num_vids - hot, num_vids, size=size).astype(VID_DTYPE), num_vids
@@ -272,14 +270,13 @@ class TestOneTableFactorization:
     @given(case=dense_value_streams())
     def test_one_table_equals_the_sort_path(self, case):
         values, num_vids = case
-        assert dense_vid_range(num_vids, values.shape[0], SCATTER_VIDS_PER_ENDPOINT)
+        assert dense_vid_range(num_vids, values.shape[0])
         codes, originals = factorize_first_occurrence(values, num_vids=num_vids)
         want_codes, want_originals = factorize_first_occurrence(values)
         assert np.array_equal(codes, want_codes)
         assert np.array_equal(originals, want_originals)
         assert originals.dtype == VID_DTYPE
-        if values.shape[0]:
-            assert codes.dtype == np.int32
+        assert codes.dtype == want_codes.dtype == np.int64
 
     @pytest.mark.parametrize("num_vids", [10, 10**9], ids=["scatter", "sort"])
     def test_values_outside_the_range_are_rejected(self, num_vids):
@@ -322,7 +319,7 @@ class TestCycleFormulaEquivalence:
 #: Pipeline-scale graphs of at least 10k edges, as (nodes, edges, batch):
 #: one whose sample is dense in its VID range, one so sparse that the
 #: frontier dedup and the endpoint factorization take their sort branches.
-PIPELINE_GRAPHS = [(2_000, 10_000, 1_000), (400_000, 30_000, 30_000)]
+PIPELINE_GRAPHS = [(2_000, 10_000, 1_000), (100_000, 20_000, 20_000)]
 
 
 class TestPipelineEquivalence:
@@ -358,7 +355,7 @@ class TestPipelineEquivalence:
         assert timing.reindexing_cycles == reindexing_cycle_count(occupancy, config)
         assert occupancy.max() > 10 * reindexer_scan_width(config)
         # The dense case scatters its endpoints, the sparse one sorts them.
-        scatters = dense_vid_range(num_nodes, occupancy.shape[0], SCATTER_VIDS_PER_ENDPOINT)
+        scatters = dense_vid_range(num_nodes, occupancy.shape[0])
         assert scatters == (num_nodes == PIPELINE_GRAPHS[0][0])
 
 
